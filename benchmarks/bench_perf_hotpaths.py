@@ -3,8 +3,8 @@
 Times the hot paths the vectorization PRs target on a medium cluster —
 destination-mask construction, observation build, ``ClusterState.copy``, one
 PPO rollout epoch (vectorized env + batched policy forward vs a single env)
-and one PPO update epoch (stacked minibatch evaluation vs the per-transition
-loop) — and emits ``BENCH_perf_hotpaths.json`` so future PRs can track the
+and, as absolute times, sync/async collection and one PPO update epoch — and
+emits ``BENCH_perf_hotpaths.json`` so future PRs can track the
 trajectory.
 
 Run:  PYTHONPATH=src python benchmarks/bench_perf_hotpaths.py [--smoke] [--output PATH]
@@ -30,7 +30,7 @@ from repro.core.step_cache import StepCache
 from repro.datasets import ClusterSpec, SnapshotGenerator
 from repro.env import AsyncVectorEnv, SyncVectorEnv, VMRescheduleEnv
 from repro.env.observation import ObservationBuilder
-from repro.nn import MultiHeadAttention, no_grad, reference_ops
+from repro.nn import MultiHeadAttention, no_grad
 
 
 def _medium_state(num_pms: int, seed: int = 0):
@@ -108,6 +108,12 @@ def run(
             "vectorized_s": vectorized_s,
             "speedup": legacy_s / vectorized_s if vectorized_s > 0 else float("inf"),
         }
+
+    def record_absolute(name: str, seconds: float) -> None:
+        """A path with no second implementation left to compare against: the
+        commit-to-commit comparison lives in BENCHMARK.json's
+        ``train_ppo_small`` workload and ``ppo.*`` probes."""
+        results[name] = {"seconds": seconds}
 
     # 1. Stage-2 destination masks over a sample of VMs (+ stage-1 mask).
     state.arrays()  # build once so the steady-state (incrementally synced) path is measured
@@ -302,18 +308,14 @@ def run(
     )
     results["rollout_cached_steps"]["steps"] = cached_steps
 
-    # 4c. Multi-process async experience collection at equal env count.
-    # Legacy = the PR-3 collection path verbatim: SyncVectorEnv stepped in
-    # the trainer process with grad-tracking float64 forwards
-    # (PPOConfig(inference_rollouts=False)).  New = the PR-4 stack: N
-    # AsyncVectorEnv workers stepping + featurizing + mask-building in their
-    # own processes over shared-memory SoA buffers, with the trainer running
-    # no-grad float32 inference forwards (ModelConfig(inference_dtype=
-    # "float32")).  A sync no-worker case with the same fast forwards is
-    # recorded too, so the decomposition (inference-path gain vs worker
-    # offload) stays visible.  Rollouts on both sides visit the same number
-    # of transitions; sync vs async rollouts are bitwise-identical at equal
-    # config (pinned by tests/core/test_async_rollout.py).
+    # 4c. Multi-process async experience collection at equal env count:
+    # N AsyncVectorEnv workers stepping + featurizing + mask-building in
+    # their own processes over shared-memory SoA buffers, with the trainer
+    # running no-grad float32 inference forwards (ModelConfig(inference_dtype=
+    # "float32")).  The sync no-worker case with the same forwards is
+    # recorded too, so the worker pool's own contribution stays visible.
+    # Sync vs async rollouts are bitwise-identical at equal config (pinned by
+    # tests/core/test_async_rollout.py).
     async_pms = 6 if smoke else 20
     async_envs = 4 if smoke else 32
     async_steps = 8 if smoke else 64
@@ -339,23 +341,19 @@ def run(
         for _ in range(async_envs)
     ]
 
-    def collection_trainer(env, inference: bool) -> PPOTrainer:
-        model = ModelConfig(inference_dtype="float32" if inference else "float64")
-        policy = TwoStagePolicy(model, rng=np.random.default_rng(0))
+    def collection_trainer(env) -> PPOTrainer:
+        policy = TwoStagePolicy(
+            ModelConfig(inference_dtype="float32"), rng=np.random.default_rng(0)
+        )
         config = PPOConfig(
-            rollout_steps=async_steps, minibatch_size=async_steps,
-            update_epochs=1, seed=0, inference_rollouts=inference,
+            rollout_steps=async_steps, minibatch_size=async_steps, update_epochs=1, seed=0
         )
         return PPOTrainer(policy, env, config)
 
-    legacy_collect = collection_trainer(SyncVectorEnv(async_fns), inference=False)
-    legacy_collect.collect_rollout()  # warm-up
-    legacy_collect_s = _time(lambda: legacy_collect.collect_rollout(), rollout_repeats)
-
-    sync_fast = collection_trainer(SyncVectorEnv(async_fns), inference=True)
+    sync_fast = collection_trainer(SyncVectorEnv(async_fns))
     sync_fast.collect_rollout()  # warm-up
     sync_fast_s = _time(lambda: sync_fast.collect_rollout(), rollout_repeats)
-    record("rollout_epoch_sync_inference", legacy_collect_s, sync_fast_s)
+    record_absolute("rollout_epoch_sync_inference", sync_fast_s)
 
     by_workers: dict = {}
     resolved_start_method = async_start_method
@@ -365,70 +363,46 @@ def run(
         )
         resolved_start_method = venv.start_method
         try:
-            async_trainer = collection_trainer(venv, inference=True)
+            async_trainer = collection_trainer(venv)
             async_trainer.collect_rollout()  # warm-up
             by_workers[workers] = _time(
                 lambda: async_trainer.collect_rollout(), rollout_repeats
             )
         finally:
             venv.close()
-    record("rollout_epoch_async", legacy_collect_s, by_workers[headline_workers])
+    record_absolute("rollout_epoch_async", by_workers[headline_workers])
     results["rollout_epoch_async"]["workers"] = {
         str(workers): seconds for workers, seconds in by_workers.items()
     }
     results["rollout_epoch_async"]["num_envs"] = async_envs
     results["rollout_epoch_async"]["start_method"] = resolved_start_method
     results["rollout_epoch_async"]["sweep_skipped_single_core"] = sweep_skipped_single_core
-    # Attribution: the headline speedup is PR-3 path vs the full PR-4 stack.
-    # This ratio isolates the worker pool's own contribution by comparing
-    # against the same-policy-config sync control — on a single-core runner
-    # it hovers at ~1.0 (nothing to overlap; see cpu_count below).
+    # The worker pool's own contribution, against the same-policy-config
+    # sync control — on a single-core runner it hovers at ~1.0 (nothing to
+    # overlap; see cpu_count below).
     results["rollout_epoch_async"]["speedup_vs_sync_inference"] = (
         sync_fast_s / by_workers[headline_workers]
     )
 
-    # 5. One full PPO update (default 4 epochs) over a fixed rollout.  Legacy
-    # = the seed update path: per-transition evaluate_actions loop on the seed
-    # substrate (chained softmax / layer norm, per-head dense masked
-    # attention — repro.nn's reference_ops, the nn-level analogue of the
-    # *_reference functions timed above), refeaturizing every epoch.
-    # Vectorized = one stacked evaluate_actions_batch forward per minibatch
-    # with once-per-rollout cached featurization, grouped sparse tree
-    # attention and the fused kernels.
+    # 5. One full PPO update (default 4 epochs) over a fixed rollout: one
+    # stacked evaluate_actions_batch forward per minibatch with
+    # once-per-rollout cached featurization, grouped sparse tree attention
+    # and the fused kernels.
     update_buffer = single_trainer.collect_rollout()
     update_repeats = 1 if smoke else 3
     update_epochs = 1 if smoke else 4
-    loop_trainer = PPOTrainer(
+    update_trainer = PPOTrainer(
         policy,
         env_factory(),
         PPOConfig(
             rollout_steps=rollout_steps, minibatch_size=rollout_steps,
-            update_epochs=update_epochs, seed=0, batched_updates=False,
+            update_epochs=update_epochs, seed=0,
         ),
     )
-    batched_trainer = PPOTrainer(
-        policy,
-        env_factory(),
-        PPOConfig(
-            rollout_steps=rollout_steps, minibatch_size=rollout_steps,
-            update_epochs=update_epochs, seed=0, batched_updates=True,
-        ),
+    update_trainer.update(update_buffer)  # warm-up (also fills the feature cache)
+    record_absolute(
+        "ppo_update_epoch", _time(lambda: update_trainer.update(update_buffer), update_repeats)
     )
-    with reference_ops():
-        loop_trainer.update(update_buffer)  # warm-up
-    batched_trainer.update(update_buffer)  # warm-up (also fills the feature cache)
-    # Interleave the two sides so a slow phase of a shared runner cannot bias
-    # either one; best-of over rounds like _time.
-    legacy_update_s = batched_update_s = float("inf")
-    for _ in range(update_repeats):
-        with reference_ops():
-            legacy_update_s = min(
-                legacy_update_s, _time(lambda: loop_trainer.update(update_buffer), 1)
-            )
-        batched_update_s = min(
-            batched_update_s, _time(lambda: batched_trainer.update(update_buffer), 1)
-        )
-    record("ppo_update_epoch", legacy_update_s, batched_update_s)
 
     payload = {
         "benchmark": "perf_hotpaths",
@@ -468,11 +442,14 @@ def main() -> None:
         smoke=args.smoke, output=args.output, async_start_method=args.async_start_method
     )
     for name, entry in payload["results"].items():
-        line = (
-            f"{name:28s} legacy {entry['legacy_s'] * 1e3:9.2f} ms   "
-            f"vectorized {entry['vectorized_s'] * 1e3:9.2f} ms   "
-            f"speedup {entry['speedup']:6.1f}x"
-        )
+        if "seconds" in entry:
+            line = f"{name:28s} {entry['seconds'] * 1e3:9.2f} ms"
+        else:
+            line = (
+                f"{name:28s} legacy {entry['legacy_s'] * 1e3:9.2f} ms   "
+                f"vectorized {entry['vectorized_s'] * 1e3:9.2f} ms   "
+                f"speedup {entry['speedup']:6.1f}x"
+            )
         if "workers" in entry:
             detail = "  ".join(
                 f"w{workers}={seconds * 1e3:.0f}ms"

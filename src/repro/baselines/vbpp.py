@@ -73,32 +73,44 @@ class AlphaVBPP(Rescheduler):
         victims = self._select_victims(state, min(self.alpha, budget))
         if not victims:
             return 0
-        # The packer works unpack-then-repack: all victims are removed at
-        # once so it sees the freed capacity, then re-placed.  The resulting
-        # moves are only *jointly* feasible — emitted naively, one victim's
-        # destination may still be occupied by another victim that moves
-        # later in the list.  Keep a snapshot of the stage-start state and
-        # linearize the final assignment through order_migrations so the plan
-        # replays one migration at a time (cyclic leftovers are appended and
-        # skipped on application, mirroring production staleness handling).
-        stage_start = state.copy()
+        # The packer works unpack-then-repack on a scratch copy: all victims
+        # are removed at once so it sees the freed capacity, then re-placed.
+        # The resulting moves are only *jointly* feasible — emitted naively,
+        # one victim's destination may still be occupied by another victim
+        # that moves later in the list — so order_migrations linearizes the
+        # final assignment into one-at-a-time moves.
+        scratch = state.copy()
         original: Dict[int, Placement] = {}
         for vm_id in victims:
-            original[vm_id] = state.remove_vm(vm_id)
+            original[vm_id] = scratch.remove_vm(vm_id)
         assignment: Dict[int, int] = {}
         numa_targets: Dict[int, int] = {}
         # Re-place in decreasing CPU order (first-fit decreasing flavour).
-        for vm_id in sorted(victims, key=lambda v: -state.vms[v].cpu):
-            placement = self._pack(state, vm_id)
+        for vm_id in sorted(victims, key=lambda v: -scratch.vms[v].cpu):
+            placement = self._pack(scratch, vm_id)
             if placement is None:
                 placement = original[vm_id]
-            state.place_vm(vm_id, placement, honor_affinity=False)
+            scratch.place_vm(vm_id, placement, honor_affinity=False)
             if placement.pm_id != original[vm_id].pm_id:
                 assignment[vm_id] = placement.pm_id
                 numa_targets[vm_id] = placement.numa_id
-        for migration in order_migrations(stage_start, assignment, numa_targets):
+        # order_migrations appends the moves it could not linearize (cyclic
+        # swaps with no free buffer) after the feasible ones.  Those are not
+        # emitted: the plan must replay strictly, so their victims stay where
+        # they are in ``state`` and cost no budget.
+        moved = 0
+        for migration in order_migrations(state, assignment, numa_targets):
+            if not state.can_host(migration.vm_id, migration.dest_pm_id, honor_affinity=False):
+                continue
+            state.migrate_vm(
+                migration.vm_id,
+                migration.dest_pm_id,
+                dest_numa_id=migration.dest_numa_id,
+                honor_affinity=False,
+            )
             plan.append(migration)
-        return len(assignment)
+            moved += 1
+        return moved
 
     def _select_victims(self, state: ClusterState, count: int) -> List[int]:
         """VMs on the most fragmented PMs whose removal helps the most."""

@@ -35,7 +35,6 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from .analysis import format_table, render_trace, trace_plan
-from .baselines import FilteringHeuristic, MIPRescheduler, POPRescheduler
 from .cluster import ClusterState, ConstraintConfig
 from .core import ModelConfig, PPOConfig, RiskSeekingConfig, VMR2LAgent, VMR2LConfig
 from .datasets import (
@@ -70,14 +69,6 @@ from .sim import (
     load_trace,
     save_trace,
 )
-
-#: Deprecated — kept for backwards compatibility with pre-serve scripts.
-#: Use :func:`repro.serve.build_default_registry` instead.
-BASELINE_FACTORIES = {
-    "ha": lambda: FilteringHeuristic(),
-    "mip": lambda: MIPRescheduler(time_limit_s=60.0),
-    "pop": lambda: POPRescheduler(num_partitions=4, time_limit_s=5.0),
-}
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -12,7 +12,7 @@
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -30,8 +30,7 @@ class VMActor(Module):
         self.projection = Linear(config.embed_dim, 1, rng=rng, gain=0.01)
 
     def forward(self, extractor_output: ExtractorOutput) -> Tensor:
-        """Return logits: ``(num_vms,)`` for a single observation,
-        ``(batch, num_vms)`` for stacked 3-D embeddings."""
+        """Return ``(batch, num_vms)`` logits."""
         vm_embeddings = extractor_output.vm_embeddings
         logits = self.projection(vm_embeddings)
         return logits.reshape(vm_embeddings.shape[:-1])
@@ -54,40 +53,19 @@ class PMActor(Module):
     def forward(
         self,
         extractor_output: ExtractorOutput,
-        vm_index: int,
-    ) -> Tensor:
-        """Return logits of shape ``(num_pms,)`` for the VM at ``vm_index``."""
-        num_vms = extractor_output.vm_embeddings.shape[0]
-        if not 0 <= vm_index < num_vms:
-            raise IndexError(f"vm_index {vm_index} out of range for {num_vms} VMs")
-        selected = self.vm_encoder(extractor_output.vm_embeddings[vm_index].reshape(1, -1))
-        # Decoder: PM embeddings attend to the selected VM embedding.
-        pm_decoded = self.decoder(extractor_output.pm_embeddings, selected)
-        logits = self.projection(pm_decoded).reshape(extractor_output.pm_embeddings.shape[0])
-        # Coordination bias: stage-3 attention scores of the selected VM.
-        scores = extractor_output.vm_pm_scores
-        if scores.size:
-            bias = Tensor(scores[vm_index])
-            logits = logits + bias * self.score_weight
-        return logits
-
-    def forward_batch(
-        self,
-        extractor_output: ExtractorOutput,
         vm_indices: Sequence[int],
     ) -> Tensor:
-        """Batched decoder over stacked embeddings: ``(batch, num_pms)`` logits.
+        """Return ``(batch, num_pms)`` logits for each row's selected VM.
 
-        ``extractor_output`` holds 3-D ``(batch, machines, dim)`` embeddings;
+        ``extractor_output`` holds ``(batch, machines, dim)`` embeddings;
         row *i*'s PMs cross-attend to that row's selected VM embedding
         (``vm_indices[i]``) in one attention call, and the stage-3 score bias
-        is gathered per row.  Used by both ``act_batch`` and
-        ``evaluate_actions_batch``.
+        is gathered per row.
         """
         vm_embeddings = extractor_output.vm_embeddings
         pm_embeddings = extractor_output.pm_embeddings
         if vm_embeddings.ndim != 3:
-            raise ValueError("forward_batch needs stacked (batch, machines, dim) embeddings")
+            raise ValueError("the PM actor needs stacked (batch, machines, dim) embeddings")
         batch, num_vms = vm_embeddings.shape[0], vm_embeddings.shape[1]
         indices = np.asarray(vm_indices, dtype=int)
         if indices.shape != (batch,):
@@ -96,8 +74,10 @@ class PMActor(Module):
             raise IndexError(f"vm_indices out of range for {num_vms} VMs")
         rows = np.arange(batch)
         selected = self.vm_encoder(vm_embeddings[rows, indices]).reshape(batch, 1, -1)
+        # Decoder: each row's PM embeddings attend to its selected VM embedding.
         pm_decoded = self.decoder(pm_embeddings, selected)
         logits = self.projection(pm_decoded).reshape(batch, pm_embeddings.shape[1])
+        # Coordination bias: stage-3 attention scores of the selected VM.
         scores = extractor_output.vm_pm_scores
         if scores.size:
             bias = Tensor(scores[rows, indices])
@@ -115,17 +95,14 @@ class ValueHead(Module):
         self.network = MLP(2 * dim, [dim], 1, activation=config.activation, rng=rng, final_gain=1.0)
 
     def forward(self, extractor_output: ExtractorOutput) -> Tensor:
-        """Return per-state values: shape ``(1,)`` for a single observation,
-        ``(batch,)`` for a stacked batch (3-D embeddings)."""
+        """Return ``(batch,)`` state values from ``(batch, machines, dim)``
+        embeddings."""
         pm_embeddings = extractor_output.pm_embeddings
         vm_embeddings = extractor_output.vm_embeddings
-        machine_axis = pm_embeddings.ndim - 2
-        pm_pool = pm_embeddings.mean(axis=machine_axis)
-        if vm_embeddings.shape[machine_axis] > 0:
-            vm_pool = vm_embeddings.mean(axis=machine_axis)
+        pm_pool = pm_embeddings.mean(axis=1)
+        if vm_embeddings.shape[1] > 0:
+            vm_pool = vm_embeddings.mean(axis=1)
         else:
             vm_pool = Tensor(np.zeros(pm_pool.shape))
         pooled = concatenate([pm_pool, vm_pool], axis=-1)
-        if pooled.ndim == 1:
-            pooled = pooled.reshape(1, -1)
         return self.network(pooled).reshape(pooled.shape[0])

@@ -121,17 +121,15 @@ class VMR2LAgent(Rescheduler):
 
         ``num_workers`` selects the experience-collection backend:
 
-        * ``0`` (default) — one in-process environment, the seed setup.
+        * ``0`` (default) — an in-process
+          :class:`~repro.env.vector_env.SyncVectorEnv` of ``num_envs``
+          environments (default one).
         * ``> 0`` — an :class:`~repro.env.async_vector_env.AsyncVectorEnv`
           with ``num_envs`` environments (default ``num_workers``, i.e. one
           per worker) sharded over that many worker processes; environments
           step and featurize in parallel while the policy forward stays in
           this process.  ``start_method`` picks ``fork``/``spawn`` (training
           states are pickled to each worker under ``spawn``).
-
-        ``num_envs > 1`` with ``num_workers == 0`` collects from an
-        in-process :class:`~repro.env.vector_env.SyncVectorEnv` — same
-        batched rollouts without the extra processes.
 
         ``on_worker_failure`` / ``worker_timeout_s`` forward to the async
         env's supervisor: ``"restart"`` keeps long training runs alive
@@ -148,50 +146,34 @@ class VMR2LAgent(Rescheduler):
         if penalty is None and self.config.model.action_mode == "penalty":
             penalty = -5.0
 
-        env = None
-        close_env = False
-        if num_workers == 0 and (num_envs is None or num_envs <= 1):
-            sampler_rng = np.random.default_rng(self.seed + 1)
-
-            def sample_state() -> ClusterState:
-                return train_states[sampler_rng.integers(len(train_states))]
-
-            env = VMRescheduleEnv(
-                state_sampler=sample_state,
-                constraint_config=self.constraint_config,
-                objective=self.objective,
-                illegal_action_penalty=penalty,
+        count = num_envs if num_envs else max(num_workers, 1)
+        if count < max(num_workers, 1):
+            raise ValueError("num_envs must be >= num_workers")
+        factories = [
+            _SampledTrainEnvFactory(
+                train_states,
+                self.constraint_config,
+                self.objective,
+                penalty,
+                sampler_seed=self.seed + 1 + index,
+            )
+            for index in range(count)
+        ]
+        if num_workers > 0:
+            env = AsyncVectorEnv(
+                factories,
+                num_workers=num_workers,
+                start_method=start_method,
+                seed=self.seed,
+                # Samplers draw snapshots of varying size; size the shared
+                # buffers for the largest training mapping up front.
+                max_pms=max(state.num_pms for state in train_states),
+                max_vms=max(state.num_vms for state in train_states),
+                on_worker_failure=on_worker_failure,
+                worker_timeout_s=worker_timeout_s,
             )
         else:
-            count = num_envs if num_envs is not None else max(num_workers, 1)
-            if count < max(num_workers, 1):
-                raise ValueError("num_envs must be >= num_workers")
-            factories = [
-                _SampledTrainEnvFactory(
-                    train_states,
-                    self.constraint_config,
-                    self.objective,
-                    penalty,
-                    sampler_seed=self.seed + 1 + index,
-                )
-                for index in range(count)
-            ]
-            if num_workers > 0:
-                env = AsyncVectorEnv(
-                    factories,
-                    num_workers=num_workers,
-                    start_method=start_method,
-                    seed=self.seed,
-                    # Samplers draw snapshots of varying size; size the shared
-                    # buffers for the largest training mapping up front.
-                    max_pms=max(state.num_pms for state in train_states),
-                    max_vms=max(state.num_vms for state in train_states),
-                    on_worker_failure=on_worker_failure,
-                    worker_timeout_s=worker_timeout_s,
-                )
-            else:
-                env = SyncVectorEnv(factories)
-            close_env = True
+            env = SyncVectorEnv(factories)
 
         eval_callback = None
         if eval_states:
@@ -204,8 +186,7 @@ class VMR2LAgent(Rescheduler):
         try:
             history = trainer.train(total_steps, eval_every=eval_every)
         finally:
-            if close_env:
-                env.close()
+            env.close()
         self.training_history.extend(history)
         return history
 
@@ -247,8 +228,8 @@ class VMR2LAgent(Rescheduler):
 
         Episodes advance in lock-step: at each step the observations of the
         running episodes go through ONE :meth:`TwoStagePolicy.act_batch` call
-        (a single stacked extractor forward when the clusters share a size),
-        instead of one full forward per request.  In greedy mode the sampled
+        (one stacked extractor forward per cluster size present), instead of
+        one full forward per request.  In greedy mode the sampled
         action is the argmax of the same masked distribution the per-request
         :meth:`plan_single_trajectory` path computes, so micro-batched plans
         are identical to sequential ones.

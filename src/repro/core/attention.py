@@ -39,12 +39,36 @@ from .features import FeatureBatch, TreeGrouping
 
 
 class ExtractorOutput:
-    """Embeddings produced by a feature extractor for one observation."""
+    """Embeddings produced by a feature extractor.
+
+    ``(batch, machines, dim)`` embeddings and ``(batch, num_vms, num_pms)``
+    scores for a stacked :class:`FeatureBatch` — the only layout the actor
+    heads consume; a caller that handed the extractor a single-row batch gets
+    the same without the batch axis.
+    """
 
     def __init__(self, vm_embeddings: Tensor, pm_embeddings: Tensor, vm_pm_scores: np.ndarray) -> None:
         self.vm_embeddings = vm_embeddings
         self.pm_embeddings = pm_embeddings
         self.vm_pm_scores = vm_pm_scores
+
+    def for_batch(self, batch: FeatureBatch) -> "ExtractorOutput":
+        """Undo :func:`_stacked_features` for a single-row ``batch``."""
+        if batch.batch_size is not None:
+            return self
+        return ExtractorOutput(self.vm_embeddings[0], self.pm_embeddings[0], self.vm_pm_scores[0])
+
+
+def _stacked_features(batch: FeatureBatch) -> Tuple[np.ndarray, np.ndarray]:
+    """PM / VM feature arrays with a leading batch axis.
+
+    The one place a single-row :class:`FeatureBatch` becomes a batch of one:
+    every layer past the extractor boundary handles stacked shapes only.
+    """
+    pm_features, vm_features = batch.pm_features.data, batch.vm_features.data
+    if batch.batch_size is None:
+        pm_features, vm_features = pm_features[None], vm_features[None]
+    return pm_features, vm_features
 
 
 class _AttentionBlock(Module):
@@ -74,13 +98,10 @@ class _AttentionBlock(Module):
         tree_mask: Optional[AttentionMask],
         tree_groups: Optional["TreeGrouping"] = None,
     ) -> Tuple[Tensor, Tensor, np.ndarray]:
-        """Run one block.
+        """Run one block over ``(batch, machines, dim)`` embeddings.
 
-        The embeddings are ``(machines, dim)`` for a single observation or
-        ``(batch, machines, dim)`` for a stacked vectorized-env step; all ops
-        act on the trailing two axes, so both layouts share this code path.
-        Stacked batches pass ``tree_groups`` so stage 1 attends inside padded
-        per-tree groups instead of masking dense ``S×S`` scores.
+        ``tree_groups`` makes stage 1 attend inside padded per-tree groups;
+        the dense ``tree_mask`` over ``S×S`` scores serves reference mode.
         """
         num_pms = pm_embeddings.shape[-2]
         num_vms = vm_embeddings.shape[-2]
@@ -140,7 +161,7 @@ class SparseAttentionExtractor(Module):
         self.final_norm_pm = LayerNorm(dim)
 
     def forward(self, batch: FeatureBatch) -> ExtractorOutput:
-        pm_inputs, vm_inputs = batch.pm_features, batch.vm_features
+        pm_inputs, vm_inputs = _stacked_features(batch)
         if (
             self.config.inference_dtype == "float32"
             and not grad_enabled()
@@ -149,18 +170,16 @@ class SparseAttentionExtractor(Module):
             # Float32 inference: cast the features once; every downstream
             # array kernel then runs in single precision against cached
             # float32 weight copies (see repro.nn.layers.cast_param).
-            pm_inputs = Tensor(pm_inputs.data.astype(np.float32))
-            vm_inputs = Tensor(vm_inputs.data.astype(np.float32))
-        pm_embeddings = self.pm_embed(pm_inputs)
-        vm_embeddings = self.vm_embed(vm_inputs)
-        score_shape = (batch.num_vms, batch.num_pms)
-        if batch.batch_size is not None:
-            score_shape = (batch.batch_size,) + score_shape
-        scores = np.zeros(score_shape)
+            pm_inputs = pm_inputs.astype(np.float32)
+            vm_inputs = vm_inputs.astype(np.float32)
+        pm_embeddings = self.pm_embed(Tensor(pm_inputs))
+        vm_embeddings = self.vm_embed(Tensor(vm_inputs))
+        scores = np.zeros((pm_inputs.shape[0], batch.num_vms, batch.num_pms))
         # Tree-local attention runs inside padded per-tree groups (cached on
-        # the FeatureBatch) for stacked batches AND single observations — the
-        # dense S×S mask is materialized only in reference mode, wrapped ONCE
-        # per forward so every block reuses the same additive bias.
+        # the FeatureBatch; a single-row batch's one-row grouping indexes its
+        # lifted form unchanged) — the dense S×S mask is materialized only in
+        # reference mode, wrapped ONCE per forward so every block reuses the
+        # same additive bias.
         tree_mask = None
         tree_groups = None
         if self.use_tree_attention and batch.num_vms:
@@ -176,7 +195,7 @@ class SparseAttentionExtractor(Module):
             vm_embeddings=self.final_norm_vm(vm_embeddings) if batch.num_vms else vm_embeddings,
             pm_embeddings=self.final_norm_pm(pm_embeddings),
             vm_pm_scores=scores,
-        )
+        ).for_batch(batch)
 
 
 class VanillaAttentionExtractor(SparseAttentionExtractor):
@@ -216,23 +235,25 @@ class MLPExtractor(Module):
                            activation=config.activation, rng=rng)
 
     def forward(self, batch: FeatureBatch) -> ExtractorOutput:
-        if batch.batch_size is not None:
-            raise ValueError("the MLP extractor does not support stacked batches")
         if batch.num_pms > self.max_pms or batch.num_vms > self.max_vms:
             raise ValueError(
                 f"observation with {batch.num_pms} PMs / {batch.num_vms} VMs exceeds the "
                 f"MLP extractor capacity ({self.max_pms} PMs / {self.max_vms} VMs)"
             )
-        pm_flat = np.zeros(self.max_pms * PM_FEATURE_DIM)
-        vm_flat = np.zeros(self.max_vms * VM_FEATURE_DIM)
-        pm_flat[: batch.num_pms * PM_FEATURE_DIM] = batch.pm_features.numpy().ravel()
-        vm_flat[: batch.num_vms * VM_FEATURE_DIM] = batch.vm_features.numpy().ravel()
-        flat_input = Tensor(np.concatenate([pm_flat, vm_flat])[None, :])
-        output = self.network(flat_input).reshape(self.max_pms + self.max_vms, self.config.embed_dim)
-        pm_embeddings = output[: batch.num_pms]
-        vm_embeddings = output[self.max_pms : self.max_pms + batch.num_vms]
-        scores = np.zeros((batch.num_vms, batch.num_pms))
-        return ExtractorOutput(vm_embeddings=vm_embeddings, pm_embeddings=pm_embeddings, vm_pm_scores=scores)
+        pm_features, vm_features = _stacked_features(batch)
+        count = pm_features.shape[0]
+        vm_start = self.max_pms * PM_FEATURE_DIM
+        flat = np.zeros((count, vm_start + self.max_vms * VM_FEATURE_DIM))
+        flat[:, : batch.num_pms * PM_FEATURE_DIM] = pm_features.reshape(count, -1)
+        flat[:, vm_start : vm_start + batch.num_vms * VM_FEATURE_DIM] = vm_features.reshape(count, -1)
+        output = self.network(Tensor(flat)).reshape(
+            count, self.max_pms + self.max_vms, self.config.embed_dim
+        )
+        return ExtractorOutput(
+            vm_embeddings=output[:, self.max_pms : self.max_pms + batch.num_vms],
+            pm_embeddings=output[:, : batch.num_pms],
+            vm_pm_scores=np.zeros((count, batch.num_vms, batch.num_pms)),
+        ).for_batch(batch)
 
 
 def build_extractor(

@@ -8,7 +8,7 @@ heads, number of blocks) control the sparse-attention feature extractor of
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, Optional
 
 
@@ -87,18 +87,6 @@ class PPOConfig:
     anneal_lr: bool = True
     normalize_advantages: bool = True
     target_kl: Optional[float] = None
-    #: Evaluate each minibatch with one stacked extractor forward
-    #: (``TwoStagePolicy.evaluate_actions_batch``) instead of one forward per
-    #: stored transition.  False keeps the per-transition reference path used
-    #: by parity tests and benchmarks.
-    batched_updates: bool = True
-    #: Collect rollouts under ``repro.nn.no_grad()`` and skip the (unused)
-    #: per-step entropy terms.  Sampled actions, log-probs and values are
-    #: bit-for-bit identical to the tracking path — PPO recomputes everything
-    #: differentiable during the update — only the graph bookkeeping is
-    #: dropped.  False keeps the grad-tracking collection path used as the
-    #: rollout benchmark reference.
-    inference_rollouts: bool = True
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -148,9 +136,14 @@ class VMR2LConfig:
 
     @classmethod
     def from_dict(cls, payload: Dict) -> "VMR2LConfig":
+        # Checkpoints record the config they were trained with; PPO switches
+        # retired since then (they only selected between equivalent code
+        # paths) are dropped so old checkpoints keep loading.
+        ppo_fields = {spec.name for spec in fields(PPOConfig)}
+        ppo = {key: value for key, value in payload.get("ppo", {}).items() if key in ppo_fields}
         return cls(
             model=ModelConfig(**payload.get("model", {})),
-            ppo=PPOConfig(**payload.get("ppo", {})),
+            ppo=PPOConfig(**ppo),
             risk_seeking=RiskSeekingConfig(**payload.get("risk_seeking", {})),
             migration_limit=int(payload.get("migration_limit", 50)),
         )

@@ -26,12 +26,14 @@ from ..nn import AttentionMask, Module, Tensor, concatenate
 class FeatureBatch:
     """Tensors and masks for one decision step.
 
-    A batch normally holds a single observation (2-D feature tensors).  It can
-    also hold several *same-size* observations stacked along a leading batch
-    axis (one vectorized-env step): ``batch_size`` is then set, the feature
-    tensors are 3-D ``(batch, machines, features)`` and the tree mask is
-    ``(batch, seq, seq)``.  Batched attention keeps batch items independent,
-    so one extractor forward equals running each observation separately.
+    A single-row batch (2-D feature tensors, ``batch_size`` None) is the unit
+    of featurization: it is what the rollout buffer and the step cache keep
+    per observation, with its tree layout cached on it.  The policy forward
+    consumes *stacked* batches — several same-size rows along a leading batch
+    axis: ``batch_size`` set, ``(batch, machines, features)`` tensors,
+    ``(batch, seq, seq)`` tree mask.  Batched attention keeps batch items
+    independent, so one extractor forward equals running each row separately;
+    handed a single-row batch, an extractor lifts it to a batch of one.
     """
 
     pm_features: Tensor
@@ -44,10 +46,10 @@ class FeatureBatch:
     num_vms: int
     #: Number of stacked observations, or None for a single observation.
     batch_size: Optional[int] = None
-    #: Dense tree mask cache; see :attr:`tree_mask`.  Stacked batches normally
-    #: attend through :meth:`tree_grouping` and never materialize it.
+    #: Dense tree mask cache; see :attr:`tree_mask`.  The forward normally
+    #: attends through :meth:`tree_grouping` and never materializes it.
     _dense_tree_mask: Optional[np.ndarray] = field(default=None, repr=False)
-    #: Lazily-built grouped layout for sparse tree attention (stacked batches).
+    #: Lazily-built grouped layout for sparse tree attention.
     _tree_grouping: Optional["TreeGrouping"] = field(default=None, repr=False)
     #: Per-row tree layouts: cached on single-observation batches (the host
     #: assignment is fixed once collected) and carried over by
@@ -65,10 +67,9 @@ class FeatureBatch:
         order; leading batch axis when stacked), built lazily from the
         membership matrix.
 
-        The stacked hot path attends inside grouped trees
-        (:meth:`tree_grouping`) and never reads this — building it eagerly
-        cost one ``O(seq²)`` mask per environment per step.  It materializes
-        only for the single-observation dense stage, the reference-mode
+        The hot path attends inside grouped trees (:meth:`tree_grouping`) and
+        never reads this — building it eagerly cost one ``O(seq²)`` mask per
+        environment per step.  It materializes only for the reference-mode
         benchmarks and the parity tests.
         """
         if self._dense_tree_mask is None:
@@ -93,9 +94,9 @@ class FeatureBatch:
 
         Built lazily and cached on the batch, so every extractor block (and
         every epoch revisiting a cached stacked minibatch) reuses one
-        grouping.  Works for stacked (3-D) batches and single observations
-        alike — the single-observation path is a one-row grouping, so the
-        dense ``S×S`` tree mask is never materialized outside reference mode.
+        grouping.  A single-row batch yields a one-row grouping (what the
+        extractor applies after lifting it to a batch of one), so the dense
+        ``S×S`` tree mask is never materialized outside reference mode.
         Returns ``None`` only when there are no VMs (no tree stage to run).
         """
         if self.num_vms == 0:
@@ -266,17 +267,10 @@ class TreeGrouping:
         self.inverse = inverse  # (batch * seq,) slot in the concatenated layout
 
     def apply(self, layer: Module, combined: Tensor) -> Tensor:
-        """Run an encoder ``layer`` tree-locally over the combined sequence.
-
-        ``combined`` is ``(batch, seq, dim)`` for a stacked batch or
-        ``(seq, dim)`` for a single observation (a one-row grouping); the
-        grouped computation is identical — only the flatten/unflatten differs.
-        """
+        """Run an encoder ``layer`` tree-locally over the ``(batch, seq, dim)``
+        combined sequence."""
         dim = combined.shape[-1]
-        if combined.ndim == 2:
-            flat = combined
-        else:
-            flat = combined.reshape(combined.shape[0] * combined.shape[1], dim)
+        flat = combined.reshape(combined.shape[0] * combined.shape[1], dim)
         outputs = []
         for bucket in self.buckets:
             groups, size = bucket.members.shape
@@ -351,14 +345,6 @@ def _row_tree_layout(membership: np.ndarray, num_pms: int) -> list:
     # Unplaced VMs: singleton trees.
     layout.extend(np.array([num_pms + vm]) for vm in order[bounds[num_pms] :])
     return layout
-
-
-def build_tree_grouping(membership: np.ndarray, num_pms: int, num_vms: int) -> TreeGrouping:
-    """Build the grouped layout from a stacked ``(batch, V, P)`` membership."""
-    if membership.ndim != 3:
-        raise ValueError("tree grouping needs a stacked (batch, V, P) membership")
-    layouts = [_row_tree_layout(member, num_pms) for member in membership]
-    return _grouping_from_layouts(layouts, num_pms + num_vms)
 
 
 def _grouping_from_layouts(layouts: Sequence[list], seq: int) -> TreeGrouping:

@@ -3,18 +3,20 @@
 The policy wraps a feature extractor (sparse / vanilla / MLP), the VM actor,
 the PM actor and the value head, and exposes the two methods PPO needs:
 
-* :meth:`TwoStagePolicy.act` — sample an action for the current observation,
+* :meth:`TwoStagePolicy.act_batch` — sample an action for each observation,
   returning indices, log-probability, entropy and value.  In ``two_stage``
   mode the VM candidates are masked by feasibility and, once a VM is chosen,
   every PM that cannot host it is masked out — illegal actions are impossible.
   ``penalty`` mode samples without masks (the environment punishes illegal
   actions), and ``full_joint`` mode samples from the joint VM×PM distribution
   under a full legality mask.
-* :meth:`TwoStagePolicy.evaluate_actions` — recompute log-probability, entropy
-  and value of a stored action for the PPO update.
+* :meth:`TwoStagePolicy.evaluate_actions_batch` — recompute log-probability,
+  entropy and value of stored actions for the PPO update.
 
+There is one implementation of each: a batch of one is just a batch, and
+``act`` / ``evaluate_actions`` / ``value_of`` are one-element wrappers.
 Action thresholding for risk-seeking evaluation (§3.4) is supported directly
-in :meth:`act` via probability-quantile cutoffs.
+in acting via probability-quantile cutoffs.
 """
 
 from __future__ import annotations
@@ -28,14 +30,9 @@ from ..env.observation import Observation
 from ..nn import Linear, Module, Tensor, concatenate
 from ..nn import functional as F
 from .actors import PMActor, ValueHead, VMActor
-from .attention import ExtractorOutput, MLPExtractor, build_extractor
+from .attention import ExtractorOutput, build_extractor
 from .config import ModelConfig
-from .features import (
-    FeatureBatch,
-    build_feature_batch,
-    build_stacked_feature_batch,
-    stack_feature_batches,
-)
+from .features import FeatureBatch, build_stacked_feature_batch, stack_feature_batches
 from .step_cache import StepCache
 
 
@@ -107,17 +104,26 @@ def _masked_softmax_rows(logits: np.ndarray, masks: Optional[np.ndarray]) -> np.
     return probs
 
 
-def _homogeneous(masks: Sequence[Optional[np.ndarray]]) -> bool:
-    """Whether a mask column can be stacked: all present or all absent."""
-    has_mask = [mask is not None for mask in masks]
-    return all(has_mask) or not any(has_mask)
-
-
-def _stack_masks(masks: Sequence[Optional[np.ndarray]]) -> Optional[np.ndarray]:
-    """Stack a homogeneous mask column into ``(batch, n)`` (or None)."""
-    if masks[0] is None:
+def _stack_masks(masks: Sequence[Optional[np.ndarray]], what: str) -> Optional[np.ndarray]:
+    """Stack a mask column into ``(batch, n)``; None when every entry is None."""
+    present = [mask is not None for mask in masks]
+    if not any(present):
         return None
-    return np.stack([np.asarray(mask, dtype=bool) for mask in masks], axis=0)
+    if not all(present):
+        raise ValueError(f"{what}: either every transition carries a mask or none does")
+    return np.stack([np.asarray(mask, dtype=bool).reshape(-1) for mask in masks], axis=0)
+
+
+def _size_groups(observations: Sequence[Observation]) -> List[List[int]]:
+    """Indices of ``observations`` partitioned by ``(num_pms, num_vms)``.
+
+    One extractor forward needs one cluster size, so a mixed-size batch runs
+    as one stacked forward per size group (first-appearance order).
+    """
+    groups: dict = {}
+    for index, observation in enumerate(observations):
+        groups.setdefault((observation.num_pms, observation.num_vms), []).append(index)
+    return list(groups.values())
 
 
 class TwoStagePolicy(Module):
@@ -156,57 +162,19 @@ class TwoStagePolicy(Module):
         compute_stats: bool = True,
         step_cache: Optional[StepCache] = None,
     ) -> PolicyOutput:
-        """Select a (VM, PM) action for ``observation``.
-
-        ``pm_mask_fn`` maps a chosen VM index to the stage-2 feasibility mask
-        (usually ``env.pm_action_mask``); it is only consulted in ``two_stage``
-        mode.  ``joint_mask`` is required in ``full_joint`` mode.
-        ``compute_stats=False`` skips the entropy terms (reported as 0.0) —
-        the sampled action and probabilities are unchanged; serving rollouts
-        use it since only PPO consumes the entropy.  ``step_cache`` enables
-        step-incremental featurization/encoding for consecutive no-grad steps
-        of one episode (ignored outside the inference fast path).
-        """
-        if step_cache is not None and step_cache.usable(self.extractor):
-            batch, extractor_output = step_cache.forward(self.extractor, observation)
-        else:
-            batch = build_feature_batch(observation)
-            extractor_output = self.extractor(batch)
-        value = float(self.value_head(extractor_output).item())
-
-        if self.config.action_mode == "full_joint":
-            return self._act_joint(extractor_output, batch, joint_mask, rng, greedy, value)
-
-        use_masks = self.config.action_mode == "two_stage"
-        vm_mask = batch.vm_mask if use_masks else None
-        vm_logits = self.vm_actor(extractor_output)
-        vm_probs = F.masked_softmax(vm_logits, vm_mask).numpy()
-        vm_probs = _apply_threshold(vm_probs, vm_threshold_quantile)
-        vm_index = F.sample_categorical(vm_probs, rng, greedy=greedy)
-
-        pm_mask = pm_mask_fn(vm_index) if use_masks else None
-        pm_logits = self.pm_actor(extractor_output, vm_index)
-        pm_probs = F.masked_softmax(pm_logits, pm_mask).numpy()
-        pm_probs = _apply_threshold(pm_probs, pm_threshold_quantile)
-        pm_index = F.sample_categorical(pm_probs, rng, greedy=greedy)
-
-        log_prob = float(np.log(vm_probs[vm_index] + 1e-12) + np.log(pm_probs[pm_index] + 1e-12))
-        entropy = 0.0
-        if compute_stats:
-            entropy = float(
-                F.categorical_entropy(vm_logits.reshape(1, -1), None if vm_mask is None else vm_mask[None, :]).numpy()[0]
-                + F.categorical_entropy(pm_logits.reshape(1, -1), None if pm_mask is None else pm_mask[None, :]).numpy()[0]
-            )
-        return PolicyOutput(
-            vm_index=vm_index,
-            pm_index=pm_index,
-            log_prob=log_prob,
-            entropy=entropy,
-            value=value,
-            vm_probs=vm_probs,
-            pm_probs=pm_probs,
-            pm_mask=pm_mask,
-        )
+        """Select a (VM, PM) action for one observation: :meth:`act_batch`
+        over a batch of one (same arguments, singular)."""
+        return self.act_batch(
+            [observation],
+            [pm_mask_fn],
+            rng=rng,
+            greedy=greedy,
+            joint_masks=[joint_mask],
+            vm_threshold_quantile=vm_threshold_quantile,
+            pm_threshold_quantile=pm_threshold_quantile,
+            compute_stats=compute_stats,
+            step_cache=step_cache,
+        )[0]
 
     def act_batch(
         self,
@@ -222,80 +190,125 @@ class TwoStagePolicy(Module):
         pm_masks_begin_fn: Optional[Callable[[Sequence[int]], Callable[[], np.ndarray]]] = None,
         step_cache: Optional[StepCache] = None,
     ) -> List[PolicyOutput]:
-        """Act on several observations with ONE extractor forward pass.
+        """Select a (VM, PM) action for every observation.
 
         Same-size observations are stacked along a leading batch axis (see
-        :func:`build_stacked_feature_batch`) and the attention stack runs once
-        over ``(batch, machines, dim)`` tensors instead of once per
-        environment; the lightweight actor heads are then evaluated per
-        observation on slices of the shared embeddings.  Falls back to
-        sequential :meth:`act` for ``full_joint`` mode, the fixed-size MLP
-        extractor, and ragged batches (observations of different sizes).
+        :func:`build_stacked_feature_batch`) and the extractor, the critic
+        and both actors run once over ``(batch, machines, dim)`` tensors; a
+        mixed-size batch runs one such forward per size group.  Batch rows
+        never interact, so N calls with one observation each compute the
+        same actions as one call with N.
 
+        In ``two_stage`` mode the VM candidates are masked by feasibility
+        and, once a VM is chosen, every PM that cannot host it is masked out.
         Stage-2 masks come from either ``pm_mask_fns`` (one per-environment
-        callable, used by in-process drivers and the sequential fallback) or
-        ``pm_masks_fn`` (ONE batched callable mapping the chosen
-        ``vm_indices`` to stacked ``(batch, num_pms)`` masks — a vector env's
-        ``pm_action_masks``, a single exchange on the multi-process backend).
-        When both are given the batched one serves the stacked hot path.
-        ``pm_masks_begin_fn`` is the two-phase variant (a vector env's
-        ``pm_action_masks_begin``): the request is issued *before* the
-        stage-2 decoder forward and collected after it, overlapping the
-        workers' mask construction with the decoder GEMMs; it takes
-        precedence over ``pm_masks_fn`` on the stacked path.  ``step_cache``
-        enables step-incremental featurization/encoding (no-grad only).
+        callable mapping the chosen VM index to its mask, usually
+        ``env.pm_action_mask``) or ``pm_masks_fn`` (ONE batched callable
+        mapping the chosen ``vm_indices`` to stacked ``(batch, num_pms)``
+        masks — a vector env's ``pm_action_masks``, a single exchange on the
+        multi-process backend).  ``pm_masks_begin_fn`` is the two-phase
+        variant (a vector env's ``pm_action_masks_begin``): the request is
+        issued *before* the stage-2 decoder forward and collected after it,
+        overlapping the workers' mask construction with the decoder GEMMs; it
+        takes precedence over ``pm_masks_fn``, which takes precedence over
+        ``pm_mask_fns``.  The batched sources answer for the whole batch at
+        once, so a mixed-size batch needs ``pm_mask_fns``.  ``joint_masks``
+        is required in ``full_joint`` mode; ``penalty`` mode uses no masks.
+
+        ``compute_stats=False`` skips the entropy terms (reported as 0.0) —
+        the sampled action and probabilities are unchanged; serving rollouts
+        use it since only PPO consumes the entropy.  ``step_cache`` enables
+        step-incremental featurization/encoding for consecutive no-grad steps
+        of one episode (ignored outside the inference fast path).
         """
         if rng is None:
             raise ValueError("act_batch requires an rng")
         if pm_mask_fns is not None and len(observations) != len(pm_mask_fns):
             raise ValueError("need one pm_mask_fn per observation")
-        if (
-            pm_mask_fns is None
-            and pm_masks_fn is None
-            and pm_masks_begin_fn is None
-            and self.config.action_mode == "two_stage"
-        ):
+        two_stage = self.config.action_mode == "two_stage"
+        if two_stage and pm_mask_fns is None and pm_masks_fn is None and pm_masks_begin_fn is None:
             raise ValueError("two_stage mode needs pm_mask_fns or pm_masks_fn")
-        sequential = self.config.action_mode == "full_joint" or not self._can_stack(
-            observations
-        )
-        if sequential:
-            if pm_mask_fns is None:
-                if self.config.action_mode == "two_stage":
-                    raise ValueError(
-                        "the sequential act_batch fallback needs per-environment "
-                        "pm_mask_fns; pm_masks_fn only serves the stacked path"
-                    )
-                pm_mask_fns = [None] * len(observations)
-            joint_masks = joint_masks or [None] * len(observations)
-            return [
-                self.act(
-                    observation,
-                    pm_mask_fn=pm_mask_fn,
-                    rng=rng,
-                    greedy=greedy,
-                    joint_mask=joint_mask,
-                    vm_threshold_quantile=vm_threshold_quantile,
-                    pm_threshold_quantile=pm_threshold_quantile,
-                    compute_stats=compute_stats,
-                    step_cache=step_cache,
+        if self.config.action_mode == "full_joint" and (
+            joint_masks is None or any(mask is None for mask in joint_masks)
+        ):
+            raise ValueError("full_joint mode requires the joint legality mask")
+        groups = _size_groups(observations)
+        if len(groups) > 1:
+            if two_stage and pm_mask_fns is None:
+                raise ValueError(
+                    "a mixed-size batch needs per-environment pm_mask_fns; "
+                    "pm_masks_fn answers for the whole batch at once"
                 )
-                for observation, pm_mask_fn, joint_mask in zip(
-                    observations, pm_mask_fns, joint_masks
-                )
-            ]
-
-        if step_cache is not None and step_cache.usable(self.extractor):
-            batch, extractor_output = step_cache.forward_batch(
-                self.extractor, observations
+            pm_masks_fn = pm_masks_begin_fn = None
+        outputs: List[Optional[PolicyOutput]] = [None] * len(observations)
+        for rows in groups:
+            group_outputs = self._act_same_size(
+                [observations[row] for row in rows],
+                pm_mask_fns=None if pm_mask_fns is None else [pm_mask_fns[row] for row in rows],
+                joint_masks=None if joint_masks is None else [joint_masks[row] for row in rows],
+                pm_masks_fn=pm_masks_fn,
+                pm_masks_begin_fn=pm_masks_begin_fn,
+                rng=rng,
+                greedy=greedy,
+                vm_threshold_quantile=vm_threshold_quantile,
+                pm_threshold_quantile=pm_threshold_quantile,
+                compute_stats=compute_stats,
+                step_cache=step_cache,
             )
-        else:
-            batch = build_stacked_feature_batch(observations)
-            extractor_output = self.extractor(batch)
-        num_envs = len(observations)
+            for row, output in zip(rows, group_outputs):
+                outputs[row] = output
+        return outputs
 
-        # Critic: ValueHead handles the leading batch axis itself.
-        values = self.value_head(extractor_output)
+    def _act_same_size(
+        self,
+        observations: Sequence[Observation],
+        *,
+        pm_mask_fns,
+        joint_masks,
+        pm_masks_fn,
+        pm_masks_begin_fn,
+        rng: np.random.Generator,
+        greedy: bool,
+        vm_threshold_quantile: Optional[float],
+        pm_threshold_quantile: Optional[float],
+        compute_stats: bool,
+        step_cache: Optional[StepCache],
+    ) -> List[PolicyOutput]:
+        """:meth:`act_batch` for observations sharing one cluster size."""
+        if step_cache is not None and step_cache.usable(self.extractor):
+            _, extractor_output = step_cache.forward(self.extractor, observations)
+        else:
+            extractor_output = self.extractor(build_stacked_feature_batch(observations))
+        num_envs = len(observations)
+        values = self.value_head(extractor_output).numpy()
+        entropies = np.zeros(num_envs)
+
+        if self.config.action_mode == "full_joint":
+            joint_logits = self._joint_logits(extractor_output)
+            flat_masks = _stack_masks(joint_masks, "joint_masks")
+            prob_rows = _masked_softmax_rows(joint_logits.numpy(), flat_masks)
+            if compute_stats:
+                entropies = F.categorical_entropy(joint_logits, flat_masks).numpy()
+            outputs: List[PolicyOutput] = []
+            num_pms = observations[0].num_pms
+            for index in range(num_envs):
+                probs = prob_rows[index]
+                flat_index = F.sample_categorical(probs, rng, greedy=greedy)
+                vm_index, pm_index = divmod(flat_index, num_pms)
+                joint_probs = probs.reshape(-1, num_pms)
+                pm_probs = joint_probs[vm_index]
+                outputs.append(
+                    PolicyOutput(
+                        vm_index=int(vm_index),
+                        pm_index=int(pm_index),
+                        log_prob=float(np.log(probs[flat_index] + 1e-12)),
+                        entropy=float(entropies[index]),
+                        value=float(values[index]),
+                        vm_probs=joint_probs.sum(axis=1),
+                        pm_probs=pm_probs / pm_probs.sum() if pm_probs.sum() > 0 else pm_probs,
+                    )
+                )
+            return outputs
 
         # Stage 1: one batched VM-actor forward; probabilities for the whole
         # step come from ONE vectorized masked softmax on the raw logits
@@ -310,24 +323,10 @@ class TwoStagePolicy(Module):
         vm_prob_rows = _masked_softmax_rows(vm_logit_rows.numpy(), vm_mask_rows)
         vm_indices: List[int] = []
         vm_probs_list: List[np.ndarray] = []
-        vm_entropies: List[float] = []
-        for index, observation in enumerate(observations):
+        for index in range(num_envs):
             vm_probs = _apply_threshold(vm_prob_rows[index], vm_threshold_quantile)
-            vm_index = F.sample_categorical(vm_probs, rng, greedy=greedy)
-            vm_indices.append(vm_index)
+            vm_indices.append(F.sample_categorical(vm_probs, rng, greedy=greedy))
             vm_probs_list.append(vm_probs)
-            if compute_stats:
-                vm_mask = observation.vm_mask if use_masks else None
-                vm_entropies.append(
-                    float(
-                        F.categorical_entropy(
-                            vm_logit_rows[index].reshape(1, -1),
-                            None if vm_mask is None else vm_mask[None, :],
-                        ).numpy()[0]
-                    )
-                )
-            else:
-                vm_entropies.append(0.0)
 
         # Stage 2: the PM decoder runs batched inside PMActor — each row's PMs
         # cross-attend to that row's selected VM embedding, and the stage-3
@@ -339,7 +338,7 @@ class TwoStagePolicy(Module):
         if use_masks and pm_masks_begin_fn is not None:
             mask_fetch = pm_masks_begin_fn(vm_indices)
         try:
-            pm_logit_rows = self.pm_actor.forward_batch(extractor_output, vm_indices)
+            pm_logit_rows = self.pm_actor(extractor_output, vm_indices)
         except BaseException:
             # The mask exchange is in flight; drain it before propagating so
             # the (lock-step) async pipes stay synchronized for a driver that
@@ -352,50 +351,41 @@ class TwoStagePolicy(Module):
             raise
         if not use_masks:
             pm_mask_rows = None
-        elif mask_fetch is not None:
-            pm_mask_rows = np.asarray(mask_fetch(), dtype=bool)
+        elif mask_fetch is not None or pm_masks_fn is not None:
+            pm_mask_rows = np.asarray(
+                mask_fetch() if mask_fetch is not None else pm_masks_fn(vm_indices), dtype=bool
+            )
             if pm_mask_rows.shape[0] != num_envs:
                 raise ValueError(
-                    f"pm_masks_begin_fn returned {pm_mask_rows.shape[0]} rows "
-                    f"for {num_envs} observations"
-                )
-        elif pm_masks_fn is not None:
-            pm_mask_rows = np.asarray(pm_masks_fn(vm_indices), dtype=bool)
-            if pm_mask_rows.shape[0] != num_envs:
-                raise ValueError(
-                    f"pm_masks_fn returned {pm_mask_rows.shape[0]} rows for "
-                    f"{num_envs} observations"
+                    f"the batched stage-2 mask source returned {pm_mask_rows.shape[0]} "
+                    f"rows for {num_envs} observations"
                 )
         else:
             pm_mask_rows = np.stack(
                 [pm_mask_fns[i](vm_indices[i]) for i in range(num_envs)], axis=0
             )
         pm_prob_rows = _masked_softmax_rows(pm_logit_rows.numpy(), pm_mask_rows)
+        if compute_stats:
+            entropies = (
+                F.categorical_entropy(vm_logit_rows, vm_mask_rows)
+                + F.categorical_entropy(pm_logit_rows, pm_mask_rows)
+            ).numpy()
 
-        outputs: List[PolicyOutput] = []
-        for index, observation in enumerate(observations):
+        outputs = []
+        for index in range(num_envs):
             pm_probs = _apply_threshold(pm_prob_rows[index], pm_threshold_quantile)
             pm_index = F.sample_categorical(pm_probs, rng, greedy=greedy)
             log_prob = float(
                 np.log(vm_probs_list[index][vm_indices[index]] + 1e-12)
                 + np.log(pm_probs[pm_index] + 1e-12)
             )
-            entropy = vm_entropies[index]
-            if compute_stats:
-                pm_mask = None if pm_mask_rows is None else pm_mask_rows[index]
-                entropy += float(
-                    F.categorical_entropy(
-                        pm_logit_rows[index].reshape(1, -1),
-                        None if pm_mask is None else pm_mask[None, :],
-                    ).numpy()[0]
-                )
             outputs.append(
                 PolicyOutput(
                     vm_index=vm_indices[index],
                     pm_index=pm_index,
                     log_prob=log_prob,
-                    entropy=entropy,
-                    value=float(values[index].item()),
+                    entropy=float(entropies[index]),
+                    value=float(values[index]),
                     vm_probs=vm_probs_list[index],
                     pm_probs=pm_probs,
                     pm_mask=None if pm_mask_rows is None else pm_mask_rows[index],
@@ -403,38 +393,12 @@ class TwoStagePolicy(Module):
             )
         return outputs
 
-    def _act_joint(
-        self,
-        extractor_output: ExtractorOutput,
-        batch: FeatureBatch,
-        joint_mask: Optional[np.ndarray],
-        rng: np.random.Generator,
-        greedy: bool,
-        value: float,
-    ) -> PolicyOutput:
-        if joint_mask is None:
-            raise ValueError("full_joint mode requires the joint legality mask")
-        vm_logits = self.vm_actor(extractor_output)
-        pm_logits = self.joint_pm_head(extractor_output.pm_embeddings).reshape(batch.num_pms)
-        joint_logits = vm_logits.reshape(-1, 1) + pm_logits.reshape(1, -1)
-        flat_logits = joint_logits.reshape(1, batch.num_vms * batch.num_pms)
-        flat_mask = joint_mask.reshape(1, -1)
-        probs = F.masked_softmax(flat_logits, flat_mask).numpy()[0]
-        flat_index = F.sample_categorical(probs, rng, greedy=greedy)
-        vm_index, pm_index = divmod(flat_index, batch.num_pms)
-        entropy = float(F.categorical_entropy(flat_logits, flat_mask).numpy()[0])
-        vm_probs = probs.reshape(batch.num_vms, batch.num_pms).sum(axis=1)
-        pm_probs = probs.reshape(batch.num_vms, batch.num_pms)[vm_index]
-        pm_probs = pm_probs / pm_probs.sum() if pm_probs.sum() > 0 else pm_probs
-        return PolicyOutput(
-            vm_index=int(vm_index),
-            pm_index=int(pm_index),
-            log_prob=float(np.log(probs[flat_index] + 1e-12)),
-            entropy=entropy,
-            value=value,
-            vm_probs=vm_probs,
-            pm_probs=pm_probs,
-        )
+    def _joint_logits(self, extractor_output: ExtractorOutput) -> Tensor:
+        """``(batch, num_vms * num_pms)`` logits of the joint VM×PM action."""
+        vm_logits = self.vm_actor(extractor_output)  # (batch, V)
+        batch, num_vms = vm_logits.shape
+        pm_logits = self.joint_pm_head(extractor_output.pm_embeddings).reshape(batch, 1, -1)
+        return (vm_logits.reshape(batch, num_vms, 1) + pm_logits).reshape(batch, -1)
 
     # ------------------------------------------------------------------ #
     # Evaluation for PPO updates (differentiable path)
@@ -449,38 +413,17 @@ class TwoStagePolicy(Module):
         joint_mask: Optional[np.ndarray] = None,
         feature_batch: Optional[FeatureBatch] = None,
     ) -> Tuple[Tensor, Tensor, Tensor]:
-        """Return differentiable (log_prob, entropy, value) of a stored action.
-
-        ``feature_batch`` lets callers reuse a cached featurization of the
-        observation (the rollout buffer builds each one once per rollout).
-        """
-        batch = feature_batch if feature_batch is not None else build_feature_batch(observation)
-        extractor_output = self.extractor(batch)
-        value = self.value_head(extractor_output)
-
-        if self.config.action_mode == "full_joint":
-            vm_logits = self.vm_actor(extractor_output)
-            pm_logits = self.joint_pm_head(extractor_output.pm_embeddings).reshape(batch.num_pms)
-            joint_logits = (vm_logits.reshape(-1, 1) + pm_logits.reshape(1, -1)).reshape(
-                1, batch.num_vms * batch.num_pms
-            )
-            flat_mask = joint_mask.reshape(1, -1) if joint_mask is not None else None
-            flat_action = np.array([vm_index * batch.num_pms + pm_index])
-            log_prob = F.categorical_log_prob(joint_logits, flat_action, flat_mask).reshape(1)
-            entropy = F.categorical_entropy(joint_logits, flat_mask).reshape(1)
-            return log_prob, entropy, value
-
-        vm_logits = self.vm_actor(extractor_output).reshape(1, -1)
-        pm_logits = self.pm_actor(extractor_output, vm_index).reshape(1, -1)
-        vm_mask_batch = None if vm_mask is None else np.asarray(vm_mask, dtype=bool)[None, :]
-        pm_mask_batch = None if pm_mask is None else np.asarray(pm_mask, dtype=bool)[None, :]
-        vm_log_prob = F.categorical_log_prob(vm_logits, np.array([vm_index]), vm_mask_batch)
-        pm_log_prob = F.categorical_log_prob(pm_logits, np.array([pm_index]), pm_mask_batch)
-        log_prob = (vm_log_prob + pm_log_prob).reshape(1)
-        entropy = (
-            F.categorical_entropy(vm_logits, vm_mask_batch) + F.categorical_entropy(pm_logits, pm_mask_batch)
-        ).reshape(1)
-        return log_prob, entropy, value
+        """Differentiable ``(1,)``-shaped (log_prob, entropy, value) of one
+        stored action: :meth:`evaluate_actions_batch` over a batch of one."""
+        return self.evaluate_actions_batch(
+            [observation],
+            [vm_index],
+            [pm_index],
+            vm_masks=[vm_mask],
+            pm_masks=[pm_mask],
+            joint_masks=[joint_mask],
+            feature_batches=None if feature_batch is None else [feature_batch],
+        )
 
     def evaluate_actions_batch(
         self,
@@ -495,16 +438,13 @@ class TwoStagePolicy(Module):
         """Differentiable ``(batch,)``-shaped log-probs, entropies and values.
 
         The minibatch runs through ONE stacked extractor forward plus batched
-        actor heads whenever the observations stack (same cluster size, an
-        attention extractor, ``two_stage``/``penalty`` mode and homogeneous
-        masks).  Otherwise — ragged minibatches, the fixed-size MLP extractor,
-        ``full_joint`` mode — it falls back to per-transition
-        :meth:`evaluate_actions` calls and concatenates the results, so the
-        return shape is identical either way and the PPO update can always
-        compute its losses as single tensor expressions with one backward.
+        actor heads per cluster size present (a mixed-size minibatch is
+        partitioned like :meth:`act_batch` and the per-size results are
+        scattered back into minibatch order), so the PPO update always
+        computes its losses as single tensor expressions with one backward.
 
         ``feature_batches`` passes cached per-transition featurizations (see
-        :meth:`RolloutBuffer.feature_batch`) used by both paths.
+        :meth:`RolloutBuffer.feature_batch`).
         """
         count = len(observations)
         if count == 0:
@@ -518,79 +458,53 @@ class TwoStagePolicy(Module):
         if feature_batches is not None and len(feature_batches) != count:
             raise ValueError("need one feature batch per observation")
 
-        batched = (
-            self.config.action_mode != "full_joint"
-            and self._can_stack(observations)
-            and _homogeneous(vm_masks)
-            and _homogeneous(pm_masks)
-        )
-        if not batched:
-            results = [
-                self.evaluate_actions(
-                    observations[index],
-                    vm_indices[index],
-                    pm_indices[index],
-                    vm_masks[index],
-                    pm_masks[index],
-                    joint_masks[index],
-                    feature_batch=None if feature_batches is None else feature_batches[index],
+        groups = _size_groups(observations)
+        results = []
+        for rows in groups:
+            if feature_batches is not None:
+                batch = stack_feature_batches([feature_batches[row] for row in rows])
+            else:
+                batch = build_stacked_feature_batch([observations[row] for row in rows])
+            extractor_output = self.extractor(batch)
+            values = self.value_head(extractor_output)  # (rows,)
+            vm_actions = np.array([vm_indices[row] for row in rows], dtype=int)
+            pm_actions = np.array([pm_indices[row] for row in rows], dtype=int)
+            if self.config.action_mode == "full_joint":
+                logits = self._joint_logits(extractor_output)
+                masks = _stack_masks([joint_masks[row] for row in rows], "joint_masks")
+                actions = vm_actions * batch.num_pms + pm_actions
+                log_probs = F.categorical_log_prob(logits, actions, masks)
+                entropies = F.categorical_entropy(logits, masks)
+            else:
+                vm_logits = self.vm_actor(extractor_output)  # (rows, V)
+                pm_logits = self.pm_actor(extractor_output, vm_actions)  # (rows, P)
+                vm_mask_rows = _stack_masks([vm_masks[row] for row in rows], "vm_masks")
+                pm_mask_rows = _stack_masks([pm_masks[row] for row in rows], "pm_masks")
+                log_probs = F.categorical_log_prob(vm_logits, vm_actions, vm_mask_rows) + (
+                    F.categorical_log_prob(pm_logits, pm_actions, pm_mask_rows)
                 )
-                for index in range(count)
-            ]
-            return (
-                concatenate([log_prob for log_prob, _, _ in results]),
-                concatenate([entropy for _, entropy, _ in results]),
-                concatenate([value for _, _, value in results]),
-            )
-
-        if feature_batches is not None:
-            batch = stack_feature_batches(feature_batches)
-        else:
-            batch = build_stacked_feature_batch(observations)
-        extractor_output = self.extractor(batch)
-        values = self.value_head(extractor_output)  # (batch,)
-        vm_logits = self.vm_actor(extractor_output)  # (batch, V)
-        pm_logits = self.pm_actor.forward_batch(extractor_output, vm_indices)  # (batch, P)
-
-        vm_mask_rows = _stack_masks(vm_masks)
-        pm_mask_rows = _stack_masks(pm_masks)
-        vm_actions = np.asarray(vm_indices, dtype=int)
-        pm_actions = np.asarray(pm_indices, dtype=int)
-        log_probs = F.categorical_log_prob(vm_logits, vm_actions, vm_mask_rows) + (
-            F.categorical_log_prob(pm_logits, pm_actions, pm_mask_rows)
-        )
-        entropies = F.categorical_entropy(vm_logits, vm_mask_rows) + (
-            F.categorical_entropy(pm_logits, pm_mask_rows)
-        )
-        return log_probs.reshape(count), entropies.reshape(count), values.reshape(count)
-
-    def _can_stack(self, observations: Sequence[Observation]) -> bool:
-        """Whether these observations can share one stacked extractor forward.
-
-        Single gate for every batched entry point (``act_batch``,
-        ``value_of_batch``): needs more than one observation, an extractor
-        that accepts 3-D inputs (the fixed-size MLP does not), and one common
-        cluster size.
-        """
-        return (
-            len(observations) > 1
-            and not isinstance(self.extractor, MLPExtractor)
-            and len({(o.num_pms, o.num_vms) for o in observations}) == 1
+                entropies = F.categorical_entropy(vm_logits, vm_mask_rows) + (
+                    F.categorical_entropy(pm_logits, pm_mask_rows)
+                )
+            results.append((log_probs, entropies, values))
+        if len(groups) == 1:
+            return tuple(part.reshape(count) for part in results[0])
+        # Scatter the per-size results back into minibatch order.
+        order = np.argsort(np.concatenate(groups), kind="stable")
+        return tuple(
+            concatenate([result[part].reshape(-1) for result in results])[order]
+            for part in range(3)
         )
 
     def value_of(self, observation: Observation) -> float:
         """State value only (used for bootstrapping at rollout boundaries)."""
-        batch = build_feature_batch(observation)
-        return float(self.value_head(self.extractor(batch)).item())
+        return self.value_of_batch([observation])[0]
 
     def value_of_batch(self, observations: Sequence[Observation]) -> List[float]:
-        """State values for several observations with one stacked forward.
-
-        Falls back to sequential :meth:`value_of` for ragged batches and the
-        MLP extractor (mirroring :meth:`act_batch`).
-        """
-        if not self._can_stack(observations):
-            return [self.value_of(observation) for observation in observations]
-        batch = build_stacked_feature_batch(observations)
-        values = self.value_head(self.extractor(batch)).numpy()
-        return [float(value) for value in values]
+        """State values, one stacked forward per cluster size present."""
+        values: List[float] = [0.0] * len(observations)
+        for rows in _size_groups(observations):
+            batch = build_stacked_feature_batch([observations[row] for row in rows])
+            for row, value in zip(rows, self.value_head(self.extractor(batch)).numpy()):
+                values[row] = float(value)
+        return values

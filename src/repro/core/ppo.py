@@ -9,16 +9,14 @@ action sampling — exactly the setting the paper exploits for data efficiency
 
 from __future__ import annotations
 
-import contextlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from ..env.vector_env import VectorEnv
-from ..env.vmr_env import VMRescheduleEnv
+from ..env.vector_env import SyncVectorEnv, VectorEnv
 from ..nn import Adam, LinearSchedule, Tensor, no_grad
 from ..nn import functional as F
 from .config import PPOConfig
@@ -45,14 +43,14 @@ class TrainingLogEntry:
 class PPOTrainer:
     """Collect rollouts and optimize the policy with PPO.
 
-    ``env`` may be a single :class:`VMRescheduleEnv` or any
-    :class:`~repro.env.vector_env.VectorEnv` — the synchronous in-process
-    backend or the multi-process
+    ``env`` may be any :class:`~repro.env.vector_env.VectorEnv` — the
+    synchronous in-process backend or the multi-process
     :class:`~repro.env.async_vector_env.AsyncVectorEnv`; the trainer only
-    talks to the shared protocol, so both collect identically.  With a
-    vectorized env the trainer stacks the per-env observations and calls
-    :meth:`TwoStagePolicy.act_batch`, so each collection step runs one
-    feature-extractor forward instead of one per environment.
+    talks to the shared protocol, so both collect identically — or a bare
+    :class:`~repro.env.vmr_env.VMRescheduleEnv`, which is wrapped as a
+    one-env :class:`SyncVectorEnv`.  Each collection step stacks the per-env
+    observations and calls :meth:`TwoStagePolicy.act_batch`, one
+    feature-extractor forward for all environments.
     """
 
     def __init__(
@@ -63,132 +61,65 @@ class PPOTrainer:
         eval_callback: Optional[Callable[[TwoStagePolicy], float]] = None,
     ) -> None:
         self.policy = policy
-        self.env = env
-        self.is_vectorized = isinstance(env, VectorEnv)
+        self.env: VectorEnv = env if isinstance(env, VectorEnv) else SyncVectorEnv([lambda: env])
         self.config = config or PPOConfig()
         self.eval_callback = eval_callback
         self.optimizer = Adam(policy.parameters(), lr=self.config.learning_rate)
         self.rng = np.random.default_rng(self.config.seed)
         self.global_step = 0
         self.history: List[TrainingLogEntry] = []
-        self._observation = None
-        self._observations = None  # vectorized-env mode
-        self._needs_reset = True
+        self._observations = None
 
     # ------------------------------------------------------------------ #
     # Rollout collection
     # ------------------------------------------------------------------ #
-    def _inference(self):
-        """No-grad scope for rollout forwards (identity when disabled)."""
-        if self.config.inference_rollouts:
-            return no_grad()
-        return contextlib.nullcontext()
-
-    def collect_rollout(self) -> RolloutBuffer:
-        """Collect ``rollout_steps`` transitions, resetting episodes as needed."""
-        if self.is_vectorized:
-            return self._collect_rollout_vectorized()
-        inference = self.config.inference_rollouts
-        buffer = RolloutBuffer(self.config.rollout_steps)
-        if self._needs_reset or self._observation is None:
-            self._observation = self.env.reset()
-            self._needs_reset = False
-
-        while not buffer.full:
-            observation = self._observation
-            joint_mask = None
-            if self.policy.config.action_mode == "full_joint":
-                joint_mask = self.env.joint_action_mask()
-            with self._inference():
-                output = self.policy.act(
-                    observation,
-                    pm_mask_fn=self.env.pm_action_mask,
-                    rng=self.rng,
-                    joint_mask=joint_mask,
-                    compute_stats=not inference,
-                )
-            vm_mask = observation.vm_mask if self.policy.config.action_mode == "two_stage" else None
-            pm_mask = output.pm_mask
-            next_observation, reward, done, info = self.env.step(output.action)
-            self.global_step += 1
-            buffer.add(
-                Transition(
-                    observation=observation,
-                    vm_index=output.vm_index,
-                    pm_index=output.pm_index,
-                    log_prob=output.log_prob,
-                    value=output.value,
-                    reward=reward,
-                    done=done,
-                    vm_mask=None if vm_mask is None else vm_mask.copy(),
-                    pm_mask=None if pm_mask is None else pm_mask.copy(),
-                    joint_mask=None if joint_mask is None else joint_mask.copy(),
-                )
-            )
-            if done:
-                self._observation = self.env.reset()
-            else:
-                self._observation = next_observation
-
-        last_value = 0.0
-        if not buffer.transitions[-1].done:
-            with self._inference():
-                last_value = self.policy.value_of(self._observation)
-        buffer.compute_advantages(
-            last_value,
-            gamma=self.config.gamma,
-            gae_lambda=self.config.gae_lambda,
-            normalize=self.config.normalize_advantages,
-        )
-        return buffer
-
     def _transitions_per_rollout(self) -> int:
         """Transitions one collect_rollout() call actually yields.
 
-        A vectorized env collects in whole env-rows, so the per-rollout count
-        is ``(rollout_steps // num_envs) * num_envs`` (at least one row) —
+        Collection runs in whole env-rows, so the per-rollout count is
+        ``(rollout_steps // num_envs) * num_envs`` (at least one row) —
         ``train`` uses this so its update count honors ``total_steps``.
         """
-        if not self.is_vectorized:
-            return self.config.rollout_steps
         num_envs = self.env.num_envs
         return max(self.config.rollout_steps // num_envs, 1) * num_envs
 
-    def _collect_rollout_vectorized(self) -> RolloutBuffer:
-        """Collect from a :class:`VectorEnv` with batched policy forwards.
+    def collect_rollout(self) -> RolloutBuffer:
+        """Collect about ``rollout_steps`` transitions with batched policy forwards.
 
         Per step the policy runs ONE extractor forward over the stacked
-        observations (``act_batch``) instead of one per environment, and the
-        stage-2 masks come back through ONE ``pm_action_masks`` exchange —
-        on the async backend that is a single round trip to the worker pool.
-        The buffer stores transitions time-major interleaved; GAE runs per
-        env.  Only protocol methods are used, so the sync and multi-process
-        backends collect bit-for-bit identical rollouts under one seed.
+        observations (``act_batch``), and the stage-2 masks come back through
+        ONE ``pm_action_masks`` exchange — on the async backend that is a
+        single round trip to the worker pool.  Forwards run under
+        ``repro.nn.no_grad`` without the entropy terms: PPO recomputes
+        everything differentiable during the update, and the sampled actions,
+        log-probs and values are bit-for-bit those of a tracking forward.
+        The vector env resets finished episodes itself.  The buffer stores
+        transitions time-major interleaved; GAE runs per env.  Only protocol
+        methods are used, so the sync and multi-process backends collect
+        bit-for-bit identical rollouts under one seed.
         """
-        venv: VectorEnv = self.env
+        venv = self.env
         num_envs = venv.num_envs
-        inference = self.config.inference_rollouts
         buffer = RolloutBuffer(self._transitions_per_rollout())
-        if self._needs_reset or self._observations is None:
+        if self._observations is None:
             self._observations = venv.reset()
-            self._needs_reset = False
 
         full_joint = self.policy.config.action_mode == "full_joint"
         two_stage = self.policy.config.action_mode == "two_stage"
-        # Per-env fallback mask fns (ragged batches, the MLP extractor); the
-        # stacked hot path uses the batched pm_masks_fn instead.
+        # Per-env mask fns serve envs of different cluster sizes; a same-size
+        # step uses the batched exchange instead.
         pm_mask_fns = [partial(venv.pm_action_mask, index) for index in range(num_envs)]
 
         while not buffer.full:
             observations = self._observations
             joint_masks = venv.joint_action_masks() if full_joint else None
-            with self._inference():
+            with no_grad():
                 outputs = self.policy.act_batch(
                     observations,
                     pm_mask_fns=pm_mask_fns,
                     rng=self.rng,
                     joint_masks=joint_masks,
-                    compute_stats=not inference,
+                    compute_stats=False,
                     pm_masks_fn=venv.pm_action_masks,
                     # Two-phase stage-2 exchange: the mask request is issued
                     # before the decoder forward and collected after it, so
@@ -217,7 +148,7 @@ class PPOTrainer:
             self._observations = next_observations
 
         # One stacked forward bootstraps every env; done envs bootstrap 0.
-        with self._inference():
+        with no_grad():
             bootstrap = self.policy.value_of_batch(self._observations)
         last_values = [
             0.0 if buffer.transitions[-num_envs + index].done else bootstrap[index]
@@ -239,13 +170,11 @@ class PPOTrainer:
     def update(self, buffer: RolloutBuffer) -> Dict[str, float]:
         """Run the clipped-PPO update over the collected rollout.
 
-        With ``config.batched_updates`` (the default) every minibatch is
-        evaluated through :meth:`TwoStagePolicy.evaluate_actions_batch` — one
-        stacked extractor forward over cached per-transition featurizations —
-        and the clipped surrogate, value loss and entropy bonus are single
-        tensor expressions over the minibatch with one ``backward()`` call.
-        ``batched_updates=False`` keeps the per-transition reference loop
-        (identical math; pinned by the parity tests).
+        Every minibatch is evaluated through
+        :meth:`TwoStagePolicy.evaluate_actions_batch` — one stacked extractor
+        forward over cached per-transition featurizations — and the clipped
+        surrogate, value loss and entropy bonus are single tensor expressions
+        over the minibatch with one ``backward()`` call.
         """
         config = self.config
         policy_losses, value_losses, entropies, kls = [], [], [], []
@@ -257,12 +186,8 @@ class PPOTrainer:
                 if indices.size == 0:
                     continue
                 self.optimizer.zero_grad()
-                if config.batched_updates:
-                    batch_kl = self._minibatch_step_batched(buffer, indices, policy_losses,
-                                                            value_losses, entropies)
-                else:
-                    batch_kl = self._minibatch_step_loop(buffer, indices, policy_losses,
-                                                         value_losses, entropies)
+                batch_kl = self._minibatch_step(buffer, indices, policy_losses,
+                                                value_losses, entropies)
                 self.optimizer.clip_gradients(config.max_grad_norm)
                 self.optimizer.step()
                 kls.extend(batch_kl)
@@ -276,7 +201,7 @@ class PPOTrainer:
             "approx_kl": float(np.mean(np.abs(kls))) if kls else 0.0,
         }
 
-    def _minibatch_step_batched(
+    def _minibatch_step(
         self,
         buffer: RolloutBuffer,
         indices: np.ndarray,
@@ -284,7 +209,7 @@ class PPOTrainer:
         value_losses: List[float],
         entropies: List[float],
     ) -> List[float]:
-        """Vectorized minibatch loss: one evaluate-batch call, one backward."""
+        """Minibatch loss: one evaluate-batch call, one backward."""
         config = self.config
         transitions = [buffer.transitions[index] for index in indices]
         log_probs, entropy, values = self.policy.evaluate_actions_batch(
@@ -314,55 +239,6 @@ class PPOTrainer:
         value_losses.extend(per_value.numpy().tolist())
         entropies.extend(entropy.numpy().tolist())
         return (old_log_probs - log_probs.numpy()).tolist()
-
-    def _minibatch_step_loop(
-        self,
-        buffer: RolloutBuffer,
-        indices: np.ndarray,
-        policy_losses: List[float],
-        value_losses: List[float],
-        entropies: List[float],
-    ) -> List[float]:
-        """Per-transition reference: one extractor forward per stored step."""
-        config = self.config
-        losses = []
-        batch_kl: List[float] = []
-        for index in indices:
-            transition = buffer.transitions[index]
-            log_prob, entropy, value = self.policy.evaluate_actions(
-                transition.observation,
-                transition.vm_index,
-                transition.pm_index,
-                transition.vm_mask,
-                transition.pm_mask,
-                transition.joint_mask,
-            )
-            old_log_prob = Tensor(np.array([transition.log_prob]))
-            ratio = (log_prob - old_log_prob).exp()
-            advantage = float(transition.advantage)
-            surrogate1 = ratio * advantage
-            surrogate2 = ratio.clip(1.0 - config.clip_coef, 1.0 + config.clip_coef) * advantage
-            policy_loss = -F.where(
-                surrogate1.numpy() <= surrogate2.numpy(), surrogate1, surrogate2
-            ).sum()
-            target = Tensor(np.array([transition.return_]))
-            value_loss = ((value - target) ** 2).sum()
-            loss = (
-                policy_loss
-                + config.value_coef * value_loss
-                - config.entropy_coef * entropy.sum()
-            )
-            losses.append(loss)
-            policy_losses.append(float(policy_loss.item()))
-            value_losses.append(float(value_loss.item()))
-            entropies.append(float(entropy.numpy().sum()))
-            batch_kl.append(float(transition.log_prob - log_prob.item()))
-        total = losses[0]
-        for extra in losses[1:]:
-            total = total + extra
-        total = total / float(len(losses))
-        total.backward()
-        return batch_kl
 
     # ------------------------------------------------------------------ #
     # Full training loop

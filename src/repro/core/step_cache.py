@@ -3,7 +3,7 @@
 A greedy plan rollout changes one VM and two PMs per step, yet the seed
 inference path re-featurized and re-encoded the *entire* cluster every step.
 :class:`StepCache` carries the step-local parts of the extractor forward
-between consecutive steps of ``act`` / ``act_batch`` / ``plan_batch``:
+between consecutive steps of ``act_batch`` / ``plan_batch``:
 
 * the input embeddings (``pm_embed`` / ``vm_embed`` MLP rows — per-row pure,
   so only rows whose normalized features changed recompute), and
@@ -58,7 +58,8 @@ class _ChainEntry:
 
     step_index: int
     feature_batch: FeatureBatch
-    #: Input embeddings (pm_embed / vm_embed outputs), patched in place.
+    #: Input embeddings (pm_embed / vm_embed outputs): row views of the
+    #: step's stacked array, copied forward and patched by the next step.
     h_pm: np.ndarray
     h_vm: np.ndarray
     #: Block-0 tree-stage output over the combined [PMs..., VMs...] sequence
@@ -119,86 +120,13 @@ class StepCache:
             and not reference_mode_active()
         )
 
-    # ------------------------------------------------------------------ #
-    # Single observation (``act`` / sequential rollouts)
-    # ------------------------------------------------------------------ #
     def forward(
-        self, extractor: SparseAttentionExtractor, observation: Observation
-    ) -> Tuple[FeatureBatch, ExtractorOutput]:
-        """Cached equivalent of ``extractor(build_feature_batch(observation))``."""
-        dtype = self._dtype(extractor)
-        entry = self._lookup(observation, dtype)
-        batch = patch_feature_batch(
-            entry.feature_batch if entry is not None else None, observation
-        )
-        num_pms, num_vms = batch.num_pms, batch.num_vms
-        pm_x, vm_x = self._inputs(extractor, batch, dtype)
-        delta = observation.delta
-
-        if entry is not None:
-            self.hits += 1
-            h_pm, h_vm = entry.h_pm, entry.h_vm  # cache-private: patch in place
-            if delta.changed_pm_rows.size:
-                h_pm[delta.changed_pm_rows] = extractor.pm_embed.network.forward_array(
-                    pm_x[delta.changed_pm_rows]
-                )
-            if delta.changed_vm_rows.size:
-                h_vm[delta.changed_vm_rows] = extractor.vm_embed.network.forward_array(
-                    vm_x[delta.changed_vm_rows]
-                )
-        else:
-            self.misses += 1
-            h_pm = extractor.pm_embed.network.forward_array(pm_x)
-            h_vm = extractor.vm_embed.network.forward_array(vm_x)
-
-        grouping = (
-            batch.tree_grouping()
-            if extractor.use_tree_attention and num_vms
-            else None
-        )
-        if grouping is None:
-            stage1 = None
-            pm1, vm1 = h_pm, h_vm
-        else:
-            layer = extractor.blocks[0].tree_attention
-            flat = np.concatenate([h_pm, h_vm], axis=0)
-            padded_sizes = sorted(
-                {bucket.members.shape[1] for bucket in grouping.buckets}
-            )
-            if entry is not None and entry.stage1 is not None and (
-                entry.stage1.shape == flat.shape
-            ):
-                stage1 = entry.stage1
-                groups = self._dirty_tree_groups(batch, observation)
-            else:
-                stage1 = np.empty_like(flat)
-                groups = batch.tree_layout()
-            _run_tree_layer_subset(layer, flat, stage1, groups, padded_sizes)
-            pm1, vm1 = stage1[:num_pms], stage1[num_pms:]
-
-        output = self._interaction_stages(extractor, pm1, vm1, grouping)
-        if delta is not None:
-            self._store(
-                delta.chain_id,
-                _ChainEntry(
-                    step_index=delta.step_index,
-                    feature_batch=batch,
-                    h_pm=h_pm,
-                    h_vm=h_vm,
-                    stage1=stage1,
-                ),
-            )
-        return batch, output
-
-    # ------------------------------------------------------------------ #
-    # Stacked batch (``act_batch`` / ``plan_batch`` micro-batching)
-    # ------------------------------------------------------------------ #
-    def forward_batch(
         self,
         extractor: SparseAttentionExtractor,
         observations: Sequence[Observation],
     ) -> Tuple[FeatureBatch, ExtractorOutput]:
-        """Cached equivalent of the stacked extractor forward.
+        """Cached equivalent of ``extractor(build_stacked_feature_batch(observations))``
+        for same-size observations (one row or many).
 
         Per row: a chain hit patches that row's embeddings/tree outputs; a
         miss (fresh episode admitted into the batch, stale chain) computes
@@ -286,7 +214,7 @@ class StepCache:
                     step_index=obs.delta.step_index,
                     feature_batch=batches[row],
                     # Disjoint row views of this step's arrays: safe to keep
-                    # (and to patch in place next step) without copying.
+                    # without copying (the next step copies them forward).
                     h_pm=h[row, :num_pms],
                     h_vm=h[row, num_pms:],
                     stage1=None if stage1_rows is None else stage1_rows[row],

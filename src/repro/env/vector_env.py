@@ -73,7 +73,8 @@ class VectorEnv:
         return lambda: self.pm_action_masks(indices)
 
     def pm_action_mask(self, index: int, vm_index: int) -> np.ndarray:
-        """Stage-2 mask of a single environment (sequential fallbacks)."""
+        """Stage-2 mask of a single environment (mixed-size batches, which the
+        batched exchange cannot serve)."""
         raise NotImplementedError
 
     def joint_action_masks(self) -> List[np.ndarray]:

@@ -56,7 +56,34 @@ class AttentionMask:
         return self.mask.shape
 
 
-def _attention_softmax(scores: Tensor, mask: Optional[AttentionMask], batched: bool) -> Tensor:
+def _score_mask_parts(
+    mask: Optional[AttentionMask], dtype
+) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
+    """Additive bias and dead-row indicator shaped for the score tensor.
+
+    Returns ``(bias, allowed)`` where ``bias`` broadcasts against
+    ``(batch, heads, q_len, k_len)`` scores and ``allowed`` (or ``None``)
+    against ``(batch, heads, q_len, 1)``.  A ``(q_len, k_len)`` mask is shared
+    by every batch row, a ``(batch, q_len, k_len)`` mask applies per row; the
+    dense and chunked kernels both take their mask from here, so they apply
+    it identically.
+    """
+    if mask is None:
+        return None, None
+    bias = mask.bias
+    if bias.dtype != dtype:
+        # float32 compute mode: keep the full-size temporaries in the scores'
+        # dtype instead of promoting back to float64.
+        bias = bias.astype(dtype)
+    if bias.ndim == 3:
+        bias = bias[:, None, :, :]
+    allowed = mask.dead_rows
+    if allowed is not None:
+        allowed = allowed[:, None] if allowed.ndim == 1 else allowed[:, None, :, None]
+    return bias, allowed
+
+
+def _attention_softmax(scores: Tensor, mask: Optional[AttentionMask]) -> Tensor:
     """Fused masked softmax over attention scores.
 
     Bias add, numerically stable softmax and dead-row zeroing collapse into
@@ -67,27 +94,10 @@ def _attention_softmax(scores: Tensor, mask: Optional[AttentionMask], batched: b
     """
     if mask is None:
         return F.softmax(scores, axis=-1)
-    bias = mask.bias
-    if bias.dtype != scores.data.dtype:
-        # float32 compute mode: keep the full-size temporaries in the scores'
-        # dtype instead of promoting back to float64.
-        bias = bias.astype(scores.data.dtype)
-    if batched and bias.ndim == 3:
-        bias = bias[:, None, :, :]
-    data = scores.data + bias
-    data -= data.max(axis=-1, keepdims=True)
-    np.exp(data, out=data)
-    data /= data.sum(axis=-1, keepdims=True)
-    if mask.dead_rows is not None:
-        allowed = mask.dead_rows
-        if not batched:
-            allowed = allowed[None, :, None]
-        elif allowed.ndim == 1:
-            allowed = allowed[None, None, :, None]
-        else:
-            allowed = allowed[:, None, :, None]
-        data *= allowed
-    out_data = data
+    bias, allowed = _score_mask_parts(mask, scores.data.dtype)
+    out_data = F.softmax_array(scores.data + bias)
+    if allowed is not None:
+        out_data *= allowed
     if not scores.requires_grad:
         return Tensor(out_data)
 
@@ -98,34 +108,6 @@ def _attention_softmax(scores: Tensor, mask: Optional[AttentionMask], batched: b
         scores._accumulate(grad_input)
 
     return Tensor(out_data, requires_grad=True, parents=(scores,), backward=backward)
-
-
-def _broadcast_mask_parts(
-    mask: Optional[AttentionMask], dtype, batched: bool
-) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
-    """Additive bias and dead-row indicator shaped for the score tensor.
-
-    Returns ``(bias, allowed)`` where ``bias`` broadcasts against
-    ``(…, heads, q_len, k_len)`` scores and ``allowed`` (or ``None``) against
-    ``(…, heads, q_len, 1)`` — the exact shapes the dense softmax uses, shared
-    here so the chunked kernel applies masks identically.
-    """
-    if mask is None:
-        return None, None
-    bias = mask.bias
-    if bias.dtype != dtype:
-        bias = bias.astype(dtype)
-    if batched and bias.ndim == 3:
-        bias = bias[:, None, :, :]
-    allowed = mask.dead_rows
-    if allowed is not None:
-        if not batched:
-            allowed = allowed[None, :, None]
-        elif allowed.ndim == 1:
-            allowed = allowed[None, None, :, None]
-        else:
-            allowed = allowed[:, None, :, None]
-    return bias, allowed
 
 
 def _chunked_attention_forward(
@@ -252,11 +234,10 @@ def _chunked_attention_array(
     k: np.ndarray,
     v: np.ndarray,
     mask: Optional[AttentionMask],
-    batched: bool,
     chunk: int,
 ) -> np.ndarray:
     """No-grad chunked attention: context directly, masks handled like dense."""
-    bias, allowed = _broadcast_mask_parts(mask, q.dtype, batched)
+    bias, allowed = _score_mask_parts(mask, q.dtype)
     context, _ = _chunked_attention_forward(q, k, v, bias, chunk)
     if allowed is not None:
         context *= allowed
@@ -268,7 +249,6 @@ def _chunked_attention(
     k: Tensor,
     v: Tensor,
     mask: Optional[AttentionMask],
-    batched: bool,
     chunk: int,
 ) -> Tensor:
     """Autograd twin of :func:`_chunked_attention_array` as ONE graph node.
@@ -280,7 +260,7 @@ def _chunked_attention(
     gradient is zeroed before the recompute, mirroring the dense kernel where
     those rows' weights are exactly zero).
     """
-    bias, allowed = _broadcast_mask_parts(mask, q.data.dtype, batched)
+    bias, allowed = _score_mask_parts(mask, q.data.dtype)
     context, logsumexp = _chunked_attention_forward(q.data, k.data, v.data, bias, chunk)
     if allowed is not None:
         context *= allowed
@@ -305,28 +285,24 @@ def _chunked_attention(
 
 
 def _attention_softmax_array(
-    scores: np.ndarray, mask: Optional[AttentionMask], batched: bool
+    scores: np.ndarray, mask: Optional[AttentionMask]
 ) -> np.ndarray:
     """Array twin of :func:`_attention_softmax` (mutates the fresh scores)."""
     if mask is None:
         return F.softmax_array(scores)
-    bias = mask.bias
-    if bias.dtype != scores.dtype:
-        bias = bias.astype(scores.dtype)
-    if batched and bias.ndim == 3:
-        bias = bias[:, None, :, :]
+    bias, allowed = _score_mask_parts(mask, scores.dtype)
     scores += bias
     F.softmax_array(scores)
-    if mask.dead_rows is not None:
-        allowed = mask.dead_rows
-        if not batched:
-            allowed = allowed[None, :, None]
-        elif allowed.ndim == 1:
-            allowed = allowed[None, None, :, None]
-        else:
-            allowed = allowed[:, None, :, None]
+    if allowed is not None:
         scores *= allowed
     return scores
+
+
+def _first_row(result):
+    """Un-lift a batch-of-one attention result: ``output`` or ``(output, weights)``."""
+    if isinstance(result, tuple):
+        return tuple(part[0] for part in result)
+    return result[0]
 
 
 class MultiHeadAttention(Module):
@@ -387,11 +363,12 @@ class MultiHeadAttention(Module):
     ):
         """Attend ``query`` over ``key``/``value``.
 
-        Inputs are either 2-D ``(seq_len, embed_dim)`` tensors (one cluster
-        state) or 3-D ``(batch, seq_len, embed_dim)`` tensors (a vectorized-env
-        step attending every environment in one call; batch items never attend
-        across each other).  A 2-D mask is broadcast over the batch; a 3-D
-        ``(batch, query_len, key_len)`` mask is applied per batch item.
+        Inputs are ``(batch, seq_len, embed_dim)`` tensors (batch items never
+        attend across each other); 2-D ``(seq_len, embed_dim)`` inputs are
+        lifted to a batch of one here and the result un-lifted, so everything
+        below sees only ``(batch, heads, q_len, k_len)`` scores.  A 2-D mask
+        is shared by every batch item; a 3-D ``(batch, query_len, key_len)``
+        mask is applied per item.
         """
         if _inference_fast_path():
             result = self.forward_array(
@@ -402,7 +379,11 @@ class MultiHeadAttention(Module):
                 return Tensor(output), weights
             return Tensor(result)
         if query.ndim == 2:
-            return self._forward_single(query, key, value, mask, return_weights)
+            return _first_row(
+                self.forward(
+                    query.unsqueeze(0), key.unsqueeze(0), value.unsqueeze(0), mask, return_weights
+                )
+            )
         if query.ndim != 3:
             raise ValueError(f"expected 2-D or 3-D query, got shape {query.shape}")
         batch, q_len = query.shape[0], query.shape[1]
@@ -431,25 +412,17 @@ class MultiHeadAttention(Module):
             k = k.astype(self.compute_dtype)
             v = v.astype(self.compute_dtype)
 
-        if mask is not None:
-            if not isinstance(mask, AttentionMask):
-                mask = AttentionMask(mask)
-            if mask.shape not in ((q_len, k_len), (batch, q_len, k_len)):
-                raise ValueError(
-                    f"mask shape {mask.shape} does not match ({batch}, {q_len}, {k_len})"
-                )
+        mask = self._checked_mask(mask, batch, q_len, k_len)
         if self.chunk_size is not None and not reference and not return_weights:
-            context = _chunked_attention(q, k, v, mask, True, self.chunk_size)
+            context = _chunked_attention(q, k, v, mask, self.chunk_size)
         else:
             scores = q.matmul(k.swapaxes(-1, -2))  # (batch, heads, q_len, k_len)
             if reference:
-                scores = scores * scale
-            if reference:
                 weights = self._masked_weights_reference(
-                    scores, mask, (batch, self.num_heads, q_len, k_len), batched=True
+                    scores * scale, mask, (batch, self.num_heads, q_len, k_len)
                 )
             else:
-                weights = _attention_softmax(scores, mask, batched=True)
+                weights = _attention_softmax(scores, mask)
             context = weights.matmul(v)  # (batch, heads, q_len, head_dim)
         context = context.transpose((0, 2, 1, 3)).reshape(batch, q_len, self.embed_dim)
         if context.dtype != np.float64:
@@ -476,70 +449,61 @@ class MultiHeadAttention(Module):
         matmuls (numpy's strided batched GEMM is the single slowest call on
         the rollout profile).
         """
-        if query.ndim not in (2, 3):
+        if query.ndim == 2:
+            return _first_row(
+                self.forward_array(
+                    query[None], key[None], value[None], mask=mask, return_weights=return_weights
+                )
+            )
+        if query.ndim != 3:
             raise ValueError(f"expected 2-D or 3-D query, got shape {query.shape}")
-        batched = query.ndim == 3
         scale = 1.0 / np.sqrt(self.head_dim)
         heads, head_dim = self.num_heads, self.head_dim
         q = self.q_proj.forward_array(query)
         q *= scale  # same values as the Tensor path's q = q * scale
         k = self.k_proj.forward_array(key)
         v = self.v_proj.forward_array(value)
-        if batched:
-            batch, q_len, k_len = query.shape[0], query.shape[1], key.shape[1]
-            q = np.ascontiguousarray(
-                q.reshape(batch, q_len, heads, head_dim).transpose(0, 2, 1, 3)
-            )
-            k = np.ascontiguousarray(
-                k.reshape(batch, k_len, heads, head_dim).transpose(0, 2, 1, 3)
-            )
-            v = np.ascontiguousarray(
-                v.reshape(batch, k_len, heads, head_dim).transpose(0, 2, 1, 3)
-            )
-            expected_shapes = ((q_len, k_len), (batch, q_len, k_len))
-        else:
-            q_len, k_len = query.shape[0], key.shape[0]
-            q = np.ascontiguousarray(q.reshape(q_len, heads, head_dim).swapaxes(0, 1))
-            k = np.ascontiguousarray(k.reshape(k_len, heads, head_dim).swapaxes(0, 1))
-            v = np.ascontiguousarray(v.reshape(k_len, heads, head_dim).swapaxes(0, 1))
-            expected_shapes = ((q_len, k_len),)
+        batch, q_len, k_len = query.shape[0], query.shape[1], key.shape[1]
+        q = np.ascontiguousarray(q.reshape(batch, q_len, heads, head_dim).transpose(0, 2, 1, 3))
+        k = np.ascontiguousarray(k.reshape(batch, k_len, heads, head_dim).transpose(0, 2, 1, 3))
+        v = np.ascontiguousarray(v.reshape(batch, k_len, heads, head_dim).transpose(0, 2, 1, 3))
         if self.compute_dtype is not None:
             q = q.astype(self.compute_dtype)
             k = k.astype(self.compute_dtype)
             v = v.astype(self.compute_dtype)
 
-        if mask is not None:
-            if not isinstance(mask, AttentionMask):
-                mask = AttentionMask(mask)
-            if mask.shape not in expected_shapes:
-                raise ValueError(
-                    f"mask shape {mask.shape} does not match {expected_shapes[-1]}"
-                )
+        mask = self._checked_mask(mask, batch, q_len, k_len)
         if self.chunk_size is not None and not return_weights:
-            context = _chunked_attention_array(q, k, v, mask, batched, self.chunk_size)
+            context = _chunked_attention_array(q, k, v, mask, self.chunk_size)
         else:
             scores = np.matmul(q, np.swapaxes(k, -1, -2))
-            weights = _attention_softmax_array(scores, mask, batched)
+            weights = _attention_softmax_array(scores, mask)
             context = np.matmul(weights, v)
-        if batched:
-            context = context.transpose(0, 2, 1, 3).reshape(batch, q_len, self.embed_dim)
-        else:
-            context = context.swapaxes(0, 1).reshape(q_len, self.embed_dim)
+        context = context.transpose(0, 2, 1, 3).reshape(batch, q_len, self.embed_dim)
         if context.dtype != query.dtype:
             # compute_dtype mode on a float64 stream: cast back before the
             # output projection (a float32 stream stays float32 throughout).
             context = context.astype(query.dtype)
         output = self.out_proj.forward_array(context)
         if return_weights:
-            return output, weights.mean(axis=1 if batched else 0)
+            return output, weights.mean(axis=1)
         return output
 
+    @staticmethod
+    def _checked_mask(mask, batch: int, q_len: int, k_len: int) -> Optional[AttentionMask]:
+        """Wrap a raw boolean mask and check it against the score shape."""
+        if mask is None:
+            return None
+        if not isinstance(mask, AttentionMask):
+            mask = AttentionMask(mask)
+        if mask.shape not in ((q_len, k_len), (batch, q_len, k_len)):
+            raise ValueError(
+                f"mask shape {mask.shape} does not match ({batch}, {q_len}, {k_len})"
+            )
+        return mask
+
     def _masked_weights_reference(
-        self,
-        scores: Tensor,
-        mask: Optional[AttentionMask],
-        expanded_shape,
-        batched: bool,
+        self, scores: Tensor, mask: Optional[AttentionMask], expanded_shape
     ) -> Tensor:
         """Seed implementation: per-head boolean mask + masked softmax.
 
@@ -552,69 +516,12 @@ class MultiHeadAttention(Module):
         if mask is None:
             return F.softmax(scores, axis=-1)
         raw = mask.mask
-        if batched:
-            if raw.ndim == 2:
-                raw = np.broadcast_to(raw, expanded_shape[:1] + raw.shape)
-            expanded = np.broadcast_to(raw[:, None, :, :], expanded_shape)
-            allowed = raw.any(axis=-1).astype(float)[:, None, :, None]
-        else:
-            expanded = np.broadcast_to(raw, expanded_shape)
-            allowed = raw.any(axis=-1).astype(float)[None, :, None]
+        if raw.ndim == 2:
+            raw = np.broadcast_to(raw, expanded_shape[:1] + raw.shape)
+        expanded = np.broadcast_to(raw[:, None, :, :], expanded_shape)
+        allowed = raw.any(axis=-1).astype(float)[:, None, :, None]
         weights = F.masked_softmax(scores, expanded, axis=-1)
         return weights * Tensor(np.broadcast_to(allowed, expanded_shape))
-
-    def _forward_single(
-        self,
-        query: Tensor,
-        key: Tensor,
-        value: Tensor,
-        mask: Optional[np.ndarray],
-        return_weights: bool,
-    ):
-        q_len = query.shape[0]
-        k_len = key.shape[0]
-
-        # Scale folded into q: an O(seq·dim) multiply instead of O(seq²·heads).
-        # (The reference path scales the full score tensor, as the seed did.)
-        reference = F.reference_mode_active()
-        scale = 1.0 / np.sqrt(self.head_dim)
-        q = self.q_proj(query)
-        if not reference:
-            q = q * scale
-        q = q.reshape(q_len, self.num_heads, self.head_dim).swapaxes(0, 1)
-        k = self.k_proj(key).reshape(k_len, self.num_heads, self.head_dim).swapaxes(0, 1)
-        v = self.v_proj(value).reshape(k_len, self.num_heads, self.head_dim).swapaxes(0, 1)
-        if self.compute_dtype is not None and not reference:
-            q = q.astype(self.compute_dtype)
-            k = k.astype(self.compute_dtype)
-            v = v.astype(self.compute_dtype)
-
-        if mask is not None:
-            if not isinstance(mask, AttentionMask):
-                mask = AttentionMask(mask)
-            if mask.shape != (q_len, k_len):
-                raise ValueError(f"mask shape {mask.shape} does not match ({q_len}, {k_len})")
-        if self.chunk_size is not None and not reference and not return_weights:
-            context = _chunked_attention(q, k, v, mask, False, self.chunk_size)
-        else:
-            scores = q.matmul(k.swapaxes(1, 2))  # (heads, q_len, k_len)
-            if reference:
-                scores = scores * scale
-            if reference:
-                weights = self._masked_weights_reference(
-                    scores, mask, (self.num_heads, q_len, k_len), batched=False
-                )
-            else:
-                weights = _attention_softmax(scores, mask, batched=False)
-            context = weights.matmul(v)  # (heads, q_len, head_dim)
-        context = context.swapaxes(0, 1).reshape(q_len, self.embed_dim)
-        if context.dtype != np.float64:
-            context = context.astype(np.float64)
-        output = self.out_proj(context)
-        if return_weights:
-            mean_weights = weights.data.mean(axis=0)  # (q_len, k_len)
-            return output, mean_weights
-        return output
 
 
 class FeedForward(Module):

@@ -48,23 +48,51 @@ class TestStackedFeatureBatch:
             build_stacked_feature_batch([])
 
 
+def make_policy(case, snapshots):
+    """One policy per action mode plus the MLP extractor; ``mixed_size`` is
+    the default policy over a ragged batch."""
+    if case == "mlp":
+        return TwoStagePolicy(
+            ModelConfig(extractor="mlp"),
+            rng=np.random.default_rng(0),
+            max_pms=max(s.num_pms for s in snapshots),
+            max_vms=max(s.num_vms for s in snapshots),
+        )
+    mode = case if case in ("penalty", "full_joint") else "two_stage"
+    return TwoStagePolicy(ModelConfig(action_mode=mode), rng=np.random.default_rng(0))
+
+
+@pytest.fixture(scope="module")
+def other_snapshot():
+    spec = ClusterSpec(name="batched-other", num_pms=4, target_utilization=0.6, best_fit_fraction=0.3)
+    return SnapshotGenerator(spec, seed=11).generate()
+
+
 class TestActBatch:
-    def test_matches_sequential_act(self, snapshot):
-        envs = [make_env(snapshot) for _ in range(3)]
+    @pytest.mark.parametrize("case", ["two_stage", "penalty", "full_joint", "mlp", "mixed_size"])
+    def test_matches_one_element_calls(self, snapshot, other_snapshot, case):
+        """One call at B=N equals N calls at B=1: batch rows never interact."""
+        snapshots = [snapshot, other_snapshot, snapshot] if case == "mixed_size" else [snapshot] * 3
+        envs = [make_env(s) for s in snapshots]
         observations = [env.reset() for env in envs]
-        policy = TwoStagePolicy(ModelConfig(), rng=np.random.default_rng(0))
+        assert (len({(o.num_pms, o.num_vms) for o in observations}) > 1) == (case == "mixed_size")
+        policy = make_policy(case, snapshots)
+        joint_masks = [env.joint_action_mask() for env in envs] if case == "full_joint" else None
         batched = policy.act_batch(
             observations,
             pm_mask_fns=[env.pm_action_mask for env in envs],
             rng=np.random.default_rng(1),
             greedy=True,
+            joint_masks=joint_masks,
         )
+        values = policy.value_of_batch(observations)
         for index, env in enumerate(envs):
             single = policy.act(
                 observations[index],
                 pm_mask_fn=env.pm_action_mask,
                 rng=np.random.default_rng(1),
                 greedy=True,
+                joint_mask=None if joint_masks is None else joint_masks[index],
             )
             assert batched[index].vm_index == single.vm_index
             assert batched[index].pm_index == single.pm_index
@@ -73,8 +101,9 @@ class TestActBatch:
             assert batched[index].value == pytest.approx(single.value, abs=1e-8)
             assert batched[index].entropy == pytest.approx(single.entropy, abs=1e-7)
             assert batched[index].log_prob == pytest.approx(single.log_prob, abs=1e-7)
+            assert values[index] == pytest.approx(policy.value_of(observations[index]), abs=1e-8)
 
-    def test_single_observation_falls_back(self, snapshot):
+    def test_single_observation_is_a_batch_of_one(self, snapshot):
         env = make_env(snapshot)
         observation = env.reset()
         policy = TwoStagePolicy(ModelConfig(), rng=np.random.default_rng(0))
@@ -83,6 +112,16 @@ class TestActBatch:
         )
         assert len(outputs) == 1
         assert 0 <= outputs[0].vm_index < observation.num_vms
+
+    def test_mixed_size_batch_needs_per_env_mask_fns(self, snapshot, other_snapshot):
+        envs = [make_env(snapshot), make_env(other_snapshot)]
+        policy = TwoStagePolicy(ModelConfig(), rng=np.random.default_rng(0))
+        with pytest.raises(ValueError, match="mixed-size"):
+            policy.act_batch(
+                [env.reset() for env in envs],
+                rng=np.random.default_rng(0),
+                pm_masks_fn=lambda vm_indices: None,
+            )
 
     def test_mismatched_mask_fns_rejected(self, snapshot):
         env = make_env(snapshot)
@@ -101,13 +140,27 @@ class TestVectorizedPPO:
             venv,
             PPOConfig(rollout_steps=16, minibatch_size=8, update_epochs=1, seed=0),
         )
-        assert trainer.is_vectorized
         buffer = trainer.collect_rollout()
         assert len(buffer) == 16
         # Interleaved time-major layout: both envs contribute at every step.
         assert all(t.observation is not None for t in buffer.transitions)
         stats = trainer.update(buffer)
         assert np.isfinite(stats["policy_loss"])
+
+    def test_bare_env_collects_like_a_one_env_vector(self, snapshot):
+        def rollout(env):
+            policy = TwoStagePolicy(ModelConfig(), rng=np.random.default_rng(0))
+            config = PPOConfig(rollout_steps=12, minibatch_size=6, update_epochs=1, seed=0)
+            return PPOTrainer(policy, env, config).collect_rollout()
+
+        bare = rollout(make_env(snapshot))
+        wrapped = rollout(SyncVectorEnv([lambda: make_env(snapshot)]))
+        assert len(bare) == len(wrapped) == 12
+        for a, b in zip(bare.transitions, wrapped.transitions):
+            assert (a.vm_index, a.pm_index, a.log_prob, a.value, a.reward, a.done) == (
+                b.vm_index, b.pm_index, b.log_prob, b.value, b.reward, b.done
+            )
+            assert (a.advantage, a.return_) == (b.advantage, b.return_)
 
     def test_gae_num_envs_chains(self):
         from repro.core.rollout import RolloutBuffer, Transition

@@ -1,9 +1,10 @@
 """Parity tests for the batched PPO update path.
 
-The vectorized minibatch update (``TwoStagePolicy.evaluate_actions_batch`` +
-``PPOTrainer._minibatch_step_batched``) must reproduce the per-transition
-reference bit-for-bit (within float tolerance): log-probs, entropies, values,
-gradients after one backward, and parameters after a full optimizer step.
+``TwoStagePolicy.evaluate_actions_batch`` is the only evaluate
+implementation; one call at B=N must reproduce N one-element calls (within
+float tolerance) for every action mode, extractor and a mixed-size minibatch:
+log-probs, entropies, values, gradients after one backward, and — through
+``PPOTrainer.update`` — parameters after a full optimizer step.
 """
 
 import numpy as np
@@ -38,12 +39,18 @@ def collect_steps(env, policy, steps, rng):
     """Roll a few steps and return the stored-transition ingredients."""
     observation = env.reset()
     two_stage = policy.config.action_mode == "two_stage"
+    full_joint = policy.config.action_mode == "full_joint"
     records = []
     for _ in range(steps):
-        output = policy.act(observation, pm_mask_fn=env.pm_action_mask, rng=rng)
+        joint_mask = env.joint_action_mask().copy() if full_joint else None
+        output = policy.act(
+            observation, pm_mask_fn=env.pm_action_mask, rng=rng, joint_mask=joint_mask
+        )
         vm_mask = observation.vm_mask.copy() if two_stage else None
         pm_mask = env.pm_action_mask(output.vm_index).copy() if two_stage else None
-        records.append((observation, output.vm_index, output.pm_index, vm_mask, pm_mask))
+        records.append(
+            (observation, output.vm_index, output.pm_index, vm_mask, pm_mask, joint_mask)
+        )
         observation, _, done, _ = env.step(output.action)
         if done:
             observation = env.reset()
@@ -58,40 +65,59 @@ def batch_args(records):
         pm_indices=[r[2] for r in records],
         vm_masks=[r[3] for r in records],
         pm_masks=[r[4] for r in records],
+        joint_masks=[r[5] for r in records],
     )
 
 
+#: Every action mode, the fixed-size MLP extractor and a mixed-size minibatch.
+CASES = ["two_stage", "penalty", "full_joint", "mlp", "mixed_size"]
+
+
+def case_records(case, snapshot, seed):
+    """(policy, records) for one of CASES; ``mixed_size`` interleaves two
+    cluster sizes in one minibatch."""
+    other_spec = ClusterSpec(name="batched-update-small", num_pms=4,
+                             target_utilization=0.6, best_fit_fraction=0.3)
+    other = SnapshotGenerator(other_spec, seed=11).generate()
+    mode = case if case in ("penalty", "full_joint") else "two_stage"
+    config = ModelConfig(embed_dim=16, num_heads=2, num_blocks=1, action_mode=mode,
+                         extractor="mlp" if case == "mlp" else "sparse")
+    policy = TwoStagePolicy(config, rng=np.random.default_rng(0),
+                            max_pms=snapshot.num_pms, max_vms=snapshot.num_vms)
+    penalty = -1.0 if case == "penalty" else None
+    records = collect_steps(make_env(snapshot, penalty=penalty), policy, 4,
+                            np.random.default_rng(seed))
+    if case == "mixed_size":
+        extra = collect_steps(make_env(other), policy, 2, np.random.default_rng(seed + 1))
+        records = [records[0], extra[0], records[1], records[2], extra[1], records[3]]
+        assert len({(r[0].num_pms, r[0].num_vms) for r in records}) > 1
+    return policy, records
+
+
 class TestEvaluateActionsBatchParity:
-    @pytest.mark.parametrize("action_mode", ["two_stage", "penalty"])
-    def test_outputs_match_per_transition(self, snapshot, action_mode):
-        config = ModelConfig(embed_dim=16, num_heads=2, num_blocks=1, action_mode=action_mode)
-        policy = TwoStagePolicy(config, rng=np.random.default_rng(0))
-        env = make_env(snapshot, penalty=-1.0 if action_mode == "penalty" else None)
-        records = collect_steps(env, policy, 5, np.random.default_rng(1))
+    @pytest.mark.parametrize("case", CASES)
+    def test_outputs_match_one_element_calls(self, snapshot, case):
+        policy, records = case_records(case, snapshot, seed=1)
+        count = len(records)
         log_probs, entropies, values = policy.evaluate_actions_batch(**batch_args(records))
-        assert log_probs.shape == (5,) and entropies.shape == (5,) and values.shape == (5,)
-        for index, (obs, vm_index, pm_index, vm_mask, pm_mask) in enumerate(records):
-            log_prob, entropy, value = policy.evaluate_actions(
-                obs, vm_index, pm_index, vm_mask, pm_mask
-            )
+        assert log_probs.shape == (count,) and entropies.shape == (count,)
+        assert values.shape == (count,)
+        for index, record in enumerate(records):
+            log_prob, entropy, value = policy.evaluate_actions(*record)
             assert log_probs.numpy()[index] == pytest.approx(log_prob.numpy()[0], abs=1e-8)
             assert entropies.numpy()[index] == pytest.approx(entropy.numpy()[0], abs=1e-8)
             assert values.numpy()[index] == pytest.approx(value.numpy()[0], abs=1e-8)
 
-    def test_gradients_match_per_transition(self, snapshot):
-        config = ModelConfig(embed_dim=16, num_heads=2, num_blocks=1)
-        policy = TwoStagePolicy(config, rng=np.random.default_rng(0))
-        env = make_env(snapshot)
-        records = collect_steps(env, policy, 4, np.random.default_rng(2))
+    @pytest.mark.parametrize("case", CASES)
+    def test_gradients_match_one_element_calls(self, snapshot, case):
+        policy, records = case_records(case, snapshot, seed=2)
 
-        # Reference: per-transition forwards, mean loss over the minibatch.
+        # Reference: one-element forwards, mean loss over the minibatch.
         for parameter in policy.parameters():
             parameter.zero_grad()
         losses = []
-        for obs, vm_index, pm_index, vm_mask, pm_mask in records:
-            log_prob, entropy, value = policy.evaluate_actions(
-                obs, vm_index, pm_index, vm_mask, pm_mask
-            )
+        for record in records:
+            log_prob, entropy, value = policy.evaluate_actions(*record)
             losses.append(-log_prob.sum() + (value * value).sum() - 0.01 * entropy.sum())
         total = losses[0]
         for extra in losses[1:]:
@@ -130,25 +156,12 @@ class TestEvaluateActionsBatchParity:
         for fresh_tensor, cached_tensor in zip(fresh, cached):
             np.testing.assert_allclose(cached_tensor.numpy(), fresh_tensor.numpy(), atol=1e-12)
 
-    def test_ragged_minibatch_falls_back(self, snapshot):
-        other_spec = ClusterSpec(name="batched-update-small", num_pms=4,
-                                 target_utilization=0.6, best_fit_fraction=0.3)
-        other = SnapshotGenerator(other_spec, seed=11).generate()
-        config = ModelConfig(embed_dim=16, num_heads=2, num_blocks=1)
-        policy = TwoStagePolicy(config, rng=np.random.default_rng(0))
-        records = collect_steps(make_env(snapshot), policy, 2, np.random.default_rng(4))
-        records += collect_steps(make_env(other), policy, 2, np.random.default_rng(5))
-        sizes = {(r[0].num_pms, r[0].num_vms) for r in records}
-        assert len(sizes) > 1, "fixture must produce a genuinely ragged minibatch"
-        log_probs, entropies, values = policy.evaluate_actions_batch(**batch_args(records))
-        assert log_probs.shape == (4,)
-        for index, (obs, vm_index, pm_index, vm_mask, pm_mask) in enumerate(records):
-            log_prob, entropy, value = policy.evaluate_actions(
-                obs, vm_index, pm_index, vm_mask, pm_mask
-            )
-            assert log_probs.numpy()[index] == pytest.approx(log_prob.numpy()[0], abs=1e-10)
-            assert entropies.numpy()[index] == pytest.approx(entropy.numpy()[0], abs=1e-10)
-            assert values.numpy()[index] == pytest.approx(value.numpy()[0], abs=1e-10)
+    def test_mixed_mask_presence_rejected(self, snapshot):
+        policy, records = case_records("two_stage", snapshot, seed=4)
+        args = batch_args(records)
+        args["pm_masks"][1] = None
+        with pytest.raises(ValueError, match="pm_masks"):
+            policy.evaluate_actions_batch(**args)
 
 
 class TestTreeGroupingParity:
@@ -197,8 +210,7 @@ class TestTreeGroupingParity:
 class TestReferenceOpsParity:
     def test_reference_substrate_matches_fast_path(self, snapshot):
         """`reference_ops` (seed substrate) must compute the same quantities
-        and gradients as the fused/sparse fast path — it is what the update
-        benchmark times as `legacy`."""
+        and gradients as the fused/sparse fast path."""
         from repro.nn import reference_ops
 
         config = ModelConfig(embed_dim=16, num_heads=2, num_blocks=1)
@@ -227,65 +239,98 @@ class TestReferenceOpsParity:
 
 
 class TestBatchedActorForwards:
-    def test_vm_and_pm_actor_batched_vs_single(self, snapshot):
+    def test_actor_rows_match_batches_of_one(self, snapshot):
         config = ModelConfig(embed_dim=16, num_heads=2, num_blocks=1)
         policy = TwoStagePolicy(config, rng=np.random.default_rng(0))
         envs = [make_env(snapshot) for _ in range(3)]
         observations = [env.reset() for env in envs]
-        stacked = stack_feature_batches([build_feature_batch(obs) for obs in observations])
-        stacked_output = policy.extractor(stacked)
+        batches = [build_feature_batch(obs) for obs in observations]
+        stacked_output = policy.extractor(stack_feature_batches(batches))
         vm_logits = policy.vm_actor(stacked_output)
         assert vm_logits.shape == (3, observations[0].num_vms)
         vm_indices = [1, 4, 2]
-        pm_logits = policy.pm_actor.forward_batch(stacked_output, vm_indices)
+        pm_logits = policy.pm_actor(stacked_output, vm_indices)
         assert pm_logits.shape == (3, observations[0].num_pms)
-        for index, observation in enumerate(observations):
-            single_output = policy.extractor(build_feature_batch(observation))
+        for index, batch in enumerate(batches):
+            single_output = policy.extractor(stack_feature_batches([batch]))
             np.testing.assert_allclose(
-                vm_logits.numpy()[index], policy.vm_actor(single_output).numpy(), atol=1e-8
+                vm_logits.numpy()[index], policy.vm_actor(single_output).numpy()[0], atol=1e-8
             )
             np.testing.assert_allclose(
                 pm_logits.numpy()[index],
-                policy.pm_actor(single_output, vm_indices[index]).numpy(),
+                policy.pm_actor(single_output, [vm_indices[index]]).numpy()[0],
                 atol=1e-8,
             )
+            # A single-row batch is lifted at the extractor boundary and
+            # comes back without the batch axis.
+            unbatched = policy.extractor(batch)
+            np.testing.assert_array_equal(
+                unbatched.vm_embeddings.numpy(), single_output.vm_embeddings.numpy()[0]
+            )
+            assert unbatched.vm_pm_scores.shape == single_output.vm_pm_scores.shape[1:]
 
-    def test_forward_batch_rejects_bad_indices(self, snapshot):
+    def test_pm_actor_rejects_bad_indices(self, snapshot):
         config = ModelConfig(embed_dim=16, num_heads=2, num_blocks=1)
         policy = TwoStagePolicy(config, rng=np.random.default_rng(0))
         observations = [make_env(snapshot).reset() for _ in range(2)]
         stacked = stack_feature_batches([build_feature_batch(obs) for obs in observations])
         stacked_output = policy.extractor(stacked)
         with pytest.raises(ValueError):
-            policy.pm_actor.forward_batch(stacked_output, [0])  # wrong length
+            policy.pm_actor(stacked_output, [0])  # wrong length
         with pytest.raises(IndexError):
-            policy.pm_actor.forward_batch(stacked_output, [0, observations[0].num_vms])
+            policy.pm_actor(stacked_output, [0, observations[0].num_vms])
 
 
-class TestBatchedTrainerUpdateParity:
-    @pytest.mark.parametrize("action_mode", ["two_stage", "penalty"])
-    def test_update_matches_per_transition_reference(self, snapshot, action_mode):
+class TestTrainerUpdateParity:
+    @pytest.mark.parametrize("action_mode", ["two_stage", "penalty", "full_joint"])
+    def test_update_matches_one_element_reference(self, snapshot, action_mode):
+        """``PPOTrainer.update`` equals the textbook clipped-PPO step computed
+        transition by transition through one-element ``evaluate_actions``."""
         model_config = ModelConfig(embed_dim=16, num_heads=2, num_blocks=1,
                                    action_mode=action_mode)
+        ppo = PPOConfig(rollout_steps=8, minibatch_size=4, update_epochs=2, seed=0)
 
-        def run(batched: bool):
+        def make_trainer():
             policy = TwoStagePolicy(model_config, rng=np.random.default_rng(0))
-            trainer = PPOTrainer(
-                policy,
-                make_env(snapshot, penalty=-1.0 if action_mode == "penalty" else None),
-                PPOConfig(rollout_steps=8, minibatch_size=4, update_epochs=2, seed=0,
-                          batched_updates=batched),
-            )
-            buffer = trainer.collect_rollout()
-            stats = trainer.update(buffer)
-            return stats, {name: p.data.copy() for name, p in policy.named_parameters()}
+            env = make_env(snapshot, penalty=-1.0 if action_mode == "penalty" else None)
+            return PPOTrainer(policy, env, ppo)
 
-        batched_stats, batched_params = run(True)
-        loop_stats, loop_params = run(False)
-        for key in ("policy_loss", "value_loss", "entropy", "approx_kl"):
-            assert batched_stats[key] == pytest.approx(loop_stats[key], abs=1e-8)
-        for name, data in loop_params.items():
-            np.testing.assert_allclose(batched_params[name], data, atol=1e-8, err_msg=name)
+        trainer = make_trainer()
+        stats = trainer.update(trainer.collect_rollout())
+
+        reference = make_trainer()
+        buffer = reference.collect_rollout()
+        policy_losses, kls = [], []
+        for _ in range(ppo.update_epochs):
+            for indices in buffer.minibatch_indices(ppo.minibatch_size, reference.rng):
+                reference.optimizer.zero_grad()
+                total = None
+                for t in (buffer.transitions[index] for index in indices):
+                    log_prob, entropy, value = reference.policy.evaluate_actions(
+                        t.observation, t.vm_index, t.pm_index, t.vm_mask, t.pm_mask, t.joint_mask
+                    )
+                    ratio = (log_prob - t.log_prob).exp()
+                    clipped = ratio.clip(1.0 - ppo.clip_coef, 1.0 + ppo.clip_coef)
+                    surrogate = ratio if ratio.item() * t.advantage <= clipped.item() * t.advantage else clipped
+                    policy_loss = -(surrogate * t.advantage).sum()
+                    loss = (
+                        policy_loss
+                        + ppo.value_coef * ((value - t.return_) ** 2).sum()
+                        - ppo.entropy_coef * entropy.sum()
+                    )
+                    total = loss if total is None else total + loss
+                    policy_losses.append(policy_loss.item())
+                    kls.append(t.log_prob - log_prob.item())
+                (total / float(len(indices))).backward()
+                reference.optimizer.clip_gradients(ppo.max_grad_norm)
+                reference.optimizer.step()
+
+        assert stats["policy_loss"] == pytest.approx(np.mean(policy_losses), abs=1e-8)
+        assert stats["approx_kl"] == pytest.approx(np.mean(np.abs(kls)), abs=1e-8)
+        for (name, got), (_, expected) in zip(
+            trainer.policy.named_parameters(), reference.policy.named_parameters()
+        ):
+            np.testing.assert_allclose(got.data, expected.data, atol=1e-8, err_msg=name)
 
 
 class TestThresholdRegression:

@@ -23,6 +23,7 @@ from repro.core import (
     build_extractor,
     build_feature_batch,
     build_tree_mask,
+    stack_feature_batches,
     summarize_tree_sparsity,
 )
 from repro.core.actors import PMActor, ValueHead, VMActor
@@ -84,6 +85,13 @@ class TestConfigs:
         restored = VMR2LConfig.from_dict(config.to_dict())
         assert restored.model.embed_dim == 16
         assert restored.migration_limit == 20
+
+    def test_from_dict_drops_retired_ppo_switches(self):
+        # Checkpoints written before the two path-selecting PPO options were
+        # deleted still carry them in their recorded config.
+        payload = VMR2LConfig().to_dict()
+        payload["ppo"].update(batched_updates=True, inference_rollouts=True)
+        assert VMR2LConfig.from_dict(payload).ppo == PPOConfig()
 
 
 class TestTreeMask:
@@ -197,30 +205,26 @@ class TestExtractors:
 
 
 class TestActors:
+    """The heads consume stacked ``(batch, machines, dim)`` extractor output."""
+
+    def _stacked_output(self, model_config):
+        batch = stack_feature_batches([build_feature_batch(observation_of(small_cluster()))])
+        return SparseAttentionExtractor(model_config, rng=np.random.default_rng(0))(batch)
+
     def test_vm_actor_logits_shape(self, model_config):
-        state = small_cluster()
-        batch = build_feature_batch(observation_of(state))
-        extractor = SparseAttentionExtractor(model_config, rng=np.random.default_rng(0))
-        output = extractor(batch)
-        logits = VMActor(model_config, rng=np.random.default_rng(0))(output)
-        assert logits.shape == (5,)
+        logits = VMActor(model_config, rng=np.random.default_rng(0))(self._stacked_output(model_config))
+        assert logits.shape == (1, 5)
 
     def test_pm_actor_logits_shape_and_bounds(self, model_config):
-        state = small_cluster()
-        batch = build_feature_batch(observation_of(state))
-        extractor = SparseAttentionExtractor(model_config, rng=np.random.default_rng(0))
-        output = extractor(batch)
+        output = self._stacked_output(model_config)
         actor = PMActor(model_config, rng=np.random.default_rng(0))
-        logits = actor(output, vm_index=2)
-        assert logits.shape == (3,)
+        logits = actor(output, [2])
+        assert logits.shape == (1, 3)
         with pytest.raises(IndexError):
-            actor(output, vm_index=99)
+            actor(output, [99])
 
-    def test_value_head_scalar(self, model_config):
-        state = small_cluster()
-        batch = build_feature_batch(observation_of(state))
-        extractor = SparseAttentionExtractor(model_config, rng=np.random.default_rng(0))
-        value = ValueHead(model_config, rng=np.random.default_rng(0))(extractor(batch))
+    def test_value_head_one_value_per_row(self, model_config):
+        value = ValueHead(model_config, rng=np.random.default_rng(0))(self._stacked_output(model_config))
         assert value.shape == (1,)
         assert np.isfinite(value.item())
 

@@ -76,11 +76,15 @@ class TestPlanBatch:
         )
         assert all(0.0 <= result.info["final_objective"] <= 1.0 for result in results)
 
-    def test_ragged_cluster_sizes_fall_back_but_plan(self, agent):
-        small = snapshots(1, num_pms=5, seed=1)[0]
-        large = snapshots(1, num_pms=7, seed=2)[0]
-        results = agent.plan_batch([small, large], migration_limits=2, greedy=True)
-        assert len(results) == 2
-        for state, result in zip([small, large], results):
-            solo = agent.plan_single_trajectory(state, 2, greedy=True)
+    @pytest.mark.parametrize("use_step_cache", [True, False])
+    def test_mixed_cluster_sizes_return_the_per_request_plans(self, agent, use_step_cache):
+        small = snapshots(2, num_pms=5, seed=1)
+        large = snapshots(2, num_pms=7, seed=2)
+        states = [small[0], large[0], small[1], large[1]]
+        results = agent.plan_batch(
+            states, migration_limits=3, greedy=True, use_step_cache=use_step_cache
+        )
+        assert len(results) == 4
+        for state, result in zip(states, results):
+            solo = agent.plan_single_trajectory(state, 3, greedy=True)
             assert [m.as_tuple() for m in result.plan] == [m.as_tuple() for m in solo]

@@ -120,16 +120,16 @@ class TestStepCacheEncoder:
         atol = 1e-10 if model.inference_dtype == "float64" else 1e-4
         with no_grad():
             for _ in range(14):  # spans ≥2 episodes (limit 5) incl. auto-reset
-                _, cached = cache.forward(policy.extractor, obs)
+                _, cached = cache.forward(policy.extractor, [obs])
                 fresh = policy.extractor(build_feature_batch(obs))
                 np.testing.assert_allclose(
-                    cached.vm_embeddings.data, fresh.vm_embeddings.data, rtol=0, atol=atol
+                    cached.vm_embeddings.data[0], fresh.vm_embeddings.data, rtol=0, atol=atol
                 )
                 np.testing.assert_allclose(
-                    cached.pm_embeddings.data, fresh.pm_embeddings.data, rtol=0, atol=atol
+                    cached.pm_embeddings.data[0], fresh.pm_embeddings.data, rtol=0, atol=atol
                 )
                 np.testing.assert_allclose(
-                    cached.vm_pm_scores, fresh.vm_pm_scores, rtol=0, atol=atol
+                    cached.vm_pm_scores[0], fresh.vm_pm_scores, rtol=0, atol=atol
                 )
                 if not obs.vm_mask.any():
                     break
@@ -150,7 +150,7 @@ class TestStepCacheEncoder:
             assert cache.usable(policy.extractor)
 
     def test_stacked_matches_single(self):
-        """forward_batch over several episodes equals per-row fresh forwards."""
+        """One cached forward over several episodes equals per-row fresh forwards."""
         policy = TwoStagePolicy(ModelConfig(), rng=np.random.default_rng(0))
         envs = [
             VMRescheduleEnv(_state(seed=7), ConstraintConfig(migration_limit=6))
@@ -161,7 +161,7 @@ class TestStepCacheEncoder:
         rng = np.random.default_rng(3)
         with no_grad():
             for _ in range(6):
-                _, stacked = cache.forward_batch(policy.extractor, observations)
+                _, stacked = cache.forward(policy.extractor, observations)
                 for row, obs in enumerate(observations):
                     fresh = policy.extractor(build_feature_batch(obs))
                     np.testing.assert_allclose(
@@ -187,8 +187,10 @@ class TestStepCacheEncoder:
 
 
 class TestStepCachePlans:
-    def test_plan_batch_plans_identical(self):
-        states = [_state(seed=s) for s in range(4)]
+    @pytest.mark.parametrize("pm_counts", [(12, 12, 12, 12), (12, 9, 12, 9)],
+                             ids=["same_size", "mixed_size"])
+    def test_plan_batch_plans_identical(self, pm_counts):
+        states = [_state(num_pms=count, seed=s) for s, count in enumerate(pm_counts)]
         agent = VMR2LAgent(seed=0)
         cached = agent.plan_batch(
             states, migration_limits=5, greedy=True, seed=0, max_active=2,
