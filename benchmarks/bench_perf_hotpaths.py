@@ -30,7 +30,7 @@ from repro.core.step_cache import StepCache
 from repro.datasets import ClusterSpec, SnapshotGenerator
 from repro.env import AsyncVectorEnv, SyncVectorEnv, VMRescheduleEnv
 from repro.env.observation import ObservationBuilder
-from repro.nn import MultiHeadAttention, no_grad
+from repro.nn import MultiHeadAttention, Tensor, no_grad
 
 
 def _medium_state(num_pms: int, seed: int = 0):
@@ -111,8 +111,8 @@ def run(
 
     def record_absolute(name: str, seconds: float) -> None:
         """A path with no second implementation left to compare against: the
-        commit-to-commit comparison lives in BENCHMARK.json's
-        ``train_ppo_small`` workload and ``ppo.*`` probes."""
+        commit-to-commit comparison lives in BENCHMARK.json's workloads
+        (``train_ppo_small`` / ``large_rl_service_seq``) and their probes."""
         results[name] = {"seconds": seconds}
 
     # 1. Stage-2 destination masks over a sample of VMs (+ stage-1 mask).
@@ -203,16 +203,18 @@ def run(
     record("act_single_sparse", dense_act_s, sparse_act_s)
 
     # 4b-large. Large-V serving case (~200 PMs / ~2000 VMs at full scale):
-    # the dense VM↔VM self-attention stage bounds the no-grad inference
-    # forward here, and its softmax exp/div passes stream an S×S score
-    # tensor through memory several times.  Three comparisons:
-    #   vm_attention_large  — the VM↔VM attention stage alone, dense kernel
-    #                         vs the chunked streaming-softmax kernel;
-    #   act_large_inference — one full no-grad `act` forward, dense vs
-    #                         chunked ModelConfig (same weights);
-    #   rollout_cached_steps — per-step cost of a greedy multi-step rollout,
-    #                         fresh featurize/encode vs the StepCache
-    #                         (chunked kernel on both sides).
+    # the VM↔VM self-attention stage bounds the no-grad inference forward
+    # here.  Every no-grad forward runs the ONE row-tiled kernel
+    # (`repro.nn.attention._attention_array`) whatever `attention_impl`
+    # says, so the no-grad numbers are absolute times; `attention_impl`
+    # still selects the autograd node, compared where it applies:
+    #   vm_attention_large      — the VM↔VM attention stage alone, no-grad;
+    #   vm_attention_large_grad — the same stage grad-tracking, forward +
+    #                             backward, dense node vs chunked node;
+    #   act_large_inference     — one full no-grad `act` forward;
+    #   rollout_cached_steps    — per-step cost of a greedy multi-step
+    #                             rollout, fresh featurize/encode vs the
+    #                             StepCache.
     large_pms = 12 if smoke else 200
     large_spec = ClusterSpec(
         name="perf-large",
@@ -234,16 +236,26 @@ def run(
     )
     attn_repeats = 2 if smoke else 5
     with no_grad():
-        record(
+        record_absolute(
             "vm_attention_large",
             _time(lambda: dense_attention.forward_array(vm_stream, vm_stream, vm_stream), attn_repeats),
-            _time(lambda: chunked_attention.forward_array(vm_stream, vm_stream, vm_stream), attn_repeats),
         )
     results["vm_attention_large"]["num_vms"] = large_v
-    results["vm_attention_large"]["chunk_size"] = chunk
 
-    def large_act_seconds(model: ModelConfig, repeats: int) -> float:
-        policy = TwoStagePolicy(model, rng=np.random.default_rng(0))
+    def attention_grad_step(attention: MultiHeadAttention) -> None:
+        x = Tensor(vm_stream, requires_grad=True)
+        attention(x, x, x).sum().backward()
+
+    record(
+        "vm_attention_large_grad",
+        _time(lambda: attention_grad_step(dense_attention), attn_repeats),
+        _time(lambda: attention_grad_step(chunked_attention), attn_repeats),
+    )
+    results["vm_attention_large_grad"]["num_vms"] = large_v
+    results["vm_attention_large_grad"]["chunk_size"] = chunk
+
+    def large_act_seconds(repeats: int) -> float:
+        policy = TwoStagePolicy(ModelConfig(), rng=np.random.default_rng(0))
         env = VMRescheduleEnv(
             large_state.copy(), constraint_config=ConstraintConfig(migration_limit=25)
         )
@@ -263,19 +275,13 @@ def run(
         return _time(once, repeats)
 
     large_act_repeats = 2 if smoke else 3
-    record(
-        "act_large_inference",
-        large_act_seconds(ModelConfig(), large_act_repeats),
-        large_act_seconds(ModelConfig(attention_impl="chunked"), large_act_repeats),
-    )
+    record_absolute("act_large_inference", large_act_seconds(large_act_repeats))
     results["act_large_inference"]["cluster"] = {
         "num_pms": large_state.num_pms, "num_vms": large_v,
     }
 
     def rollout_per_step_seconds(use_cache: bool, steps: int, repeats: int) -> float:
-        policy = TwoStagePolicy(
-            ModelConfig(attention_impl="chunked"), rng=np.random.default_rng(0)
-        )
+        policy = TwoStagePolicy(ModelConfig(), rng=np.random.default_rng(0))
         env = VMRescheduleEnv(
             large_state.copy(), constraint_config=ConstraintConfig(migration_limit=steps)
         )

@@ -97,11 +97,15 @@ class _AttentionBlock(Module):
         vm_embeddings: Tensor,
         tree_mask: Optional[AttentionMask],
         tree_groups: Optional["TreeGrouping"] = None,
-    ) -> Tuple[Tensor, Tensor, np.ndarray]:
+        want_scores: bool = False,
+    ) -> Tuple[Tensor, Tensor, Optional[np.ndarray]]:
         """Run one block over ``(batch, machines, dim)`` embeddings.
 
         ``tree_groups`` makes stage 1 attend inside padded per-tree groups;
         the dense ``tree_mask`` over ``S×S`` scores serves reference mode.
+        ``want_scores`` (the extractor's final block) also returns the
+        head-averaged stage-3 VM→PM weights; they never feed an embedding,
+        so every other block skips computing them.
         """
         num_pms = pm_embeddings.shape[-2]
         num_vms = vm_embeddings.shape[-2]
@@ -116,27 +120,29 @@ class _AttentionBlock(Module):
                 combined = self.tree_attention(combined, mask=tree_mask)
             pm_embeddings = combined[..., :num_pms, :]
             vm_embeddings = combined[..., num_pms:, :]
-        return self.interaction_stages(pm_embeddings, vm_embeddings)
+        return self.interaction_stages(pm_embeddings, vm_embeddings, want_scores)
 
     def interaction_stages(
-        self, pm_embeddings: Tensor, vm_embeddings: Tensor
-    ) -> Tuple[Tensor, Tensor, np.ndarray]:
+        self, pm_embeddings: Tensor, vm_embeddings: Tensor, want_scores: bool = False
+    ) -> Tuple[Tensor, Tensor, Optional[np.ndarray]]:
         """Stages 2–3 of the block (PM/VM self-attention + cross-attention).
 
         Split out so the step cache can feed patched stage-1 outputs straight
         into the global stages (which always re-run: the dense VM↔VM stage
         mixes every row).
         """
-        num_pms = pm_embeddings.shape[-2]
-        num_vms = vm_embeddings.shape[-2]
+        scores = None
         # Stage 2: PM and VM self-attention.
         pm_embeddings = self.pm_self_attention(pm_embeddings)
-        if num_vms > 0:
+        if vm_embeddings.shape[-2] > 0:
             vm_embeddings = self.vm_self_attention(vm_embeddings)
             # Stage 3: VM -> PM cross-attention.
-            vm_embeddings, scores = self.cross_attention(vm_embeddings, pm_embeddings, return_weights=True)
-        else:
-            scores = np.zeros(pm_embeddings.shape[:-2] + (0, num_pms))
+            attended = self.cross_attention(
+                vm_embeddings, pm_embeddings, return_weights=want_scores
+            )
+            vm_embeddings, scores = attended if want_scores else (attended, None)
+        elif want_scores:
+            scores = np.zeros(pm_embeddings.shape[:-2] + (0, pm_embeddings.shape[-2]))
         return pm_embeddings, vm_embeddings, scores
 
 
@@ -174,7 +180,6 @@ class SparseAttentionExtractor(Module):
             vm_inputs = vm_inputs.astype(np.float32)
         pm_embeddings = self.pm_embed(Tensor(pm_inputs))
         vm_embeddings = self.vm_embed(Tensor(vm_inputs))
-        scores = np.zeros((pm_inputs.shape[0], batch.num_vms, batch.num_pms))
         # Tree-local attention runs inside padded per-tree groups (cached on
         # the FeatureBatch; a single-row batch's one-row grouping indexes its
         # lifted form unchanged) — the dense S×S mask is materialized only in
@@ -189,7 +194,8 @@ class SparseAttentionExtractor(Module):
                 tree_mask = AttentionMask(batch.tree_mask)
         for block in self.blocks:
             pm_embeddings, vm_embeddings, scores = block(
-                pm_embeddings, vm_embeddings, tree_mask, tree_groups
+                pm_embeddings, vm_embeddings, tree_mask, tree_groups,
+                want_scores=block is self.blocks[-1],
             )
         return ExtractorOutput(
             vm_embeddings=self.final_norm_vm(vm_embeddings) if batch.num_vms else vm_embeddings,

@@ -27,26 +27,29 @@ class ModelConfig:
     #: "two_stage" (mask per stage), "penalty" (no masks, env penalizes) or
     #: "full_joint" (joint VM×PM action with a full mask) — the §5.4 ablation.
     action_mode: str = "two_stage"
-    #: Run the dense VM↔VM self-attention stage (the quadratic-cost stage that
+    #: Run the VM↔VM self-attention stage (the quadratic-cost stage that
     #: bounds the stacked forward once the tree stage is grouped) with float32
-    #: score/softmax/context temporaries.  Projections, the residual stream
-    #: and every other stage stay float64; see
-    #: ``MultiHeadAttention.compute_dtype``.  Off by default so results remain
-    #: bitwise-reproducible against earlier checkpoints.
+    #: score/softmax/context temporaries, in the autograd nodes and in the
+    #: no-grad kernel alike (it is dtype-generic).  Projections, the residual
+    #: stream and every other stage stay float64; see
+    #: ``MultiHeadAttention.compute_dtype``.  Off by default: parity with the
+    #: float64 stage is ~1e-5, not 1e-12.
     float32_vm_attention: bool = False
-    #: Kernel of the dense VM↔VM self-attention stage: "dense" (materialized
-    #: S×S scores + softmax, the reference) or "chunked" (flash-style
-    #: streaming softmax over fixed-size key chunks with a running
-    #: max/denominator — no S×S intermediate, one fused exp pass per score;
-    #: applies to the autograd path via a recompute-based backward and to the
-    #: no-grad inference path alike).  Matches the dense kernel to ~1e-15
-    #: relative in f64 (bit-for-bit when one chunk covers all keys).
+    #: *Autograd* node of the VM↔VM self-attention stage — what a
+    #: grad-tracking forward (the PPO update) records: "dense" (materialized
+    #: S×S scores + softmax saved for the backward) or "chunked" (flash-style
+    #: streaming softmax over fixed-size key chunks with a recompute-based
+    #: backward — no S×S tensor saved; matches "dense" to ~1e-15 relative in
+    #: f64, bit-for-bit when one chunk covers all keys).  No-grad forwards
+    #: (rollouts, serving) ignore it: they always run the one row-tiled
+    #: kernel ``repro.nn.attention._attention_array``.
     attention_impl: str = "dense"
-    #: Key-chunk width of the streaming kernel (ignored under "dense").
+    #: Key-chunk width of the "chunked" autograd node (ignored under "dense"
+    #: and by every no-grad forward, whose tile height is computed).
     attention_chunk_size: int = 256
     #: Precision of the *no-grad* extractor forward (rollout collection and
-    #: serving): "float64" (default — inference is bit-for-bit identical to
-    #: the training forward) or "float32" (the whole inference attention
+    #: serving): "float64" (default — same actions as the training forward,
+    #: values within 1e-12) or "float32" (the whole inference attention
     #: stack runs in single precision with cached float32 weight copies —
     #: roughly halves collection time; sampled actions can differ from the
     #: float64 path within ~1e-5 probability mass).  Gradient-tracking

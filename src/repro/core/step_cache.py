@@ -292,9 +292,13 @@ class StepCache:
         """Global stages: block-0 stages 2–3, full later blocks, final norms."""
         blocks = extractor.blocks
         pm_t, vm_t = Tensor(pm1), Tensor(vm1)
-        pm_t, vm_t, scores = blocks[0].interaction_stages(pm_t, vm_t)
+        pm_t, vm_t, scores = blocks[0].interaction_stages(
+            pm_t, vm_t, want_scores=blocks[0] is blocks[-1]
+        )
         for block in blocks[1:]:
-            pm_t, vm_t, scores = block(pm_t, vm_t, None, grouping)
+            pm_t, vm_t, scores = block(
+                pm_t, vm_t, None, grouping, want_scores=block is blocks[-1]
+            )
         num_vms = vm1.shape[-2]
         return ExtractorOutput(
             vm_embeddings=extractor.final_norm_vm(vm_t) if num_vms else vm_t,

@@ -23,10 +23,10 @@ from .tensor import Tensor, grad_enabled
 def _inference_fast_path() -> bool:
     """Whether layer forwards may take the fused raw-array route.
 
-    Active when autograd recording is off and the seed reference mode is not
-    — the array kernels mirror the Tensor ops bit-for-bit (see
-    ``repro.nn.functional``), so flipping the route never changes a number,
-    only the bookkeeping and temporaries.
+    Active when autograd recording is off and the seed reference mode is not.
+    The array route mirrors the Tensor ops bit-for-bit except in attention,
+    whose no-grad kernel (:func:`_attention_array`) normalises the context
+    instead of the scores — same actions, values within ~1e-14.
     """
     return not grad_enabled() and not F.reference_mode_active()
 
@@ -64,9 +64,8 @@ def _score_mask_parts(
     Returns ``(bias, allowed)`` where ``bias`` broadcasts against
     ``(batch, heads, q_len, k_len)`` scores and ``allowed`` (or ``None``)
     against ``(batch, heads, q_len, 1)``.  A ``(q_len, k_len)`` mask is shared
-    by every batch row, a ``(batch, q_len, k_len)`` mask applies per row; the
-    dense and chunked kernels both take their mask from here, so they apply
-    it identically.
+    by every batch row, a ``(batch, q_len, k_len)`` mask applies per row;
+    every kernel takes its mask from here, so they apply it identically.
     """
     if mask is None:
         return None, None
@@ -121,11 +120,9 @@ def _chunked_attention_forward(
 
     Consumes fixed-size key chunks while carrying a running row maximum and
     denominator, so the peak score temporary is ``(…, q_len, chunk)`` instead
-    of ``(…, q_len, k_len)`` and the softmax ``exp`` runs once per score as
-    part of one fused pass per chunk.  ``q`` is pre-scaled (the layer folds
-    ``1/sqrt(head_dim)`` into the query projection).  Returns ``(context,
-    logsumexp)`` — the logsumexp row statistics let the backward recompute the
-    exact attention probabilities chunk by chunk without saving them.
+    of ``(…, q_len, k_len)``.  ``q`` is pre-scaled.  Returns ``(context,
+    logsumexp)`` — the row statistics let the backward recompute the exact
+    attention probabilities chunk by chunk without saving them.
 
     When one chunk covers every key, the dense operation order (normalize the
     probabilities, then multiply by ``v``) is replayed exactly, so the result
@@ -229,21 +226,6 @@ def _chunked_attention_backward(
     return grad_q, grad_k, grad_v
 
 
-def _chunked_attention_array(
-    q: np.ndarray,
-    k: np.ndarray,
-    v: np.ndarray,
-    mask: Optional[AttentionMask],
-    chunk: int,
-) -> np.ndarray:
-    """No-grad chunked attention: context directly, masks handled like dense."""
-    bias, allowed = _score_mask_parts(mask, q.dtype)
-    context, _ = _chunked_attention_forward(q, k, v, bias, chunk)
-    if allowed is not None:
-        context *= allowed
-    return context
-
-
 def _chunked_attention(
     q: Tensor,
     k: Tensor,
@@ -251,7 +233,7 @@ def _chunked_attention(
     mask: Optional[AttentionMask],
     chunk: int,
 ) -> Tensor:
-    """Autograd twin of :func:`_chunked_attention_array` as ONE graph node.
+    """Chunked attention as ONE autograd node (masks handled like dense).
 
     The forward saves only the context and per-row logsumexp; the backward
     recomputes probabilities chunk by chunk (see
@@ -284,18 +266,55 @@ def _chunked_attention(
     return Tensor(context, requires_grad=True, parents=(q, k, v), backward=backward)
 
 
-def _attention_softmax_array(
-    scores: np.ndarray, mask: Optional[AttentionMask]
-) -> np.ndarray:
-    """Array twin of :func:`_attention_softmax` (mutates the fresh scores)."""
-    if mask is None:
-        return F.softmax_array(scores)
-    bias, allowed = _score_mask_parts(mask, scores.dtype)
-    scores += bias
-    F.softmax_array(scores)
+#: Byte budget of one ``(batch, heads, rows, k_len)`` score tile of
+#: :func:`_attention_array`: cache-resident across its passes, dispatch-amortising.
+_SCORE_TILE_BYTES = 1 << 20
+
+
+def _attention_array(
+    q: np.ndarray, k: np.ndarray, v: np.ndarray, mask: Optional[AttentionMask],
+    return_weights: bool = False,
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """THE no-grad score/softmax/context kernel, over row tiles of queries.
+
+    ``q`` (pre-scaled), ``k``, ``v`` are ``(batch, heads, len, head_dim)``.
+    Each tile — as many query rows as keep its score block inside
+    :data:`_SCORE_TILE_BYTES`, one tile when everything fits — runs QKᵀ →
+    +bias → exact row max → subtract → exp in one reused buffer, then the row
+    sum and P·V on the unnormalised exponentials, and the ``head_dim``-wide
+    context is divided by the sum instead of the ``k_len``-wide probabilities
+    (same function, one rounding reordered).  Returns the
+    ``(batch, q_len, heads * head_dim)`` context and, with ``return_weights``,
+    the head-averaged probabilities; fully-masked rows are exactly zero.
+    """
+    batch, heads, q_len, head_dim = q.shape
+    k_len = k.shape[-2]
+    bias, allowed = _score_mask_parts(mask, q.dtype)
+    kt = np.swapaxes(k, -1, -2)
+    row_items = batch * heads * k_len  # score elements per query row
+    rows = max(1, min(q_len, _SCORE_TILE_BYTES // max(1, row_items * q.itemsize)))
+    buffer = np.empty(rows * row_items, dtype=q.dtype)
+    merged = np.empty((batch, q_len, heads, head_dim), dtype=q.dtype)
+    context = merged.transpose(0, 2, 1, 3)  # per-head view the tiles fill
+    weights = np.empty((batch, q_len, k_len), dtype=q.dtype) if return_weights else None
+    for start in range(0, q_len, rows):
+        stop = min(start + rows, q_len)
+        tile = buffer[: (stop - start) * row_items].reshape(batch, heads, stop - start, k_len)
+        scores = np.matmul(q[:, :, start:stop], kt, out=tile)
+        if bias is not None:
+            scores += bias[..., start:stop, :]
+        scores -= scores.max(axis=-1, keepdims=True)
+        np.exp(scores, out=scores)
+        total = scores.sum(axis=-1, keepdims=True)
+        np.divide(np.matmul(scores, v), total, out=context[:, :, start:stop])
+        if return_weights:
+            scores /= total
+            if allowed is not None:
+                scores *= allowed[..., start:stop, :]
+            np.mean(scores, axis=1, out=weights[:, start:stop])
     if allowed is not None:
-        scores *= allowed
-    return scores
+        context *= allowed
+    return merged.reshape(batch, q_len, heads * head_dim), weights
 
 
 def _first_row(result):
@@ -334,11 +353,11 @@ class MultiHeadAttention(Module):
         self.embed_dim = embed_dim
         self.num_heads = num_heads
         self.head_dim = embed_dim // num_heads
-        #: With a chunk size set, the score/softmax/context stage runs the
-        #: streaming-softmax kernel (fixed-size key chunks, running
-        #: max/denominator, no ``S×S`` intermediate) in both the autograd and
-        #: no-grad paths; ``None`` keeps the dense kernel.  The reference path
-        #: and ``return_weights`` callers always use the dense kernel.
+        #: Selects the *autograd* node only: with a chunk size set, the
+        #: grad-tracking score/softmax/context stage is the streaming-softmax
+        #: kernel (fixed-size key chunks, recompute backward, no ``S×S``
+        #: tensor saved); ``None`` keeps the dense one.  No-grad forwards
+        #: always run :func:`_attention_array`.
         self.chunk_size = chunk_size
         #: Optional reduced precision (e.g. ``float32``) for the O(S²) score /
         #: softmax / context stage.  Projections and the residual stream stay
@@ -443,18 +462,14 @@ class MultiHeadAttention(Module):
     ):
         """Raw-array twin of :meth:`forward` for the no-grad fast path.
 
-        Identical operation order to the Tensor path (bit-for-bit outputs);
-        the wins are no per-op graph bookkeeping, in-place softmax on the
-        freshly-built scores and contiguous head layouts for the batched
-        matmuls (numpy's strided batched GEMM is the single slowest call on
-        the rollout profile).
+        Same projections in the same order as the Tensor path, with contiguous
+        head layouts (numpy's strided batched GEMM is slow); the
+        score/softmax/context stage is :func:`_attention_array`, so outputs
+        match the Tensor forward to ~1e-14 (f64), not bit-for-bit.
         """
         if query.ndim == 2:
-            return _first_row(
-                self.forward_array(
-                    query[None], key[None], value[None], mask=mask, return_weights=return_weights
-                )
-            )
+            lifted = self.forward_array(query[None], key[None], value[None], mask, return_weights)
+            return _first_row(lifted)
         if query.ndim != 3:
             raise ValueError(f"expected 2-D or 3-D query, got shape {query.shape}")
         scale = 1.0 / np.sqrt(self.head_dim)
@@ -473,21 +488,13 @@ class MultiHeadAttention(Module):
             v = v.astype(self.compute_dtype)
 
         mask = self._checked_mask(mask, batch, q_len, k_len)
-        if self.chunk_size is not None and not return_weights:
-            context = _chunked_attention_array(q, k, v, mask, self.chunk_size)
-        else:
-            scores = np.matmul(q, np.swapaxes(k, -1, -2))
-            weights = _attention_softmax_array(scores, mask)
-            context = np.matmul(weights, v)
-        context = context.transpose(0, 2, 1, 3).reshape(batch, q_len, self.embed_dim)
+        context, weights = _attention_array(q, k, v, mask, return_weights)
         if context.dtype != query.dtype:
             # compute_dtype mode on a float64 stream: cast back before the
             # output projection (a float32 stream stays float32 throughout).
             context = context.astype(query.dtype)
         output = self.out_proj.forward_array(context)
-        if return_weights:
-            return output, weights.mean(axis=1)
-        return output
+        return (output, weights) if return_weights else output
 
     @staticmethod
     def _checked_mask(mask, batch: int, q_len: int, k_len: int) -> Optional[AttentionMask]:
@@ -582,7 +589,7 @@ class TransformerEncoderLayer(Module):
         return x
 
     def forward_array(self, x: np.ndarray, mask=None) -> np.ndarray:
-        """Raw-array twin of :meth:`forward` (bit-for-bit identical)."""
+        """Raw-array twin of :meth:`forward` (see ``MultiHeadAttention.forward_array``)."""
         normed = self.norm1.forward_array(x)
         out = x + self.attention.forward_array(normed, normed, normed, mask=mask)
         out += self.feed_forward.forward_array(self.norm2.forward_array(out))
@@ -630,16 +637,11 @@ class CrossAttentionLayer(Module):
             return Tensor(result)
         q = self.norm_query(query)
         kv = self.norm_key(key_value)
-        if return_weights:
-            attended, weights = self.attention(q, kv, kv, mask=mask, return_weights=True)
-        else:
-            attended = self.attention(q, kv, kv, mask=mask)
-            weights = None
+        attended = self.attention(q, kv, kv, mask=mask, return_weights=return_weights)
+        attended, weights = attended if return_weights else (attended, None)
         out = query + attended
         out = out + self.feed_forward(self.norm_out(out))
-        if return_weights:
-            return out, weights
-        return out
+        return (out, weights) if return_weights else out
 
     def forward_array(
         self,
@@ -648,18 +650,11 @@ class CrossAttentionLayer(Module):
         mask=None,
         return_weights: bool = False,
     ):
-        """Raw-array twin of :meth:`forward` (bit-for-bit identical)."""
+        """Raw-array twin of :meth:`forward` (see ``MultiHeadAttention.forward_array``)."""
         q = self.norm_query.forward_array(query)
         kv = self.norm_key.forward_array(key_value)
-        weights = None
-        if return_weights:
-            attended, weights = self.attention.forward_array(
-                q, kv, kv, mask=mask, return_weights=True
-            )
-        else:
-            attended = self.attention.forward_array(q, kv, kv, mask=mask)
+        attended = self.attention.forward_array(q, kv, kv, mask=mask, return_weights=return_weights)
+        attended, weights = attended if return_weights else (attended, None)
         out = query + attended
         out += self.feed_forward.forward_array(self.norm_out.forward_array(out))
-        if return_weights:
-            return out, weights
-        return out
+        return (out, weights) if return_weights else out

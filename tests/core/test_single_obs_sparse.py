@@ -180,7 +180,9 @@ class TestFloat32VMAttention:
 
 
 class TestNoGradInference:
-    def test_act_bitwise_identical_under_no_grad(self, env, observation, policy):
+    def test_act_same_action_under_no_grad(self, env, observation, policy):
+        """Same sampled action and mask; numbers within 1e-12 (the no-grad
+        attention kernel defers the softmax normalisation to the context)."""
         tracked = policy.act(observation, pm_mask_fn=env.pm_action_mask, rng=np.random.default_rng(5))
         with no_grad():
             untracked = policy.act(
@@ -188,10 +190,11 @@ class TestNoGradInference:
             )
         assert tracked.vm_index == untracked.vm_index
         assert tracked.pm_index == untracked.pm_index
-        assert tracked.log_prob == untracked.log_prob
-        assert tracked.value == untracked.value
-        np.testing.assert_array_equal(tracked.vm_probs, untracked.vm_probs)
-        np.testing.assert_array_equal(tracked.pm_probs, untracked.pm_probs)
+        np.testing.assert_array_equal(tracked.pm_mask, untracked.pm_mask)
+        assert untracked.log_prob == pytest.approx(tracked.log_prob, rel=0, abs=1e-12)
+        assert untracked.value == pytest.approx(tracked.value, rel=0, abs=1e-12)
+        np.testing.assert_allclose(untracked.vm_probs, tracked.vm_probs, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(untracked.pm_probs, tracked.pm_probs, rtol=0, atol=1e-12)
 
     def test_no_grad_is_thread_local(self):
         """Concurrent serving threads must not strand autograd off globally."""
