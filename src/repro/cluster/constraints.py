@@ -20,6 +20,14 @@ import numpy as np
 from .machine import FEASIBILITY_EPS, VirtualMachine
 from .state import ClusterState
 
+#: The feasibility matrix is patched from the mutation journal while at most
+#: one PM in this many was touched since it was built, and rebuilt otherwise.
+#: Measured ``movable_vm_mask`` after one migration (two PMs touched), rebuild
+#: vs patch: 8 PMs / 85 VMs 88 vs 108 µs, 12 PMs even (140 µs), 16 PMs / 179
+#: VMs 209 vs 137 µs, 40 PMs / 335 VMs 733 vs 183 µs, 120 PMs / 1092 VMs
+#: 5980 vs 440 µs.
+_PATCH_PM_DIVISOR = 8
+
 
 @dataclass
 class ConstraintConfig:
@@ -65,7 +73,7 @@ class ConstraintChecker:
 
     def __init__(self, config: Optional[ConstraintConfig] = None) -> None:
         self.config = config or ConstraintConfig()
-        #: Single-entry memo for feasibility_matrix: (soa, key, matrix).
+        #: Single-entry memo for feasibility_matrix: (soa, key, version, matrix).
         self._matrix_cache = None
 
     # ------------------------------------------------------------------ #
@@ -198,14 +206,27 @@ class ConstraintChecker:
 
         The matrix is memoized against the SoA view's mutation version (and
         the anti-affinity group assignment, which is re-read each call), so
-        the several mask consumers of one env step share one broadcast pass.
+        the several mask consumers of one env step share one pass, and after
+        a mutation only the journalled rows and columns are recomputed.
         The public method returns a defensive copy; internal reductions use
         :meth:`_feasibility_matrix_cached` to avoid the per-call allocation.
         """
         return self._feasibility_matrix_cached(state).copy()
 
     def _feasibility_matrix_cached(self, state: ClusterState) -> np.ndarray:
-        """The memoized matrix itself — treat as read-only."""
+        """The memoized matrix itself — treat as read-only.
+
+        One matrix is kept per checker, valid for one SoA view (by identity),
+        constraint-flag set and anti-affinity assignment.  When only the
+        view's version moved, the journal names the PM and VM rows touched
+        since: a cell depends on its VM's demand, group and host and on its
+        PM's free capacity and hosted groups, so only the dirty PM columns
+        (all VMs) and dirty VM rows (all PMs) are recomputed, in place.  A
+        journal that no longer reaches back, another view (``state.copy()``,
+        a structural change), reassigned groups, or too many touched PMs for
+        the patch to pay (:data:`_PATCH_PM_DIVISOR`) rebuild every cell —
+        through the same block function.
+        """
         soa = state.arrays()
         vm_group = None
         group_count = 0
@@ -213,12 +234,36 @@ class ConstraintChecker:
         if self.config.honor_anti_affinity:
             vm_group, group_count = self._gather_groups(state, soa)
             signature = vm_group.tobytes()
-        key = (soa.version, self.config.honor_anti_affinity, self.config.allow_source_pm, signature)
+        key = (self.config.honor_anti_affinity, self.config.allow_source_pm, signature)
         cache = self._matrix_cache
-        if cache is not None and cache[0] is soa and cache[1] == key:
-            return cache[2]
-        matrix = self._compute_feasibility_matrix(soa, vm_group, group_count)
-        self._matrix_cache = (soa, key, matrix)
+        reusable = cache is not None and cache[0] is soa and cache[1] == key
+        if reusable and cache[2] == soa.version:
+            return cache[3]
+        host_counts = None
+        if group_count:
+            # (groups, num_pms): placed members of each group per PM.
+            hosted = (vm_group >= 0) & (soa.vm_pm >= 0)
+            host_counts = np.bincount(
+                vm_group[hosted] * soa.num_pms + soa.vm_pm[hosted],
+                minlength=group_count * soa.num_pms,
+            ).reshape(group_count, soa.num_pms)
+        everything = slice(None)
+        matrix = None
+        # Each journalled mutation dirties one PM (a migration: two).
+        if reusable and (soa.version - cache[2]) * _PATCH_PM_DIVISOR <= soa.num_pms:
+            dirty = soa.dirty_since(cache[2])
+            if dirty is not None:
+                vm_rows, pm_rows = dirty
+                matrix = cache[3]
+                matrix[:, pm_rows] = self._feasibility_block(
+                    soa, everything, pm_rows, vm_group, host_counts
+                )
+                matrix[vm_rows] = self._feasibility_block(
+                    soa, vm_rows, everything, vm_group, host_counts
+                )
+        if matrix is None:
+            matrix = self._feasibility_block(soa, everything, everything, vm_group, host_counts)
+        self._matrix_cache = (soa, key, soa.version, matrix)
         return matrix
 
     @staticmethod
@@ -236,40 +281,54 @@ class ConstraintChecker:
                 vm_group[row] = group_index.setdefault(group, len(group_index))
         return vm_group, len(group_index)
 
-    def _compute_feasibility_matrix(
-        self, soa, vm_group: Optional[np.ndarray], group_count: int
+    def _feasibility_block(
+        self,
+        soa,
+        vm_rows,
+        pm_rows,
+        vm_group: Optional[np.ndarray],
+        host_counts: Optional[np.ndarray],
     ) -> np.ndarray:
+        """Legality of ``vm_rows`` × ``pm_rows`` (SoA row index arrays, or
+        ``slice(None)`` for all of them): capacity per NUMA count,
+        anti-affinity and source-PM exclusion.  The whole matrix is the block
+        of all rows and all columns."""
         eps = self._EPS
-        free_cpu = soa.numa_free_cpu[None, :, :]  # (1, P, 2)
-        free_mem = soa.numa_free_mem[None, :, :]
+        free_cpu = soa.numa_free_cpu[pm_rows][None, :, :]  # (1, P, 2)
+        free_mem = soa.numa_free_mem[pm_rows][None, :, :]
         fits_single = (
-            (free_cpu + eps >= soa.vm_cpu[:, None, None])
-            & (free_mem + eps >= soa.vm_mem[:, None, None])
+            (free_cpu + eps >= soa.vm_cpu[vm_rows][:, None, None])
+            & (free_mem + eps >= soa.vm_mem[vm_rows][:, None, None])
         ).any(axis=2)
         fits_double = (
-            (free_cpu + eps >= soa.vm_cpu_half[:, None, None])
-            & (free_mem + eps >= soa.vm_mem_half[:, None, None])
+            (free_cpu + eps >= soa.vm_cpu_half[vm_rows][:, None, None])
+            & (free_mem + eps >= soa.vm_mem_half[vm_rows][:, None, None])
         ).all(axis=2)
-        matrix = np.where(soa.vm_double[:, None], fits_double, fits_single)
+        block = np.where(soa.vm_double[vm_rows][:, None], fits_double, fits_single)
 
-        placed = soa.vm_pm >= 0
-        matrix[~placed] = False
+        source = soa.vm_pm[vm_rows]
+        block[source < 0] = False  # unplaced VMs have no legal migration
 
-        if vm_group is not None and group_count:
-            counts = np.zeros((group_count, soa.num_pms), dtype=np.int64)
-            grouped_placed = (vm_group >= 0) & placed
-            np.add.at(counts, (vm_group[grouped_placed], soa.vm_pm[grouped_placed]), 1)
-            grouped = vm_group >= 0
-            conflicts = counts[vm_group[grouped]].copy()  # (Vg, P) group host counts
+        # Block rows whose source PM is one of the block's columns, and which.
+        column = np.full(soa.num_pms, -1, dtype=np.int64)
+        column[pm_rows] = np.arange(block.shape[1])
+        source_column = np.where(source >= 0, column[source], -1)
+        at_home = np.flatnonzero(source_column >= 0)
+
+        if host_counts is not None:
+            group = vm_group[vm_rows]
+            grouped = np.flatnonzero(group >= 0)
+            conflicts = host_counts[:, pm_rows][group[grouped]]  # (Vg, P)
             # A VM does not conflict with itself on its own source PM.
-            self_rows = grouped_placed[grouped]
-            conflicts[np.nonzero(self_rows)[0], soa.vm_pm[grouped & placed]] -= 1
-            matrix[grouped] &= conflicts == 0
+            position = np.full(block.shape[0], -1, dtype=np.int64)
+            position[grouped] = np.arange(len(grouped))
+            own = at_home[group[at_home] >= 0]
+            conflicts[position[own], source_column[own]] -= 1
+            block[grouped] &= conflicts == 0
 
         if not self.config.allow_source_pm:
-            rows = np.nonzero(placed)[0]
-            matrix[rows, soa.vm_pm[rows]] = False
-        return matrix
+            block[at_home, source_column[at_home]] = False
+        return block
 
     def movable_vm_mask(self, state: ClusterState, vm_ids: Optional[Sequence[int]] = None) -> np.ndarray:
         """Boolean mask over VMs: True where the VM has at least one destination."""

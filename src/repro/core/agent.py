@@ -244,11 +244,15 @@ class VMR2LAgent(Rescheduler):
         :class:`~repro.core.step_cache.StepCache` across the lock-step
         decision steps: each episode's featurization and first-block tree
         attention re-run only for the rows/trees its last migration touched,
-        so the per-step cost scales with the change rather than the cluster.
+        and the first block's dense VM↔VM attention is updated from its
+        stored softmax state for the changed rows alone (when every episode
+        in the stacked forward is past its first step and few enough rows
+        changed; otherwise the full kernel runs), so everything before
+        block 1 costs what the migration changed rather than the cluster.
         Entries follow episodes through continuous admission (cache keys are
         per-episode chains).  Caching computes the same function as a fresh
-        forward; reused tree outputs can differ from a recompute by bucket
-        re-padding drift (~1e-16 relative), so cached plans equal
+        forward; reused tree outputs and updated attention rows can differ
+        from a recompute by rounding (~1e-15 relative), so cached plans equal
         fresh-recompute plans except at exact argmax ties at that level
         (pinned by the step-cache parity suite).
 

@@ -16,7 +16,7 @@ matrices to per-machine embeddings plus a VM→PM attention score matrix:
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from ..env.observation import PM_FEATURE_DIM, VM_FEATURE_DIM
 from ..nn import (
     MLP,
     AttentionMask,
+    AttentionState,
     CrossAttentionLayer,
     LayerNorm,
     Linear,
@@ -120,22 +121,37 @@ class _AttentionBlock(Module):
                 combined = self.tree_attention(combined, mask=tree_mask)
             pm_embeddings = combined[..., :num_pms, :]
             vm_embeddings = combined[..., num_pms:, :]
-        return self.interaction_stages(pm_embeddings, vm_embeddings, want_scores)
+        return self.interaction_stages(pm_embeddings, vm_embeddings, want_scores)[:3]
 
     def interaction_stages(
-        self, pm_embeddings: Tensor, vm_embeddings: Tensor, want_scores: bool = False
-    ) -> Tuple[Tensor, Tensor, Optional[np.ndarray]]:
+        self,
+        pm_embeddings: Tensor,
+        vm_embeddings: Tensor,
+        want_scores: bool = False,
+        vm_previous: Optional[Sequence[AttentionState]] = None,
+        vm_changed: Optional[np.ndarray] = None,
+    ) -> Tuple[Tensor, Tensor, Optional[np.ndarray], Optional[AttentionState]]:
         """Stages 2–3 of the block (PM/VM self-attention + cross-attention).
 
         Split out so the step cache can feed patched stage-1 outputs straight
-        into the global stages (which always re-run: the dense VM↔VM stage
-        mixes every row).
+        into the global stages.  With ``vm_changed`` — the ``(batch, V)``
+        boolean of VM rows that differ from the step the per-row states
+        ``vm_previous`` came from (no-grad only) — the dense VM↔VM stage runs through
+        ``forward_array_incremental`` and its softmax state (``None`` when
+        the layer keeps none) is the fourth result; PM self-attention and
+        cross-attention always re-run.
         """
-        scores = None
+        scores = vm_state = None
         # Stage 2: PM and VM self-attention.
         pm_embeddings = self.pm_self_attention(pm_embeddings)
         if vm_embeddings.shape[-2] > 0:
-            vm_embeddings = self.vm_self_attention(vm_embeddings)
+            if vm_changed is None:
+                vm_embeddings = self.vm_self_attention(vm_embeddings)
+            else:
+                vm_data, vm_state = self.vm_self_attention.forward_array_incremental(
+                    vm_embeddings.data, vm_previous, vm_changed
+                )
+                vm_embeddings = Tensor(vm_data)
             # Stage 3: VM -> PM cross-attention.
             attended = self.cross_attention(
                 vm_embeddings, pm_embeddings, return_weights=want_scores
@@ -143,7 +159,7 @@ class _AttentionBlock(Module):
             vm_embeddings, scores = attended if want_scores else (attended, None)
         elif want_scores:
             scores = np.zeros(pm_embeddings.shape[:-2] + (0, pm_embeddings.shape[-2]))
-        return pm_embeddings, vm_embeddings, scores
+        return pm_embeddings, vm_embeddings, scores, vm_state
 
 
 class SparseAttentionExtractor(Module):

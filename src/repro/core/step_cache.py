@@ -6,17 +6,31 @@ inference path re-featurized and re-encoded the *entire* cluster every step.
 between consecutive steps of ``act_batch`` / ``plan_batch``:
 
 * the input embeddings (``pm_embed`` / ``vm_embed`` MLP rows — per-row pure,
-  so only rows whose normalized features changed recompute), and
+  so only rows whose normalized features changed recompute),
 * the **first block's tree-local attention stage** — tree-local attention
   mixes only the members of one PM tree, so only *dirty trees* (trees
   containing a changed row, or whose membership changed) re-run, gathered
   into padded buckets exactly like
-  :class:`~repro.core.features.TreeGrouping`.
+  :class:`~repro.core.features.TreeGrouping`, and
+* the **first block's dense VM↔VM self-attention** — not its ``V×V`` weights
+  but their softmax state (:class:`~repro.nn.attention.AttentionState`: q, k,
+  v, context, and each row's score maximum and sum of exponentials, O(V·dim)).
+  The VM rows of the dirty trees are the only inputs of that stage that
+  changed, so every clean row's numerator and denominator are corrected for
+  the changed keys alone — their old exponentials subtracted, their new ones
+  added, against the stored maximum — and only the changed rows are scored
+  against every key.  Subtraction is safe because the kernel checks it: a row
+  that would lose more than half its sum, or gain a key far above its stored
+  maximum, is rescored in full with the changed rows.  The update is taken
+  only when every stacked row is a chain hit and few enough rows changed for
+  it to pay (see ``repro.nn.attention._UPDATE_ROW_SCORES``); otherwise — the
+  first step of an episode, a cluster-wide renormalisation — the full kernel
+  runs and re-seeds the state; clusters of ≲ 150 VMs, where no update can
+  pay, keep no state and run the plain forward.
 
-Everything downstream — the PM/VM self-attention and cross-attention stages
-of every block (the dense VM↔VM stage mixes all rows), the tree stages of
-blocks past the first (their inputs are all-dirty by then), the final norms
-and the actor/critic heads — always re-runs.
+Everything downstream always re-runs: block 0's PM self-attention and
+cross-attention (every VM row is dirty after the VM↔VM stage), all of the
+later blocks, the final norms and the actor/critic heads.
 
 Validity and exactness
 ----------------------
@@ -27,8 +41,9 @@ it holds exactly the previous step of the same episode.  Changed rows come
 from *exact comparison* of normalized feature matrices (never inferred), so a
 cached forward computes the same function as a fresh one; clean-tree outputs
 are reused from the previous step, where they were computed from bitwise-equal
-inputs (bucket re-padding after a move can shift results by ~1e-16 relative —
-the step-cache parity suite pins embeddings to 1e-10 and plans to equality).
+inputs (bucket re-padding after a move can shift results by ~1e-16 relative,
+an updated VM↔VM row differs from a rescored one by a few 1e-15 — the
+step-cache parity suite pins embeddings to 1e-10 and plans to equality).
 The cache is inference-only: :meth:`usable` refuses gradient-tracking and
 reference-mode forwards, and entries never alias tensors a training graph
 could retain.
@@ -42,7 +57,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..env.observation import Observation
-from ..nn import Tensor, grad_enabled, reference_mode_active
+from ..nn import AttentionState, Tensor, grad_enabled, reference_mode_active
 from .attention import ExtractorOutput, SparseAttentionExtractor
 from .features import (
     FeatureBatch,
@@ -65,6 +80,9 @@ class _ChainEntry:
     #: Block-0 tree-stage output over the combined [PMs..., VMs...] sequence
     #: (``None`` when the extractor has no tree stage or the row has no VMs).
     stage1: Optional[np.ndarray]
+    #: Block-0 VM↔VM softmax state of this row (``None`` without VMs, or
+    #: with too few for an update ever to pay).
+    vm_attention: Optional[AttentionState]
 
 
 def _run_tree_layer_subset(
@@ -109,6 +127,10 @@ class StepCache:
         self._entries: Dict[int, _ChainEntry] = {}
         self.hits = 0
         self.misses = 0
+        #: Rows whose block-0 VM↔VM stage was updated from the previous
+        #: step's softmax state / ran the full kernel.
+        self.vv_updated = 0
+        self.vv_full = 0
 
     # ------------------------------------------------------------------ #
     def usable(self, extractor) -> bool:
@@ -148,6 +170,8 @@ class StepCache:
         count = len(observations)
 
         h = np.empty((count, seq, dim), dtype=dtype)
+        # VM rows whose block-0 stage-1 output differs from the entry's step.
+        vm_changed = np.ones((count, num_vms), dtype=bool)
         for row, (obs, entry, batch) in enumerate(zip(observations, entries, batches)):
             pm_x, vm_x = self._inputs(extractor, batch, dtype)
             if entry is not None:
@@ -155,6 +179,8 @@ class StepCache:
                 h[row, :num_pms] = entry.h_pm
                 h[row, num_pms:] = entry.h_vm
                 delta = obs.delta
+                vm_changed[row] = False
+                vm_changed[row, delta.changed_vm_rows] = True
                 if delta.changed_pm_rows.size:
                     h[row, delta.changed_pm_rows] = (
                         extractor.pm_embed.network.forward_array(
@@ -197,14 +223,27 @@ class StepCache:
                 ):
                     stage1[offset : offset + seq] = entry.stage1
                     row_groups = self._dirty_tree_groups(batch, obs)
+                    if row_groups:
+                        rerun = np.concatenate(row_groups)
+                        vm_changed[row, rerun[rerun >= num_pms] - num_pms] = True
                 else:
                     row_groups = batch.tree_layout()
+                    vm_changed[row] = True
                 groups.extend(group + offset for group in row_groups)
             _run_tree_layer_subset(layer, flat, stage1, groups, padded_sizes)
             stage1_rows = stage1.reshape(count, seq, dim)
             pm1, vm1 = stage1_rows[:, :num_pms], stage1_rows[:, num_pms:]
 
-        output = self._interaction_stages(extractor, pm1, vm1, grouping)
+        vm_states = [None if entry is None else entry.vm_attention for entry in entries]
+        # The update needs every stacked row's state; one miss re-seeds them all.
+        output, vm_state = self._interaction_stages(
+            extractor, pm1, vm1, grouping,
+            None if None in vm_states else vm_states, vm_changed,
+        )
+        if vm_state is not None and vm_state.recomputed < num_vms:
+            self.vv_updated += count
+        elif num_vms:
+            self.vv_full += count
         for row, obs in enumerate(observations):
             if obs.delta is None:
                 continue
@@ -218,6 +257,7 @@ class StepCache:
                     h_pm=h[row, :num_pms],
                     h_vm=h[row, num_pms:],
                     stage1=None if stage1_rows is None else stage1_rows[row],
+                    vm_attention=None if vm_state is None else vm_state.row(row),
                 ),
             )
         return stacked, output
@@ -287,24 +327,28 @@ class StepCache:
 
     @staticmethod
     def _interaction_stages(
-        extractor, pm1: np.ndarray, vm1: np.ndarray, grouping
-    ) -> ExtractorOutput:
-        """Global stages: block-0 stages 2–3, full later blocks, final norms."""
+        extractor, pm1: np.ndarray, vm1: np.ndarray, grouping,
+        vm_previous: Optional[Sequence[AttentionState]], vm_changed: np.ndarray,
+    ) -> Tuple[ExtractorOutput, Optional[AttentionState]]:
+        """Global stages: block-0 stages 2–3 (its VM↔VM stage from
+        ``vm_previous`` where the changed rows allow), full later blocks,
+        final norms.  Also returns block 0's new VM↔VM state."""
         blocks = extractor.blocks
         pm_t, vm_t = Tensor(pm1), Tensor(vm1)
-        pm_t, vm_t, scores = blocks[0].interaction_stages(
-            pm_t, vm_t, want_scores=blocks[0] is blocks[-1]
+        pm_t, vm_t, scores, vm_state = blocks[0].interaction_stages(
+            pm_t, vm_t, blocks[0] is blocks[-1], vm_previous, vm_changed
         )
         for block in blocks[1:]:
             pm_t, vm_t, scores = block(
                 pm_t, vm_t, None, grouping, want_scores=block is blocks[-1]
             )
         num_vms = vm1.shape[-2]
-        return ExtractorOutput(
+        output = ExtractorOutput(
             vm_embeddings=extractor.final_norm_vm(vm_t) if num_vms else vm_t,
             pm_embeddings=extractor.final_norm_pm(pm_t),
             vm_pm_scores=scores,
         )
+        return output, vm_state
 
     def _store(self, chain_id: int, entry: _ChainEntry) -> None:
         entries = self._entries
@@ -315,4 +359,10 @@ class StepCache:
                 del entries[key]
 
     def stats(self) -> Dict[str, int]:
-        return {"hits": self.hits, "misses": self.misses, "chains": len(self._entries)}
+        return {
+            "hits": self.hits,
+            "misses": self.misses,
+            "chains": len(self._entries),
+            "vv_updated": self.vv_updated,
+            "vv_full": self.vv_full,
+        }

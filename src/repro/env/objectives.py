@@ -18,13 +18,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..cluster import ClusterState
-from ..cluster.fragmentation import (
-    REWARD_SCALE,
-    fragment_rate,
-    memory_fragment_rate,
-    pm_cpu_fragment,
-    pm_memory_fragment,
-)
+from ..cluster.fragmentation import REWARD_SCALE, pm_cpu_fragment, pm_memory_fragment
 
 
 class Objective:
@@ -69,7 +63,7 @@ class FragmentRateObjective(Objective):
         return pm_cpu_fragment(state.pms[pm_id], self.x_cores) / self.reward_scale
 
     def episode_metric(self, state: ClusterState) -> float:
-        return fragment_rate(state.pms.values(), self.x_cores)
+        return state.fragment_rate(self.x_cores)
 
 
 @dataclass
@@ -92,7 +86,7 @@ class MigrationMinimizationObjective(Objective):
         return pm_cpu_fragment(state.pms[pm_id], self.x_cores) / self.reward_scale
 
     def episode_metric(self, state: ClusterState) -> float:
-        return fragment_rate(state.pms.values(), self.x_cores)
+        return state.fragment_rate(self.x_cores)
 
     def step_reward(self, before_source, after_source, before_dest, after_dest, state) -> float:
         fragment_term = super().step_reward(before_source, after_source, before_dest, after_dest, state)
@@ -129,16 +123,14 @@ class MixedFragmentObjective(Objective):
         return ((1.0 - self.weight) * primary + self.weight * secondary) / self.reward_scale
 
     def episode_metric(self, state: ClusterState) -> float:
-        pms = state.pms.values()
-        primary = fragment_rate(pms, self.primary_cores)
-        secondary = fragment_rate(pms, self.secondary_cores)
+        primary = state.fragment_rate(self.primary_cores)
+        secondary = state.fragment_rate(self.secondary_cores)
         return (1.0 - self.weight) * primary + self.weight * secondary
 
     def component_metrics(self, state: ClusterState) -> dict:
-        pms = state.pms.values()
         return {
-            f"fr{self.primary_cores}": fragment_rate(pms, self.primary_cores),
-            f"fr{self.secondary_cores}": fragment_rate(pms, self.secondary_cores),
+            f"fr{self.primary_cores}": state.fragment_rate(self.primary_cores),
+            f"fr{self.secondary_cores}": state.fragment_rate(self.secondary_cores),
         }
 
 
@@ -165,16 +157,14 @@ class MixedResourceObjective(Objective):
         return (1.0 - self.weight) * cpu_term + self.weight * mem_term
 
     def episode_metric(self, state: ClusterState) -> float:
-        pms = state.pms.values()
-        cpu_fr = fragment_rate(pms, self.cpu_cores)
-        mem_fr = memory_fragment_rate(pms, self.memory_gb)
+        cpu_fr = state.fragment_rate(self.cpu_cores)
+        mem_fr = state.memory_fragment_rate(self.memory_gb)
         return (1.0 - self.weight) * cpu_fr + self.weight * mem_fr
 
     def component_metrics(self, state: ClusterState) -> dict:
-        pms = state.pms.values()
         return {
-            f"fr{self.cpu_cores}": fragment_rate(pms, self.cpu_cores),
-            f"mem{int(self.memory_gb)}": memory_fragment_rate(pms, self.memory_gb),
+            f"fr{self.cpu_cores}": state.fragment_rate(self.cpu_cores),
+            f"mem{int(self.memory_gb)}": state.memory_fragment_rate(self.memory_gb),
         }
 
 

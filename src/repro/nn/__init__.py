@@ -18,6 +18,7 @@ from . import functional
 from . import init
 from .attention import (
     AttentionMask,
+    AttentionState,
     CrossAttentionLayer,
     FeedForward,
     MultiHeadAttention,
@@ -68,6 +69,7 @@ __all__ = [
     "Dropout",
     "Activation",
     "AttentionMask",
+    "AttentionState",
     "MultiHeadAttention",
     "TransformerEncoderLayer",
     "CrossAttentionLayer",

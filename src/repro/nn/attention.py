@@ -10,7 +10,7 @@ VMR-specific wiring (tree masks, three-stage blocks) lives in
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -274,6 +274,7 @@ _SCORE_TILE_BYTES = 1 << 20
 def _attention_array(
     q: np.ndarray, k: np.ndarray, v: np.ndarray, mask: Optional[AttentionMask],
     return_weights: bool = False,
+    row_stats: Optional[Tuple[np.ndarray, np.ndarray]] = None,
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """THE no-grad score/softmax/context kernel, over row tiles of queries.
 
@@ -286,6 +287,9 @@ def _attention_array(
     (same function, one rounding reordered).  Returns the
     ``(batch, q_len, heads * head_dim)`` context and, with ``return_weights``,
     the head-averaged probabilities; fully-masked rows are exactly zero.
+    ``row_stats`` — two ``(batch, heads, q_len)`` arrays — receives each row's
+    score maximum and its sum of exponentials: what :func:`_update_attention`
+    needs to correct a row later without rescoring it.
     """
     batch, heads, q_len, head_dim = q.shape
     k_len = k.shape[-2]
@@ -303,10 +307,14 @@ def _attention_array(
         scores = np.matmul(q[:, :, start:stop], kt, out=tile)
         if bias is not None:
             scores += bias[..., start:stop, :]
-        scores -= scores.max(axis=-1, keepdims=True)
+        row_max = scores.max(axis=-1, keepdims=True)
+        scores -= row_max
         np.exp(scores, out=scores)
         total = scores.sum(axis=-1, keepdims=True)
         np.divide(np.matmul(scores, v), total, out=context[:, :, start:stop])
+        if row_stats is not None:
+            row_stats[0][:, :, start:stop] = row_max[..., 0]
+            row_stats[1][:, :, start:stop] = total[..., 0]
         if return_weights:
             scores /= total
             if allowed is not None:
@@ -315,6 +323,161 @@ def _attention_array(
     if allowed is not None:
         context *= allowed
     return merged.reshape(batch, q_len, heads * head_dim), weights
+
+
+#: When :func:`_update_attention` pays, in scores (one query against one key).
+#: The full kernel computes ``S·S`` of them per head; an update costs about
+#: ``_UPDATE_ROW_SCORES · S`` per changed row (old and new keys against every
+#: query, the changed queries against every key, the gathers and scatters
+#: around them) plus a fixed ``_UPDATE_FIXED_SCORES`` of index building.
+#: Measured break-even of one encoder-layer forward (batch of one, 1 BLAS
+#: thread): never at S ≤ 100, 5 changed rows at S=150, 25 at S=200, 58 at
+#: S=280, 220 at S=900 — ``4·C·S + 20 000 = S²``; the constants sit a little
+#: on the full kernel's side of that.  A migration changes ≈ 14 rows of 50
+#: (full kernel), 5–30 of 280 and 13–23 of 900 (update); a cluster-wide
+#: renormalisation changes > 85 % of the rows (full kernel).
+_UPDATE_ROW_SCORES = 5
+_UPDATE_FIXED_SCORES = 25_000
+
+#: :func:`_update_attention` rescores a clean row against every key when the
+#: changed keys held more than this share of its stored row sum (subtracting
+#: them would cancel most of it) ...
+_MAX_REMOVED_SHARE = 0.5
+#: ... or when a changed key's new score exceeds the row's stored maximum by
+#: more than this (the stored maximum stays the exponent's reference;
+#: exp(16) ≈ 9e6 keeps every sum far from float32 overflow).
+_MAX_SCORE_RISE = 16.0
+
+
+class AttentionState:
+    """What an unmasked self-attention forward keeps for the next decision step.
+
+    Head-layout ``q`` (pre-scaled), ``k``, ``v`` — ``(batch, heads, S,
+    head_dim)`` — the normalised ``(batch, S, embed)`` context, and each row's
+    score maximum and sum of exponentials, ``(batch, heads, S)``: O(S·dim),
+    never ``S×S``.  ``recomputed`` is how many query rows the call that
+    produced this state scored against every key (``S`` for the full kernel).
+    """
+
+    _ARRAYS = ("q", "k", "v", "context", "row_max", "row_sum")
+    __slots__ = _ARRAYS + ("recomputed",)
+
+    def __init__(self, q, k, v, context, row_max, row_sum, recomputed: int) -> None:
+        self.q, self.k, self.v = q, k, v
+        self.context, self.row_max, self.row_sum = context, row_max, row_sum
+        self.recomputed = recomputed
+
+    def row(self, index: int) -> "AttentionState":
+        """Batch item ``index`` as a batch of one (views, not copies)."""
+        parts = (getattr(self, name)[index : index + 1] for name in self._ARRAYS)
+        return AttentionState(*parts, recomputed=self.recomputed)
+
+    @classmethod
+    def stack(cls, states: Sequence["AttentionState"]) -> "AttentionState":
+        """Same-size states as one batch, in fresh arrays (an update overwrites them)."""
+        parts = (
+            np.concatenate([getattr(state, name) for state in states])
+            for name in cls._ARRAYS
+        )
+        return cls(*parts, recomputed=0)
+
+
+def _update_rows(
+    previous: Optional[Sequence[AttentionState]], changed: Optional[np.ndarray]
+) -> Optional[np.ndarray]:
+    """``(batch, C)`` indices of the rows an update must treat as changed, or
+    ``None`` when the full kernel should run (nothing to update from, or too
+    many rows changed for the update to pay).
+
+    ``changed`` is a ``(batch, S)`` boolean.  Batch items with fewer changed
+    rows than the widest are padded with clean rows: treating a clean row as
+    changed is exact (its old contribution is removed, the same one added), so
+    a ragged batch needs no weights and no per-item loop.  At least one row is
+    listed, which keeps every reduction below non-empty.
+    """
+    if previous is None or changed is None:
+        return None
+    seq = changed.shape[1]
+    width = max(1, int(changed.sum(axis=1).max()))
+    if width * _UPDATE_ROW_SCORES * seq + _UPDATE_FIXED_SCORES > seq * seq:
+        return None
+    return np.argsort(~changed, axis=1, kind="stable")[:, :width]
+
+
+def _update_attention(
+    state: AttentionState, rows: np.ndarray, q_new: np.ndarray, k_new: np.ndarray,
+    v_new: np.ndarray,
+) -> None:
+    """Bring ``state`` to the input whose ``rows`` changed, in place, without
+    rescoring clean rows against clean keys.
+
+    ``rows`` is ``(batch, C)`` (distinct per batch item), ``q_new`` / ``k_new``
+    / ``v_new`` the changed rows' projections ``(batch, heads, C, head_dim)``.
+    Clean rows are corrected for the changed keys alone
+    (:func:`_swap_changed_keys`); the rows it reports unsafe and the changed
+    rows themselves (their queries moved) go through :func:`_attention_array`
+    against every key, which also refreshes their stored maximum.
+    """
+    redo = _swap_changed_keys(state, rows, k_new, v_new)
+    at = rows[:, None, :, None]
+    for stored, new in ((state.q, q_new), (state.k, k_new), (state.v, v_new)):
+        np.put_along_axis(stored, at, new, axis=2)
+    np.put_along_axis(redo, rows, True, axis=1)
+    count = int(redo.sum(axis=1).max())
+    # Flagged rows first; items with fewer are padded with clean rows, whose
+    # full rescoring is merely redundant.
+    redo_rows = np.argsort(~redo, axis=1, kind="stable")[:, :count]
+    batch, heads = state.q.shape[:2]
+    stats = tuple(np.empty((batch, heads, count), dtype=state.q.dtype) for _ in range(2))
+    fresh, _ = _attention_array(
+        np.take_along_axis(state.q, redo_rows[:, None, :, None], axis=2), state.k, state.v,
+        None, row_stats=stats,
+    )
+    np.put_along_axis(state.context, redo_rows[:, :, None], fresh, axis=1)
+    np.put_along_axis(state.row_max, redo_rows[:, None, :], stats[0], axis=2)
+    np.put_along_axis(state.row_sum, redo_rows[:, None, :], stats[1], axis=2)
+    state.recomputed = count
+
+
+def _swap_changed_keys(
+    state: AttentionState, rows: np.ndarray, k_new: np.ndarray, v_new: np.ndarray
+) -> np.ndarray:
+    """Correct every row's context and row sum for the keys at ``rows``
+    changing from the stored ``k`` / ``v`` to ``k_new`` / ``v_new``; returns
+    the ``(batch, S)`` boolean of rows the correction is not safe for.
+
+    A query's scores against clean keys did not move, so its numerator
+    ``context · row_sum`` and its ``row_sum`` are corrected by subtracting the
+    changed keys' old exponentials (and ``exp · v``) and adding their new
+    ones, all against the row's *stored* maximum: O(S·C) instead of O(S²).
+    Subtraction is safe while the removed mass is a modest share of the sum
+    (:data:`_MAX_REMOVED_SHARE`) and addition while the new scores do not
+    tower over the stored maximum (:data:`_MAX_SCORE_RISE`).
+    """
+    batch, heads, seq, head_dim = state.q.shape
+    width = rows.shape[1]
+    at = rows[:, None, :, None]
+    keys = np.concatenate([np.take_along_axis(state.k, at, axis=2), k_new], axis=2)
+    values = np.concatenate([np.take_along_axis(state.v, at, axis=2), v_new], axis=2)
+    # (batch, heads, S, 2C): every stored query against the changed keys' old
+    # versions, then their new ones.
+    weights = np.matmul(state.q, np.swapaxes(keys, -1, -2))
+    weights -= state.row_max[..., None]
+    rise = weights[..., width:].max(axis=-1)
+    # Only rows flagged below reach the clip; it keeps their exp finite.
+    np.minimum(weights, 2.0 * _MAX_SCORE_RISE, out=weights)
+    np.exp(weights, out=weights)
+    removed = weights[..., :width].sum(axis=-1)
+    unsafe = (removed > _MAX_REMOVED_SHARE * state.row_sum) | (rise > _MAX_SCORE_RISE)
+    row_sum = state.row_sum - removed + weights[..., width:].sum(axis=-1)
+    row_sum[unsafe] = 1.0  # rescored by the caller; keeps the division finite
+    np.negative(weights[..., :width], out=weights[..., :width])
+    context = state.context.reshape(batch, seq, heads, head_dim).transpose(0, 2, 1, 3)
+    context *= state.row_sum[..., None]
+    context += np.matmul(weights, values)
+    context /= row_sum[..., None]
+    state.row_sum = row_sum
+    return unsafe.any(axis=1)
 
 
 def _first_row(result):
@@ -472,29 +635,61 @@ class MultiHeadAttention(Module):
             return _first_row(lifted)
         if query.ndim != 3:
             raise ValueError(f"expected 2-D or 3-D query, got shape {query.shape}")
-        scale = 1.0 / np.sqrt(self.head_dim)
-        heads, head_dim = self.num_heads, self.head_dim
-        q = self.q_proj.forward_array(query)
-        q *= scale  # same values as the Tensor path's q = q * scale
-        k = self.k_proj.forward_array(key)
-        v = self.v_proj.forward_array(value)
-        batch, q_len, k_len = query.shape[0], query.shape[1], key.shape[1]
-        q = np.ascontiguousarray(q.reshape(batch, q_len, heads, head_dim).transpose(0, 2, 1, 3))
-        k = np.ascontiguousarray(k.reshape(batch, k_len, heads, head_dim).transpose(0, 2, 1, 3))
-        v = np.ascontiguousarray(v.reshape(batch, k_len, heads, head_dim).transpose(0, 2, 1, 3))
-        if self.compute_dtype is not None:
-            q = q.astype(self.compute_dtype)
-            k = k.astype(self.compute_dtype)
-            v = v.astype(self.compute_dtype)
-
-        mask = self._checked_mask(mask, batch, q_len, k_len)
+        q = self._project_heads(self.q_proj, query, scaled=True)
+        k = self._project_heads(self.k_proj, key)
+        v = self._project_heads(self.v_proj, value)
+        mask = self._checked_mask(mask, query.shape[0], query.shape[1], key.shape[1])
         context, weights = _attention_array(q, k, v, mask, return_weights)
-        if context.dtype != query.dtype:
+        output = self._project_out(context, query.dtype)
+        return (output, weights) if return_weights else output
+
+    def self_attention_array(
+        self,
+        x: np.ndarray,
+        previous: Optional[AttentionState] = None,
+        rows: Optional[np.ndarray] = None,
+    ) -> Tuple[np.ndarray, AttentionState]:
+        """Unmasked no-grad self-attention that keeps its softmax state.
+
+        Without ``previous``, ``x`` is the whole ``(batch, S, embed)`` input:
+        the full kernel runs and seeds the returned :class:`AttentionState`.
+        With it, ``x`` holds only the input rows that changed since the call
+        that produced ``previous`` — ``(batch, C, embed)`` at indices ``rows``
+        ``(batch, C)`` — and ``previous`` is **overwritten** with the new
+        state and returned (:func:`_update_attention`).  Either way the output
+        covers all ``S`` rows and equals ``forward_array`` on the new input
+        to ~1e-14.
+        """
+        q = self._project_heads(self.q_proj, x, scaled=True)
+        k = self._project_heads(self.k_proj, x)
+        v = self._project_heads(self.v_proj, x)
+        if previous is None:
+            stats = tuple(np.empty(q.shape[:3], dtype=q.dtype) for _ in range(2))
+            context, _ = _attention_array(q, k, v, None, row_stats=stats)
+            state = AttentionState(q, k, v, context, *stats, recomputed=q.shape[2])
+        else:
+            state = previous
+            _update_attention(state, rows, q, k, v)
+        return self._project_out(state.context, x.dtype), state
+
+    def _project_heads(self, projection: Linear, x: np.ndarray, scaled: bool = False) -> np.ndarray:
+        """``projection(x)`` in the kernel's contiguous ``(batch, heads, len,
+        head_dim)`` layout (numpy's strided batched GEMM is slow) and dtype."""
+        out = projection.forward_array(x)
+        if scaled:
+            out *= 1.0 / np.sqrt(self.head_dim)  # same values as the Tensor path's q * scale
+        batch, length = x.shape[0], x.shape[1]
+        out = np.ascontiguousarray(
+            out.reshape(batch, length, self.num_heads, self.head_dim).transpose(0, 2, 1, 3)
+        )
+        return out if self.compute_dtype is None else out.astype(self.compute_dtype)
+
+    def _project_out(self, context: np.ndarray, dtype) -> np.ndarray:
+        if context.dtype != dtype:
             # compute_dtype mode on a float64 stream: cast back before the
             # output projection (a float32 stream stays float32 throughout).
-            context = context.astype(query.dtype)
-        output = self.out_proj.forward_array(context)
-        return (output, weights) if return_weights else output
+            context = context.astype(dtype)
+        return self.out_proj.forward_array(context)
 
     @staticmethod
     def _checked_mask(mask, batch: int, q_len: int, k_len: int) -> Optional[AttentionMask]:
@@ -591,7 +786,45 @@ class TransformerEncoderLayer(Module):
     def forward_array(self, x: np.ndarray, mask=None) -> np.ndarray:
         """Raw-array twin of :meth:`forward` (see ``MultiHeadAttention.forward_array``)."""
         normed = self.norm1.forward_array(x)
-        out = x + self.attention.forward_array(normed, normed, normed, mask=mask)
+        return self._residual_feed_forward(
+            x, self.attention.forward_array(normed, normed, normed, mask=mask)
+        )
+
+    def forward_array_incremental(
+        self,
+        x: np.ndarray,
+        previous: Optional[Sequence[AttentionState]] = None,
+        changed: Optional[np.ndarray] = None,
+    ) -> Tuple[np.ndarray, Optional[AttentionState]]:
+        """Unmasked ``forward_array`` that hands back, and can start from, the
+        attention's :class:`AttentionState`.
+
+        ``previous`` holds one state per batch item (``state.row(i)`` of what
+        an earlier call returned — callers keep them per episode) and
+        ``changed`` is the ``(batch, S)`` boolean of rows where ``x`` differs
+        from that call's input (every other row must be bitwise equal).  When
+        few enough rows changed (:func:`_update_rows`) only those are
+        normalised and projected, and the update works on a stacked copy of
+        ``previous``; otherwise the full kernel runs.  The returned state is
+        new either way, and the output projection, residual, norm and
+        feed-forward run on all rows.  A sequence too short for any update to
+        pay (``S² ≤ _UPDATE_FIXED_SCORES``, S ≤ 158) keeps no state at all:
+        plain ``forward_array``, state ``None``.
+        """
+        if x.shape[1] ** 2 <= _UPDATE_FIXED_SCORES:
+            return self.forward_array(x), None
+        rows = _update_rows(previous, changed)
+        if rows is None:
+            attended, state = self.attention.self_attention_array(self.norm1.forward_array(x))
+        else:
+            changed_x = np.take_along_axis(x, rows[:, :, None], axis=1)
+            attended, state = self.attention.self_attention_array(
+                self.norm1.forward_array(changed_x), AttentionState.stack(previous), rows
+            )
+        return self._residual_feed_forward(x, attended), state
+
+    def _residual_feed_forward(self, x: np.ndarray, attended: np.ndarray) -> np.ndarray:
+        out = x + attended
         out += self.feed_forward.forward_array(self.norm2.forward_array(out))
         return out
 

@@ -2,7 +2,10 @@
 
 The step cache must be *exact*: over full multi-step episodes (including
 auto-reset into a new episode), cached forwards match fresh featurize/encode
-to ≤1e-10 and greedy plans are identical to fresh-recompute plans.
+to ≤1e-10 and greedy plans are identical to fresh-recompute plans.  The
+12-PM clusters change too large a share of their VM rows per step for the
+block-0 VM↔VM update to pay, so ``TestVmAttentionUpdate`` runs ~300-VM
+clusters, where it does, and checks through ``StepCache.stats()`` that it ran.
 """
 
 import numpy as np
@@ -184,6 +187,94 @@ class TestStepCacheEncoder:
                     next_obs, _, done, _ = env.step((vm, pm))
                     observations[index] = env.reset() if done else next_obs
         assert cache.hits > 0
+
+
+class TestVmAttentionUpdate:
+    """Greedy episodes on ~300-VM clusters: cached steps update block 0's
+    VM↔VM attention from the stored softmax state, misses and cluster-wide
+    renormalisations run the full kernel, and nothing else changes."""
+
+    NUM_PMS = 32  # 260–320 VMs at these seeds
+    LIMIT = 12
+
+    def _same_size_states(self, seeds):
+        """Seeded clusters trimmed to one VM count, so they stack into one forward."""
+        states = [_state(num_pms=self.NUM_PMS, seed=seed) for seed in seeds]
+        num_vms = min(state.num_vms for state in states)
+        assert num_vms >= 200
+        for state in states:
+            for vm_id in state.sorted_vm_ids()[num_vms:]:
+                state.remove_vm_from_cluster(vm_id)
+        return states, num_vms
+
+    @pytest.mark.parametrize("seeds", [(0,), (0, 1, 4)], ids=["B=1", "B=3"])
+    def test_embeddings_match_fresh_and_the_update_ran(self, seeds):
+        policy = TwoStagePolicy(ModelConfig(), rng=np.random.default_rng(0))
+        states, num_vms = self._same_size_states(seeds)
+        envs = [
+            VMRescheduleEnv(state, ConstraintConfig(migration_limit=self.LIMIT))
+            for state in states
+        ]
+        observations = [env.reset() for env in envs]
+        cache = StepCache()
+        rng = np.random.default_rng(0)
+        resets = renormalised = steps = 0
+        with no_grad():
+            for _ in range(self.LIMIT + 4):  # past the limit: every env auto-resets
+                steps += 1
+                _, cached = cache.forward(policy.extractor, observations)
+                for row, (env, obs) in enumerate(zip(envs, observations)):
+                    fresh = policy.extractor(build_feature_batch(obs))
+                    np.testing.assert_allclose(
+                        cached.vm_embeddings.data[row], fresh.vm_embeddings.data,
+                        rtol=0, atol=1e-10,
+                    )
+                    np.testing.assert_allclose(
+                        cached.pm_embeddings.data[row], fresh.pm_embeddings.data,
+                        rtol=0, atol=1e-10,
+                    )
+                    np.testing.assert_allclose(
+                        cached.vm_pm_scores[row], fresh.vm_pm_scores, rtol=0, atol=1e-10
+                    )
+                    action = policy.act(
+                        obs, env.pm_action_mask, rng, greedy=True, compute_stats=False
+                    ).action
+                    next_obs, _, done, _ = env.step(action)
+                    if done:
+                        next_obs = env.reset()
+                        resets += 1
+                    elif next_obs.delta.changed_vm_rows.size > num_vms // 2:
+                        renormalised += 1
+                    observations[row] = next_obs
+        stats = cache.stats()
+        assert resets >= len(seeds) and renormalised >= 1
+        assert stats["hits"] + stats["misses"] == steps * len(seeds)
+        assert stats["vv_updated"] + stats["vv_full"] == steps * len(seeds)
+        # Every miss (first step, auto-reset) and every renormalised step ran
+        # the full kernel — for the whole stack it was part of — and the
+        # ordinary cached steps took the update.
+        assert stats["vv_full"] >= stats["misses"] + renormalised
+        assert stats["vv_updated"] >= steps * len(seeds) // 3
+        assert stats["vv_updated"] <= stats["hits"] - renormalised
+
+    @pytest.mark.parametrize("max_active", [1, 3], ids=["B=1", "B=3"])
+    def test_plans_identical_with_and_without_cache(self, max_active):
+        states, _ = self._same_size_states((0, 1, 4))
+        agent = VMR2LAgent(seed=0)
+        cached = agent.plan_batch(
+            states, self.LIMIT, greedy=True, seed=0, max_active=max_active,
+            use_step_cache=True,
+        )
+        fresh = agent.plan_batch(
+            states, self.LIMIT, greedy=True, seed=0, max_active=max_active,
+            use_step_cache=False,
+        )
+        for got, expected in zip(cached, fresh):
+            assert len(got.plan) == self.LIMIT
+            assert [(m.vm_id, m.dest_pm_id) for m in got.plan] == [
+                (m.vm_id, m.dest_pm_id) for m in expected.plan
+            ]
+            assert got.info["final_objective"] == expected.info["final_objective"]
 
 
 class TestStepCachePlans:

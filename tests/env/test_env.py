@@ -251,6 +251,38 @@ class TestObjectives:
         objective = FragmentRateObjective()
         assert objective.episode_metric(state) == pytest.approx(state.fragment_rate())
 
+    @pytest.mark.parametrize("num_pms", [8, 40, 120])
+    def test_metrics_read_the_state_reductions_exactly(self, num_pms):
+        """On clusters generated like the benchmark's (``benchmarks/e2e/inputs.py``),
+        every objective reports exactly what ``ClusterState`` reduces from its SoA
+        page — the value the benchmark's checker replays ``final_objective``
+        against — and the object-walking functions stay its oracle."""
+        from repro.cluster import fragmentation
+        from repro.datasets import ClusterSpec
+
+        spec = ClusterSpec(
+            name="bench-like", num_pms=num_pms, target_utilization=0.75, best_fit_fraction=0.3
+        )
+        state = SnapshotGenerator(spec, seed=41).generate()
+        rng = np.random.default_rng(0)
+        for _ in range(4):  # drift off the generator's placement, as requests do
+            vm_id = int(rng.choice(state.placed_vm_ids()))
+            destinations = state.feasible_destination_pms(vm_id)
+            if destinations:
+                state.migrate_vm(vm_id, int(rng.choice(destinations)))
+        fr16, fr64 = state.fragment_rate(16), state.fragment_rate(64)
+        mem64 = state.memory_fragment_rate(64.0)
+        assert FragmentRateObjective().episode_metric(state) == fr16
+        assert FragmentRateObjective(x_cores=64).episode_metric(state) == fr64
+        assert MigrationMinimizationObjective().episode_metric(state) == fr16
+        assert MixedFragmentObjective(weight=0.25).episode_metric(state) == 0.75 * fr16 + 0.25 * fr64
+        assert MixedFragmentObjective().component_metrics(state) == {"fr16": fr16, "fr64": fr64}
+        assert MixedResourceObjective(weight=0.25).episode_metric(state) == 0.75 * fr16 + 0.25 * mem64
+        assert MixedResourceObjective().component_metrics(state) == {"fr16": fr16, "mem64": mem64}
+        pms = list(state.pms.values())
+        assert fr16 == pytest.approx(fragmentation.fragment_rate(pms, 16), abs=1e-12)
+        assert mem64 == pytest.approx(fragmentation.memory_fragment_rate(pms, 64.0), abs=1e-12)
+
     def test_min_migration_objective_rewards(self):
         state = build_state()
         objective = MigrationMinimizationObjective(fr_goal=1.0)  # trivially satisfied

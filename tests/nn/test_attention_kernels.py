@@ -7,6 +7,11 @@ Two contracts live here:
   as the grad-tracking dense forward — ≤1e-12 in float64, f32 slack in
   float32 — whatever the tile height, batch layout, mask or ``q_len``/``k_len``,
   with exactly-zero dead rows, and never allocates an ``S×S`` tensor;
+* the incremental update (``TransformerEncoderLayer.forward_array_incremental``
+  from an ``AttentionState`` plus the changed rows) computes the same function
+  as the full kernel on the new input — ≤1e-12 per step, ≤1e-10 over a chain
+  of 50 — whatever the changed-set size, batch raggedness or dtype, rescoring
+  the rows where subtraction would be unsafe, and never holds an ``S×S`` array;
 * the chunked streaming-softmax *autograd node* (what ``chunk_size`` /
   ``ModelConfig.attention_impl="chunked"`` still select) matches the dense
   node — forward and gradients, float64 and float32 — and replays the dense
@@ -22,7 +27,14 @@ from repro.core.attention import SparseAttentionExtractor
 from repro.core.config import ModelConfig
 from repro.core.features import build_feature_batch
 from repro.env.observation import Observation
-from repro.nn import AttentionMask, MultiHeadAttention, Tensor, TransformerEncoderLayer, no_grad
+from repro.nn import (
+    AttentionMask,
+    AttentionState,
+    MultiHeadAttention,
+    Tensor,
+    TransformerEncoderLayer,
+    no_grad,
+)
 from repro.nn import attention as attention_module
 
 HEADS = 4
@@ -191,6 +203,157 @@ class TestAllocationGuard:
         second = forward_peak()
         assert first < dense_scores_bytes / 4
         assert second <= first
+
+
+def _change_rows(rng, x, counts):
+    """A copy of ``x`` with ``counts[b]`` random rows of batch item ``b``
+    replaced, and the ``(batch, S)`` boolean marking them."""
+    changed = np.zeros(x.shape[:2], dtype=bool)
+    for item, count in enumerate(counts):
+        changed[item, rng.choice(x.shape[1], size=count, replace=False)] = True
+    x = x.copy()
+    x[changed] = rng.normal(size=(int(changed.sum()), x.shape[2]))
+    return x, changed
+
+
+class TestIncrementalUpdate:
+    """``forward_array_incremental`` from the previous state and the changed
+    rows vs the full kernel on the same new input."""
+
+    SEQ = 400  # large enough for the update to pay up to ~60 changed rows
+
+    # 0 and 1 changed rows, ~2 % of them, and too many for the update to pay.
+    @pytest.mark.parametrize("count,updated", [(0, True), (1, True), (8, True), (150, False)])
+    @pytest.mark.parametrize("mode", ["float64", "compute_float32", "stream_float32"])
+    def test_update_matches_full_kernel(self, count, updated, mode):
+        rng = np.random.default_rng(0)
+        stream = np.float32 if mode == "stream_float32" else np.float64
+        layer = TransformerEncoderLayer(
+            32, HEADS, 64, rng=np.random.default_rng(3),
+            compute_dtype=np.float32 if mode == "compute_float32" else None,
+        )
+        x = rng.normal(size=(1, self.SEQ, 32)).astype(stream)
+        _, state = layer.forward_array_incremental(x)
+        assert state.recomputed == self.SEQ
+        x_new, changed = _change_rows(rng, x, [count])
+        x_new = x_new.astype(stream)
+        actual, state = layer.forward_array_incremental(x_new, [state], changed)
+        assert actual.dtype == stream
+        # The update rescored only the changed rows (one clean row stands in
+        # for an empty set); past the crossover the full kernel re-seeded.
+        assert state.recomputed == (max(count, 1) if updated else self.SEQ)
+        np.testing.assert_allclose(
+            actual, layer.forward_array(x_new), rtol=0,
+            atol=1e-12 if mode == "float64" else 1e-5,
+        )
+
+    def test_short_sequences_keep_no_state(self):
+        """At S=50 no update can pay: the layer runs ``forward_array`` and
+        seeds nothing, so every later step takes the same path."""
+        layer = TransformerEncoderLayer(32, HEADS, 64, rng=np.random.default_rng(3))
+        x = np.random.default_rng(0).normal(size=(2, 50, 32))
+        actual, state = layer.forward_array_incremental(x)
+        assert state is None
+        assert np.array_equal(actual, layer.forward_array(x))
+
+    def test_chain_of_updates_does_not_drift(self):
+        rng = np.random.default_rng(1)
+        layer = TransformerEncoderLayer(32, HEADS, 64, rng=np.random.default_rng(3))
+        x = rng.normal(size=(1, self.SEQ, 32))
+        _, state = layer.forward_array_incremental(x)
+        for _ in range(50):
+            x, changed = _change_rows(rng, x, [int(rng.integers(1, 12))])
+            actual, state = layer.forward_array_incremental(x, [state], changed)
+            assert state.recomputed < self.SEQ  # never re-seeded
+        np.testing.assert_allclose(actual, layer.forward_array(x), rtol=0, atol=1e-10)
+
+    def test_stacked_ragged_changed_sets(self):
+        """Batch items with 0, 3 and 11 changed rows share one update."""
+        rng = np.random.default_rng(2)
+        layer = TransformerEncoderLayer(32, HEADS, 64, rng=np.random.default_rng(3))
+        x = rng.normal(size=(3, self.SEQ, 32))
+        _, state = layer.forward_array_incremental(x)
+        for _ in range(3):
+            kept = [state.row(item) for item in range(3)]  # as the step cache keeps them
+            context = state.context.copy()
+            x, changed = _change_rows(rng, x, [0, 3, 11])
+            actual, state = layer.forward_array_incremental(x, kept, changed)
+            assert state.recomputed == 11
+            np.testing.assert_allclose(actual, layer.forward_array(x), rtol=0, atol=1e-12)
+            # The update worked on a stacked copy: the kept states are untouched.
+            assert np.array_equal(np.concatenate([item.context for item in kept]), context)
+
+    def _peaked_layer(self):
+        """Query/key weights scaled until every softmax row is near one-hot."""
+        layer = TransformerEncoderLayer(32, HEADS, 64, rng=np.random.default_rng(3))
+        for projection in (layer.attention.q_proj, layer.attention.k_proj):
+            projection.weight.data *= 6.0
+        return layer
+
+    def test_guard_rescores_rows_that_lose_their_argmax(self):
+        """The changed key IS the argmax of many clean rows: subtracting it
+        would cancel their whole row sum, so those rows are rescored."""
+        rng = np.random.default_rng(4)
+        layer = self._peaked_layer()
+        x = rng.normal(size=(1, self.SEQ, 32))
+        _, state = layer.forward_array_incremental(x)
+        assert np.median(state.row_sum) < 1.5  # near one-hot rows
+        scores = np.matmul(state.q, np.swapaxes(state.k, -1, -2))[0]
+        favourite = np.bincount(scores.argmax(axis=-1).ravel()).argmax()
+        dependants = np.unique(np.nonzero(scores.argmax(axis=-1) == favourite)[1])
+        assert dependants.size > 5
+        changed = np.zeros((1, self.SEQ), dtype=bool)
+        changed[0, favourite] = True
+        x_new = x.copy()
+        x_new[0, favourite] = rng.normal(size=32)
+        actual, state = layer.forward_array_incremental(x_new, [state], changed)
+        assert dependants.size <= state.recomputed < self.SEQ  # guard taken, no re-seed
+        np.testing.assert_allclose(actual, layer.forward_array(x_new), rtol=0, atol=1e-10)
+
+    def test_guard_rescores_rows_a_new_key_towers_over(self):
+        """A changed key scoring far above a row's stored maximum (here past
+        exp overflow) is not added against that maximum: the row is rescored."""
+        rng = np.random.default_rng(5)
+        q, k, v = (rng.normal(size=(1, HEADS, 60, 8)) for _ in range(3))
+        stats = (np.empty((1, HEADS, 60)), np.empty((1, HEADS, 60)))
+        context, _ = attention_module._attention_array(q, k, v, None, row_stats=stats)
+        state = AttentionState(q.copy(), k.copy(), v.copy(), context, *stats, recomputed=60)
+        rows = np.array([[7]])
+        q_new, v_new = q[:, :, 7:8], v[:, :, 7:8]
+        k_new = 300.0 * q[:, :, 20:21]  # q₂₀·k_new = 300·|q₂₀|² ≈ 2400
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            attention_module._update_attention(state, rows, q_new, k_new, v_new)
+        assert 1 < state.recomputed < 60
+        k[:, :, 7:8] = k_new
+        expected, _ = attention_module._attention_array(q, k, v, None)
+        np.testing.assert_allclose(state.context, expected, rtol=0, atol=1e-10)
+
+    def test_update_allocates_no_more_than_the_full_forward(self):
+        """At the large bench size an updated layer forward — including its
+        stacked copy of the previous state — peaks where the full forward does
+        (both at the feed-forward stage, with one state alive), far below the
+        ``heads·S·S`` scores, and its state has no array with two S-sized axes."""
+        seq = 900
+        layer = TransformerEncoderLayer(32, HEADS, 64, rng=np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        x = rng.normal(size=(1, seq, 32))
+        x_new, changed = _change_rows(rng, x, [18])
+
+        def peak(*args):
+            tracemalloc.start()
+            try:
+                result = layer.forward_array_incremental(*args)
+                return tracemalloc.get_traced_memory()[1], result[1]
+            finally:
+                tracemalloc.stop()
+
+        full_peak, state = peak(x)
+        update_peak, state = peak(x_new, [state], changed)
+        assert state.recomputed == 18
+        assert update_peak < full_peak + 64 * 1024  # the (1, C) index arrays
+        assert update_peak < HEADS * seq * seq * 8 / 4
+        for name in AttentionState._ARRAYS:
+            assert sum(axis == seq for axis in getattr(state, name).shape) == 1, name
 
 
 class TestChunkedForwardParity:
