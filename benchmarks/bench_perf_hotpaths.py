@@ -203,14 +203,12 @@ def run(
     record("act_single_sparse", dense_act_s, sparse_act_s)
 
     # 4b-large. Large-V serving case (~200 PMs / ~2000 VMs at full scale):
-    # the VM↔VM self-attention stage bounds the no-grad inference forward
-    # here.  Every no-grad forward runs the ONE row-tiled kernel
-    # (`repro.nn.attention._attention_array`) whatever `attention_impl`
-    # says, so the no-grad numbers are absolute times; `attention_impl`
-    # still selects the autograd node, compared where it applies:
+    # the VM↔VM self-attention stage bounds the inference forward here.  One
+    # tiled kernel (`repro.nn.attention._attention_array`) runs every
+    # attention, no-grad and grad-tracking alike, so these are absolute times:
     #   vm_attention_large      — the VM↔VM attention stage alone, no-grad;
     #   vm_attention_large_grad — the same stage grad-tracking, forward +
-    #                             backward, dense node vs chunked node;
+    #                             backward (the `_attention` node);
     #   act_large_inference     — one full no-grad `act` forward;
     #   rollout_cached_steps    — per-step cost of a greedy multi-step
     #                             rollout, fresh featurize/encode vs the
@@ -224,35 +222,25 @@ def run(
     )
     large_state = SnapshotGenerator(large_spec, seed=7).generate()
     large_v = large_state.num_vms
-    chunk = ModelConfig().attention_chunk_size
     attn_rng = np.random.default_rng(0)
     vm_stream = attn_rng.normal(size=(large_v, ModelConfig().embed_dim))
-    dense_attention = MultiHeadAttention(
+    attention = MultiHeadAttention(
         ModelConfig().embed_dim, ModelConfig().num_heads, rng=np.random.default_rng(1)
-    )
-    chunked_attention = MultiHeadAttention(
-        ModelConfig().embed_dim, ModelConfig().num_heads,
-        rng=np.random.default_rng(1), chunk_size=chunk,
     )
     attn_repeats = 2 if smoke else 5
     with no_grad():
         record_absolute(
             "vm_attention_large",
-            _time(lambda: dense_attention.forward_array(vm_stream, vm_stream, vm_stream), attn_repeats),
+            _time(lambda: attention.forward_array(vm_stream, vm_stream, vm_stream), attn_repeats),
         )
     results["vm_attention_large"]["num_vms"] = large_v
 
-    def attention_grad_step(attention: MultiHeadAttention) -> None:
+    def attention_grad_step() -> None:
         x = Tensor(vm_stream, requires_grad=True)
         attention(x, x, x).sum().backward()
 
-    record(
-        "vm_attention_large_grad",
-        _time(lambda: attention_grad_step(dense_attention), attn_repeats),
-        _time(lambda: attention_grad_step(chunked_attention), attn_repeats),
-    )
+    record_absolute("vm_attention_large_grad", _time(attention_grad_step, attn_repeats))
     results["vm_attention_large_grad"]["num_vms"] = large_v
-    results["vm_attention_large_grad"]["chunk_size"] = chunk
 
     def large_act_seconds(repeats: int) -> float:
         policy = TwoStagePolicy(ModelConfig(), rng=np.random.default_rng(0))

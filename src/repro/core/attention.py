@@ -82,14 +82,7 @@ class _AttentionBlock(Module):
         if use_tree_attention:
             self.tree_attention = TransformerEncoderLayer(dim, heads, hidden, config.activation, rng=rng)
         self.pm_self_attention = TransformerEncoderLayer(dim, heads, hidden, config.activation, rng=rng)
-        vm_dtype = np.float32 if config.float32_vm_attention else None
-        vm_chunk = (
-            config.attention_chunk_size if config.attention_impl == "chunked" else None
-        )
-        self.vm_self_attention = TransformerEncoderLayer(
-            dim, heads, hidden, config.activation, rng=rng, compute_dtype=vm_dtype,
-            chunk_size=vm_chunk,
-        )
+        self.vm_self_attention = TransformerEncoderLayer(dim, heads, hidden, config.activation, rng=rng)
         self.cross_attention = CrossAttentionLayer(dim, heads, hidden, config.activation, rng=rng)
 
     def forward(

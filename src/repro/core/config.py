@@ -27,33 +27,15 @@ class ModelConfig:
     #: "two_stage" (mask per stage), "penalty" (no masks, env penalizes) or
     #: "full_joint" (joint VM×PM action with a full mask) — the §5.4 ablation.
     action_mode: str = "two_stage"
-    #: Run the VM↔VM self-attention stage (the quadratic-cost stage that
-    #: bounds the stacked forward once the tree stage is grouped) with float32
-    #: score/softmax/context temporaries, in the autograd nodes and in the
-    #: no-grad kernel alike (it is dtype-generic).  Projections, the residual
-    #: stream and every other stage stay float64; see
-    #: ``MultiHeadAttention.compute_dtype``.  Off by default: parity with the
-    #: float64 stage is ~1e-5, not 1e-12.
-    float32_vm_attention: bool = False
-    #: *Autograd* node of the VM↔VM self-attention stage — what a
-    #: grad-tracking forward (the PPO update) records: "dense" (materialized
-    #: S×S scores + softmax saved for the backward) or "chunked" (flash-style
-    #: streaming softmax over fixed-size key chunks with a recompute-based
-    #: backward — no S×S tensor saved; matches "dense" to ~1e-15 relative in
-    #: f64, bit-for-bit when one chunk covers all keys).  No-grad forwards
-    #: (rollouts, serving) ignore it: they always run the one row-tiled
-    #: kernel ``repro.nn.attention._attention_array``.
-    attention_impl: str = "dense"
-    #: Key-chunk width of the "chunked" autograd node (ignored under "dense"
-    #: and by every no-grad forward, whose tile height is computed).
-    attention_chunk_size: int = 256
     #: Precision of the *no-grad* extractor forward (rollout collection and
-    #: serving): "float64" (default — same actions as the training forward,
-    #: values within 1e-12) or "float32" (the whole inference attention
-    #: stack runs in single precision with cached float32 weight copies —
-    #: roughly halves collection time; sampled actions can differ from the
-    #: float64 path within ~1e-5 probability mass).  Gradient-tracking
-    #: forwards are always float64.
+    #: serving): "float64" (default — the training forward's numbers, bit for
+    #: bit) or "float32" (the whole inference attention stack runs in single
+    #: precision with cached float32 weight copies — roughly halves
+    #: collection time; sampled actions can differ from the float64 path
+    #: within ~1e-5 probability mass).  Gradient-tracking forwards are always
+    #: float64.  Attention has no other knob: training and inference run the
+    #: one tiled kernel ``repro.nn.attention._attention_array``, whose tiles
+    #: are sized from the shapes.
     inference_dtype: str = "float64"
 
     def __post_init__(self) -> None:
@@ -65,10 +47,6 @@ class ModelConfig:
             raise ValueError(f"unknown action_mode {self.action_mode!r}")
         if self.inference_dtype not in ("float64", "float32"):
             raise ValueError(f"unknown inference_dtype {self.inference_dtype!r}")
-        if self.attention_impl not in ("dense", "chunked"):
-            raise ValueError(f"unknown attention_impl {self.attention_impl!r}")
-        if self.attention_chunk_size <= 0:
-            raise ValueError("attention_chunk_size must be positive")
         if self.num_blocks <= 0:
             raise ValueError("num_blocks must be positive")
 
@@ -139,14 +117,19 @@ class VMR2LConfig:
 
     @classmethod
     def from_dict(cls, payload: Dict) -> "VMR2LConfig":
-        # Checkpoints record the config they were trained with; PPO switches
-        # retired since then (they only selected between equivalent code
-        # paths) are dropped so old checkpoints keep loading.
-        ppo_fields = {spec.name for spec in fields(PPOConfig)}
-        ppo = {key: value for key, value in payload.get("ppo", {}).items() if key in ppo_fields}
+        # Checkpoints record the config they were trained with; options
+        # retired since then (the PPO path switches; the attention
+        # implementation, chunk width and float32 VM↔VM stage, now one
+        # kernel) never changed the weights, so they are dropped and old
+        # checkpoints keep loading.
+        def current(section: str, config_cls):
+            names = {spec.name for spec in fields(config_cls)}
+            options = payload.get(section, {})
+            return config_cls(**{key: value for key, value in options.items() if key in names})
+
         return cls(
-            model=ModelConfig(**payload.get("model", {})),
-            ppo=PPOConfig(**ppo),
+            model=current("model", ModelConfig),
+            ppo=current("ppo", PPOConfig),
             risk_seeking=RiskSeekingConfig(**payload.get("risk_seeking", {})),
             migration_limit=int(payload.get("migration_limit", 50)),
         )

@@ -10,7 +10,8 @@ VMR-specific wiring (tree masks, three-stage blocks) lives in
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+import math
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,9 +25,9 @@ def _inference_fast_path() -> bool:
     """Whether layer forwards may take the fused raw-array route.
 
     Active when autograd recording is off and the seed reference mode is not.
-    The array route mirrors the Tensor ops bit-for-bit except in attention,
-    whose no-grad kernel (:func:`_attention_array`) normalises the context
-    instead of the scores — same actions, values within ~1e-14.
+    The array route mirrors the Tensor ops bit-for-bit — attention included,
+    since both run :func:`_attention_array` — and only drops the per-op
+    graph bookkeeping.
     """
     return not grad_enabled() and not F.reference_mode_active()
 
@@ -65,14 +66,14 @@ def _score_mask_parts(
     ``(batch, heads, q_len, k_len)`` scores and ``allowed`` (or ``None``)
     against ``(batch, heads, q_len, 1)``.  A ``(q_len, k_len)`` mask is shared
     by every batch row, a ``(batch, q_len, k_len)`` mask applies per row;
-    every kernel takes its mask from here, so they apply it identically.
+    :func:`_tile` cuts either to one score tile.
     """
     if mask is None:
         return None, None
     bias = mask.bias
     if bias.dtype != dtype:
-        # float32 compute mode: keep the full-size temporaries in the scores'
-        # dtype instead of promoting back to float64.
+        # float32 inference: keep the tile temporaries in the scores' dtype
+        # instead of promoting back to float64.
         bias = bias.astype(dtype)
     if bias.ndim == 3:
         bias = bias[:, None, :, :]
@@ -82,193 +83,56 @@ def _score_mask_parts(
     return bias, allowed
 
 
-def _attention_softmax(scores: Tensor, mask: Optional[AttentionMask]) -> Tensor:
-    """Fused masked softmax over attention scores.
-
-    Bias add, numerically stable softmax and dead-row zeroing collapse into
-    ONE graph node with one full-size temporary — the chained formulation
-    allocated a fresh ``(…, q_len, k_len)`` tensor per step.  The backward is
-    the plain softmax gradient: masked keys and fully-masked query rows have
-    exactly zero weight, so their gradient contributions are exactly zero.
-    """
-    if mask is None:
-        return F.softmax(scores, axis=-1)
-    bias, allowed = _score_mask_parts(mask, scores.data.dtype)
-    out_data = F.softmax_array(scores.data + bias)
-    if allowed is not None:
-        out_data *= allowed
-    if not scores.requires_grad:
-        return Tensor(out_data)
-
-    def backward(grad: np.ndarray) -> None:
-        dot = np.einsum("...i,...i->...", grad, out_data)[..., None]
-        grad_input = grad - dot
-        grad_input *= out_data
-        scores._accumulate(grad_input)
-
-    return Tensor(out_data, requires_grad=True, parents=(scores,), backward=backward)
-
-
-def _chunked_attention_forward(
-    q: np.ndarray,
-    k: np.ndarray,
-    v: np.ndarray,
-    bias: Optional[np.ndarray],
-    chunk: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Streaming-softmax attention forward (flash-style, no ``S×S`` scores).
-
-    Consumes fixed-size key chunks while carrying a running row maximum and
-    denominator, so the peak score temporary is ``(…, q_len, chunk)`` instead
-    of ``(…, q_len, k_len)``.  ``q`` is pre-scaled.  Returns ``(context,
-    logsumexp)`` — the row statistics let the backward recompute the exact
-    attention probabilities chunk by chunk without saving them.
-
-    When one chunk covers every key, the dense operation order (normalize the
-    probabilities, then multiply by ``v``) is replayed exactly, so the result
-    is bit-for-bit identical to the dense kernel; with several chunks the
-    running rescale accumulates in a different order and matches the dense
-    reference to ~1e-15 relative (f64).
-    """
-    k_len = k.shape[-2]
-    chunk = max(int(chunk), 1)
-    kt = np.swapaxes(k, -1, -2)
-    if chunk >= k_len:
-        scores = np.matmul(q, kt)
-        if bias is not None:
-            scores += bias
-        row_max = scores.max(axis=-1, keepdims=True)
-        scores -= row_max
-        np.exp(scores, out=scores)
-        total = scores.sum(axis=-1, keepdims=True)
-        scores /= total
-        context = np.matmul(scores, v)
-        logsumexp = np.squeeze(row_max, -1) + np.log(np.squeeze(total, -1))
-        return context, logsumexp
-    out_shape = np.broadcast_shapes(q.shape[:-2], k.shape[:-2]) + (
-        q.shape[-2],
-        v.shape[-1],
-    )
-    context = np.zeros(out_shape, dtype=q.dtype)
-    row_max = np.full(out_shape[:-1], -np.inf, dtype=q.dtype)
-    denom = np.zeros(out_shape[:-1], dtype=q.dtype)
-    # Reused chunk-size buffers: per-iteration matmuls write into these, so
-    # the loop allocates nothing proportional to the full key length.
-    score_buf = np.empty(out_shape[:-1] + (chunk,), dtype=q.dtype)
-    ctx_buf = np.empty(out_shape, dtype=q.dtype)
-    sum_buf = np.empty(out_shape[:-1], dtype=q.dtype)
-    for start in range(0, k_len, chunk):
-        stop = min(start + chunk, k_len)
-        whole = stop - start == chunk
-        scores = np.matmul(
-            q, kt[..., :, start:stop], out=score_buf if whole else None
-        )
-        if bias is not None:
-            scores += bias[..., start:stop]
-        new_max = np.maximum(row_max, scores.max(axis=-1))
-        scores -= new_max[..., None]
-        np.exp(scores, out=scores)
-        if start and not np.array_equal(new_max, row_max):
-            # Rescale the running sums; when the maximum did not move the
-            # factor is exp(0) == 1 exactly, so skipping is a bitwise no-op.
-            alpha = np.subtract(row_max, new_max, out=row_max)
-            np.exp(alpha, out=alpha)
-            denom *= alpha
-            context *= alpha[..., None]
-        denom += scores.sum(axis=-1, out=sum_buf)
-        context += np.matmul(
-            scores, v[..., start:stop, :], out=ctx_buf if whole else None
-        )
-        row_max = new_max
-    context /= denom[..., None]
-    return context, row_max + np.log(denom)
-
-
-def _chunked_attention_backward(
-    grad: np.ndarray,
-    q: np.ndarray,
-    k: np.ndarray,
-    v: np.ndarray,
-    bias: Optional[np.ndarray],
-    logsumexp: np.ndarray,
-    context: np.ndarray,
-    chunk: int,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Recompute-based backward of :func:`_chunked_attention_forward`.
-
-    Never materializes the ``S×S`` probabilities: each key chunk recomputes
-    its exact probabilities from the saved logsumexp
-    (``p = exp(q·kᵀ + bias − L)``) and applies the softmax gradient
-    ``ds = p · (dp − Σ p·dp)`` locally.  ``Σ_j p_ij · dp_ij`` equals
-    ``Σ_d grad_id · context_id`` (the usual flash-attention identity), so the
-    row reduction is computed once up front from saved ``O(S·d)`` tensors.
-    """
-    chunk = max(int(chunk), 1)
-    k_len = k.shape[-2]
-    kt = np.swapaxes(k, -1, -2)
-    row_dot = np.einsum("...i,...i->...", grad, context)[..., None]
-    grad_q = np.zeros(np.broadcast_shapes(q.shape[:-2], k.shape[:-2]) + q.shape[-2:], dtype=q.dtype)
-    grad_k = np.zeros(np.broadcast_shapes(q.shape[:-2], k.shape[:-2]) + k.shape[-2:], dtype=k.dtype)
-    grad_v = np.zeros(np.broadcast_shapes(q.shape[:-2], v.shape[:-2]) + v.shape[-2:], dtype=v.dtype)
-    for start in range(0, k_len, chunk):
-        stop = min(start + chunk, k_len)
-        probs = np.matmul(q, kt[..., :, start:stop])
-        if bias is not None:
-            probs += bias[..., start:stop]
-        probs -= logsumexp[..., None]
-        np.exp(probs, out=probs)
-        grad_v[..., start:stop, :] = np.matmul(np.swapaxes(probs, -1, -2), grad)
-        grad_scores = np.matmul(grad, np.swapaxes(v[..., start:stop, :], -1, -2))
-        grad_scores -= row_dot
-        grad_scores *= probs
-        grad_q += np.matmul(grad_scores, k[..., start:stop, :])
-        grad_k[..., start:stop, :] = np.matmul(np.swapaxes(grad_scores, -1, -2), q)
-    return grad_q, grad_k, grad_v
-
-
-def _chunked_attention(
-    q: Tensor,
-    k: Tensor,
-    v: Tensor,
-    mask: Optional[AttentionMask],
-    chunk: int,
-) -> Tensor:
-    """Chunked attention as ONE autograd node (masks handled like dense).
-
-    The forward saves only the context and per-row logsumexp; the backward
-    recomputes probabilities chunk by chunk (see
-    :func:`_chunked_attention_backward`).  Fully-masked query rows output an
-    exact zero context and contribute exactly zero gradient (their incoming
-    gradient is zeroed before the recompute, mirroring the dense kernel where
-    those rows' weights are exactly zero).
-    """
-    bias, allowed = _score_mask_parts(mask, q.data.dtype)
-    context, logsumexp = _chunked_attention_forward(q.data, k.data, v.data, bias, chunk)
-    if allowed is not None:
-        context *= allowed
-    requires = grad_enabled() and (q.requires_grad or k.requires_grad or v.requires_grad)
-    if not requires:
-        return Tensor(context)
-
-    def backward(grad: np.ndarray) -> None:
-        if allowed is not None:
-            grad = grad * allowed
-        grad_q, grad_k, grad_v = _chunked_attention_backward(
-            grad, q.data, k.data, v.data, bias, logsumexp, context, chunk
-        )
-        if q.requires_grad:
-            q._accumulate(grad_q)
-        if k.requires_grad:
-            k._accumulate(grad_k)
-        if v.requires_grad:
-            v._accumulate(grad_v)
-
-    return Tensor(context, requires_grad=True, parents=(q, k, v), backward=backward)
-
-
-#: Byte budget of one ``(batch, heads, rows, k_len)`` score tile of
-#: :func:`_attention_array`: cache-resident across its passes, dispatch-amortising.
+#: Byte budget of one ``(items, heads, rows, k_len)`` score tile of
+#: :func:`_attention_array` and its backward: cache-resident across its
+#: passes, dispatch-amortising.
 _SCORE_TILE_BYTES = 1 << 20
+
+
+def _tiles(
+    batch: int, heads: int, q_len: int, k_len: int, itemsize: int
+) -> Tuple[List[Tuple[slice, slice]], int]:
+    """The ``(items, rows)`` slices of the score tiles, and a tile's size.
+
+    The forward kernel and the backward walk the same tiles.  While one batch
+    item's ``(heads, q_len, k_len)`` block fits :data:`_SCORE_TILE_BYTES`,
+    tiles are whole items (a 256×50 training batch is 20 tiles of 13 items,
+    not 25 two-row slivers); otherwise they are as many query rows of every
+    item as fit.  One tile when everything fits.
+    """
+    budget = _SCORE_TILE_BYTES // itemsize  # score elements per tile
+    per_item = heads * q_len * k_len
+    if per_item <= budget:
+        step = budget // max(1, per_item)
+        tiles = [(slice(start, start + step), slice(None)) for start in range(0, batch, step)]
+        return tiles, min(step, batch) * per_item
+    step = max(1, budget // (batch * heads * k_len))
+    tiles = [(slice(None), slice(start, start + step)) for start in range(0, q_len, step)]
+    return tiles, batch * heads * min(step, q_len) * k_len
+
+
+def _tile(part: np.ndarray, items: slice, rows: slice) -> np.ndarray:
+    """The part of a :func:`_score_mask_parts` array one score tile covers."""
+    return part[rows] if part.ndim == 2 else part[items, :, rows]
+
+
+def _tile_scores(
+    buffer: np.ndarray, q: np.ndarray, kt: np.ndarray, bias: Optional[np.ndarray],
+    items: slice, rows: slice,
+) -> np.ndarray:
+    """``q·kᵀ`` (+ bias) of one tile, written into the reused ``buffer``."""
+    q_tile = q[items, :, rows]
+    shape = q_tile.shape[:3] + (kt.shape[-1],)
+    scores = np.matmul(q_tile, kt[items], out=buffer[: math.prod(shape)].reshape(shape))
+    if bias is not None:
+        scores += _tile(bias, items, rows)
+    return scores
+
+
+def _head_view(x: np.ndarray, heads: int) -> np.ndarray:
+    """Merged ``(batch, len, embed)`` viewed as ``(batch, heads, len, head_dim)``."""
+    batch, length, embed = x.shape
+    return x.reshape(batch, length, heads, embed // heads).transpose(0, 2, 1, 3)
 
 
 def _attention_array(
@@ -276,53 +140,134 @@ def _attention_array(
     return_weights: bool = False,
     row_stats: Optional[Tuple[np.ndarray, np.ndarray]] = None,
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """THE no-grad score/softmax/context kernel, over row tiles of queries.
+    """THE score/softmax/context kernel, over tiles of queries.
 
     ``q`` (pre-scaled), ``k``, ``v`` are ``(batch, heads, len, head_dim)``.
-    Each tile — as many query rows as keep its score block inside
-    :data:`_SCORE_TILE_BYTES`, one tile when everything fits — runs QKᵀ →
-    +bias → exact row max → subtract → exp in one reused buffer, then the row
-    sum and P·V on the unnormalised exponentials, and the ``head_dim``-wide
-    context is divided by the sum instead of the ``k_len``-wide probabilities
-    (same function, one rounding reordered).  Returns the
-    ``(batch, q_len, heads * head_dim)`` context and, with ``return_weights``,
-    the head-averaged probabilities; fully-masked rows are exactly zero.
-    ``row_stats`` — two ``(batch, heads, q_len)`` arrays — receives each row's
-    score maximum and its sum of exponentials: what :func:`_update_attention`
-    needs to correct a row later without rescoring it.
+    Each tile (:func:`_tiles`) runs QKᵀ → +bias → exact row max → subtract →
+    exp in one reused buffer, then the row sum and P·V on the unnormalised
+    exponentials, and the ``head_dim``-wide context is divided by the sum
+    instead of the ``k_len``-wide probabilities (same function, one rounding
+    reordered).  Returns the ``(batch, q_len, heads * head_dim)`` context and,
+    with ``return_weights``, the head-averaged probabilities; fully-masked
+    rows are exactly zero.  ``row_stats`` — two ``(batch, heads, q_len)``
+    arrays — receives each row's score maximum and its sum of exponentials:
+    what :func:`_update_attention` needs to correct a row later without
+    rescoring it, and what the backward of :func:`_attention` recomputes the
+    exponentials from.
     """
     batch, heads, q_len, head_dim = q.shape
     k_len = k.shape[-2]
     bias, allowed = _score_mask_parts(mask, q.dtype)
     kt = np.swapaxes(k, -1, -2)
-    row_items = batch * heads * k_len  # score elements per query row
-    rows = max(1, min(q_len, _SCORE_TILE_BYTES // max(1, row_items * q.itemsize)))
-    buffer = np.empty(rows * row_items, dtype=q.dtype)
-    merged = np.empty((batch, q_len, heads, head_dim), dtype=q.dtype)
-    context = merged.transpose(0, 2, 1, 3)  # per-head view the tiles fill
+    tiles, tile_size = _tiles(batch, heads, q_len, k_len, q.itemsize)
+    buffer = np.empty(tile_size, dtype=q.dtype)
+    merged = np.empty((batch, q_len, heads * head_dim), dtype=q.dtype)
+    context = _head_view(merged, heads)  # per-head view the tiles fill
     weights = np.empty((batch, q_len, k_len), dtype=q.dtype) if return_weights else None
-    for start in range(0, q_len, rows):
-        stop = min(start + rows, q_len)
-        tile = buffer[: (stop - start) * row_items].reshape(batch, heads, stop - start, k_len)
-        scores = np.matmul(q[:, :, start:stop], kt, out=tile)
-        if bias is not None:
-            scores += bias[..., start:stop, :]
+    for items, rows in tiles:
+        scores = _tile_scores(buffer, q, kt, bias, items, rows)
         row_max = scores.max(axis=-1, keepdims=True)
         scores -= row_max
         np.exp(scores, out=scores)
         total = scores.sum(axis=-1, keepdims=True)
-        np.divide(np.matmul(scores, v), total, out=context[:, :, start:stop])
+        np.divide(np.matmul(scores, v[items]), total, out=context[items, :, rows])
         if row_stats is not None:
-            row_stats[0][:, :, start:stop] = row_max[..., 0]
-            row_stats[1][:, :, start:stop] = total[..., 0]
+            row_stats[0][items, :, rows] = row_max[..., 0]
+            row_stats[1][items, :, rows] = total[..., 0]
         if return_weights:
             scores /= total
             if allowed is not None:
-                scores *= allowed[..., start:stop, :]
-            np.mean(scores, axis=1, out=weights[:, start:stop])
+                scores *= _tile(allowed, items, rows)
+            np.mean(scores, axis=1, out=weights[items, rows])
     if allowed is not None:
         context *= allowed
-    return merged.reshape(batch, q_len, heads * head_dim), weights
+    return merged, weights
+
+
+def _with_column(x: np.ndarray, column) -> np.ndarray:
+    """``x`` with ``column`` appended along the last axis (a fresh array)."""
+    out = np.empty(x.shape[:-1] + (x.shape[-1] + 1,), dtype=x.dtype)
+    out[..., :-1] = x
+    out[..., -1] = column
+    return out
+
+
+def _attention(
+    q: Tensor, k: Tensor, v: Tensor, mask: Optional[AttentionMask], heads: int,
+    return_weights: bool = False,
+):
+    """:func:`_attention_array` as ONE graph node with a recompute backward.
+
+    ``q`` (pre-scaled), ``k``, ``v`` are the merged ``(batch, len, embed)``
+    projections; returns the merged context Tensor, plus the head-averaged
+    probabilities (outside the graph) with ``return_weights``.  The node
+    keeps q/k/v in head layout, the context and each row's score maximum
+    ``m`` and sum of exponentials ``l`` — O(S·dim), never ``S×S``.  The
+    backward walks the forward's tiles, recomputing each tile's exponentials
+    ``e = exp(s − m)`` from the saved maximum, and folds ``1/l`` into the
+    ``head_dim``-wide incoming gradient ``g`` and row-dot instead of
+    normalising ``k_len``-wide probabilities:
+
+        dV = eᵀ·(g/l),   dS = e ∘ ((g/l)·Vᵀ − (g·ctx)/l),   dQ = dS·K,   dK = dSᵀ·Q
+
+    (``g·ctx = Σⱼ pᵢⱼ·dpᵢⱼ`` is the FlashAttention row-dot identity).  Both
+    row subtractions ride in the GEMMs as one extra column —
+    ``[q, −m]·[k, 1]ᵀ = s − m`` and ``[g, −g·ctx]·[v, 1]ᵀ`` — and dQ, dK, dV
+    accumulate per tile in merged layout.  Fully-masked rows output exactly
+    zero and pass exactly zero gradient.
+    """
+    # The head-layout copies carry that extra column from the start (ones for
+    # k and v, −m for q once the kernel has found it); the kernel reads the
+    # first head_dim columns.
+    q_rows, k_rows, v_rows = (
+        _with_column(_head_view(tensor.data, heads), 1.0) for tensor in (q, k, v)
+    )
+    stats = tuple(np.empty(q_rows.shape[:3], dtype=q_rows.dtype) for _ in range(2))
+    context, weights = _attention_array(
+        q_rows[..., :-1], k_rows[..., :-1], v_rows[..., :-1], mask, return_weights, row_stats=stats
+    )
+    q_rows[..., -1] = -stats[0]
+
+    def backward(grad: np.ndarray) -> None:
+        row_max, row_sum = stats
+        bias, allowed = _score_mask_parts(mask, grad.dtype)
+        grad_h = _head_view(grad, heads)
+        row_dot = np.einsum("bhid,bhid->bhi", grad_h, _head_view(context, heads))
+        grad_rows = _with_column(grad_h, -row_dot)
+        inverse = 1.0 / row_sum[..., None]
+        grad_rows *= inverse if allowed is None else inverse * allowed
+        kt, vt = np.swapaxes(k_rows, -1, -2), np.swapaxes(v_rows, -1, -2)
+        # A tile's dK / dV product lands in ``partial`` and is added
+        # contiguously: adding it into a head view of merged memory costs ~4×
+        # the product itself.
+        dq, dk, dv = np.empty_like(q.data), np.zeros_like(k.data), np.zeros_like(v.data)
+        dq_h = _head_view(dq, heads)
+        tiles, tile_size = _tiles(*q_rows.shape[:3], k_rows.shape[2], grad.itemsize)
+        exps_buffer, dscores_buffer = np.empty((2, tile_size), dtype=grad.dtype)
+        partial = np.empty_like(dk[: tiles[0][0].stop])
+        partial_h = _head_view(partial, heads)
+        for items, rows in tiles:
+            exps = _tile_scores(exps_buffer, q_rows, kt, bias, items, rows)
+            np.exp(exps, out=exps)
+            tile_grad = grad_rows[items, :, rows]
+            count = exps.shape[0]
+            np.matmul(np.swapaxes(exps, -1, -2), tile_grad[..., :-1], out=partial_h[:count])
+            dv[items] += partial[:count]
+            dscores = np.matmul(
+                tile_grad, vt[items], out=dscores_buffer[: exps.size].reshape(exps.shape)
+            )
+            dscores *= exps
+            np.matmul(dscores, k_rows[items, ..., :-1], out=dq_h[items, :, rows])
+            np.matmul(
+                np.swapaxes(dscores, -1, -2), q_rows[items, :, rows, :-1], out=partial_h[:count]
+            )
+            dk[items] += partial[:count]
+        for tensor, part in ((q, dq), (k, dk), (v, dv)):
+            if tensor.requires_grad:
+                tensor._accumulate(part)
+
+    out = q._make(context, (q, k, v), backward)
+    return (out, weights) if return_weights else out
 
 
 #: When :func:`_update_attention` pays, in scores (one query against one key).
@@ -504,31 +449,14 @@ class MultiHeadAttention(Module):
         embed_dim: int,
         num_heads: int,
         rng: Optional[np.random.Generator] = None,
-        compute_dtype=None,
-        chunk_size: Optional[int] = None,
     ) -> None:
         super().__init__()
         if embed_dim % num_heads != 0:
             raise ValueError(f"embed_dim={embed_dim} must be divisible by num_heads={num_heads}")
-        if chunk_size is not None and chunk_size <= 0:
-            raise ValueError("chunk_size must be positive")
         rng = rng if rng is not None else np.random.default_rng()
         self.embed_dim = embed_dim
         self.num_heads = num_heads
         self.head_dim = embed_dim // num_heads
-        #: Selects the *autograd* node only: with a chunk size set, the
-        #: grad-tracking score/softmax/context stage is the streaming-softmax
-        #: kernel (fixed-size key chunks, recompute backward, no ``S×S``
-        #: tensor saved); ``None`` keeps the dense one.  No-grad forwards
-        #: always run :func:`_attention_array`.
-        self.chunk_size = chunk_size
-        #: Optional reduced precision (e.g. ``float32``) for the O(S²) score /
-        #: softmax / context stage.  Projections and the residual stream stay
-        #: float64; q/k/v are cast after projection and the context is cast
-        #: back before the output projection, so only the quadratic-size
-        #: temporaries (and their gradients) run in the reduced dtype.  The
-        #: reference path ignores it.
-        self.compute_dtype = None if compute_dtype is None else np.dtype(compute_dtype)
         gain = 1.0
         self.q_proj = Linear(embed_dim, embed_dim, rng=rng, gain=gain)
         self.k_proj = Linear(embed_dim, embed_dim, rng=rng, gain=gain)
@@ -550,7 +478,9 @@ class MultiHeadAttention(Module):
         lifted to a batch of one here and the result un-lifted, so everything
         below sees only ``(batch, heads, q_len, k_len)`` scores.  A 2-D mask
         is shared by every batch item; a 3-D ``(batch, query_len, key_len)``
-        mask is applied per item.
+        mask is applied per item.  Grad-tracking forwards record the three
+        projections, the scale folded into q (an O(seq·dim) multiply), the
+        :func:`_attention` node and the output projection.
         """
         if _inference_fast_path():
             result = self.forward_array(
@@ -568,52 +498,16 @@ class MultiHeadAttention(Module):
             )
         if query.ndim != 3:
             raise ValueError(f"expected 2-D or 3-D query, got shape {query.shape}")
-        batch, q_len = query.shape[0], query.shape[1]
-        k_len = key.shape[1]
-
-        # Scale folded into q: an O(seq·dim) multiply instead of O(seq²·heads).
-        # (The reference path scales the full score tensor, as the seed did.)
-        reference = F.reference_mode_active()
-        scale = 1.0 / np.sqrt(self.head_dim)
-        q = self.q_proj(query)
-        if not reference:
-            q = q * scale
-        q = q.reshape(batch, q_len, self.num_heads, self.head_dim).transpose((0, 2, 1, 3))
-        k = (
-            self.k_proj(key)
-            .reshape(batch, k_len, self.num_heads, self.head_dim)
-            .transpose((0, 2, 1, 3))
+        mask = self._checked_mask(mask, query.shape[0], query.shape[1], key.shape[1])
+        if F.reference_mode_active():
+            return self._forward_reference(query, key, value, mask, return_weights)
+        q = self.q_proj(query) * (1.0 / np.sqrt(self.head_dim))
+        result = _attention(
+            q, self.k_proj(key), self.v_proj(value), mask, self.num_heads, return_weights
         )
-        v = (
-            self.v_proj(value)
-            .reshape(batch, k_len, self.num_heads, self.head_dim)
-            .transpose((0, 2, 1, 3))
-        )
-        if self.compute_dtype is not None and not reference:
-            q = q.astype(self.compute_dtype)
-            k = k.astype(self.compute_dtype)
-            v = v.astype(self.compute_dtype)
-
-        mask = self._checked_mask(mask, batch, q_len, k_len)
-        if self.chunk_size is not None and not reference and not return_weights:
-            context = _chunked_attention(q, k, v, mask, self.chunk_size)
-        else:
-            scores = q.matmul(k.swapaxes(-1, -2))  # (batch, heads, q_len, k_len)
-            if reference:
-                weights = self._masked_weights_reference(
-                    scores * scale, mask, (batch, self.num_heads, q_len, k_len)
-                )
-            else:
-                weights = _attention_softmax(scores, mask)
-            context = weights.matmul(v)  # (batch, heads, q_len, head_dim)
-        context = context.transpose((0, 2, 1, 3)).reshape(batch, q_len, self.embed_dim)
-        if context.dtype != np.float64:
-            context = context.astype(np.float64)
-        output = self.out_proj(context)
         if return_weights:
-            mean_weights = weights.data.mean(axis=1)  # (batch, q_len, k_len)
-            return output, mean_weights
-        return output
+            return self.out_proj(result[0]), result[1]
+        return self.out_proj(result)
 
     def forward_array(
         self,
@@ -623,13 +517,8 @@ class MultiHeadAttention(Module):
         mask=None,
         return_weights: bool = False,
     ):
-        """Raw-array twin of :meth:`forward` for the no-grad fast path.
-
-        Same projections in the same order as the Tensor path, with contiguous
-        head layouts (numpy's strided batched GEMM is slow); the
-        score/softmax/context stage is :func:`_attention_array`, so outputs
-        match the Tensor forward to ~1e-14 (f64), not bit-for-bit.
-        """
+        """Raw-array twin of :meth:`forward` for the no-grad fast path: the
+        same projections and the same kernel, so the same numbers."""
         if query.ndim == 2:
             lifted = self.forward_array(query[None], key[None], value[None], mask, return_weights)
             return _first_row(lifted)
@@ -640,7 +529,7 @@ class MultiHeadAttention(Module):
         v = self._project_heads(self.v_proj, value)
         mask = self._checked_mask(mask, query.shape[0], query.shape[1], key.shape[1])
         context, weights = _attention_array(q, k, v, mask, return_weights)
-        output = self._project_out(context, query.dtype)
+        output = self.out_proj.forward_array(context)
         return (output, weights) if return_weights else output
 
     def self_attention_array(
@@ -670,26 +559,15 @@ class MultiHeadAttention(Module):
         else:
             state = previous
             _update_attention(state, rows, q, k, v)
-        return self._project_out(state.context, x.dtype), state
+        return self.out_proj.forward_array(state.context), state
 
     def _project_heads(self, projection: Linear, x: np.ndarray, scaled: bool = False) -> np.ndarray:
         """``projection(x)`` in the kernel's contiguous ``(batch, heads, len,
-        head_dim)`` layout (numpy's strided batched GEMM is slow) and dtype."""
+        head_dim)`` layout (numpy's strided batched GEMM is slow)."""
         out = projection.forward_array(x)
         if scaled:
             out *= 1.0 / np.sqrt(self.head_dim)  # same values as the Tensor path's q * scale
-        batch, length = x.shape[0], x.shape[1]
-        out = np.ascontiguousarray(
-            out.reshape(batch, length, self.num_heads, self.head_dim).transpose(0, 2, 1, 3)
-        )
-        return out if self.compute_dtype is None else out.astype(self.compute_dtype)
-
-    def _project_out(self, context: np.ndarray, dtype) -> np.ndarray:
-        if context.dtype != dtype:
-            # compute_dtype mode on a float64 stream: cast back before the
-            # output projection (a float32 stream stays float32 throughout).
-            context = context.astype(dtype)
-        return self.out_proj.forward_array(context)
+        return np.ascontiguousarray(_head_view(out, self.num_heads))
 
     @staticmethod
     def _checked_mask(mask, batch: int, q_len: int, k_len: int) -> Optional[AttentionMask]:
@@ -704,26 +582,39 @@ class MultiHeadAttention(Module):
             )
         return mask
 
-    def _masked_weights_reference(
-        self, scores: Tensor, mask: Optional[AttentionMask], expanded_shape
-    ) -> Tensor:
-        """Seed implementation: per-head boolean mask + masked softmax.
+    def _forward_reference(
+        self, query: Tensor, key: Tensor, value: Tensor, mask: Optional[AttentionMask],
+        return_weights: bool,
+    ):
+        """Seed implementation — the oracle :func:`_attention` is pinned against.
 
-        Expands the boolean mask over the head axis and runs the cleanup-style
-        ``masked_softmax`` (fill, softmax, leakage zeroing, renormalize) plus
-        the unconditional dead-row multiply — kept for
-        ``repro.nn.tensor.reference_ops`` benchmarking of the
-        pre-vectorization attention path.
+        Chained Tensor ops: per-head reshapes, the scale applied to the full
+        score tensor, the boolean mask expanded over the head axis into the
+        cleanup-style ``masked_softmax`` (fill, softmax, leakage zeroing,
+        renormalize) plus an unconditional dead-row multiply, and the
+        ``(batch, heads, q_len, k_len)`` probabilities saved for the backward.
+        Runs under ``repro.nn.tensor.reference_ops``.
         """
+        batch, q_len, k_len = query.shape[0], query.shape[1], key.shape[1]
+
+        def heads(x: Tensor, length: int) -> Tensor:
+            return x.reshape(batch, length, self.num_heads, self.head_dim).transpose((0, 2, 1, 3))
+
+        q = heads(self.q_proj(query), q_len)
+        k = heads(self.k_proj(key), k_len)
+        v = heads(self.v_proj(value), k_len)
+        scores = q.matmul(k.swapaxes(-1, -2)) * (1.0 / np.sqrt(self.head_dim))
         if mask is None:
-            return F.softmax(scores, axis=-1)
-        raw = mask.mask
-        if raw.ndim == 2:
-            raw = np.broadcast_to(raw, expanded_shape[:1] + raw.shape)
-        expanded = np.broadcast_to(raw[:, None, :, :], expanded_shape)
-        allowed = raw.any(axis=-1).astype(float)[:, None, :, None]
-        weights = F.masked_softmax(scores, expanded, axis=-1)
-        return weights * Tensor(np.broadcast_to(allowed, expanded_shape))
+            weights = F.softmax(scores, axis=-1)
+        else:
+            shape = (batch, self.num_heads, q_len, k_len)
+            raw = np.broadcast_to(mask.mask, (batch, q_len, k_len))
+            allowed = raw.any(axis=-1).astype(float)[:, None, :, None]
+            weights = F.masked_softmax(scores, np.broadcast_to(raw[:, None], shape), axis=-1)
+            weights = weights * Tensor(np.broadcast_to(allowed, shape))
+        context = weights.matmul(v).transpose((0, 2, 1, 3)).reshape(batch, q_len, self.embed_dim)
+        output = self.out_proj(context)
+        return (output, weights.data.mean(axis=1)) if return_weights else output
 
 
 class FeedForward(Module):
@@ -761,15 +652,11 @@ class TransformerEncoderLayer(Module):
         hidden_dim: Optional[int] = None,
         activation: str = "relu",
         rng: Optional[np.random.Generator] = None,
-        compute_dtype=None,
-        chunk_size: Optional[int] = None,
     ) -> None:
         super().__init__()
         rng = rng if rng is not None else np.random.default_rng()
         hidden_dim = hidden_dim if hidden_dim is not None else 4 * embed_dim
-        self.attention = MultiHeadAttention(
-            embed_dim, num_heads, rng=rng, compute_dtype=compute_dtype, chunk_size=chunk_size
-        )
+        self.attention = MultiHeadAttention(embed_dim, num_heads, rng=rng)
         self.feed_forward = FeedForward(embed_dim, hidden_dim, activation=activation, rng=rng)
         self.norm1 = LayerNorm(embed_dim)
         self.norm2 = LayerNorm(embed_dim)

@@ -308,18 +308,6 @@ def layer_norm_array(
     return out
 
 
-def softmax_array(x: np.ndarray) -> np.ndarray:
-    """Array twin of :func:`softmax` over the last axis (mutates ``x``).
-
-    Callers pass freshly-computed score arrays, so the in-place update is
-    safe and saves one full-size temporary per call.
-    """
-    x -= x.max(axis=-1, keepdims=True)
-    np.exp(x, out=x)
-    x /= x.sum(axis=-1, keepdims=True)
-    return x
-
-
 def _gelu_array(x: np.ndarray) -> np.ndarray:
     cubic = x * x * x
     inner = (x + cubic * 0.044715) * float(np.sqrt(2.0 / np.pi))

@@ -561,24 +561,6 @@ class Tensor:
 
         return self._make(out_data, (self,), backward)
 
-    def astype(self, dtype) -> "Tensor":
-        """Differentiable dtype cast (the backward casts the gradient back).
-
-        Used by the float32 attention compute mode: downstream ops run in the
-        target precision and their (float32) gradients are re-cast to the
-        parent's dtype on accumulation.
-        """
-        dtype = np.dtype(dtype)
-        if self.data.dtype == dtype:
-            return self
-        out_data = self.data.astype(dtype)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad)  # _accumulate casts to self.data.dtype
-
-        return self._make(out_data, (self,), backward)
-
 
 # ---------------------------------------------------------------------- #
 # Free-standing constructors and graph-level ops

@@ -917,7 +917,11 @@ class ReplicaFleet:
             elif kind == "fatal":
                 replica.fatal = message[1]
                 break
-        replica.eof = True
+        with self._lock:
+            # A rolling restart may already have respawned the slot: this
+            # EOF is the old process's and must not mark the new one dead.
+            if replica.conn is conn or replica.conn is None:
+                replica.eof = True
 
     def _on_reply(self, ticket: int, reply_dict: Dict) -> None:
         with self._lock:

@@ -93,6 +93,16 @@ class TestConfigs:
         payload["ppo"].update(batched_updates=True, inference_rollouts=True)
         assert VMR2LConfig.from_dict(payload).ppo == PPOConfig()
 
+    def test_from_dict_drops_retired_model_switches(self):
+        # Checkpoints written while the attention implementation, its chunk
+        # width and the float32 VM↔VM stage were options still carry them.
+        payload = VMR2LConfig(model=ModelConfig(embed_dim=16, num_heads=2)).to_dict()
+        payload["model"].update(
+            attention_impl="chunked", attention_chunk_size=64, float32_vm_attention=True
+        )
+        restored = VMR2LConfig.from_dict(payload)
+        assert restored.model == ModelConfig(embed_dim=16, num_heads=2)
+
 
 class TestTreeMask:
     def test_tree_mask_structure(self):

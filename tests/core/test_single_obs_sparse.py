@@ -1,4 +1,4 @@
-"""The single-observation sparse tree path, float32 attention and no-grad mode.
+"""The single-observation sparse tree path, float32 inference and no-grad mode.
 
 PR 2 grouped the tree-local attention stage for stacked batches only; this
 suite pins the retirement of the dense single-observation path:
@@ -7,8 +7,8 @@ suite pins the retirement of the dense single-observation path:
   machine precision) to the old dense masked path for ``act`` and
   ``evaluate_actions`` — outputs AND gradients;
 * the dense ``S×S`` tree mask is never materialized outside reference mode;
-* the float32 VM↔VM attention compute mode stays within documented tolerance
-  of the float64 path and still trains (finite gradients);
+* float32 inference (``inference_dtype``) stays within documented tolerance
+  of the float64 path and leaves gradient-tracking forwards float64;
 * ``repro.nn.no_grad`` inference produces bitwise-identical numbers.
 """
 
@@ -140,49 +140,54 @@ class TestSingleObservationGroupedParity:
         assert batch.tree_grouping() is first
 
 
-class TestFloat32VMAttention:
+class TestFloat32Inference:
+    """``inference_dtype="float32"`` — the one reduced-precision knob."""
+
     def test_parity_within_tolerance(self, env, observation):
         base = TwoStagePolicy(ModelConfig(), rng=np.random.default_rng(0))
-        f32 = TwoStagePolicy(
-            ModelConfig(float32_vm_attention=True), rng=np.random.default_rng(0)
-        )
-        out64 = base.act(observation, pm_mask_fn=env.pm_action_mask, rng=np.random.default_rng(5))
-        out32 = f32.act(observation, pm_mask_fn=env.pm_action_mask, rng=np.random.default_rng(5))
-        # Documented tolerance: reduced precision only touches the VM↔VM
-        # score/softmax/context stage; downstream error stays ~1e-6.
+        f32 = TwoStagePolicy(ModelConfig(inference_dtype="float32"), rng=np.random.default_rng(0))
+        with no_grad():
+            out64 = base.act(observation, pm_mask_fn=env.pm_action_mask, rng=np.random.default_rng(5))
+            out32 = f32.act(observation, pm_mask_fn=env.pm_action_mask, rng=np.random.default_rng(5))
+        # Documented tolerance: the whole no-grad stack runs in single
+        # precision; downstream error stays ~1e-6.
         assert out32.value == pytest.approx(out64.value, abs=1e-5)
         assert out32.log_prob == pytest.approx(out64.log_prob, abs=1e-5)
         np.testing.assert_allclose(out32.vm_probs, out64.vm_probs, atol=1e-5)
 
-    def test_gradients_flow_through_float32_stage(self, env, observation):
-        policy = TwoStagePolicy(
-            ModelConfig(float32_vm_attention=True), rng=np.random.default_rng(0)
-        )
-        output = policy.act(observation, pm_mask_fn=env.pm_action_mask, rng=np.random.default_rng(5))
-        log_prob, entropy, value = policy.evaluate_actions(
-            observation,
-            output.vm_index,
-            output.pm_index,
-            observation.vm_mask,
-            env.pm_action_mask(output.vm_index),
-        )
-        (log_prob.sum() + value.sum()).backward()
-        grads = [p.grad for p in policy.parameters() if p.grad is not None]
-        assert grads
-        for grad in grads:
-            assert np.isfinite(grad).all()
-            assert np.asarray(grad).dtype == np.float64  # params stay f64
+    def test_gradient_tracking_forward_stays_float64(self, env, observation):
+        """Training never sees the knob: outputs and parameter gradients are
+        the float64 config's, bit for bit."""
+        results = []
+        for dtype in ("float64", "float32"):
+            policy = TwoStagePolicy(ModelConfig(inference_dtype=dtype), rng=np.random.default_rng(0))
+            output = policy.act(observation, pm_mask_fn=env.pm_action_mask, rng=np.random.default_rng(5))
+            log_prob, entropy, value = policy.evaluate_actions(
+                observation,
+                output.vm_index,
+                output.pm_index,
+                observation.vm_mask,
+                env.pm_action_mask(output.vm_index),
+            )
+            (log_prob.sum() + value.sum()).backward()
+            results.append((float(log_prob.item()), grads_of(policy)))
+        assert results[1][0] == results[0][0]
+        for grad32, grad64 in zip(results[1][1], results[0][1]):
+            assert (grad32 is None) == (grad64 is None)
+            if grad64 is not None:
+                assert grad32.dtype == np.float64
+                assert np.array_equal(grad32, grad64)
 
     def test_config_round_trips(self):
-        config = VMR2LConfig(model=ModelConfig(float32_vm_attention=True))
+        config = VMR2LConfig(model=ModelConfig(inference_dtype="float32"))
         restored = VMR2LConfig.from_dict(config.to_dict())
-        assert restored.model.float32_vm_attention is True
+        assert restored.model.inference_dtype == "float32"
 
 
 class TestNoGradInference:
     def test_act_same_action_under_no_grad(self, env, observation, policy):
-        """Same sampled action and mask; numbers within 1e-12 (the no-grad
-        attention kernel defers the softmax normalisation to the context)."""
+        """Same sampled action and mask, and the same numbers bit for bit:
+        both routes run the one attention kernel."""
         tracked = policy.act(observation, pm_mask_fn=env.pm_action_mask, rng=np.random.default_rng(5))
         with no_grad():
             untracked = policy.act(
@@ -191,10 +196,10 @@ class TestNoGradInference:
         assert tracked.vm_index == untracked.vm_index
         assert tracked.pm_index == untracked.pm_index
         np.testing.assert_array_equal(tracked.pm_mask, untracked.pm_mask)
-        assert untracked.log_prob == pytest.approx(tracked.log_prob, rel=0, abs=1e-12)
-        assert untracked.value == pytest.approx(tracked.value, rel=0, abs=1e-12)
-        np.testing.assert_allclose(untracked.vm_probs, tracked.vm_probs, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(untracked.pm_probs, tracked.pm_probs, rtol=0, atol=1e-12)
+        assert untracked.log_prob == tracked.log_prob
+        assert untracked.value == tracked.value
+        np.testing.assert_array_equal(untracked.vm_probs, tracked.vm_probs)
+        np.testing.assert_array_equal(untracked.pm_probs, tracked.pm_probs)
 
     def test_no_grad_is_thread_local(self):
         """Concurrent serving threads must not strand autograd off globally."""

@@ -108,9 +108,10 @@ class TestStepCacheEncoder:
     @pytest.mark.parametrize("model", [
         ModelConfig(),
         ModelConfig(extractor="vanilla"),
-        ModelConfig(attention_impl="chunked", attention_chunk_size=16),
+        # One head (the head split is a view, not a copy) through three blocks.
+        ModelConfig(embed_dim=16, num_heads=1, num_blocks=3),
         ModelConfig(inference_dtype="float32"),
-    ], ids=["sparse", "vanilla", "chunked", "float32"])
+    ], ids=["sparse", "vanilla", "one_head_deep", "float32"])
     def test_cached_forward_matches_fresh_over_episodes(self, model):
         policy = TwoStagePolicy(model, rng=np.random.default_rng(0))
         env = VMRescheduleEnv(_state(seed=6), ConstraintConfig(migration_limit=5))

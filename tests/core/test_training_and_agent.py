@@ -171,6 +171,20 @@ class TestVMR2LAgent:
             np.testing.assert_allclose(original_params[name], loaded_params[name])
         assert loaded.config.migration_limit == agent.config.migration_limit
 
+    def test_checkpoint_recording_retired_attention_options_loads(self, tmp_path):
+        from repro.nn.serialization import save_module
+
+        agent = VMR2LAgent(tiny_config(), seed=0)
+        config = agent.config.to_dict()
+        config["model"].update(
+            attention_impl="chunked", attention_chunk_size=256, float32_vm_attention=False
+        )
+        path = save_module(agent.policy, tmp_path / "old_ckpt", metadata={"config": config, "seed": 0})
+        loaded = VMR2LAgent.load(path)
+        assert loaded.config == agent.config
+        for name, array in agent.policy.state_dict().items():
+            assert np.array_equal(loaded.policy.state_dict()[name], array)
+
     def test_checkpoint_is_small(self, tmp_path):
         """The paper highlights checkpoints under 2 MB."""
         agent = VMR2LAgent(tiny_config(), seed=0)

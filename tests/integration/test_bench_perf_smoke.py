@@ -33,17 +33,17 @@ def test_bench_perf_hotpaths_smoke(tmp_path):
         "observation_build",
         "cluster_state_copy",
         "ppo_rollout_epoch",
-        "vm_attention_large_grad",
         "rollout_cached_steps",
     ):
         entry = results[name]
         assert entry["legacy_s"] > 0
         assert entry["vectorized_s"] > 0
         assert entry["speedup"] > 0
-    # Paths with one implementation left report an absolute time only.
-    # (No-grad attention is one kernel whatever ``attention_impl`` says.)
+    # Paths with one implementation left report an absolute time only
+    # (attention is one kernel, grad-tracking or not).
     for name in (
         "vm_attention_large",
+        "vm_attention_large_grad",
         "act_large_inference",
         "rollout_epoch_sync_inference",
         "rollout_epoch_async",

@@ -1,24 +1,31 @@
-"""Parity suite for the attention kernels.
+"""Parity suite for the attention kernel.
 
-Two contracts live here:
+Three contracts live here:
 
-* the ONE no-grad kernel (``repro.nn.attention._attention_array``: row-tiled
-  scores, normalisation deferred to the context) computes the same function
-  as the grad-tracking dense forward — ≤1e-12 in float64, f32 slack in
-  float32 — whatever the tile height, batch layout, mask or ``q_len``/``k_len``,
-  with exactly-zero dead rows, and never allocates an ``S×S`` tensor;
+* ONE kernel computes every attention (``repro.nn.attention._attention_array``:
+  tiled scores, normalisation deferred to the context).  No-grad forwards
+  call it directly and grad-tracking forwards through the ``_attention``
+  graph node, so the two paths give the same numbers bit for bit; both are
+  pinned against the seed's chained Tensor ops (``reference_ops()``) —
+  forward, weights and input/parameter gradients ≤1e-10 — whatever the tile
+  layout (one tile, batch tiles — a short last one included — row tiles),
+  mask (2-D/3-D, dead rows, padded items), batch layout, ``q_len``/``k_len``
+  (one query or one key included), ``return_weights`` or which of separate
+  query/key/value inputs are tracked, with exactly-zero dead rows, up to the
+  whole extractor's parameter gradients; the node's recompute backward also
+  matches finite differences;
+  and neither path ever allocates an ``S×S`` tensor;
+* float32 streams (``inference_dtype``) run the same kernel within f32 slack;
 * the incremental update (``TransformerEncoderLayer.forward_array_incremental``
   from an ``AttentionState`` plus the changed rows) computes the same function
   as the full kernel on the new input — ≤1e-12 per step, ≤1e-10 over a chain
   of 50 — whatever the changed-set size, batch raggedness or dtype, rescoring
-  the rows where subtraction would be unsafe, and never holds an ``S×S`` array;
-* the chunked streaming-softmax *autograd node* (what ``chunk_size`` /
-  ``ModelConfig.attention_impl="chunked"`` still select) matches the dense
-  node — forward and gradients, float64 and float32 — and replays the dense
-  operation order bit-for-bit when one chunk covers every key.
+  the rows where subtraction would be unsafe, and never holds an ``S×S`` array.
 """
 
+import contextlib
 import tracemalloc
+from typing import NamedTuple, Optional
 
 import numpy as np
 import pytest
@@ -30,25 +37,19 @@ from repro.env.observation import Observation
 from repro.nn import (
     AttentionMask,
     AttentionState,
+    CrossAttentionLayer,
     MultiHeadAttention,
     Tensor,
     TransformerEncoderLayer,
     no_grad,
+    reference_ops,
 )
 from repro.nn import attention as attention_module
 
 HEADS = 4
-
-
-def _pair(chunk_size, compute_dtype=None, seed=3):
-    dense = MultiHeadAttention(
-        32, HEADS, rng=np.random.default_rng(seed), compute_dtype=compute_dtype
-    )
-    chunked = MultiHeadAttention(
-        32, HEADS, rng=np.random.default_rng(seed), compute_dtype=compute_dtype,
-        chunk_size=chunk_size,
-    )
-    return dense, chunked
+#: Node vs seed reference.  The reference renormalises masked softmax rows by
+#: ``total + 1e-12``, which alone moves masked outputs by ~1e-12.
+REFERENCE_ATOL = 1e-10
 
 
 def _random_mask(rng, q_len, k_len, dead_row=None):
@@ -70,20 +71,81 @@ def _tile_rows(monkeypatch, rows, batch, k_len, itemsize=8):
     )
 
 
-class TestNoGradKernel:
-    """No-grad forward (the row-tiled kernel) vs the grad-tracking dense forward."""
+def _set_tiling(monkeypatch, tiling, batch, q_len, k_len):
+    """Budget the kernel for ``tiling`` and check the tiles it then walks:
+    "one" (the default budget: everything fits), "items" (one batch item per
+    tile), "rows" (4 query rows of every item) or "row" (one)."""
+    if tiling == "items":
+        monkeypatch.setattr(attention_module, "_SCORE_TILE_BYTES", HEADS * q_len * k_len * 8)
+    elif tiling != "one":
+        _tile_rows(monkeypatch, 4 if tiling == "rows" else 1, batch, k_len)
+    tiles, _ = attention_module._tiles(batch, HEADS, q_len, k_len, 8)
+    if tiling == "one":
+        assert len(tiles) == 1
+    elif tiling == "items":
+        assert len(tiles) == batch and all(rows == slice(None) for _, rows in tiles)
+    else:
+        height = 4 if tiling == "rows" else 1
+        assert len(tiles) == -(-q_len // height)
+        assert all(items == slice(None) for items, _ in tiles)
 
-    Q_LEN = 41
 
-    # Tile heights: the default budget (everything in one tile), q_len below
-    # the tile height, equal to it, a divisor-free height (41 = 5·8 + 1), one row.
-    @pytest.mark.parametrize("rows", [None, 64, 41, 8, 1])
+class Run(NamedTuple):
+    output: np.ndarray
+    weights: Optional[np.ndarray]
+    query_grad: Optional[np.ndarray]
+    key_value_grad: Optional[np.ndarray]
+    param_grads: dict
+
+
+def _run(layer, query, key_value=None, mask=None, return_weights=False, mode="node"):
+    """Forward (+ backward of a fixed random probe) of ``layer`` on fresh leaf
+    inputs: ``mode`` "node" (grad-tracking, the ``_attention`` node),
+    "reference" (grad-tracking under ``reference_ops()``) or "no_grad" (the
+    array path, forward only).  Self-attention when ``key_value`` is None."""
+    for param in layer.parameters():
+        param.grad = None
+    q = Tensor(query.copy(), requires_grad=True)
+    kv = q if key_value is None else Tensor(key_value.copy(), requires_grad=True)
+    context = {
+        "node": contextlib.nullcontext, "reference": reference_ops, "no_grad": no_grad,
+    }[mode]
+    with context():
+        result = layer(q, kv, kv, mask=mask, return_weights=return_weights)
+        output, weights = result if return_weights else (result, None)
+        if mode != "no_grad":
+            output.backward(np.random.default_rng(99).normal(size=output.shape))
+    return Run(
+        output.data, weights, q.grad, None if key_value is None else kv.grad,
+        {name: param.grad for name, param in layer.named_parameters()},
+    )
+
+
+def _assert_runs_close(actual: Run, expected: Run, atol=REFERENCE_ATOL):
+    np.testing.assert_allclose(actual.output, expected.output, rtol=0, atol=atol)
+    for name in ("weights", "query_grad", "key_value_grad"):
+        if getattr(expected, name) is not None:
+            np.testing.assert_allclose(
+                getattr(actual, name), getattr(expected, name), rtol=0, atol=atol, err_msg=name
+            )
+    for key, grad in expected.param_grads.items():
+        np.testing.assert_allclose(
+            actual.param_grads[key], grad, rtol=0, atol=atol, err_msg=f"parameter {key}"
+        )
+
+
+class TestOneKernel:
+    """The node and the no-grad path vs the seed reference, over tile layouts."""
+
+    Q_LEN = 41  # divisor-free: 41 = 10·4 + 1
+
+    @pytest.mark.parametrize("tiling", ["one", "items", "rows", "row"])
     @pytest.mark.parametrize(
         "batch,mask_kind",
         [(batch, kind) for batch in (None, 1, 3) for kind in ("none", "2d", "3d")
          if batch is not None or kind != "3d"],
     )
-    def test_matches_tracking_dense(self, monkeypatch, rows, batch, mask_kind):
+    def test_self_attention_matches_reference(self, monkeypatch, tiling, batch, mask_kind):
         rng = np.random.default_rng(0)
         q_len = self.Q_LEN
         x = rng.normal(size=(q_len, 32) if batch is None else (batch, q_len, 32))
@@ -98,110 +160,305 @@ class TestNoGradKernel:
             )
             dead[np.arange(batch), np.arange(batch)] = True
         layer = MultiHeadAttention(32, HEADS, rng=np.random.default_rng(3))
-        expected = _self_attend(layer, x, mask=mask).data
-        if rows is not None:
-            _tile_rows(monkeypatch, rows, batch or 1, q_len)
-        with no_grad():
-            actual = _self_attend(layer, x, mask=mask).data
-        np.testing.assert_allclose(actual, expected, rtol=0, atol=1e-12)
+        expected = _run(layer, x, mask=mask, mode="reference")
+        _set_tiling(monkeypatch, tiling, batch or 1, q_len, q_len)
+        node = _run(layer, x, mask=mask)
+        _assert_runs_close(node, expected)
+        # One kernel: the no-grad path computes the node's numbers exactly.
+        assert np.array_equal(_run(layer, x, mask=mask, mode="no_grad").output, node.output)
         # Fully-masked query rows: exactly zero context, so exactly the
-        # output-projection bias — on both paths.
+        # output-projection bias.
         bias_row = layer.out_proj.bias.data
-        assert np.array_equal(actual[dead], np.broadcast_to(bias_row, actual[dead].shape))
-        assert np.array_equal(expected[dead], actual[dead])
+        assert np.array_equal(node.output[dead], np.broadcast_to(bias_row, node.output[dead].shape))
 
-    @pytest.mark.parametrize("rows", [None, 4])
+    @pytest.mark.parametrize("tiling", ["one", "items", "rows", "row"])
     @pytest.mark.parametrize("batch", [None, 2])
-    def test_cross_attention_and_weights(self, monkeypatch, rows, batch):
-        """``q_len != k_len`` plus ``return_weights``: head-mean probabilities
-        written per tile, rows summing to one, dead rows exactly zero."""
+    def test_cross_attention_and_weights(self, monkeypatch, tiling, batch):
+        """``q_len != k_len`` plus ``return_weights`` (a 2-D mask unbatched, a
+        3-D one batched): head-mean probabilities written per tile, rows
+        summing to one; the dead row's weights, output and query gradient are
+        exactly zero."""
         rng = np.random.default_rng(3)
         lead = () if batch is None else (batch,)
         q = rng.normal(size=lead + (11, 32))
         kv = rng.normal(size=lead + (53, 32))
         mask = _random_mask(rng, 11, 53, dead_row=2)
+        if batch is not None:
+            mask = np.stack([mask, _random_mask(rng, 11, 53, dead_row=2)])
         layer = MultiHeadAttention(32, HEADS, rng=np.random.default_rng(3))
-        expected, expected_weights = layer(
-            Tensor(q), Tensor(kv), Tensor(kv), mask=mask, return_weights=True
-        )
-        if rows is not None:
-            _tile_rows(monkeypatch, rows, batch or 1, 53)
-        with no_grad():
-            actual, weights = layer(
-                Tensor(q), Tensor(kv), Tensor(kv), mask=mask, return_weights=True
-            )
+        expected = _run(layer, q, kv, mask=mask, return_weights=True, mode="reference")
+        _set_tiling(monkeypatch, tiling, batch or 1, 11, 53)
+        node = _run(layer, q, kv, mask=mask, return_weights=True)
+        _assert_runs_close(node, expected)
+        untracked = _run(layer, q, kv, mask=mask, return_weights=True, mode="no_grad")
+        assert np.array_equal(untracked.output, node.output)
+        assert np.array_equal(untracked.weights, node.weights)
+        weights = node.weights
         assert weights.shape == lead + (11, 53)
-        np.testing.assert_allclose(actual.data, expected.data, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(weights, expected_weights, rtol=0, atol=1e-12)
         sums = weights.sum(axis=-1)
         assert np.array_equal(sums[..., 2], np.zeros(lead))
         np.testing.assert_allclose(np.delete(sums, 2, axis=-1), 1.0, rtol=0, atol=1e-12)
         assert not weights[..., ~mask].any()
+        assert not node.query_grad[..., 2, :].any()
 
     @pytest.mark.parametrize("rows", [None, 7])
-    @pytest.mark.parametrize("stream", ["float64", "float32"])
-    def test_float32_compute_dtype(self, monkeypatch, rows, stream):
-        """``compute_dtype=float32`` on an f64 stream, and an all-f32 stream
-        (``inference_dtype``), through the same dtype-generic kernel."""
+    def test_float32_stream(self, monkeypatch, rows):
+        """An all-f32 stream (``inference_dtype``) through the same
+        dtype-generic kernel, within f32 slack of the f64 reference."""
         rng = np.random.default_rng(6)
         x = rng.normal(size=(2, 33, 32))
         mask = _random_mask(rng, 33, 33, dead_row=5)
-        reference = MultiHeadAttention(32, HEADS, rng=np.random.default_rng(3))
-        expected = _self_attend(reference, x, mask=mask).data
-        layer = MultiHeadAttention(
-            32, HEADS, rng=np.random.default_rng(3),
-            compute_dtype=np.float32 if stream == "float64" else None,
-        )
+        layer = MultiHeadAttention(32, HEADS, rng=np.random.default_rng(3))
+        expected = _run(layer, x, mask=mask, mode="reference").output
         if rows is not None:
             _tile_rows(monkeypatch, rows, 2, 33, itemsize=4)
         with no_grad():
-            actual = _self_attend(layer, x.astype(stream), mask=mask).data
-        assert actual.dtype == np.dtype(stream)
+            actual = _self_attend(layer, x.astype(np.float32), mask=mask).data
+        assert actual.dtype == np.float32
         np.testing.assert_allclose(actual, expected, rtol=0, atol=1e-5)
 
-    @pytest.mark.parametrize("batch", [1, 3])
-    def test_one_tile_equals_many_tiles(self, monkeypatch, batch):
+    def test_tile_layouts_agree(self, monkeypatch):
+        """One tile, batch tiles and row tiles: forward and gradients agree
+        to rounding (the row tiles sum dK/dV over tiles)."""
         rng = np.random.default_rng(8)
-        x = rng.normal(size=(batch, 50, 32))
+        x = rng.normal(size=(3, 50, 32))
         mask = _random_mask(rng, 50, 50, dead_row=9)
         layer = MultiHeadAttention(32, HEADS, rng=np.random.default_rng(3))
-        with no_grad():
-            one_out, one_weights = _self_attend(layer, x, mask=mask, return_weights=True)
-            _tile_rows(monkeypatch, 6, batch, 50)
-            many_out, many_weights = _self_attend(layer, x, mask=mask, return_weights=True)
-        np.testing.assert_allclose(many_out.data, one_out.data, rtol=0, atol=1e-13)
-        np.testing.assert_allclose(many_weights, one_weights, rtol=0, atol=1e-13)
+        runs = {}
+        for tiling in ("one", "items", "rows"):
+            with monkeypatch.context() as patch:
+                _set_tiling(patch, tiling, 3, 50, 50)
+                runs[tiling] = _run(layer, x, mask=mask, return_weights=True)
+        for tiling in ("items", "rows"):
+            _assert_runs_close(runs[tiling], runs["one"], atol=1e-13)
 
-    def test_chunk_size_does_not_select_a_no_grad_kernel(self):
-        """``chunk_size`` picks the autograd node only: no-grad is one kernel."""
-        rng = np.random.default_rng(1)
-        x = rng.normal(size=(2, 30, 32))
-        dense, chunked = _pair(chunk_size=7)
-        with no_grad():
-            assert np.array_equal(_self_attend(chunked, x).data, _self_attend(dense, x).data)
+    @pytest.mark.parametrize("tiling", ["one", "items"])
+    @pytest.mark.parametrize("q_len,k_len", [(1, 1), (1, 9), (9, 1), (9, 2)])
+    def test_single_query_or_key(self, monkeypatch, tiling, q_len, k_len):
+        """Degenerate lengths: one query row, or one key (every softmax row
+        is then exactly one)."""
+        rng = np.random.default_rng(15)
+        q = rng.normal(size=(3, q_len, 32))
+        kv = rng.normal(size=(3, k_len, 32))
+        layer = MultiHeadAttention(32, HEADS, rng=np.random.default_rng(3))
+        expected = _run(layer, q, kv, return_weights=True, mode="reference")
+        _set_tiling(monkeypatch, tiling, 3, q_len, k_len)
+        node = _run(layer, q, kv, return_weights=True)
+        _assert_runs_close(node, expected)
+        if k_len == 1:
+            assert np.array_equal(node.weights, np.ones((3, q_len, 1)))
+
+    @pytest.mark.parametrize("tiling", ["one", "items", "rows", "row"])
+    def test_more_queries_than_keys(self, monkeypatch, tiling):
+        """The VM→PM layout: many queries over few keys, a 3-D mask with a
+        different dead query row per item."""
+        rng = np.random.default_rng(16)
+        q = rng.normal(size=(2, 53, 32))
+        kv = rng.normal(size=(2, 11, 32))
+        mask = rng.random((2, 53, 11)) < 0.4
+        mask[:, :, 0] = True
+        dead = (np.arange(2), np.array([5, 40]))
+        mask[dead] = False
+        layer = MultiHeadAttention(32, HEADS, rng=np.random.default_rng(3))
+        expected = _run(layer, q, kv, mask=mask, return_weights=True, mode="reference")
+        _set_tiling(monkeypatch, tiling, 2, 53, 11)
+        node = _run(layer, q, kv, mask=mask, return_weights=True)
+        _assert_runs_close(node, expected)
+        assert not node.weights[dead].any()
+        assert not node.query_grad[dead].any()
+
+
+class TestGradientParity:
+    """Node vs reference input and parameter gradients: tile heights, short
+    final batch tiles, padded items, and separate, partly tracked inputs."""
+
+    # The kernel's tile budget in query rows: row tiles of a divisor-free
+    # height (29 = 9·3 + 2), of more than half the rows, or room for them all.
+    @pytest.mark.parametrize("rows", [3, 17, 64])
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_input_and_parameter_gradients(self, monkeypatch, rows, batched):
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(2, 29, 32) if batched else (29, 32))
+        mask = AttentionMask(_random_mask(rng, 29, 29, dead_row=3))
+        layer = MultiHeadAttention(32, HEADS, rng=np.random.default_rng(3))
+        expected = _run(layer, x, mask=mask, mode="reference")
+        _tile_rows(monkeypatch, rows, 2 if batched else 1, 29)
+        node = _run(layer, x, mask=mask)
+        _assert_runs_close(node, expected)
+        dead = node.output[..., 3, :]  # row 3 attends to nothing
+        assert np.array_equal(dead, np.broadcast_to(layer.out_proj.bias.data, dead.shape))
+
+    @pytest.mark.parametrize("per_tile,sizes", [(2, [2, 2, 1]), (3, [3, 2])])
+    def test_short_final_batch_tile(self, monkeypatch, per_tile, sizes):
+        """Five items in batch tiles of two or three: the last tile is short,
+        so the backward's per-tile dK/dV buffer is only partly used."""
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(5, 23, 32))
+        mask = np.stack([_random_mask(rng, 23, 23, dead_row=item) for item in range(5)])
+        layer = MultiHeadAttention(32, HEADS, rng=np.random.default_rng(3))
+        expected = _run(layer, x, mask=mask, return_weights=True, mode="reference")
+        monkeypatch.setattr(attention_module, "_SCORE_TILE_BYTES", per_tile * HEADS * 23 * 23 * 8)
+        tiles, _ = attention_module._tiles(5, HEADS, 23, 23, 8)
+        assert [len(range(5)[items]) for items, _ in tiles] == sizes
+        _assert_runs_close(_run(layer, x, mask=mask, return_weights=True), expected)
+
+    @pytest.mark.parametrize("tiling", ["one", "items", "rows", "row"])
+    def test_padding_gets_zero_gradient(self, monkeypatch, tiling):
+        """Ragged items padded to one length (as the tree stage buckets
+        them): a padded position is neither a live query nor a key, so its
+        output is exactly the output bias and its input gradient exactly zero."""
+        rng = np.random.default_rng(13)
+        valid = np.arange(19)[None, :] < np.array([19, 7, 12])[:, None]
+        x = rng.normal(size=(3, 19, 32))
+        mask = valid[:, :, None] & valid[:, None, :]
+        layer = MultiHeadAttention(32, HEADS, rng=np.random.default_rng(3))
+        expected = _run(layer, x, mask=mask, mode="reference")
+        _set_tiling(monkeypatch, tiling, 3, 19, 19)
+        node = _run(layer, x, mask=mask)
+        _assert_runs_close(node, expected)
+        assert not node.query_grad[~valid].any()
+        padded = node.output[~valid]
+        assert np.array_equal(padded, np.broadcast_to(layer.out_proj.bias.data, padded.shape))
+
+    @staticmethod
+    def _run_inputs(layer, arrays, tracked, mask, mode):
+        """Output, per-input gradients (None where untracked) and parameter
+        gradients of ``layer(query, key, value)`` on separate leaves."""
+        for param in layer.parameters():
+            param.grad = None
+        leaves = [Tensor(a.copy(), requires_grad=track) for a, track in zip(arrays, tracked)]
+        with reference_ops() if mode == "reference" else contextlib.nullcontext():
+            out = layer(*leaves, mask=mask)
+            out.backward(np.random.default_rng(99).normal(size=out.shape))
+        params = {name: param.grad for name, param in layer.named_parameters()}
+        return out.data, [leaf.grad for leaf in leaves], params
+
+    @pytest.mark.parametrize("tracked", ["all", "query", "key", "value", "none"])
+    def test_separate_and_partly_tracked_inputs(self, tracked):
+        """Distinct query, key and value inputs, all, one or none of them
+        tracked: every tracked input and every parameter gets the reference
+        gradient, an untracked input none."""
+        rng = np.random.default_rng(14)
+        arrays = [rng.normal(size=(2, length, 32)) for length in (13, 31, 31)]
+        mask = _random_mask(rng, 13, 31, dead_row=6)
+        flags = [tracked in ("all", name) for name in ("query", "key", "value")]
+        layer = MultiHeadAttention(32, HEADS, rng=np.random.default_rng(3))
+        expected = self._run_inputs(layer, arrays, flags, mask, "reference")
+        actual = self._run_inputs(layer, arrays, flags, mask, "node")
+        np.testing.assert_allclose(actual[0], expected[0], rtol=0, atol=REFERENCE_ATOL)
+        for flag, grad, expected_grad in zip(flags, actual[1], expected[1]):
+            if flag:
+                np.testing.assert_allclose(grad, expected_grad, rtol=0, atol=REFERENCE_ATOL)
+            else:
+                assert grad is None
+        for name, grad in expected[2].items():
+            np.testing.assert_allclose(
+                actual[2][name], grad, rtol=0, atol=REFERENCE_ATOL, err_msg=f"parameter {name}"
+            )
+
+    def test_gradients_accumulate_over_graphs(self):
+        """Two graphs through the node add into the same leaves: exactly
+        twice the gradient of one."""
+        rng = np.random.default_rng(17)
+        x = rng.normal(size=(2, 21, 32))
+        mask = _random_mask(rng, 21, 21, dead_row=0)
+        layer = MultiHeadAttention(32, HEADS, rng=np.random.default_rng(3))
+        once = _run(layer, x, mask=mask)
+        probe = np.random.default_rng(99).normal(size=x.shape)
+        for param in layer.parameters():
+            param.grad = None
+        xt = Tensor(x.copy(), requires_grad=True)
+        for _ in range(2):
+            layer(xt, xt, xt, mask=mask).backward(probe)
+        np.testing.assert_allclose(xt.grad, 2 * once.query_grad, rtol=0, atol=1e-12)
+        for name, param in layer.named_parameters():
+            np.testing.assert_allclose(
+                param.grad, 2 * once.param_grads[name], rtol=0, atol=1e-12, err_msg=name
+            )
+
+
+class TestNodeBackward:
+    @pytest.mark.parametrize("tiling", ["one", "row", "items"])
+    @pytest.mark.parametrize("mask_kind", ["none", "2d", "3d"])
+    def test_matches_finite_differences(self, monkeypatch, tiling, mask_kind):
+        """The recompute backward against central differences of the forward
+        (tiny cross-attention; masks with a dead row) — the manual
+        reverse-mode vs numerical-Jacobian check."""
+        rng = np.random.default_rng(11)
+        heads, batch, q_len, k_len, embed = 2, 2, 5, 7, 8
+        inputs = [rng.normal(size=(batch, length, embed)) for length in (q_len, k_len, k_len)]
+        keep = rng.random((batch, q_len, k_len)) < 0.6
+        keep[:, :, 0] = True
+        keep[:, 3] = False
+        mask = {"none": None, "2d": AttentionMask(keep[0]), "3d": AttentionMask(keep)}[mask_kind]
+        probe = rng.normal(size=(batch, q_len, embed))
+        if tiling == "row":
+            monkeypatch.setattr(attention_module, "_SCORE_TILE_BYTES", batch * heads * k_len * 8)
+        elif tiling == "items":
+            monkeypatch.setattr(attention_module, "_SCORE_TILE_BYTES", heads * q_len * k_len * 8)
+
+        def loss(arrays):
+            out = attention_module._attention(*(Tensor(a) for a in arrays), mask, heads)
+            return float((out.data * probe).sum())
+
+        leaves = [Tensor(a.copy(), requires_grad=True) for a in inputs]
+        attention_module._attention(*leaves, mask, heads).backward(probe)
+        eps = 1e-6
+        for index, leaf in enumerate(leaves):
+            numeric = np.zeros_like(inputs[index])
+            for position in np.ndindex(numeric.shape):
+                shifted = [a.copy() for a in inputs]
+                shifted[index][position] += eps
+                upper = loss(shifted)
+                shifted[index][position] -= 2 * eps
+                numeric[position] = (upper - loss(shifted)) / (2 * eps)
+            np.testing.assert_allclose(leaf.grad, numeric, rtol=0, atol=1e-8)
+        if mask is not None:
+            assert not leaves[0].grad[:, 3].any()  # the dead query row
 
 
 class TestAllocationGuard:
+    SEQ = 900  # the large bench size: heads·S·S f64 scores are 26 MB
+
+    def _peak(self, step):
+        tracemalloc.start()
+        try:
+            step()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     def test_no_square_temporary(self):
         """A no-grad encoder layer at the large bench size never holds the
-        ``heads·S·S`` score tensor (26 MB at S=900) — deterministic, no timing."""
-        seq = 900
-        dense_scores_bytes = HEADS * seq * seq * 8
+        ``heads·S·S`` score tensor — deterministic, no timing."""
         layer = TransformerEncoderLayer(32, HEADS, 64, rng=np.random.default_rng(0))
-        x = np.random.default_rng(1).normal(size=(1, seq, 32))
+        x = np.random.default_rng(1).normal(size=(1, self.SEQ, 32))
 
-        def forward_peak():
-            tracemalloc.start()
-            try:
-                with no_grad():
-                    layer(Tensor(x))
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+        def forward():
+            with no_grad():
+                layer(Tensor(x))
 
-        first = forward_peak()
-        second = forward_peak()
-        assert first < dense_scores_bytes / 4
+        first = self._peak(forward)
+        second = self._peak(forward)
+        assert first < HEADS * self.SEQ ** 2 * 8 / 4
+        assert second <= first
+
+    def test_grad_step_has_no_square_temporary(self):
+        """A grad-tracking forward + backward of the attention layer saves and
+        recomputes tiles, never the ``heads·S·S`` probabilities (the retired
+        dense node peaked at ~106 MiB here)."""
+        layer = MultiHeadAttention(32, HEADS, rng=np.random.default_rng(0))
+        x = np.random.default_rng(1).normal(size=(1, self.SEQ, 32))
+
+        def step():
+            for param in layer.parameters():
+                param.grad = None
+            xt = Tensor(x, requires_grad=True)
+            layer(xt, xt, xt).sum().backward()
+
+        first = self._peak(step)
+        second = self._peak(step)
+        assert first < HEADS * self.SEQ ** 2 * 8 / 4
         assert second <= first
 
 
@@ -224,14 +481,10 @@ class TestIncrementalUpdate:
 
     # 0 and 1 changed rows, ~2 % of them, and too many for the update to pay.
     @pytest.mark.parametrize("count,updated", [(0, True), (1, True), (8, True), (150, False)])
-    @pytest.mark.parametrize("mode", ["float64", "compute_float32", "stream_float32"])
-    def test_update_matches_full_kernel(self, count, updated, mode):
+    @pytest.mark.parametrize("stream", [np.float64, np.float32])
+    def test_update_matches_full_kernel(self, count, updated, stream):
         rng = np.random.default_rng(0)
-        stream = np.float32 if mode == "stream_float32" else np.float64
-        layer = TransformerEncoderLayer(
-            32, HEADS, 64, rng=np.random.default_rng(3),
-            compute_dtype=np.float32 if mode == "compute_float32" else None,
-        )
+        layer = TransformerEncoderLayer(32, HEADS, 64, rng=np.random.default_rng(3))
         x = rng.normal(size=(1, self.SEQ, 32)).astype(stream)
         _, state = layer.forward_array_incremental(x)
         assert state.recomputed == self.SEQ
@@ -244,7 +497,7 @@ class TestIncrementalUpdate:
         assert state.recomputed == (max(count, 1) if updated else self.SEQ)
         np.testing.assert_allclose(
             actual, layer.forward_array(x_new), rtol=0,
-            atol=1e-12 if mode == "float64" else 1e-5,
+            atol=1e-12 if stream == np.float64 else 1e-5,
         )
 
     def test_short_sequences_keep_no_state(self):
@@ -356,125 +609,27 @@ class TestIncrementalUpdate:
             assert sum(axis == seq for axis in getattr(state, name).shape) == 1, name
 
 
-class TestChunkedForwardParity:
-    """Grad-tracking forwards: the chunked autograd node vs the dense one."""
-
-    @pytest.mark.parametrize("chunk", [1, 3, 16, 64])
-    @pytest.mark.parametrize("batched", [False, True])
-    def test_tracking_forward(self, chunk, batched):
-        rng = np.random.default_rng(0)
-        shape = (3, 41, 32) if batched else (41, 32)
-        x = rng.normal(size=shape)
-        dense, chunked = _pair(chunk)
-        np.testing.assert_allclose(
-            _self_attend(chunked, x).data, _self_attend(dense, x).data, rtol=0, atol=1e-12
-        )
-
-    @pytest.mark.parametrize("batched", [False, True])
-    def test_single_chunk_is_bitwise(self, batched):
-        """One chunk covering all keys replays the dense op order exactly; the
-        no-grad kernel reorders one rounding and stays within 1e-12."""
-        rng = np.random.default_rng(1)
-        shape = (2, 30, 32) if batched else (30, 32)
-        x = rng.normal(size=shape)
-        dense, chunked = _pair(chunk_size=10_000)
-        out_dense = _self_attend(dense, x).data
-        assert np.array_equal(_self_attend(chunked, x).data, out_dense)
-        with no_grad():
-            out_no_grad = _self_attend(chunked, x).data
-        np.testing.assert_allclose(out_no_grad, out_dense, rtol=0, atol=1e-12)
-
-    @pytest.mark.parametrize("chunk", [5, 64])
-    def test_masked_with_dead_rows(self, chunk):
-        rng = np.random.default_rng(2)
-        x = rng.normal(size=(37, 32))
-        mask = _random_mask(rng, 37, 37, dead_row=4)
-        dense, chunked = _pair(chunk)
-        out_dense = _self_attend(dense, x, mask=AttentionMask(mask)).data
-        out_chunked = _self_attend(chunked, x, mask=AttentionMask(mask)).data
-        np.testing.assert_allclose(out_chunked, out_dense, rtol=0, atol=1e-12)
-        # Dead query rows produce exactly zero context on both kernels.
-        assert np.array_equal(out_chunked[4], chunked.out_proj.bias.data)
-        assert np.array_equal(out_dense[4], dense.out_proj.bias.data)
-
-    def test_cross_attention_shapes(self):
-        """Chunking handles q_len != k_len (cross-attention layouts)."""
-        rng = np.random.default_rng(3)
-        q = rng.normal(size=(11, 32))
-        kv = rng.normal(size=(53, 32))
-        dense, chunked = _pair(7)
-        out_dense = dense(Tensor(q), Tensor(kv), Tensor(kv)).data
-        out_chunked = chunked(Tensor(q), Tensor(kv), Tensor(kv)).data
-        np.testing.assert_allclose(out_chunked, out_dense, rtol=0, atol=1e-12)
-
-    def test_return_weights_falls_back_to_dense(self):
-        rng = np.random.default_rng(4)
-        x = rng.normal(size=(20, 32))
-        dense, chunked = _pair(6)
-        out_dense, w_dense = _self_attend(dense, x, return_weights=True)
-        out_chunked, w_chunked = _self_attend(chunked, x, return_weights=True)
-        assert np.array_equal(w_chunked, w_dense)
-        assert np.array_equal(out_chunked.data, out_dense.data)
-
-
-class TestGradientParity:
-    @pytest.mark.parametrize("chunk", [3, 17, 64])
-    @pytest.mark.parametrize("batched", [False, True])
-    def test_input_and_parameter_gradients(self, chunk, batched):
-        rng = np.random.default_rng(5)
-        shape = (2, 29, 32) if batched else (29, 32)
-        x = rng.normal(size=shape)
-        mask = _random_mask(rng, 29, 29, dead_row=3)
-        dense, chunked = _pair(chunk)
-        grad = rng.normal(size=shape)
-
-        results = {}
-        for name, layer in (("dense", dense), ("chunked", chunked)):
-            xt = Tensor(x.copy(), requires_grad=True)
-            out = layer(xt, xt, xt, mask=AttentionMask(mask))
-            out.backward(grad.copy())
-            results[name] = (
-                out.data,
-                xt.grad,
-                {k: p.grad for k, p in layer.named_parameters()},
-            )
-        np.testing.assert_allclose(results["chunked"][0], results["dense"][0], rtol=0, atol=1e-12)
-        np.testing.assert_allclose(results["chunked"][1], results["dense"][1], rtol=0, atol=1e-10)
-        for key, dense_grad in results["dense"][2].items():
-            np.testing.assert_allclose(
-                results["chunked"][2][key], dense_grad, rtol=0, atol=1e-10,
-                err_msg=f"parameter {key}",
-            )
-
-    def test_float32_compute_dtype(self):
-        """The reduced-precision VM↔VM mode works chunked, within f32 slack."""
-        rng = np.random.default_rng(6)
-        x = rng.normal(size=(33, 32))
-        dense, chunked = _pair(8, compute_dtype=np.float32)
-        grad = rng.normal(size=(33, 32))
-        outs, grads = [], []
-        for layer in (dense, chunked):
-            xt = Tensor(x.copy(), requires_grad=True)
-            out = layer(xt, xt, xt)
-            out.backward(grad.copy())
-            outs.append(out.data)
-            grads.append(xt.grad)
-        np.testing.assert_allclose(outs[1], outs[0], rtol=0, atol=1e-5)
-        np.testing.assert_allclose(grads[1], grads[0], rtol=0, atol=1e-4)
-
-
 class TestEncoderLayerAndExtractor:
-    def test_encoder_layer_parity(self):
+    def test_encoder_layer_matches_reference(self):
         rng = np.random.default_rng(7)
         x = rng.normal(size=(45, 32))
-        dense = TransformerEncoderLayer(32, 4, 64, rng=np.random.default_rng(8))
-        chunked = TransformerEncoderLayer(
-            32, 4, 64, rng=np.random.default_rng(8), chunk_size=9
-        )
-        expected = dense(Tensor(x)).data
-        np.testing.assert_allclose(chunked(Tensor(x)).data, expected, rtol=0, atol=1e-12)
+        layer = TransformerEncoderLayer(32, HEADS, 64, rng=np.random.default_rng(8))
+        probe = rng.normal(size=x.shape)
+        runs = {}
+        for mode, context in (("node", contextlib.nullcontext), ("reference", reference_ops)):
+            for param in layer.parameters():
+                param.grad = None
+            xt = Tensor(x.copy(), requires_grad=True)
+            with context():
+                out = layer(xt)
+                out.backward(probe)
+            runs[mode] = Run(
+                out.data, None, xt.grad, None,
+                {name: param.grad for name, param in layer.named_parameters()},
+            )
+        _assert_runs_close(runs["node"], runs["reference"])
         with no_grad():
-            np.testing.assert_allclose(dense(Tensor(x)).data, expected, rtol=0, atol=1e-12)
+            assert np.array_equal(layer(Tensor(x)).data, runs["node"].output)
 
     @staticmethod
     def _observation(rng, num_pms=6, num_vms=40):
@@ -490,57 +645,99 @@ class TestEncoderLayerAndExtractor:
         )
 
     @pytest.mark.parametrize("grad", [False, True])
-    def test_extractor_forward_parity(self, grad):
-        """ModelConfig.attention_impl="chunked" matches the dense extractor."""
-        rng = np.random.default_rng(9)
-        observation = self._observation(rng)
-        dense = SparseAttentionExtractor(
-            ModelConfig(), rng=np.random.default_rng(10)
-        )
-        chunked = SparseAttentionExtractor(
-            ModelConfig(attention_impl="chunked", attention_chunk_size=8),
-            rng=np.random.default_rng(10),
-        )
-        def run(extractor):
-            if grad:
-                return extractor(build_feature_batch(observation))
-            with no_grad():
-                return extractor(build_feature_batch(observation))
-        out_dense = run(dense)
-        out_chunked = run(chunked)
+    def test_extractor_matches_reference(self, grad):
+        """The whole extractor (grouped tree stage, every attention through
+        the one kernel) vs the seed substrate (dense tree mask, chained ops)."""
+        observation = self._observation(np.random.default_rng(9))
+        extractor = SparseAttentionExtractor(ModelConfig(), rng=np.random.default_rng(10))
+        with reference_ops():
+            expected = extractor(build_feature_batch(observation))
+        with contextlib.nullcontext() if grad else no_grad():
+            actual = extractor(build_feature_batch(observation))
+        for name in ("vm_embeddings", "pm_embeddings"):
+            np.testing.assert_allclose(
+                getattr(actual, name).data, getattr(expected, name).data,
+                rtol=0, atol=REFERENCE_ATOL, err_msg=name,
+            )
         np.testing.assert_allclose(
-            out_chunked.vm_embeddings.data, out_dense.vm_embeddings.data, rtol=0, atol=1e-10
-        )
-        np.testing.assert_allclose(
-            out_chunked.pm_embeddings.data, out_dense.pm_embeddings.data, rtol=0, atol=1e-10
-        )
-        np.testing.assert_allclose(
-            out_chunked.vm_pm_scores, out_dense.vm_pm_scores, rtol=0, atol=1e-10
+            actual.vm_pm_scores, expected.vm_pm_scores, rtol=0, atol=REFERENCE_ATOL
         )
 
+    def test_extractor_gradients_match_reference(self):
+        """Every extractor parameter's gradient, with each attention stage's
+        backward through the node, vs the seed substrate's chained ops."""
+        observation = self._observation(np.random.default_rng(9))
+        extractor = SparseAttentionExtractor(ModelConfig(), rng=np.random.default_rng(10))
+        grads = {}
+        for mode, context in (("node", contextlib.nullcontext), ("reference", reference_ops)):
+            for param in extractor.parameters():
+                param.grad = None
+            probe_rng = np.random.default_rng(11)
+            with context():
+                out = extractor(build_feature_batch(observation))
+                vm, pm = out.vm_embeddings, out.pm_embeddings
+                loss = (vm * Tensor(probe_rng.normal(size=vm.shape))).sum()
+                (loss + (pm * Tensor(probe_rng.normal(size=pm.shape))).sum()).backward()
+            grads[mode] = {name: param.grad for name, param in extractor.named_parameters()}
+        assert grads["node"].keys() == grads["reference"].keys()
+        for name, grad in grads["reference"].items():
+            np.testing.assert_allclose(
+                grads["node"][name], grad, rtol=0, atol=REFERENCE_ATOL, err_msg=name
+            )
+
+    def test_cross_attention_layer_matches_reference(self):
+        """The pre-norm VM→PM block: output and every gradient through the
+        node vs the reference, a dead query row included."""
+        rng = np.random.default_rng(18)
+        query = rng.normal(size=(2, 37, 32))
+        key_value = rng.normal(size=(2, 9, 32))
+        mask = rng.random((37, 9)) < 0.5
+        mask[:, 4] = True
+        mask[12] = False
+        layer = CrossAttentionLayer(32, HEADS, 64, rng=np.random.default_rng(8))
+        probe = rng.normal(size=query.shape)
+        runs = {}
+        for mode, context in (("node", contextlib.nullcontext), ("reference", reference_ops)):
+            for param in layer.parameters():
+                param.grad = None
+            qt = Tensor(query.copy(), requires_grad=True)
+            kvt = Tensor(key_value.copy(), requires_grad=True)
+            with context():
+                out, weights = layer(qt, kvt, mask=mask, return_weights=True)
+                out.backward(probe)
+            runs[mode] = Run(
+                out.data, weights, qt.grad, kvt.grad,
+                {name: param.grad for name, param in layer.named_parameters()},
+            )
+        _assert_runs_close(runs["node"], runs["reference"])
+
     def test_extractor_no_grad_matches_tracking(self):
-        """Only the final block computes VM→PM weights, on both routes: same
-        scores and embeddings from the no-grad kernel as from the Tensor path."""
+        """Only the final block computes VM→PM weights, on both routes, and
+        both routes run the one kernel: the array path's scores and
+        embeddings are the Tensor path's, bit for bit."""
         observation = self._observation(np.random.default_rng(9))
         extractor = SparseAttentionExtractor(ModelConfig(), rng=np.random.default_rng(10))
         tracked = extractor(build_feature_batch(observation))
         with no_grad():
             untracked = extractor(build_feature_batch(observation))
         assert untracked.vm_pm_scores.shape == (40, 6)
-        np.testing.assert_allclose(
-            untracked.vm_pm_scores, tracked.vm_pm_scores, rtol=0, atol=1e-12
-        )
-        np.testing.assert_allclose(
-            untracked.vm_embeddings.data, tracked.vm_embeddings.data, rtol=0, atol=1e-12
-        )
-        np.testing.assert_allclose(
-            untracked.pm_embeddings.data, tracked.pm_embeddings.data, rtol=0, atol=1e-12
-        )
+        assert np.array_equal(untracked.vm_pm_scores, tracked.vm_pm_scores)
+        assert np.array_equal(untracked.vm_embeddings.data, tracked.vm_embeddings.data)
+        assert np.array_equal(untracked.pm_embeddings.data, tracked.pm_embeddings.data)
 
-    def test_config_validation(self):
+    def test_no_implementation_options(self):
+        """Attention is one kernel: nothing selects another implementation,
+        chunk width or precision for it."""
+        for option in (
+            {"attention_impl": "chunked"}, {"attention_chunk_size": 64},
+            {"float32_vm_attention": True},
+        ):
+            with pytest.raises(TypeError):
+                ModelConfig(**option)
+        for option in ({"chunk_size": 8}, {"compute_dtype": np.float32}):
+            with pytest.raises(TypeError):
+                MultiHeadAttention(32, HEADS, **option)
+            with pytest.raises(TypeError):
+                TransformerEncoderLayer(32, HEADS, **option)
         with pytest.raises(ValueError):
-            ModelConfig(attention_impl="flash3")
-        with pytest.raises(ValueError):
-            ModelConfig(attention_chunk_size=0)
-        with pytest.raises(ValueError):
-            MultiHeadAttention(32, 4, chunk_size=-1)
+            MultiHeadAttention(30, HEADS)

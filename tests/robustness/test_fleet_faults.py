@@ -263,6 +263,28 @@ class TestDrainAndRollingRestart:
         finally:
             fleet.stop()
 
+    def test_old_connection_eof_does_not_fail_the_respawned_replica(self):
+        """The replaced process's reader thread can see its EOF only after
+        the slot was respawned: that EOF must not mark the new replica dead
+        (it would be failed and respawned against the restart budget)."""
+
+        class ClosedConnection:
+            def recv(self):
+                raise EOFError
+
+        fleet = start_fleet(fast_config(num_replicas=1))
+        try:
+            replica = fleet._replicas[0]
+            fleet._read_loop(replica, ClosedConnection())  # a stale reader ends
+            assert not replica.eof
+            time.sleep(0.2)  # ten supervisor ticks
+            assert fleet.supervisor_stats()["restarts"] == 0
+            assert isinstance(
+                fleet.submit(plan_request()).result(timeout=60.0), PlanResponse
+            )
+        finally:
+            fleet.stop()
+
 
 class TestStopAndState:
     def test_stop_resolves_outstanding_futures(self):
