@@ -228,10 +228,11 @@ def run(
         ModelConfig().embed_dim, ModelConfig().num_heads, rng=np.random.default_rng(1)
     )
     attn_repeats = 2 if smoke else 5
+    vm_tensor = Tensor(vm_stream)
     with no_grad():
         record_absolute(
             "vm_attention_large",
-            _time(lambda: attention.forward_array(vm_stream, vm_stream, vm_stream), attn_repeats),
+            _time(lambda: attention(vm_tensor, vm_tensor, vm_tensor), attn_repeats),
         )
     results["vm_attention_large"]["num_vms"] = large_v
 

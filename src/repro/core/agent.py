@@ -340,8 +340,8 @@ class VMR2LAgent(Rescheduler):
             batch_obs = [observations[i] for i in active]
             pm_mask_fns = [envs[i].pm_action_mask for i in active]
             joint_masks = [envs[i].joint_action_mask() for i in active] if joint_mode else None
-            # Serving rollouts never backpropagate: take the no-grad inference
-            # fast path (and the configured inference_dtype).
+            # Serving rollouts never backpropagate: run the forward without
+            # recording a graph (and in the configured inference_dtype).
             with no_grad():
                 outputs = self.policy.act_batch(
                     batch_obs,

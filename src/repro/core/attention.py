@@ -183,8 +183,8 @@ class SparseAttentionExtractor(Module):
             and not reference_mode_active()
         ):
             # Float32 inference: cast the features once; every downstream
-            # array kernel then runs in single precision against cached
-            # float32 weight copies (see repro.nn.layers.cast_param).
+            # layer then runs in single precision against cached float32
+            # weight copies (see repro.nn.layers._float32_params).
             pm_inputs = pm_inputs.astype(np.float32)
             vm_inputs = vm_inputs.astype(np.float32)
         pm_embeddings = self.pm_embed(Tensor(pm_inputs))

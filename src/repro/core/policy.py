@@ -219,7 +219,8 @@ class TwoStagePolicy(Module):
         the sampled action and probabilities are unchanged; serving rollouts
         use it since only PPO consumes the entropy.  ``step_cache`` enables
         step-incremental featurization/encoding for consecutive no-grad steps
-        of one episode (ignored outside the inference fast path).
+        of one episode (ignored unless the forward runs under ``no_grad``
+        outside reference mode).
         """
         if rng is None:
             raise ValueError("act_batch requires an rng")

@@ -88,8 +88,8 @@ def rollout_trajectory(
         if not observation.vm_mask.any():
             break
         joint_mask = env.joint_action_mask() if policy.config.action_mode == "full_joint" else None
-        # Pure sampling — nothing here backpropagates, so take the no-grad
-        # inference fast path (and the configured inference_dtype).
+        # Pure sampling — nothing here backpropagates, so run the forward
+        # without recording a graph (and in the configured inference_dtype).
         with no_grad():
             output = policy.act(
                 observation,

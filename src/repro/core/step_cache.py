@@ -182,21 +182,17 @@ class StepCache:
                 vm_changed[row] = False
                 vm_changed[row, delta.changed_vm_rows] = True
                 if delta.changed_pm_rows.size:
-                    h[row, delta.changed_pm_rows] = (
-                        extractor.pm_embed.network.forward_array(
-                            pm_x[delta.changed_pm_rows]
-                        )
-                    )
+                    h[row, delta.changed_pm_rows] = extractor.pm_embed(
+                        Tensor(pm_x[delta.changed_pm_rows])
+                    ).data
                 if delta.changed_vm_rows.size:
-                    h[row, num_pms + delta.changed_vm_rows] = (
-                        extractor.vm_embed.network.forward_array(
-                            vm_x[delta.changed_vm_rows]
-                        )
-                    )
+                    h[row, num_pms + delta.changed_vm_rows] = extractor.vm_embed(
+                        Tensor(vm_x[delta.changed_vm_rows])
+                    ).data
             else:
                 self.misses += 1
-                h[row, :num_pms] = extractor.pm_embed.network.forward_array(pm_x)
-                h[row, num_pms:] = extractor.vm_embed.network.forward_array(vm_x)
+                h[row, :num_pms] = extractor.pm_embed(Tensor(pm_x)).data
+                h[row, num_pms:] = extractor.vm_embed(Tensor(vm_x)).data
 
         grouping = (
             stacked.tree_grouping()

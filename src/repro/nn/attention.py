@@ -21,17 +21,6 @@ from .module import Module
 from .tensor import Tensor, grad_enabled
 
 
-def _inference_fast_path() -> bool:
-    """Whether layer forwards may take the fused raw-array route.
-
-    Active when autograd recording is off and the seed reference mode is not.
-    The array route mirrors the Tensor ops bit-for-bit — attention included,
-    since both run :func:`_attention_array` — and only drops the per-op
-    graph bookkeeping.
-    """
-    return not grad_enabled() and not F.reference_mode_active()
-
-
 class AttentionMask:
     """A boolean keep-mask plus everything attention derives from it.
 
@@ -135,6 +124,13 @@ def _head_view(x: np.ndarray, heads: int) -> np.ndarray:
     return x.reshape(batch, length, heads, embed // heads).transpose(0, 2, 1, 3)
 
 
+def _contiguous_heads(x: np.ndarray, heads: int) -> np.ndarray:
+    """Merged ``(batch, len, embed)`` copied into the kernel's contiguous
+    ``(batch, heads, len, head_dim)`` layout (numpy's strided batched GEMM is
+    slow)."""
+    return np.ascontiguousarray(_head_view(x, heads))
+
+
 def _attention_array(
     q: np.ndarray, k: np.ndarray, v: np.ndarray, mask: Optional[AttentionMask],
     return_weights: bool = False,
@@ -214,8 +210,15 @@ def _attention(
     row subtractions ride in the GEMMs as one extra column —
     ``[q, −m]·[k, 1]ᵀ = s − m`` and ``[g, −g·ctx]·[v, 1]ᵀ`` — and dQ, dK, dV
     accumulate per tile in merged layout.  Fully-masked rows output exactly
-    zero and pass exactly zero gradient.
+    zero and pass exactly zero gradient.  When nothing is recorded (no
+    input requires grad, or ``no_grad``) the kernel runs on plain head-layout
+    copies and neither the extra columns nor the row statistics are kept.
     """
+    if not grad_enabled() or not (q.requires_grad or k.requires_grad or v.requires_grad):
+        context, weights = _attention_array(
+            *(_contiguous_heads(tensor.data, heads) for tensor in (q, k, v)), mask, return_weights
+        )
+        return (Tensor(context), weights) if return_weights else Tensor(context)
     # The head-layout copies carry that extra column from the start (ones for
     # k and v, −m for q once the kernel has found it); the kernel reads the
     # first head_dim columns.
@@ -478,18 +481,11 @@ class MultiHeadAttention(Module):
         lifted to a batch of one here and the result un-lifted, so everything
         below sees only ``(batch, heads, q_len, k_len)`` scores.  A 2-D mask
         is shared by every batch item; a 3-D ``(batch, query_len, key_len)``
-        mask is applied per item.  Grad-tracking forwards record the three
-        projections, the scale folded into q (an O(seq·dim) multiply), the
-        :func:`_attention` node and the output projection.
+        mask is applied per item.  The forward is the three projections, the
+        scale folded into q (an O(seq·dim) multiply), the :func:`_attention`
+        node and the output projection; under ``no_grad`` the same ops run
+        without recording.
         """
-        if _inference_fast_path():
-            result = self.forward_array(
-                query.data, key.data, value.data, mask=mask, return_weights=return_weights
-            )
-            if return_weights:
-                output, weights = result
-                return Tensor(output), weights
-            return Tensor(result)
         if query.ndim == 2:
             return _first_row(
                 self.forward(
@@ -501,36 +497,13 @@ class MultiHeadAttention(Module):
         mask = self._checked_mask(mask, query.shape[0], query.shape[1], key.shape[1])
         if F.reference_mode_active():
             return self._forward_reference(query, key, value, mask, return_weights)
-        q = self.q_proj(query) * (1.0 / np.sqrt(self.head_dim))
         result = _attention(
-            q, self.k_proj(key), self.v_proj(value), mask, self.num_heads, return_weights
+            self._scaled_queries(query), self.k_proj(key), self.v_proj(value), mask,
+            self.num_heads, return_weights,
         )
         if return_weights:
             return self.out_proj(result[0]), result[1]
         return self.out_proj(result)
-
-    def forward_array(
-        self,
-        query: np.ndarray,
-        key: np.ndarray,
-        value: np.ndarray,
-        mask=None,
-        return_weights: bool = False,
-    ):
-        """Raw-array twin of :meth:`forward` for the no-grad fast path: the
-        same projections and the same kernel, so the same numbers."""
-        if query.ndim == 2:
-            lifted = self.forward_array(query[None], key[None], value[None], mask, return_weights)
-            return _first_row(lifted)
-        if query.ndim != 3:
-            raise ValueError(f"expected 2-D or 3-D query, got shape {query.shape}")
-        q = self._project_heads(self.q_proj, query, scaled=True)
-        k = self._project_heads(self.k_proj, key)
-        v = self._project_heads(self.v_proj, value)
-        mask = self._checked_mask(mask, query.shape[0], query.shape[1], key.shape[1])
-        context, weights = _attention_array(q, k, v, mask, return_weights)
-        output = self.out_proj.forward_array(context)
-        return (output, weights) if return_weights else output
 
     def self_attention_array(
         self,
@@ -546,12 +519,14 @@ class MultiHeadAttention(Module):
         that produced ``previous`` — ``(batch, C, embed)`` at indices ``rows``
         ``(batch, C)`` — and ``previous`` is **overwritten** with the new
         state and returned (:func:`_update_attention`).  Either way the output
-        covers all ``S`` rows and equals ``forward_array`` on the new input
-        to ~1e-14.
+        covers all ``S`` rows and equals the no-grad :meth:`forward` on the
+        new input to ~1e-14.
         """
-        q = self._project_heads(self.q_proj, x, scaled=True)
-        k = self._project_heads(self.k_proj, x)
-        v = self._project_heads(self.v_proj, x)
+        x = Tensor(x)
+        q, k, v = (
+            _contiguous_heads(projected.data, self.num_heads)
+            for projected in (self._scaled_queries(x), self.k_proj(x), self.v_proj(x))
+        )
         if previous is None:
             stats = tuple(np.empty(q.shape[:3], dtype=q.dtype) for _ in range(2))
             context, _ = _attention_array(q, k, v, None, row_stats=stats)
@@ -559,15 +534,12 @@ class MultiHeadAttention(Module):
         else:
             state = previous
             _update_attention(state, rows, q, k, v)
-        return self.out_proj.forward_array(state.context), state
+        return self.out_proj(Tensor(state.context)).data, state
 
-    def _project_heads(self, projection: Linear, x: np.ndarray, scaled: bool = False) -> np.ndarray:
-        """``projection(x)`` in the kernel's contiguous ``(batch, heads, len,
-        head_dim)`` layout (numpy's strided batched GEMM is slow)."""
-        out = projection.forward_array(x)
-        if scaled:
-            out *= 1.0 / np.sqrt(self.head_dim)  # same values as the Tensor path's q * scale
-        return np.ascontiguousarray(_head_view(out, self.num_heads))
+    def _scaled_queries(self, query: Tensor) -> Tensor:
+        """The q projection times ``1/sqrt(head_dim)`` (a float32 stream
+        multiplies by a float32 scale)."""
+        return self.q_proj(query) * (1.0 / np.sqrt(self.head_dim))
 
     @staticmethod
     def _checked_mask(mask, batch: int, q_len: int, k_len: int) -> Optional[AttentionMask]:
@@ -638,9 +610,6 @@ class FeedForward(Module):
     def forward(self, x: Tensor) -> Tensor:
         return self.network(x)
 
-    def forward_array(self, x: np.ndarray) -> np.ndarray:
-        return self.network.forward_array(x)
-
 
 class TransformerEncoderLayer(Module):
     """Standard pre-norm transformer encoder layer with optional mask."""
@@ -662,20 +631,8 @@ class TransformerEncoderLayer(Module):
         self.norm2 = LayerNorm(embed_dim)
 
     def forward(self, x: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:
-        if _inference_fast_path():
-            data = x.data if isinstance(x, Tensor) else np.asarray(x)
-            return Tensor(self.forward_array(data, mask=mask))
         normed = self.norm1(x)
-        x = x + self.attention(normed, normed, normed, mask=mask)
-        x = x + self.feed_forward(self.norm2(x))
-        return x
-
-    def forward_array(self, x: np.ndarray, mask=None) -> np.ndarray:
-        """Raw-array twin of :meth:`forward` (see ``MultiHeadAttention.forward_array``)."""
-        normed = self.norm1.forward_array(x)
-        return self._residual_feed_forward(
-            x, self.attention.forward_array(normed, normed, normed, mask=mask)
-        )
+        return self._residual_feed_forward(x, self.attention(normed, normed, normed, mask=mask))
 
     def forward_array_incremental(
         self,
@@ -683,8 +640,8 @@ class TransformerEncoderLayer(Module):
         previous: Optional[Sequence[AttentionState]] = None,
         changed: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, Optional[AttentionState]]:
-        """Unmasked ``forward_array`` that hands back, and can start from, the
-        attention's :class:`AttentionState`.
+        """Unmasked no-grad :meth:`forward` on arrays that hands back, and can
+        start from, the attention's :class:`AttentionState`.
 
         ``previous`` holds one state per batch item (``state.row(i)`` of what
         an earlier call returned — callers keep them per episode) and
@@ -696,24 +653,23 @@ class TransformerEncoderLayer(Module):
         new either way, and the output projection, residual, norm and
         feed-forward run on all rows.  A sequence too short for any update to
         pay (``S² ≤ _UPDATE_FIXED_SCORES``, S ≤ 158) keeps no state at all:
-        plain ``forward_array``, state ``None``.
+        plain :meth:`forward`, state ``None``.
         """
         if x.shape[1] ** 2 <= _UPDATE_FIXED_SCORES:
-            return self.forward_array(x), None
+            return self(Tensor(x)).data, None
         rows = _update_rows(previous, changed)
         if rows is None:
-            attended, state = self.attention.self_attention_array(self.norm1.forward_array(x))
+            attended, state = self.attention.self_attention_array(self.norm1(Tensor(x)).data)
         else:
-            changed_x = np.take_along_axis(x, rows[:, :, None], axis=1)
+            changed_x = Tensor(np.take_along_axis(x, rows[:, :, None], axis=1))
             attended, state = self.attention.self_attention_array(
-                self.norm1.forward_array(changed_x), AttentionState.stack(previous), rows
+                self.norm1(changed_x).data, AttentionState.stack(previous), rows
             )
-        return self._residual_feed_forward(x, attended), state
+        return self._residual_feed_forward(Tensor(x), Tensor(attended)).data, state
 
-    def _residual_feed_forward(self, x: np.ndarray, attended: np.ndarray) -> np.ndarray:
-        out = x + attended
-        out += self.feed_forward.forward_array(self.norm2.forward_array(out))
-        return out
+    def _residual_feed_forward(self, x: Tensor, attended: Tensor) -> Tensor:
+        x = x + attended
+        return x + self.feed_forward(self.norm2(x))
 
 
 class CrossAttentionLayer(Module):
@@ -743,38 +699,10 @@ class CrossAttentionLayer(Module):
         mask: Optional[np.ndarray] = None,
         return_weights: bool = False,
     ):
-        if _inference_fast_path():
-            query_data = query.data if isinstance(query, Tensor) else np.asarray(query)
-            kv_data = (
-                key_value.data if isinstance(key_value, Tensor) else np.asarray(key_value)
-            )
-            result = self.forward_array(
-                query_data, kv_data, mask=mask, return_weights=return_weights
-            )
-            if return_weights:
-                out, weights = result
-                return Tensor(out), weights
-            return Tensor(result)
         q = self.norm_query(query)
         kv = self.norm_key(key_value)
         attended = self.attention(q, kv, kv, mask=mask, return_weights=return_weights)
         attended, weights = attended if return_weights else (attended, None)
         out = query + attended
         out = out + self.feed_forward(self.norm_out(out))
-        return (out, weights) if return_weights else out
-
-    def forward_array(
-        self,
-        query: np.ndarray,
-        key_value: np.ndarray,
-        mask=None,
-        return_weights: bool = False,
-    ):
-        """Raw-array twin of :meth:`forward` (see ``MultiHeadAttention.forward_array``)."""
-        q = self.norm_query.forward_array(query)
-        kv = self.norm_key.forward_array(key_value)
-        attended = self.attention.forward_array(q, kv, kv, mask=mask, return_weights=return_weights)
-        attended, weights = attended if return_weights else (attended, None)
-        out = query + attended
-        out += self.feed_forward.forward_array(self.norm_out.forward_array(out))
         return (out, weights) if return_weights else out

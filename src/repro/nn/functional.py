@@ -5,6 +5,12 @@ These are the op-level primitives used by the layer classes in
 softmax / log-softmax, masked softmax (used extensively by the two-stage
 policy to exclude infeasible VMs and PMs), layer normalization, activations,
 losses and categorical-distribution helpers.
+
+Each fused op is its array kernel plus optional graph recording: the output
+is computed first, and when nothing requires grad (or under
+``repro.nn.no_grad``) it is returned as a plain Tensor before any backward
+closure is built, so inference and training run the same operations in the
+same order.
 """
 
 from __future__ import annotations
@@ -196,23 +202,19 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     ``matmul``/``add`` formulation allocated an extra full-size output per
     call on every projection in the network.
     """
-    lead = x.shape[:-1]
-    rows = int(np.prod(lead)) if lead else 1
-    flat = x.data.reshape(rows, x.shape[-1])
+    data = x.data
+    flat = data.reshape(-1, data.shape[-1])
     out_data = flat @ weight.data.T
     if bias is not None:
         out_data += bias.data
-    out_data = out_data.reshape(lead + (weight.shape[0],))
-    requires = grad_enabled() and (
-        x.requires_grad
-        or weight.requires_grad
-        or (bias is not None and bias.requires_grad)
-    )
-    if not requires:
+    out_data = out_data.reshape(data.shape[:-1] + out_data.shape[-1:])
+    if not grad_enabled() or not (
+        x.requires_grad or weight.requires_grad or (bias is not None and bias.requires_grad)
+    ):
         return Tensor(out_data)
 
     def backward(grad: np.ndarray) -> None:
-        grad_flat = grad.reshape(rows, weight.shape[0])
+        grad_flat = grad.reshape(flat.shape[0], weight.shape[0])
         if x.requires_grad:
             x._accumulate((grad_flat @ weight.data).reshape(x.shape))
         if weight.requires_grad:
@@ -271,66 +273,6 @@ def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Te
     return Tensor(
         out_data, requires_grad=True, parents=(x, weight, bias), backward=backward
     )
-
-
-# ---------------------------------------------------------------------- #
-# Inference array kernels
-# ---------------------------------------------------------------------- #
-# Raw-``ndarray`` mirrors of the ops above, used by the layer-level
-# ``forward_array`` fast paths when autograd recording is off
-# (``repro.nn.no_grad``).  Each mirrors its Tensor twin operation-for-
-# operation — same formulas, same evaluation order — so the numbers are
-# bit-for-bit identical; what they drop is the per-op Tensor wrapping, and
-# they may mutate arrays they just allocated.
-
-
-def linear_array(x: np.ndarray, weight: np.ndarray, bias: Optional[np.ndarray]) -> np.ndarray:
-    """Array twin of :func:`linear`."""
-    lead = x.shape[:-1]
-    out = x.reshape(-1, x.shape[-1]) @ weight.T
-    if bias is not None:
-        out += bias
-    return out.reshape(lead + (weight.shape[0],))
-
-
-def layer_norm_array(
-    x: np.ndarray, weight: np.ndarray, bias: np.ndarray, eps: float = 1e-5
-) -> np.ndarray:
-    """Array twin of :func:`layer_norm`."""
-    dim = x.shape[-1]
-    mean = x.mean(axis=-1, keepdims=True)
-    centered = x - mean
-    variance = np.einsum("...i,...i->...", centered, centered)[..., None] / dim
-    inv_std = 1.0 / np.sqrt(variance + eps)
-    centered *= inv_std
-    out = centered * weight
-    out += bias
-    return out
-
-
-def _gelu_array(x: np.ndarray) -> np.ndarray:
-    cubic = x * x * x
-    inner = (x + cubic * 0.044715) * float(np.sqrt(2.0 / np.pi))
-    return (x * 0.5) * (np.tanh(inner) + 1.0)
-
-
-ACTIVATION_ARRAYS = {
-    "relu": lambda x: np.maximum(x, 0.0),
-    "tanh": np.tanh,
-    "gelu": _gelu_array,
-    "sigmoid": lambda x: 1.0 / (1.0 + np.exp(-x)),
-    "leaky_relu": lambda x: np.where(x > 0.0, x, x * 0.01),
-}
-
-
-def get_activation_array(name: str):
-    """Array twin of :func:`get_activation`."""
-    try:
-        return ACTIVATION_ARRAYS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown activation '{name}'; expected one of {sorted(ACTIVATION_ARRAYS)}"
-        )
 
 
 # ---------------------------------------------------------------------- #

@@ -16,26 +16,28 @@ import numpy as np
 from . import functional as F
 from . import init as initializers
 from .module import Module
-from .tensor import Tensor, grad_enabled
+from .tensor import Tensor
 
 
-def cast_param(module: Module, name: str, dtype) -> np.ndarray:
-    """Cached reduced-precision copy of a parameter's array.
+def _float32_params(module: Module, *params: Optional[Tensor]) -> List[Optional[Tensor]]:
+    """Cached float32 copies of a module's ``params`` (``None`` stays ``None``).
 
-    The float32 inference mode runs the whole no-grad forward in float32;
-    re-casting every weight on every call would dominate, so the cast array
-    is cached on the module, keyed by the *identity* of ``param.data`` —
-    safe because every writer (optimizer steps, checkpoint loads) reassigns
-    ``param.data`` to a fresh array rather than mutating it in place.
+    A float32 input (float32 inference, ``ModelConfig.inference_dtype``)
+    uses them, keeping the whole op in single precision; re-casting every
+    weight on every call would dominate, so each copy is cached on the
+    module, keyed by the *identity* of ``param.data`` — safe because every
+    writer (optimizer steps, checkpoint loads) reassigns ``param.data`` to a
+    fresh array rather than mutating it in place.  The copies take no
+    gradient: float32 forwards are inference-only.
     """
-    param = getattr(module, name)
-    cache = module.__dict__.setdefault("_cast_param_cache", {})
-    entry = cache.get(name)
-    if entry is None or entry[0] is not param.data:
-        cast = param.data.astype(dtype)
-        cache[name] = (param.data, cast)
-        return cast
-    return entry[1]
+    cache = module.__dict__.setdefault("_float32_param_cache", {})
+    copies: List[Optional[Tensor]] = []
+    for index, param in enumerate(params):
+        entry = cache.get(index)
+        if param is not None and (entry is None or entry[0] is not param.data):
+            entry = cache[index] = (param.data, Tensor(param.data.astype(np.float32)))
+        copies.append(None if param is None else entry[1])
+    return copies
 
 
 class Linear(Module):
@@ -66,28 +68,15 @@ class Linear(Module):
             self.bias = self.register_parameter("bias", Tensor(np.zeros(out_features)))
 
     def forward(self, x: Tensor) -> Tensor:
-        if x.ndim >= 2 and not F.reference_mode_active():
-            return F.linear(x, self.weight, self.bias if self.has_bias else None)
-        out = x.matmul(self.weight.swapaxes(0, 1))
-        if self.has_bias:
-            out = out + self.bias
+        weight, bias = self.weight, (self.bias if self.has_bias else None)
+        if x.data.dtype == np.float32:
+            weight, bias = _float32_params(self, weight, bias)
+        if x.data.ndim >= 2 and not F.reference_mode_active():
+            return F.linear(x, weight, bias)
+        out = x.matmul(weight.swapaxes(0, 1))
+        if bias is not None:
+            out = out + bias
         return out
-
-    def forward_array(self, x: np.ndarray) -> np.ndarray:
-        """Raw-array twin of :meth:`forward` for the no-grad fast path.
-
-        A float32 input selects cached float32 parameter copies, keeping the
-        whole projection (GEMM + bias) in reduced precision.
-        """
-        if x.dtype == np.float32:
-            return F.linear_array(
-                x,
-                cast_param(self, "weight", np.float32),
-                cast_param(self, "bias", np.float32) if self.has_bias else None,
-            )
-        return F.linear_array(
-            x, self.weight.data, self.bias.data if self.has_bias else None
-        )
 
 
 class LayerNorm(Module):
@@ -101,18 +90,10 @@ class LayerNorm(Module):
         self.bias = self.register_parameter("bias", Tensor(np.zeros(normalized_shape)))
 
     def forward(self, x: Tensor) -> Tensor:
-        return F.layer_norm(x, self.weight, self.bias, eps=self.eps)
-
-    def forward_array(self, x: np.ndarray) -> np.ndarray:
-        """Raw-array twin of :meth:`forward` for the no-grad fast path."""
-        if x.dtype == np.float32:
-            return F.layer_norm_array(
-                x,
-                cast_param(self, "weight", np.float32),
-                cast_param(self, "bias", np.float32),
-                eps=self.eps,
-            )
-        return F.layer_norm_array(x, self.weight.data, self.bias.data, eps=self.eps)
+        weight, bias = self.weight, self.bias
+        if x.data.dtype == np.float32:
+            weight, bias = _float32_params(self, weight, bias)
+        return F.layer_norm(x, weight, bias, eps=self.eps)
 
 
 class Dropout(Module):
@@ -148,12 +129,6 @@ class Sequential(Module):
             x = layer(x)
         return x
 
-    def forward_array(self, x: np.ndarray) -> np.ndarray:
-        """Raw-array twin of :meth:`forward` for the no-grad fast path."""
-        for layer in self._layers:
-            x = layer.forward_array(x)
-        return x
-
     def __iter__(self):
         return iter(self._layers)
 
@@ -168,13 +143,9 @@ class Activation(Module):
         super().__init__()
         self.name = name
         self._fn: Callable[[Tensor], Tensor] = F.get_activation(name)
-        self._array_fn = F.get_activation_array(name)
 
     def forward(self, x: Tensor) -> Tensor:
         return self._fn(x)
-
-    def forward_array(self, x: np.ndarray) -> np.ndarray:
-        return self._array_fn(x)
 
 
 class MLP(Module):
@@ -212,14 +183,6 @@ class MLP(Module):
         self.out_features = out_features
 
     def forward(self, x: Tensor) -> Tensor:
-        if (
-            isinstance(x, Tensor)
-            and x.ndim >= 2
-            and not F.reference_mode_active()
-            and not grad_enabled()
-        ):
-            # No-grad fast path: run the stack on raw arrays, wrap once.
-            return Tensor(self.network.forward_array(x.data))
         return self.network(x)
 
 

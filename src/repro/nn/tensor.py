@@ -122,7 +122,10 @@ class Tensor:
         backward: Optional[Callable[[np.ndarray], None]] = None,
         name: str = "",
     ) -> None:
-        self.data = _as_array(data)
+        # A float ndarray (what every op produces) is taken as-is.
+        self.data = (
+            data if type(data) is np.ndarray and data.dtype.kind == "f" else _as_array(data)
+        )
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
         self._parents = parents
@@ -182,6 +185,17 @@ class Tensor:
         if isinstance(value, Tensor):
             return value
         return Tensor(value)
+
+    def _operand(self, value: Union["Tensor", ArrayLike]) -> "Tensor":
+        """The other operand of a binary op: a scalar takes this tensor's float
+        dtype, so a float32 tensor stays float32 (a 0-d float64 array would
+        promote it)."""
+        if isinstance(value, Tensor):
+            return value
+        array = np.asarray(value)
+        if array.ndim == 0 and self.data.dtype.kind == "f":
+            return Tensor(array.astype(self.data.dtype))
+        return Tensor(array)
 
     def _make(
         self,
@@ -248,7 +262,7 @@ class Tensor:
     # Elementwise arithmetic
     # ------------------------------------------------------------------ #
     def __add__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
-        other = self._ensure(other)
+        other = self._operand(other)
         out_data = self.data + other.data
 
         def backward(grad: np.ndarray) -> None:
@@ -271,13 +285,13 @@ class Tensor:
         return self._make(out_data, (self,), backward)
 
     def __sub__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
-        return self + (-self._ensure(other))
+        return self + (-self._operand(other))
 
     def __rsub__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
-        return self._ensure(other) + (-self)
+        return self._operand(other) + (-self)
 
     def __mul__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
-        other = self._ensure(other)
+        other = self._operand(other)
         out_data = self.data * other.data
 
         def backward(grad: np.ndarray) -> None:
@@ -291,7 +305,7 @@ class Tensor:
     __rmul__ = __mul__
 
     def __truediv__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
-        other = self._ensure(other)
+        other = self._operand(other)
         out_data = self.data / other.data
 
         def backward(grad: np.ndarray) -> None:
@@ -303,7 +317,7 @@ class Tensor:
         return self._make(out_data, (self, other), backward)
 
     def __rtruediv__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
-        return self._ensure(other) / self
+        return self._operand(other) / self
 
     def __pow__(self, exponent: float) -> "Tensor":
         out_data = self.data ** exponent
@@ -337,7 +351,7 @@ class Tensor:
     # Matrix multiplication
     # ------------------------------------------------------------------ #
     def matmul(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
-        other = self._ensure(other)
+        other = self._operand(other)
         out_data = self.data @ other.data
 
         def backward(grad: np.ndarray) -> None:

@@ -8,7 +8,8 @@ suite pins the retirement of the dense single-observation path:
   ``evaluate_actions`` — outputs AND gradients;
 * the dense ``S×S`` tree mask is never materialized outside reference mode;
 * float32 inference (``inference_dtype``) stays within documented tolerance
-  of the float64 path and leaves gradient-tracking forwards float64;
+  of the float64 path, keeps every attention layer's output float32 (no
+  silent upcast) and leaves gradient-tracking forwards float64;
 * ``repro.nn.no_grad`` inference produces bitwise-identical numbers.
 """
 
@@ -22,7 +23,13 @@ from repro.core.features import FeatureBatch, build_feature_batch
 from repro.core.policy import TwoStagePolicy
 from repro.datasets import ClusterSpec, SnapshotGenerator
 from repro.env import VMRescheduleEnv
-from repro.nn import no_grad, reference_ops
+from repro.nn import (
+    CrossAttentionLayer,
+    MultiHeadAttention,
+    TransformerEncoderLayer,
+    no_grad,
+    reference_ops,
+)
 
 
 @pytest.fixture(scope="module")
@@ -154,6 +161,31 @@ class TestFloat32Inference:
         assert out32.value == pytest.approx(out64.value, abs=1e-5)
         assert out32.log_prob == pytest.approx(out64.log_prob, abs=1e-5)
         np.testing.assert_allclose(out32.vm_probs, out64.vm_probs, atol=1e-5)
+
+    def test_attention_layers_and_embeddings_stay_float32(self, env, observation, monkeypatch):
+        """Every attention layer's output and the extractor's embeddings are
+        float32 — a float64 scalar or parameter anywhere would promote the
+        stream without breaking the tolerance above."""
+        dtypes = []
+        for layer_class in (MultiHeadAttention, TransformerEncoderLayer, CrossAttentionLayer):
+
+            def recording(self, *args, _forward=layer_class.forward, **kwargs):
+                result = _forward(self, *args, **kwargs)
+                output = result[0] if isinstance(result, tuple) else result
+                dtypes.append((type(self).__name__, output.dtype))
+                return result
+
+            monkeypatch.setattr(layer_class, "forward", recording)
+        policy = TwoStagePolicy(ModelConfig(inference_dtype="float32"), rng=np.random.default_rng(0))
+        with no_grad():
+            output = policy.extractor(build_feature_batch(observation))
+            policy.act(observation, pm_mask_fn=env.pm_action_mask, rng=np.random.default_rng(5))
+        assert output.vm_embeddings.dtype == np.float32
+        assert output.pm_embeddings.dtype == np.float32
+        assert {name for name, _ in dtypes} == {
+            "MultiHeadAttention", "TransformerEncoderLayer", "CrossAttentionLayer"
+        }
+        assert all(dtype == np.float32 for _, dtype in dtypes), dtypes
 
     def test_gradient_tracking_forward_stays_float64(self, env, observation):
         """Training never sees the knob: outputs and parameter gradients are

@@ -15,6 +15,8 @@ Three contracts live here:
   whole extractor's parameter gradients; the node's recompute backward also
   matches finite differences;
   and neither path ever allocates an ``S×S`` tensor;
+* every layer has ONE forward: under ``no_grad`` it computes the
+  grad-tracking numbers bit for bit and records no graph;
 * float32 streams (``inference_dtype``) run the same kernel within f32 slack;
 * the incremental update (``TransformerEncoderLayer.forward_array_incremental``
   from an ``AttentionState`` plus the changed rows) computes the same function
@@ -32,12 +34,16 @@ import pytest
 
 from repro.core.attention import SparseAttentionExtractor
 from repro.core.config import ModelConfig
-from repro.core.features import build_feature_batch
+from repro.core.features import build_feature_batch, build_stacked_feature_batch
 from repro.env.observation import Observation
 from repro.nn import (
     AttentionMask,
     AttentionState,
     CrossAttentionLayer,
+    FeedForward,
+    LayerNorm,
+    Linear,
+    MLP,
     MultiHeadAttention,
     Tensor,
     TransformerEncoderLayer,
@@ -417,6 +423,70 @@ class TestNodeBackward:
             assert not leaves[0].grad[:, 3].any()  # the dead query row
 
 
+def _assert_no_graph(output: Tensor) -> None:
+    assert not output.requires_grad
+    assert output._parents == () and output._backward is None
+
+
+#: The layers of the extractor and the actor heads, built at embed 32.
+SINGLE_PATH_LAYERS = {
+    "Linear": lambda rng: Linear(32, 24, rng=rng),
+    "LayerNorm": lambda rng: LayerNorm(32),
+    "MLP": lambda rng: MLP(32, [48], 24, rng=rng),
+    "FeedForward": lambda rng: FeedForward(32, 64, rng=rng),
+    "MultiHeadAttention": lambda rng: MultiHeadAttention(32, HEADS, rng=rng),
+    "TransformerEncoderLayer": lambda rng: TransformerEncoderLayer(32, HEADS, 64, rng=rng),
+    "CrossAttentionLayer": lambda rng: CrossAttentionLayer(32, HEADS, 64, rng=rng),
+}
+#: Which layers take a key/value input, a mask and ``return_weights``.
+_CROSS = ("MultiHeadAttention", "CrossAttentionLayer")
+_MASKED = _CROSS + ("TransformerEncoderLayer",)
+
+
+def _single_path_cases():
+    for kind in SINGLE_PATH_LAYERS:
+        for ndim in (2, 3):
+            for masked in (False, True) if kind in _MASKED else (False,):
+                for weights in (False, True) if kind in _CROSS else (False,):
+                    tags = [kind, f"{ndim}d"] + ["masked"] * masked + ["weights"] * weights
+                    yield pytest.param(kind, ndim, masked, weights, id="-".join(tags))
+
+
+class TestSinglePath:
+    """Each layer's forward is its only one: ``no_grad`` drops the graph,
+    never an operation."""
+
+    @pytest.mark.parametrize("kind,ndim,masked,return_weights", list(_single_path_cases()))
+    def test_no_grad_is_the_tracking_forward(self, kind, ndim, masked, return_weights):
+        rng = np.random.default_rng(21)
+        layer = SINGLE_PATH_LAYERS[kind](np.random.default_rng(3))
+        lead = (2,) if ndim == 3 else ()
+        arrays = [rng.normal(size=lead + (13, 32))]
+        if kind in _CROSS:
+            arrays.append(rng.normal(size=lead + (17, 32)))
+        if kind == "MultiHeadAttention":
+            arrays.append(arrays[-1])
+        kwargs = {}
+        if masked:
+            kwargs["mask"] = _random_mask(rng, 13, arrays[-1].shape[-2], dead_row=5)
+        if return_weights:
+            kwargs["return_weights"] = True
+
+        def forward():
+            return layer(*(Tensor(a, requires_grad=True) for a in arrays), **kwargs)
+
+        tracked = forward()
+        with no_grad():
+            untracked = forward()
+        if return_weights:
+            (tracked, tracked_weights), (untracked, untracked_weights) = tracked, untracked
+            assert np.array_equal(untracked_weights, tracked_weights)
+        assert tracked.requires_grad and tracked._parents
+        _assert_no_graph(untracked)
+        assert untracked.shape == tracked.shape
+        assert np.array_equal(untracked.data, tracked.data)
+
+
 class TestAllocationGuard:
     SEQ = 900  # the large bench size: heads·S·S f64 scores are 26 MB
 
@@ -462,6 +532,13 @@ class TestAllocationGuard:
         assert second <= first
 
 
+def _no_grad_forward(layer, x):
+    """The layer's one forward on ``x``, recording nothing: the oracle the
+    incremental update is held to."""
+    with no_grad():
+        return layer(Tensor(x)).data
+
+
 def _change_rows(rng, x, counts):
     """A copy of ``x`` with ``counts[b]`` random rows of batch item ``b``
     replaced, and the ``(batch, S)`` boolean marking them."""
@@ -496,18 +573,18 @@ class TestIncrementalUpdate:
         # for an empty set); past the crossover the full kernel re-seeded.
         assert state.recomputed == (max(count, 1) if updated else self.SEQ)
         np.testing.assert_allclose(
-            actual, layer.forward_array(x_new), rtol=0,
+            actual, _no_grad_forward(layer, x_new), rtol=0,
             atol=1e-12 if stream == np.float64 else 1e-5,
         )
 
     def test_short_sequences_keep_no_state(self):
-        """At S=50 no update can pay: the layer runs ``forward_array`` and
+        """At S=50 no update can pay: the layer runs its plain forward and
         seeds nothing, so every later step takes the same path."""
         layer = TransformerEncoderLayer(32, HEADS, 64, rng=np.random.default_rng(3))
         x = np.random.default_rng(0).normal(size=(2, 50, 32))
         actual, state = layer.forward_array_incremental(x)
         assert state is None
-        assert np.array_equal(actual, layer.forward_array(x))
+        assert np.array_equal(actual, _no_grad_forward(layer, x))
 
     def test_chain_of_updates_does_not_drift(self):
         rng = np.random.default_rng(1)
@@ -518,7 +595,7 @@ class TestIncrementalUpdate:
             x, changed = _change_rows(rng, x, [int(rng.integers(1, 12))])
             actual, state = layer.forward_array_incremental(x, [state], changed)
             assert state.recomputed < self.SEQ  # never re-seeded
-        np.testing.assert_allclose(actual, layer.forward_array(x), rtol=0, atol=1e-10)
+        np.testing.assert_allclose(actual, _no_grad_forward(layer, x), rtol=0, atol=1e-10)
 
     def test_stacked_ragged_changed_sets(self):
         """Batch items with 0, 3 and 11 changed rows share one update."""
@@ -532,7 +609,7 @@ class TestIncrementalUpdate:
             x, changed = _change_rows(rng, x, [0, 3, 11])
             actual, state = layer.forward_array_incremental(x, kept, changed)
             assert state.recomputed == 11
-            np.testing.assert_allclose(actual, layer.forward_array(x), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(actual, _no_grad_forward(layer, x), rtol=0, atol=1e-12)
             # The update worked on a stacked copy: the kept states are untouched.
             assert np.array_equal(np.concatenate([item.context for item in kept]), context)
 
@@ -561,7 +638,7 @@ class TestIncrementalUpdate:
         x_new[0, favourite] = rng.normal(size=32)
         actual, state = layer.forward_array_incremental(x_new, [state], changed)
         assert dependants.size <= state.recomputed < self.SEQ  # guard taken, no re-seed
-        np.testing.assert_allclose(actual, layer.forward_array(x_new), rtol=0, atol=1e-10)
+        np.testing.assert_allclose(actual, _no_grad_forward(layer, x_new), rtol=0, atol=1e-10)
 
     def test_guard_rescores_rows_a_new_key_towers_over(self):
         """A changed key scoring far above a row's stored maximum (here past
@@ -711,19 +788,31 @@ class TestEncoderLayerAndExtractor:
             )
         _assert_runs_close(runs["node"], runs["reference"])
 
-    def test_extractor_no_grad_matches_tracking(self):
-        """Only the final block computes VM→PM weights, on both routes, and
-        both routes run the one kernel: the array path's scores and
-        embeddings are the Tensor path's, bit for bit."""
-        observation = self._observation(np.random.default_rng(9))
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_extractor_no_grad_matches_tracking(self, stacked):
+        """Only the final block computes VM→PM weights, with or without
+        grad, and the extractor has one forward: the no-grad scores and
+        embeddings are the tracking ones, bit for bit, with no graph behind
+        them — for one observation and for a stacked batch."""
+        rng = np.random.default_rng(9)
+        if stacked:
+            observations = [self._observation(rng) for _ in range(3)]
+            build = lambda: build_stacked_feature_batch(observations)  # noqa: E731
+            lead = (3,)
+        else:
+            observation = self._observation(rng)
+            build = lambda: build_feature_batch(observation)  # noqa: E731
+            lead = ()
         extractor = SparseAttentionExtractor(ModelConfig(), rng=np.random.default_rng(10))
-        tracked = extractor(build_feature_batch(observation))
+        tracked = extractor(build())
         with no_grad():
-            untracked = extractor(build_feature_batch(observation))
-        assert untracked.vm_pm_scores.shape == (40, 6)
+            untracked = extractor(build())
+        assert untracked.vm_pm_scores.shape == lead + (40, 6)
         assert np.array_equal(untracked.vm_pm_scores, tracked.vm_pm_scores)
-        assert np.array_equal(untracked.vm_embeddings.data, tracked.vm_embeddings.data)
-        assert np.array_equal(untracked.pm_embeddings.data, tracked.pm_embeddings.data)
+        for name in ("vm_embeddings", "pm_embeddings"):
+            assert getattr(tracked, name)._parents
+            _assert_no_graph(getattr(untracked, name))
+            assert np.array_equal(getattr(untracked, name).data, getattr(tracked, name).data)
 
     def test_no_implementation_options(self):
         """Attention is one kernel: nothing selects another implementation,

@@ -83,7 +83,9 @@ class TestScaleUp:
     def test_burst_scales_the_fleet_up(self):
         # Aggressive thresholds so one burst forces a decision within a few
         # 20ms supervisor ticks; a huge down-cooldown freezes the other
-        # direction for the duration of the test.
+        # direction for the duration of the test.  Each ``ha`` plan takes
+        # 50 ms, so the 12-request backlog spans dozens of ticks instead of
+        # possibly draining before the first one samples it.
         config = fast_config(
             autoscale=AutoscaleConfig(
                 min_replicas=1,
@@ -95,7 +97,7 @@ class TestScaleUp:
                 cooldown_down_s=300.0,
             ),
         )
-        fleet = start_fleet(config)
+        fleet = start_fleet(config, slow_replica_factory(DefaultRegistryFactory(), "ha", 0.05))
         try:
             spike = LoadSpike(base=1, peak=12, start_round=0, duration_rounds=1)
             futures = [
