@@ -42,8 +42,11 @@ Supervision (``on_worker_failure="restart"``)
     ``info["worker_restarted"]=True``) so auto-reset semantics hold and the
     trainer simply starts a new episode for those slots; other in-flight
     commands are re-issued to the replacement.  Restarts are bounded
-    (``max_worker_restarts`` per worker, exponential ``restart_backoff_s``);
+    (``max_worker_restarts`` per worker, paced by
+    :meth:`~repro.supervise.RetryPolicy.backoff` from ``restart_backoff_s``);
     past the budget the failure raises as under the ``"raise"`` policy.
+    Workers are spawned and stopped through :mod:`repro.supervise`, like the
+    serving fleet's replicas.
 """
 
 from __future__ import annotations
@@ -55,6 +58,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .. import supervise
+from ..supervise import RetryPolicy
 from .shared_memory import SharedObservationBuffers
 from .vector_env import VectorEnv
 
@@ -64,11 +69,10 @@ class AsyncVectorEnvError(RuntimeError):
 
 
 def _worker(
+    pipe,
     worker_index: int,
     env_slots: Sequence[int],
     env_fns: Sequence[Callable[[], object]],
-    pipe,
-    parent_pipe,
     buffers: SharedObservationBuffers,
     seed: Optional[int],
 ) -> None:
@@ -80,8 +84,6 @@ def _worker(
     the pipe carries only small control payloads (per-step info dicts, and —
     only at an episode boundary — the terminal observation inside its info).
     """
-    if parent_pipe is not None:
-        parent_pipe.close()
     envs: List[object] = []
     try:
         envs = [fn() for fn in env_fns]
@@ -203,8 +205,9 @@ class AsyncVectorEnv(VectorEnv):
         budget is per worker *slot*, not global, so one flaky shard cannot
         starve the others.
     restart_backoff_s:
-        Base of the exponential backoff slept before respawning
-        (``restart_backoff_s * 2**(attempt-1)``, capped at 2 s).
+        Base of the backoff slept before respawning:
+        ``RetryPolicy(backoff_s=restart_backoff_s).backoff(attempt)``, i.e.
+        ``restart_backoff_s * 2**(attempt-1)`` capped at 2 s.
     """
 
     def __init__(
@@ -228,12 +231,13 @@ class AsyncVectorEnv(VectorEnv):
             )
         if worker_timeout_s is not None and worker_timeout_s <= 0:
             raise ValueError("worker_timeout_s must be positive (or None to disable)")
-        if max_worker_restarts < 0:
-            raise ValueError("max_worker_restarts must not be negative")
+        # The per-worker restart budget; RetryPolicy rejects negatives.
+        self._restart_policy = RetryPolicy(
+            max_retries=max_worker_restarts, backoff_s=restart_backoff_s
+        )
         self.on_worker_failure = on_worker_failure
         self.worker_timeout_s = worker_timeout_s
         self.max_worker_restarts = max_worker_restarts
-        self.restart_backoff_s = restart_backoff_s
         self.num_envs = len(env_fns)
         if num_workers is None:
             num_workers = self.num_envs
@@ -384,9 +388,9 @@ class AsyncVectorEnv(VectorEnv):
         """Shut the worker pool down (idempotent, bounded time).
 
         Sends a ``close`` command to every *live* worker, waits up to
-        ``timeout`` total for the acks, then joins and finally SIGKILLs any
-        straggler; with ``terminate=True`` workers are killed immediately
-        (used when tearing down after an error).  Dead workers — including a
+        ``timeout`` total for the acks, then joins and finally SIGTERMs, then
+        SIGKILLs any straggler; with ``terminate=True`` workers are killed at
+        once (used when tearing down after an error).  Dead workers — including a
         SIGKILLed worker whose pipe is half-closed — are skipped, so a prior
         crash can never hang ``close``.
         """
@@ -415,22 +419,8 @@ class AsyncVectorEnv(VectorEnv):
                         self._pipes[worker_index].recv()
                 except (EOFError, OSError):
                     pass
-        for process in self._processes:
-            if process is None:
-                continue
-            if terminate and process.is_alive():
-                process.terminate()
-            process.join(timeout)
-            if process.is_alive():
-                process.kill()
-                process.join(timeout)
-        for pipe in self._pipes:
-            if pipe is None:
-                continue
-            try:
-                pipe.close()
-            except OSError:
-                pass
+        for process, pipe in zip(self._processes, self._pipes):
+            supervise.stop(process, pipe, grace=0.0 if terminate else timeout)
 
     def __del__(self):  # best-effort cleanup
         try:
@@ -527,38 +517,22 @@ class AsyncVectorEnv(VectorEnv):
     def _spawn_worker(self, worker_index: int) -> None:
         """Create (or replace) the process serving ``worker_index``'s shard."""
         shard = self._shards[worker_index]
-        parent_pipe, child_pipe = self._ctx.Pipe()
-        process = self._ctx.Process(
-            target=_worker,
-            name=f"repro-async-env-{worker_index}",
-            args=(
+        self._processes[worker_index], self._pipes[worker_index] = supervise.spawn(
+            self._ctx,
+            _worker,
+            (
                 worker_index,
                 list(shard),
                 [self._env_fns[index] for index in shard],
-                child_pipe,
-                parent_pipe,
                 self._buffers,
                 self._seed,
             ),
-            daemon=True,
+            name=f"repro-async-env-{worker_index}",
         )
-        process.start()
-        child_pipe.close()
-        self._pipes[worker_index] = parent_pipe
-        self._processes[worker_index] = process
 
-    def _kill_worker(self, worker_index: int, timeout: float = 5.0) -> None:
-        """Tear a (possibly hung) worker down without blocking on it."""
-        process = self._processes[worker_index]
-        if process is not None and process.is_alive():
-            process.kill()
-            process.join(timeout)
-        pipe = self._pipes[worker_index]
-        if pipe is not None:
-            try:
-                pipe.close()
-            except OSError:
-                pass
+    def _stop_worker(self, worker_index: int) -> None:
+        """Tear a (possibly hung) worker down without waiting on it."""
+        supervise.stop(self._processes[worker_index], self._pipes[worker_index], 0.0)
 
     def _handle_failure(self, worker_index: int, detail: str, hung: bool = False):
         """Apply the failure policy to a dead/hung worker; return its reply."""
@@ -570,7 +544,7 @@ class AsyncVectorEnv(VectorEnv):
         if not restartable:
             # A hung worker must not outlive the error: kill it so close()
             # and process teardown stay bounded.
-            self._kill_worker(worker_index)
+            self._stop_worker(worker_index)
             if supervised:
                 reason += (
                     f"; restart budget exhausted "
@@ -579,8 +553,6 @@ class AsyncVectorEnv(VectorEnv):
             return ("error", (worker_index, reason))
         return self._restart_worker(worker_index, reason)
 
-    #: Upper bound on the respawn backoff sleep.
-    _MAX_BACKOFF_S = 2.0
     #: How long a *replacement* worker gets to construct + reset its shard
     #: before the restart itself counts as failed (generous: construction is
     #: factory-bound, not step-bound).
@@ -604,8 +576,8 @@ class AsyncVectorEnv(VectorEnv):
         """
         self._restarts[worker_index] += 1
         attempt = self._restarts[worker_index]
-        self._kill_worker(worker_index)
-        time.sleep(min(self.restart_backoff_s * (2 ** (attempt - 1)), self._MAX_BACKOFF_S))
+        self._stop_worker(worker_index)
+        time.sleep(self._restart_policy.backoff(attempt))
         self._spawn_worker(worker_index)
         pipe = self._pipes[worker_index]
 
@@ -615,13 +587,13 @@ class AsyncVectorEnv(VectorEnv):
                     raise EOFError(f"no {stage} ack")
                 kind, payload = pipe.recv()
             except (EOFError, OSError) as exc:
-                self._kill_worker(worker_index)
+                self._stop_worker(worker_index)
                 raise AsyncVectorEnvError(
                     f"worker {worker_index} failed ({reason}) and its replacement "
                     f"did not come up: {stage} failed ({exc})"
                 ) from None
             if kind == "error":
-                self._kill_worker(worker_index)
+                self._stop_worker(worker_index)
                 raise AsyncVectorEnvError(
                     f"worker {worker_index} failed ({reason}) and its replacement "
                     f"errored during {stage}:\n{payload[1]}"
@@ -637,11 +609,8 @@ class AsyncVectorEnv(VectorEnv):
         if command == "step":
             for slot in shard:
                 self._buffers.mark_restarted(slot)
-            infos = [
-                {"worker_restarted": True, "worker_restarts": attempt}
-                for _ in shard
-            ]
-            return ("ok", infos)
+            info = {"worker_restarted": True, "worker_restarts": attempt}
+            return ("ok", [dict(info) for _ in shard])
         if command in (None, "reset"):
             return ("ok", None)
         # Re-issue the interrupted command against the freshly-reset shard;
@@ -650,12 +619,8 @@ class AsyncVectorEnv(VectorEnv):
         return self._recv(worker_index)
 
     def _raise(self, errors: Sequence[Tuple[int, str]]) -> None:
-        details = "\n".join(
-            f"--- worker {worker_index} ---\n{message}" for worker_index, message in errors
-        )
-        raise AsyncVectorEnvError(
-            f"{len(errors)} worker(s) failed:\n{details}"
-        )
+        details = "\n".join(f"--- worker {i} ---\n{message}" for i, message in errors)
+        raise AsyncVectorEnvError(f"{len(errors)} worker(s) failed:\n{details}")
 
     def _assert_open(self) -> None:
         if self._closed:

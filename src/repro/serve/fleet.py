@@ -11,7 +11,13 @@ failed or timed-out requests on a surviving replica under a bounded
 :class:`~repro.serve.router.RetryPolicy`, and restarts dead or hung replicas
 in place with the same per-slot budget + jittered exponential backoff
 discipline :class:`~repro.env.async_vector_env.AsyncVectorEnv` uses for env
-workers.
+workers (both spawn, stop and back off through :mod:`repro.supervise`).
+
+Each replica slot's lifecycle is one ``state`` that changes only through
+:data:`TRANSITIONS`, the ``(state, event) → state`` table also printed in
+``docs/robustness.md``.  Scale-down and rolling restart are one path: the
+slot leaves routing, the supervisor stops it once its in-flight work has
+drained, and the table sends it to ``spare`` or back to ``starting``.
 
 The contract the chaos suites (``tests/robustness/test_fleet_faults.py``)
 enforce:
@@ -26,8 +32,8 @@ enforce:
   respawned in place within its backoff budget.
 * **Graceful drain** — :meth:`drain` stops admission (new submits shed with a
   ``Retry-After`` hint), lets every admitted request finish (including
-  retries through mid-drain failures), then drains and joins the replicas.
-  Zero admitted requests are dropped.
+  retries through mid-drain failures), then stops the replicas.  Zero
+  admitted requests are dropped.
 * **Rolling restart** — :meth:`rolling_restart` cycles replicas one at a
   time (drain one, respawn it, wait ready, move on) with the rest of the
   fleet carrying traffic, so a deploy drops nothing.
@@ -50,6 +56,7 @@ ready timeout      a respawn that never comes up
 from __future__ import annotations
 
 import itertools
+import multiprocessing
 import os
 import signal
 import threading
@@ -58,10 +65,11 @@ import traceback
 from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from .. import supervise
 from ..env.shared_memory import SharedModuleWeights
 from .autoscale import (
     Autoscaler,
@@ -74,9 +82,6 @@ from .registry import build_default_registry
 from .router import ReplicaView, RetryPolicy, choose_replica
 from .schemas import PlanError, PlanRequest, SchemaError, response_from_dict
 from .service import Reply, ReschedulingService, ServiceConfig
-
-#: Restart backoff is capped here, like the async env's worker supervisor.
-_BACKOFF_CAP_S = 2.0
 
 
 # ---------------------------------------------------------------------- #
@@ -153,7 +158,7 @@ def _replica_main(
     Protocol (parent → replica): ``("plan", ticket, request_dict)``,
     ``("drain", timeout_s)``, ``("exit", None)``.  Replica → parent:
     ``("ready", info)``, ``("heartbeat", load)``, ``("reply", ticket,
-    reply_dict)``, ``("drained", stats)``, ``("fatal", traceback)``.
+    reply_dict)``, ``("fatal", traceback)``.
 
     The recv loop never blocks on planning: plan futures reply through
     ``add_done_callback``, so a hung planner stalls only the service worker —
@@ -230,27 +235,21 @@ def _replica_main(
                 try:
                     future = service.submit(request)
                 except RuntimeError as exc:  # stopped under us: retryable
-                    send(
-                        (
-                            "reply",
-                            ticket,
-                            PlanError(
-                                request.request_id,
-                                "service_unavailable",
-                                str(exc),
-                                retry_after_s=0.05,
-                            ).to_dict(),
-                        )
+                    error = PlanError(
+                        request.request_id,
+                        "service_unavailable",
+                        str(exc),
+                        retry_after_s=0.05,
                     )
+                    send(("reply", ticket, error.to_dict()))
                     continue
                 future.add_done_callback(replier(ticket))
             elif kind == "drain":
                 # Pipe FIFO ordering guarantees every "plan" the parent sent
                 # before this drain has already been submitted above; drain
                 # resolves all of their futures (success or stable error),
-                # firing the reply callbacks, before we acknowledge.
+                # firing the reply callbacks, before the replica exits.
                 service.drain(timeout=float(message[1]))
-                send(("drained", service.stats()))
                 break
             elif kind == "exit":
                 break
@@ -294,7 +293,8 @@ class FleetConfig:
     #: Restart budget per replica *slot* — one flaky slot cannot starve the
     #: fleet's others.  Past it the slot stays down (the fleet serves on).
     max_replica_restarts: int = 3
-    #: Base of the per-slot exponential respawn backoff (capped at 2 s).
+    #: Base of the per-slot respawn backoff (:meth:`RetryPolicy.backoff`:
+    #: exponential, capped at 2 s, jittered).
     restart_backoff_s: float = 0.05
     #: Request retry budget + backoff (see :class:`RetryPolicy`).
     retry: RetryPolicy = field(default_factory=RetryPolicy)
@@ -329,6 +329,7 @@ class FleetConfig:
             "request_timeout_s",
             "queue_wait_timeout_s",
             "supervise_interval_s",
+            "drain_timeout_s",
         ):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -338,6 +339,8 @@ class FleetConfig:
             raise ValueError("restart_backoff_s must not be negative")
         if self.max_inflight < 0:
             raise ValueError("max_inflight must not be negative")
+        if self.shed_retry_after_s < 0:
+            raise ValueError("shed_retry_after_s must not be negative")
 
 
 @dataclass
@@ -354,49 +357,136 @@ class _InFlight:
     due_at: float = 0.0  # earliest re-dispatch time while waiting
 
 
+# ---------------------------------------------------------------------- #
+# Replica slot lifecycle
+# ---------------------------------------------------------------------- #
+#: The only way a slot's state changes.  Entering ``starting`` spawns a
+#: process; entering ``backoff`` schedules its respawn (``respawn`` counts
+#: against ``max_replica_restarts``, nothing else does); ``restarting`` and
+#: ``stopping`` are entered with nothing assigned and left on ``stopped``,
+#: once the process is gone.  ``docs/robustness.md`` prints this table and
+#: ``tests/serve/test_fleet_lifecycle.py`` keeps the two equal.
+TRANSITIONS: Dict[Tuple[str, str], str] = {
+    ("spare", "spawn"): "starting",
+    ("spare", "shutdown"): "spare",
+    ("starting", "ready"): "up",
+    ("starting", "fail"): "backoff",
+    ("starting", "exhaust"): "exhausted",
+    ("starting", "roll"): "rolling",
+    ("starting", "scale_down"): "retiring",
+    ("starting", "shutdown"): "stopping",
+    ("up", "fail"): "backoff",
+    ("up", "exhaust"): "exhausted",
+    ("up", "roll"): "rolling",
+    ("up", "scale_down"): "retiring",
+    ("up", "shutdown"): "stopping",
+    ("rolling", "ready"): "rolling",
+    ("rolling", "drained"): "restarting",
+    ("rolling", "fail"): "backoff",
+    ("rolling", "exhaust"): "exhausted",
+    ("rolling", "scale_down"): "retiring",
+    ("rolling", "shutdown"): "stopping",
+    ("retiring", "ready"): "retiring",
+    ("retiring", "drained"): "stopping",
+    ("retiring", "fail"): "spare",
+    ("retiring", "exhaust"): "spare",
+    ("retiring", "shutdown"): "stopping",
+    ("restarting", "stopped"): "starting",
+    ("restarting", "scale_down"): "stopping",
+    ("restarting", "shutdown"): "stopping",
+    ("stopping", "stopped"): "spare",
+    ("stopping", "shutdown"): "stopping",
+    ("backoff", "respawn"): "starting",
+    ("backoff", "roll"): "starting",
+    ("backoff", "scale_down"): "spare",
+    ("backoff", "shutdown"): "spare",
+    ("exhausted", "roll"): "starting",
+    ("exhausted", "scale_down"): "spare",
+    ("exhausted", "shutdown"): "spare",
+}
+
+#: Slots that left routing on purpose (``/v1/state`` reports them draining).
+_OUT_OF_ROUTING = ("rolling", "retiring", "restarting", "stopping")
+
+#: How each lifecycle state reads as ``/v1/state``'s ``state`` field.
+_PUBLIC_STATE = dict(
+    spare="down", starting="starting", up="up", rolling="up", retiring="up",
+    restarting="stopping", stopping="stopping", backoff="down", exhausted="down",
+)
+
+
+def next_state(state: str, event: str) -> str:
+    """Look ``(state, event)`` up in :data:`TRANSITIONS`; an illegal pair raises."""
+    try:
+        return TRANSITIONS[(state, event)]
+    except KeyError:
+        raise ValueError(
+            f"illegal replica transition: event {event!r} in state {state!r}"
+        ) from None
+
+
 class _Replica:
-    """Supervisor-side bookkeeping for one replica slot."""
+    """Supervisor-side bookkeeping for one replica slot.
+
+    ``state`` is the slot's whole lifecycle (see :data:`TRANSITIONS`); the
+    other fields are the current process's handles and last reported load.
+    """
 
     def __init__(self, index: int) -> None:
         self.index = index
+        self.state = "spare"
         self.process = None
         self.conn = None
         self.send_lock = threading.Lock()
-        self.reader: Optional[threading.Thread] = None
-        self.state = "down"  # down | starting | up
-        self.ready = False
         self.spawned_at = 0.0
         self.last_heartbeat = 0.0
         self.queue_depth = 0
         self.handled = 0
         self.draining = False  # replica-service-side (from heartbeat)
-        self.routing_paused = False  # router-side (rolling restart / retiring)
-        self.desired = True  # autoscaler wants this slot populated
-        self.retiring = False  # scale-down in progress: drain, then stop
         self.brownout_level = 0  # replica-service-side (from heartbeat)
-        self.eof = False
-        self.fatal: Optional[str] = None
+        self.fatal: Optional[str] = None  # traceback of a failed startup
         self.restarts = 0
-        self.respawn_at: Optional[float] = None
+        self.respawn_at = 0.0  # when a ``backoff`` slot respawns
         self.assigned: set = set()  # tickets in flight on this replica
-        self.drained = threading.Event()
         self.pid: Optional[int] = None
 
     @property
     def routable(self) -> bool:
-        return (
-            self.state == "up"
-            and self.ready
-            and not self.eof
-            and not self.draining
-            and not self.routing_paused
-        )
+        return self.state == "up" and not self.draining
 
-    def send(self, message) -> None:
+    @property
+    def desired(self) -> bool:
+        """Whether the fleet wants this slot populated (scale-down clears it)."""
+        return self.state not in ("spare", "retiring", "stopping")
+
+    def send(self, conn, message) -> None:
         with self.send_lock:
-            if self.conn is None:
-                raise OSError("replica connection is closed")
-            self.conn.send(message)
+            conn.send(message)
+
+
+def _failure_reason(slot: _Replica, now: float, oldest_assigned_at, config):
+    """Why a slot with a live process must be failed at ``now``, else ``None``.
+
+    Pipe EOF and fatal reports fail a slot from its reader thread at once;
+    this covers the detectors that need a clock: death without EOF, a
+    respawn that never came up, a silent heartbeat, a hung planner (the
+    oldest assigned request, ``oldest_assigned_at``).
+    """
+    live = ("starting", "up", "rolling", "retiring")
+    if slot.process is None or slot.state not in live:
+        return None
+    if not slot.process.is_alive():
+        return "replica process died"
+    if slot.state == "starting":
+        if now - slot.spawned_at > config.ready_timeout_s:
+            return "replica never became ready"
+        return None
+    if slot.last_heartbeat and now - slot.last_heartbeat > config.heartbeat_timeout_s:
+        return "heartbeat timed out"
+    oldest = oldest_assigned_at
+    if oldest is not None and now - oldest > config.request_timeout_s:
+        return "assigned request timed out (hang)"
+    return None
 
 
 class ReplicaFleet:
@@ -421,22 +511,20 @@ class ReplicaFleet:
         # before a request crosses a pipe, not after.
         self.service_config = service_config or ServiceConfig()
         # With autoscaling, slots exist up to max_replicas but only the
-        # initial count is *desired* (spawned); scale-up re-populates spare
-        # slots, scale-down retires the extras drain-before-kill.
+        # initial count is spawned; scale-up populates spare slots,
+        # scale-down retires the extras drain-before-kill.
         autoscale = self.config.autoscale
         if autoscale is not None:
             num_slots = autoscale.max_replicas
-            initial = min(
+            self._initial = min(
                 max(self.config.num_replicas, autoscale.min_replicas),
                 autoscale.max_replicas,
             )
         else:
-            num_slots = initial = self.config.num_replicas
+            num_slots = self._initial = self.config.num_replicas
         self._replicas = [_Replica(i) for i in range(num_slots)]
-        for replica in self._replicas[initial:]:
-            replica.desired = False
         self._autoscaler = (
-            Autoscaler(autoscale, initial_replicas=initial)
+            Autoscaler(autoscale, initial_replicas=self._initial)
             if autoscale is not None
             else None
         )
@@ -446,6 +534,9 @@ class ReplicaFleet:
             else None
         )
         self._lock = threading.Lock()
+        #: Notified on every lifecycle transition and resolved request.
+        self._changed = threading.Condition(self._lock)
+        self._restart_policy = RetryPolicy(backoff_s=self.config.restart_backoff_s)
         self._tickets = itertools.count()
         self._inflight: Dict[int, _InFlight] = {}
         self._waiting: Dict[int, _InFlight] = {}
@@ -457,56 +548,55 @@ class ReplicaFleet:
         self._supervisor: Optional[threading.Thread] = None
         self._planners_description: Optional[List[Dict]] = None
         self._latencies: "deque[float]" = deque(maxlen=1024)
-        self._stats: Dict[str, float] = {
-            "submitted": 0,
-            "completed": 0,
-            "errors": 0,
-            "retried": 0,
-            "shed": 0,
-            "restarts": 0,
-            "replica_failures": 0,
-            "rolls": 0,
-            "scale_ups": 0,
-            "scale_downs": 0,
-        }
+        self._stats: Dict[str, float] = dict.fromkeys(
+            ("submitted", "completed", "errors", "retried", "shed", "restarts",
+             "replica_failures", "rolls", "scale_ups", "scale_downs"),
+            0,
+        )
 
     # ------------------------------------------------------------------ #
     # Lifecycle
     # ------------------------------------------------------------------ #
     def start(self, timeout: Optional[float] = None) -> None:
-        """Spawn every replica and wait until all report ready (idempotent)."""
+        """Spawn the initial replicas and wait until all report ready (idempotent)."""
         if self._started and not self._stopped:
             return
         if self._stopped:
             raise RuntimeError("a stopped fleet cannot be restarted; build a new one")
         self._started = True
-        for replica in self._replicas:
-            if replica.desired:
-                self._spawn(replica)
+        initial = self._replicas[: self._initial]
+        with self._lock:
+            for replica in initial:
+                self._fire(replica, "spawn")
         self._supervisor = threading.Thread(
             target=self._supervise_loop, name="fleet-supervisor", daemon=True
         )
         self._supervisor.start()
-        deadline = time.monotonic() + (timeout or self.config.ready_timeout_s)
-        for replica in self._replicas:
-            if not replica.desired:
-                continue
-            while not replica.ready and time.monotonic() < deadline:
-                if replica.fatal is not None:
-                    self.stop()
-                    raise RuntimeError(
-                        f"replica {replica.index} failed to start:\n{replica.fatal}"
-                    )
-                time.sleep(0.01)
-            if not replica.ready:
-                self.stop()
+        budget = timeout or self.config.ready_timeout_s
+        with self._lock:
+            self._changed.wait_for(
+                lambda: any(r.fatal for r in initial)
+                or all(r.state not in ("starting", "backoff") for r in initial),
+                timeout=budget,
+            )
+            failed = [
+                r
+                for r in initial
+                if r.fatal or r.state in ("starting", "backoff", "exhausted")
+            ]
+        if failed:
+            self.stop()
+            replica = failed[0]
+            if replica.fatal:
                 raise RuntimeError(
-                    f"replica {replica.index} did not become ready within "
-                    f"{timeout or self.config.ready_timeout_s:.0f}s"
+                    f"replica {replica.index} failed to start:\n{replica.fatal}"
                 )
+            raise RuntimeError(
+                f"replica {replica.index} did not become ready within {budget:.0f}s"
+            )
 
     def stop(self, timeout: float = 5.0) -> None:
-        """Hard stop: exit replicas, fail outstanding requests stably (idempotent)."""
+        """Hard stop: fail outstanding requests stably, exit replicas (idempotent)."""
         if not self._started or (self._stopped and self._supervisor is None):
             self._stopped = True
             return
@@ -516,8 +606,6 @@ class ReplicaFleet:
         if self._supervisor is not None:
             self._supervisor.join(timeout=timeout)
             self._supervisor = None
-        for replica in self._replicas:
-            self._shutdown_replica(replica, "exit", timeout=timeout)
         # Every ticket still outstanding resolves — no caller hangs on stop.
         with self._lock:
             leftovers = list(self._inflight.values()) + list(self._waiting.values())
@@ -525,6 +613,7 @@ class ReplicaFleet:
             self._waiting.clear()
             for replica in self._replicas:
                 replica.assigned.clear()
+                self._begin_stop(replica, "shutdown", ("exit", None), grace=timeout)
         for entry in leftovers:
             self._resolve(
                 entry,
@@ -533,6 +622,11 @@ class ReplicaFleet:
                     "service_unavailable",
                     "fleet stopped before the request completed",
                 ),
+            )
+        with self._lock:
+            self._changed.wait_for(
+                lambda: all(r.state == "spare" for r in self._replicas),
+                timeout=timeout + 2.0,
             )
 
     def drain(self, timeout: Optional[float] = None) -> int:
@@ -544,21 +638,12 @@ class ReplicaFleet:
         drain, so admitted requests survive replicas dying mid-drain.
         """
         budget = timeout if timeout is not None else self.config.drain_timeout_s
-        deadline = time.monotonic() + budget
         self._draining = True
-        while time.monotonic() < deadline:
-            with self._lock:
-                outstanding = len(self._inflight) + len(self._waiting)
-            if outstanding == 0:
-                break
-            time.sleep(0.01)
         with self._lock:
+            self._changed.wait_for(
+                lambda: not self._inflight and not self._waiting, timeout=budget
+            )
             dropped = len(self._inflight) + len(self._waiting)
-        for replica in self._replicas:
-            if replica.state != "down" and replica.conn is not None:
-                self._shutdown_replica(
-                    replica, "drain", timeout=max(deadline - time.monotonic(), 1.0)
-                )
         self.stop()
         return dropped
 
@@ -572,34 +657,22 @@ class ReplicaFleet:
     def rolling_restart(self, timeout_per_replica: float = 60.0) -> None:
         """Replace every replica one at a time without dropping requests.
 
-        Each slot is taken out of routing, drained of its in-flight work,
-        exited, respawned, and readmitted only once ready — the rest of the
-        fleet carries traffic throughout.  Intentional rolls do not consume
-        the failure restart budget.
+        Each slot leaves routing, is stopped by the supervisor once its
+        in-flight work has drained, respawns, and rejoins routing once ready
+        — the rest of the fleet carries traffic throughout.  Intentional
+        rolls do not consume the failure restart budget.
         """
         for replica in self._replicas:
-            if self._stopped:
-                return
-            if not replica.desired:
-                continue  # spare autoscale slot: nothing to roll
-            deadline = time.monotonic() + timeout_per_replica
             with self._lock:
-                replica.routing_paused = True
-            while time.monotonic() < deadline:
-                with self._lock:
-                    if not replica.assigned:
-                        break
-                time.sleep(0.01)
-            self._shutdown_replica(
-                replica, "drain", timeout=max(deadline - time.monotonic(), 1.0)
-            )
-            with self._lock:
+                if self._stopped or (replica.state, "roll") not in TRANSITIONS:
+                    continue  # spare, retiring or already stopping: nothing to roll
                 self._stats["rolls"] += 1
-                self._spawn(replica)
-                replica.routing_paused = False
-            while not replica.ready and time.monotonic() < deadline:
-                time.sleep(0.01)
-            if not replica.ready:
+                self._fire(replica, "roll")
+                back = self._changed.wait_for(
+                    lambda: replica.state in ("up", "spare"),
+                    timeout=timeout_per_replica,
+                )
+            if not back:
                 raise RuntimeError(
                     f"replica {replica.index} did not come back within "
                     f"{timeout_per_replica:.0f}s during rolling restart"
@@ -613,48 +686,26 @@ class ReplicaFleet:
         if not self._started or self._stopped:
             raise RuntimeError("fleet is not started; call start() first")
         future: "Future[Reply]" = Future()
-        retry_after = self.config.shed_retry_after_s or None
+        shed = None
         if self._draining:
-            with self._lock:
-                self._stats["shed"] += 1
-            future.set_result(
-                PlanError(
-                    request.request_id,
-                    "service_unavailable",
-                    "fleet is draining and no longer admits requests",
-                    retry_after_s=retry_after,
-                )
-            )
-            return future
+            shed = "fleet is draining and no longer admits requests"
         # Brownout L4: the supervisor's smoothed-load controller says the
         # fleet is past saturation — shed *new* arrivals (the backlog keeps
         # draining) with a Retry-After hint.
-        if self._brownout is not None and self._brownout.shedding:
-            with self._lock:
-                self._stats["shed"] += 1
-            future.set_result(
-                PlanError(
-                    request.request_id,
-                    "service_unavailable",
-                    "brownout L4: fleet is shedding load; retry later",
-                    retry_after_s=retry_after,
-                )
-            )
-            return future
+        elif self._brownout is not None and self._brownout.shedding:
+            shed = "brownout L4: fleet is shedding load; retry later"
         now = time.monotonic()
         with self._lock:
             bound = self.config.max_inflight
-            if bound > 0 and len(self._inflight) + len(self._waiting) >= bound:
-                self._stats["shed"] += 1
-                shed = PlanError(
-                    request.request_id,
-                    "service_unavailable",
+            outstanding = len(self._inflight) + len(self._waiting)
+            if shed is None and bound > 0 and outstanding >= bound:
+                shed = (
                     f"fleet has {bound} requests outstanding (admission bound); "
-                    "retry later",
-                    retry_after_s=retry_after,
+                    "retry later"
                 )
+            if shed is not None:
+                self._stats["shed"] += 1
             else:
-                shed = None
                 ticket = next(self._tickets)
                 self._stats["submitted"] += 1
                 self._waiting[ticket] = _InFlight(
@@ -665,7 +716,14 @@ class ReplicaFleet:
                     due_at=now,
                 )
         if shed is not None:
-            future.set_result(shed)
+            future.set_result(
+                PlanError(
+                    request.request_id,
+                    "service_unavailable",
+                    shed,
+                    retry_after_s=self.config.shed_retry_after_s or None,
+                )
+            )
             return future
         self._dispatch_waiting()
         return future
@@ -712,11 +770,12 @@ class ReplicaFleet:
                 {
                     "index": replica.index,
                     "pid": replica.pid,
-                    "state": replica.state,
+                    "state": _PUBLIC_STATE[replica.state],
                     "healthy": replica.routable,
                     "desired": replica.desired,
-                    "retiring": replica.retiring,
-                    "draining": replica.draining or replica.routing_paused,
+                    "retiring": replica.state in ("retiring", "stopping"),
+                    "draining": replica.draining
+                    or replica.state in _OUT_OF_ROUTING,
                     "queue_depth": replica.queue_depth,
                     "assigned": len(replica.assigned),
                     "restarts": replica.restarts,
@@ -761,27 +820,12 @@ class ReplicaFleet:
         """Flat supervision-counter summary for simulation reports:
         restarts/rolls/sheds/retries plus autoscale and brownout activity."""
         with self._lock:
-            stats = dict(self._stats)
-            active = sum(1 for r in self._replicas if r.desired)
-        payload = {
-            "submitted": int(stats["submitted"]),
-            "completed": int(stats["completed"]),
-            "errors": int(stats["errors"]),
-            "retried": int(stats["retried"]),
-            "shed": int(stats["shed"]),
-            "restarts": int(stats["restarts"]),
-            "replica_failures": int(stats["replica_failures"]),
-            "rolls": int(stats["rolls"]),
-            "scale_ups": int(stats["scale_ups"]),
-            "scale_downs": int(stats["scale_downs"]),
-            "active_replicas": active,
-            "brownout_transitions": (
-                len(self._brownout.transitions) if self._brownout is not None else 0
-            ),
-            "brownout_level": (
-                self._brownout.level if self._brownout is not None else 0
-            ),
-        }
+            payload = {key: int(value) for key, value in self._stats.items()}
+            payload["active_replicas"] = sum(1 for r in self._replicas if r.desired)
+        brownout = self._brownout
+        off = brownout is None
+        payload["brownout_transitions"] = 0 if off else len(brownout.transitions)
+        payload["brownout_level"] = 0 if off else brownout.level
         return payload
 
     # ------------------------------------------------------------------ #
@@ -808,85 +852,83 @@ class ReplicaFleet:
         return target
 
     # ------------------------------------------------------------------ #
-    # Internals — spawning and teardown
+    # Internals — lifecycle transitions, spawning and stopping
     # ------------------------------------------------------------------ #
-    def _context(self):
-        import multiprocessing
+    def _fire(self, replica: _Replica, event: str, conn=None) -> bool:
+        """Apply one lifecycle event to ``replica`` (caller holds the lock).
 
-        return multiprocessing.get_context(self.config.start_method or "spawn")
+        A signal about a connection the slot no longer holds — an EOF or a
+        ready from its previous process — is dropped: returns ``False``.
+        """
+        if conn is not None and conn is not replica.conn:
+            return False
+        state = next_state(replica.state, event)
+        if state in ("restarting", "stopping") and replica.assigned:
+            raise RuntimeError(
+                f"replica {replica.index} cannot stop with work assigned"
+            )
+        replica.state = state
+        if state == "starting":
+            self._spawn(replica)
+        self._changed.notify_all()
+        return True
 
     def _spawn(self, replica: _Replica) -> None:
-        context = self._context()
-        parent_conn, child_conn = context.Pipe(duplex=True)
-        process = context.Process(
-            target=_replica_main,
-            args=(
-                child_conn,
+        process, conn = supervise.spawn(
+            multiprocessing.get_context(self.config.start_method or "spawn"),
+            _replica_main,
+            (
                 self.registry_factory,
                 self.service_config,
                 self.config.heartbeat_interval_s,
                 replica.index,
             ),
             name=f"fleet-replica-{replica.index}",
-            daemon=True,
         )
-        process.start()
-        child_conn.close()  # parent keeps one end only → EOF on child death
-        replica.process = process
-        replica.conn = parent_conn
-        replica.state = "starting"
-        replica.ready = False
-        replica.eof = False
-        replica.fatal = None
+        replica.process, replica.conn, replica.pid = process, conn, process.pid
         replica.draining = False
         replica.queue_depth = 0
         replica.spawned_at = time.monotonic()
         replica.last_heartbeat = 0.0
-        replica.respawn_at = None
-        replica.drained = threading.Event()
-        replica.pid = process.pid
-        replica.reader = threading.Thread(
+        threading.Thread(
             target=self._read_loop,
-            args=(replica, parent_conn),
+            args=(replica, conn),
             name=f"fleet-reader-{replica.index}",
             daemon=True,
-        )
-        replica.reader.start()
+        ).start()
 
-    def _shutdown_replica(self, replica: _Replica, mode: str, timeout: float) -> None:
-        """Politely stop one replica (``drain`` or ``exit``), then enforce."""
+    def _begin_stop(self, replica: _Replica, event: str, message, grace: float) -> None:
+        """Fire ``event``; if the slot had a process, stop it off-thread.
+
+        The handles are detached here, under the lock, so anything the old
+        process still signals is stale from now on.  ``stopped`` fires once
+        the process is gone.
+        """
+        self._fire(replica, event)
         process, conn = replica.process, replica.conn
-        if conn is not None:
-            try:
-                if mode == "drain":
-                    replica.send(("drain", max(timeout - 0.5, 0.5)))
-                    replica.drained.wait(timeout=timeout)
-                else:
-                    replica.send(("exit", None))
-            except (OSError, ValueError, BrokenPipeError):
-                pass
+        replica.process = replica.conn = None
         if process is not None:
-            process.join(timeout=max(timeout, 0.5))
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=0.5)
-            if process.is_alive():
-                process.kill()
-                process.join(timeout=0.5)
-        if conn is not None:
-            try:
-                conn.close()
-            except OSError:
-                pass
-        replica.state = "down"
-        replica.ready = False
-        replica.conn = None
-        replica.process = None
+            threading.Thread(
+                target=self._stop_slot,
+                args=(replica, process, conn, message, grace),
+                name=f"fleet-stop-{replica.index}",
+                daemon=True,
+            ).start()
+
+    def _stop_slot(self, replica: _Replica, process, conn, message, grace) -> None:
+        try:
+            replica.send(conn, message)
+        except (OSError, ValueError):
+            pass
+        supervise.stop(process, conn, grace)
+        with self._lock:
+            self._fire(replica, "stopped")
 
     # ------------------------------------------------------------------ #
     # Internals — replica pipe reader
     # ------------------------------------------------------------------ #
     def _read_loop(self, replica: _Replica, conn) -> None:
+        fatal = None
         while True:
             try:
                 message = conn.recv()
@@ -904,24 +946,18 @@ class ReplicaFleet:
                     replica.draining = bool(load.get("draining", False))
                     replica.brownout_level = int(load.get("brownout_level", 0))
             elif kind == "ready":
-                info = message[1]
                 with self._lock:
-                    replica.ready = True
-                    replica.state = "up"
-                    replica.last_heartbeat = time.monotonic()
-                    if self._planners_description is None:
-                        self._planners_description = info.get("planners")
+                    if self._fire(replica, "ready", conn):
+                        replica.fatal = None
+                        replica.last_heartbeat = time.monotonic()
+                        if self._planners_description is None:
+                            self._planners_description = message[1].get("planners")
                 self._dispatch_waiting()
-            elif kind == "drained":
-                replica.drained.set()
             elif kind == "fatal":
-                replica.fatal = message[1]
+                fatal = message[1]
                 break
-        with self._lock:
-            # A rolling restart may already have respawned the slot: this
-            # EOF is the old process's and must not mark the new one dead.
-            if replica.conn is conn or replica.conn is None:
-                replica.eof = True
+        reason = "replica reported a fatal error" if fatal else "replica process died"
+        self._fail_replica(replica, reason, conn, fatal=fatal)
 
     def _on_reply(self, ticket: int, reply_dict: Dict) -> None:
         with self._lock:
@@ -944,24 +980,22 @@ class ReplicaFleet:
             and reply.code == "service_unavailable"
             and entry.attempts < self.config.retry.max_retries
         ):
-            self._requeue(entry, ticket=None)
+            with self._lock:
+                self._schedule_retry(next(self._tickets), entry, time.monotonic())
+            self._dispatch_waiting()
             return
         self._resolve(entry, reply)
 
     # ------------------------------------------------------------------ #
     # Internals — routing, retries, resolution
     # ------------------------------------------------------------------ #
-    def _requeue(self, entry: _InFlight, ticket: Optional[int]) -> None:
-        """Schedule a retry attempt for an entry popped from ``_inflight``."""
-        with self._lock:
-            entry.attempts += 1
-            entry.replica = None
-            entry.due_at = time.monotonic() + self.config.retry.backoff(
-                entry.attempts, rng=self._rng
-            )
-            self._stats["retried"] += 1
-            self._waiting[next(self._tickets) if ticket is None else ticket] = entry
-        self._dispatch_waiting()
+    def _schedule_retry(self, ticket: int, entry: _InFlight, now: float) -> None:
+        """Park an entry popped from ``_inflight`` for its next try (under the lock)."""
+        entry.attempts += 1
+        entry.replica = None
+        entry.due_at = now + self.config.retry.backoff(entry.attempts, rng=self._rng)
+        self._stats["retried"] += 1
+        self._waiting[ticket] = entry
 
     def _resolve(self, entry: _InFlight, reply: Reply) -> None:
         with self._lock:
@@ -969,6 +1003,7 @@ class ReplicaFleet:
             if not reply.ok:
                 self._stats["errors"] += 1
             self._latencies.append((time.monotonic() - entry.created_at) * 1e3)
+            self._changed.notify_all()
         if not entry.future.done():
             entry.future.set_result(reply)
 
@@ -994,13 +1029,14 @@ class ReplicaFleet:
                 index = choose_replica(views)
                 if index is None:
                     break  # nobody healthy right now; the supervisor retries
+                replica = self._replicas[index]
                 entry = self._waiting.pop(ticket)
                 entry.replica = index
                 entry.assigned_at = now
                 self._inflight[ticket] = entry
-                self._replicas[index].assigned.add(ticket)
-                to_send.append((self._replicas[index], ticket, entry))
-        for replica, ticket, entry in to_send:
+                replica.assigned.add(ticket)
+                to_send.append((replica, replica.conn, ticket, entry))
+        for replica, conn, ticket, entry in to_send:
             request_dict = entry.request_dict
             if self._brownout is not None and self._brownout.reduce_deadline:
                 # Brownout L2: stamp the reduced deadline onto the dispatched
@@ -1011,23 +1047,24 @@ class ReplicaFleet:
                     request_dict.get("deadline_ms")
                 )
             try:
-                replica.send(("plan", ticket, request_dict))
-            except (OSError, ValueError, BrokenPipeError):
-                self._fail_replica(replica, "pipe send failed")
+                replica.send(conn, ("plan", ticket, request_dict))
+            except (OSError, ValueError):
+                self._fail_replica(replica, "pipe send failed", conn)
 
-    def _fail_replica(self, replica: _Replica, reason: str) -> None:
-        """Kill + schedule respawn of a failed replica; retry its requests."""
+    def _fail_replica(self, replica: _Replica, reason: str, conn, fatal=None) -> None:
+        """Fail the slot ``conn`` belongs to: retry its requests, kill it, and
+        schedule a respawn while budget remains.  A stale ``conn`` is a no-op."""
         to_fail: List[_InFlight] = []
         with self._lock:
-            if replica.state in ("down", "stopping"):
-                return  # already dead, or an intentional retirement underway
-            replica.state = "down"
-            replica.ready = False
-            if not replica.desired:
-                # A retiring replica died mid-drain: its slot goes back to
-                # the spare pool clean (no respawn — it was leaving anyway).
-                replica.retiring = False
-                replica.routing_paused = False
+            event = (
+                "fail"
+                if replica.restarts < self.config.max_replica_restarts
+                else "exhaust"
+            )
+            if not self._fire(replica, event, conn):
+                return  # the slot moved on: respawned, stopping, or already failed
+            if fatal:
+                replica.fatal = fatal
             self._stats["replica_failures"] += 1
             orphans = [
                 (ticket, self._inflight.pop(ticket))
@@ -1037,42 +1074,17 @@ class ReplicaFleet:
             replica.assigned.clear()
             now = time.monotonic()
             for ticket, entry in orphans:
-                entry.attempts += 1
-                entry.replica = None
-                if entry.attempts > self.config.retry.max_retries:
+                if entry.attempts >= self.config.retry.max_retries:
                     to_fail.append(entry)
-                    continue
-                entry.due_at = now + self.config.retry.backoff(
-                    entry.attempts, rng=self._rng
+                else:
+                    self._schedule_retry(ticket, entry, now)
+            if replica.state == "backoff":
+                replica.respawn_at = now + self._restart_policy.backoff(
+                    replica.restarts + 1, rng=self._rng
                 )
-                self._stats["retried"] += 1
-                self._waiting[ticket] = entry
-            if (
-                not self._stopped
-                and replica.desired
-                and replica.restarts < self.config.max_replica_restarts
-            ):
-                backoff = min(
-                    self.config.restart_backoff_s * (2.0 ** replica.restarts),
-                    _BACKOFF_CAP_S,
-                ) * (1.0 + 0.5 * float(self._rng.random()))
-                replica.respawn_at = now + backoff
-            else:
-                replica.respawn_at = None  # budget exhausted: slot stays down
-        process, conn = replica.process, replica.conn
-        if process is not None and process.is_alive():
-            process.terminate()
-            process.join(timeout=0.5)
-            if process.is_alive():
-                process.kill()
-                process.join(timeout=0.5)
-        if conn is not None:
-            try:
-                conn.close()
-            except OSError:
-                pass
-        replica.process = None
-        replica.conn = None
+            process = replica.process
+            replica.process = replica.conn = None
+        supervise.stop(process, conn, grace=0.0)
         for entry in to_fail:
             self._resolve(
                 entry,
@@ -1099,41 +1111,14 @@ class ReplicaFleet:
 
     def _supervise_once(self) -> None:
         now = time.monotonic()
-        for replica in self._replicas:
-            if replica.state == "stopping":
-                continue  # intentional retirement; its own thread finishes it
-            if replica.state == "down":
-                if (
-                    replica.respawn_at is not None
-                    and now >= replica.respawn_at
-                    and not self._stopped
-                ):
-                    with self._lock:
-                        replica.restarts += 1
-                        self._stats["restarts"] += 1
-                        replica.respawn_at = None
-                        self._spawn(replica)
-                continue
-            process = replica.process
-            if process is None:
-                continue
-            if not process.is_alive() or replica.eof:
-                self._fail_replica(replica, "replica process died")
-                continue
-            if replica.fatal is not None:
-                self._fail_replica(replica, "replica reported a fatal error")
-                continue
-            if replica.state == "starting":
-                if now - replica.spawned_at > self.config.ready_timeout_s:
-                    self._fail_replica(replica, "replica never became ready")
-                continue
-            if (
-                replica.last_heartbeat
-                and now - replica.last_heartbeat > self.config.heartbeat_timeout_s
-            ):
-                self._fail_replica(replica, "heartbeat timed out")
-                continue
-            with self._lock:
+        failed = []
+        with self._lock:
+            for replica in self._replicas:
+                if replica.state == "backoff" and now >= replica.respawn_at:
+                    replica.restarts += 1
+                    self._stats["restarts"] += 1
+                    self._fire(replica, "respawn")
+                    continue
                 oldest = min(
                     (
                         self._inflight[t].assigned_at
@@ -1142,9 +1127,11 @@ class ReplicaFleet:
                     ),
                     default=None,
                 )
-            if oldest is not None and now - oldest > self.config.request_timeout_s:
-                self._fail_replica(replica, "assigned request timed out (hang)")
-                continue
+                reason = _failure_reason(replica, now, oldest, self.config)
+                if reason is not None:
+                    failed.append((replica, replica.conn, reason))
+        for replica, conn, reason in failed:
+            self._fail_replica(replica, reason, conn)
         self._control_tick(now)
         # Bound the residency of unassigned work so a fully-down fleet still
         # terminates every future.
@@ -1166,26 +1153,19 @@ class ReplicaFleet:
         self._dispatch_waiting()
 
     # ------------------------------------------------------------------ #
-    # Internals — autoscaling, brownout, retirement
+    # Internals — autoscaling, brownout, drain-then-stop
     # ------------------------------------------------------------------ #
     def _control_tick(self, now: float) -> None:
-        """One autoscale/brownout observation + retirement progression."""
-        # Finish retirements whose in-flight work has fully drained.  The
-        # actual stop runs off-thread: a replica drain must never stall the
-        # supervisor's failure detectors.
-        to_stop: List[_Replica] = []
+        """One autoscale/brownout observation + drain-then-stop progression."""
+        # Rolling and retiring slots are out of routing; once their last
+        # assigned request resolves they are stopped (off this thread — a
+        # replica's exit must never stall the failure detectors).  With
+        # nothing assigned the replica's drain is immediate; the 5 s grace
+        # only bounds a wedged exit before SIGTERM/SIGKILL.
         with self._lock:
             for replica in self._replicas:
-                if replica.retiring and replica.state == "up" and not replica.assigned:
-                    replica.state = "stopping"
-                    to_stop.append(replica)
-        for replica in to_stop:
-            threading.Thread(
-                target=self._finish_retirement,
-                args=(replica,),
-                name=f"fleet-retire-{replica.index}",
-                daemon=True,
-            ).start()
+                if replica.state in ("rolling", "retiring") and not replica.assigned:
+                    self._begin_stop(replica, "drained", ("drain", 4.5), grace=5.0)
         if self._autoscaler is None and self._brownout is None:
             return
         with self._lock:
@@ -1217,7 +1197,7 @@ class ReplicaFleet:
     def _apply_scale(self, target: int) -> None:
         """Move the desired replica set toward ``target``.
 
-        Scale-up re-populates spare slots (least-restarted first) and spawns
+        Scale-up populates spare slots (least-restarted first) and spawns
         immediately.  Scale-down is strictly drain-before-kill: the victim
         (emptiest slot, highest index on ties — deterministic) leaves routing
         at once but is only stopped by :meth:`_control_tick` after its last
@@ -1229,43 +1209,24 @@ class ReplicaFleet:
             desired = [r for r in self._replicas if r.desired]
             if len(desired) < target:
                 spares = sorted(
-                    (r for r in self._replicas if not r.desired and not r.retiring),
+                    (r for r in self._replicas if r.state == "spare"),
                     key=lambda r: (r.restarts, r.index),
                 )
                 for replica in spares[: target - len(desired)]:
-                    replica.desired = True
-                    replica.retiring = False
-                    replica.routing_paused = False
-                    replica.respawn_at = None
                     self._stats["scale_ups"] += 1
-                    self._spawn(replica)
+                    self._fire(replica, "spawn")
             elif len(desired) > target:
                 victims = sorted(
                     desired,
                     key=lambda r: (
-                        0 if r.state == "down" else 1,
+                        0 if r.state in ("backoff", "exhausted") else 1,
                         len(r.assigned),
                         -r.index,
                     ),
                 )
                 for replica in victims[: len(desired) - target]:
-                    replica.desired = False
                     self._stats["scale_downs"] += 1
-                    if replica.state == "down":
-                        replica.respawn_at = None  # cancel any pending respawn
-                    else:
-                        replica.retiring = True
-                        replica.routing_paused = True
-
-    def _finish_retirement(self, replica: _Replica) -> None:
-        """Drain-then-stop one retiring replica, off the supervisor thread."""
-        try:
-            self._shutdown_replica(replica, "drain", timeout=5.0)
-        finally:
-            with self._lock:
-                replica.retiring = False
-                replica.routing_paused = False
-                replica.respawn_at = None
+                    self._fire(replica, "scale_down")
 
 
 class _RegistryDescription:

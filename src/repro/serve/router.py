@@ -9,9 +9,10 @@ spawning a single process.
 
 Plan requests are idempotent — replanning the same snapshot yields the same
 (or an equally valid) plan and mutates nothing — which is what makes blind
-retry-on-another-replica sound.  The same :class:`RetryPolicy` shape drives
-the HTTP client in :mod:`repro.serve.client`, so client- and fleet-side
-backoff stay consistent.
+retry-on-another-replica sound.  :class:`RetryPolicy` lives in
+:mod:`repro.supervise`, where it also paces replica and env-worker
+respawns; the HTTP client in :mod:`repro.serve.client` uses it too, so
+client- and fleet-side backoff stay consistent.
 """
 
 from __future__ import annotations
@@ -19,40 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from ..supervise import RetryPolicy
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded, jittered exponential backoff for idempotent retries.
-
-    ``max_retries`` counts *re*-attempts: a request is tried at most
-    ``max_retries + 1`` times before it fails with a stable error.  Attempt
-    ``k`` (1-based) backs off ``backoff_s * 2**(k-1)`` seconds, capped at
-    ``backoff_cap_s``, plus up to ``jitter`` fraction of that on top so
-    retry storms decorrelate (the discipline ``AsyncVectorEnv`` uses for
-    worker respawns).
-    """
-
-    max_retries: int = 2
-    backoff_s: float = 0.05
-    backoff_cap_s: float = 2.0
-    jitter: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ValueError("max_retries must not be negative")
-        if self.backoff_s < 0 or self.backoff_cap_s < 0:
-            raise ValueError("backoff durations must not be negative")
-        if not 0 <= self.jitter <= 1:
-            raise ValueError("jitter must be in [0, 1]")
-
-    def backoff(self, attempt: int, rng=None) -> float:
-        """Delay before retry ``attempt`` (1-based); jittered when ``rng`` given."""
-        if attempt < 1:
-            return 0.0
-        delay = min(self.backoff_s * (2.0 ** (attempt - 1)), self.backoff_cap_s)
-        if rng is not None and self.jitter > 0:
-            delay *= 1.0 + self.jitter * float(rng.random())
-        return delay
+__all__ = ["ReplicaView", "RetryPolicy", "choose_replica"]
 
 
 @dataclass

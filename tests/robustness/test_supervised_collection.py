@@ -146,6 +146,20 @@ class TestSupervisedRestart:
         finally:
             venv.close(terminate=True)
 
+    def test_negative_restart_backoff_is_rejected_at_construction(self, snapshot, tmp_path):
+        # Accepted before, it broke the first restart instead: the crash
+        # below reached time.sleep(-0.05) and raised "sleep length must be
+        # non-negative".  The restart budget's RetryPolicy now refuses it.
+        plan = FaultPlan.crash(1, at_step=1, latch=str(tmp_path / "neg.latch"))
+        with pytest.raises(ValueError, match="backoff"):
+            AsyncVectorEnv(
+                faulty_factories(factories(snapshot, 2), plan),
+                num_workers=2,
+                seed=7,
+                on_worker_failure="restart",
+                restart_backoff_s=-0.05,
+            )
+
     def test_raise_policy_stays_terminal(self, snapshot, tmp_path):
         latch = str(tmp_path / "raise-policy.latch")
         plan = FaultPlan.crash(0, at_step=0, latch=latch)
