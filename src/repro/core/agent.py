@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -21,11 +21,11 @@ from ..env.async_vector_env import AsyncVectorEnv
 from ..env.objectives import FragmentRateObjective, Objective
 from ..env.vector_env import SyncVectorEnv
 from ..env.vmr_env import VMRescheduleEnv
-from ..nn import load_module, no_grad, save_module
+from ..nn import load_module, save_module
 from .config import VMR2LConfig
 from .policy import TwoStagePolicy
 from .ppo import PPOTrainer, TrainingLogEntry
-from .risk_seeking import risk_seeking_evaluate, rollout_trajectory
+from .risk_seeking import risk_seeking_evaluate, rollout_batch, rollout_trajectory
 from .step_cache import StepCache
 
 
@@ -96,7 +96,6 @@ class VMR2LAgent(Rescheduler):
             max_vms=max_vms,
         )
         self.training_history: List[TrainingLogEntry] = []
-        self._info: Dict = {}
 
     # ------------------------------------------------------------------ #
     # Training
@@ -193,25 +192,10 @@ class VMR2LAgent(Rescheduler):
     # ------------------------------------------------------------------ #
     # Planning (Rescheduler interface)
     # ------------------------------------------------------------------ #
-    def _compute(self, state: ClusterState, migration_limit: int) -> MigrationPlan:
-        outcome = risk_seeking_evaluate(
-            self.policy,
-            state,
-            migration_limit,
-            config=self.config.risk_seeking,
-            objective=self.objective,
-            constraint_config=self.constraint_config,
-            seed=int(self.rng.integers(2 ** 31 - 1)),
-        )
-        self._info = {
-            "num_trajectories": outcome.num_trajectories,
-            "best_objective": outcome.best.final_objective,
-            "objective_spread": float(outcome.objectives().max() - outcome.objectives().min()),
-        }
-        return outcome.best.plan
-
-    def _last_info(self) -> Dict:
-        return dict(self._info)
+    def compute_plan(self, state: ClusterState, migration_limit: int) -> ReschedulingResult:
+        """Risk-seeking plan (§3.4) seeded from the agent's own stream."""
+        seed = int(self.rng.integers(2 ** 31 - 1))
+        return self.plan_batch([state], migration_limit, greedy=False, seed=seed)[0]
 
     def plan_batch(
         self,
@@ -226,45 +210,21 @@ class VMR2LAgent(Rescheduler):
     ) -> List[ReschedulingResult]:
         """Plan for several snapshots with micro-batched policy forwards.
 
-        Episodes advance in lock-step: at each step the observations of the
-        running episodes go through ONE :meth:`TwoStagePolicy.act_batch` call
-        (one stacked extractor forward per cluster size present), instead of
-        one full forward per request.  In greedy mode the sampled
-        action is the argmax of the same masked distribution the per-request
-        :meth:`plan_single_trajectory` path computes, so micro-batched plans
-        are identical to sequential ones.
+        ``greedy=True`` runs one deterministic trajectory per snapshot as a
+        row of :func:`~repro.core.risk_seeking.rollout_batch` (see it for
+        ``max_active``, ``deadline_s`` and the StepCache that
+        ``use_step_cache`` turns on), so micro-batched plans are identical to
+        :meth:`plan_single_trajectory`.  ``migration_limits`` may be a single
+        limit or one per state.  Each result's ``inference_seconds`` is the
+        batch's wall time split by decision-step share; under a deadline its
+        info carries ``partial`` (the episode did not finish).
 
-        ``migration_limits`` may be a single limit or one per state.
-        ``max_active`` caps the number of concurrently-running episodes;
-        batching is *continuous*: when an episode finishes early (no movable
-        VM, limit reached) a queued snapshot is admitted into the freed slot,
-        keeping the stacked forward full.
-
-        ``use_step_cache`` (default on) carries a
-        :class:`~repro.core.step_cache.StepCache` across the lock-step
-        decision steps: each episode's featurization and first-block tree
-        attention re-run only for the rows/trees its last migration touched,
-        and the first block's dense VM↔VM attention is updated from its
-        stored softmax state for the changed rows alone (when every episode
-        in the stacked forward is past its first step and few enough rows
-        changed; otherwise the full kernel runs), so everything before
-        block 1 costs what the migration changed rather than the cluster.
-        Entries follow episodes through continuous admission (cache keys are
-        per-episode chains).  Caching computes the same function as a fresh
-        forward; reused tree outputs and updated attention rows can differ
-        from a recompute by rounding (~1e-15 relative), so cached plans equal
-        fresh-recompute plans except at exact argmax ties at that level
-        (pinned by the step-cache parity suite).
-
-        ``deadline_s`` is a wall-clock budget for the whole call: the
-        remaining budget is checked between lock-step decision steps, and
-        when it runs out the rollout stops where it stands — every episode
-        keeps the (valid, applicable) migrations it executed so far, and its
-        result carries ``info["partial"] = True`` when the episode did not
-        finish.  Steps already in flight complete, so the call overshoots
-        the budget by at most one stacked forward.  Deadline-bounded plans
-        are a *prefix* of the unbounded greedy plan (the per-step argmax
-        does not depend on the budget).
+        ``greedy=False`` runs risk-seeking evaluation under
+        ``config.risk_seeking`` per snapshot (info: ``num_trajectories``,
+        ``best_objective``, ``objective_spread``).  A snapshot's plan depends
+        only on the snapshot, its limit, the objective and ``seed`` (the
+        per-trajectory seed contract is :func:`risk_seeking_evaluate`'s);
+        ``max_active``, ``use_step_cache`` and ``deadline_s`` are unused.
         """
         states = list(states)
         if not states:
@@ -279,9 +239,11 @@ class VMR2LAgent(Rescheduler):
         if max_active is not None and max_active < 1:
             raise ValueError("max_active must be >= 1")
         objective = objective or self.objective
-        rng = np.random.default_rng(seed)
-        illegal_penalty = -5.0 if self.policy.config.action_mode == "penalty" else None
-        joint_mode = self.policy.config.action_mode == "full_joint"
+        if not greedy:
+            return [
+                self._risk_seeking(state, limit, seed, objective)
+                for state, limit in zip(states, migration_limits)
+            ]
         slots = max_active if max_active is not None else len(states)
         # Size the cache to the admission width: every active episode keeps
         # one live chain entry, and evicting a live chain degrades that
@@ -289,127 +251,73 @@ class VMR2LAgent(Rescheduler):
         step_cache = StepCache(max_chains=max(slots, 128)) if use_step_cache else None
 
         start = time.perf_counter()
-        envs: List[Optional[VMRescheduleEnv]] = [None] * len(states)
-        observations: List = [None] * len(states)
-        waiting: List[int] = []
-        finished: set = set()
-        for index, limit in enumerate(migration_limits):
-            if limit > 0:
-                waiting.append(index)
-            else:
-                finished.add(index)  # nothing requested: trivially complete
-        waiting.reverse()  # pop() admits in request order
-        active: List[int] = []
-
-        def admit() -> None:
-            while waiting and len(active) < slots:
-                index = waiting.pop()
-                config = ConstraintConfig(
-                    migration_limit=migration_limits[index],
-                    honor_anti_affinity=self.constraint_config.honor_anti_affinity,
-                    allow_source_pm=self.constraint_config.allow_source_pm,
-                    check_memory=self.constraint_config.check_memory,
-                )
-                env = VMRescheduleEnv(
-                    states[index],
-                    config,
-                    objective=objective,
-                    illegal_action_penalty=illegal_penalty,
-                )
-                envs[index] = env
-                observations[index] = env.reset()
-                active.append(index)
-
-        deadline_hit = False
-        while active or waiting:
-            if deadline_s is not None and time.perf_counter() - start >= deadline_s:
-                deadline_hit = True
-                break
-            admit()
-            # Episodes whose observation has no movable VM end immediately
-            # (mirrors the rollout_trajectory loop guard).
-            running: List[int] = []
-            for i in active:
-                if observations[i].vm_mask.any():
-                    running.append(i)
-                else:
-                    finished.add(i)
-            active = running
-            if not active:
-                continue
-            batch_obs = [observations[i] for i in active]
-            pm_mask_fns = [envs[i].pm_action_mask for i in active]
-            joint_masks = [envs[i].joint_action_mask() for i in active] if joint_mode else None
-            # Serving rollouts never backpropagate: run the forward without
-            # recording a graph (and in the configured inference_dtype).
-            with no_grad():
-                outputs = self.policy.act_batch(
-                    batch_obs,
-                    pm_mask_fns,
-                    rng=rng,
-                    greedy=greedy,
-                    joint_masks=joint_masks,
-                    compute_stats=False,
-                    step_cache=step_cache,
-                )
-            still_running: List[int] = []
-            for index, output in zip(active, outputs):
-                observation, _, done, _ = envs[index].step(output.action)
-                observations[index] = observation
-                if not done:
-                    still_running.append(index)
-                else:
-                    finished.add(index)
-            active = still_running
+        trajectories = rollout_batch(
+            self.policy,
+            states,
+            migration_limits,
+            [np.random.default_rng(seed)] * len(states),
+            objective=objective,
+            constraint_config=self.constraint_config,
+            greedy=True,
+            step_cache=step_cache,
+            max_active=max_active,
+            deadline_s=deadline_s,
+        )
         elapsed = time.perf_counter() - start
 
         # Attribute the batch's wall time to requests by their share of
         # decision steps, so per-request inference_seconds is comparable to
         # the per-request timing of sequentially-dispatched planners; the
         # whole-batch wall time is kept in info["batch_seconds"].
-        total_steps = sum(env.steps_taken for env in envs if env is not None)
+        total_steps = sum(trajectory.steps for trajectory in trajectories)
+        deadline_hit = any(trajectory.partial for trajectory in trajectories)
+        batch_size = min(len(states), slots)
         results: List[ReschedulingResult] = []
-        for index, env in enumerate(envs):
-            if env is None:
-                info = {"noop": True, "batch_size": min(len(states), slots)}
+        for limit, trajectory in zip(migration_limits, trajectories):
+            if limit == 0 or (trajectory.partial and not trajectory.steps):
+                # Nothing requested, or a queued episode the budget never
+                # admitted (a partial plan of length zero).
+                info: Dict = {"noop": True, "batch_size": batch_size}
                 if deadline_s is not None:
-                    # A queued episode the budget never admitted is a partial
-                    # plan of length zero, not a no-op the caller asked for.
-                    info["partial"] = index not in finished
-                results.append(
-                    ReschedulingResult(
-                        plan=MigrationPlan(),
-                        inference_seconds=0.0,
-                        algorithm=self.name,
-                        info=info,
-                    )
-                )
+                    info["partial"] = trajectory.partial
+                results.append(ReschedulingResult(MigrationPlan(), 0.0, self.name, info))
                 continue
-            share = env.steps_taken / total_steps if total_steps else 1.0 / len(states)
+            share = trajectory.steps / total_steps if total_steps else 1.0 / len(states)
             info = {
-                "batch_size": min(len(states), slots),
+                "batch_size": batch_size,
                 "batch_seconds": elapsed,
-                "final_objective": env.episode_metric(),
-                "greedy": greedy,
+                "final_objective": trajectory.final_objective,
+                "greedy": True,
             }
             if deadline_s is not None:
-                info["partial"] = index not in finished
+                info["partial"] = trajectory.partial
                 info["deadline_hit"] = deadline_hit
             results.append(
-                ReschedulingResult(
-                    plan=env.executed_plan().truncated(migration_limits[index]),
-                    inference_seconds=elapsed * share,
-                    algorithm=self.name,
-                    info=info,
-                )
+                ReschedulingResult(trajectory.plan, elapsed * share, self.name, info)
             )
         return results
+
+    def _risk_seeking(
+        self, state: ClusterState, migration_limit: int, seed: int, objective: Objective
+    ) -> ReschedulingResult:
+        start = time.perf_counter()
+        outcome = risk_seeking_evaluate(
+            self.policy, state, migration_limit, config=self.config.risk_seeking,
+            objective=objective, constraint_config=self.constraint_config, seed=seed,
+        )
+        objectives = outcome.objectives()
+        info = {
+            "num_trajectories": outcome.num_trajectories,
+            "best_objective": outcome.best.final_objective,
+            "objective_spread": float(objectives.max() - objectives.min()),
+        }
+        return ReschedulingResult(outcome.best.plan, time.perf_counter() - start, self.name, info)
 
     def plan_single_trajectory(
         self, state: ClusterState, migration_limit: int, greedy: bool = True, seed: int = 0
     ) -> MigrationPlan:
         """One-trajectory planning (no risk-seeking), used by ablations."""
-        trajectory = rollout_trajectory(
+        return rollout_trajectory(
             self.policy,
             state,
             migration_limit,
@@ -417,8 +325,7 @@ class VMR2LAgent(Rescheduler):
             objective=self.objective,
             constraint_config=self.constraint_config,
             greedy=greedy,
-        )
-        return trajectory.plan
+        ).plan
 
     # ------------------------------------------------------------------ #
     # Evaluation
@@ -430,24 +337,25 @@ class VMR2LAgent(Rescheduler):
         greedy: bool = True,
         seed: int = 0,
     ) -> Dict[str, float]:
-        """Mean initial/final objective over ``states`` with single-trajectory rollouts."""
+        """Mean initial/final objective over ``states`` with single-trajectory
+        rollouts (one stacked :func:`rollout_batch` call; state ``k`` samples
+        from ``np.random.default_rng([seed, k])``)."""
         if not states:
             raise ValueError("states must not be empty")
-        migration_limit = migration_limit or self.config.migration_limit
-        rng = np.random.default_rng(seed)
-        initial, final = [], []
-        for state in states:
-            trajectory = rollout_trajectory(
-                self.policy,
-                state,
-                migration_limit,
-                rng,
-                objective=self.objective,
-                constraint_config=self.constraint_config,
-                greedy=greedy,
-            )
-            initial.append(self.objective.episode_metric(state))
-            final.append(trajectory.final_objective)
+        if migration_limit is None:
+            migration_limit = self.config.migration_limit
+        states = list(states)
+        trajectories = rollout_batch(
+            self.policy,
+            states,
+            [migration_limit] * len(states),
+            [np.random.default_rng([seed, k]) for k in range(len(states))],
+            objective=self.objective,
+            constraint_config=self.constraint_config,
+            greedy=greedy,
+        )
+        initial = [self.objective.episode_metric(state) for state in states]
+        final = [trajectory.final_objective for trajectory in trajectories]
         return {
             "mean_initial_objective": float(np.mean(initial)),
             "mean_final_objective": float(np.mean(final)),

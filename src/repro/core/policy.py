@@ -22,7 +22,7 @@ in acting via probability-quantile cutoffs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -180,7 +180,7 @@ class TwoStagePolicy(Module):
         self,
         observations: Sequence[Observation],
         pm_mask_fns: Optional[Sequence[Callable[[int], np.ndarray]]] = None,
-        rng: np.random.Generator = None,
+        rng: Union[np.random.Generator, Sequence[np.random.Generator]] = None,
         greedy: bool = False,
         joint_masks: Optional[Sequence[Optional[np.ndarray]]] = None,
         vm_threshold_quantile: Optional[float] = None,
@@ -215,6 +215,10 @@ class TwoStagePolicy(Module):
         once, so a mixed-size batch needs ``pm_mask_fns``.  ``joint_masks``
         is required in ``full_joint`` mode; ``penalty`` mode uses no masks.
 
+        ``rng`` is one generator for the whole batch (rows draw from it in
+        row order, stage 1 before stage 2) or one generator per row, so a
+        row's sampled action depends only on its own generator.
+
         ``compute_stats=False`` skips the entropy terms (reported as 0.0) —
         the sampled action and probabilities are unchanged; serving rollouts
         use it since only PPO consumes the entropy.  ``step_cache`` enables
@@ -224,6 +228,9 @@ class TwoStagePolicy(Module):
         """
         if rng is None:
             raise ValueError("act_batch requires an rng")
+        rngs = [rng] * len(observations) if isinstance(rng, np.random.Generator) else list(rng)
+        if len(rngs) != len(observations):
+            raise ValueError("need one generator per observation")
         if pm_mask_fns is not None and len(observations) != len(pm_mask_fns):
             raise ValueError("need one pm_mask_fn per observation")
         two_stage = self.config.action_mode == "two_stage"
@@ -249,7 +256,7 @@ class TwoStagePolicy(Module):
                 joint_masks=None if joint_masks is None else [joint_masks[row] for row in rows],
                 pm_masks_fn=pm_masks_fn,
                 pm_masks_begin_fn=pm_masks_begin_fn,
-                rng=rng,
+                rngs=[rngs[row] for row in rows],
                 greedy=greedy,
                 vm_threshold_quantile=vm_threshold_quantile,
                 pm_threshold_quantile=pm_threshold_quantile,
@@ -268,7 +275,7 @@ class TwoStagePolicy(Module):
         joint_masks,
         pm_masks_fn,
         pm_masks_begin_fn,
-        rng: np.random.Generator,
+        rngs: Sequence[np.random.Generator],
         greedy: bool,
         vm_threshold_quantile: Optional[float],
         pm_threshold_quantile: Optional[float],
@@ -294,7 +301,7 @@ class TwoStagePolicy(Module):
             num_pms = observations[0].num_pms
             for index in range(num_envs):
                 probs = prob_rows[index]
-                flat_index = F.sample_categorical(probs, rng, greedy=greedy)
+                flat_index = F.sample_categorical(probs, rngs[index], greedy=greedy)
                 vm_index, pm_index = divmod(flat_index, num_pms)
                 joint_probs = probs.reshape(-1, num_pms)
                 pm_probs = joint_probs[vm_index]
@@ -326,7 +333,7 @@ class TwoStagePolicy(Module):
         vm_probs_list: List[np.ndarray] = []
         for index in range(num_envs):
             vm_probs = _apply_threshold(vm_prob_rows[index], vm_threshold_quantile)
-            vm_indices.append(F.sample_categorical(vm_probs, rng, greedy=greedy))
+            vm_indices.append(F.sample_categorical(vm_probs, rngs[index], greedy=greedy))
             vm_probs_list.append(vm_probs)
 
         # Stage 2: the PM decoder runs batched inside PMActor — each row's PMs
@@ -375,7 +382,7 @@ class TwoStagePolicy(Module):
         outputs = []
         for index in range(num_envs):
             pm_probs = _apply_threshold(pm_prob_rows[index], pm_threshold_quantile)
-            pm_index = F.sample_categorical(pm_probs, rng, greedy=greedy)
+            pm_index = F.sample_categorical(pm_probs, rngs[index], greedy=greedy)
             log_prob = float(
                 np.log(vm_probs_list[index][vm_indices[index]] + 1e-12)
                 + np.log(pm_probs[pm_index] + 1e-12)

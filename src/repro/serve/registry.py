@@ -24,8 +24,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence
 
-import numpy as np
-
 from ..baselines import (
     AlphaVBPP,
     DecimaRescheduler,
@@ -126,11 +124,14 @@ class BaselinePlanner(Planner):
 class RLPlanner(Planner):
     """The VMR2L agent behind the protocol, with true micro-batching.
 
-    ``greedy=True`` (the serving default) runs a deterministic single
-    trajectory; many greedy requests share one stacked extractor forward per
-    step via :meth:`VMR2LAgent.plan_batch`.  ``greedy=False`` runs the
-    risk-seeking evaluation of §3.4 (sample several trajectories, keep the
-    best), which is inherently per-request.
+    Every request goes through :meth:`VMR2LAgent.plan_batch` with the
+    request's objective and seed (``None`` means 0), so nothing on the
+    shared agent changes per request.  ``greedy=True`` (the serving
+    default) runs a deterministic single trajectory, and many greedy
+    requests share one stacked extractor forward per step.
+    ``greedy=False`` runs the risk-seeking evaluation of §3.4 (sample
+    several trajectories as rows of one stacked rollout, keep the best);
+    its plan depends only on the snapshot, limit, objective and seed.
     """
 
     capabilities = frozenset({"batch", "objective", "sampled", "step_cache", "deadline"})
@@ -152,24 +153,9 @@ class RLPlanner(Planner):
         greedy: bool = True,
         seed: Optional[int] = None,
     ) -> ReschedulingResult:
-        if greedy:
-            return self.agent.plan_batch(
-                [state],
-                migration_limit,
-                greedy=True,
-                seed=0 if seed is None else seed,
-                objective=objective,
-            )[0]
-        # Sampled mode: risk-seeking evaluation, honoring the request seed.
-        if seed is not None:
-            self.agent.rng = np.random.default_rng(seed)
-        previous_objective = self.agent.objective
-        if objective is not None:
-            self.agent.objective = objective
-        try:
-            return self.agent.compute_plan(state, migration_limit)
-        finally:
-            self.agent.objective = previous_objective
+        return self.plan_batch(
+            [state], [migration_limit], objective=objective, greedy=greedy, seed=seed
+        )[0]
 
     def plan_batch(
         self,
@@ -182,14 +168,10 @@ class RLPlanner(Planner):
         step_cache: bool = True,
         deadline_s: Optional[float] = None,
     ) -> List[ReschedulingResult]:
-        if not greedy:
-            return super().plan_batch(
-                states, migration_limits, objective=objective, greedy=False, seed=seed
-            )
         return self.agent.plan_batch(
             states,
             list(migration_limits),
-            greedy=True,
+            greedy=greedy,
             seed=0 if seed is None else seed,
             objective=objective,
             max_active=max_active,

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.cluster import ConstraintConfig
-from repro.core import VMR2LAgent
+from repro.cluster import ConstraintConfig, apply_plan
+from repro.core import ModelConfig, RiskSeekingConfig, VMR2LAgent, VMR2LConfig
 from repro.datasets import ClusterSpec, SnapshotGenerator
 from repro.env.objectives import MixedFragmentObjective
 
@@ -88,3 +88,48 @@ class TestPlanBatch:
         for state, result in zip(states, results):
             solo = agent.plan_single_trajectory(state, 3, greedy=True)
             assert [m.as_tuple() for m in result.plan] == [m.as_tuple() for m in solo]
+
+
+def sampled_agent(action_mode="two_stage"):
+    config = VMR2LConfig(
+        model=ModelConfig(
+            embed_dim=16, num_heads=2, num_blocks=1, feedforward_dim=32, action_mode=action_mode
+        ),
+        risk_seeking=RiskSeekingConfig(num_trajectories=4, vm_quantile=0.3, pm_quantile=0.3),
+    )
+    return VMR2LAgent(config, constraint_config=ConstraintConfig(migration_limit=5), seed=0)
+
+
+class TestSampledPlanBatch:
+    """``greedy=False`` is risk-seeking per state over the one rollout driver."""
+
+    def test_batch_equals_one_state_calls(self):
+        agent = sampled_agent()
+        states = snapshots(3, seed=4)
+        batched = agent.plan_batch(states, migration_limits=[4, 2, 4], greedy=False, seed=9)
+        for state, limit, result in zip(states, [4, 2, 4], batched):
+            solo = agent.plan_batch([state], limit, greedy=False, seed=9)[0]
+            assert [m.as_tuple() for m in result.plan] == [m.as_tuple() for m in solo.plan]
+            assert result.info["best_objective"] == solo.info["best_objective"]
+            assert result.info["num_trajectories"] == 4
+
+    def test_same_seed_same_plan_and_agent_untouched(self):
+        agent = sampled_agent()
+        rng_state = agent.rng.bit_generator.state
+        attributes = {name: id(value) for name, value in vars(agent).items()}
+        state = snapshots(1, seed=5)[0]
+        first = agent.plan_batch([state], 4, greedy=False, seed=2)[0]
+        second = agent.plan_batch([state], 4, greedy=False, seed=2)[0]
+        assert [m.as_tuple() for m in first.plan] == [m.as_tuple() for m in second.plan]
+        assert agent.rng.bit_generator.state == rng_state
+        assert {name: id(value) for name, value in vars(agent).items()} == attributes
+
+    @pytest.mark.parametrize("action_mode", ["two_stage", "penalty", "full_joint"])
+    def test_sampled_plans_replay_strictly_within_mnl(self, action_mode):
+        agent = sampled_agent(action_mode)
+        for seed, state in enumerate(snapshots(3, seed=6)):
+            result = agent.plan_batch([state], 4, greedy=False, seed=seed)[0]
+            assert len(result.plan) <= 4
+            _, application = apply_plan(state, result.plan, skip_infeasible=False)
+            assert application.num_applied == len(result.plan)
+            assert result.info["objective_spread"] >= 0.0

@@ -17,8 +17,11 @@ from repro.core import (
     rollout_trajectory,
     vm_selection_probability_histogram,
 )
+from repro.core.risk_seeking import rollout_batch
 from repro.datasets import ClusterSpec, SnapshotGenerator
 from repro.env import MigrationMinimizationObjective, VMRescheduleEnv
+from repro.env.objectives import FragmentRateObjective
+from repro.nn.tensor import grad_enabled
 
 
 def tiny_config(action_mode="two_stage", extractor="sparse", mnl=4):
@@ -31,6 +34,10 @@ def tiny_config(action_mode="two_stage", extractor="sparse", mnl=4):
         risk_seeking=RiskSeekingConfig(num_trajectories=3),
         migration_limit=mnl,
     )
+
+
+def plan_tuples(plan):
+    return [migration.as_tuple() for migration in plan]
 
 
 @pytest.fixture(scope="module")
@@ -118,7 +125,8 @@ class TestRiskSeeking:
         assert outcome.best.final_objective == pytest.approx(outcome.objectives().min())
 
     def test_more_trajectories_never_hurt(self, snapshots):
-        """Core property behind Fig. 12: the min over a superset is <= min over a subset."""
+        """Core property behind Fig. 12: the min over a superset is <= min over a
+        subset — by construction, since K=2's rows are exactly K=6's first rows."""
         config = tiny_config()
         policy = TwoStagePolicy(config.model, rng=np.random.default_rng(0))
         few = risk_seeking_evaluate(
@@ -128,6 +136,42 @@ class TestRiskSeeking:
             policy, snapshots[0], 4, config=RiskSeekingConfig(num_trajectories=6, greedy_first=True), seed=7
         )
         assert many.best.final_objective <= few.best.final_objective + 1e-9
+        assert [plan_tuples(t.plan) for t in few.trajectories] == [
+            plan_tuples(t.plan) for t in many.trajectories[:2]
+        ]
+        assert few.objectives().tolist() == many.objectives()[:2].tolist()
+
+    @pytest.mark.parametrize("greedy_first", [True, False])
+    def test_row_k_is_a_one_element_rollout_seeded_seed_k(self, snapshots, greedy_first):
+        config = tiny_config()
+        policy = TwoStagePolicy(config.model, rng=np.random.default_rng(0))
+        rs_config = RiskSeekingConfig(
+            num_trajectories=5, vm_quantile=0.3, pm_quantile=0.5, greedy_first=greedy_first
+        )
+        outcome = risk_seeking_evaluate(policy, snapshots[1], 4, config=rs_config, seed=11)
+        for k, trajectory in enumerate(outcome.trajectories):
+            greedy = greedy_first and k == 0
+            solo = rollout_trajectory(
+                policy, snapshots[1], 4, np.random.default_rng([11, k]), greedy=greedy,
+                vm_quantile=None if greedy else 0.3, pm_quantile=None if greedy else 0.5,
+            )
+            assert trajectory.greedy == greedy
+            assert plan_tuples(trajectory.plan) == plan_tuples(solo.plan)
+            assert trajectory.final_objective == solo.final_objective
+            assert trajectory.total_reward == solo.total_reward
+
+    def test_rollout_batch_rows_match_single_rollouts(self, snapshots):
+        config = tiny_config()
+        policy = TwoStagePolicy(config.model, rng=np.random.default_rng(0))
+        rows = rollout_batch(
+            policy, snapshots, [4, 0, 3], [np.random.default_rng([3, k]) for k in range(3)]
+        )
+        assert rows[1].plan.migrations == [] and rows[1].steps == 0
+        assert rows[1].final_objective == FragmentRateObjective().episode_metric(snapshots[1])
+        for k in (0, 2):
+            solo = rollout_trajectory(policy, snapshots[k], [4, 0, 3][k], np.random.default_rng([3, k]))
+            assert plan_tuples(rows[k].plan) == plan_tuples(solo.plan)
+            assert rows[k].final_objective == solo.final_objective
 
     def test_probability_histogram(self, snapshots):
         config = tiny_config()
@@ -135,6 +179,30 @@ class TestRiskSeeking:
         histogram = vm_selection_probability_histogram(policy, snapshots[:1], migration_limit=3)
         assert histogram["counts"].sum() == len(histogram["probabilities"])
         assert histogram["probabilities"].min() >= 0.0
+
+    def test_probability_histogram_records_no_graph(self, snapshots, monkeypatch):
+        config = tiny_config()
+        policy = TwoStagePolicy(config.model, rng=np.random.default_rng(0))
+        # The same loop with graph recording on (the forwards are bit-identical).
+        rng = np.random.default_rng(5)
+        expected = []
+        for state in snapshots[:2]:
+            env = VMRescheduleEnv(state, ConstraintConfig(migration_limit=3))
+            observation, done = env.reset(), False
+            while not done and observation.vm_mask.any():
+                output = policy.act(observation, pm_mask_fn=env.pm_action_mask, rng=rng)
+                expected.extend(output.vm_probs.tolist())
+                observation, _, done, _ = env.step(output.action)
+        recording = []
+        act = policy.act
+        monkeypatch.setattr(
+            policy, "act", lambda *a, **k: recording.append(grad_enabled()) or act(*a, **k)
+        )
+        histogram = vm_selection_probability_histogram(
+            policy, snapshots[:2], migration_limit=3, seed=5
+        )
+        assert recording and not any(recording)
+        assert histogram["probabilities"].tolist() == expected
 
 
 class TestVMR2LAgent:
@@ -200,6 +268,24 @@ class TestVMR2LAgent:
         result = agent.compute_plan(snapshots[0], migration_limit=4)
         # The goal (FR <= 0.9) is already met, so the plan should stop immediately.
         assert result.num_migrations <= 1
+
+    def test_evaluate_zero_limit_is_a_noop(self, snapshots):
+        agent = VMR2LAgent(tiny_config(), seed=0)
+        evaluation = agent.evaluate(snapshots, migration_limit=0)
+        assert evaluation["mean_final_objective"] == evaluation["mean_initial_objective"]
+        assert evaluation["mean_improvement"] == 0.0
+
+    @pytest.mark.parametrize("greedy", [True, False])
+    def test_evaluate_is_one_rollout_per_state(self, snapshots, greedy):
+        agent = VMR2LAgent(tiny_config(), seed=0)
+        evaluation = agent.evaluate(snapshots, migration_limit=3, greedy=greedy, seed=4)
+        finals = [
+            rollout_trajectory(
+                agent.policy, state, 3, np.random.default_rng([4, k]), greedy=greedy
+            ).final_objective
+            for k, state in enumerate(snapshots)
+        ]
+        assert evaluation["mean_final_objective"] == float(np.mean(finals))
 
     def test_plan_single_trajectory(self, snapshots):
         agent = VMR2LAgent(tiny_config(), seed=0)

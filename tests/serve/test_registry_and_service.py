@@ -3,12 +3,15 @@
 import pytest
 
 from repro.cluster import apply_plan
+from repro.core import ModelConfig, RiskSeekingConfig, VMR2LAgent, VMR2LConfig
 from repro.datasets import ClusterSpec, SnapshotGenerator
+from repro.env.objectives import MixedFragmentObjective
 from repro.serve import (
     PlanError,
     PlanRequest,
     PlanResponse,
     ReschedulingService,
+    RLPlanner,
     ServiceConfig,
     build_default_registry,
 )
@@ -52,6 +55,49 @@ class TestRegistry:
     def test_fast_only_registry_drops_slow_planners(self):
         fast = build_default_registry(include_slow=False, seed=0)
         assert fast.names() == ["ha", "random", "vbpp", "vmr2l"]
+
+
+def tiny_rl_planner():
+    config = VMR2LConfig(
+        model=ModelConfig(embed_dim=16, num_heads=2, num_blocks=1, feedforward_dim=32),
+        risk_seeking=RiskSeekingConfig(num_trajectories=4, vm_quantile=0.3, pm_quantile=0.3),
+    )
+    return RLPlanner(VMR2LAgent(config, seed=0))
+
+
+class TestRLPlannerSampled:
+    """``greedy=False`` goes through the same agent path as greedy requests."""
+
+    def test_sampled_request_leaves_the_agent_untouched(self):
+        planner = tiny_rl_planner()
+        agent = planner.agent
+        rng, objective = agent.rng, agent.objective
+        rng_state = rng.bit_generator.state
+        planner.plan(
+            small_state(), 3, objective=MixedFragmentObjective(weight=0.5), greedy=False, seed=5
+        )
+        assert agent.rng is rng and agent.rng.bit_generator.state == rng_state
+        assert agent.objective is objective
+
+    def test_same_seed_requests_with_different_objectives_match_solo(self):
+        planner = tiny_rl_planner()
+        state = small_state(seed=2)
+        objectives = [None, MixedFragmentObjective(weight=0.5)]
+        together = [
+            planner.plan(state, 4, objective=objective, greedy=False, seed=7)
+            for objective in objectives
+        ]
+        for objective, result in zip(objectives, together):
+            solo = tiny_rl_planner().plan(state, 4, objective=objective, greedy=False, seed=7)
+            assert solo.plan.migrations == result.plan.migrations
+            assert solo.info["best_objective"] == result.info["best_objective"]
+
+    def test_compute_plan_info_reports_the_trajectories(self):
+        agent = tiny_rl_planner().agent
+        result = agent.compute_plan(small_state(), 3)
+        assert result.info["num_trajectories"] == 4
+        assert result.info["best_objective"] >= 0.0
+        assert result.info["objective_spread"] >= 0.0
 
 
 class TestServiceSingleRequests:
