@@ -30,7 +30,7 @@ import time
 from pathlib import Path
 
 from repro.datasets import ClusterSpec, SnapshotGenerator
-from repro.serve import ReschedulingService, ServiceConfig, build_default_registry
+from repro.serve import ReschedulingService, build_default_registry
 from repro.sim import (
     ChurnSpec,
     LivingCluster,
@@ -49,10 +49,7 @@ def run_planner(planner, events, args):
                        target_utilization=0.65, best_fit_fraction=0.3)
     state = SnapshotGenerator(spec, seed=args.seed).generate()
     cluster = LivingCluster(state, list(events), seed=args.seed + 1)
-    service = ReschedulingService(
-        build_default_registry(include_slow=False, seed=0),
-        ServiceConfig(rl_step_cache=True),
-    )
+    service = ReschedulingService(build_default_registry(include_slow=False, seed=0))
     config = SimulationConfig(
         planner=planner,
         migration_limit=args.migration_limit,

@@ -3,7 +3,7 @@
 Replays a fixed set of greedy RL :class:`PlanRequest`\\ s through the
 :class:`ReschedulingService` twice —
 
-* **sequential**: ``micro_batching=False``, one full policy rollout per
+* **sequential**: ``max_batch_size=1``, one full policy rollout per
   request (the pre-serve inference path), and
 * **micro-batched**: requests fused into ``plan_batch`` groups of
   ``--batch-size``, one stacked extractor forward per step for the whole
@@ -128,9 +128,7 @@ def run(
     requests = _requests(num_requests, num_pms, migration_limit)
     registry = _registry(migration_limit)
 
-    sequential_service = ReschedulingService(
-        registry, ServiceConfig(micro_batching=False)
-    )
+    sequential_service = ReschedulingService(registry, ServiceConfig(max_batch_size=1))
     batched_service = ReschedulingService(
         registry, ServiceConfig(max_batch_size=batch_size)
     )

@@ -18,7 +18,7 @@ import tempfile
 from pathlib import Path
 
 from repro.datasets import ClusterSpec, SnapshotGenerator
-from repro.serve import ReschedulingService, ServiceConfig, build_default_registry
+from repro.serve import ReschedulingService, build_default_registry
 from repro.sim import (
     ChurnSpec,
     LivingCluster,
@@ -28,19 +28,21 @@ from repro.sim import (
     load_trace,
     save_trace,
 )
+from repro.testing import FreshRLPlanner
 
 HOUR_S = 3600.0
 
 
-def run_once(events, planner, step_cache, num_pms, seed):
+def run_once(events, planner, num_pms, seed, reference=None):
+    """One seeded simulation; ``reference`` replaces the cached RL planner."""
     spec = ClusterSpec(name="sim-smoke", num_pms=num_pms,
                        target_utilization=0.6, best_fit_fraction=0.3)
     state = SnapshotGenerator(spec, seed=seed).generate()
     cluster = LivingCluster(state, list(events), seed=seed + 1)
-    service = ReschedulingService(
-        build_default_registry(include_slow=False, seed=0),
-        ServiceConfig(rl_step_cache=step_cache),
-    )
+    registry = build_default_registry(include_slow=False, seed=0)
+    if reference is not None:
+        registry.replace("vmr2l", reference)
+    service = ReschedulingService(registry)
     config = SimulationConfig(
         planner=planner, migration_limit=4, replan_every_s=HOUR_S,
         plan_delay_s=60.0, horizon_s=6 * HOUR_S, seed=seed,
@@ -66,8 +68,8 @@ def main() -> int:
     print(f"trace: {len(events)} events over 6 simulated hours")
     checks = []
 
-    first = run_once(events, "ha", True, args.num_pms, args.seed)
-    second = run_once(events, "ha", True, args.num_pms, args.seed)
+    first = run_once(events, "ha", args.num_pms, args.seed)
+    second = run_once(events, "ha", args.num_pms, args.seed)
     checks.append(("determinism (same seed, same report)",
                    canonical(first) == canonical(second)))
 
@@ -75,14 +77,16 @@ def main() -> int:
         path = Path(tmp) / "trace.jsonl"
         save_trace(events, path, meta={"seed": args.seed})
         _, replayed_events = load_trace(path)
-        replayed = run_once(replayed_events, "ha", True, args.num_pms, args.seed)
+        replayed = run_once(replayed_events, "ha", args.num_pms, args.seed)
         checks.append(("record/replay (JSONL round trip)",
                        canonical(first) == canonical(replayed)))
 
-    cached = run_once(events, "vmr2l", True, args.num_pms, args.seed)
-    fresh = run_once(events, "vmr2l", False, args.num_pms, args.seed)
+    cached = run_once(events, "vmr2l", args.num_pms, args.seed)
+    reference = FreshRLPlanner(build_default_registry(include_slow=False, seed=0)
+                               .get("vmr2l").agent)
+    fresh = run_once(events, "vmr2l", args.num_pms, args.seed, reference=reference)
     checks.append(("StepCache parity (cached == fresh recompute)",
-                   canonical(cached) == canonical(fresh)))
+                   reference.calls > 0 and canonical(cached) == canonical(fresh)))
     checks.append(("rounds completed", len(first.rounds) == 6
                    and first.failed_rounds == 0))
 

@@ -159,17 +159,14 @@ def build_parser() -> argparse.ArgumentParser:
                             "(implies a fleet even without --replicas)")
     serve.add_argument("--brownout", action="store_true",
                        help="enable the overload brownout ladder (L0 normal ... "
-                            "L4 shed) on the service / fleet")
+                            "L3 shed) on the service / fleet")
     serve.add_argument("--drain-timeout-s", type=float, default=30.0,
                        help="graceful-drain budget on SIGTERM")
     serve.add_argument("--max-batch-size", type=int, default=8,
-                       help="micro-batch size for concurrent greedy RL requests")
+                       help="micro-batch size for concurrent greedy RL requests "
+                            "(1 = dispatch every request individually)")
     serve.add_argument("--max-wait-ms", type=float, default=2.0,
                        help="max time a request waits for a micro-batch to fill")
-    serve.add_argument("--eval-workers", type=int, default=0,
-                       help="process-pool size for plan-quality evaluation (0 = inline)")
-    serve.add_argument("--no-micro-batching", action="store_true",
-                       help="dispatch every request individually")
     serve.add_argument("--max-queue-depth", type=int, default=0,
                        help="shed requests once this many are queued (0 = unbounded)")
     serve.add_argument("--deadline-policy", default="partial",
@@ -236,8 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="cap on replanning rounds (smoke runs)")
     simulate.add_argument("--deadline-ms", type=float, default=None,
                           help="per-request soft deadline forwarded to the planner")
-    simulate.add_argument("--no-step-cache", action="store_true",
-                          help="disable the step-incremental encoder cache")
     simulate.add_argument("--fast-only", action="store_true",
                           help="register only the low-latency planners")
     simulate.add_argument("--url", default=None,
@@ -255,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="autoscaler upper bound with --autoscale")
     simulate.add_argument("--fallback-planner", default=None,
                           help="registry key the brownout ladder degrades to at "
-                               "L3 with --autoscale (default 'ha')")
+                               "L2 with --autoscale (default 'ha')")
     simulate.add_argument("--load-base", type=int, default=1,
                           help="baseline concurrent plan requests per round")
     simulate.add_argument("--load-per-event", type=float, default=0.0,
@@ -333,8 +328,6 @@ def _build_service(args, max_batch_size: int = 8) -> ReschedulingService:
     config = ServiceConfig(
         max_batch_size=max_batch_size,
         max_wait_ms=getattr(args, "max_wait_ms", 2.0),
-        micro_batching=not getattr(args, "no_micro_batching", False),
-        eval_workers=getattr(args, "eval_workers", 0),
         max_queue_depth=getattr(args, "max_queue_depth", 0),
         deadline_policy=getattr(args, "deadline_policy", "partial"),
         fallback_planner=getattr(args, "fallback_planner", None),
@@ -447,8 +440,6 @@ def _build_fleet(args) -> ReplicaFleet:
     service_config = ServiceConfig(
         max_batch_size=args.max_batch_size,
         max_wait_ms=args.max_wait_ms,
-        micro_batching=not args.no_micro_batching,
-        eval_workers=args.eval_workers,
         deadline_policy=args.deadline_policy,
         fallback_planner=args.fallback_planner,
         brownout=brownout,
@@ -470,7 +461,7 @@ def _build_sim_fleet(args) -> ReplicaFleet:
     Tuned for a short-lived simulation driver rather than a long-running
     server: fork replicas, tight heartbeat/supervise intervals so scale and
     brownout decisions land within a simulation round, and the full brownout
-    ladder enabled (L3 degrades to ``--fallback-planner``, default ``ha``).
+    ladder enabled (L2 degrades to ``--fallback-planner``, default ``ha``).
     """
     agent = (
         VMR2LAgent.load(args.checkpoint) if args.checkpoint else VMR2LAgent(seed=0)
@@ -480,7 +471,6 @@ def _build_sim_fleet(args) -> ReplicaFleet:
     )
     brownout = BrownoutConfig()
     service_config = ServiceConfig(
-        rl_step_cache=not args.no_step_cache,
         fallback_planner=args.fallback_planner or "ha",
         brownout=brownout,
     )
@@ -614,9 +604,7 @@ def cmd_simulate(args) -> Dict:
         registry = build_default_registry(
             checkpoint=args.checkpoint, include_slow=not args.fast_only
         )
-        service = ReschedulingService(
-            registry, ServiceConfig(rl_step_cache=not args.no_step_cache)
-        )
+        service = ReschedulingService(registry)
         if planner_key not in registry:
             raise SystemExit(
                 f"unknown planner {planner_key!r}; choose from {registry.names()}"

@@ -20,19 +20,16 @@ scale-up is quick because queues hurt now, scale-down is slow because
 respawning a replica costs a model load.
 
 **Brownout ladder.**  :class:`BrownoutController` maps smoothed load onto a
-five-level degradation ladder; each level *adds* a cheaper serving mode on
+four-level degradation ladder; each level *adds* a cheaper serving mode on
 top of the previous ones:
 
 =====  ==============================================================
 level  effect (applied by the service / fleet)
 =====  ==============================================================
 L0     normal serving
-L1     force the cheap inference path: StepCache on, batched
-       ``plan_batch`` rollouts (``compute_stats=False``) even for
-       singleton requests
-L2     impose a reduced deadline → partial plans (a valid prefix)
-L3     degrade greedy RL requests to the fast fallback baseline
-L4     shed new requests with a ``Retry-After`` hint
+L1     impose a reduced deadline → partial plans (a valid prefix)
+L2     degrade greedy RL requests to the fast fallback baseline
+L3     shed new requests with a ``Retry-After`` hint
 =====  ==============================================================
 
 Levels *enter* when smoothed load crosses ``enter_thresholds[level-1]`` (a
@@ -51,7 +48,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 #: Ladder levels, for docs/dashboards; index == level.
 BROWNOUT_LEVEL_NAMES = (
     "normal",
-    "cheap-inference",
     "partial-plans",
     "fallback-planner",
     "shed",
@@ -251,13 +247,13 @@ class BrownoutConfig:
     observations, one rung at a time.
     """
 
-    enter_thresholds: Tuple[float, ...] = (1.0, 2.0, 4.0, 8.0)
+    enter_thresholds: Tuple[float, ...] = (2.0, 4.0, 8.0)
     exit_fraction: float = 0.6
     #: EWMA weight of the newest load sample.
     alpha: float = 0.5
     #: Consecutive below-exit observations required before stepping down.
     min_dwell: int = 2
-    #: The deadline L2 imposes on requests that arrive without a tighter one.
+    #: The deadline L1 imposes on requests that arrive without a tighter one.
     reduced_deadline_ms: float = 250.0
 
     def __post_init__(self) -> None:
@@ -332,23 +328,19 @@ class BrownoutController:
     # Effect predicates — the service/fleet branch on these, never on raw
     # level comparisons, so the ladder semantics live in exactly one place.
     @property
-    def force_cheap_inference(self) -> bool:  # L1+
+    def reduce_deadline(self) -> bool:  # L1+
         return self.level >= 1
 
     @property
-    def reduce_deadline(self) -> bool:  # L2+
+    def degrade_to_fallback(self) -> bool:  # L2+
         return self.level >= 2
 
     @property
-    def degrade_to_fallback(self) -> bool:  # L3+
-        return self.level >= 3
-
-    @property
-    def shedding(self) -> bool:  # L4
+    def shedding(self) -> bool:  # L3
         return self.level >= MAX_BROWNOUT_LEVEL
 
     def effective_deadline_ms(self, deadline_ms: Optional[float]) -> Optional[float]:
-        """The request deadline after L2: the tighter of caller's and ours."""
+        """The request deadline after L1: the tighter of caller's and ours."""
         if not self.reduce_deadline:
             return deadline_ms
         reduced = self.config.reduced_deadline_ms

@@ -311,7 +311,7 @@ class FleetConfig:
     #: ``max_replicas`` (see :class:`AutoscaleConfig`).  ``None`` keeps the
     #: fleet fixed at ``num_replicas`` — the pre-autoscaler behavior.
     autoscale: Optional[AutoscaleConfig] = None
-    #: Fleet-level brownout ladder: L4 sheds at admission, L2 stamps reduced
+    #: Fleet-level brownout ladder: L3 sheds at admission, L1 stamps reduced
     #: deadlines onto dispatched requests, and the level is exported via
     #: ``/v1/state``.  Replica-*internal* ladders come from
     #: ``service_config.brownout`` instead.  ``None`` disables.
@@ -689,11 +689,11 @@ class ReplicaFleet:
         shed = None
         if self._draining:
             shed = "fleet is draining and no longer admits requests"
-        # Brownout L4: the supervisor's smoothed-load controller says the
+        # Brownout L3: the supervisor's smoothed-load controller says the
         # fleet is past saturation — shed *new* arrivals (the backlog keeps
         # draining) with a Retry-After hint.
         elif self._brownout is not None and self._brownout.shedding:
-            shed = "brownout L4: fleet is shedding load; retry later"
+            shed = "brownout: fleet is shedding load; retry later"
         now = time.monotonic()
         with self._lock:
             bound = self.config.max_inflight
@@ -1039,7 +1039,7 @@ class ReplicaFleet:
         for replica, conn, ticket, entry in to_send:
             request_dict = entry.request_dict
             if self._brownout is not None and self._brownout.reduce_deadline:
-                # Brownout L2: stamp the reduced deadline onto the dispatched
+                # Brownout L1: stamp the reduced deadline onto the dispatched
                 # copy (never the stored one — a retry after recovery should
                 # run at whatever level holds *then*).
                 request_dict = dict(request_dict)

@@ -128,13 +128,14 @@ class RLPlanner(Planner):
     request's objective and seed (``None`` means 0), so nothing on the
     shared agent changes per request.  ``greedy=True`` (the serving
     default) runs a deterministic single trajectory, and many greedy
-    requests share one stacked extractor forward per step.
-    ``greedy=False`` runs the risk-seeking evaluation of §3.4 (sample
+    requests share one stacked extractor forward per step, always on the
+    StepCache (:class:`repro.testing.FreshRLPlanner` is the cache-off
+    reference).  ``greedy=False`` runs the risk-seeking evaluation of §3.4 (sample
     several trajectories as rows of one stacked rollout, keep the best);
     its plan depends only on the snapshot, limit, objective and seed.
     """
 
-    capabilities = frozenset({"batch", "objective", "sampled", "step_cache", "deadline"})
+    capabilities = frozenset({"batch", "objective", "sampled", "deadline"})
     description = "two-stage deep-RL rescheduler (the paper's system)"
 
     def __init__(self, agent: VMR2LAgent) -> None:
@@ -165,7 +166,6 @@ class RLPlanner(Planner):
         greedy: bool = True,
         seed: Optional[int] = None,
         max_active: Optional[int] = None,
-        step_cache: bool = True,
         deadline_s: Optional[float] = None,
     ) -> List[ReschedulingResult]:
         return self.agent.plan_batch(
@@ -175,7 +175,6 @@ class RLPlanner(Planner):
             seed=0 if seed is None else seed,
             objective=objective,
             max_active=max_active,
-            use_step_cache=step_cache,
             deadline_s=deadline_s,
         )
 

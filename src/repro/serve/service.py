@@ -1,24 +1,30 @@
-"""The rescheduling service: validate → dispatch → micro-batch → respond.
+"""The rescheduling service: admit → prepare → group → ``plan_batch`` → respond.
 
 :class:`ReschedulingService` is the one code path every frontend uses (CLI,
-HTTP server, tests, benchmarks).  It has two entry modes:
+HTTP server, tests, benchmarks).  Requests enter in one of two ways:
 
-* **Synchronous** — :meth:`handle` / :meth:`handle_many`.  ``handle_many``
-  groups compatible greedy RL requests (same objective) into micro-batches of
-  up to ``max_batch_size`` and dispatches each group through ONE
-  ``plan_batch`` call, i.e. one stacked ``TwoStagePolicy`` forward per step
-  for the whole group.  Baselines and sampled RL requests dispatch per
-  request.
+* **Synchronous** — :meth:`handle` / :meth:`handle_many`.  One call is one
+  burst: it is admitted (or shed) as a whole and planned at once.
 * **Queued** — :meth:`start` + :meth:`submit`.  Handler threads (e.g. the
   HTTP server) enqueue requests and block on a future; a single worker
   thread drains the queue, waiting up to ``max_wait_ms`` for a batch of
-  ``max_batch_size`` to accumulate before dispatching.  This turns
-  concurrent single-request traffic into the same vectorized hot path, and
-  serializes all model access so the NumPy policy needs no locking.
+  ``max_batch_size`` to accumulate.  This turns concurrent single-request
+  traffic into the same vectorized hot path, and serializes all model
+  access so the NumPy policy needs no locking.
 
-Every response carries ``latency_ms`` (receive → respond), ``queue_ms`` (wait
-for a batch slot), ``batch_size`` and ``inference_ms``, plus the plan-quality
-metrics (initial/final objective under the requested objective function).
+After admission both go through one pipeline, :meth:`ReschedulingService._run`:
+prepare each request (validate, resolve planner/state/objective, check the
+time it already waited against its deadline), group greedy requests for a
+``batch``-capable planner by objective and deadline, and dispatch every group
+— a singleton too — through ONE ``planner.plan_batch`` call, i.e. one stacked
+``TwoStagePolicy`` forward per step for the whole group.  Baselines and
+sampled RL requests form singleton groups.  Per-request dispatch is
+``max_batch_size=1``.
+
+Every response carries ``latency_ms`` (receive → respond) and ``queue_ms``
+(receive → dispatch), both counted from the request's own receive time, plus
+``batch_size``, ``inference_ms`` and the plan-quality metrics (initial/final
+objective under the requested objective function).
 
 Overload and deadlines are first-class: ``max_queue_depth`` sheds work at
 admission (``service_unavailable`` before any compute is spent),
@@ -27,21 +33,22 @@ planners (the remaining budget is threaded into ``plan_batch`` so rollouts stop
 mid-plan), and ``deadline_policy`` decides what an expired budget yields: the
 best partial plan (``"partial"``, default), a stable 408-style
 ``deadline_exceeded`` error (``"error"``), or a re-run on a fast fallback
-baseline planner (``"fallback"`` + ``fallback_planner``).  :meth:`stop` fails
-any still-queued request with ``service_unavailable`` so no caller blocks on a
-future that will never resolve.
+baseline planner (``"fallback"`` + ``fallback_planner``).  The optional
+brownout ladder is read only through
+:class:`~repro.serve.autoscale.BrownoutController`'s effect predicates.
+:meth:`stop` fails any still-queued request with ``service_unavailable`` so no
+caller blocks on a future that will never resolve.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import queue
 import threading
 import time
 from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Union
 
 from ..baselines.base import PlanEvaluation, ReschedulingResult, evaluate_plan
 from ..cluster import ClusterState
@@ -52,37 +59,17 @@ from .schemas import PlanError, PlanRequest, PlanResponse, SchemaError
 Reply = Union[PlanResponse, PlanError]
 
 
-def _evaluate_plan_task(payload) -> PlanEvaluation:
-    """Worker-pool task replaying one plan (module-level: spawn-picklable)."""
-    state, result, objective = payload
-    return evaluate_plan(state, result, objective=objective)
-
-
 @dataclass
 class ServiceConfig:
-    """Micro-batching and validation knobs."""
+    """Micro-batching, admission and deadline knobs."""
 
-    #: Largest number of requests fused into one ``plan_batch`` call.
+    #: Largest number of requests fused into one ``plan_batch`` call; ``1``
+    #: dispatches every request on its own.
     max_batch_size: int = 8
     #: How long the queue worker waits for more requests before dispatching.
     max_wait_ms: float = 2.0
-    #: Disable to force per-request dispatch (used as the benchmark baseline).
-    micro_batching: bool = True
     #: Reject snapshots above this VM count (simple overload protection).
     max_snapshot_vms: int = 200_000
-    #: With ``> 0``, plan-quality evaluation (replaying each returned plan on
-    #: a copy of its snapshot) for multi-request groups runs on a process
-    #: pool of this size instead of inline — useful when large snapshots make
-    #: the replay dominate response time.  ``0`` evaluates in-process.
-    eval_workers: int = 0
-    #: Carry a step-incremental encoder cache across the micro-batched
-    #: decision steps of RL plan groups (planners advertising the
-    #: ``step_cache`` capability): each episode re-featurizes/re-encodes only
-    #: what its last migration touched.  Same function as a fresh forward —
-    #: plans match the knob-off path up to ~1e-16 embedding drift at exact
-    #: argmax ties (see ``repro.core.step_cache``); disable to A/B or to rule
-    #: the cache out while debugging a plan difference.
-    rl_step_cache: bool = True
     #: Admission control: with ``> 0``, a request arriving while this many are
     #: already queued is shed immediately with a ``service_unavailable`` error
     #: instead of growing the queue without bound.  ``0`` disables shedding.
@@ -97,18 +84,15 @@ class ServiceConfig:
     #: Registry key of the fast baseline used by ``deadline_policy="fallback"``
     #: (e.g. ``"ha"``).  Unset falls back to returning the partial plan.
     fallback_planner: Optional[str] = None
-    #: Upper bound on one pooled plan-evaluation batch; past this the pool is
-    #: presumed wedged, torn down, and the batch re-runs inline.
-    eval_timeout_s: float = 60.0
     #: Backoff hint attached to shed / draining rejections (``retry_after_s``
     #: on the error, ``Retry-After`` on the HTTP reply): how long a client
     #: should wait before retrying.  ``0`` omits the hint.
     shed_retry_after_s: float = 0.25
-    #: Enable the graceful-degradation ladder (L0 normal → L1 cheap
-    #: inference → L2 reduced-deadline partials → L3 fallback planner → L4
-    #: shed), entered/exited on EWMA-smoothed queue load.  L3 degrades to
-    #: ``fallback_planner``; unset, L3 behaves like L2.  ``None`` disables
-    #: the ladder entirely (the default — zero behavior change).
+    #: Enable the graceful-degradation ladder (L0 normal → L1 reduced-deadline
+    #: partials → L2 fallback planner → L3 shed), entered/exited on
+    #: EWMA-smoothed queue load.  L2 degrades to ``fallback_planner``; unset,
+    #: L2 behaves like L1.  ``None`` disables the ladder entirely (the
+    #: default — zero behavior change).
     brownout: Optional[BrownoutConfig] = None
 
     def __post_init__(self) -> None:
@@ -116,8 +100,6 @@ class ServiceConfig:
             raise ValueError("max_batch_size must be >= 1")
         if self.max_wait_ms < 0:
             raise ValueError("max_wait_ms must not be negative")
-        if self.eval_workers < 0:
-            raise ValueError("eval_workers must not be negative")
         if self.max_queue_depth < 0:
             raise ValueError("max_queue_depth must not be negative")
         if self.deadline_policy not in ("partial", "error", "fallback"):
@@ -125,19 +107,30 @@ class ServiceConfig:
                 "deadline_policy must be one of 'partial', 'error', 'fallback'; "
                 f"got {self.deadline_policy!r}"
             )
-        if self.eval_timeout_s <= 0:
-            raise ValueError("eval_timeout_s must be positive")
         if self.shed_retry_after_s < 0:
             raise ValueError("shed_retry_after_s must not be negative")
 
 
 @dataclass
 class _Pending:
-    """A request travelling through the queued path."""
+    """An admitted request: when the service received it and, on the queued
+    path, the future its reply resolves."""
 
     request: PlanRequest
-    future: Future
     enqueued_at: float
+    future: Optional[Future] = None
+
+
+class _Prepared(NamedTuple):
+    """A validated request, ready to be grouped and dispatched."""
+
+    index: int
+    request: PlanRequest
+    enqueued_at: float
+    planner: Planner
+    state: ClusterState
+    objective: object
+    deadline_at: Optional[float]
 
 
 class ReschedulingService:
@@ -154,8 +147,6 @@ class ReschedulingService:
         self._worker: Optional[threading.Thread] = None
         self._running = False
         self._draining = False
-        self._eval_pool = None
-        self._eval_pool_lock = threading.Lock()
         self._brownout_lock = threading.Lock()
         self._stats_lock = threading.Lock()
         self._latencies: "deque[float]" = deque(maxlen=512)
@@ -191,49 +182,12 @@ class ReschedulingService:
         received = time.perf_counter()
         # The sync path sees load only as burst width: one handle_many call
         # IS the instantaneous queue, so the ladder observes its size.
-        level = self._observe_brownout(len(requests))
-        if level >= 4:
-            with self._stats_lock:
-                self._stats["shed"] += len(requests)
+        if self._observe_brownout(len(requests)):
             return [
-                self._error(
-                    request,
-                    "service_unavailable",
-                    "brownout L4: service is shedding load; retry later",
-                    retry_after_s=self.config.shed_retry_after_s or None,
-                )
+                self._shed(request, "brownout: service is shedding load; retry later")
                 for request in requests
             ]
-        replies: List[Optional[Reply]] = [None] * len(requests)
-        prepared: List[Tuple] = []
-        for index, request in enumerate(requests):
-            try:
-                planner, state, objective = self._prepare(request)
-            except SchemaError as exc:
-                replies[index] = self._error(request, exc.code, str(exc))
-            except KeyError as exc:
-                replies[index] = self._error(request, "unknown_planner", str(exc))
-            except Exception as exc:  # a bad request must never crash the service
-                replies[index] = self._error(
-                    request, "internal_error", f"request preparation failed: {exc}"
-                )
-            else:
-                deadline_ms = self._effective_deadline_ms(request.deadline_ms, level)
-                deadline_at = (
-                    received + float(deadline_ms) / 1e3
-                    if deadline_ms is not None
-                    else None
-                )
-                prepared.append((index, request, planner, state, objective, deadline_at))
-
-        for group in self._group(prepared):
-            self._dispatch(group, replies, received, queue_ms=0.0, level=level)
-        return [
-            reply
-            if reply is not None
-            else self._error(requests[index], "internal_error", "lost reply slot")
-            for index, reply in enumerate(replies)
-        ]
+        return self._run([_Pending(request, received) for request in requests])
 
     # ------------------------------------------------------------------ #
     # Queued micro-batching API
@@ -314,11 +268,6 @@ class ReschedulingService:
                         retry_after_s=self.config.shed_retry_after_s or None,
                     )
                 )
-        with self._eval_pool_lock:
-            if self._eval_pool is not None:
-                self._eval_pool.terminate()
-                self._eval_pool.join()
-                self._eval_pool = None
 
     def submit(self, request: PlanRequest) -> "Future[Reply]":
         """Enqueue a request for the batching worker; resolves to a reply.
@@ -330,47 +279,25 @@ class ReschedulingService:
         if not self._running:
             raise RuntimeError("service is not started; call start() first")
         future: "Future[Reply]" = Future()
-        retry_after = self.config.shed_retry_after_s or None
-        if self._draining:
-            with self._stats_lock:
-                self._stats["shed"] += 1
-            future.set_result(
-                self._error(
-                    request,
-                    "service_unavailable",
-                    "service is draining and no longer admits requests",
-                    retry_after_s=retry_after,
-                )
-            )
-            return future
-        # Queued-path ladder input: depth of the queue the request joins.
-        level = self._observe_brownout(self._queue.qsize())
-        if level >= 4:
-            with self._stats_lock:
-                self._stats["shed"] += 1
-            future.set_result(
-                self._error(
-                    request,
-                    "service_unavailable",
-                    "brownout L4: service is shedding load; retry later",
-                    retry_after_s=retry_after,
-                )
-            )
-            return future
         depth = self.config.max_queue_depth
-        if depth > 0 and self._queue.qsize() >= depth:
-            with self._stats_lock:
-                self._stats["shed"] += 1
+        if self._draining:
             future.set_result(
-                self._error(
+                self._shed(request, "service is draining and no longer admits requests")
+            )
+        # Queued-path ladder input: depth of the queue the request joins.
+        elif self._observe_brownout(self._queue.qsize()):
+            future.set_result(
+                self._shed(request, "brownout: service is shedding load; retry later")
+            )
+        elif depth > 0 and self._queue.qsize() >= depth:
+            future.set_result(
+                self._shed(
                     request,
-                    "service_unavailable",
                     f"queue depth is at the admission bound ({depth}); retry later",
-                    retry_after_s=retry_after,
                 )
             )
-            return future
-        self._queue.put(_Pending(request=request, future=future, enqueued_at=time.perf_counter()))
+        else:
+            self._queue.put(_Pending(request, time.perf_counter(), future))
         return future
 
     def plan(self, request: PlanRequest, timeout: Optional[float] = None) -> Reply:
@@ -404,7 +331,7 @@ class ReschedulingService:
         """One self-describing health/load snapshot (the ``/v1/state`` body)."""
         payload = {
             "serving": self.is_serving,
-            "draining": self._draining,
+            "draining": self.is_draining,
             "queue_depth": self.pending_count(),
             "latency": self.latency_percentiles(),
             "stats": self.stats(),
@@ -416,23 +343,14 @@ class ReschedulingService:
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
-    def _observe_brownout(self, depth: int) -> int:
+    def _observe_brownout(self, depth: int) -> bool:
         """Fold one load sample (queue depth or burst width, in requests)
-        into the ladder; returns the level decisions should use."""
+        into the ladder; True when the ladder now sheds."""
         if self._brownout is None:
-            return 0
-        load = depth / max(self.config.max_batch_size, 1)
+            return False
         with self._brownout_lock:
-            return self._brownout.observe(load)
-
-    def _effective_deadline_ms(
-        self, deadline_ms: Optional[float], level: int
-    ) -> Optional[float]:
-        """L2+: the tighter of the caller's deadline and the brownout one."""
-        if self._brownout is None or level < 2:
-            return deadline_ms
-        reduced = self.config.brownout.reduced_deadline_ms
-        return reduced if deadline_ms is None else min(float(deadline_ms), reduced)
+            self._brownout.observe(depth / self.config.max_batch_size)
+            return self._brownout.shedding
 
     def _prepare(self, request: PlanRequest):
         """Validate a request and resolve its planner/state/objective."""
@@ -448,7 +366,64 @@ class ReschedulingService:
         objective = request.build_objective()
         return planner, state, objective
 
-    def _group(self, prepared) -> List[List]:
+    def _run(self, items: Sequence[_Pending]) -> List[Reply]:
+        """The one pipeline: prepare → deadline → group → dispatch.
+
+        Replies come back in item order; a request that fails to prepare gets
+        its error in its own slot and never affects the others.
+        """
+        received = time.perf_counter()
+        # One consistent read of the ladder for the whole run.
+        with self._brownout_lock:
+            ladder = self._brownout
+            level = self.brownout_level
+            reduced_ms = None if ladder is None else ladder.effective_deadline_ms(None)
+            degrade = ladder is not None and ladder.degrade_to_fallback
+        replies: List[Optional[Reply]] = [None] * len(items)
+        prepared: List[_Prepared] = []
+        for index, item in enumerate(items):
+            request = item.request
+            try:
+                # Validate (via _prepare) BEFORE touching deadline_ms: only a
+                # validated request is known to carry a numeric deadline.
+                planner, state, objective = self._prepare(request)
+                # The brownout budget runs from dispatch, so deadline-capable
+                # planners return a valid partial prefix instead of queueing
+                # full work; the caller's budget runs from receive.
+                bounds = [] if reduced_ms is None else [received + reduced_ms / 1e3]
+                if request.deadline_ms is not None:
+                    waited_ms = (received - item.enqueued_at) * 1e3
+                    if waited_ms > float(request.deadline_ms):
+                        raise SchemaError(
+                            f"request waited {waited_ms:.1f} ms in queue, above its "
+                            f"deadline of {request.deadline_ms} ms",
+                            code="deadline_exceeded",
+                        )
+                    bounds.append(item.enqueued_at + float(request.deadline_ms) / 1e3)
+            except SchemaError as exc:
+                replies[index] = self._error(request, exc.code, str(exc))
+            except KeyError as exc:
+                replies[index] = self._error(request, "unknown_planner", str(exc))
+            except Exception as exc:  # a bad request must never crash the service
+                replies[index] = self._error(
+                    request, "internal_error", f"request preparation failed: {exc}"
+                )
+            else:
+                prepared.append(
+                    _Prepared(index, request, item.enqueued_at, planner, state,
+                              objective, min(bounds, default=None))
+                )
+
+        for group in self._group(prepared):
+            self._dispatch(group, replies, received, level, degrade)
+        return [
+            reply
+            if reply is not None
+            else self._error(item.request, "internal_error", "lost reply slot")
+            for item, reply in zip(items, replies)
+        ]
+
+    def _group(self, prepared: List[_Prepared]) -> List[List[_Prepared]]:
         """Split prepared requests into dispatch groups.
 
         Greedy requests for a ``batch``-capable planner with the same
@@ -460,17 +435,13 @@ class ReschedulingService:
         micro-batch of unconstrained requests — deadline-homogeneous traffic
         still batches fully.
         """
-        groups: List[List] = []
-        batchable: Dict[Tuple, List] = {}
+        groups: List[List[_Prepared]] = []
+        batchable: Dict[tuple, List[_Prepared]] = {}
         for item in prepared:
-            _, request, planner, _, _, _ = item
-            if (
-                self.config.micro_batching
-                and request.greedy
-                and "batch" in planner.capabilities
-            ):
+            request = item.request
+            if request.greedy and "batch" in item.planner.capabilities:
                 key = (
-                    id(planner),
+                    id(item.planner),
                     request.objective,
                     tuple(sorted(request.objective_params.items())),
                     request.deadline_ms,
@@ -483,24 +454,21 @@ class ReschedulingService:
 
     def _dispatch(
         self,
-        group: List,
+        group: List[_Prepared],
         replies: List[Optional[Reply]],
         received: float,
-        queue_ms: float,
-        level: int = 0,
+        level: int,
+        degrade: bool,
     ) -> None:
-        """Run one planner call for a group and fill the reply slots."""
-        planner: Planner = group[0][2]
-        states = [state for _, _, _, state, _, _ in group]
-        limits = [request.migration_limit for _, request, _, _, _, _ in group]
-        objective = group[0][4]
-        greedy = group[0][1].greedy
-        seed = group[0][1].seed
-        # Brownout L3: greedy requests degrade to the fast fallback baseline
-        # wholesale (the base Planner.plan_batch loops plan(), so the swap is
-        # safe for multi-request groups too).
+        """Run one ``plan_batch`` call for a group and fill the reply slots."""
+        first = group[0]
+        planner: Planner = first.planner
+        greedy = first.request.greedy
+        # Brownout fallback rung: greedy requests degrade to the fast fallback
+        # baseline wholesale (the base Planner.plan_batch loops plan(), so the
+        # swap is safe for multi-request groups too).
         degraded_from: Optional[str] = None
-        if level >= 3 and self.config.fallback_planner and greedy:
+        if degrade and self.config.fallback_planner and greedy:
             try:
                 fallback = self.registry.get(self.config.fallback_planner)
             except KeyError:
@@ -510,57 +478,38 @@ class ReschedulingService:
                 planner = fallback
         # The group is deadline-homogeneous (see _group); members may differ
         # by queue wait, so the earliest absolute deadline binds the call.
-        deadlines = [deadline_at for *_, deadline_at in group if deadline_at is not None]
-        deadline_s: Optional[float] = None
+        deadlines = [item.deadline_at for item in group if item.deadline_at is not None]
+        extra = {}
         if deadlines:
             deadline_s = min(deadlines) - time.perf_counter()
             if deadline_s <= 0:
-                for index, request, *_ in group:
-                    replies[index] = self._error(
-                        request,
+                for item in group:
+                    replies[item.index] = self._error(
+                        item.request,
                         "deadline_exceeded",
                         "deadline expired before the planner was dispatched",
                     )
                 return
-        # Deadline-capable planners take the remaining budget and stop their
-        # greedy rollouts mid-plan; others run to completion (the response
-        # still reports metrics["deadline_exceeded"] honestly).
-        supports_deadline = (
-            deadline_s is not None and greedy and "deadline" in planner.capabilities
-        )
-        # Brownout L1: force the cheap inference path — StepCache on and the
-        # batched rollout kernel (which skips entropy/value stats) even for
-        # singleton requests.
-        force_cheap = level >= 1 and greedy and "batch" in planner.capabilities
+            # Deadline-capable planners take the remaining budget and stop
+            # their greedy rollouts mid-plan; others run to completion (the
+            # response still reports metrics["deadline_exceeded"] honestly).
+            if greedy and "deadline" in planner.capabilities:
+                extra["deadline_s"] = deadline_s
         start = time.perf_counter()
         try:
-            if len(group) > 1 or supports_deadline or force_cheap:
-                extra = (
-                    {"step_cache": True if force_cheap else self.config.rl_step_cache}
-                    if "step_cache" in planner.capabilities
-                    else {}
-                )
-                if supports_deadline:
-                    extra["deadline_s"] = deadline_s
-                results = planner.plan_batch(
-                    states,
-                    limits,
-                    objective=objective,
-                    greedy=greedy,
-                    seed=seed,
-                    max_active=self.config.max_batch_size,
-                    **extra,
-                )
-            else:
-                results = [
-                    planner.plan(
-                        states[0], limits[0], objective=objective, greedy=greedy, seed=seed
-                    )
-                ]
+            results = planner.plan_batch(
+                [item.state for item in group],
+                [item.request.migration_limit for item in group],
+                objective=first.objective,
+                greedy=greedy,
+                seed=first.request.seed,
+                max_active=self.config.max_batch_size,
+                **extra,
+            )
         except Exception as exc:  # planner bugs become structured errors
             message = f"planner {planner.name!r} failed: {exc}"
-            for index, request, *_ in group:
-                replies[index] = self._error(request, "internal_error", message)
+            for item in group:
+                replies[item.index] = self._error(item.request, "internal_error", message)
             return
         inference_ms = (time.perf_counter() - start) * 1e3
         with self._stats_lock:
@@ -576,120 +525,60 @@ class ReschedulingService:
         # batch_size reports the effective concurrency (stacked-forward
         # width); a group larger than max_batch_size streams through that
         # many slots via continuous admission.
-        width = min(len(group), self.config.max_batch_size) if len(group) > 1 else 1
+        width = min(len(group), self.config.max_batch_size)
 
         # Apply the deadline policy to partial results BEFORE plan evaluation,
         # so fallback plans are evaluated (and responded) like any other.
-        outstanding: List[Tuple] = []  # (group item, result, partial flag)
         for item, result in zip(group, results):
-            index, request = item[0], item[1]
-            if not bool(result.info.get("partial", False)):
-                outstanding.append((item, result, False))
-                continue
-            with self._stats_lock:
-                self._stats["partials"] += 1
-            policy = self.config.deadline_policy
-            if policy == "error":
-                replies[index] = self._error(
-                    request,
-                    "deadline_exceeded",
-                    f"deadline of {request.deadline_ms} ms expired after "
-                    f"{len(result.plan)} of {request.migration_limit} migrations",
-                )
-                continue
-            if policy == "fallback" and self.config.fallback_planner:
-                try:
-                    fallback = self.registry.get(self.config.fallback_planner)
-                    degraded = fallback.plan(
-                        item[3], request.migration_limit, objective=item[4]
-                    )
-                except Exception:
-                    # A broken fallback must not lose the partial plan we have.
-                    outstanding.append((item, result, True))
-                    continue
-                degraded.info["degraded_from"] = planner.name
-                degraded.info["degraded_to"] = fallback.name
+            request = item.request
+            partial = bool(result.info.get("partial", False))
+            if partial:
                 with self._stats_lock:
-                    self._stats["degraded"] += 1
-                outstanding.append((item, degraded, False))
-                continue
-            outstanding.append((item, result, True))
-
-        evaluations = self._evaluate_group(
-            [(item[3], result, item[4]) for item, result, _ in outstanding]
-        )
-        for (item, result, partial), evaluation in zip(outstanding, evaluations):
-            index, request, _, state, request_objective, _ = item
-            replies[index] = self._respond(
-                request,
-                state,
-                request_objective,
-                result,
-                evaluation,
-                latency_ms=(time.perf_counter() - received) * 1e3,
-                queue_ms=queue_ms,
-                inference_ms=inference_ms,
-                batch_size=width,
-                partial=partial,
-                brownout_level=level,
+                    self._stats["partials"] += 1
+                policy = self.config.deadline_policy
+                if policy == "error":
+                    replies[item.index] = self._error(
+                        request,
+                        "deadline_exceeded",
+                        f"deadline of {request.deadline_ms} ms expired after "
+                        f"{len(result.plan)} of {request.migration_limit} migrations",
+                    )
+                    continue
+                if policy == "fallback" and self.config.fallback_planner:
+                    try:
+                        fallback = self.registry.get(self.config.fallback_planner)
+                        degraded = fallback.plan(
+                            item.state, request.migration_limit, objective=item.objective
+                        )
+                    except Exception:
+                        pass  # a broken fallback must not lose the partial plan we have
+                    else:
+                        degraded.info["degraded_from"] = planner.name
+                        degraded.info["degraded_to"] = fallback.name
+                        with self._stats_lock:
+                            self._stats["degraded"] += 1
+                        result, partial = degraded, False
+            evaluation = evaluate_plan(item.state, result, objective=item.objective)
+            replies[item.index] = self._respond(
+                item, result, evaluation, received, inference_ms, width, partial, level
             )
-
-    def _evaluate_group(self, payloads: List[Tuple]) -> List[PlanEvaluation]:
-        """Replay each group member's plan, optionally on the worker pool.
-
-        Pool dispatch only pays off for multi-request groups (one pickle
-        round trip per request); singleton groups, pool failures and pool
-        timeouts fall back to inline evaluation — a failed or wedged pool is
-        torn down (and lazily rebuilt next time) rather than cached broken,
-        so the pool can never fail a request.
-        """
-        if self.config.eval_workers > 0 and len(payloads) > 1:
-            try:
-                pool = self._ensure_eval_pool()
-                return pool.map_async(_evaluate_plan_task, payloads).get(
-                    timeout=self.config.eval_timeout_s
-                )
-            except Exception:
-                self._discard_eval_pool()  # fall back to inline evaluation
-        return [_evaluate_plan_task(payload) for payload in payloads]
-
-    def _ensure_eval_pool(self):
-        with self._eval_pool_lock:
-            if self._eval_pool is None:
-                # Always spawn: the service process is multi-threaded by
-                # construction (queue worker + HTTP handler threads), and
-                # forking a multi-threaded process can deadlock the child.
-                context = multiprocessing.get_context("spawn")
-                self._eval_pool = context.Pool(processes=self.config.eval_workers)
-            return self._eval_pool
-
-    def _discard_eval_pool(self) -> None:
-        with self._eval_pool_lock:
-            if self._eval_pool is not None:
-                try:
-                    self._eval_pool.terminate()
-                    self._eval_pool.join()
-                except Exception:
-                    pass
-                self._eval_pool = None
 
     def _respond(
         self,
-        request: PlanRequest,
-        state: ClusterState,
-        objective,
+        item: _Prepared,
         result: ReschedulingResult,
         evaluation: PlanEvaluation,
-        latency_ms: float,
-        queue_ms: float,
+        received: float,
         inference_ms: float,
         batch_size: int,
-        partial: bool = False,
-        brownout_level: int = 0,
+        partial: bool,
+        level: int,
     ) -> PlanResponse:
+        request = item.request
+        latency_ms = (time.perf_counter() - item.enqueued_at) * 1e3
         metrics = {
             "latency_ms": latency_ms,
-            "queue_ms": queue_ms,
+            "queue_ms": max(received - item.enqueued_at, 0.0) * 1e3,
             "inference_ms": inference_ms,
             "batch_size": batch_size,
             "planner_seconds": result.inference_seconds,
@@ -701,8 +590,8 @@ class ReschedulingService:
             self._stats["requests"] += 1
             self._latencies.append(latency_ms)
         info = dict(result.info)
-        if brownout_level > 0:
-            info["brownout_level"] = brownout_level
+        if level > 0:
+            info["brownout_level"] = level
         return PlanResponse(
             request_id=request.request_id,
             planner=result.algorithm,
@@ -714,6 +603,17 @@ class ReschedulingService:
             partial=partial,
             metrics=metrics,
             info=info,
+        )
+
+    def _shed(self, request: PlanRequest, message: str) -> PlanError:
+        """A retryable ``service_unavailable`` rejection, counted as shed."""
+        with self._stats_lock:
+            self._stats["shed"] += 1
+        return self._error(
+            request,
+            "service_unavailable",
+            message,
+            retry_after_s=self.config.shed_retry_after_s or None,
         )
 
     def _error(
@@ -745,10 +645,7 @@ class ReschedulingService:
                 continue
             pending = [first]
             deadline = time.perf_counter() + self.config.max_wait_ms / 1e3
-            while (
-                self.config.micro_batching
-                and len(pending) < self.config.max_batch_size
-            ):
+            while len(pending) < self.config.max_batch_size:
                 remaining = deadline - time.perf_counter()
                 if remaining <= 0:
                     break
@@ -756,76 +653,17 @@ class ReschedulingService:
                     item = self._queue.get(timeout=remaining)
                 except queue.Empty:
                     break
-                if item is None:
-                    continue
-                pending.append(item)
+                if item is not None:
+                    pending.append(item)
             try:
-                self._process_pending(pending)
+                replies = self._run(pending)
             except Exception as exc:  # keep the worker alive no matter what
-                for item in pending:
-                    if not item.future.done():
-                        item.future.set_result(
-                            self._error(item.request, "internal_error",
-                                        f"service worker error: {exc}")
-                        )
-
-    def _process_pending(self, pending: List[_Pending]) -> None:
-        received = time.perf_counter()
-        # Submissions already fed the ladder; the batch runs at whatever
-        # level the queue has earned by now.
-        level = self.brownout_level
-        replies: List[Optional[Reply]] = [None] * len(pending)
-        prepared = []
-        for index, item in enumerate(pending):
-            request = item.request
-            try:
-                # Validate (via _prepare) BEFORE touching deadline_ms: only a
-                # validated request is known to carry a numeric deadline.
-                planner, state, objective = self._prepare(request)
-                deadline_at = None
-                if request.deadline_ms is not None:
-                    waited_ms = (received - item.enqueued_at) * 1e3
-                    if waited_ms > float(request.deadline_ms):
-                        raise SchemaError(
-                            f"request waited {waited_ms:.1f} ms in queue, above its "
-                            f"deadline of {request.deadline_ms} ms",
-                            code="deadline_exceeded",
-                        )
-                    # The budget is measured from service receive (enqueue).
-                    deadline_at = item.enqueued_at + float(request.deadline_ms) / 1e3
-                if level >= 2 and self._brownout is not None:
-                    # Brownout L2: a reduced budget measured from dispatch —
-                    # deadline-capable planners stop mid-plan and return a
-                    # valid partial prefix instead of queueing full work.
-                    reduced_at = (
-                        received + self.config.brownout.reduced_deadline_ms / 1e3
-                    )
-                    deadline_at = (
-                        reduced_at if deadline_at is None
-                        else min(deadline_at, reduced_at)
-                    )
-            except SchemaError as exc:
-                replies[index] = self._error(request, exc.code, str(exc))
-            except KeyError as exc:
-                replies[index] = self._error(request, "unknown_planner", str(exc))
-            except Exception as exc:  # a bad request must never kill the worker
-                replies[index] = self._error(
-                    request, "internal_error", f"request preparation failed: {exc}"
-                )
-            else:
-                prepared.append((index, request, planner, state, objective, deadline_at))
-
-        for group in self._group(prepared):
-            slot = group[0][0]
-            queue_ms = (received - pending[slot].enqueued_at) * 1e3
-            self._dispatch(
-                group, replies, received, queue_ms=max(queue_ms, 0.0), level=level
-            )
-
-        for item, reply in zip(pending, replies):
-            if reply is None:  # defensive: every slot should be filled
-                reply = self._error(item.request, "internal_error", "lost reply slot")
-            item.future.set_result(reply)
+                replies = [
+                    self._error(item.request, "internal_error", f"service worker error: {exc}")
+                    for item in pending
+                ]
+            for item, reply in zip(pending, replies):
+                item.future.set_result(reply)
 
     # Context-manager sugar for tests and the CLI.
     def __enter__(self) -> "ReschedulingService":

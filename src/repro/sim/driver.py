@@ -12,7 +12,8 @@ their count per round is the plan-invalidation metric.
 The backend is any ``Callable[[PlanRequest], Reply]``:
 
 * ``service.handle`` for an in-process :class:`ReschedulingService` (the
-  default; StepCache stays warm across rounds when ``rl_step_cache`` is on),
+  default; each round's RL plan runs on a fresh StepCache, like every
+  service request),
 * ``client.plan`` for a remote fleet via :class:`PlanningClient` — retries
   and replica failover come for free, and a round whose reply is a
   :class:`PlanError` is recorded as failed and *skipped*, never raised, so a

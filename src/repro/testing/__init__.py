@@ -1,4 +1,5 @@
-"""Test-support subsystems shipped with the library (fault injection)."""
+"""Test-support subsystems shipped with the library (fault injection and
+reference planners)."""
 
 from .faults import (
     CRASH_EXIT_CODE,
@@ -10,12 +11,12 @@ from .faults import (
     FaultyRegistryFactory,
     LoadSpike,
     faulty_factories,
-    kill_eval_pool_workers,
     kill_replica,
     malformed_http_payloads,
     oversized_body,
     slow_replica_factory,
 )
+from .reference import FreshRLPlanner
 
 __all__ = [
     "CRASH_EXIT_CODE",
@@ -25,9 +26,9 @@ __all__ = [
     "FaultyEnv",
     "FaultyPlanner",
     "FaultyRegistryFactory",
+    "FreshRLPlanner",
     "LoadSpike",
     "faulty_factories",
-    "kill_eval_pool_workers",
     "kill_replica",
     "malformed_http_payloads",
     "oversized_body",

@@ -21,8 +21,6 @@ inject them at every layer the chaos suites exercise:
 * **Planner faults** — :class:`FaultyPlanner` wraps any registry planner and
   raises/hangs/delays on chosen call ordinals, for testing per-request error
   isolation and deadline behavior in :class:`ReschedulingService`.
-* **Eval-pool faults** — :func:`kill_eval_pool_workers` SIGKILLs the
-  service's plan-evaluation pool mid-flight.
 * **Autoscale/brownout faults** — :func:`slow_replica_factory` plants a
   *persistently* slow planner in one replica (``fail_calls=None`` fires on
   every call), and :class:`LoadSpike` describes a deterministic flash-crowd
@@ -320,27 +318,6 @@ class FaultyPlanner:
 
     def describe(self) -> Dict:
         return self._inner.describe()
-
-
-# ---------------------------------------------------------------------- #
-# Service-level hooks
-# ---------------------------------------------------------------------- #
-def kill_eval_pool_workers(service) -> int:
-    """SIGKILL every live process of the service's eval pool (if running).
-
-    Returns the number of processes killed.  The next pooled evaluation then
-    fails or times out; the service must tear the pool down and fall back to
-    inline evaluation without failing the request.
-    """
-    pool = getattr(service, "_eval_pool", None)
-    if pool is None:
-        return 0
-    killed = 0
-    for process in list(getattr(pool, "_pool", [])):
-        if process.is_alive():
-            process.kill()
-            killed += 1
-    return killed
 
 
 # ---------------------------------------------------------------------- #

@@ -266,15 +266,15 @@ class TestChaosProperty:
 class TestFleetBrownout:
     def test_slow_fleet_climbs_ladder_sheds_then_recovers(self):
         # One persistently slow replica + a burst drives normalized load over
-        # every rung; L4 sheds new admissions with a Retry-After hint; once
+        # every rung; L3 sheds new admissions with a Retry-After hint; once
         # the queue drains the ladder steps back down to normal.
         factory = slow_replica_factory(DefaultRegistryFactory(), "ha", 0.25)
         config = fast_config(
             brownout=BrownoutConfig(
-                enter_thresholds=(0.05, 0.1, 0.15, 0.2),
+                enter_thresholds=(0.1, 0.15, 0.2),
                 alpha=1.0,
                 min_dwell=2,
-                reduced_deadline_ms=60_000.0,  # keep L2 harmless here
+                reduced_deadline_ms=60_000.0,  # keep L1 harmless here
             ),
         )
         fleet = start_fleet(config, factory=factory)
@@ -282,7 +282,7 @@ class TestFleetBrownout:
             requests = [plan_request(seed=i) for i in range(8)]
             futures = [fleet.submit(request) for request in requests]
             assert wait_until(
-                lambda: fleet.control_plane_stats()["brownout_level"] >= 4,
+                lambda: fleet.control_plane_stats()["brownout_level"] >= 3,
                 timeout=10.0,
             )
             shed_reply = fleet.submit(plan_request(seed=100)).result(timeout=5.0)
@@ -292,7 +292,7 @@ class TestFleetBrownout:
             assert fleet.stats()["shed"] >= 1
             # Admitted work still completes — shedding exists to protect it.
             # (The burst's own tail may already be shed: the ladder can reach
-            # L4 between two submissions, which is exactly the point.)
+            # L3 between two submissions, which is exactly the point.)
             replies = [f.result(timeout=120.0) for f in futures]
             admitted = [r for r in replies if not isinstance(r, PlanError)]
             assert admitted, "every burst request was shed; none admitted"

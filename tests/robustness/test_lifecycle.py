@@ -98,6 +98,14 @@ class TestServiceLifecycle:
         finally:
             service.stop()
 
+    def test_state_after_drain_reports_stopped_not_draining(self):
+        service = make_service()
+        service.start()
+        service.drain(timeout=5.0)
+        state = service.state()
+        assert not service.is_draining
+        assert state["draining"] is False and state["serving"] is False
+
     def test_state_shape(self):
         service = make_service()
         with service:

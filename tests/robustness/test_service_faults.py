@@ -1,5 +1,5 @@
 """Chaos tests for the rescheduling service: planner faults, shedding,
-deadlines, stop-drain, and eval-pool recovery."""
+deadlines and stop-drain."""
 
 import threading
 import time
@@ -15,7 +15,7 @@ from repro.serve import (
     ServiceConfig,
     build_default_registry,
 )
-from repro.testing import FaultyPlanner, kill_eval_pool_workers
+from repro.testing import FaultyPlanner
 
 
 def small_state(num_pms=5, seed=0):
@@ -68,7 +68,7 @@ class TestAdmissionControlAndStop:
     def test_queue_overflow_sheds_with_service_unavailable(self, registry):
         service = ReschedulingService(
             registry,
-            ServiceConfig(max_batch_size=1, micro_batching=False, max_queue_depth=1),
+            ServiceConfig(max_batch_size=1, max_queue_depth=1),
         )
         blocker = threading.Event()
         original_prepare = service._prepare
@@ -98,9 +98,7 @@ class TestAdmissionControlAndStop:
             service.stop()
 
     def test_stop_fails_queued_futures_instead_of_hanging(self, registry):
-        service = ReschedulingService(
-            registry, ServiceConfig(max_batch_size=1, micro_batching=False)
-        )
+        service = ReschedulingService(registry, ServiceConfig(max_batch_size=1))
         release = threading.Event()
         original_prepare = service._prepare
 
@@ -247,22 +245,3 @@ class TestDeadlineEnforcement:
         # plan evaluation can overshoot, but not unboundedly.
         assert elapsed_ms < deadline_ms * 25 + 1000.0
 
-
-class TestEvalPoolRecovery:
-    def test_killed_eval_pool_does_not_fail_requests(self, registry):
-        service = ReschedulingService(
-            registry,
-            ServiceConfig(max_batch_size=4, eval_workers=1, eval_timeout_s=15.0),
-        )
-        try:
-            requests = [
-                PlanRequest.from_state(small_state(seed=i), planner="ha", migration_limit=2)
-                for i in range(2)
-            ]
-            first = service.handle_many(requests)
-            assert all(isinstance(reply, PlanResponse) for reply in first)
-            kill_eval_pool_workers(service)
-            second = service.handle_many(requests)
-            assert all(isinstance(reply, PlanResponse) for reply in second)
-        finally:
-            service.stop()

@@ -15,7 +15,7 @@ import pytest
 
 import repro.cluster.soa as soa
 from repro.datasets import ClusterSpec, SnapshotGenerator
-from repro.serve import ReschedulingService, ServiceConfig, build_default_registry
+from repro.serve import ReschedulingService, build_default_registry
 from repro.sim import (
     ChurnSpec,
     LivingCluster,
@@ -23,6 +23,7 @@ from repro.sim import (
     SimulationConfig,
     SyntheticTrace,
 )
+from repro.testing import FreshRLPlanner
 
 DAY_S = 86400.0
 
@@ -39,7 +40,9 @@ CHURN = ChurnSpec(
 )
 
 
-def run_simulation(step_cache, plan_log, capacity=None, monkeypatch=None):
+def run_simulation(plan_log, reference=None, capacity=None, monkeypatch=None):
+    """One seeded churn run; ``reference`` (a :class:`FreshRLPlanner`)
+    replaces the cached RL planner for the fresh-recompute side."""
     if capacity is not None:
         monkeypatch.setattr(soa, "JOURNAL_CAPACITY", capacity)
     spec = ClusterSpec(num_pms=8, target_utilization=0.6, best_fit_fraction=0.3)
@@ -47,10 +50,10 @@ def run_simulation(step_cache, plan_log, capacity=None, monkeypatch=None):
     events = SyntheticTrace(CHURN, seed=12).generate(2 * DAY_S)
     assert len(events) > 2000, "churn too light to stress the journal"
     cluster = LivingCluster(state, events, seed=13)
-    service = ReschedulingService(
-        build_default_registry(include_slow=False, seed=0),
-        ServiceConfig(rl_step_cache=step_cache),
-    )
+    registry = build_default_registry(include_slow=False, seed=0)
+    if reference is not None:
+        registry.replace("vmr2l", reference)
+    service = ReschedulingService(registry)
 
     def logging_plan(request):
         reply = service.handle(request)
@@ -75,8 +78,12 @@ def run_simulation(step_cache, plan_log, capacity=None, monkeypatch=None):
 class TestStepCacheChurnParity:
     def test_cached_plans_identical_under_journal_overflow(self, monkeypatch):
         cached_plans, fresh_plans = [], []
-        cached = run_simulation(True, cached_plans, capacity=2, monkeypatch=monkeypatch)
-        fresh = run_simulation(False, fresh_plans, capacity=2, monkeypatch=monkeypatch)
+        cached = run_simulation(cached_plans, capacity=2, monkeypatch=monkeypatch)
+        reference = FreshRLPlanner(build_default_registry(include_slow=False, seed=0)
+                                   .get("vmr2l").agent)
+        fresh = run_simulation(fresh_plans, reference=reference, capacity=2,
+                               monkeypatch=monkeypatch)
+        assert reference.calls == len(fresh_plans) > 0, "the fresh side never ran"
         assert cached_plans == fresh_plans
         assert any(plan for plan in cached_plans), "trivial plans prove nothing"
         assert json.dumps(cached.deterministic_dict(), sort_keys=True) == json.dumps(
@@ -86,8 +93,8 @@ class TestStepCacheChurnParity:
     def test_tiny_capacity_matches_stock_capacity(self, monkeypatch):
         """Overflow handling must not change results vs. the stock journal."""
         stock_plans, tiny_plans = [], []
-        stock = run_simulation(True, stock_plans)
-        tiny = run_simulation(True, tiny_plans, capacity=1, monkeypatch=monkeypatch)
+        stock = run_simulation(stock_plans)
+        tiny = run_simulation(tiny_plans, capacity=1, monkeypatch=monkeypatch)
         assert stock_plans == tiny_plans
         assert json.dumps(stock.deterministic_dict(), sort_keys=True) == json.dumps(
             tiny.deterministic_dict(), sort_keys=True

@@ -162,11 +162,11 @@ class TestAutoscalerDown:
 class TestBrownoutConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
-            BrownoutConfig(enter_thresholds=(1.0, 2.0))  # needs 4 rungs
+            BrownoutConfig(enter_thresholds=(2.0, 4.0))  # needs 3 rungs
         with pytest.raises(ValueError):
-            BrownoutConfig(enter_thresholds=(2.0, 1.0, 4.0, 8.0))
+            BrownoutConfig(enter_thresholds=(4.0, 2.0, 8.0))
         with pytest.raises(ValueError):
-            BrownoutConfig(enter_thresholds=(0.0, 1.0, 2.0, 3.0))
+            BrownoutConfig(enter_thresholds=(0.0, 2.0, 4.0))
         with pytest.raises(ValueError):
             BrownoutConfig(exit_fraction=1.0)
         with pytest.raises(ValueError):
@@ -177,7 +177,6 @@ class TestBrownoutConfig:
     def test_level_names_cover_the_ladder(self):
         assert BROWNOUT_LEVEL_NAMES == (
             "normal",
-            "cheap-inference",
             "partial-plans",
             "fallback-planner",
             "shed",
@@ -187,7 +186,7 @@ class TestBrownoutConfig:
 class TestBrownoutLadder:
     def controller(self, **overrides):
         defaults = dict(
-            enter_thresholds=(1.0, 2.0, 4.0, 8.0),
+            enter_thresholds=(2.0, 4.0, 8.0),
             exit_fraction=0.6,
             alpha=1.0,  # raw samples: transitions assertable per-tick
             min_dwell=2,
@@ -197,24 +196,23 @@ class TestBrownoutLadder:
 
     def test_enters_rungs_in_order(self):
         ladder = self.controller()
-        assert ladder.observe(0.5, now=0.0) == 0
-        assert ladder.observe(1.0, now=1.0) == 1
-        assert ladder.observe(2.5, now=2.0) == 2
-        assert ladder.observe(4.0, now=3.0) == 3
-        assert ladder.observe(9.0, now=4.0) == 4
+        assert ladder.observe(1.0, now=0.0) == 0
+        assert ladder.observe(2.5, now=1.0) == 1
+        assert ladder.observe(4.0, now=2.0) == 2
+        assert ladder.observe(9.0, now=3.0) == 3
 
     def test_spike_jumps_multiple_rungs(self):
         ladder = self.controller()
-        assert ladder.observe(8.5, now=0.0) == 4
+        assert ladder.observe(8.5, now=0.0) == 3
         assert len(ladder.transitions) == 1
         assert ladder.transitions[0]["from"] == 0
-        assert ladder.transitions[0]["to"] == 4
+        assert ladder.transitions[0]["to"] == 3
 
     def test_exit_is_one_rung_at_a_time_with_dwell(self):
         ladder = self.controller()
-        ladder.observe(2.0, now=0.0)  # L2
+        ladder.observe(4.0, now=0.0)  # L2
         assert ladder.level == 2
-        # Below exit (2.0 * 0.6 = 1.2) once: dwell not met, level holds.
+        # Below exit (4.0 * 0.6 = 2.4) once: dwell not met, level holds.
         assert ladder.observe(0.1, now=1.0) == 2
         # Second consecutive quiet tick: one rung down, not straight to 0.
         assert ladder.observe(0.1, now=2.0) == 1
@@ -223,39 +221,36 @@ class TestBrownoutLadder:
 
     def test_bounce_resets_the_dwell_counter(self):
         ladder = self.controller()
-        ladder.observe(1.5, now=0.0)  # L1 (exit below 0.6)
+        ladder.observe(2.5, now=0.0)  # L1 (exit below 1.2)
         assert ladder.observe(0.1, now=1.0) == 1  # quiet x1
-        assert ladder.observe(0.9, now=2.0) == 1  # bounce: counter resets
+        assert ladder.observe(1.5, now=2.0) == 1  # bounce: counter resets
         assert ladder.observe(0.1, now=3.0) == 1  # quiet x1 again
         assert ladder.observe(0.1, now=4.0) == 0  # quiet x2: now it exits
 
     def test_effect_predicates_per_level(self):
-        ladder = self.controller()
         expectations = {
-            0: (False, False, False, False),
-            1: (True, False, False, False),
-            2: (True, True, False, False),
-            3: (True, True, True, False),
-            4: (True, True, True, True),
+            0: (False, False, False),
+            1: (True, False, False),
+            2: (True, True, False),
+            3: (True, True, True),
         }
-        loads = {0: 0.0, 1: 1.0, 2: 2.0, 3: 4.0, 4: 8.0}
+        loads = {0: 0.0, 1: 2.0, 2: 4.0, 3: 8.0}
         for level, flags in expectations.items():
             fresh = self.controller()
             fresh.observe(loads[level], now=0.0)
             assert fresh.level == level
             assert (
-                fresh.force_cheap_inference,
                 fresh.reduce_deadline,
                 fresh.degrade_to_fallback,
                 fresh.shedding,
             ) == flags
 
-    def test_effective_deadline_tightens_only_at_l2(self):
+    def test_effective_deadline_tightens_only_from_l1(self):
         ladder = self.controller(reduced_deadline_ms=250.0)
-        ladder.observe(1.0, now=0.0)  # L1
+        ladder.observe(1.0, now=0.0)  # L0
         assert ladder.effective_deadline_ms(None) is None
         assert ladder.effective_deadline_ms(1000.0) == 1000.0
-        ladder.observe(2.5, now=1.0)  # L2
+        ladder.observe(2.5, now=1.0)  # L1
         assert ladder.effective_deadline_ms(None) == 250.0
         assert ladder.effective_deadline_ms(1000.0) == 250.0
         # A caller deadline tighter than the brownout one survives.
@@ -265,7 +260,7 @@ class TestBrownoutLadder:
         ladder = self.controller()
         ladder.observe(4.5, now=0.0)
         state = ladder.state_dict()
-        assert state["level"] == 3
+        assert state["level"] == 2
         assert state["level_name"] == "fallback-planner"
         assert state["transitions"] == 1
-        assert state["recent_transitions"][0]["to"] == 3
+        assert state["recent_transitions"][0]["to"] == 2

@@ -7,6 +7,7 @@ from repro.core import ModelConfig, RiskSeekingConfig, VMR2LAgent, VMR2LConfig
 from repro.datasets import ClusterSpec, SnapshotGenerator
 from repro.env.objectives import MixedFragmentObjective
 from repro.serve import (
+    BrownoutConfig,
     PlanError,
     PlanRequest,
     PlanResponse,
@@ -15,6 +16,7 @@ from repro.serve import (
     ServiceConfig,
     build_default_registry,
 )
+from repro.testing import FaultyPlanner
 
 
 def small_state(num_pms=5, seed=0):
@@ -167,9 +169,7 @@ class TestMicroBatching:
             for state in states
         ]
         batched_service = ReschedulingService(registry, ServiceConfig(max_batch_size=4))
-        sequential_service = ReschedulingService(
-            registry, ServiceConfig(micro_batching=False)
-        )
+        sequential_service = ReschedulingService(registry, ServiceConfig(max_batch_size=1))
         batched = batched_service.handle_many(requests)
         sequential = [
             sequential_service.handle(
@@ -237,6 +237,29 @@ class TestQueuedService:
         assert all(reply.metrics["queue_ms"] >= 0.0 for reply in replies)
         assert service.stats()["batched_requests"] >= 3
 
+    def test_metrics_count_from_each_requests_own_enqueue(self):
+        # The second request waits in the queue behind a slow plan: that wait
+        # is its queue_ms, and its latency_ms (receive → respond) covers it.
+        registry = build_default_registry(include_slow=False, seed=0)
+        registry.replace(
+            "ha", FaultyPlanner(registry.get("ha"), kind="slow", latency_s=0.3)
+        )
+        service = ReschedulingService(registry, ServiceConfig(max_batch_size=1))
+        with service:
+            futures = [
+                service.submit(
+                    PlanRequest.from_state(small_state(seed=s), planner="ha",
+                                           migration_limit=2)
+                )
+                for s in range(2)
+            ]
+            replies = [future.result(timeout=60) for future in futures]
+        assert all(isinstance(reply, PlanResponse) for reply in replies)
+        assert replies[1].metrics["queue_ms"] >= 200.0
+        for reply in replies:
+            metrics = reply.metrics
+            assert metrics["latency_ms"] >= metrics["queue_ms"] + metrics["inference_ms"]
+
     def test_submit_requires_started_service(self, registry):
         service = ReschedulingService(registry)
         with pytest.raises(RuntimeError):
@@ -268,3 +291,51 @@ class TestQueuedService:
                 PlanRequest.from_state(small_state(), planner="ha", migration_limit=2)
             ).result(timeout=60)
         assert isinstance(good, PlanResponse)
+
+
+class TestServiceBrownout:
+    """Every rung of the service's own ladder, driven by handle_many burst
+    width (max_batch_size=1 and alpha=1 make the load sample the width)."""
+
+    @staticmethod
+    def make_service(registry, reduced_deadline_ms):
+        brownout = BrownoutConfig(
+            enter_thresholds=(2.0, 3.0, 4.0),
+            alpha=1.0,
+            reduced_deadline_ms=reduced_deadline_ms,
+        )
+        config = ServiceConfig(max_batch_size=1, fallback_planner="ha", brownout=brownout)
+        return ReschedulingService(registry, config)
+
+    @staticmethod
+    def rl_requests(count):
+        return [
+            PlanRequest.from_state(small_state(seed=s), planner="vmr2l", migration_limit=2)
+            for s in range(count)
+        ]
+
+    def test_reduced_deadline_rung(self, registry):
+        # A microsecond brownout budget expires before dispatch, so L1's
+        # reduced deadline shows as deadline_exceeded; L0 is untouched.
+        service = self.make_service(registry, reduced_deadline_ms=1e-3)
+        normal = service.handle(self.rl_requests(1)[0])
+        assert isinstance(normal, PlanResponse)
+        assert "brownout_level" not in normal.info
+        replies = service.handle_many(self.rl_requests(2))
+        assert service.brownout_level == 1
+        assert [reply.code for reply in replies] == ["deadline_exceeded"] * 2
+
+    def test_fallback_then_shed_rungs(self, registry):
+        service = self.make_service(registry, reduced_deadline_ms=60_000.0)
+        degraded = service.handle_many(self.rl_requests(3))
+        assert service.brownout_level == 2
+        for reply in degraded:
+            assert isinstance(reply, PlanResponse)
+            assert reply.planner == "HA"
+            assert reply.info["degraded_from"] == "VMR2L"
+            assert reply.info["brownout_level"] == 2
+        shed = service.handle_many(self.rl_requests(4))
+        assert service.brownout_level == 3
+        assert [reply.code for reply in shed] == ["service_unavailable"] * 4
+        assert all(reply.retry_after_s is not None for reply in shed)
+        assert service.stats()["shed"] == 4

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.datasets import ClusterSpec, SnapshotGenerator
-from repro.serve import PlanError, ReschedulingService, ServiceConfig, build_default_registry
+from repro.serve import PlanError, ReschedulingService, build_default_registry
 from repro.sim import (
     ChurnSpec,
     DriftConfig,
@@ -17,6 +17,7 @@ from repro.sim import (
     invalidation_rate,
     steady_state_mean,
 )
+from repro.testing import FreshRLPlanner
 
 DAY_S = 86400.0
 
@@ -30,16 +31,15 @@ def build_cluster(seed=0, num_pms=6, horizon_s=DAY_S, churn=None):
     return LivingCluster(state, events, seed=seed + 2)
 
 
-def build_service(step_cache=True, seed=0):
+def build_service(seed=0, registry=None):
     return ReschedulingService(
-        build_default_registry(include_slow=False, seed=seed),
-        ServiceConfig(rl_step_cache=step_cache),
+        registry or build_default_registry(include_slow=False, seed=seed)
     )
 
 
-def run_simulation(planner="ha", step_cache=True, seed=0, max_rounds=6, on_round=None):
+def run_simulation(planner="ha", seed=0, max_rounds=6, on_round=None, registry=None):
     cluster = build_cluster(seed=seed)
-    service = build_service(step_cache=step_cache)
+    service = build_service(registry=registry)
     config = SimulationConfig(
         planner=planner, migration_limit=4, replan_every_s=3600.0,
         plan_delay_s=120.0, horizon_s=DAY_S, seed=seed, max_rounds=max_rounds,
@@ -58,8 +58,12 @@ class TestDeterminism:
 
     def test_step_cache_parity_with_rl_planner(self):
         """Cached incremental replanning must match fresh recompute exactly."""
-        cached = run_simulation(planner="vmr2l", step_cache=True, seed=5)
-        fresh = run_simulation(planner="vmr2l", step_cache=False, seed=5)
+        cached = run_simulation(planner="vmr2l", seed=5)
+        registry = build_default_registry(include_slow=False, seed=0)
+        reference = FreshRLPlanner(registry.get("vmr2l").agent)
+        registry.replace("vmr2l", reference)
+        fresh = run_simulation(planner="vmr2l", seed=5, registry=registry)
+        assert reference.calls == len(fresh.rounds) > 0
         assert json.dumps(cached.deterministic_dict(), sort_keys=True) == json.dumps(
             fresh.deterministic_dict(), sort_keys=True
         )
