@@ -9,16 +9,18 @@
   ``act_batch`` hot path
 * :mod:`repro.serve.server` — a stdlib ThreadingHTTPServer JSON frontend
   (``repro serve``)
-* :mod:`repro.serve.fleet` / :mod:`repro.serve.router` — the self-healing
+* :mod:`repro.serve.fleet` / :mod:`repro.serve.control` — the self-healing
   replica fleet (``repro serve --replicas N``): supervised serving
   processes over shared read-only weights, health-checked routing, bounded
-  retries, graceful drain and rolling restart
+  retries, graceful drain and rolling restart — every decision made by one
+  pure, model-checked state machine, the processes and pipes kept in a shell
 * :mod:`repro.serve.client` — retrying HTTP client (``repro plan --url``)
 
 See ``docs/serving.md`` for the API reference and a curl example, and
 ``docs/robustness.md`` for the failure-mode contract the fleet upholds.
 """
 
+from ..supervise import RetryPolicy
 from .autoscale import (
     BROWNOUT_LEVEL_NAMES,
     AutoscaleConfig,
@@ -36,7 +38,6 @@ from .registry import (
     RLPlanner,
     build_default_registry,
 )
-from .router import ReplicaView, RetryPolicy, choose_replica
 from .schemas import (
     SCHEMA_VERSION,
     PlanError,
@@ -67,13 +68,11 @@ __all__ = [
     "PlanningClient",
     "PlanningServer",
     "ReplicaFleet",
-    "ReplicaView",
     "ReschedulingService",
     "RetryPolicy",
     "RLPlanner",
     "SchemaError",
     "ServiceConfig",
     "build_default_registry",
-    "choose_replica",
     "response_from_dict",
 ]

@@ -1,14 +1,13 @@
 """Autoscaling and brownout decision logic for the serving tier.
 
 Both controllers here are deliberately **pure**: they consume load samples
-and an injected clock and emit decisions (a target replica count, a brownout
-level), mutating nothing outside themselves.  The process-level machinery —
-spawning and draining replicas, shedding requests, swapping planners — lives
-in :class:`~repro.serve.fleet.ReplicaFleet` and
-:class:`~repro.serve.service.ReschedulingService`, which *apply* these
-decisions.  The split mirrors :mod:`repro.serve.router`: the chaos suites
-test every hysteresis/cooldown/ladder transition without spawning a single
-process, and the fleet tests only have to show the decisions are obeyed.
+with an explicit ``now`` and emit decisions (a target replica count, a
+brownout level), mutating nothing outside themselves.  The fleet's control
+plane :class:`~repro.serve.control.FleetControl` and
+:class:`~repro.serve.service.ReschedulingService` feed them and *apply*
+their decisions, so every hysteresis/cooldown/ladder transition is tested
+without spawning a single process (and the fleet's are model-checked
+together with its routing and restarts).
 
 **Autoscaler.**  :class:`Autoscaler` turns the supervisor's existing health
 signals (per-replica backlog from heartbeat queue depths + router in-flight
@@ -41,9 +40,8 @@ up fast and climbs down slowly, never oscillating per-sample.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 #: Ladder levels, for docs/dashboards; index == level.
 BROWNOUT_LEVEL_NAMES = (
@@ -145,10 +143,8 @@ class Autoscaler:
         self,
         config: AutoscaleConfig,
         initial_replicas: Optional[int] = None,
-        clock: Callable[[], float] = time.monotonic,
     ) -> None:
         self.config = config
-        self._clock = clock
         self.target = min(
             max(initial_replicas or config.min_replicas, config.min_replicas),
             config.max_replicas,
@@ -159,10 +155,9 @@ class Autoscaler:
         self.events: List[Dict] = []
 
     # ------------------------------------------------------------------ #
-    def observe(self, load: FleetLoad, now: Optional[float] = None) -> int:
-        """Fold one load sample in; return the (possibly new) target count."""
+    def observe(self, load: FleetLoad, now: float) -> int:
+        """Fold one load sample taken at ``now``; return the target count."""
         config = self.config
-        now = self._clock() if now is None else now
         backlog = load.backlog_per_replica
         if self.smoothed is None:
             self.smoothed = backlog
@@ -279,23 +274,17 @@ class BrownoutConfig:
 class BrownoutController:
     """Smoothed-load → ladder-level state machine (see module docstring)."""
 
-    def __init__(
-        self,
-        config: Optional[BrownoutConfig] = None,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
+    def __init__(self, config: Optional[BrownoutConfig] = None) -> None:
         self.config = config or BrownoutConfig()
-        self._clock = clock
         self.level = 0
         self.smoothed: Optional[float] = None
         self._below_exit = 0
         self.transitions: List[Dict] = []
 
     # ------------------------------------------------------------------ #
-    def observe(self, load: float, now: Optional[float] = None) -> int:
-        """Fold one normalized load sample in; return the current level."""
+    def observe(self, load: float, now: float) -> int:
+        """Fold one normalized load sample taken at ``now``; return the level."""
         config = self.config
-        now = self._clock() if now is None else now
         if self.smoothed is None:
             self.smoothed = load
         else:

@@ -6,7 +6,7 @@
 one job beyond ``urllib`` is *transient-failure discipline*: plan requests
 are idempotent, so a 503 (shed, draining replica, restarting fleet) or a
 dropped/reset connection is retried with jittered exponential backoff under
-the same bounded :class:`~repro.serve.router.RetryPolicy` the fleet router
+the same bounded :class:`~repro.supervise.RetryPolicy` the fleet router
 uses internally.  When the server attaches a ``Retry-After`` header (or a
 ``retry_after_s`` body field) to a shed, the client honors it as the floor
 of its next backoff instead of guessing.
@@ -27,7 +27,7 @@ from typing import Callable, Dict, Optional, Union
 
 import numpy as np
 
-from .router import RetryPolicy
+from ..supervise import RetryPolicy
 from .schemas import PlanError, PlanRequest, PlanResponse, response_from_dict
 
 Reply = Union[PlanResponse, PlanError]

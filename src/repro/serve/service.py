@@ -349,7 +349,7 @@ class ReschedulingService:
         if self._brownout is None:
             return False
         with self._brownout_lock:
-            self._brownout.observe(depth / self.config.max_batch_size)
+            self._brownout.observe(depth / self.config.max_batch_size, time.monotonic())
             return self._brownout.shedding
 
     def _prepare(self, request: PlanRequest):

@@ -1,11 +1,14 @@
-"""Chaos tests for closed-loop autoscaling and the fleet brownout ladder.
+"""Chaos tests for scaling a live fleet.
 
-The pure decision logic is covered in tests/serve/test_autoscale_unit.py;
-these tests prove real replica processes *obey* the decisions: scale-up
-spawns capacity under a burst, scale-down drains before it kills (zero
-dropped in-flight requests — the invariant of the whole design), and the
-exactly-one-terminal-reply property survives SIGKILL churn happening
-*concurrently* with scaling in both directions.
+The decisions — when to scale up or down, the clamp to bounds, the brownout
+ladder — are pure and tested with a synthetic clock in
+tests/serve/test_autoscale_unit.py and tests/serve/test_fleet_lifecycle.py,
+and every interleaving of them is model-checked in
+tests/serve/test_fleet_model.py.  These tests prove real replica processes
+*obey* them: scale-down drains before it kills (zero dropped in-flight
+requests), scaling back up revives retired slots, the exactly-one-terminal-
+reply property survives SIGKILL churn *concurrent* with scaling in both
+directions, and ``/v1/state`` exports the control plane.
 """
 
 import threading
@@ -26,7 +29,7 @@ from repro.serve import (
     RetryPolicy,
     ServiceConfig,
 )
-from repro.testing import LoadSpike, kill_replica, slow_replica_factory
+from repro.testing import kill_replica
 
 
 def small_state(seed=0):
@@ -63,7 +66,20 @@ def start_fleet(config, factory=None, service_config=None):
         service_config=service_config or ServiceConfig(),
     )
     fleet.start(timeout=60.0)
+    STARTED.append(fleet)
     return fleet
+
+
+#: Fleets the running test started; none may have had a failed supervisor scan.
+STARTED = []
+
+
+@pytest.fixture(autouse=True)
+def supervisor_scans_never_fail():
+    STARTED.clear()
+    yield
+    for fleet in STARTED:
+        assert fleet.stats()["supervisor_errors"] == 0
 
 
 def wait_until(predicate, timeout=30.0, interval=0.02):
@@ -77,85 +93,6 @@ def wait_until(predicate, timeout=30.0, interval=0.02):
 
 def desired_count(fleet):
     return sum(1 for r in fleet.state()["replicas"] if r["desired"])
-
-
-class TestScaleUp:
-    def test_burst_scales_the_fleet_up(self):
-        # Aggressive thresholds so one burst forces a decision within a few
-        # 20ms supervisor ticks; a huge down-cooldown freezes the other
-        # direction for the duration of the test.  Each ``ha`` plan takes
-        # 50 ms, so the 12-request backlog spans dozens of ticks instead of
-        # possibly draining before the first one samples it.
-        config = fast_config(
-            autoscale=AutoscaleConfig(
-                min_replicas=1,
-                max_replicas=3,
-                scale_up_backlog=1.5,
-                scale_down_backlog=0.2,
-                alpha=1.0,
-                cooldown_up_s=0.05,
-                cooldown_down_s=300.0,
-            ),
-        )
-        fleet = start_fleet(config, slow_replica_factory(DefaultRegistryFactory(), "ha", 0.05))
-        try:
-            spike = LoadSpike(base=1, peak=12, start_round=0, duration_rounds=1)
-            futures = [
-                fleet.submit(plan_request(seed=i)) for i in range(spike.peak)
-            ]
-            assert wait_until(lambda: fleet.stats()["scale_ups"] >= 1)
-            replies = [f.result(timeout=60.0) for f in futures]
-            assert all(isinstance(r, PlanResponse) for r in replies)
-            stats = fleet.stats()
-            assert stats["submitted"] == spike.peak
-            assert stats["completed"] == spike.peak
-            assert stats["errors"] == 0
-            # The scaled-up slot is a first-class replica: desired and (soon)
-            # routable.
-            assert desired_count(fleet) >= 2
-            assert fleet.state()["autoscale"]["scale_ups"] >= 1
-        finally:
-            fleet.stop()
-
-    def test_scale_down_after_quiet_cooldown(self):
-        config = fast_config(
-            num_replicas=2,
-            autoscale=AutoscaleConfig(
-                min_replicas=1,
-                max_replicas=2,
-                scale_up_backlog=50.0,  # never up in this test
-                scale_down_backlog=0.5,
-                alpha=1.0,
-                cooldown_up_s=0.05,
-                cooldown_down_s=0.2,
-            ),
-        )
-        fleet = start_fleet(config)
-        try:
-            assert isinstance(
-                fleet.submit(plan_request()).result(timeout=60.0), PlanResponse
-            )
-            # Quiet fleet + elapsed cooldown: the supervisor retires one
-            # replica down to min_replicas and no further.
-            assert wait_until(lambda: fleet.stats()["scale_downs"] >= 1)
-            assert wait_until(lambda: desired_count(fleet) == 1)
-            time.sleep(0.5)  # several more cooldown windows
-            assert desired_count(fleet) == 1  # min_replicas is a floor
-            # The retired slot fully drained and stopped — never killed hot.
-            retired = [
-                r for r in fleet.state()["replicas"] if not r["desired"]
-            ]
-            assert retired and all(r["assigned"] == 0 for r in retired)
-            assert wait_until(
-                lambda: all(
-                    r["state"] == "down"
-                    for r in fleet.state()["replicas"]
-                    if not r["desired"]
-                )
-            )
-            assert fleet.stats()["errors"] == 0
-        finally:
-            fleet.stop()
 
 
 class TestManualScaling:
@@ -175,6 +112,14 @@ class TestManualScaling:
             assert stats["errors"] == 0
             assert stats["scale_downs"] == 2
             assert wait_until(lambda: desired_count(fleet) == 1)
+            # The retired slots drained and stopped — never killed hot.
+            assert wait_until(
+                lambda: all(
+                    r["state"] == "down" and r["assigned"] == 0
+                    for r in fleet.state()["replicas"]
+                    if not r["desired"]
+                )
+            )
             # Scaling back up revives the retired slots.
             assert fleet.set_target_replicas(3) == 3
             assert wait_until(lambda: desired_count(fleet) == 3)
@@ -184,25 +129,6 @@ class TestManualScaling:
             )
         finally:
             fleet.stop()
-
-    def test_targets_clamp_to_bounds(self):
-        fleet = start_fleet(
-            fast_config(num_replicas=1, autoscale=AutoscaleConfig.manual(1, 2))
-        )
-        try:
-            assert fleet.set_target_replicas(100) == 2
-            assert fleet.set_target_replicas(0) == 1
-        finally:
-            fleet.stop()
-
-    def test_manual_scaling_requires_autoscale_config(self):
-        fleet = start_fleet(fast_config())
-        try:
-            with pytest.raises(RuntimeError):
-                fleet.set_target_replicas(2)
-        finally:
-            fleet.stop()
-
 
 class TestChaosProperty:
     def test_kills_and_scaling_concurrently_yield_exactly_one_reply_each(self):
@@ -259,56 +185,6 @@ class TestChaosProperty:
             assert all(isinstance(r, PlanResponse) for r in replies), [
                 (r.code, r.message) for r in replies if isinstance(r, PlanError)
             ]
-        finally:
-            fleet.stop()
-
-
-class TestFleetBrownout:
-    def test_slow_fleet_climbs_ladder_sheds_then_recovers(self):
-        # One persistently slow replica + a burst drives normalized load over
-        # every rung; L3 sheds new admissions with a Retry-After hint; once
-        # the queue drains the ladder steps back down to normal.
-        factory = slow_replica_factory(DefaultRegistryFactory(), "ha", 0.25)
-        config = fast_config(
-            brownout=BrownoutConfig(
-                enter_thresholds=(0.1, 0.15, 0.2),
-                alpha=1.0,
-                min_dwell=2,
-                reduced_deadline_ms=60_000.0,  # keep L1 harmless here
-            ),
-        )
-        fleet = start_fleet(config, factory=factory)
-        try:
-            requests = [plan_request(seed=i) for i in range(8)]
-            futures = [fleet.submit(request) for request in requests]
-            assert wait_until(
-                lambda: fleet.control_plane_stats()["brownout_level"] >= 3,
-                timeout=10.0,
-            )
-            shed_reply = fleet.submit(plan_request(seed=100)).result(timeout=5.0)
-            assert isinstance(shed_reply, PlanError)
-            assert shed_reply.code == "service_unavailable"
-            assert shed_reply.retry_after_s is not None
-            assert fleet.stats()["shed"] >= 1
-            # Admitted work still completes — shedding exists to protect it.
-            # (The burst's own tail may already be shed: the ladder can reach
-            # L3 between two submissions, which is exactly the point.)
-            replies = [f.result(timeout=120.0) for f in futures]
-            admitted = [r for r in replies if not isinstance(r, PlanError)]
-            assert admitted, "every burst request was shed; none admitted"
-            assert all(isinstance(r, PlanResponse) for r in admitted)
-            assert all(
-                r.code == "service_unavailable"
-                for r in replies
-                if isinstance(r, PlanError)
-            )
-            # Recovery: with the queue drained the ladder exits rung by rung.
-            assert wait_until(
-                lambda: fleet.control_plane_stats()["brownout_level"] == 0,
-                timeout=30.0,
-            )
-            state = fleet.state()
-            assert state["brownout"]["transitions"] >= 2
         finally:
             fleet.stop()
 

@@ -206,3 +206,6 @@ class TestFleetBackendOverHTTP:
         status, payload = get_json(server.url + "/healthz")
         assert status == 503
         assert payload["status"] == "stopped"
+        # /v1/state agrees with /healthz: stopped, not still draining.
+        state = fleet.state()
+        assert state["draining"] is False and state["serving"] is False

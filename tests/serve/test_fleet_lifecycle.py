@@ -1,10 +1,12 @@
-"""The replica-slot lifecycle of the fleet, checked without processes or sleeps.
+"""The fleet's control plane, checked without processes or sleeps.
 
 Every state change of a fleet slot goes through ``TRANSITIONS``.  These tests
 walk that table breadth-first and assert the lifecycle invariants on it,
 read each state back through ``/v1/state`` the way an operator sees it,
-drive the clock-based failure checks with synthetic times, and keep the
-table printed in docs/robustness.md equal to the code's.
+drive the clock-based failure checks, stale-generation drops, scaling and
+brownout decisions of ``FleetControl`` with a synthetic ``now``, and keep the
+table printed in docs/robustness.md equal to the code's.  (Every interleaving
+of those inputs is enumerated in test_fleet_model.py.)
 """
 
 import re
@@ -13,8 +15,25 @@ from pathlib import Path
 
 import pytest
 
-from repro.serve import DefaultRegistryFactory, FleetConfig, ReplicaFleet
-from repro.serve.fleet import TRANSITIONS, _failure_reason, _Replica, next_state
+from repro.serve import (
+    AutoscaleConfig,
+    BrownoutConfig,
+    DefaultRegistryFactory,
+    FleetConfig,
+    PlanError,
+    PlanResponse,
+    ReplicaFleet,
+)
+from repro.serve.control import (
+    LIVE,
+    TRANSITIONS,
+    FleetControl,
+    Slot,
+    Spawn,
+    Stop,
+    _failure_reason,
+    next_state,
+)
 
 STATES = sorted({state for state, _ in TRANSITIONS} | set(TRANSITIONS.values()))
 EVENTS = sorted({event for _, event in TRANSITIONS})
@@ -63,7 +82,7 @@ class TestTransitionTable:
 
     @pytest.mark.parametrize("state", STATES)
     def test_only_up_is_routable(self, state):
-        slot = _Replica(0)
+        slot = Slot(0)
         slot.state = state
         assert slot.routable == (state == "up")
 
@@ -73,15 +92,14 @@ class TestTransitionTable:
     )
     def test_stopping_is_entered_only_with_an_empty_assigned_set(self, edge):
         state, event = edge
-        fleet = unstarted_fleet(2)
-        busy, idle = fleet._replicas
+        control = FleetControl(FleetConfig(num_replicas=2))
+        busy, idle = control.slots
         busy.state = idle.state = state
         busy.assigned.add(7)
-        with fleet._lock:
-            with pytest.raises(RuntimeError, match="work assigned"):
-                fleet._fire(busy, event)
-            assert busy.state == state  # the refused event changed nothing
-            assert fleet._fire(idle, event)
+        with pytest.raises(RuntimeError, match="work assigned"):
+            control._fire(busy, event, 0.0)
+        assert busy.state == state  # the refused event changed nothing
+        control._fire(idle, event, 0.0)
         assert idle.state == TRANSITIONS[edge]
 
     @pytest.mark.parametrize("budget", [0, 1, 3])
@@ -140,7 +158,7 @@ class TestStateView:
 
     def test_state_endpoint_reports_each_lifecycle_state(self):
         fleet = unstarted_fleet(len(STATES))
-        for slot, state in zip(fleet._replicas, STATES):
+        for slot, state in zip(fleet._control.slots, STATES):
             slot.state = state
         by_state = {
             state: row for state, row in zip(STATES, fleet.state()["replicas"])
@@ -154,19 +172,17 @@ class TestStateView:
         active = sum(1 for view in EXPECTED_VIEW.values() if view[2])
         assert fleet.control_plane_stats()["active_replicas"] == active
 
+    def test_a_drained_fleet_reports_stopped_not_draining(self):
+        fleet = unstarted_fleet(1)
+        assert fleet.drain(timeout=1.0) == 0
+        state = fleet.state()
+        assert state["draining"] is False and state["serving"] is False
+        assert fleet.is_draining is False
 
-class _Process:
-    def __init__(self, alive=True):
-        self.alive = alive
 
-    def is_alive(self):
-        return self.alive
-
-
-def live_slot(state, alive=True, spawned_at=0.0, last_heartbeat=0.0):
-    slot = _Replica(0)
+def live_slot(state, spawned_at=0.0, last_heartbeat=None):
+    slot = Slot(0)
     slot.state = state
-    slot.process = _Process(alive)
     slot.spawned_at = spawned_at
     slot.last_heartbeat = last_heartbeat
     return slot
@@ -200,28 +216,167 @@ class TestFailureChecks:
         assert _failure_reason(slot, 105.0, 1.0, CONFIG) is None
 
     def test_dead_process_fails_before_any_clock(self):
-        for state in ("starting", "up", "rolling", "retiring"):
-            slot = live_slot(state, alive=False, spawned_at=100.0, last_heartbeat=100.0)
-            assert _failure_reason(slot, 100.0, None, CONFIG) == "replica process died"
+        # Death (EOF, a fatal report, is_alive() false) arrives as ``lost``.
+        for state in LIVE:
+            control = FleetControl(CONFIG)
+            slot = control.slots[0]
+            slot.state, slot.generation = state, 1
+            actions = control.lost(0, 1, "replica process died", now=0.0)
+            assert slot.state == ("spare" if state == "retiring" else "backoff")
+            assert actions == [Stop(0, 1, None, 0.0)]
 
     @pytest.mark.parametrize(
         "state", ["spare", "restarting", "stopping", "backoff", "exhausted"]
     )
     def test_slots_without_a_live_process_never_fail(self, state):
-        slot = live_slot(state, alive=False, spawned_at=0.0, last_heartbeat=0.1)
+        slot = live_slot(state, spawned_at=0.0, last_heartbeat=0.1)
         assert _failure_reason(slot, 1e9, 0.0, CONFIG) is None
+        control = FleetControl(CONFIG)
+        control.slots[0] = slot
+        assert control.lost(0, slot.generation, "replica process died", now=1e9) == []
+        assert slot.state == state
+
+
+def request_dict(seed=0, deadline_ms=None):
+    return {"request_id": f"r{seed}", "planner": "ha", "deadline_ms": deadline_ms}
+
+
+def serving_control(config, max_batch_size=1, now=0.0):
+    """A started core whose initial slots all reported ready at ``now``."""
+    control = FleetControl(config, max_batch_size)
+    for spawn in control.start(now=now):
+        control.ready(spawn.slot, spawn.generation, now=now)
+    return control
+
+
+OK = PlanResponse("r", "ha").to_dict()
 
 
 class TestStaleSignals:
-    def test_a_previous_connections_signal_is_dropped(self):
-        fleet = unstarted_fleet(1)
-        slot = fleet._replicas[0]
-        slot.state, slot.conn = "up", object()
-        with fleet._lock:
-            assert not fleet._fire(slot, "fail", conn=object())
-            assert slot.state == "up"
-            assert fleet._fire(slot, "fail", conn=slot.conn)
+    def test_a_previous_generations_signal_is_dropped(self):
+        control = serving_control(FleetConfig(num_replicas=1))
+        slot = control.slots[0]
+        slot.generation = 2  # respawned since generation 1's reader started
+        assert control.lost(0, 1, "replica process died", now=1.0) == []
+        assert control.ready(0, 1, now=1.0) == []
+        assert slot.state == "up"
+        assert control.lost(0, 2, "replica process died", now=1.0)
         assert slot.state == "backoff"
+
+    def test_a_late_reply_from_a_failed_attempt_is_dropped(self):
+        control = serving_control(FleetConfig(num_replicas=2))
+        [send] = control.submit(0, "r0", request_dict(), now=0.0)
+        control.lost(send.slot, send.generation, "replica process died", now=0.0)
+        [retry] = control.tick(now=5.0)[-1:]
+        assert retry.slot != send.slot and retry.ticket == send.ticket
+        assert control.reply(send.slot, send.generation, 0, OK, now=5.0) == []
+        [resolve] = control.reply(retry.slot, retry.generation, 0, OK, now=5.0)
+        assert resolve.ticket == 0 and resolve.reply.ok
+
+
+class TestScalingDecisions:
+    def test_targets_clamp_to_bounds(self):
+        config = FleetConfig(num_replicas=1, autoscale=AutoscaleConfig.manual(1, 2))
+        control = serving_control(config)
+        control.set_target(100, now=0.0)
+        assert control.autoscaler.target == 2
+        control.set_target(0, now=0.0)
+        assert control.autoscaler.target == 1
+
+    def test_manual_scaling_requires_autoscale_config(self):
+        with pytest.raises(RuntimeError, match="FleetConfig.autoscale"):
+            FleetControl(FleetConfig()).set_target(2, now=0.0)
+        with pytest.raises(RuntimeError, match="FleetConfig.autoscale"):
+            unstarted_fleet(1).set_target_replicas(2)
+
+    def test_burst_scales_up_once_per_cooldown(self):
+        autoscale = AutoscaleConfig(
+            min_replicas=1, max_replicas=3, scale_up_backlog=1.5,
+            scale_down_backlog=0.2, alpha=1.0, cooldown_up_s=0.05,
+            cooldown_down_s=300.0,
+        )
+        control = serving_control(FleetConfig(num_replicas=1, autoscale=autoscale))
+        sends = []
+        for ticket in range(12):
+            sends += control.submit(ticket, f"r{ticket}", request_dict(ticket), now=0.0)
+        assert {send.slot for send in sends} == {0}
+        assert control.tick(now=0.10) == [Spawn(1, 1)]
+        assert control.tick(now=0.12) == []  # inside the up-cooldown
+        assert control.tick(now=0.20) == [Spawn(2, 1)]
+        assert control.stats["scale_ups"] == 2
+        replies = [control.reply(0, 1, s.ticket, OK, now=0.3) for s in sends]
+        assert all(len(r) == 1 and r[0].reply.ok for r in replies)
+        assert control.stats["completed"] == 12 and control.stats["errors"] == 0
+        view = control.state([None] * 3, now=0.3)
+        assert sum(r["desired"] for r in view["replicas"]) == 3
+        assert view["autoscale"]["scale_ups"] == 2
+
+    def test_scale_down_after_quiet_cooldown_drains_then_stops(self):
+        autoscale = AutoscaleConfig(
+            min_replicas=1, max_replicas=2, scale_up_backlog=50.0,
+            scale_down_backlog=0.5, alpha=1.0, cooldown_up_s=0.05,
+            cooldown_down_s=0.2,
+        )
+        control = serving_control(FleetConfig(num_replicas=2, autoscale=autoscale))
+        [send] = control.submit(0, "r0", request_dict(), now=0.0)
+        assert send.slot == 0
+        [resolve] = control.reply(0, 1, 0, OK, now=0.05)
+        assert resolve.reply.ok
+        # Quiet fleet and no scaling yet: the first tick retires the
+        # emptiest, highest-index slot; the next stops it, drained.
+        assert control.tick(now=0.1) == []
+        assert control.slots[1].state == "retiring"
+        assert control.tick(now=0.15) == [Stop(1, 1, ("drain", 4.5), 5.0)]
+        assert control.stopped(1, 1, now=0.2) == []
+        for step in range(1, 11):  # several more cooldown windows
+            assert control.tick(now=0.2 + 0.1 * step) == []
+        view = control.state([None, None], now=1.5)["replicas"]
+        assert [r["desired"] for r in view] == [True, False]  # min_replicas floor
+        assert view[1]["state"] == "down" and view[1]["assigned"] == 0
+        assert control.stats["scale_downs"] == 1 and control.stats["errors"] == 0
+
+
+class TestBrownoutDecisions:
+    def test_ladder_climbs_sheds_then_recovers(self):
+        brownout = BrownoutConfig(
+            enter_thresholds=(0.1, 0.15, 0.2), alpha=1.0, min_dwell=2,
+            reduced_deadline_ms=60_000.0,
+        )
+        control = serving_control(
+            FleetConfig(num_replicas=1, brownout=brownout), max_batch_size=8
+        )
+        sends = []
+        for ticket in range(8):
+            sends += control.submit(ticket, f"r{ticket}", request_dict(ticket), now=0.0)
+        control.tick(now=0.05)
+        assert control.control_plane_stats()["brownout_level"] == 3
+        [shed] = control.submit(8, "r8", request_dict(8), now=0.06)
+        assert isinstance(shed.reply, PlanError)
+        assert shed.reply.code == "service_unavailable"
+        assert shed.reply.retry_after_s is not None
+        assert control.stats["shed"] == 1
+        for send in sends:  # admitted work still completes
+            [resolve] = control.reply(0, 1, send.ticket, OK, now=0.1)
+            assert resolve.reply.ok
+        levels = []
+        for step in range(1, 7):
+            control.tick(now=0.1 + 0.05 * step)
+            levels.append(control.brownout.level)
+        assert levels == [3, 2, 2, 1, 1, 0]  # one rung per two quiet ticks
+        assert control.state([None], now=1.0)["brownout"]["transitions"] == 4
+
+    def test_l1_stamps_the_reduced_deadline_on_the_sent_copy_only(self):
+        brownout = BrownoutConfig(enter_thresholds=(1.0, 50.0, 100.0), alpha=1.0,
+                                  reduced_deadline_ms=250.0)
+        control = serving_control(FleetConfig(num_replicas=1, brownout=brownout))
+        sends = []
+        for ticket in range(2):
+            sends += control.submit(ticket, f"r{ticket}", request_dict(ticket), now=0.0)
+        control.tick(now=0.05)
+        assert control.brownout.level == 1
+        [send] = control.submit(2, "r2", request_dict(2, deadline_ms=900.0), now=0.06)
+        assert send.request["deadline_ms"] == 250.0
+        assert control.inflight[2].request_dict["deadline_ms"] == 900.0
 
 
 class TestFleetConfigValidation:
