@@ -1,11 +1,13 @@
-"""Hot-path benchmark: SoA vectorized core vs the legacy loop implementations.
+"""Hot-path benchmark: absolute times of the vectorized core's hot paths.
 
-Times the hot paths the vectorization PRs target on a medium cluster —
-destination-mask construction, observation build, ``ClusterState.copy``, one
-PPO rollout epoch (vectorized env + batched policy forward vs a single env)
-and, as absolute times, sync/async collection and one PPO update epoch — and
-emits ``BENCH_perf_hotpaths.json`` so future PRs can track the
-trajectory.
+Times destination-mask construction, observation build, ``ClusterState.copy``,
+single-observation and large-cluster ``act``, attention, sync/async
+collection and one PPO update epoch on a medium cluster, plus two live-path
+comparisons — one PPO rollout epoch (vectorized env + batched policy forward
+vs a single env) and greedy rollout steps with vs without the StepCache — and
+emits ``BENCH_perf_hotpaths.json`` so future PRs can track the trajectory.
+The loop implementations the masks and featurization replaced are parity
+oracles in ``tests/oracles.py``, not timed here.
 
 Run:  PYTHONPATH=src python benchmarks/bench_perf_hotpaths.py [--smoke] [--output PATH]
 """
@@ -23,7 +25,6 @@ import numpy as np
 
 from repro.cluster import ConstraintChecker, ConstraintConfig, assign_anti_affinity_groups
 from repro.core import ModelConfig, PPOConfig
-from repro.core.features import FeatureBatch
 from repro.core.policy import TwoStagePolicy
 from repro.core.ppo import PPOTrainer
 from repro.core.step_cache import StepCache
@@ -60,43 +61,17 @@ def _time(fn, repeats: int) -> float:
     return best
 
 
-def _legacy_copy(state):
-    """The seed repository's per-object ``ClusterState.copy`` (reference)."""
-    from repro.cluster import ClusterState, VirtualMachine
-
-    clone = object.__new__(ClusterState)
-    clone.fragment_cores = state.fragment_cores
-    clone.pms = {pm_id: pm.copy() for pm_id, pm in state.pms.items()}
-    clone.vms = {
-        vm_id: VirtualMachine(
-            vm_id=vm.vm_id,
-            vm_type=vm.vm_type,
-            pm_id=vm.pm_id,
-            numa_id=vm.numa_id,
-            anti_affinity_group=vm.anti_affinity_group,
-        )
-        for vm_id, vm in state.vms.items()
-    }
-    clone._soa = None
-    clone._sorted_pm_ids = None
-    clone._sorted_vm_ids = None
-    return clone
-
-
 def run(
     smoke: bool = False,
     output: Path | None = None,
     async_start_method: str | None = None,
 ) -> dict:
     num_pms = 10 if smoke else 60
-    # Smoke repeats are high enough that the tier-1 speedup assertions on the
-    # O(V*P) paths have margin against noisy-neighbor stalls on CI runners.
     mask_repeats = 8 if smoke else 10
     obs_repeats = 8 if smoke else 20
     copy_repeats = 10 if smoke else 50
     state = _medium_state(num_pms)
     checker = ConstraintChecker(ConstraintConfig(migration_limit=25))
-    builder = ObservationBuilder(checker)
     vm_ids = state.placed_vm_ids()
     sample = vm_ids[:: max(len(vm_ids) // (5 if smoke else 40), 1)]
 
@@ -117,34 +92,27 @@ def run(
 
     # 1. Stage-2 destination masks over a sample of VMs (+ stage-1 mask).
     state.arrays()  # build once so the steady-state (incrementally synced) path is measured
-    record(
+    record_absolute(
         "destination_mask",
-        _time(lambda: [checker.destination_mask_reference(state, v) for v in sample], mask_repeats),
         _time(lambda: [checker.destination_mask(state, v) for v in sample], mask_repeats),
     )
     # A fresh checker per call defeats the feasibility-matrix memo, so the
     # timing reflects the per-step cost on a state that mutated since the
     # last mask (the memo only helps the *other* consumers of one step).
     config = checker.config
-    record(
+    record_absolute(
         "movable_vm_mask",
-        _time(lambda: checker.movable_vm_mask_reference(state), max(1, mask_repeats // 2)),
         _time(lambda: ConstraintChecker(config).movable_vm_mask(state), mask_repeats),
     )
 
     # 2. Observation build (features + stage-1 mask + normalization).
-    record(
+    record_absolute(
         "observation_build",
-        _time(lambda: builder.build_reference(state, 25), max(1, obs_repeats // 4)),
         _time(lambda: ObservationBuilder(ConstraintChecker(config)).build(state, 25), obs_repeats),
     )
 
     # 3. State copy (MCTS / MIP warm-start hot path).
-    record(
-        "cluster_state_copy",
-        _time(lambda: _legacy_copy(state), copy_repeats),
-        _time(lambda: state.copy(), copy_repeats),
-    )
+    record_absolute("cluster_state_copy", _time(lambda: state.copy(), copy_repeats))
 
     # 4. One PPO rollout epoch: batched vectorized env vs per-env forwards.
     # The cluster size matches the repo's "medium" analogue at default bench
@@ -175,12 +143,8 @@ def run(
     # with rollout_steps / num_envs batched policy forwards.
     record("ppo_rollout_epoch", legacy_rollout_s, vector_rollout_s)
 
-    # 4b. Single-observation act: the retired dense S×S tree stage (masked
-    # dense attention, the pre-PR-4 single-observation path — forced by
-    # disabling the grouping) vs the grouped sparse tree path now used
-    # everywhere.  Same grad-tracking regime on both sides, so the timing
-    # isolates exactly the dense-stage retirement, on the big featurization
-    # cluster where the dense mask is S=num_pms+num_vms wide.
+    # 4b. Single-observation act (grad-tracking, grouped sparse tree stage)
+    # on the big featurization cluster.
     act_env = VMRescheduleEnv(state.copy(), constraint_config=ConstraintConfig(migration_limit=25))
     act_observation = act_env.reset()
     act_policy = TwoStagePolicy(ModelConfig(), rng=np.random.default_rng(0))
@@ -192,15 +156,7 @@ def run(
         )
 
     act_once()  # warm-up
-    sparse_act_s = _time(act_once, act_repeats)
-    original_grouping = FeatureBatch.tree_grouping
-    FeatureBatch.tree_grouping = lambda self: None  # force the dense stage
-    try:
-        act_once()  # warm-up (builds the dense mask path)
-        dense_act_s = _time(act_once, act_repeats)
-    finally:
-        FeatureBatch.tree_grouping = original_grouping
-    record("act_single_sparse", dense_act_s, sparse_act_s)
+    record_absolute("act_single_sparse", _time(act_once, act_repeats))
 
     # 4b-large. Large-V serving case (~200 PMs / ~2000 VMs at full scale):
     # the VM↔VM self-attention stage bounds the inference forward here.  One

@@ -12,12 +12,12 @@ plus the vectorized feasibility masks the two-stage policy uses in stage 2
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .machine import FEASIBILITY_EPS, VirtualMachine
+from .machine import FEASIBILITY_EPS
 from .state import ClusterState
 
 #: The feasibility matrix is patched from the mutation journal while at most
@@ -145,8 +145,7 @@ class ConstraintChecker:
     # These operate on the structure-of-arrays view (ClusterState.arrays):
     # capacity, NUMA-count and anti-affinity feasibility are evaluated as
     # broadcast boolean algebra in one pass instead of nested Python loops.
-    # The original loop implementations are kept as *_reference for parity
-    # tests and benchmarking.
+    # The parity tests pin them against per-pair migration_is_feasible loops.
     # ------------------------------------------------------------------ #
     _EPS = FEASIBILITY_EPS
 
@@ -158,8 +157,8 @@ class ConstraintChecker:
         search loops call it on freshly mutated states where the memoized
         matrix misses and a full V×P recompute per candidate would be far
         slower.  It must stay semantically identical to a matrix row — the
-        parity tests pin all three implementations (this, the matrix, and the
-        loop reference) together.
+        parity tests pin all three implementations (this, the matrix, and a
+        per-PM migration_is_feasible loop) together.
         """
         soa = state.arrays()
         vm = state.vms.get(vm_id)
@@ -338,35 +337,6 @@ class ConstraintChecker:
             return movable
         rows = np.fromiter((soa.vm_row[vm_id] for vm_id in vm_ids), dtype=np.int64)
         return movable[rows] if rows.size else np.zeros(0, dtype=bool)
-
-    # Legacy loop implementations, kept as the parity/benchmark reference. --- #
-    def destination_mask_reference(
-        self, state: ClusterState, vm_id: int, pm_ids: Optional[Sequence[int]] = None
-    ) -> np.ndarray:
-        """Loop-based :meth:`destination_mask` (reference implementation)."""
-        pm_ids = list(pm_ids) if pm_ids is not None else sorted(state.pms)
-        mask = np.zeros(len(pm_ids), dtype=bool)
-        for index, pm_id in enumerate(pm_ids):
-            mask[index] = self.migration_is_feasible(state, vm_id, pm_id)
-        return mask
-
-    def movable_vm_mask_reference(
-        self, state: ClusterState, vm_ids: Optional[Sequence[int]] = None
-    ) -> np.ndarray:
-        """Loop-based :meth:`movable_vm_mask` (reference implementation)."""
-        vm_ids = list(vm_ids) if vm_ids is not None else sorted(state.vms)
-        mask = np.zeros(len(vm_ids), dtype=bool)
-        for index, vm_id in enumerate(vm_ids):
-            vm = state.vms[vm_id]
-            if not vm.is_placed:
-                continue
-            destinations = state.feasible_destination_pms(
-                vm_id,
-                exclude_source=not self.config.allow_source_pm,
-                honor_affinity=self.config.honor_anti_affinity,
-            )
-            mask[index] = bool(destinations)
-        return mask
 
     # ------------------------------------------------------------------ #
     # Plan-level validation

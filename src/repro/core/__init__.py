@@ -1,7 +1,7 @@
 """VMR2L: the paper's primary contribution.
 
 * :mod:`repro.core.config` — model / PPO / risk-seeking configuration
-* :mod:`repro.core.features` — observation → tensors + tree-attention masks
+* :mod:`repro.core.features` — observation → tensors + per-tree attention groups
 * :mod:`repro.core.attention` — sparse, vanilla and MLP feature extractors (§3.3, §5.3)
 * :mod:`repro.core.actors` — VM actor, PM actor, value head (§3.2–3.3)
 * :mod:`repro.core.policy` — two-stage policy + Penalty / Full-Mask ablations (§5.4)
@@ -23,9 +23,7 @@ from .config import ModelConfig, PPOConfig, RiskSeekingConfig, VMR2LConfig
 from .features import (
     FeatureBatch,
     build_feature_batch,
-    build_tree_mask,
     stack_feature_batches,
-    summarize_tree_sparsity,
 )
 from .finetune import finetune_top_layers, freeze_extractor, head_parameter_names, unfreeze_all
 from .policy import PolicyOutput, TwoStagePolicy
@@ -63,7 +61,6 @@ __all__ = [
     "VanillaAttentionExtractor",
     "build_extractor",
     "build_feature_batch",
-    "build_tree_mask",
     "finetune_top_layers",
     "freeze_extractor",
     "head_parameter_names",
@@ -71,6 +68,5 @@ __all__ = [
     "risk_seeking_evaluate",
     "rollout_trajectory",
     "stack_feature_batches",
-    "summarize_tree_sparsity",
     "vm_selection_probability_histogram",
 ]

@@ -23,17 +23,14 @@ import numpy as np
 from ..env.observation import PM_FEATURE_DIM, VM_FEATURE_DIM
 from ..nn import (
     MLP,
-    AttentionMask,
     AttentionState,
     CrossAttentionLayer,
     LayerNorm,
-    Linear,
     Module,
     Tensor,
     TransformerEncoderLayer,
     concatenate,
     grad_enabled,
-    reference_mode_active,
 )
 from .config import ModelConfig
 from .features import FeatureBatch, TreeGrouping
@@ -89,29 +86,21 @@ class _AttentionBlock(Module):
         self,
         pm_embeddings: Tensor,
         vm_embeddings: Tensor,
-        tree_mask: Optional[AttentionMask],
-        tree_groups: Optional["TreeGrouping"] = None,
+        tree_groups: Optional[TreeGrouping],
         want_scores: bool = False,
     ) -> Tuple[Tensor, Tensor, Optional[np.ndarray]]:
         """Run one block over ``(batch, machines, dim)`` embeddings.
 
-        ``tree_groups`` makes stage 1 attend inside padded per-tree groups;
-        the dense ``tree_mask`` over ``S×S`` scores serves reference mode.
-        ``want_scores`` (the extractor's final block) also returns the
-        head-averaged stage-3 VM→PM weights; they never feed an embedding,
-        so every other block skips computing them.
+        ``tree_groups`` makes stage 1 attend inside padded per-tree groups
+        (``None``: no tree stage).  ``want_scores`` (the extractor's final
+        block) also returns the head-averaged stage-3 VM→PM weights; they
+        never feed an embedding, so every other block skips computing them.
         """
         num_pms = pm_embeddings.shape[-2]
-        num_vms = vm_embeddings.shape[-2]
         # Stage 1: sparse local attention within each PM tree.
-        if self.use_tree_attention and num_vms > 0 and (
-            tree_mask is not None or tree_groups is not None
-        ):
+        if self.use_tree_attention and tree_groups is not None:
             combined = concatenate([pm_embeddings, vm_embeddings], axis=-2)
-            if tree_groups is not None:
-                combined = tree_groups.apply(self.tree_attention, combined)
-            else:
-                combined = self.tree_attention(combined, mask=tree_mask)
+            combined = tree_groups.apply(self.tree_attention, combined)
             pm_embeddings = combined[..., :num_pms, :]
             vm_embeddings = combined[..., num_pms:, :]
         return self.interaction_stages(pm_embeddings, vm_embeddings, want_scores)[:3]
@@ -177,11 +166,7 @@ class SparseAttentionExtractor(Module):
 
     def forward(self, batch: FeatureBatch) -> ExtractorOutput:
         pm_inputs, vm_inputs = _stacked_features(batch)
-        if (
-            self.config.inference_dtype == "float32"
-            and not grad_enabled()
-            and not reference_mode_active()
-        ):
+        if self.config.inference_dtype == "float32" and not grad_enabled():
             # Float32 inference: cast the features once; every downstream
             # layer then runs in single precision against cached float32
             # weight copies (see repro.nn.layers._float32_params).
@@ -191,19 +176,11 @@ class SparseAttentionExtractor(Module):
         vm_embeddings = self.vm_embed(Tensor(vm_inputs))
         # Tree-local attention runs inside padded per-tree groups (cached on
         # the FeatureBatch; a single-row batch's one-row grouping indexes its
-        # lifted form unchanged) — the dense S×S mask is materialized only in
-        # reference mode, wrapped ONCE per forward so every block reuses the
-        # same additive bias.
-        tree_mask = None
-        tree_groups = None
-        if self.use_tree_attention and batch.num_vms:
-            if not reference_mode_active():
-                tree_groups = batch.tree_grouping()
-            if tree_groups is None:
-                tree_mask = AttentionMask(batch.tree_mask)
+        # lifted form unchanged).  No VMs, no trees: the grouping is None.
+        tree_groups = batch.tree_grouping() if self.use_tree_attention else None
         for block in self.blocks:
             pm_embeddings, vm_embeddings, scores = block(
-                pm_embeddings, vm_embeddings, tree_mask, tree_groups,
+                pm_embeddings, vm_embeddings, tree_groups,
                 want_scores=block is self.blocks[-1],
             )
         return ExtractorOutput(

@@ -1,20 +1,21 @@
 """Bridging layer between environment observations and the neural extractors.
 
-The feature extractors of §3.3 need three things derived from an
+The feature extractors of §3.3 need two things derived from an
 :class:`~repro.env.observation.Observation`:
 
-* the raw PM / VM feature matrices as autograd tensors,
-* the *tree masks* implementing the sparse local attention (a PM and the VMs it
-  hosts form a depth-one tree; attention is only allowed inside a tree), and
-* the VM→PM cross-attention mask (every VM may attend to every PM).
+* the raw PM / VM feature matrices as autograd tensors, and
+* the *trees* implementing the sparse local attention (a PM and the VMs it
+  hosts form a depth-one tree; attention is only allowed inside a tree),
+  carried as each VM's host row and run as padded per-tree groups
+  (:class:`TreeGrouping`).
 
-Masks are plain boolean numpy arrays — they carry no gradients.
+Masks and host rows are plain numpy arrays — they carry no gradients.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -24,70 +25,47 @@ from ..nn import AttentionMask, Module, Tensor, concatenate
 
 @dataclass
 class FeatureBatch:
-    """Tensors and masks for one decision step.
+    """Tensors and tree structure for one decision step.
 
     A single-row batch (2-D feature tensors, ``batch_size`` None) is the unit
     of featurization: it is what the rollout buffer and the step cache keep
     per observation, with its tree layout cached on it.  The policy forward
-    consumes *stacked* batches — several same-size rows along a leading batch
-    axis: ``batch_size`` set, ``(batch, machines, features)`` tensors,
-    ``(batch, seq, seq)`` tree mask.  Batched attention keeps batch items
-    independent, so one extractor forward equals running each row separately;
-    handed a single-row batch, an extractor lifts it to a batch of one.
+    consumes *stacked* batches (:func:`stack_feature_batches`) — several
+    same-size rows along a leading batch axis: ``batch_size`` set,
+    ``(batch, machines, features)`` tensors, ``(batch, num_vms)`` hosts.
+    Batched attention keeps batch items independent, so one extractor
+    forward equals running each row separately; handed a single-row batch,
+    an extractor lifts it to a batch of one.
     """
 
     pm_features: Tensor
     vm_features: Tensor
-    #: (num_vms, num_pms) membership matrix (VM i hosted on PM j); leading
+    #: (num_vms,) host PM row of each VM, ``-1`` when unplaced — the
+    #: observation's ``vm_source_pm``, shared and never written; leading
     #: batch axis when stacked.
-    membership: np.ndarray
+    hosts: np.ndarray
     vm_mask: np.ndarray
     num_pms: int
     num_vms: int
     #: Number of stacked observations, or None for a single observation.
     batch_size: Optional[int] = None
-    #: Dense tree mask cache; see :attr:`tree_mask`.  The forward normally
-    #: attends through :meth:`tree_grouping` and never materializes it.
-    _dense_tree_mask: Optional[np.ndarray] = field(default=None, repr=False)
     #: Lazily-built grouped layout for sparse tree attention.
     _tree_grouping: Optional["TreeGrouping"] = field(default=None, repr=False)
     #: Per-row tree layouts: cached on single-observation batches (the host
     #: assignment is fixed once collected) and carried over by
     #: :func:`stack_feature_batches` so regrouping a minibatch only offsets
-    #: and buckets instead of re-deriving trees from the membership matrix.
+    #: and buckets instead of re-deriving trees from the host rows.
     _tree_layouts: Optional[list] = field(default=None, repr=False)
 
     @property
     def sequence_length(self) -> int:
         return self.num_pms + self.num_vms
 
-    @property
-    def tree_mask(self) -> np.ndarray:
-        """Dense ``(seq, seq)`` tree-local attention mask (``[PMs..., VMs...]``
-        order; leading batch axis when stacked), built lazily from the
-        membership matrix.
-
-        The hot path attends inside grouped trees (:meth:`tree_grouping`) and
-        never reads this — building it eagerly cost one ``O(seq²)`` mask per
-        environment per step.  It materializes only for the reference-mode
-        benchmarks and the parity tests.
-        """
-        if self._dense_tree_mask is None:
-            if self.batch_size is None:
-                self._dense_tree_mask = build_tree_mask(self.membership)
-            else:
-                self._dense_tree_mask = np.stack(
-                    [build_tree_mask(member) for member in self.membership], axis=0
-                )
-        return self._dense_tree_mask
-
     def tree_layout(self) -> list:
         """Per-tree local position arrays for a single observation (cached)."""
         if self.batch_size is not None:
             raise ValueError("tree_layout is per single observation; use tree_grouping")
-        if self._tree_layouts is None:
-            self._tree_layouts = [_row_tree_layout(self.membership, self.num_pms)]
-        return self._tree_layouts[0]
+        return self._layouts()[0]
 
     def tree_grouping(self) -> Optional["TreeGrouping"]:
         """Grouped per-tree layout for the sparse tree-attention stage.
@@ -95,33 +73,29 @@ class FeatureBatch:
         Built lazily and cached on the batch, so every extractor block (and
         every epoch revisiting a cached stacked minibatch) reuses one
         grouping.  A single-row batch yields a one-row grouping (what the
-        extractor applies after lifting it to a batch of one), so the dense
-        ``S×S`` tree mask is never materialized outside reference mode.
-        Returns ``None`` only when there are no VMs (no tree stage to run).
+        extractor applies after lifting it to a batch of one).  Returns
+        ``None`` only when there are no VMs (no tree stage to run).
         """
         if self.num_vms == 0:
             return None
         if self._tree_grouping is None:
-            if self._tree_layouts is None:
-                if self.batch_size is None:
-                    self.tree_layout()  # populates the one-row layout cache
-                else:
-                    self._tree_layouts = [
-                        _row_tree_layout(member, self.num_pms) for member in self.membership
-                    ]
-            self._tree_grouping = _grouping_from_layouts(
-                self._tree_layouts, self.sequence_length
-            )
+            self._tree_grouping = _grouping_from_layouts(self._layouts(), self.sequence_length)
         return self._tree_grouping
+
+    def _layouts(self) -> list:
+        if self._tree_layouts is None:
+            self._tree_layouts = [
+                _row_tree_layout(hosts, self.num_pms) for hosts in np.atleast_2d(self.hosts)
+            ]
+        return self._tree_layouts
 
 
 def build_feature_batch(observation: Observation) -> FeatureBatch:
-    """Convert an observation into tensors plus attention masks."""
-    membership = observation.tree_membership()
+    """Convert an observation into feature tensors plus its host rows."""
     return FeatureBatch(
         pm_features=Tensor(observation.pm_features.copy()),
         vm_features=Tensor(observation.vm_features.copy()),
-        membership=membership,
+        hosts=observation.vm_source_pm,
         vm_mask=observation.vm_mask.copy(),
         num_pms=observation.num_pms,
         num_vms=observation.num_vms,
@@ -135,14 +109,14 @@ def patch_feature_batch(
 
     Feature tensors are always fresh copies of the observation's arrays (they
     are cheap, and callers may keep the previous batch alive), but the
-    tree-side structure — membership matrix, per-tree layouts, grouping and
-    the lazy dense mask — is carried over from ``previous`` when the
-    observation's delta proves the host assignment did not change, and
-    *patched per moved VM* (two trees edited, grouping re-bucketed) when it
-    did.  Falls back to :func:`build_feature_batch` whenever the delta chain
-    cannot vouch for ``previous`` (episode start, shape change, unplaced
-    endpoints).  The result is exactly what ``build_feature_batch`` would
-    produce — pinned by the step-cache parity tests.
+    tree-side structure — per-tree layouts and grouping — is carried over
+    from ``previous`` when the observation's delta proves the host
+    assignment did not change, and *patched per moved VM* (two trees edited,
+    grouping re-bucketed) when it did.  Falls back to
+    :func:`build_feature_batch` whenever the delta chain cannot vouch for
+    ``previous`` (episode start, shape change, unplaced endpoints).  The
+    result is exactly what ``build_feature_batch`` would produce — pinned by
+    the step-cache parity tests.
     """
     delta = observation.delta
     if (
@@ -154,28 +128,17 @@ def patch_feature_batch(
         or previous.num_vms != observation.num_vms
     ):
         return build_feature_batch(observation)
-    if delta.moved_vm_rows.size == 0:
-        membership = previous.membership
-        layouts = previous._tree_layouts
-        grouping = previous._tree_grouping
-        dense_mask = previous._dense_tree_mask
-    else:
-        num_pms = observation.num_pms
-        old_hosts = np.where(
-            previous.membership[delta.moved_vm_rows].any(axis=1),
-            np.argmax(previous.membership[delta.moved_vm_rows], axis=1),
-            -1,
-        )
+    layouts = previous._tree_layouts
+    grouping = previous._tree_grouping
+    if delta.moved_vm_rows.size:
+        old_hosts = previous.hosts[delta.moved_vm_rows]
         new_hosts = observation.vm_source_pm[delta.moved_vm_rows]
         if (old_hosts < 0).any() or (new_hosts < 0).any():
             # Placement appeared/disappeared (not a plain migration): the
             # singleton-tree tail would change shape — rebuild.
             return build_feature_batch(observation)
-        membership = previous.membership.copy()
-        membership[delta.moved_vm_rows] = False
-        membership[delta.moved_vm_rows, new_hosts] = True
-        layouts = previous._tree_layouts
         if layouts is not None:
+            num_pms = observation.num_pms
             tree_list = list(layouts[0])
             for vm_row, old_host, new_host in zip(
                 delta.moved_vm_rows, old_hosts, new_hosts
@@ -188,44 +151,15 @@ def patch_feature_batch(
                 tree_list[new_host] = np.insert(dest, insert_at, position)
             layouts = [tree_list]
         grouping = None  # members changed: re-bucket lazily from the layouts
-        dense_mask = None
     return FeatureBatch(
         pm_features=Tensor(observation.pm_features.copy()),
         vm_features=Tensor(observation.vm_features.copy()),
-        membership=membership,
+        hosts=observation.vm_source_pm,
         vm_mask=observation.vm_mask.copy(),
         num_pms=observation.num_pms,
         num_vms=observation.num_vms,
-        _dense_tree_mask=dense_mask,
         _tree_grouping=grouping,
         _tree_layouts=layouts,
-    )
-
-
-def build_stacked_feature_batch(observations: Sequence[Observation]) -> FeatureBatch:
-    """Stack same-size observations into one batched FeatureBatch.
-
-    The feature tensors gain a leading batch axis (``(batch, machines,
-    features)``) and the tree mask becomes ``(batch, seq, seq)``, so the
-    extractor's attention runs once over the whole vectorized-env step while
-    keeping batch items independent.  All observations must share one cluster
-    size — the standard vectorized-training setup; a ragged batch raises.
-    """
-    if not observations:
-        raise ValueError("need at least one observation")
-    sizes = {(obs.num_pms, obs.num_vms) for obs in observations}
-    if len(sizes) > 1:
-        raise ValueError(f"observations disagree on cluster size: {sorted(sizes)}")
-
-    membership = np.stack([obs.tree_membership() for obs in observations], axis=0)
-    return FeatureBatch(
-        pm_features=Tensor(np.stack([obs.pm_features for obs in observations], axis=0)),
-        vm_features=Tensor(np.stack([obs.vm_features for obs in observations], axis=0)),
-        membership=membership,
-        vm_mask=np.stack([obs.vm_mask for obs in observations], axis=0),
-        num_pms=observations[0].num_pms,
-        num_vms=observations[0].num_vms,
-        batch_size=len(observations),
     )
 
 
@@ -241,18 +175,19 @@ class TreeBucket:
 
 
 class TreeGrouping:
-    """Padded per-tree layout exploiting the block structure of the tree mask.
+    """Padded per-tree layout exploiting the block structure of tree attention.
 
-    The tree mask partitions the combined [PMs..., VMs...] sequence of every
+    The host rows partition the combined [PMs..., VMs...] sequence of every
     batch row into disjoint trees — a PM with its hosted VMs, or an unplaced
     VM alone — and attention within a tree is *full*.  Tree-local attention is
     therefore exactly equivalent to running the layer over padded
     ``(num_trees, tree_size)`` groups: gather each tree's members, attend
-    inside the (tiny) tree under a padding mask, scatter back.  The dense path
-    computes ``O(S²)`` scores per row; the grouped path ``O(Σ tree_size²)`` —
-    typically an order of magnitude less.  Trees are split into at most two
-    size-class buckets (chosen to minimize padded score area), so one oversize
-    tree does not inflate the padding of every small one.
+    inside the (tiny) tree under a padding mask, scatter back.  A dense
+    ``S×S`` tree mask (the parity tests' oracle) costs ``O(S²)`` scores per
+    row; the grouped path ``O(Σ tree_size²)`` — typically an order of
+    magnitude less.  Trees are split into at most two size-class buckets
+    (chosen to minimize padded score area), so one oversize tree does not
+    inflate the padding of every small one.
 
     Exactness invariants: trees are disjoint and ordered [PM, VMs ascending],
     matching the dense row order, padding keys are excluded by the additive
@@ -319,7 +254,7 @@ def _pad_bucket(groups: Sequence[np.ndarray], size: int) -> TreeBucket:
     return TreeBucket(members=members, valid=valid)
 
 
-def _row_tree_layout(membership: np.ndarray, num_pms: int) -> list:
+def _row_tree_layout(hosts: np.ndarray, num_pms: int) -> list:
     """Per-tree arrays of *local* sequence positions for one observation.
 
     Each array lists one tree's members in dense row order — the PM first,
@@ -327,8 +262,7 @@ def _row_tree_layout(membership: np.ndarray, num_pms: int) -> list:
     VMs.  Cached per transition (the host assignment never changes after
     collection); stacking into a minibatch only adds row offsets.
     """
-    placed = membership.any(axis=1)
-    host = np.where(placed, np.argmax(membership, axis=1), num_pms)
+    host = np.where(hosts >= 0, hosts, num_pms)
     order = np.argsort(host, kind="stable")  # VMs ascending within each host
     sorted_host = host[order]
     bounds = np.searchsorted(sorted_host, np.arange(num_pms + 1))
@@ -338,9 +272,9 @@ def _row_tree_layout(membership: np.ndarray, num_pms: int) -> list:
     row_members = np.zeros((num_pms, int(counts.max(initial=0)) + 1), dtype=np.intp)
     row_members[:, 0] = np.arange(num_pms)
     hosted = order[: bounds[num_pms]]
-    hosts = sorted_host[: bounds[num_pms]]
+    hosted_on = sorted_host[: bounds[num_pms]]
     ranks = np.arange(hosted.size) - np.repeat(bounds[:-1], counts)
-    row_members[hosts, 1 + ranks] = num_pms + hosted
+    row_members[hosted_on, 1 + ranks] = num_pms + hosted
     layout = [row_members[pm, : counts[pm] + 1] for pm in range(num_pms)]
     # Unplaced VMs: singleton trees.
     layout.extend(np.array([num_pms + vm]) for vm in order[bounds[num_pms] :])
@@ -391,9 +325,9 @@ def stack_feature_batches(batches: Sequence[FeatureBatch]) -> FeatureBatch:
     """Stack already-built single-observation batches along a new batch axis.
 
     The PPO update caches one :class:`FeatureBatch` per stored transition
-    (featurization and tree-mask construction happen once per rollout); each
+    (featurization and tree layouts happen once per rollout); each
     minibatch then stacks the cached arrays here — a plain ``np.stack`` per
-    field — instead of re-deriving masks from the observations every
+    field — instead of re-deriving trees from the observations every
     epoch × minibatch.  All batches must be single-observation (2-D) and share
     one cluster size.
     """
@@ -410,47 +344,10 @@ def stack_feature_batches(batches: Sequence[FeatureBatch]) -> FeatureBatch:
     return FeatureBatch(
         pm_features=Tensor(np.stack([b.pm_features.data for b in batches], axis=0)),
         vm_features=Tensor(np.stack([b.vm_features.data for b in batches], axis=0)),
-        membership=np.stack([b.membership for b in batches], axis=0),
+        hosts=np.stack([b.hosts for b in batches], axis=0),
         vm_mask=np.stack([b.vm_mask for b in batches], axis=0),
         num_pms=batches[0].num_pms,
         num_vms=batches[0].num_vms,
         batch_size=len(batches),
         _tree_layouts=layouts,
     )
-
-
-def build_tree_mask(membership: np.ndarray) -> np.ndarray:
-    """Sparse local-attention mask over the combined [PMs..., VMs...] sequence.
-
-    Entry ``(a, b)`` is True when token *a* may attend to token *b*.  Tokens
-    belong to the same tree when they are the same machine, a PM and a VM it
-    hosts, or two VMs hosted by the same PM.  Unplaced VMs only attend to
-    themselves.
-    """
-    num_vms, num_pms = membership.shape
-    size = num_pms + num_vms
-    mask = np.zeros((size, size), dtype=bool)
-    np.fill_diagonal(mask, True)
-    if num_vms == 0 or num_pms == 0:
-        return mask
-
-    # PM <-> hosted VM.
-    vm_rows = num_pms + np.arange(num_vms)
-    for vm_index in range(num_vms):
-        hosted_on = np.nonzero(membership[vm_index])[0]
-        for pm_index in hosted_on:
-            mask[vm_rows[vm_index], pm_index] = True
-            mask[pm_index, vm_rows[vm_index]] = True
-
-    # VM <-> sibling VM (same PM tree).
-    same_tree = membership @ membership.T  # (num_vms, num_vms) counts of shared PMs
-    sibling = same_tree > 0
-    mask[num_pms:, num_pms:] |= sibling
-    return mask
-
-
-def summarize_tree_sparsity(tree_mask: np.ndarray) -> Dict[str, float]:
-    """Fraction of allowed attention links — a diagnostic for the ablation."""
-    total = tree_mask.size
-    allowed = int(tree_mask.sum())
-    return {"allowed_links": allowed, "total_links": total, "sparsity": 1.0 - allowed / total}

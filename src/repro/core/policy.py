@@ -32,7 +32,7 @@ from ..nn import functional as F
 from .actors import PMActor, ValueHead, VMActor
 from .attention import ExtractorOutput, build_extractor
 from .config import ModelConfig
-from .features import FeatureBatch, build_stacked_feature_batch, stack_feature_batches
+from .features import FeatureBatch, build_feature_batch, stack_feature_batches
 from .step_cache import StepCache
 
 
@@ -193,7 +193,7 @@ class TwoStagePolicy(Module):
         """Select a (VM, PM) action for every observation.
 
         Same-size observations are stacked along a leading batch axis (see
-        :func:`build_stacked_feature_batch`) and the extractor, the critic
+        :func:`stack_feature_batches`) and the extractor, the critic
         and both actors run once over ``(batch, machines, dim)`` tensors; a
         mixed-size batch runs one such forward per size group.  Batch rows
         never interact, so N calls with one observation each compute the
@@ -223,8 +223,7 @@ class TwoStagePolicy(Module):
         the sampled action and probabilities are unchanged; serving rollouts
         use it since only PPO consumes the entropy.  ``step_cache`` enables
         step-incremental featurization/encoding for consecutive no-grad steps
-        of one episode (ignored unless the forward runs under ``no_grad``
-        outside reference mode).
+        of one episode (ignored unless the forward runs under ``no_grad``).
         """
         if rng is None:
             raise ValueError("act_batch requires an rng")
@@ -286,7 +285,9 @@ class TwoStagePolicy(Module):
         if step_cache is not None and step_cache.usable(self.extractor):
             _, extractor_output = step_cache.forward(self.extractor, observations)
         else:
-            extractor_output = self.extractor(build_stacked_feature_batch(observations))
+            extractor_output = self.extractor(
+                stack_feature_batches([build_feature_batch(obs) for obs in observations])
+            )
         num_envs = len(observations)
         values = self.value_head(extractor_output).numpy()
         entropies = np.zeros(num_envs)
@@ -463,16 +464,15 @@ class TwoStagePolicy(Module):
         vm_masks = list(vm_masks) if vm_masks is not None else [None] * count
         pm_masks = list(pm_masks) if pm_masks is not None else [None] * count
         joint_masks = list(joint_masks) if joint_masks is not None else [None] * count
-        if feature_batches is not None and len(feature_batches) != count:
+        if feature_batches is None:
+            feature_batches = [build_feature_batch(obs) for obs in observations]
+        elif len(feature_batches) != count:
             raise ValueError("need one feature batch per observation")
 
         groups = _size_groups(observations)
         results = []
         for rows in groups:
-            if feature_batches is not None:
-                batch = stack_feature_batches([feature_batches[row] for row in rows])
-            else:
-                batch = build_stacked_feature_batch([observations[row] for row in rows])
+            batch = stack_feature_batches([feature_batches[row] for row in rows])
             extractor_output = self.extractor(batch)
             values = self.value_head(extractor_output)  # (rows,)
             vm_actions = np.array([vm_indices[row] for row in rows], dtype=int)
@@ -512,7 +512,7 @@ class TwoStagePolicy(Module):
         """State values, one stacked forward per cluster size present."""
         values: List[float] = [0.0] * len(observations)
         for rows in _size_groups(observations):
-            batch = build_stacked_feature_batch([observations[row] for row in rows])
+            batch = stack_feature_batches([build_feature_batch(observations[row]) for row in rows])
             for row, value in zip(rows, self.value_head(self.extractor(batch)).numpy()):
                 values[row] = float(value)
         return values

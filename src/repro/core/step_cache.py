@@ -44,9 +44,8 @@ are reused from the previous step, where they were computed from bitwise-equal
 inputs (bucket re-padding after a move can shift results by ~1e-16 relative,
 an updated VM↔VM row differs from a rescored one by a few 1e-15 — the
 step-cache parity suite pins embeddings to 1e-10 and plans to equality).
-The cache is inference-only: :meth:`usable` refuses gradient-tracking and
-reference-mode forwards, and entries never alias tensors a training graph
-could retain.
+The cache is inference-only: :meth:`usable` refuses gradient-tracking
+forwards, and entries never alias tensors a training graph could retain.
 """
 
 from __future__ import annotations
@@ -57,7 +56,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..env.observation import Observation
-from ..nn import AttentionState, Tensor, grad_enabled, reference_mode_active
+from ..nn import AttentionState, Tensor, grad_enabled
 from .attention import ExtractorOutput, SparseAttentionExtractor
 from .features import (
     FeatureBatch,
@@ -134,21 +133,17 @@ class StepCache:
 
     # ------------------------------------------------------------------ #
     def usable(self, extractor) -> bool:
-        """Whether cached encoding applies: attention extractor, no-grad,
-        not the seed reference substrate."""
-        return (
-            isinstance(extractor, SparseAttentionExtractor)
-            and not grad_enabled()
-            and not reference_mode_active()
-        )
+        """Whether cached encoding applies: attention extractor, no-grad."""
+        return isinstance(extractor, SparseAttentionExtractor) and not grad_enabled()
 
     def forward(
         self,
         extractor: SparseAttentionExtractor,
         observations: Sequence[Observation],
     ) -> Tuple[FeatureBatch, ExtractorOutput]:
-        """Cached equivalent of ``extractor(build_stacked_feature_batch(observations))``
-        for same-size observations (one row or many).
+        """Cached equivalent of ``extractor(stack_feature_batches([
+        build_feature_batch(o) for o in observations]))`` for same-size
+        observations (one row or many).
 
         Per row: a chain hit patches that row's embeddings/tree outputs; a
         miss (fresh episode admitted into the batch, stale chain) computes
@@ -336,7 +331,7 @@ class StepCache:
         )
         for block in blocks[1:]:
             pm_t, vm_t, scores = block(
-                pm_t, vm_t, None, grouping, want_scores=block is blocks[-1]
+                pm_t, vm_t, grouping, want_scores=block is blocks[-1]
             )
         num_vms = vm1.shape[-2]
         output = ExtractorOutput(

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..cluster import BOTH_NUMAS, ClusterState, ConstraintChecker
+from ..cluster import ClusterState, ConstraintChecker
 
 PM_FEATURES_PER_NUMA = 4
 PM_FEATURE_DIM = 2 * PM_FEATURES_PER_NUMA  # 8
@@ -110,13 +110,6 @@ class Observation:
     @property
     def num_vms(self) -> int:
         return self.vm_features.shape[0]
-
-    def tree_membership(self) -> np.ndarray:
-        """Boolean ``(num_vms, num_pms)`` matrix: VM i hosted on PM j."""
-        membership = np.zeros((self.num_vms, self.num_pms), dtype=bool)
-        placed = self.vm_source_pm >= 0
-        membership[np.arange(self.num_vms)[placed], self.vm_source_pm[placed]] = True
-        return membership
 
 
 @dataclass
@@ -296,7 +289,7 @@ class ObservationBuilder:
     # Vectorized featurization over the SoA view
     # ------------------------------------------------------------------ #
     def _pm_features_arrays(self, soa) -> np.ndarray:
-        """Array version of :meth:`_pm_features` (bit-for-bit identical).
+        """Raw PM feature matrix over every row.
 
         Thin wrapper over the row-subset builder so the per-row formulas
         exist exactly once — incremental patches and full builds cannot
@@ -305,7 +298,7 @@ class ObservationBuilder:
         return self._pm_feature_rows(soa, np.arange(soa.num_pms, dtype=np.intp))
 
     def _vm_features_arrays(self, soa, raw_pm_features: np.ndarray) -> tuple:
-        """Array version of :meth:`_vm_features` (bit-for-bit identical).
+        """Raw VM feature matrix plus each VM's host row (``-1`` unplaced).
 
         Like :meth:`_pm_features_arrays`, delegates to the single row-subset
         implementation of the formulas.
@@ -368,82 +361,6 @@ class ObservationBuilder:
         placed = host >= 0
         features[placed, VM_OWN_FEATURE_DIM:] = raw_pm_features[host[placed]]
         return features
-
-    # ------------------------------------------------------------------ #
-    # Legacy loop featurization (parity/benchmark reference)
-    # ------------------------------------------------------------------ #
-    def build_reference(self, state: ClusterState, migrations_left: int) -> Observation:
-        """Loop-based :meth:`build` kept as the parity reference."""
-        pm_ids = sorted(state.pms)
-        vm_ids = sorted(state.vms)
-        pm_index = {pm_id: index for index, pm_id in enumerate(pm_ids)}
-
-        pm_features = self._pm_features(state, pm_ids)
-        vm_features, vm_source_pm = self._vm_features(state, vm_ids, pm_index, pm_features)
-        vm_mask = self.checker.movable_vm_mask_reference(state, vm_ids)
-
-        pm_features = _min_max_normalize(pm_features)
-        vm_features = _min_max_normalize(vm_features)
-
-        return Observation(
-            pm_features=pm_features,
-            vm_features=vm_features,
-            vm_source_pm=vm_source_pm,
-            vm_mask=vm_mask,
-            vm_ids=list(vm_ids),
-            pm_ids=list(pm_ids),
-            migrations_left=migrations_left,
-        )
-
-    def _pm_features(self, state: ClusterState, pm_ids: List[int]) -> np.ndarray:
-        features = np.zeros((len(pm_ids), PM_FEATURE_DIM), dtype=float)
-        x = self.fragment_cores
-        for row, pm_id in enumerate(pm_ids):
-            pm = state.pms[pm_id]
-            pm_free = pm.free_cpu
-            pm_frag = sum(numa.free_cpu % x for numa in pm.numas)
-            pm_fr = pm_frag / pm_free if pm_free > 0 else 0.0
-            for numa in pm.numas:
-                offset = numa.numa_id * PM_FEATURES_PER_NUMA
-                features[row, offset + 0] = numa.free_cpu
-                features[row, offset + 1] = numa.free_memory
-                features[row, offset + 2] = pm_fr
-                features[row, offset + 3] = numa.free_cpu % x
-        return features
-
-    def _vm_features(
-        self,
-        state: ClusterState,
-        vm_ids: List[int],
-        pm_index: Dict[int, int],
-        raw_pm_features: np.ndarray,
-    ) -> tuple:
-        features = np.zeros((len(vm_ids), VM_FEATURE_DIM), dtype=float)
-        source_pm = np.full(len(vm_ids), -1, dtype=int)
-        x = self.fragment_cores
-        for row, vm_id in enumerate(vm_ids):
-            vm = state.vms[vm_id]
-            if vm.numa_count == 2:
-                cpu_per_numa = (vm.cpu_per_numa, vm.cpu_per_numa)
-                mem_per_numa = (vm.memory_per_numa, vm.memory_per_numa)
-            else:
-                numa_slot = vm.numa_id if vm.is_placed and vm.numa_id in (0, 1) else 0
-                cpu_per_numa = [0.0, 0.0]
-                mem_per_numa = [0.0, 0.0]
-                cpu_per_numa[numa_slot] = vm.cpu
-                mem_per_numa[numa_slot] = vm.memory
-            features[row, 0] = cpu_per_numa[0]
-            features[row, 1] = cpu_per_numa[1]
-            features[row, 2] = mem_per_numa[0]
-            features[row, 3] = mem_per_numa[1]
-            # Fragment the VM's own request leaves at the X-core granularity.
-            features[row, 4] = cpu_per_numa[0] % x
-            features[row, 5] = cpu_per_numa[1] % x
-            if vm.is_placed:
-                pm_row = pm_index[vm.pm_id]
-                source_pm[row] = pm_row
-                features[row, VM_OWN_FEATURE_DIM:] = raw_pm_features[pm_row]
-        return features, source_pm
 
 
 def _min_max_normalize(features: np.ndarray) -> np.ndarray:

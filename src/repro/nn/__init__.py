@@ -40,8 +40,6 @@ from .tensor import (
     grad_enabled,
     no_grad,
     ones,
-    reference_mode_active,
-    reference_ops,
     stack,
     tensor,
     where,
@@ -56,8 +54,6 @@ __all__ = [
     "concatenate",
     "stack",
     "where",
-    "reference_ops",
-    "reference_mode_active",
     "no_grad",
     "grad_enabled",
     "Module",

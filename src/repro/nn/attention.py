@@ -495,8 +495,6 @@ class MultiHeadAttention(Module):
         if query.ndim != 3:
             raise ValueError(f"expected 2-D or 3-D query, got shape {query.shape}")
         mask = self._checked_mask(mask, query.shape[0], query.shape[1], key.shape[1])
-        if F.reference_mode_active():
-            return self._forward_reference(query, key, value, mask, return_weights)
         result = _attention(
             self._scaled_queries(query), self.k_proj(key), self.v_proj(value), mask,
             self.num_heads, return_weights,
@@ -553,40 +551,6 @@ class MultiHeadAttention(Module):
                 f"mask shape {mask.shape} does not match ({batch}, {q_len}, {k_len})"
             )
         return mask
-
-    def _forward_reference(
-        self, query: Tensor, key: Tensor, value: Tensor, mask: Optional[AttentionMask],
-        return_weights: bool,
-    ):
-        """Seed implementation — the oracle :func:`_attention` is pinned against.
-
-        Chained Tensor ops: per-head reshapes, the scale applied to the full
-        score tensor, the boolean mask expanded over the head axis into the
-        cleanup-style ``masked_softmax`` (fill, softmax, leakage zeroing,
-        renormalize) plus an unconditional dead-row multiply, and the
-        ``(batch, heads, q_len, k_len)`` probabilities saved for the backward.
-        Runs under ``repro.nn.tensor.reference_ops``.
-        """
-        batch, q_len, k_len = query.shape[0], query.shape[1], key.shape[1]
-
-        def heads(x: Tensor, length: int) -> Tensor:
-            return x.reshape(batch, length, self.num_heads, self.head_dim).transpose((0, 2, 1, 3))
-
-        q = heads(self.q_proj(query), q_len)
-        k = heads(self.k_proj(key), k_len)
-        v = heads(self.v_proj(value), k_len)
-        scores = q.matmul(k.swapaxes(-1, -2)) * (1.0 / np.sqrt(self.head_dim))
-        if mask is None:
-            weights = F.softmax(scores, axis=-1)
-        else:
-            shape = (batch, self.num_heads, q_len, k_len)
-            raw = np.broadcast_to(mask.mask, (batch, q_len, k_len))
-            allowed = raw.any(axis=-1).astype(float)[:, None, :, None]
-            weights = F.masked_softmax(scores, np.broadcast_to(raw[:, None], shape), axis=-1)
-            weights = weights * Tensor(np.broadcast_to(allowed, shape))
-        context = weights.matmul(v).transpose((0, 2, 1, 3)).reshape(batch, q_len, self.embed_dim)
-        output = self.out_proj(context)
-        return (output, weights.data.mean(axis=1)) if return_weights else output
 
 
 class FeedForward(Module):

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .tensor import Tensor, grad_enabled, reference_mode_active, reference_ops, where
+from .tensor import Tensor, grad_enabled, where
 
 MASK_FILL_VALUE = -1e9
 
@@ -70,28 +70,6 @@ def get_activation(name: str):
 # ---------------------------------------------------------------------- #
 # Softmax family
 # ---------------------------------------------------------------------- #
-def _softmax_reference(x: Tensor, axis: int = -1) -> Tensor:
-    """Seed implementation: softmax chained from primitive tensor ops."""
-    shifted = x - Tensor(x.data.max(axis=axis, keepdims=True))
-    exps = shifted.exp()
-    return exps / exps.sum(axis=axis, keepdims=True)
-
-
-def _log_softmax_reference(x: Tensor, axis: int = -1) -> Tensor:
-    """Seed implementation: log-softmax chained from primitive tensor ops."""
-    shifted = x - Tensor(x.data.max(axis=axis, keepdims=True))
-    return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
-
-
-def _layer_norm_reference(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Seed implementation: layer norm chained from primitive tensor ops."""
-    mean = x.mean(axis=-1, keepdims=True)
-    centered = x - mean
-    variance = (centered * centered).mean(axis=-1, keepdims=True)
-    normalized = centered / (variance + eps).sqrt()
-    return normalized * weight + bias
-
-
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax along ``axis``.
 
@@ -101,8 +79,6 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     five a sub→exp→sum→div chain would allocate and re-copy.
     """
     x = Tensor._ensure(x)
-    if reference_mode_active():
-        return _softmax_reference(x, axis=axis)
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     np.exp(shifted, out=shifted)
     shifted /= shifted.sum(axis=axis, keepdims=True)
@@ -127,8 +103,6 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable log-softmax along ``axis`` (fused, like softmax)."""
     x = Tensor._ensure(x)
-    if reference_mode_active():
-        return _log_softmax_reference(x, axis=axis)
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     out_data = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     if not x.requires_grad or not grad_enabled():
@@ -158,8 +132,6 @@ def masked_fill(x: Tensor, mask: np.ndarray, fill_value: float = MASK_FILL_VALUE
     materialized.
     """
     mask = np.asarray(mask, dtype=bool)
-    if reference_mode_active():
-        return where(mask, x, Tensor(np.full(x.shape, fill_value)))
     return where(mask, x, fill_value)
 
 
@@ -238,8 +210,6 @@ def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Te
     built ~10 full-size nodes per call.
     """
     x = Tensor._ensure(x)
-    if reference_mode_active():
-        return _layer_norm_reference(x, weight, bias, eps=eps)
     data = x.data
     dim = data.shape[-1]
     mean = data.mean(axis=-1, keepdims=True)
@@ -283,24 +253,6 @@ def mse_loss(prediction: Tensor, target: Tensor) -> Tensor:
     return (diff * diff).mean()
 
 
-def huber_loss(prediction: Tensor, target: Tensor, delta: float = 1.0) -> Tensor:
-    """Smooth L1 loss, useful for value-function regression."""
-    diff = prediction - target
-    abs_diff = diff.abs()
-    quadratic = diff * diff * 0.5
-    linear = abs_diff * delta - 0.5 * delta * delta
-    return where(abs_diff.data <= delta, quadratic, linear).mean()
-
-
-def cross_entropy_with_logits(logits: Tensor, targets: np.ndarray, axis: int = -1) -> Tensor:
-    """Mean cross-entropy between logits and integer class targets."""
-    logp = log_softmax(logits, axis=axis)
-    targets = np.asarray(targets, dtype=int)
-    batch = np.arange(logp.shape[0])
-    picked = logp[batch, targets]
-    return -picked.mean()
-
-
 # ---------------------------------------------------------------------- #
 # Categorical distribution helpers (used by the PPO policies)
 # ---------------------------------------------------------------------- #
@@ -338,16 +290,6 @@ def sample_categorical(
     if greedy:
         return int(np.argmax(probs))
     return int(rng.choice(len(probs), p=probs))
-
-
-def explained_variance(predictions: np.ndarray, targets: np.ndarray) -> float:
-    """Fraction of return variance explained by the value function."""
-    predictions = np.asarray(predictions, dtype=float).ravel()
-    targets = np.asarray(targets, dtype=float).ravel()
-    var_target = targets.var()
-    if var_target == 0.0:
-        return 0.0
-    return float(1.0 - (targets - predictions).var() / var_target)
 
 
 def grad_norm(gradients) -> float:

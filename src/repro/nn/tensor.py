@@ -22,34 +22,6 @@ ArrayLike = Union[np.ndarray, float, int, Sequence]
 
 _DEFAULT_DTYPE = np.float64
 
-#: When True, substrate ops use the seed repository's implementations
-#: (chained-primitive softmax / layer norm, per-head masked attention,
-#: copying gradient accumulation).  Benchmarks flip this to time the
-#: pre-vectorization reference paths — the nn-level analogue of the
-#: ``*_reference`` convention in :mod:`repro.cluster`.
-_reference_mode = False
-
-
-def reference_mode_active() -> bool:
-    """Whether the seed reference implementations are active."""
-    return _reference_mode
-
-
-class reference_ops:
-    """Context manager running substrate ops with the seed implementations."""
-
-    def __enter__(self):
-        global _reference_mode
-        self._previous = _reference_mode
-        _reference_mode = True
-        return self
-
-    def __exit__(self, *exc):
-        global _reference_mode
-        _reference_mode = self._previous
-        return False
-
-
 #: When disabled, ops skip graph construction entirely: outputs are plain
 #: tensors with no parents or backward closures, regardless of the inputs'
 #: ``requires_grad``.  The numbers computed are bit-for-bit identical to the
@@ -217,7 +189,7 @@ class Tensor:
         # graphs (hundreds of multi-MB score arrays).
         grad = _unbroadcast(np.asarray(grad, dtype=self.data.dtype), self.data.shape)
         if self.grad is None:
-            self.grad = grad.copy() if _reference_mode else grad
+            self.grad = grad
         else:
             self.grad = self.grad + grad
 
@@ -425,7 +397,7 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
                 full = np.zeros_like(self.data)
-                if basic and not _reference_mode:
+                if basic:
                     full[index] += grad
                 else:
                     np.add.at(full, index, grad)

@@ -106,8 +106,12 @@ class PlanRequest:
                  "snapshot must be a ClusterState dict with 'pms' and 'vms'")
         _require(isinstance(self.planner, str) and bool(self.planner),
                  "planner must be a non-empty string")
-        _require(isinstance(self.migration_limit, int) and self.migration_limit >= 0,
+        _require(isinstance(self.migration_limit, int)
+                 and not isinstance(self.migration_limit, bool)
+                 and self.migration_limit >= 0,
                  f"migration_limit must be a non-negative integer, got {self.migration_limit!r}")
+        _require(isinstance(self.greedy, bool),
+                 f"greedy must be a boolean, got {self.greedy!r}")
         _require(self.objective in available_objectives(),
                  f"unknown objective {self.objective!r}; known: {available_objectives()}",
                  code="unknown_objective")
@@ -149,7 +153,10 @@ class PlanRequest:
         deadline_ms = payload.get("deadline_ms")
         if deadline_ms is not None:
             # Coerce numeric strings etc. here so a bad value can never reach
-            # the service's deadline comparisons as a non-float.
+            # the service's deadline comparisons as a non-float — but not a
+            # JSON boolean, which float() would turn into a 1 ms deadline.
+            _require(not isinstance(deadline_ms, bool),
+                     f"deadline_ms must be a number, got {deadline_ms!r}")
             try:
                 deadline_ms = float(deadline_ms)
             except (TypeError, ValueError):
@@ -160,7 +167,7 @@ class PlanRequest:
             migration_limit=payload.get("migration_limit", 10),
             objective=payload.get("objective", "fragment_rate"),
             objective_params=payload.get("objective_params") or {},
-            greedy=bool(payload.get("greedy", True)),
+            greedy=payload.get("greedy", True),
             seed=payload.get("seed"),
             deadline_ms=deadline_ms,
             request_id=payload.get("request_id", ""),

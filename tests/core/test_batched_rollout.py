@@ -5,11 +5,13 @@ import pytest
 
 from repro.cluster import ConstraintConfig
 from repro.core import ModelConfig, PPOConfig
-from repro.core.features import build_feature_batch, build_stacked_feature_batch
+from repro.core.features import build_feature_batch, stack_feature_batches
 from repro.core.policy import TwoStagePolicy
 from repro.core.ppo import PPOTrainer
 from repro.datasets import ClusterSpec, SnapshotGenerator
 from repro.env import SyncVectorEnv, VMRescheduleEnv
+
+from oracles import tree_mask
 
 
 @pytest.fixture(scope="module")
@@ -28,24 +30,25 @@ class TestStackedFeatureBatch:
     def test_stacks_same_size_observations(self, snapshot):
         envs = [make_env(snapshot) for _ in range(2)]
         observations = [env.reset() for env in envs]
-        batch = build_stacked_feature_batch(observations)
+        batch = stack_feature_batches([build_feature_batch(obs) for obs in observations])
         p = observations[0].num_pms
         v = observations[0].num_vms
         assert batch.batch_size == 2
         assert batch.num_pms == p and batch.num_vms == v
         assert batch.pm_features.shape == (2, p, observations[0].pm_features.shape[1])
         assert batch.vm_features.shape == (2, v, observations[0].vm_features.shape[1])
-        assert batch.tree_mask.shape == (2, p + v, p + v)
+        assert batch.hosts.shape == (2, v)
+        assert tree_mask(batch).shape == (2, p + v, p + v)
         assert batch.vm_mask.shape == (2, v)
         # Each batch slice equals the single-observation batch.
         single = build_feature_batch(observations[0])
-        np.testing.assert_array_equal(batch.tree_mask[0], single.tree_mask)
-        np.testing.assert_array_equal(batch.membership[0], single.membership)
+        np.testing.assert_array_equal(tree_mask(batch)[0], tree_mask(single))
+        np.testing.assert_array_equal(batch.hosts[0], single.hosts)
         np.testing.assert_array_equal(batch.pm_features.numpy()[0], single.pm_features.numpy())
 
     def test_empty_observation_list_rejected(self):
         with pytest.raises(ValueError):
-            build_stacked_feature_batch([])
+            stack_feature_batches([])
 
 
 def make_policy(case, snapshots):

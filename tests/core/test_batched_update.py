@@ -18,6 +18,8 @@ from repro.core.ppo import PPOTrainer
 from repro.datasets import ClusterSpec, SnapshotGenerator
 from repro.env import VMRescheduleEnv
 
+from oracles import oracle_ops, tree_mask
+
 
 @pytest.fixture(scope="module")
 def snapshot():
@@ -167,7 +169,6 @@ class TestEvaluateActionsBatchParity:
 class TestTreeGroupingParity:
     def test_grouped_stage_matches_dense_masked_layer(self, snapshot):
         """Padded per-tree attention must equal the dense masked tree stage."""
-        from repro.core.features import build_tree_mask, stack_feature_batches
         from repro.nn import AttentionMask, Tensor, TransformerEncoderLayer, concatenate
 
         envs = [make_env(snapshot) for _ in range(3)]
@@ -182,7 +183,7 @@ class TestTreeGroupingParity:
             requires_grad=True,
         )
         grouped_out = grouping.apply(layer, combined)
-        dense_out = layer(combined, mask=AttentionMask(batch.tree_mask))
+        dense_out = layer(combined, mask=AttentionMask(tree_mask(batch)))
         np.testing.assert_allclose(grouped_out.numpy(), dense_out.numpy(), atol=1e-10)
 
         grouped_out.sum().backward()
@@ -190,13 +191,11 @@ class TestTreeGroupingParity:
         combined.zero_grad()
         for parameter in layer.parameters():
             parameter.zero_grad()
-        dense_out = layer(combined, mask=AttentionMask(batch.tree_mask))
+        dense_out = layer(combined, mask=AttentionMask(tree_mask(batch)))
         dense_out.sum().backward()
         np.testing.assert_allclose(grouped_grad, combined.grad, atol=1e-10)
 
     def test_grouping_covers_each_position_once(self, snapshot):
-        from repro.core.features import stack_feature_batches
-
         observations = [make_env(snapshot).reset() for _ in range(2)]
         batch = stack_feature_batches([build_feature_batch(obs) for obs in observations])
         grouping = batch.tree_grouping()
@@ -209,10 +208,8 @@ class TestTreeGroupingParity:
 
 class TestReferenceOpsParity:
     def test_reference_substrate_matches_fast_path(self, snapshot):
-        """`reference_ops` (seed substrate) must compute the same quantities
-        and gradients as the fused/sparse fast path."""
-        from repro.nn import reference_ops
-
+        """The oracle (chained ops, dense tree stage) must compute the same
+        quantities and gradients as the fused/sparse fast path."""
         config = ModelConfig(embed_dim=16, num_heads=2, num_blocks=1)
         policy = TwoStagePolicy(config, rng=np.random.default_rng(0))
         env = make_env(snapshot)
@@ -230,7 +227,7 @@ class TestReferenceOpsParity:
             )
 
         fast_out, fast_grads = run()
-        with reference_ops():
+        with oracle_ops():
             ref_out, ref_grads = run()
         np.testing.assert_allclose(ref_out, fast_out, atol=1e-8)
         assert set(ref_grads) == set(fast_grads)

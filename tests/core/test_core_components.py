@@ -22,15 +22,15 @@ from repro.core import (
     VMR2LConfig,
     build_extractor,
     build_feature_batch,
-    build_tree_mask,
     stack_feature_batches,
-    summarize_tree_sparsity,
 )
 from repro.core.actors import PMActor, ValueHead, VMActor
 from repro.core.attention import MLPExtractor
 from repro.core.policy import _apply_threshold
 from repro.core.rollout import RolloutBuffer, Transition
 from repro.env import ObservationBuilder, VMRescheduleEnv
+
+from oracles import tree_mask
 
 CATALOG = VMTypeCatalog.main()
 
@@ -108,8 +108,7 @@ class TestTreeMask:
     def test_tree_mask_structure(self):
         state = small_cluster()
         obs = observation_of(state)
-        batch = build_feature_batch(obs)
-        mask = batch.tree_mask
+        mask = tree_mask(build_feature_batch(obs))
         num_pms, num_vms = obs.num_pms, obs.num_vms
         assert mask.shape == (num_pms + num_vms, num_pms + num_vms)
         # Diagonal always allowed.
@@ -128,15 +127,25 @@ class TestTreeMask:
         state = small_cluster()
         state.vms[10] = VirtualMachine(vm_id=10, vm_type=CATALOG.get("large"))
         obs = observation_of(state)
-        batch = build_feature_batch(obs)
-        row = batch.tree_mask[obs.num_pms + sorted(state.vms).index(10)]
+        row = tree_mask(build_feature_batch(obs))[obs.num_pms + sorted(state.vms).index(10)]
         assert row.sum() == 1  # only itself
 
     def test_sparsity_summary(self):
-        mask = build_tree_mask(np.eye(3, dtype=bool))
-        summary = summarize_tree_sparsity(mask)
-        assert 0.0 <= summary["sparsity"] <= 1.0
-        assert summary["allowed_links"] == mask.sum()
+        """The grouped trees attend over exactly the links the dense mask
+        allows: every pair inside a tree is allowed, and the counts agree."""
+        state = small_cluster()
+        state.vms[10] = VirtualMachine(vm_id=10, vm_type=CATALOG.get("large"))
+        batch = build_feature_batch(observation_of(state))
+        mask = tree_mask(batch)
+        links = 0
+        for bucket in batch.tree_grouping().buckets:
+            for members, valid in zip(bucket.members, bucket.valid):
+                tree = members[valid]
+                assert mask[np.ix_(tree, tree)].all()
+                links += tree.size * tree.size
+        assert links == mask.sum()
+        sparsity = 1.0 - links / mask.size
+        assert 0.0 < sparsity < 1.0
 
 
 class TestExtractors:
@@ -155,7 +164,7 @@ class TestExtractors:
         batch = build_feature_batch(observation_of(state))
         extractor = VanillaAttentionExtractor(model_config, rng=np.random.default_rng(0))
         output_a = extractor(batch)
-        batch.tree_mask[:] = np.eye(batch.sequence_length, dtype=bool)
+        batch.hosts = np.full(batch.num_vms, -1)  # every token a tree of its own
         output_b = extractor(batch)
         np.testing.assert_allclose(output_a.vm_embeddings.numpy(), output_b.vm_embeddings.numpy())
 

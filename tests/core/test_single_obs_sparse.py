@@ -4,9 +4,8 @@ PR 2 grouped the tree-local attention stage for stacked batches only; this
 suite pins the retirement of the dense single-observation path:
 
 * batch=1 grouped tree attention is numerically identical (≤1e-8, in practice
-  machine precision) to the old dense masked path for ``act`` and
-  ``evaluate_actions`` — outputs AND gradients;
-* the dense ``S×S`` tree mask is never materialized outside reference mode;
+  machine precision) to the dense masked tree stage (``oracles``) for ``act``
+  and ``evaluate_actions`` — outputs AND gradients;
 * float32 inference (``inference_dtype``) stays within documented tolerance
   of the float64 path, keeps every attention layer's output float32 (no
   silent upcast) and leaves gradient-tracking forwards float64;
@@ -16,7 +15,7 @@ suite pins the retirement of the dense single-observation path:
 import numpy as np
 import pytest
 
-import repro.core.features as features_module
+import oracles
 from repro.cluster import ConstraintConfig
 from repro.core import ModelConfig, VMR2LConfig
 from repro.core.features import FeatureBatch, build_feature_batch
@@ -28,7 +27,6 @@ from repro.nn import (
     MultiHeadAttention,
     TransformerEncoderLayer,
     no_grad,
-    reference_ops,
 )
 
 
@@ -51,19 +49,6 @@ def policy():
     return TwoStagePolicy(ModelConfig(), rng=np.random.default_rng(0))
 
 
-class _DenseTreePath:
-    """Force the pre-PR-4 dense masked tree stage (grouping disabled)."""
-
-    def __enter__(self):
-        self._original = FeatureBatch.tree_grouping
-        FeatureBatch.tree_grouping = lambda self: None
-        return self
-
-    def __exit__(self, *exc):
-        FeatureBatch.tree_grouping = self._original
-        return False
-
-
 def grads_of(policy):
     return [None if p.grad is None else p.grad.copy() for p in policy.parameters()]
 
@@ -76,7 +61,7 @@ def clear_grads(policy):
 class TestSingleObservationGroupedParity:
     def test_act_matches_dense_path(self, env, observation, policy):
         grouped = policy.act(observation, pm_mask_fn=env.pm_action_mask, rng=np.random.default_rng(5))
-        with _DenseTreePath():
+        with oracles.dense_tree_stage():
             dense = policy.act(observation, pm_mask_fn=env.pm_action_mask, rng=np.random.default_rng(5))
         assert grouped.vm_index == dense.vm_index
         assert grouped.pm_index == dense.pm_index
@@ -104,7 +89,7 @@ class TestSingleObservationGroupedParity:
             )
 
         lp_g, ent_g, val_g, grads_g = run()
-        with _DenseTreePath():
+        with oracles.dense_tree_stage():
             lp_d, ent_d, val_d, grads_d = run()
         assert lp_g == pytest.approx(lp_d, abs=1e-8)
         assert ent_g == pytest.approx(ent_d, abs=1e-8)
@@ -116,12 +101,18 @@ class TestSingleObservationGroupedParity:
                 np.testing.assert_allclose(grad_g, grad_d, atol=1e-8)
 
     def test_dense_tree_mask_never_materialized(self, env, observation, policy, monkeypatch):
-        """The acceptance assertion: no S×S tree mask outside reference mode."""
+        """The acceptance assertion: no attention layer sees an ``S×S`` tree
+        mask on the library path; the dense oracle stage is the only one."""
+        seq = observation.num_pms + observation.num_vms
+        shapes = []
+        forward = MultiHeadAttention.forward
 
-        def boom(membership):
-            raise AssertionError("dense S×S tree mask materialized on the hot path")
+        def recording(self, query, key, value, mask=None, return_weights=False):
+            if mask is not None:
+                shapes.append(np.shape(getattr(mask, "mask", mask))[-2:])
+            return forward(self, query, key, value, mask, return_weights)
 
-        monkeypatch.setattr(features_module, "build_tree_mask", boom)
+        monkeypatch.setattr(MultiHeadAttention, "forward", recording)
         output = policy.act(observation, pm_mask_fn=env.pm_action_mask, rng=np.random.default_rng(5))
         policy.evaluate_actions(
             observation,
@@ -130,15 +121,56 @@ class TestSingleObservationGroupedParity:
             observation.vm_mask,
             env.pm_action_mask(output.vm_index),
         )
+        assert shapes and (seq, seq) not in shapes
+        # The probe does see the dense stage when the oracle is patched in.
+        with oracles.dense_tree_stage():
+            policy.extractor(build_feature_batch(observation))
+        assert (seq, seq) in shapes
 
-    def test_reference_mode_still_uses_dense_mask(self, env, observation, policy):
-        """The seed-substrate benchmark path keeps the dense stage reachable."""
-        with reference_ops():
-            batch = build_feature_batch(observation)
-            policy.extractor(batch)
-            assert batch._dense_tree_mask is not None
-            seq = observation.num_pms + observation.num_vms
-            assert batch._dense_tree_mask.shape == (seq, seq)
+    def test_oracle_ops_patches_are_scoped(self, observation, policy):
+        """The oracle is a scoped patch, not a process-global mode: leaving
+        the context — normally or by an exception — restores every op."""
+        from repro.core.attention import SparseAttentionExtractor
+        from repro.core.step_cache import StepCache
+        from repro.nn import functional as F
+
+        targets = [
+            (F, "softmax"), (F, "log_softmax"), (F, "layer_norm"), (F, "masked_fill"),
+            (F, "linear"), (MultiHeadAttention, "forward"),
+            (SparseAttentionExtractor, "forward"), (StepCache, "usable"),
+        ]
+        originals = [getattr(owner, name) for owner, name in targets]
+        with oracles.oracle_ops():
+            assert all(
+                getattr(owner, name) is not original
+                for (owner, name), original in zip(targets, originals)
+            )
+        with pytest.raises(RuntimeError):
+            with oracles.oracle_ops():
+                raise RuntimeError("leave the context early")
+        assert [getattr(owner, name) for owner, name in targets] == originals
+        assert policy.extractor(build_feature_batch(observation)).vm_pm_scores is not None
+
+    def test_oracle_runs_dense_tree_stage(self, observation, policy, monkeypatch):
+        """The oracle side of the parity tests really takes the dense stage:
+        one ``S×S`` mask per forward, and no grouping."""
+        masks = []
+        dense_tree_mask = oracles.dense_tree_mask
+
+        def recording(*args):
+            masks.append(dense_tree_mask(*args))
+            return masks[-1]
+
+        monkeypatch.setattr(oracles, "dense_tree_mask", recording)
+
+        def boom(self):
+            raise AssertionError("the oracle extractor grouped its trees")
+
+        monkeypatch.setattr(FeatureBatch, "tree_grouping", boom)
+        with oracles.oracle_ops():
+            policy.extractor(build_feature_batch(observation))
+        seq = observation.num_pms + observation.num_vms
+        assert [mask.shape for mask in masks] == [(seq, seq)]
 
     def test_grouping_built_once_per_batch(self, observation):
         batch = build_feature_batch(observation)

@@ -91,7 +91,7 @@ class TestIncrementalObservation:
         for _ in range(8):
             batch = patch_feature_batch(previous, obs)
             fresh = build_feature_batch(obs)
-            assert np.array_equal(batch.membership, fresh.membership)
+            assert np.array_equal(batch.hosts, fresh.hosts)
             for got, expected in zip(batch.tree_layout(), fresh.tree_layout()):
                 np.testing.assert_array_equal(got, expected)
             previous = batch

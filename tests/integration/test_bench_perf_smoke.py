@@ -27,21 +27,21 @@ def test_bench_perf_hotpaths_smoke(tmp_path):
     assert output.exists()
     assert payload["smoke"] is True
     results = payload["results"]
-    for name in (
-        "destination_mask",
-        "movable_vm_mask",
-        "observation_build",
-        "cluster_state_copy",
-        "ppo_rollout_epoch",
-        "rollout_cached_steps",
-    ):
+    for name in ("ppo_rollout_epoch", "rollout_cached_steps"):
         entry = results[name]
         assert entry["legacy_s"] > 0
         assert entry["vectorized_s"] > 0
         assert entry["speedup"] > 0
     # Paths with one implementation left report an absolute time only
-    # (attention is one kernel, grad-tracking or not).
+    # (attention is one kernel, grad-tracking or not; the loop masks and
+    # featurization are oracles in tests/oracles.py, whose speed is checked
+    # in tests/cluster/test_soa_parity.py).
     for name in (
+        "destination_mask",
+        "movable_vm_mask",
+        "observation_build",
+        "cluster_state_copy",
+        "act_single_sparse",
         "vm_attention_large",
         "vm_attention_large_grad",
         "act_large_inference",
@@ -51,8 +51,3 @@ def test_bench_perf_hotpaths_smoke(tmp_path):
     ):
         assert results[name]["seconds"] > 0
         assert "legacy_s" not in results[name]
-    # The O(V·P)-loop paths must beat the reference even at smoke scale
-    # (destination_mask's fixed numpy overhead can tie at tiny sizes, so it is
-    # only checked structurally above; at real scale it is >20x faster).
-    assert results["movable_vm_mask"]["speedup"] > 1.0
-    assert results["observation_build"]["speedup"] > 1.0

@@ -6,7 +6,7 @@ Three contracts live here:
   tiled scores, normalisation deferred to the context).  No-grad forwards
   call it directly and grad-tracking forwards through the ``_attention``
   graph node, so the two paths give the same numbers bit for bit; both are
-  pinned against the seed's chained Tensor ops (``reference_ops()``) —
+  pinned against the chained Tensor ops (``oracles.oracle_ops()``) —
   forward, weights and input/parameter gradients ≤1e-10 — whatever the tile
   layout (one tile, batch tiles — a short last one included — row tiles),
   mask (2-D/3-D, dead rows, padded items), batch layout, ``q_len``/``k_len``
@@ -34,7 +34,7 @@ import pytest
 
 from repro.core.attention import SparseAttentionExtractor
 from repro.core.config import ModelConfig
-from repro.core.features import build_feature_batch, build_stacked_feature_batch
+from repro.core.features import build_feature_batch, stack_feature_batches
 from repro.env.observation import Observation
 from repro.nn import (
     AttentionMask,
@@ -48,12 +48,13 @@ from repro.nn import (
     Tensor,
     TransformerEncoderLayer,
     no_grad,
-    reference_ops,
 )
 from repro.nn import attention as attention_module
 
+from oracles import oracle_ops
+
 HEADS = 4
-#: Node vs seed reference.  The reference renormalises masked softmax rows by
+#: Node vs the chained oracle.  The oracle renormalises masked softmax rows by
 #: ``total + 1e-12``, which alone moves masked outputs by ~1e-12.
 REFERENCE_ATOL = 1e-10
 
@@ -107,14 +108,14 @@ class Run(NamedTuple):
 def _run(layer, query, key_value=None, mask=None, return_weights=False, mode="node"):
     """Forward (+ backward of a fixed random probe) of ``layer`` on fresh leaf
     inputs: ``mode`` "node" (grad-tracking, the ``_attention`` node),
-    "reference" (grad-tracking under ``reference_ops()``) or "no_grad" (the
+    "reference" (grad-tracking under ``oracle_ops()``) or "no_grad" (the
     array path, forward only).  Self-attention when ``key_value`` is None."""
     for param in layer.parameters():
         param.grad = None
     q = Tensor(query.copy(), requires_grad=True)
     kv = q if key_value is None else Tensor(key_value.copy(), requires_grad=True)
     context = {
-        "node": contextlib.nullcontext, "reference": reference_ops, "no_grad": no_grad,
+        "node": contextlib.nullcontext, "reference": oracle_ops, "no_grad": no_grad,
     }[mode]
     with context():
         result = layer(q, kv, kv, mask=mask, return_weights=return_weights)
@@ -141,7 +142,7 @@ def _assert_runs_close(actual: Run, expected: Run, atol=REFERENCE_ATOL):
 
 
 class TestOneKernel:
-    """The node and the no-grad path vs the seed reference, over tile layouts."""
+    """The node and the no-grad path vs the chained oracle, over tile layouts."""
 
     Q_LEN = 41  # divisor-free: 41 = 10·4 + 1
 
@@ -333,7 +334,7 @@ class TestGradientParity:
         for param in layer.parameters():
             param.grad = None
         leaves = [Tensor(a.copy(), requires_grad=track) for a, track in zip(arrays, tracked)]
-        with reference_ops() if mode == "reference" else contextlib.nullcontext():
+        with oracle_ops() if mode == "reference" else contextlib.nullcontext():
             out = layer(*leaves, mask=mask)
             out.backward(np.random.default_rng(99).normal(size=out.shape))
         params = {name: param.grad for name, param in layer.named_parameters()}
@@ -693,7 +694,7 @@ class TestEncoderLayerAndExtractor:
         layer = TransformerEncoderLayer(32, HEADS, 64, rng=np.random.default_rng(8))
         probe = rng.normal(size=x.shape)
         runs = {}
-        for mode, context in (("node", contextlib.nullcontext), ("reference", reference_ops)):
+        for mode, context in (("node", contextlib.nullcontext), ("reference", oracle_ops)):
             for param in layer.parameters():
                 param.grad = None
             xt = Tensor(x.copy(), requires_grad=True)
@@ -724,10 +725,10 @@ class TestEncoderLayerAndExtractor:
     @pytest.mark.parametrize("grad", [False, True])
     def test_extractor_matches_reference(self, grad):
         """The whole extractor (grouped tree stage, every attention through
-        the one kernel) vs the seed substrate (dense tree mask, chained ops)."""
+        the one kernel) vs the oracle (dense tree mask, chained ops)."""
         observation = self._observation(np.random.default_rng(9))
         extractor = SparseAttentionExtractor(ModelConfig(), rng=np.random.default_rng(10))
-        with reference_ops():
+        with oracle_ops():
             expected = extractor(build_feature_batch(observation))
         with contextlib.nullcontext() if grad else no_grad():
             actual = extractor(build_feature_batch(observation))
@@ -742,11 +743,11 @@ class TestEncoderLayerAndExtractor:
 
     def test_extractor_gradients_match_reference(self):
         """Every extractor parameter's gradient, with each attention stage's
-        backward through the node, vs the seed substrate's chained ops."""
+        backward through the node, vs the oracle's chained ops."""
         observation = self._observation(np.random.default_rng(9))
         extractor = SparseAttentionExtractor(ModelConfig(), rng=np.random.default_rng(10))
         grads = {}
-        for mode, context in (("node", contextlib.nullcontext), ("reference", reference_ops)):
+        for mode, context in (("node", contextlib.nullcontext), ("reference", oracle_ops)):
             for param in extractor.parameters():
                 param.grad = None
             probe_rng = np.random.default_rng(11)
@@ -774,7 +775,7 @@ class TestEncoderLayerAndExtractor:
         layer = CrossAttentionLayer(32, HEADS, 64, rng=np.random.default_rng(8))
         probe = rng.normal(size=query.shape)
         runs = {}
-        for mode, context in (("node", contextlib.nullcontext), ("reference", reference_ops)):
+        for mode, context in (("node", contextlib.nullcontext), ("reference", oracle_ops)):
             for param in layer.parameters():
                 param.grad = None
             qt = Tensor(query.copy(), requires_grad=True)
@@ -797,7 +798,9 @@ class TestEncoderLayerAndExtractor:
         rng = np.random.default_rng(9)
         if stacked:
             observations = [self._observation(rng) for _ in range(3)]
-            build = lambda: build_stacked_feature_batch(observations)  # noqa: E731
+            build = lambda: stack_feature_batches(  # noqa: E731
+                [build_feature_batch(obs) for obs in observations]
+            )
             lead = (3,)
         else:
             observation = self._observation(rng)

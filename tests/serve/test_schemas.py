@@ -91,6 +91,18 @@ class TestPlanRequest:
         with pytest.raises(SchemaError):
             request.validate()
 
+    @pytest.mark.parametrize(
+        "name,value", [("migration_limit", True), ("deadline_ms", True), ("greedy", "false")]
+    )
+    def test_rejects_json_booleans_and_truthy_strings(self, name, value):
+        """``true`` is no limit or deadline (``float(True)`` would be a 1 ms
+        budget) and ``"false"`` is no boolean (``bool("false")`` is True)."""
+        payload = PlanRequest.from_state(small_state()).to_dict()
+        payload[name] = value
+        with pytest.raises(SchemaError) as excinfo:
+            PlanRequest.from_dict(payload).validate()
+        assert excinfo.value.code == "invalid_request"
+
     def test_bad_snapshot_surfaces_as_schema_error(self):
         request = PlanRequest(snapshot={"pms": [], "vms": []})
         with pytest.raises(SchemaError):
