@@ -1,7 +1,7 @@
 """Hot-path benchmark: absolute times of the vectorized core's hot paths.
 
 Times destination-mask construction, observation build, ``ClusterState.copy``,
-single-observation and large-cluster ``act``, attention, sync/async
+single-observation and large-cluster ``act``, attention, float32-inference
 collection and one PPO update epoch on a medium cluster, plus two live-path
 comparisons — one PPO rollout epoch (vectorized env + batched policy forward
 vs a single env) and greedy rollout steps with vs without the StepCache — and
@@ -29,7 +29,7 @@ from repro.core.policy import TwoStagePolicy
 from repro.core.ppo import PPOTrainer
 from repro.core.step_cache import StepCache
 from repro.datasets import ClusterSpec, SnapshotGenerator
-from repro.env import AsyncVectorEnv, SyncVectorEnv, VMRescheduleEnv
+from repro.env import SyncVectorEnv, VMRescheduleEnv
 from repro.env.observation import ObservationBuilder
 from repro.nn import MultiHeadAttention, Tensor, no_grad
 
@@ -61,11 +61,7 @@ def _time(fn, repeats: int) -> float:
     return best
 
 
-def run(
-    smoke: bool = False,
-    output: Path | None = None,
-    async_start_method: str | None = None,
-) -> dict:
+def run(smoke: bool = False, output: Path | None = None) -> dict:
     num_pms = 10 if smoke else 60
     mask_repeats = 8 if smoke else 10
     obs_repeats = 8 if smoke else 20
@@ -259,80 +255,28 @@ def run(
     )
     results["rollout_cached_steps"]["steps"] = cached_steps
 
-    # 4c. Multi-process async experience collection at equal env count:
-    # N AsyncVectorEnv workers stepping + featurizing + mask-building in
-    # their own processes over shared-memory SoA buffers, with the trainer
-    # running no-grad float32 inference forwards (ModelConfig(inference_dtype=
-    # "float32")).  The sync no-worker case with the same forwards is
-    # recorded too, so the worker pool's own contribution stays visible.
-    # Sync vs async rollouts are bitwise-identical at equal config (pinned by
-    # tests/core/test_async_rollout.py).
-    async_pms = 6 if smoke else 20
-    async_envs = 4 if smoke else 32
-    async_steps = 8 if smoke else 64
-    cpu_count = (
-        len(os.sched_getaffinity(0))
-        if hasattr(os, "sched_getaffinity")
-        else os.cpu_count()
+    # 4c. Collection with no-grad float32 inference forwards
+    # (ModelConfig(inference_dtype="float32")) over many envs of a 20-PM
+    # cluster.
+    inference_pms = 6 if smoke else 20
+    inference_envs = 4 if smoke else 32
+    inference_steps = 8 if smoke else 64
+    inference_state = _medium_state(inference_pms, seed=3)
+    inference_constraints = ConstraintConfig(migration_limit=8)
+    inference_trainer = PPOTrainer(
+        TwoStagePolicy(ModelConfig(inference_dtype="float32"), rng=np.random.default_rng(0)),
+        SyncVectorEnv([
+            partial(VMRescheduleEnv, inference_state.copy(), inference_constraints)
+            for _ in range(inference_envs)
+        ]),
+        PPOConfig(
+            rollout_steps=inference_steps, minibatch_size=inference_steps, update_epochs=1, seed=0
+        ),
     )
-    headline_workers = 2 if smoke else 4
-    # The worker sweep only differentiates when there are cores to spread
-    # over: on a 1-core runner every worker count measures the same serial
-    # execution plus IPC, so the sweep is skipped (one headline point is
-    # still recorded) and the payload says why.
-    sweep_skipped_single_core = cpu_count is not None and cpu_count <= 1
-    if sweep_skipped_single_core:
-        worker_counts = [headline_workers]
-    else:
-        worker_counts = [2] if smoke else [1, 2, 4, 8]
-    async_state = _medium_state(async_pms, seed=3)
-    async_constraints = ConstraintConfig(migration_limit=8)
-    async_fns = [
-        partial(VMRescheduleEnv, async_state.copy(), async_constraints)
-        for _ in range(async_envs)
-    ]
-
-    def collection_trainer(env) -> PPOTrainer:
-        policy = TwoStagePolicy(
-            ModelConfig(inference_dtype="float32"), rng=np.random.default_rng(0)
-        )
-        config = PPOConfig(
-            rollout_steps=async_steps, minibatch_size=async_steps, update_epochs=1, seed=0
-        )
-        return PPOTrainer(policy, env, config)
-
-    sync_fast = collection_trainer(SyncVectorEnv(async_fns))
-    sync_fast.collect_rollout()  # warm-up
-    sync_fast_s = _time(lambda: sync_fast.collect_rollout(), rollout_repeats)
-    record_absolute("rollout_epoch_sync_inference", sync_fast_s)
-
-    by_workers: dict = {}
-    resolved_start_method = async_start_method
-    for workers in worker_counts:
-        venv = AsyncVectorEnv(
-            async_fns, num_workers=workers, start_method=async_start_method, seed=0
-        )
-        resolved_start_method = venv.start_method
-        try:
-            async_trainer = collection_trainer(venv)
-            async_trainer.collect_rollout()  # warm-up
-            by_workers[workers] = _time(
-                lambda: async_trainer.collect_rollout(), rollout_repeats
-            )
-        finally:
-            venv.close()
-    record_absolute("rollout_epoch_async", by_workers[headline_workers])
-    results["rollout_epoch_async"]["workers"] = {
-        str(workers): seconds for workers, seconds in by_workers.items()
-    }
-    results["rollout_epoch_async"]["num_envs"] = async_envs
-    results["rollout_epoch_async"]["start_method"] = resolved_start_method
-    results["rollout_epoch_async"]["sweep_skipped_single_core"] = sweep_skipped_single_core
-    # The worker pool's own contribution, against the same-policy-config
-    # sync control — on a single-core runner it hovers at ~1.0 (nothing to
-    # overlap; see cpu_count below).
-    results["rollout_epoch_async"]["speedup_vs_sync_inference"] = (
-        sync_fast_s / by_workers[headline_workers]
+    inference_trainer.collect_rollout()  # warm-up
+    record_absolute(
+        "rollout_epoch_sync_inference",
+        _time(lambda: inference_trainer.collect_rollout(), rollout_repeats),
     )
 
     # 5. One full PPO update (default 4 epochs) over a fixed rollout: one
@@ -359,13 +303,9 @@ def run(
         "benchmark": "perf_hotpaths",
         "smoke": smoke,
         "cluster": {"num_pms": state.num_pms, "num_vms": state.num_vms},
-        # Worker scaling context: with one usable core the async worker pool
-        # cannot overlap env stepping with the policy forward, so the
-        # per-worker-count numbers are flat (IPC overhead only) and the
-        # async speedup reflects the inference-path work; multi-core runners
-        # additionally hide the env share inside the workers.  The sweep is
-        # skipped entirely on 1-core runners (see sweep_skipped_single_core).
-        "cpu_count": cpu_count,
+        "cpu_count": (
+            len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        ),
         "results": results,
     }
     if output is not None:
@@ -377,21 +317,12 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--smoke", action="store_true", help="tiny sizes for CI smoke runs")
     parser.add_argument(
-        "--async-start-method",
-        default=None,
-        choices=["fork", "spawn"],
-        help="multiprocessing start method for the async collection cases "
-        "(CI runs the smoke under spawn to catch worker-pickling regressions)",
-    )
-    parser.add_argument(
         "--output",
         type=Path,
         default=Path(__file__).resolve().parent.parent / "BENCH_perf_hotpaths.json",
     )
     args = parser.parse_args()
-    payload = run(
-        smoke=args.smoke, output=args.output, async_start_method=args.async_start_method
-    )
+    payload = run(smoke=args.smoke, output=args.output)
     for name, entry in payload["results"].items():
         if "seconds" in entry:
             line = f"{name:28s} {entry['seconds'] * 1e3:9.2f} ms"

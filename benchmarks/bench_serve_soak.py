@@ -1,8 +1,7 @@
-"""Fault-injection soak: the serving and collection stacks under sustained
-chaos, with hard invariants checked while latency/shed/restart numbers are
-recorded.
+"""Fault-injection soak: the serving stack under sustained chaos, with hard
+invariants checked while latency/shed/restart numbers are recorded.
 
-Three segments, all driven by the deterministic harness in
+Segments, all driven by the deterministic harness in
 :mod:`repro.testing.faults`:
 
 * **serve** — concurrent client threads push greedy RL requests (a fraction
@@ -11,9 +10,6 @@ Three segments, all driven by the deterministic harness in
   must resolve (response, partial plan, or stable error) — no timeouts, no
   hangs — and the segment records p50/p99 wall latency, shed rate, partial
   rate and per-code error counts.
-* **collect** — a supervised :class:`AsyncVectorEnv` with a seeded fault plan
-  (one-shot worker crashes) collects episodes to completion; the segment
-  records the restart count and asserts collection finished.
 * **deadline** — every deadline-constrained reply must have arrived within a
   bounded multiple of its budget.
 
@@ -27,10 +23,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import tempfile
 import threading
 import time
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +34,6 @@ from common import default_agent_config
 from repro.cluster import ConstraintConfig
 from repro.core import VMR2LAgent
 from repro.datasets import ClusterSpec, SnapshotGenerator
-from repro.env import AsyncVectorEnv, VMRescheduleEnv
 from repro.serve import (
     BaselinePlanner,
     DefaultRegistryFactory,
@@ -54,7 +47,7 @@ from repro.serve import (
     ServiceConfig,
 )
 from repro.baselines import FilteringHeuristic
-from repro.testing import FaultPlan, FaultyPlanner, faulty_factories, kill_replica
+from repro.testing import FaultyPlanner, kill_replica
 
 
 def _requests(num_requests: int, num_pms: int, migration_limit: int,
@@ -159,50 +152,6 @@ def _serve_segment(requests, registry, max_queue_depth: int, client_threads: int
         "latency_ms_p50": float(np.percentile(latencies_ms, 50)),
         "latency_ms_p99": float(np.percentile(latencies_ms, 99)),
         "_deadline_outcomes": deadline_outcomes,  # stripped before writing
-    }
-
-
-def _collect_segment(num_envs: int, crash_envs, seed: int = 0) -> dict:
-    spec = ClusterSpec(name="soak-collect", num_pms=6,
-                       target_utilization=0.72, best_fit_fraction=0.3)
-    snapshot = SnapshotGenerator(spec, seed=seed).generate()
-    config = ConstraintConfig(migration_limit=4)
-    factories = [partial(VMRescheduleEnv, snapshot.copy(), config) for _ in range(num_envs)]
-    plan = FaultPlan()
-    with tempfile.TemporaryDirectory() as latch_dir:
-        for env_index in crash_envs:
-            plan = plan.merge(
-                FaultPlan.crash(env_index, at_step=1,
-                                latch=str(Path(latch_dir) / f"soak-{env_index}.latch"))
-            )
-        venv = AsyncVectorEnv(
-            faulty_factories(factories, plan),
-            num_workers=num_envs,
-            seed=seed,
-            on_worker_failure="restart",
-        )
-        try:
-            observations = venv.reset()
-            done_once = np.zeros(num_envs, dtype=bool)
-            for _ in range(12):
-                actions = []
-                for index, obs in enumerate(observations):
-                    vm = int(np.flatnonzero(obs.vm_mask)[0])
-                    pm = int(np.flatnonzero(venv.pm_action_mask(index, vm))[0])
-                    actions.append((vm, pm))
-                observations, _, dones, _ = venv.step(actions)
-                done_once |= np.asarray(dones, dtype=bool)
-                if done_once.all():
-                    break
-            stats = venv.supervisor_stats()
-        finally:
-            venv.close()
-    assert done_once.all(), "supervised collection did not complete under crashes"
-    return {
-        "num_envs": num_envs,
-        "injected_crashes": len(crash_envs),
-        "restarts": stats["restarts"],
-        "completed": True,
     }
 
 
@@ -328,11 +277,6 @@ def run(smoke: bool = False, output: Path | None = None) -> dict:
         "all_within_bound": True,
     }
 
-    collect = _collect_segment(
-        num_envs=3 if smoke else 4,
-        crash_envs=[1] if smoke else [1, 3],
-    )
-
     fleet = _fleet_segment(smoke, migration_limit)
 
     payload = {
@@ -345,7 +289,6 @@ def run(smoke: bool = False, output: Path | None = None) -> dict:
         },
         "serve": serve,
         "deadline": deadline_summary,
-        "collect": collect,
         "fleet": fleet,
     }
     print(json.dumps(payload, indent=2))

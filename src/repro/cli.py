@@ -94,18 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--num-heads", type=int, default=2)
     train.add_argument("--num-blocks", type=int, default=1)
     train.add_argument("--extractor", default="sparse", choices=["sparse", "vanilla"])
-    train.add_argument("--num-workers", type=int, default=0,
-                       help="experience-collection worker processes (0 = single in-process env; "
-                            "N > 0 runs N AsyncVectorEnv workers)")
-    train.add_argument("--num-envs", type=int, default=None,
-                       help="parallel environments (default: one per worker)")
-    train.add_argument("--start-method", default=None, choices=["fork", "spawn"],
-                       help="multiprocessing start method for --num-workers > 0")
-    train.add_argument("--on-worker-failure", default="raise", choices=["raise", "restart"],
-                       help="supervision policy for crashed/hung collection workers")
-    train.add_argument("--worker-timeout-s", type=float, default=None,
-                       help="treat a collection worker as hung after this many "
-                            "seconds without a reply (default: wait forever)")
+    train.add_argument("--num-envs", type=int, default=1,
+                       help="environments stepped in lock-step per PPO collection step")
     train.add_argument("--seed", type=int, default=0)
     train.add_argument("--json", action="store_true")
 
@@ -302,14 +292,11 @@ def cmd_train(args) -> Dict:
                        seed=args.seed)
     history = agent.train_on_states(train_states, total_steps=args.total_steps,
                                     eval_states=eval_states, eval_every=4,
-                                    num_workers=args.num_workers, num_envs=args.num_envs,
-                                    start_method=args.start_method,
-                                    on_worker_failure=args.on_worker_failure,
-                                    worker_timeout_s=args.worker_timeout_s)
+                                    num_envs=args.num_envs)
     path = agent.save(args.checkpoint)
     summary = {
         "checkpoint": str(path),
-        "num_workers": args.num_workers,
+        "num_envs": args.num_envs,
         "updates": len(history),
         "final_mean_reward": history[-1].mean_reward if history else 0.0,
         "final_eval_metric": next((h.eval_metric for h in reversed(history) if h.eval_metric is not None), None),

@@ -10,6 +10,7 @@ sampled and the best is returned.
 from __future__ import annotations
 
 import time
+from functools import partial
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
@@ -17,7 +18,6 @@ import numpy as np
 
 from ..baselines.base import Rescheduler, ReschedulingResult
 from ..cluster import ClusterState, ConstraintConfig, MigrationPlan
-from ..env.async_vector_env import AsyncVectorEnv
 from ..env.objectives import FragmentRateObjective, Objective
 from ..env.vector_env import SyncVectorEnv
 from ..env.vmr_env import VMRescheduleEnv
@@ -27,45 +27,6 @@ from .policy import TwoStagePolicy
 from .ppo import PPOTrainer, TrainingLogEntry
 from .risk_seeking import risk_seeking_evaluate, rollout_batch, rollout_trajectory
 from .step_cache import StepCache
-
-
-class _SampledTrainEnvFactory:
-    """Picklable factory building one training environment.
-
-    Async workers construct their environments in the worker process — under
-    the ``spawn`` start method the factory itself is pickled, so it must be a
-    module-level callable object, not a closure.  Each factory carries its
-    own sampler seed: the same ``(seed, num_workers)`` pair reproduces the
-    same per-env episode streams across runs and start methods.
-    """
-
-    def __init__(
-        self,
-        states: Sequence[ClusterState],
-        constraint_config: ConstraintConfig,
-        objective: Objective,
-        illegal_action_penalty: Optional[float],
-        sampler_seed: int,
-    ) -> None:
-        self.states = list(states)
-        self.constraint_config = constraint_config
-        self.objective = objective
-        self.illegal_action_penalty = illegal_action_penalty
-        self.sampler_seed = sampler_seed
-
-    def __call__(self) -> VMRescheduleEnv:
-        rng = np.random.default_rng(self.sampler_seed)
-        states = self.states
-
-        def sample_state() -> ClusterState:
-            return states[rng.integers(len(states))]
-
-        return VMRescheduleEnv(
-            state_sampler=sample_state,
-            constraint_config=self.constraint_config,
-            objective=self.objective,
-            illegal_action_penalty=self.illegal_action_penalty,
-        )
 
 
 class VMR2LAgent(Rescheduler):
@@ -107,72 +68,41 @@ class VMR2LAgent(Rescheduler):
         eval_states: Optional[Sequence[ClusterState]] = None,
         eval_every: int = 1,
         illegal_action_penalty: Optional[float] = None,
-        num_workers: int = 0,
-        num_envs: Optional[int] = None,
-        start_method: Optional[str] = None,
-        on_worker_failure: str = "raise",
-        worker_timeout_s: Optional[float] = None,
+        num_envs: int = 1,
     ) -> List[TrainingLogEntry]:
         """Train PPO on episodes sampled uniformly from ``train_states``.
 
         ``illegal_action_penalty`` activates the §5.4 Penalty ablation; leave
         it ``None`` for the (default) masked two-stage and full-joint modes.
 
-        ``num_workers`` selects the experience-collection backend:
-
-        * ``0`` (default) — an in-process
-          :class:`~repro.env.vector_env.SyncVectorEnv` of ``num_envs``
-          environments (default one).
-        * ``> 0`` — an :class:`~repro.env.async_vector_env.AsyncVectorEnv`
-          with ``num_envs`` environments (default ``num_workers``, i.e. one
-          per worker) sharded over that many worker processes; environments
-          step and featurize in parallel while the policy forward stays in
-          this process.  ``start_method`` picks ``fork``/``spawn`` (training
-          states are pickled to each worker under ``spawn``).
-
-        ``on_worker_failure`` / ``worker_timeout_s`` forward to the async
-        env's supervisor: ``"restart"`` keeps long training runs alive
-        through worker crashes (and, with a timeout, hangs) by respawning
-        the failed shard in place.
+        Experience is collected from a
+        :class:`~repro.env.vector_env.SyncVectorEnv` of ``num_envs``
+        environments, each sampling its own episode stream.
         """
         if not train_states:
             raise ValueError("train_states must not be empty")
-        if num_workers < 0:
-            raise ValueError("num_workers must not be negative")
+        if num_envs < 1:
+            raise ValueError("num_envs must be >= 1")
         train_states = list(train_states)
 
         penalty = illegal_action_penalty
         if penalty is None and self.config.model.action_mode == "penalty":
             penalty = -5.0
 
-        count = num_envs if num_envs else max(num_workers, 1)
-        if count < max(num_workers, 1):
-            raise ValueError("num_envs must be >= num_workers")
-        factories = [
-            _SampledTrainEnvFactory(
-                train_states,
-                self.constraint_config,
-                self.objective,
-                penalty,
-                sampler_seed=self.seed + 1 + index,
+        def make_env(sampler_seed: int) -> VMRescheduleEnv:
+            rng = np.random.default_rng(sampler_seed)
+            return VMRescheduleEnv(
+                state_sampler=lambda: train_states[rng.integers(len(train_states))],
+                constraint_config=self.constraint_config,
+                objective=self.objective,
+                illegal_action_penalty=penalty,
             )
-            for index in range(count)
-        ]
-        if num_workers > 0:
-            env = AsyncVectorEnv(
-                factories,
-                num_workers=num_workers,
-                start_method=start_method,
-                seed=self.seed,
-                # Samplers draw snapshots of varying size; size the shared
-                # buffers for the largest training mapping up front.
-                max_pms=max(state.num_pms for state in train_states),
-                max_vms=max(state.num_vms for state in train_states),
-                on_worker_failure=on_worker_failure,
-                worker_timeout_s=worker_timeout_s,
-            )
-        else:
-            env = SyncVectorEnv(factories)
+
+        # One sampler seed per env: the same (seed, num_envs) reproduces the
+        # same per-env episode streams.
+        env = SyncVectorEnv(
+            [partial(make_env, self.seed + 1 + index) for index in range(num_envs)]
+        )
 
         eval_callback = None
         if eval_states:

@@ -186,8 +186,6 @@ class TwoStagePolicy(Module):
         vm_threshold_quantile: Optional[float] = None,
         pm_threshold_quantile: Optional[float] = None,
         compute_stats: bool = True,
-        pm_masks_fn: Optional[Callable[[Sequence[int]], np.ndarray]] = None,
-        pm_masks_begin_fn: Optional[Callable[[Sequence[int]], Callable[[], np.ndarray]]] = None,
         step_cache: Optional[StepCache] = None,
     ) -> List[PolicyOutput]:
         """Select a (VM, PM) action for every observation.
@@ -201,19 +199,10 @@ class TwoStagePolicy(Module):
 
         In ``two_stage`` mode the VM candidates are masked by feasibility
         and, once a VM is chosen, every PM that cannot host it is masked out.
-        Stage-2 masks come from either ``pm_mask_fns`` (one per-environment
-        callable mapping the chosen VM index to its mask, usually
-        ``env.pm_action_mask``) or ``pm_masks_fn`` (ONE batched callable
-        mapping the chosen ``vm_indices`` to stacked ``(batch, num_pms)``
-        masks — a vector env's ``pm_action_masks``, a single exchange on the
-        multi-process backend).  ``pm_masks_begin_fn`` is the two-phase
-        variant (a vector env's ``pm_action_masks_begin``): the request is
-        issued *before* the stage-2 decoder forward and collected after it,
-        overlapping the workers' mask construction with the decoder GEMMs; it
-        takes precedence over ``pm_masks_fn``, which takes precedence over
-        ``pm_mask_fns``.  The batched sources answer for the whole batch at
-        once, so a mixed-size batch needs ``pm_mask_fns``.  ``joint_masks``
-        is required in ``full_joint`` mode; ``penalty`` mode uses no masks.
+        Stage-2 masks come from ``pm_mask_fns``: one per-environment callable
+        mapping the chosen VM index to its mask, usually
+        ``env.pm_action_mask``.  ``joint_masks`` is required in
+        ``full_joint`` mode; ``penalty`` mode uses no masks.
 
         ``rng`` is one generator for the whole batch (rows draw from it in
         row order, stage 1 before stage 2) or one generator per row, so a
@@ -233,28 +222,18 @@ class TwoStagePolicy(Module):
         if pm_mask_fns is not None and len(observations) != len(pm_mask_fns):
             raise ValueError("need one pm_mask_fn per observation")
         two_stage = self.config.action_mode == "two_stage"
-        if two_stage and pm_mask_fns is None and pm_masks_fn is None and pm_masks_begin_fn is None:
-            raise ValueError("two_stage mode needs pm_mask_fns or pm_masks_fn")
+        if two_stage and pm_mask_fns is None:
+            raise ValueError("two_stage mode needs pm_mask_fns")
         if self.config.action_mode == "full_joint" and (
             joint_masks is None or any(mask is None for mask in joint_masks)
         ):
             raise ValueError("full_joint mode requires the joint legality mask")
-        groups = _size_groups(observations)
-        if len(groups) > 1:
-            if two_stage and pm_mask_fns is None:
-                raise ValueError(
-                    "a mixed-size batch needs per-environment pm_mask_fns; "
-                    "pm_masks_fn answers for the whole batch at once"
-                )
-            pm_masks_fn = pm_masks_begin_fn = None
         outputs: List[Optional[PolicyOutput]] = [None] * len(observations)
-        for rows in groups:
+        for rows in _size_groups(observations):
             group_outputs = self._act_same_size(
                 [observations[row] for row in rows],
                 pm_mask_fns=None if pm_mask_fns is None else [pm_mask_fns[row] for row in rows],
                 joint_masks=None if joint_masks is None else [joint_masks[row] for row in rows],
-                pm_masks_fn=pm_masks_fn,
-                pm_masks_begin_fn=pm_masks_begin_fn,
                 rngs=[rngs[row] for row in rows],
                 greedy=greedy,
                 vm_threshold_quantile=vm_threshold_quantile,
@@ -272,8 +251,6 @@ class TwoStagePolicy(Module):
         *,
         pm_mask_fns,
         joint_masks,
-        pm_masks_fn,
-        pm_masks_begin_fn,
         rngs: Sequence[np.random.Generator],
         greedy: bool,
         vm_threshold_quantile: Optional[float],
@@ -340,39 +317,12 @@ class TwoStagePolicy(Module):
         # Stage 2: the PM decoder runs batched inside PMActor — each row's PMs
         # cross-attend to that row's selected VM embedding, and the stage-3
         # score bias is gathered per row.  Sampling is vectorized like stage 1.
-        # With a two-phase mask source the batched stage-2 exchange is issued
-        # BEFORE the decoder forward (async workers build masks while the
-        # parent runs the decoder GEMMs) and collected after it.
-        mask_fetch = None
-        if use_masks and pm_masks_begin_fn is not None:
-            mask_fetch = pm_masks_begin_fn(vm_indices)
-        try:
-            pm_logit_rows = self.pm_actor(extractor_output, vm_indices)
-        except BaseException:
-            # The mask exchange is in flight; drain it before propagating so
-            # the (lock-step) async pipes stay synchronized for a driver that
-            # catches the error and keeps using the vector env.
-            if mask_fetch is not None:
-                try:
-                    mask_fetch()
-                except Exception:
-                    pass
-            raise
-        if not use_masks:
-            pm_mask_rows = None
-        elif mask_fetch is not None or pm_masks_fn is not None:
-            pm_mask_rows = np.asarray(
-                mask_fetch() if mask_fetch is not None else pm_masks_fn(vm_indices), dtype=bool
-            )
-            if pm_mask_rows.shape[0] != num_envs:
-                raise ValueError(
-                    f"the batched stage-2 mask source returned {pm_mask_rows.shape[0]} "
-                    f"rows for {num_envs} observations"
-                )
-        else:
-            pm_mask_rows = np.stack(
-                [pm_mask_fns[i](vm_indices[i]) for i in range(num_envs)], axis=0
-            )
+        pm_logit_rows = self.pm_actor(extractor_output, vm_indices)
+        pm_mask_rows = (
+            np.stack([pm_mask_fns[i](vm_indices[i]) for i in range(num_envs)], axis=0)
+            if use_masks
+            else None
+        )
         pm_prob_rows = _masked_softmax_rows(pm_logit_rows.numpy(), pm_mask_rows)
         if compute_stats:
             entropies = (

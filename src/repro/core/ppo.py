@@ -16,7 +16,7 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from ..env.vector_env import SyncVectorEnv, VectorEnv
+from ..env.vector_env import SyncVectorEnv
 from ..nn import Adam, LinearSchedule, Tensor, no_grad
 from ..nn import functional as F
 from .config import PPOConfig
@@ -43,10 +43,7 @@ class TrainingLogEntry:
 class PPOTrainer:
     """Collect rollouts and optimize the policy with PPO.
 
-    ``env`` may be any :class:`~repro.env.vector_env.VectorEnv` — the
-    synchronous in-process backend or the multi-process
-    :class:`~repro.env.async_vector_env.AsyncVectorEnv`; the trainer only
-    talks to the shared protocol, so both collect identically — or a bare
+    ``env`` is a :class:`~repro.env.vector_env.SyncVectorEnv` or a bare
     :class:`~repro.env.vmr_env.VMRescheduleEnv`, which is wrapped as a
     one-env :class:`SyncVectorEnv`.  Each collection step stacks the per-env
     observations and calls :meth:`TwoStagePolicy.act_batch`, one
@@ -61,7 +58,7 @@ class PPOTrainer:
         eval_callback: Optional[Callable[[TwoStagePolicy], float]] = None,
     ) -> None:
         self.policy = policy
-        self.env: VectorEnv = env if isinstance(env, VectorEnv) else SyncVectorEnv([lambda: env])
+        self.env = env if isinstance(env, SyncVectorEnv) else SyncVectorEnv([lambda: env])
         self.config = config or PPOConfig()
         self.eval_callback = eval_callback
         self.optimizer = Adam(policy.parameters(), lr=self.config.learning_rate)
@@ -87,16 +84,13 @@ class PPOTrainer:
         """Collect about ``rollout_steps`` transitions with batched policy forwards.
 
         Per step the policy runs ONE extractor forward over the stacked
-        observations (``act_batch``), and the stage-2 masks come back through
-        ONE ``pm_action_masks`` exchange — on the async backend that is a
-        single round trip to the worker pool.  Forwards run under
-        ``repro.nn.no_grad`` without the entropy terms: PPO recomputes
-        everything differentiable during the update, and the sampled actions,
-        log-probs and values are bit-for-bit those of a tracking forward.
-        The vector env resets finished episodes itself.  The buffer stores
-        transitions time-major interleaved; GAE runs per env.  Only protocol
-        methods are used, so the sync and multi-process backends collect
-        bit-for-bit identical rollouts under one seed.
+        observations (``act_batch``), and each env answers its own stage-2
+        mask.  Forwards run under ``repro.nn.no_grad`` without the entropy
+        terms: PPO recomputes everything differentiable during the update,
+        and the sampled actions, log-probs and values are bit-for-bit those of
+        a tracking forward.  The vector env resets finished episodes itself.
+        The buffer stores transitions time-major interleaved; GAE runs per
+        env.
         """
         venv = self.env
         num_envs = venv.num_envs
@@ -106,8 +100,6 @@ class PPOTrainer:
 
         full_joint = self.policy.config.action_mode == "full_joint"
         two_stage = self.policy.config.action_mode == "two_stage"
-        # Per-env mask fns serve envs of different cluster sizes; a same-size
-        # step uses the batched exchange instead.
         pm_mask_fns = [partial(venv.pm_action_mask, index) for index in range(num_envs)]
 
         while not buffer.full:
@@ -120,11 +112,6 @@ class PPOTrainer:
                     rng=self.rng,
                     joint_masks=joint_masks,
                     compute_stats=False,
-                    pm_masks_fn=venv.pm_action_masks,
-                    # Two-phase stage-2 exchange: the mask request is issued
-                    # before the decoder forward and collected after it, so
-                    # async workers build masks while the parent runs GEMMs.
-                    pm_masks_begin_fn=venv.pm_action_masks_begin,
                 )
             actions = [output.action for output in outputs]
             next_observations, rewards, dones, _ = venv.step(actions)

@@ -5,8 +5,7 @@
 * :mod:`repro.env.objectives` — FR, min-migration and mixed objectives
 * :mod:`repro.env.vmr_env` — :class:`VMRescheduleEnv`, the deterministic simulator
 * :mod:`repro.env.wrappers` — episode statistics / reward scaling / time limits
-* :mod:`repro.env.vector_env` — the :class:`VectorEnv` protocol + synchronous backend
-* :mod:`repro.env.async_vector_env` — multi-process backend over shared memory
+* :mod:`repro.env.vector_env` — :class:`SyncVectorEnv`, N envs stepped in lock-step
 """
 
 from .objectives import (
@@ -25,9 +24,7 @@ from .observation import (
     VM_FEATURE_DIM,
 )
 from .spaces import Box, Discrete, MultiDiscrete, Space, Tuple
-from .async_vector_env import AsyncVectorEnv, AsyncVectorEnvError
-from .shared_memory import SharedObservationBuffers
-from .vector_env import SyncVectorEnv, VectorEnv
+from .vector_env import SyncVectorEnv
 from .vmr_env import StepRecord, VMRescheduleEnv
 from .wrappers import (
     EnvWrapper,
@@ -38,8 +35,6 @@ from .wrappers import (
 )
 
 __all__ = [
-    "AsyncVectorEnv",
-    "AsyncVectorEnvError",
     "Box",
     "Discrete",
     "EnvWrapper",
@@ -57,9 +52,7 @@ __all__ = [
     "RewardScaling",
     "Space",
     "StepRecord",
-    "SharedObservationBuffers",
     "SyncVectorEnv",
-    "VectorEnv",
     "TimeLimit",
     "Tuple",
     "VMRescheduleEnv",

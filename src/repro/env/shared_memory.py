@@ -1,228 +1,19 @@
-"""Preallocated shared-memory transport for vectorized observations.
+"""Read-only model weights in shared memory for the serving fleet.
 
-The multi-process :class:`~repro.env.async_vector_env.AsyncVectorEnv`
-featurizes observations *worker-side* and ships them to the trainer through
-the structure-of-arrays buffers defined here — one fixed-capacity slot per
-environment, allocated once up front — so the per-step exchange is a handful
-of array copies into shared pages instead of pickling an
-:class:`~repro.env.observation.Observation` (let alone a ``ClusterState``)
-through a pipe on every step.
-
-Layout (``E`` environments, capacities ``P`` PMs and ``V`` VMs):
-
-=========================  ====================  =======================
-field                      shape                 carries
-=========================  ====================  =======================
-``pm_features``            ``(E, P, 8)`` f8      normalized PM features
-``vm_features``            ``(E, V, 14)`` f8     normalized VM features
-``vm_source_pm``           ``(E, V)`` i8         VM → host-PM row index
-``vm_mask``                ``(E, V)`` b1         stage-1 feasibility
-``vm_ids`` / ``pm_ids``    ``(E, V|P)`` i8       row → id lookup tables
-``num_pms`` / ``num_vms``  ``(E,)`` i8           the slot's *actual* sizes
-``migrations_left``        ``(E,)`` i8           per-env step budget
-``rewards`` / ``dones``    ``(E,)`` f8 / b1      step results
-``pm_masks``               ``(E, P)`` b1         stage-2 mask responses
-``joint_masks``            ``(E, V, P)`` b1      full-joint mask responses
-=========================  ====================  =======================
-
-Episodes may use any cluster size up to the capacity (training samplers draw
-snapshots of varying VM counts); each write records the slot's actual
-``(num_pms, num_vms)`` and readers slice to it, so round-tripped
-observations are exactly what the worker featurized.
-
-The buffers are ``multiprocessing`` ``RawArray`` blocks: they are inherited
-by ``fork`` workers and pickled by handle for ``spawn`` workers, so one
-implementation covers both start methods.  No locking is needed — the
-request/response protocol of the async env guarantees each slot has exactly
-one writer (its worker) and the parent only reads between exchanges.  Readers
-always *copy* out of the shared pages: the slot is overwritten on the next
-step, while observations handed to the rollout buffer must stay immutable.
+:class:`SharedModuleWeights` freezes a module's parameters into
+``multiprocessing`` ``RawArray`` pages once; every replica process attaches
+its policy to read-only numpy views over those pages instead of holding a
+private copy.  The pages are inherited by ``fork`` workers and pickled by
+handle for ``spawn`` workers, so one implementation covers both start
+methods.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-
-from .observation import Observation, PM_FEATURE_DIM, VM_FEATURE_DIM
-
-
-class SharedObservationBuffers:
-    """Fixed-capacity per-environment SoA slots in shared memory.
-
-    One instance is created by the parent (sized from a probe observation or
-    explicit capacities) and passed to every worker process; both sides build
-    numpy views over the same pages via :attr:`views`.  The object is
-    picklable for ``spawn`` workers — the views are rebuilt lazily per
-    process, never pickled.
-    """
-
-    _FLOAT = np.dtype(np.float64)
-    _INT = np.dtype(np.int64)
-    _BOOL = np.dtype(np.bool_)
-
-    def __init__(
-        self,
-        num_envs: int,
-        max_pms: int,
-        max_vms: int,
-        context=None,
-    ) -> None:
-        if num_envs <= 0:
-            raise ValueError("num_envs must be positive")
-        if max_pms <= 0 or max_vms < 0:
-            raise ValueError("need at least one PM and a non-negative VM capacity")
-        ctx = context if context is not None else multiprocessing
-        self.num_envs = num_envs
-        self.max_pms = max_pms
-        self.max_vms = max_vms
-        self._specs: Dict[str, Tuple[Tuple[int, ...], np.dtype]] = {
-            "pm_features": ((num_envs, max_pms, PM_FEATURE_DIM), self._FLOAT),
-            "vm_features": ((num_envs, max_vms, VM_FEATURE_DIM), self._FLOAT),
-            "vm_source_pm": ((num_envs, max_vms), self._INT),
-            "vm_mask": ((num_envs, max_vms), self._BOOL),
-            "vm_ids": ((num_envs, max_vms), self._INT),
-            "pm_ids": ((num_envs, max_pms), self._INT),
-            "num_pms": ((num_envs,), self._INT),
-            "num_vms": ((num_envs,), self._INT),
-            "migrations_left": ((num_envs,), self._INT),
-            "rewards": ((num_envs,), self._FLOAT),
-            "dones": ((num_envs,), self._BOOL),
-            "pm_masks": ((num_envs, max_pms), self._BOOL),
-            "joint_masks": ((num_envs, max_vms, max_pms), self._BOOL),
-        }
-        self._blocks = {
-            name: ctx.RawArray("b", int(max(np.prod(shape), 1) * dtype.itemsize))
-            for name, (shape, dtype) in self._specs.items()
-        }
-        self._views: Optional[Dict[str, np.ndarray]] = None
-
-    # -- pickling: ship the raw blocks, rebuild views per process -------- #
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_views"] = None
-        return state
-
-    @property
-    def views(self) -> Dict[str, np.ndarray]:
-        """Per-process numpy views over the shared blocks (built lazily)."""
-        if self._views is None:
-            # count= handles zero-size fields (e.g. max_vms == 0): the backing
-            # block is 1 byte (RawArray cannot be empty) but the view must
-            # hold exactly prod(shape) elements.
-            self._views = {
-                name: np.frombuffer(
-                    self._blocks[name], dtype=dtype, count=int(np.prod(shape))
-                ).reshape(shape)
-                for name, (shape, dtype) in self._specs.items()
-            }
-        return self._views
-
-    def nbytes(self) -> int:
-        """Total shared allocation — reported in logs/docs, never resized."""
-        return sum(len(block) for block in self._blocks.values())
-
-    def _slot_sizes(self, slot: int) -> Tuple[int, int]:
-        views = self.views
-        return int(views["num_pms"][slot]), int(views["num_vms"][slot])
-
-    # ------------------------------------------------------------------ #
-    # Worker-side writes
-    # ------------------------------------------------------------------ #
-    def write_observation(self, slot: int, observation: Observation) -> None:
-        """Copy a featurized observation into ``slot`` (worker-side)."""
-        num_pms, num_vms = observation.num_pms, observation.num_vms
-        if num_pms > self.max_pms or num_vms > self.max_vms:
-            raise ValueError(
-                f"observation with {num_pms} PMs / {num_vms} VMs exceeds the "
-                f"shared-buffer capacity ({self.max_pms} PMs / {self.max_vms} "
-                "VMs); size the async vector env with max_pms/max_vms covering "
-                "the largest snapshot the samplers can draw"
-            )
-        views = self.views
-        views["pm_features"][slot, :num_pms] = observation.pm_features
-        views["vm_features"][slot, :num_vms] = observation.vm_features
-        views["vm_source_pm"][slot, :num_vms] = observation.vm_source_pm
-        views["vm_mask"][slot, :num_vms] = observation.vm_mask
-        views["vm_ids"][slot, :num_vms] = observation.vm_ids
-        views["pm_ids"][slot, :num_pms] = observation.pm_ids
-        views["num_pms"][slot] = num_pms
-        views["num_vms"][slot] = num_vms
-        views["migrations_left"][slot] = observation.migrations_left
-
-    def write_step(self, slot: int, reward: float, done: bool) -> None:
-        views = self.views
-        views["rewards"][slot] = reward
-        views["dones"][slot] = done
-
-    def mark_restarted(self, slot: int) -> None:
-        """Parent-side: synthesize the step result of a restarted worker's slot.
-
-        The supervisor calls this after respawning a worker that died mid
-        ``step`` exchange: the destroyed episode ends (``done=True``) with a
-        neutral reward, and the replacement worker's reset has already
-        refilled the slot's observation fields.  Safe for the parent to write
-        because the failed worker is dead and the replacement only writes
-        during commands it has been sent.
-        """
-        views = self.views
-        views["rewards"][slot] = 0.0
-        views["dones"][slot] = True
-
-    def write_pm_mask(self, slot: int, mask: np.ndarray) -> None:
-        self.views["pm_masks"][slot, : mask.shape[0]] = mask
-
-    def write_joint_mask(self, slot: int, mask: np.ndarray) -> None:
-        num_vms, num_pms = mask.shape
-        self.views["joint_masks"][slot, :num_vms, :num_pms] = mask
-
-    # ------------------------------------------------------------------ #
-    # Parent-side reads (always copies — the slot is reused next step)
-    # ------------------------------------------------------------------ #
-    def read_observation(self, slot: int) -> Observation:
-        """Rebuild the slot's observation from the shared pages."""
-        views = self.views
-        num_pms, num_vms = self._slot_sizes(slot)
-        vm_ids = views["vm_ids"][slot, :num_vms].copy()
-        pm_ids = views["pm_ids"][slot, :num_pms].copy()
-        return Observation(
-            pm_features=views["pm_features"][slot, :num_pms].copy(),
-            vm_features=views["vm_features"][slot, :num_vms].copy(),
-            vm_source_pm=views["vm_source_pm"][slot, :num_vms].copy(),
-            vm_mask=views["vm_mask"][slot, :num_vms].copy(),
-            vm_ids=vm_ids.tolist(),
-            pm_ids=pm_ids.tolist(),
-            migrations_left=int(views["migrations_left"][slot]),
-            vm_id_array=vm_ids,
-            pm_id_array=pm_ids,
-        )
-
-    def read_steps(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Rewards and dones for every slot (copies)."""
-        views = self.views
-        return views["rewards"].copy(), views["dones"].copy()
-
-    def read_pm_masks(self) -> Union[np.ndarray, List[np.ndarray]]:
-        """Stage-2 mask rows, stacked when every slot shares one PM count."""
-        views = self.views
-        sizes = views["num_pms"]
-        if (sizes == sizes[0]).all():
-            return views["pm_masks"][:, : int(sizes[0])].copy()
-        return [self.read_pm_mask(slot) for slot in range(self.num_envs)]
-
-    def read_pm_mask(self, slot: int) -> np.ndarray:
-        num_pms, _ = self._slot_sizes(slot)
-        return self.views["pm_masks"][slot, :num_pms].copy()
-
-    def read_joint_masks(self) -> List[np.ndarray]:
-        view = self.views["joint_masks"]
-        out = []
-        for slot in range(self.num_envs):
-            num_pms, num_vms = self._slot_sizes(slot)
-            out.append(view[slot, :num_vms, :num_pms].copy())
-        return out
 
 
 class SharedModuleWeights:
@@ -231,10 +22,8 @@ class SharedModuleWeights:
     The serving fleet runs N replica processes that all host the same policy;
     holding N private copies of the weights wastes memory and makes replica
     startup pay a full deserialize.  This class freezes one module's
-    ``state_dict`` into ``RawArray`` pages (same transport as
-    :class:`SharedObservationBuffers`: inherited by ``fork`` workers, pickled
-    by handle for ``spawn`` workers) so every replica *attaches* to the single
-    shared copy instead.
+    ``state_dict`` into ``RawArray`` pages so every replica *attaches* to the
+    single shared copy instead.
 
     :meth:`attach` points a structurally-identical module's parameters at
     **read-only** numpy views over the pages — zero copies, and any code path

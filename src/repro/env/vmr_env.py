@@ -106,8 +106,6 @@ class VMRescheduleEnv:
 
         The simulator itself is deterministic; the generator feeds optional
         stochastic components (e.g. samplers that consult ``env.rng``).
-        Vector envs call this per worker/env so identical seeds reproduce
-        identical rollouts across backends and start methods.
         """
         self.rng = np.random.default_rng(seed)
 

@@ -6,8 +6,7 @@ and micro-batcher) over **read-only model weights** shared through
 :class:`~repro.env.shared_memory.SharedModuleWeights` pages — one weight copy
 fleet-wide.  Requests go to the least-loaded replica and are retried on a
 survivor when theirs fails; dead or hung replicas are restarted in place
-under a per-slot budget with jittered backoff (through :mod:`repro.supervise`,
-like :class:`~repro.env.async_vector_env.AsyncVectorEnv`'s env workers).
+under a per-slot budget with jittered backoff (through :mod:`repro.supervise`).
 
 Every decision is made by :class:`~repro.serve.control.FleetControl`, a pure
 state machine.  This module is its shell: it spawns processes, runs a pipe

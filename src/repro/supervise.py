@@ -1,11 +1,11 @@
-"""Process supervision shared by the replica fleet and the async env.
+"""Process supervision for the replica fleet.
 
-Both supervisors run worker processes over a duplex pipe and recover from
-their death the same way: :func:`spawn` starts a daemon process with the
+The fleet runs worker processes over a duplex pipe and recovers from their
+death through these helpers: :func:`spawn` starts a daemon process with the
 child end of a fresh pipe, :func:`stop` escalates until the process is gone
 (join → SIGTERM → SIGKILL) and closes the parent end, and
 :class:`RetryPolicy` is the one capped, jittered exponential backoff — for
-request retries, replica respawns and env-worker restarts alike.
+request retries and replica respawns alike.
 """
 
 from __future__ import annotations

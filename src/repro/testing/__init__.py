@@ -1,16 +1,12 @@
-"""Test-support subsystems shipped with the library (fault injection and
-reference planners)."""
+"""Test-support subsystems shipped with the library (serving fault injection
+and reference planners)."""
 
 from .faults import (
     CRASH_EXIT_CODE,
-    Fault,
     FaultInjected,
-    FaultPlan,
-    FaultyEnv,
     FaultyPlanner,
     FaultyRegistryFactory,
     LoadSpike,
-    faulty_factories,
     kill_replica,
     malformed_http_payloads,
     oversized_body,
@@ -20,15 +16,11 @@ from .reference import FreshRLPlanner
 
 __all__ = [
     "CRASH_EXIT_CODE",
-    "Fault",
     "FaultInjected",
-    "FaultPlan",
-    "FaultyEnv",
     "FaultyPlanner",
     "FaultyRegistryFactory",
     "FreshRLPlanner",
     "LoadSpike",
-    "faulty_factories",
     "kill_replica",
     "malformed_http_payloads",
     "oversized_body",

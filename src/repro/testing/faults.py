@@ -1,26 +1,19 @@
-"""Deterministic fault injection for the collection and serving stacks.
+"""Deterministic fault injection for the serving stack.
 
 Robustness claims need a harness that can *cause* the failures they promise to
-survive.  This module provides seeded, composable fault plans and the hooks to
-inject them at every layer the chaos suites exercise:
+survive.  This module provides the hooks to inject them at every layer the
+chaos suites exercise:
 
-* **Environment faults** — :class:`FaultPlan` schedules per-env faults
-  (``crash`` / ``hang`` / ``slow`` / ``raise``) at a chosen ``step()`` call;
-  :func:`faulty_factories` wraps the picklable env factories handed to
-  :class:`~repro.env.async_vector_env.AsyncVectorEnv`, so faults fire inside
-  worker processes under both ``fork`` and ``spawn``.  A ``crash`` is a hard
-  ``os._exit`` (no cleanup, like an OOM kill), a ``hang`` is an unbounded
-  sleep (trips the supervisor's ``worker_timeout_s``), ``slow`` adds fixed
-  per-step latency, ``raise`` surfaces an env exception through the normal
-  error reply.
-* **One-shot latches** — a restarted worker re-runs the same factories, so an
-  unconditional crash-at-step-k would crash every replacement too and exhaust
+* **Planner faults** — :class:`FaultyPlanner` wraps any registry planner and
+  raises/hangs/delays on chosen call ordinals, for testing per-request error
+  isolation and deadline behavior in :class:`ReschedulingService`.  A
+  ``crash`` is a hard ``os._exit`` of the hosting process (no cleanup, like
+  an OOM kill) and a ``hang`` an unbounded sleep.
+* **One-shot latches** — a restarted replica rebuilds the same planner, so an
+  unconditional crash on call k would crash every replacement too and exhaust
   the restart budget.  A fault with a ``latch`` path fires only if it can
   create that file first (atomic ``open(..., "x")``), making it fire exactly
   once per latch across any number of respawns.
-* **Planner faults** — :class:`FaultyPlanner` wraps any registry planner and
-  raises/hangs/delays on chosen call ordinals, for testing per-request error
-  isolation and deadline behavior in :class:`ReschedulingService`.
 * **Autoscale/brownout faults** — :func:`slow_replica_factory` plants a
   *persistently* slow planner in one replica (``fail_calls=None`` fires on
   every call), and :class:`LoadSpike` describes a deterministic flash-crowd
@@ -29,203 +22,29 @@ inject them at every layer the chaos suites exercise:
 * **HTTP faults** — :func:`malformed_http_payloads` / :func:`oversized_body`
   generate the adversarial request bodies the server-hardening suite replays.
 
-Everything is deterministic: plans are explicit or derived from a seed via
-``numpy``'s ``default_rng``, and nothing here sleeps or randomizes at import
-time.
+Everything is deterministic: faults fire on explicit call ordinals or
+rounds, and nothing here sleeps or randomizes at import time.
 """
 
 from __future__ import annotations
 
-import functools
 import os
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 #: Exit code of injected hard crashes — distinguishable from Python errors.
 CRASH_EXIT_CODE = 23
 
-#: How long an injected hang sleeps.  Far above any reasonable
-#: ``worker_timeout_s``; the hung process is SIGKILLed by the supervisor (or
-#: by ``close(terminate=True)``) long before this elapses.
+#: How long an injected hang sleeps.  Far above any reasonable request
+#: timeout; the hung replica is SIGKILLed by the fleet's supervisor long
+#: before this elapses.
 HANG_SLEEP_S = 600.0
-
-_FAULT_KINDS = ("crash", "hang", "slow", "raise")
 
 
 class FaultInjected(RuntimeError):
-    """The exception raised by ``raise``-kind faults (env or planner)."""
-
-
-@dataclass(frozen=True)
-class Fault:
-    """One scheduled fault.
-
-    ``at_step`` counts ``step()`` calls on the wrapped object since its
-    construction (0-based): a freshly respawned worker's envs restart the
-    count.  ``latch`` (a filesystem path) makes the fault one-shot across
-    respawns — it fires only if it can create the latch file first.
-    """
-
-    kind: str
-    at_step: int = 0
-    latency_s: float = 0.0
-    message: str = "injected fault"
-    latch: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in _FAULT_KINDS:
-            raise ValueError(f"unknown fault kind {self.kind!r}; known: {_FAULT_KINDS}")
-        if self.at_step < 0:
-            raise ValueError("at_step must not be negative")
-        if self.kind == "slow" and self.latency_s <= 0:
-            raise ValueError("slow faults need a positive latency_s")
-
-    def acquire(self) -> bool:
-        """True if the fault should fire now (claims the latch if any)."""
-        if self.latch is None:
-            return True
-        try:
-            with open(self.latch, "x"):
-                return True
-        except FileExistsError:
-            return False
-
-
-@dataclass(frozen=True)
-class FaultPlan:
-    """A composable schedule of faults keyed by env index.
-
-    Plans are immutable; :meth:`merge` composes several (e.g. one worker
-    crash + background slow-step latency) and :meth:`seeded` derives a
-    reproducible random plan for soak runs.
-    """
-
-    faults: Tuple[Tuple[int, Fault], ...] = field(default_factory=tuple)
-
-    # -- constructors ---------------------------------------------------- #
-    @classmethod
-    def single(cls, env_index: int, fault: Fault) -> "FaultPlan":
-        return cls(faults=((int(env_index), fault),))
-
-    @classmethod
-    def crash(cls, env_index: int, at_step: int, latch: Optional[str] = None) -> "FaultPlan":
-        return cls.single(env_index, Fault("crash", at_step, latch=latch))
-
-    @classmethod
-    def hang(cls, env_index: int, at_step: int, latch: Optional[str] = None) -> "FaultPlan":
-        return cls.single(env_index, Fault("hang", at_step, latch=latch))
-
-    @classmethod
-    def slow(cls, env_index: int, at_step: int, latency_s: float) -> "FaultPlan":
-        return cls.single(env_index, Fault("slow", at_step, latency_s=latency_s))
-
-    @classmethod
-    def raises(cls, env_index: int, at_step: int, message: str = "injected env fault") -> "FaultPlan":
-        return cls.single(env_index, Fault("raise", at_step, message=message))
-
-    @classmethod
-    def seeded(
-        cls,
-        seed: int,
-        num_envs: int,
-        rate: float = 0.25,
-        kinds: Sequence[str] = ("crash", "hang", "slow"),
-        max_step: int = 6,
-        latch_dir: Optional[str] = None,
-        max_latency_s: float = 0.05,
-    ) -> "FaultPlan":
-        """A reproducible random plan: each env draws one fault with ``rate``.
-
-        ``latch_dir`` (recommended whenever the plan contains crash/hang
-        faults and the consumer restarts workers) makes those faults one-shot.
-        """
-        rng = np.random.default_rng(seed)
-        faults: List[Tuple[int, Fault]] = []
-        for env_index in range(num_envs):
-            if rng.random() >= rate:
-                continue
-            kind = str(kinds[int(rng.integers(len(kinds)))])
-            at_step = int(rng.integers(max_step + 1))
-            latch = None
-            if latch_dir is not None and kind in ("crash", "hang"):
-                latch = os.path.join(latch_dir, f"fault-{seed}-{env_index}.latch")
-            latency = float(rng.uniform(0.0, max_latency_s)) + 1e-4
-            faults.append(
-                (env_index, Fault(kind, at_step, latency_s=latency if kind == "slow" else 0.0,
-                                  latch=latch))
-            )
-        return cls(faults=tuple(faults))
-
-    # -- accessors / composition ----------------------------------------- #
-    def merge(self, *others: "FaultPlan") -> "FaultPlan":
-        merged = list(self.faults)
-        for other in others:
-            merged.extend(other.faults)
-        return FaultPlan(faults=tuple(merged))
-
-    def for_env(self, env_index: int) -> Tuple[Fault, ...]:
-        return tuple(fault for index, fault in self.faults if index == env_index)
-
-    def env_indices(self) -> List[int]:
-        return sorted({index for index, _ in self.faults})
-
-
-# ---------------------------------------------------------------------- #
-# Environment-level injection
-# ---------------------------------------------------------------------- #
-class FaultyEnv:
-    """Wraps an env, firing the scheduled faults on its ``step()`` calls.
-
-    Everything except ``step`` delegates to the wrapped env, so the wrapper is
-    transparent to :class:`AsyncVectorEnv` workers (reset, masks, seeding).
-    """
-
-    def __init__(self, env, faults: Sequence[Fault]) -> None:
-        self._env = env
-        self._faults = tuple(faults)
-        self._steps = 0
-
-    def __getattr__(self, name: str):
-        return getattr(self._env, name)
-
-    def step(self, action):
-        step_index = self._steps
-        self._steps += 1
-        for fault in self._faults:
-            if fault.at_step != step_index or not fault.acquire():
-                continue
-            if fault.kind == "crash":
-                os._exit(CRASH_EXIT_CODE)
-            elif fault.kind == "hang":
-                time.sleep(HANG_SLEEP_S)
-            elif fault.kind == "slow":
-                time.sleep(fault.latency_s)
-            elif fault.kind == "raise":
-                raise FaultInjected(fault.message)
-        return self._env.step(action)
-
-
-def _build_faulty_env(factory: Callable[[], object], faults: Tuple[Fault, ...]):
-    """Module-level builder so wrapped factories stay spawn-picklable."""
-    return FaultyEnv(factory(), faults)
-
-
-def faulty_factories(
-    factories: Sequence[Callable[[], object]], plan: FaultPlan
-) -> List[Callable[[], object]]:
-    """Wrap env factories with the plan's faults (identity for fault-free envs)."""
-    wrapped: List[Callable[[], object]] = []
-    for env_index, factory in enumerate(factories):
-        faults = plan.for_env(env_index)
-        if faults:
-            wrapped.append(functools.partial(_build_faulty_env, factory, faults))
-        else:
-            wrapped.append(factory)
-    return wrapped
+    """The exception raised by ``raise``-kind planner faults."""
 
 
 # ---------------------------------------------------------------------- #
@@ -243,8 +62,7 @@ class FaultyPlanner:
     inside a fleet replica simulates an OOM-killed replica mid-request.  A
     restarted replica rebuilds its registry and restarts the call counter, so
     crash/hang faults in fleet tests should carry a ``latch`` path — the
-    fault then fires exactly once across any number of respawns (same
-    mechanism as env-level faults).
+    fault then fires exactly once across any number of respawns.
 
     ``fail_calls=None`` makes the fault *persistent* — it fires on every
     call.  With ``kind="slow"`` that models a degraded replica (bad NIC,

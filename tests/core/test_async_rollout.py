@@ -1,9 +1,9 @@
-"""Sync vs Async rollout parity and the inference-mode collection path.
+"""Deterministic experience collection and the inference-mode collection path.
 
-The acceptance bar for the multi-process collector: a trainer driving the
-async backend under the same seed must produce BITWISE-identical rollouts to
-the synchronous backend, and no-grad acting (how rollouts are collected) must
-be bitwise-identical to grad-tracking acting.
+Two trainers under one seed must collect BITWISE-identical rollouts, two
+same-seed training runs must end with identical logs and weights, and no-grad
+acting (how rollouts are collected) must sample what grad-tracking acting
+samples.
 """
 
 import contextlib
@@ -13,11 +13,11 @@ import numpy as np
 import pytest
 
 from repro.cluster import ConstraintConfig
-from repro.core import ModelConfig, PPOConfig
+from repro.core import ModelConfig, PPOConfig, VMR2LAgent, VMR2LConfig
 from repro.core.policy import TwoStagePolicy
 from repro.core.ppo import PPOTrainer
 from repro.datasets import ClusterSpec, SnapshotGenerator
-from repro.env import AsyncVectorEnv, SyncVectorEnv, VMRescheduleEnv
+from repro.env import SyncVectorEnv, VMRescheduleEnv
 from repro.nn import no_grad
 
 
@@ -54,45 +54,43 @@ def assert_buffers_bitwise_equal(lhs, rhs):
         np.testing.assert_array_equal(a.pm_mask, b.pm_mask)
 
 
-class TestSyncAsyncParity:
-    @pytest.mark.parametrize("num_workers", [1, 2, 4])
-    def test_rollouts_bitwise_identical(self, snapshot, num_workers):
-        sync_trainer = make_trainer(snapshot, SyncVectorEnv(factories(snapshot, 4)))
-        venv = AsyncVectorEnv(factories(snapshot, 4), num_workers=num_workers, seed=0)
-        try:
-            async_trainer = make_trainer(snapshot, venv)
-            assert_buffers_bitwise_equal(
-                sync_trainer.collect_rollout(), async_trainer.collect_rollout()
-            )
-            # A second rollout continues from live episode state on both sides.
-            assert_buffers_bitwise_equal(
-                sync_trainer.collect_rollout(), async_trainer.collect_rollout()
-            )
-        finally:
-            venv.close()
+class TestDeterministicCollection:
+    """The environment is deterministic and every draw comes from seeded
+    generators, so one seed fixes the rollouts and the trained weights."""
 
-    def test_rollouts_bitwise_identical_under_spawn(self, snapshot):
-        sync_trainer = make_trainer(snapshot, SyncVectorEnv(factories(snapshot, 2)))
-        venv = AsyncVectorEnv(
-            factories(snapshot, 2), num_workers=2, start_method="spawn", seed=0
-        )
-        try:
-            async_trainer = make_trainer(snapshot, venv)
-            assert_buffers_bitwise_equal(
-                sync_trainer.collect_rollout(), async_trainer.collect_rollout()
-            )
-        finally:
-            venv.close()
+    def test_same_seed_collects_identical_buffers(self, snapshot):
+        first = make_trainer(snapshot, SyncVectorEnv(factories(snapshot, 4)))
+        second = make_trainer(snapshot, SyncVectorEnv(factories(snapshot, 4)))
+        assert_buffers_bitwise_equal(first.collect_rollout(), second.collect_rollout())
+        # A second rollout continues from live episode state on both sides.
+        assert_buffers_bitwise_equal(first.collect_rollout(), second.collect_rollout())
 
-    def test_update_runs_on_async_rollouts(self, snapshot):
-        venv = AsyncVectorEnv(factories(snapshot, 2), num_workers=2, seed=0)
-        try:
-            trainer = make_trainer(snapshot, venv)
-            buffer = trainer.collect_rollout()
-            stats = trainer.update(buffer)
-            assert np.isfinite(stats["policy_loss"])
-        finally:
-            venv.close()
+    def test_same_seed_trains_identical_agents(self, snapshot):
+        def train():
+            config = VMR2LConfig(
+                ppo=PPOConfig(rollout_steps=8, minibatch_size=4, update_epochs=1),
+                migration_limit=4,
+            )
+            agent = VMR2LAgent(config, seed=3)
+            history = agent.train_on_states([snapshot], total_steps=16, num_envs=2)
+            return agent, history
+
+        def without_wall_clock(entries):
+            return [dict(vars(entry), wall_clock_s=None) for entry in entries]
+
+        (agent, history), (other, other_history) = train(), train()
+        assert len(history) == 2
+        assert without_wall_clock(history) == without_wall_clock(other_history)
+        state, other_state = agent.policy.state_dict(), other.policy.state_dict()
+        assert state.keys() == other_state.keys()
+        for name in state:
+            np.testing.assert_array_equal(state[name], other_state[name])
+
+    @pytest.mark.parametrize("num_envs", [0, -1])
+    def test_num_envs_must_be_positive(self, snapshot, num_envs):
+        agent = VMR2LAgent(VMR2LConfig(migration_limit=4))
+        with pytest.raises(ValueError, match="num_envs must be >= 1"):
+            agent.train_on_states([snapshot], total_steps=8, num_envs=num_envs)
 
 
 class TestInferenceRollouts:
@@ -113,9 +111,9 @@ class TestInferenceRollouts:
                 with no_grad() if inference else contextlib.nullcontext():
                     outputs = policy.act_batch(
                         observations,
+                        pm_mask_fns=[partial(venv.pm_action_mask, i) for i in range(num_envs)],
                         rng=rng,
                         compute_stats=not inference,
-                        pm_masks_fn=venv.pm_action_masks,
                     )
                     values = policy.value_of_batch(observations)
                 records.append(

@@ -119,12 +119,8 @@ class TestActBatch:
     def test_mixed_size_batch_needs_per_env_mask_fns(self, snapshot, other_snapshot):
         envs = [make_env(snapshot), make_env(other_snapshot)]
         policy = TwoStagePolicy(ModelConfig(), rng=np.random.default_rng(0))
-        with pytest.raises(ValueError, match="mixed-size"):
-            policy.act_batch(
-                [env.reset() for env in envs],
-                rng=np.random.default_rng(0),
-                pm_masks_fn=lambda vm_indices: None,
-            )
+        with pytest.raises(ValueError, match="needs pm_mask_fns"):
+            policy.act_batch([env.reset() for env in envs], rng=np.random.default_rng(0))
 
     def test_mismatched_mask_fns_rejected(self, snapshot):
         env = make_env(snapshot)

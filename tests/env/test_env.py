@@ -397,7 +397,7 @@ class TestWrappersAndVectorEnv:
         venv = SyncVectorEnv([factory, factory])
         observations = venv.reset()
         assert len(observations) == 2
-        masks = venv.call("pm_action_mask", 1)
+        masks = [venv.pm_action_mask(index, 1) for index in range(venv.num_envs)]
         actions = [(1, int(np.argmax(mask))) for mask in masks]
         observations, rewards, dones, infos = venv.step(actions)
         assert rewards.shape == (2,)

@@ -46,7 +46,6 @@ def test_bench_perf_hotpaths_smoke(tmp_path):
         "vm_attention_large_grad",
         "act_large_inference",
         "rollout_epoch_sync_inference",
-        "rollout_epoch_async",
         "ppo_update_epoch",
     ):
         assert results[name]["seconds"] > 0
