@@ -112,7 +112,7 @@ def run(smoke: bool = False, output: Path | None = None) -> dict:
 
     # 4. One PPO rollout epoch: batched vectorized env vs per-env forwards.
     # The cluster size matches the repo's "medium" analogue at default bench
-    # scale (benchmarks/common.py MEDIUM_PMS).
+    # scale (benchmarks/paper.py FULL.medium_pms).
     rollout_steps = 8 if smoke else 64
     num_envs = 2 if smoke else 8
     ppo_pms = 6 if smoke else 10

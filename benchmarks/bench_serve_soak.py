@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from common import default_agent_config
+from paper import default_agent_config
 
 from repro.cluster import ConstraintConfig
 from repro.core import VMR2LAgent

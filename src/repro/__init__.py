@@ -24,8 +24,8 @@ Subpackages
     VMR2L itself: feature extraction, two-stage actors, PPO training,
     risk-seeking evaluation and the high-level agent API.
 ``repro.analysis``
-    Metrics, latency measurement, the inference-decay experiment and the
-    migration-trace visualizer used by the benchmark harness.
+    The potential-FR ratio and relative gap, the inference-decay
+    experiment, table formatting and the migration-trace visualizer.
 ``repro.serve``
     The unified planning service: request/response schemas, the planner
     registry, the micro-batching ``ReschedulingService`` and the HTTP

@@ -1,23 +1,8 @@
-"""Analysis utilities: metrics, latency, dynamic-decay experiments and reporting."""
+"""Analysis utilities: metrics, dynamic-decay experiments, reporting and plan visualization."""
 
 from .dynamics import DelayOutcome, achieved_fr_vs_delay, decay_series, find_elbow
-from .latency import (
-    FIVE_SECOND_LIMIT,
-    LatencyMeasurement,
-    latency_table,
-    measure_latency,
-    time_function,
-)
-from .metrics import (
-    ComparisonRow,
-    SweepSeries,
-    average_over_states,
-    compare_algorithms,
-    potential_fr_ratio,
-    relative_gap,
-    rows_to_series,
-)
-from .reporting import format_series, format_table, save_csv, save_json, summarize_comparison
+from .metrics import potential_fr_ratio, relative_gap
+from .reporting import format_series, format_table
 from .visualize import (
     MigrationStepTrace,
     NumaBreakdown,
@@ -29,32 +14,19 @@ from .visualize import (
 )
 
 __all__ = [
-    "ComparisonRow",
     "DelayOutcome",
-    "FIVE_SECOND_LIMIT",
-    "LatencyMeasurement",
     "MigrationStepTrace",
     "NumaBreakdown",
-    "SweepSeries",
     "achieved_fr_vs_delay",
-    "average_over_states",
-    "compare_algorithms",
     "decay_series",
     "find_elbow",
     "format_series",
     "format_table",
-    "latency_table",
-    "measure_latency",
     "numa_breakdown",
     "potential_fr_ratio",
     "relative_gap",
     "render_numa_bar",
     "render_step",
     "render_trace",
-    "rows_to_series",
-    "save_csv",
-    "save_json",
-    "summarize_comparison",
-    "time_function",
     "trace_plan",
 ]

@@ -1,93 +1,14 @@
-"""Evaluation metrics shared by the benchmark harness.
+"""Evaluation metrics:
 
-* algorithm comparisons across MNL sweeps (Figs. 4, 9, 18),
-* the *potential-FR ratio* used for cluster-size generalization (Fig. 17):
-  the fraction of the FR improvement achievable by the near-optimal MIP that a
-  method actually realizes, and
-* aggregate summaries over many mapping snapshots.
+* the *potential-FR ratio* of the cluster-size generalization experiment
+  (Fig. 17) — the fraction of the FR improvement achievable by the
+  near-optimal MIP that a method actually realizes, and
+* the relative gap between two objective values (§5.2, Fig. 16).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
-
 import numpy as np
-
-from ..baselines.base import PlanEvaluation, Rescheduler, evaluate_plan
-from ..cluster import ClusterState
-from ..env.objectives import FragmentRateObjective, Objective
-
-
-@dataclass
-class ComparisonRow:
-    """One (algorithm, MNL) cell of a comparison table."""
-
-    algorithm: str
-    migration_limit: int
-    fragment_rate: float
-    inference_seconds: float
-    num_migrations: int
-    initial_fragment_rate: float
-
-    @property
-    def fr_reduction(self) -> float:
-        return self.initial_fragment_rate - self.fragment_rate
-
-
-def compare_algorithms(
-    state: ClusterState,
-    algorithms: Sequence[Rescheduler],
-    migration_limits: Sequence[int],
-    objective: Optional[Objective] = None,
-) -> List[ComparisonRow]:
-    """Run every algorithm at every MNL on the same snapshot (Fig. 4 / Fig. 9 protocol)."""
-    objective = objective or FragmentRateObjective()
-    rows: List[ComparisonRow] = []
-    for migration_limit in migration_limits:
-        for algorithm in algorithms:
-            result = algorithm.compute_plan(state, migration_limit)
-            evaluation = evaluate_plan(state, result, objective)
-            rows.append(
-                ComparisonRow(
-                    algorithm=algorithm.name,
-                    migration_limit=migration_limit,
-                    fragment_rate=evaluation.final_objective,
-                    inference_seconds=evaluation.inference_seconds,
-                    num_migrations=evaluation.num_applied,
-                    initial_fragment_rate=evaluation.initial_objective,
-                )
-            )
-    return rows
-
-
-def average_over_states(
-    states: Sequence[ClusterState],
-    algorithm: Rescheduler,
-    migration_limit: int,
-    objective: Optional[Objective] = None,
-) -> Dict[str, float]:
-    """Mean final objective / latency of one algorithm over several snapshots."""
-    if not states:
-        raise ValueError("states must not be empty")
-    objective = objective or FragmentRateObjective()
-    finals, initials, times, applied = [], [], [], []
-    for state in states:
-        result = algorithm.compute_plan(state, migration_limit)
-        evaluation = evaluate_plan(state, result, objective)
-        finals.append(evaluation.final_objective)
-        initials.append(evaluation.initial_objective)
-        times.append(evaluation.inference_seconds)
-        applied.append(evaluation.num_applied)
-    return {
-        "algorithm": algorithm.name,
-        "migration_limit": migration_limit,
-        "mean_initial_objective": float(np.mean(initials)),
-        "mean_final_objective": float(np.mean(finals)),
-        "mean_inference_seconds": float(np.mean(times)),
-        "mean_migrations_applied": float(np.mean(applied)),
-        "num_states": len(states),
-    }
 
 
 def potential_fr_ratio(
@@ -113,26 +34,3 @@ def relative_gap(value: float, reference: float) -> float:
     if reference == 0.0:
         return 0.0 if value == 0.0 else float("inf")
     return (value - reference) / abs(reference)
-
-
-@dataclass
-class SweepSeries:
-    """A named series over migration limits (one line of Fig. 9)."""
-
-    algorithm: str
-    migration_limits: List[int] = field(default_factory=list)
-    fragment_rates: List[float] = field(default_factory=list)
-    inference_seconds: List[float] = field(default_factory=list)
-
-    def add(self, row: ComparisonRow) -> None:
-        self.migration_limits.append(row.migration_limit)
-        self.fragment_rates.append(row.fragment_rate)
-        self.inference_seconds.append(row.inference_seconds)
-
-
-def rows_to_series(rows: Iterable[ComparisonRow]) -> Dict[str, SweepSeries]:
-    """Group comparison rows into per-algorithm series."""
-    series: Dict[str, SweepSeries] = {}
-    for row in rows:
-        series.setdefault(row.algorithm, SweepSeries(algorithm=row.algorithm)).add(row)
-    return series

@@ -1,16 +1,9 @@
-"""Formatting helpers for benchmark output.
-
-Each benchmark prints the rows or series the corresponding paper table/figure
-reports.  These helpers render uniform ASCII tables and series blocks and can
-also dump results as CSV/JSON files for post-processing.
-"""
+"""Formatting helpers: uniform ASCII tables and series blocks for the CLI and
+the examples."""
 
 from __future__ import annotations
 
-import csv
-import json
-from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -55,56 +48,3 @@ def format_series(series: Mapping[str, Sequence], title: Optional[str] = None,
     for index in range(length):
         rows.append({key: series[key][index] for key in keys})
     return format_table(rows, columns=keys, float_format=float_format, title=title)
-
-
-def summarize_comparison(rows: Iterable, group_by: str = "algorithm") -> List[Dict]:
-    """Aggregate ComparisonRow-like objects into per-algorithm summaries."""
-    grouped: Dict[str, List] = {}
-    for row in rows:
-        key = getattr(row, group_by)
-        grouped.setdefault(key, []).append(row)
-    summaries = []
-    for key, members in grouped.items():
-        summaries.append(
-            {
-                group_by: key,
-                "mean_fragment_rate": float(np.mean([m.fragment_rate for m in members])),
-                "mean_inference_seconds": float(np.mean([m.inference_seconds for m in members])),
-                "num_points": len(members),
-            }
-        )
-    summaries.sort(key=lambda item: item["mean_fragment_rate"])
-    return summaries
-
-
-def save_csv(rows: Sequence[Mapping], path: str | Path) -> Path:
-    """Write dict rows to a CSV file (creating parent directories)."""
-    rows = list(rows)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    if not rows:
-        path.write_text("")
-        return path
-    columns = list(rows[0].keys())
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.DictWriter(handle, fieldnames=columns)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: row.get(k, "") for k in columns})
-    return path
-
-
-def save_json(payload, path: str | Path) -> Path:
-    """Write a JSON-serializable payload (numpy arrays are converted to lists)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-
-    def default(obj):
-        if isinstance(obj, np.ndarray):
-            return obj.tolist()
-        if isinstance(obj, (np.floating, np.integer)):
-            return obj.item()
-        raise TypeError(f"cannot serialize {type(obj)!r}")
-
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=default))
-    return path

@@ -4,7 +4,6 @@
 * :mod:`repro.env.observation` — the paper's PM (8-dim) and VM (14-dim) features
 * :mod:`repro.env.objectives` — FR, min-migration and mixed objectives
 * :mod:`repro.env.vmr_env` — :class:`VMRescheduleEnv`, the deterministic simulator
-* :mod:`repro.env.wrappers` — episode statistics / reward scaling / time limits
 * :mod:`repro.env.vector_env` — :class:`SyncVectorEnv`, N envs stepped in lock-step
 """
 
@@ -26,19 +25,10 @@ from .observation import (
 from .spaces import Box, Discrete, MultiDiscrete, Space, Tuple
 from .vector_env import SyncVectorEnv
 from .vmr_env import StepRecord, VMRescheduleEnv
-from .wrappers import (
-    EnvWrapper,
-    EpisodeStats,
-    RecordEpisodeStatistics,
-    RewardScaling,
-    TimeLimit,
-)
 
 __all__ = [
     "Box",
     "Discrete",
-    "EnvWrapper",
-    "EpisodeStats",
     "FragmentRateObjective",
     "MigrationMinimizationObjective",
     "MixedFragmentObjective",
@@ -48,12 +38,9 @@ __all__ = [
     "Observation",
     "ObservationBuilder",
     "PM_FEATURE_DIM",
-    "RecordEpisodeStatistics",
-    "RewardScaling",
     "Space",
     "StepRecord",
     "SyncVectorEnv",
-    "TimeLimit",
     "Tuple",
     "VMRescheduleEnv",
     "VM_FEATURE_DIM",

@@ -1,33 +1,21 @@
-"""Tests for metrics, latency, dynamics (Fig. 5) and the visualization tool (Fig. 21)."""
+"""Tests for metrics, dynamics (Fig. 5), reporting and the visualization tool (Fig. 21)."""
 
-import numpy as np
 import pytest
 
 from repro.analysis import (
-    FIVE_SECOND_LIMIT,
     achieved_fr_vs_delay,
-    average_over_states,
-    compare_algorithms,
     decay_series,
     find_elbow,
     format_series,
     format_table,
-    latency_table,
-    measure_latency,
     numa_breakdown,
     potential_fr_ratio,
     relative_gap,
     render_numa_bar,
-    render_step,
     render_trace,
-    rows_to_series,
-    save_csv,
-    save_json,
-    summarize_comparison,
-    time_function,
     trace_plan,
 )
-from repro.baselines import FilteringHeuristic, MIPRescheduler, RandomRescheduler
+from repro.baselines import FilteringHeuristic, MIPRescheduler
 from repro.cluster import MigrationPlan, Migration
 from repro.datasets import ClusterSpec, SnapshotGenerator
 
@@ -38,27 +26,6 @@ def snapshot():
 
 
 class TestMetrics:
-    def test_compare_algorithms_rows(self, snapshot):
-        rows = compare_algorithms(snapshot, [FilteringHeuristic()], migration_limits=[2, 4])
-        assert len(rows) == 2
-        assert {row.migration_limit for row in rows} == {2, 4}
-        assert all(row.fragment_rate <= row.initial_fragment_rate + 1e-9 for row in rows)
-
-    def test_rows_to_series_grouping(self, snapshot):
-        rows = compare_algorithms(
-            snapshot, [FilteringHeuristic(), RandomRescheduler(seed=0)], migration_limits=[2, 3]
-        )
-        series = rows_to_series(rows)
-        assert set(series) == {"HA", "Random"}
-        assert series["HA"].migration_limits == [2, 3]
-
-    def test_average_over_states(self, snapshot):
-        summary = average_over_states([snapshot, snapshot], FilteringHeuristic(), migration_limit=3)
-        assert summary["num_states"] == 2
-        assert summary["mean_final_objective"] <= summary["mean_initial_objective"] + 1e-9
-        with pytest.raises(ValueError):
-            average_over_states([], FilteringHeuristic(), 3)
-
     def test_potential_fr_ratio_bounds(self):
         assert potential_fr_ratio(0.5, 0.3, 0.25) == pytest.approx(0.8)
         assert potential_fr_ratio(0.5, 0.5, 0.5) == 1.0
@@ -67,27 +34,6 @@ class TestMetrics:
     def test_relative_gap(self):
         assert relative_gap(0.2941, 0.2859) == pytest.approx(0.0287, abs=1e-3)
         assert relative_gap(0.0, 0.0) == 0.0
-
-
-class TestLatency:
-    def test_measure_latency(self, snapshot):
-        measurement = measure_latency(FilteringHeuristic(), snapshot, migration_limit=2, repeats=2)
-        assert measurement.num_runs == 2
-        assert measurement.min_seconds <= measurement.mean_seconds <= measurement.max_seconds
-        assert measurement.meets_limit(FIVE_SECOND_LIMIT)
-        with pytest.raises(ValueError):
-            measure_latency(FilteringHeuristic(), snapshot, 2, repeats=0)
-
-    def test_latency_table(self, snapshot):
-        measurement = measure_latency(FilteringHeuristic(), snapshot, migration_limit=2, repeats=1)
-        rows = latency_table([measurement])
-        assert rows[0]["algorithm"] == "HA"
-        assert rows[0]["within_limit"] is True
-
-    def test_time_function(self):
-        out = time_function(lambda: 41 + 1)
-        assert out["value"] == 42
-        assert out["seconds"] >= 0.0
 
 
 class TestDynamics:
@@ -163,16 +109,3 @@ class TestReporting:
     def test_format_series(self):
         text = format_series({"x": [1, 2], "y": [0.1, 0.2]})
         assert "x" in text and "y" in text
-
-    def test_summarize_comparison(self, snapshot):
-        rows = compare_algorithms(snapshot, [FilteringHeuristic(), RandomRescheduler(seed=1)], [2])
-        summary = summarize_comparison(rows)
-        assert len(summary) == 2
-        assert summary[0]["mean_fragment_rate"] <= summary[1]["mean_fragment_rate"]
-
-    def test_save_csv_and_json(self, tmp_path):
-        rows = [{"a": 1, "b": 2.5}]
-        csv_path = save_csv(rows, tmp_path / "out.csv")
-        assert csv_path.read_text().startswith("a,b")
-        json_path = save_json({"arr": np.arange(3)}, tmp_path / "out.json")
-        assert '"arr"' in json_path.read_text()

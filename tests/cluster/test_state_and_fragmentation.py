@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines import FilteringHeuristic, evaluate_plan
 from repro.cluster import (
     BOTH_NUMAS,
     ClusterState,
@@ -73,6 +74,13 @@ class TestFragmentMetricsPaperExample:
         state = build_paper_example()
         state.migrate_vm(1, dest_pm_id=2)
         assert state.fragment_rate() == pytest.approx(0.0)
+
+    def test_heuristic_finds_the_one_migration_to_zero_fr(self):
+        """Figs. 2-3 end to end: HA with an MNL of 1 plans the migration that removes every fragment."""
+        state = build_paper_example()
+        result = FilteringHeuristic().compute_plan(state, 1)
+        assert len(result.plan) == 1
+        assert evaluate_plan(state, result).final_objective == pytest.approx(0.0)
 
     def test_total_fragment_value(self):
         state = build_paper_example()

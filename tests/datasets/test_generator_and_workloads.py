@@ -124,9 +124,10 @@ class TestWorkloads:
             assert band.min_utilization <= spec.target_utilization <= band.max_utilization
 
     def test_generated_workloads_separate(self):
-        low = generate_workload_snapshots("low", 2, seed=0)
-        high = generate_workload_snapshots("high", 2, seed=0)
-        assert max(s.cpu_utilization() for s in low) < min(s.cpu_utilization() for s in high)
+        """Fig. 15: low < middle < high, with no overlap at cluster level."""
+        levels = [generate_workload_snapshots(level, 2, seed=0) for level in ("low", "middle", "high")]
+        for lower, higher in zip(levels, levels[1:]):
+            assert max(s.cpu_utilization() for s in lower) < min(s.cpu_utilization() for s in higher)
 
     def test_cpu_usage_cdf_monotone(self):
         states = generate_workload_snapshots("middle", 2, seed=0)

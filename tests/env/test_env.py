@@ -20,10 +20,7 @@ from repro.env import (
     MixedResourceObjective,
     ObservationBuilder,
     PM_FEATURE_DIM,
-    RecordEpisodeStatistics,
-    RewardScaling,
     SyncVectorEnv,
-    TimeLimit,
     VMRescheduleEnv,
     VM_FEATURE_DIM,
     make_objective,
@@ -341,54 +338,7 @@ class TestObjectives:
 
 
 class TestWrappersAndVectorEnv:
-    def _run_episode(self, env):
-        env.reset()
-        done = False
-        while not done:
-            mask = env.vm_action_mask()
-            if not mask.any():
-                break
-            vm_index = int(np.argmax(mask))
-            pm_mask = env.pm_action_mask(vm_index)
-            if not pm_mask.any():
-                break
-            _, _, done, info = env.step((vm_index, int(np.argmax(pm_mask))))
-        return info
-
-    def test_record_episode_statistics(self):
-        env = RecordEpisodeStatistics(VMRescheduleEnv(build_state(), ConstraintConfig(migration_limit=3)))
-        info = self._run_episode(env)
-        assert "episode" in info
-        assert env.episode_history
-        assert env.episode_history[-1].length <= 3
-        assert np.isfinite(env.mean_return())
-
-    def test_reward_scaling(self):
-        base = VMRescheduleEnv(build_state(), ConstraintConfig(migration_limit=3))
-        scaled = RewardScaling(VMRescheduleEnv(build_state(), ConstraintConfig(migration_limit=3)), scale=2.0)
-        base.reset(), scaled.reset()
-        mask = base.pm_action_mask(1)
-        action = (1, int(np.argmax(mask)))
-        _, r1, _, _ = base.step(action)
-        _, r2, _, _ = scaled.step(action)
-        assert r2 == pytest.approx(2.0 * r1)
-
-    def test_time_limit(self):
-        env = TimeLimit(VMRescheduleEnv(build_state(), ConstraintConfig(migration_limit=50)), max_steps=1)
-        env.reset()
-        mask = env.pm_action_mask(1)
-        _, _, done, info = env.step((1, int(np.argmax(mask))))
-        assert done
-        assert info.get("truncated")
-
-    def test_wrapper_validation(self):
-        env = VMRescheduleEnv(build_state())
-        with pytest.raises(ValueError):
-            RewardScaling(env, scale=0.0)
-        with pytest.raises(ValueError):
-            TimeLimit(env, max_steps=0)
-        with pytest.raises(ValueError):
-            RecordEpisodeStatistics(env, history_size=0)
+    """SyncVectorEnv: the wrapper that steps several environments in lockstep."""
 
     def test_sync_vector_env(self):
         def factory():
