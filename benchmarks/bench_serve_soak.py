@@ -97,7 +97,6 @@ def _serve_segment(requests, registry, max_queue_depth: int, client_threads: int
         registry,
         ServiceConfig(
             max_batch_size=4,
-            max_wait_ms=1.0,
             max_queue_depth=max_queue_depth,
             deadline_policy="partial",
         ),

@@ -155,8 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-batch-size", type=int, default=8,
                        help="micro-batch size for concurrent greedy RL requests "
                             "(1 = dispatch every request individually)")
-    serve.add_argument("--max-wait-ms", type=float, default=2.0,
-                       help="max time a request waits for a micro-batch to fill")
     serve.add_argument("--max-queue-depth", type=int, default=0,
                        help="shed requests once this many are queued (0 = unbounded)")
     serve.add_argument("--deadline-policy", default="partial",
@@ -314,7 +312,6 @@ def _build_service(args, max_batch_size: int = 8) -> ReschedulingService:
     )
     config = ServiceConfig(
         max_batch_size=max_batch_size,
-        max_wait_ms=getattr(args, "max_wait_ms", 2.0),
         max_queue_depth=getattr(args, "max_queue_depth", 0),
         deadline_policy=getattr(args, "deadline_policy", "partial"),
         fallback_planner=getattr(args, "fallback_planner", None),
@@ -426,7 +423,6 @@ def _build_fleet(args) -> ReplicaFleet:
     brownout = BrownoutConfig() if getattr(args, "brownout", False) else None
     service_config = ServiceConfig(
         max_batch_size=args.max_batch_size,
-        max_wait_ms=args.max_wait_ms,
         deadline_policy=args.deadline_policy,
         fallback_planner=args.fallback_planner,
         brownout=brownout,

@@ -7,10 +7,12 @@ HTTP server, tests, benchmarks).  Requests enter in one of two ways:
   burst: it is admitted (or shed) as a whole and planned at once.
 * **Queued** — :meth:`start` + :meth:`submit`.  Handler threads (e.g. the
   HTTP server) enqueue requests and block on a future; a single worker
-  thread drains the queue, waiting up to ``max_wait_ms`` for a batch of
-  ``max_batch_size`` to accumulate.  This turns concurrent single-request
-  traffic into the same vectorized hot path, and serializes all model
-  access so the NumPy policy needs no locking.
+  thread blocks until the queue is non-empty, then dispatches whatever is
+  already queued (up to ``max_batch_size``) with no batch window.  Requests
+  that arrive while a dispatch runs are taken together by the next one, so
+  concurrent single-request traffic reaches the same vectorized hot path;
+  the one worker serializes all model access so the NumPy policy needs no
+  locking.
 
 After admission both go through one pipeline, :meth:`ReschedulingService._run`:
 prepare each request (validate, resolve planner/state/objective, check the
@@ -66,8 +68,6 @@ class ServiceConfig:
     #: Largest number of requests fused into one ``plan_batch`` call; ``1``
     #: dispatches every request on its own.
     max_batch_size: int = 8
-    #: How long the queue worker waits for more requests before dispatching.
-    max_wait_ms: float = 2.0
     #: Reject snapshots above this VM count (simple overload protection).
     max_snapshot_vms: int = 200_000
     #: Admission control: with ``> 0``, a request arriving while this many are
@@ -98,8 +98,6 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         if self.max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
-        if self.max_wait_ms < 0:
-            raise ValueError("max_wait_ms must not be negative")
         if self.max_queue_depth < 0:
             raise ValueError("max_queue_depth must not be negative")
         if self.deadline_policy not in ("partial", "error", "fallback"):
@@ -635,26 +633,23 @@ class ReschedulingService:
 
     # ------------------------------------------------------------------ #
     def _worker_loop(self) -> None:
-        """Drain the queue, fusing near-simultaneous requests into batches."""
+        """Dispatch whatever is queued; block only while the queue is empty.
+
+        ``stop()`` enqueues ``None`` to wake an idle worker.
+        """
         while self._running:
-            try:
-                first = self._queue.get(timeout=0.1)
-            except queue.Empty:
-                continue
+            first = self._queue.get()
             if first is None:
                 continue
             pending = [first]
-            deadline = time.perf_counter() + self.config.max_wait_ms / 1e3
             while len(pending) < self.config.max_batch_size:
-                remaining = deadline - time.perf_counter()
-                if remaining <= 0:
-                    break
                 try:
-                    item = self._queue.get(timeout=remaining)
+                    item = self._queue.get_nowait()
                 except queue.Empty:
                     break
-                if item is not None:
-                    pending.append(item)
+                if item is None:
+                    break
+                pending.append(item)
             try:
                 replies = self._run(pending)
             except Exception as exc:  # keep the worker alive no matter what

@@ -2,6 +2,8 @@
 and the end-to-end deadline path (queue-expired and mid-plan-expired → 408)."""
 
 import json
+import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -16,6 +18,8 @@ from repro.serve import (
     build_default_registry,
 )
 from repro.testing import FaultyPlanner, malformed_http_payloads, oversized_body
+
+from gate import GatePlanner
 
 
 def small_state(num_pms=5, seed=0):
@@ -41,9 +45,7 @@ def server():
     registry = build_default_registry(include_slow=False, seed=0)
     faulty = FaultyPlanner(registry.get("ha"), fail_calls=(0,))
     registry.register("faulty", faulty)
-    service = ReschedulingService(
-        registry, ServiceConfig(max_batch_size=4, max_wait_ms=1.0)
-    )
+    service = ReschedulingService(registry, ServiceConfig(max_batch_size=4))
     with PlanningServer(
         service, host="127.0.0.1", port=0, max_body_bytes=256 * 1024
     ) as running:
@@ -112,14 +114,33 @@ class TestErrorContainment:
 class TestDeadlineOverHTTP:
     def test_queue_expired_deadline_maps_to_408(self):
         registry = build_default_registry(include_slow=False, seed=0)
-        service = ReschedulingService(
-            registry, ServiceConfig(max_batch_size=4, max_wait_ms=60.0)
-        )
+        gate = registry.register("gate", GatePlanner(registry.get("ha")))
+        service = ReschedulingService(registry, ServiceConfig(max_batch_size=4))
         with PlanningServer(service, host="127.0.0.1", port=0) as server:
+            held = service.submit(
+                PlanRequest.from_state(small_state(), planner="gate", migration_limit=1)
+            )
+            gate.wait_entered()
             request = PlanRequest.from_state(
                 small_state(), planner="ha", migration_limit=1, deadline_ms=1.0
             )
-            status, payload = post_raw(server.url, request.to_json().encode())
+            result = {}
+            client = threading.Thread(
+                target=lambda: result.update(
+                    reply=post_raw(server.url, request.to_json().encode())
+                )
+            )
+            client.start()
+            # Once the request is queued behind the held worker, wait well past
+            # its 1 ms deadline before letting the worker dequeue it.
+            deadline = time.monotonic() + 30.0
+            while service.pending_count() < 1 and time.monotonic() < deadline:
+                time.sleep(0.001)
+            time.sleep(0.02)
+            gate.open()
+            client.join(timeout=30.0)
+            held.result(timeout=30.0)
+        status, payload = result["reply"]
         assert status == 408
         assert payload["code"] == "deadline_exceeded"
         assert "queue" in payload["message"]
@@ -128,7 +149,7 @@ class TestDeadlineOverHTTP:
         registry = build_default_registry(include_slow=False, seed=0)
         service = ReschedulingService(
             registry,
-            ServiceConfig(max_batch_size=4, max_wait_ms=1.0, deadline_policy="error"),
+            ServiceConfig(max_batch_size=4, deadline_policy="error"),
         )
         with PlanningServer(service, host="127.0.0.1", port=0) as server:
             request = PlanRequest.from_state(
@@ -144,9 +165,7 @@ class TestDeadlineOverHTTP:
 
     def test_partial_policy_over_http_returns_200_with_partial_flag(self):
         registry = build_default_registry(include_slow=False, seed=0)
-        service = ReschedulingService(
-            registry, ServiceConfig(max_batch_size=4, max_wait_ms=1.0)
-        )
+        service = ReschedulingService(registry, ServiceConfig(max_batch_size=4))
         with PlanningServer(service, host="127.0.0.1", port=0) as server:
             request = PlanRequest.from_state(
                 small_state(num_pms=8, seed=1),

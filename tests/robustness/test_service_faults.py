@@ -17,6 +17,8 @@ from repro.serve import (
 )
 from repro.testing import FaultyPlanner
 
+from gate import GatePlanner
+
 
 def small_state(num_pms=5, seed=0):
     spec = ClusterSpec(num_pms=num_pms, target_utilization=0.7, best_fit_fraction=0.2)
@@ -198,18 +200,26 @@ class TestDeadlineEnforcement:
         assert reply.info.get("degraded_from")
         assert service.stats()["degraded"] >= 1
 
-    def test_queue_expired_deadline_is_rejected_at_dequeue(self, registry):
-        service = ReschedulingService(
-            registry, ServiceConfig(max_batch_size=4, max_wait_ms=60.0)
-        )
+    def test_queue_expired_deadline_is_rejected_at_dequeue(self):
+        gated = build_default_registry(include_slow=False, seed=0)
+        gate = gated.register("gate", GatePlanner(gated.get("ha")))
+        service = ReschedulingService(gated, ServiceConfig(max_batch_size=4))
         with service:
-            # The batching window (60 ms) alone exceeds this deadline.
-            reply = service.plan(
+            held = service.submit(
+                PlanRequest.from_state(small_state(), planner="gate", migration_limit=1)
+            )
+            gate.wait_entered()
+            # The worker is inside the gate, so this request waits in the queue
+            # well past its 1 ms deadline before anything dequeues it.
+            future = service.submit(
                 PlanRequest.from_state(
                     small_state(), planner="ha", migration_limit=1, deadline_ms=1.0
-                ),
-                timeout=30.0,
+                )
             )
+            time.sleep(0.02)
+            gate.open()
+            reply = future.result(timeout=30.0)
+            assert isinstance(held.result(timeout=30.0), PlanResponse)
         assert isinstance(reply, PlanError)
         assert reply.code == "deadline_exceeded"
 

@@ -1,5 +1,7 @@
 """Tests for the Planner registry and the micro-batching ReschedulingService."""
 
+import statistics
+
 import pytest
 
 from repro.cluster import apply_plan
@@ -17,6 +19,8 @@ from repro.serve import (
     build_default_registry,
 )
 from repro.testing import FaultyPlanner
+
+from gate import GatePlanner
 
 
 def small_state(num_pms=5, seed=0):
@@ -218,21 +222,28 @@ class TestMicroBatching:
 
 
 class TestQueuedService:
-    def test_submit_micro_batches_concurrent_requests(self, registry):
+    def test_submit_micro_batches_concurrent_requests(self):
+        gated = build_default_registry(include_slow=False, seed=0)
+        gate = gated.register("gate", GatePlanner(gated.get("ha")))
         states = [small_state(seed=s) for s in range(3)]
-        service = ReschedulingService(
-            registry, ServiceConfig(max_batch_size=4, max_wait_ms=50.0)
-        )
+        service = ReschedulingService(gated, ServiceConfig(max_batch_size=4))
         with service:
+            held = service.submit(
+                PlanRequest.from_state(small_state(), planner="gate", migration_limit=1)
+            )
+            gate.wait_entered()
             futures = [
                 service.submit(
                     PlanRequest.from_state(state, planner="vmr2l", migration_limit=3)
                 )
                 for state in states
             ]
+            gate.open()
             replies = [future.result(timeout=120) for future in futures]
+            assert isinstance(held.result(timeout=120), PlanResponse)
         assert all(isinstance(reply, PlanResponse) for reply in replies)
-        # All three arrived within max_wait, so they shared one model forward.
+        # All three queued while the worker was held, so the next dispatch
+        # took them together into one model forward.
         assert {reply.metrics["batch_size"] for reply in replies} == {3}
         assert all(reply.metrics["queue_ms"] >= 0.0 for reply in replies)
         assert service.stats()["batched_requests"] >= 3
@@ -260,13 +271,39 @@ class TestQueuedService:
             metrics = reply.metrics
             assert metrics["latency_ms"] >= metrics["queue_ms"] + metrics["inference_ms"]
 
+    def test_idle_worker_dispatches_without_a_batch_window(self, registry):
+        # Sequential requests on an idle service never wait for batchmates:
+        # the worker takes what is queued and dispatches it at once.
+        service = ReschedulingService(registry)
+        state = small_state()
+        with service:
+            replies = [
+                service.plan(
+                    PlanRequest.from_state(state, planner="ha", migration_limit=1),
+                    timeout=30.0,
+                )
+                for _ in range(20)
+            ]
+        assert all(isinstance(reply, PlanResponse) for reply in replies)
+        assert statistics.median(reply.metrics["queue_ms"] for reply in replies) < 1.0
+
+    def test_stop_wakes_an_idle_worker(self, registry):
+        # The worker blocks on the queue with no timeout; only stop()'s
+        # sentinel can end that wait.
+        service = ReschedulingService(registry)
+        service.start()
+        worker = service._worker
+        assert worker is not None and worker.is_alive()
+        service.stop()
+        assert not worker.is_alive()
+
     def test_submit_requires_started_service(self, registry):
         service = ReschedulingService(registry)
         with pytest.raises(RuntimeError):
             service.submit(PlanRequest.from_state(small_state()))
 
     def test_deadline_exceeded_in_queue(self, registry):
-        service = ReschedulingService(registry, ServiceConfig(max_wait_ms=0.0))
+        service = ReschedulingService(registry)
         with service:
             # An effectively-zero deadline trips before dispatch.
             future = service.submit(
@@ -280,7 +317,7 @@ class TestQueuedService:
     def test_malformed_deadline_does_not_kill_the_worker(self, registry):
         # Regression: a non-numeric deadline_ms raised TypeError inside the
         # worker loop, killing the thread and hanging every later request.
-        service = ReschedulingService(registry, ServiceConfig(max_wait_ms=0.0))
+        service = ReschedulingService(registry)
         with service:
             bad = PlanRequest.from_state(small_state(), planner="ha")
             bad.deadline_ms = "100"  # bypasses from_dict coercion

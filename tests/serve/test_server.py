@@ -27,7 +27,7 @@ def small_state(num_pms=5, seed=0):
 def server():
     service = ReschedulingService(
         build_default_registry(include_slow=False, seed=0),
-        ServiceConfig(max_batch_size=4, max_wait_ms=1.0),
+        ServiceConfig(max_batch_size=4),
     )
     with PlanningServer(service, host="127.0.0.1", port=0) as running:
         yield running
