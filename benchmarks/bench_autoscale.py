@@ -18,7 +18,8 @@ numbers:
   (within a small-sample tolerance).
 
 Results are merged into ``BENCH_serve_throughput.json`` under the
-``"autoscale"`` key, next to the throughput and soak numbers.
+``"autoscale"`` key, next to the soak benchmark's ``"soak"`` and ``"fleet"``
+keys.
 
 Run:  PYTHONPATH=src python benchmarks/bench_autoscale.py [--smoke] [--output PATH]
 """

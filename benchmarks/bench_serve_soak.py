@@ -12,9 +12,11 @@ Segments, all driven by the deterministic harness in
   rate and per-code error counts.
 * **deadline** — every deadline-constrained reply must have arrived within a
   bounded multiple of its budget.
+* **fleet** — a 2-replica fleet streams requests while one replica is
+  SIGKILLed mid-stream; every submitted request must resolve to one reply.
 
 Results are merged into ``BENCH_serve_throughput.json`` under the ``"soak"``
-key, next to the throughput benchmark's numbers.
+and ``"fleet"`` keys, next to the autoscale benchmark's ``"autoscale"`` key.
 
 Run:  PYTHONPATH=src python benchmarks/bench_serve_soak.py [--smoke] [--output PATH]
 """
@@ -154,60 +156,21 @@ def _serve_segment(requests, registry, max_queue_depth: int, client_threads: int
     }
 
 
-def _fleet_config(num_replicas: int) -> FleetConfig:
-    return FleetConfig(
-        num_replicas=num_replicas,
-        start_method="fork",
-        heartbeat_interval_s=0.05,
-        supervise_interval_s=0.02,
-        restart_backoff_s=0.05,
-        retry=RetryPolicy(max_retries=3, backoff_s=0.05),
-    )
-
-
-def _fleet_saturation_sweep(requests, replica_counts) -> list:
-    """Offered-load saturation: all requests submitted at once per fleet size.
-
-    Each replica runs a full service over its own copy of the policy, so
-    throughput should scale with replicas until the submission path or the
-    host's cores saturate; p50/p99 come from the fleet's own per-request
-    latency window (submit -> terminal reply)."""
-    sweep = []
-    for num_replicas in replica_counts:
-        fleet = ReplicaFleet(DefaultRegistryFactory(), config=_fleet_config(num_replicas))
-        fleet.start(timeout=120.0)
-        try:
-            start = time.perf_counter()
-            futures = [fleet.submit(request) for request in requests]
-            replies = [future.result(timeout=300.0) for future in futures]
-            wall = time.perf_counter() - start
-            assert all(reply is not None for reply in replies)
-            num_ok = sum(1 for reply in replies if reply.ok)
-            latency = fleet.latency_percentiles()
-            stats = fleet.stats()
-            sweep.append({
-                "replicas": num_replicas,
-                "num_requests": len(requests),
-                "num_ok": num_ok,
-                "wall_seconds": wall,
-                "requests_per_s": len(requests) / wall,
-                "latency_ms_p50": latency["p50_ms"],
-                "latency_ms_p99": latency["p99_ms"],
-                "shed": stats["shed"],
-                "retried": stats["retried"],
-            })
-        finally:
-            fleet.stop()
-    return sweep
-
-
 def _fleet_kill_soak(requests) -> dict:
     """Stream requests through a 2-replica fleet, SIGKILL one mid-stream.
 
     The invariant is the chaos suite's: every submitted request resolves to
     exactly one terminal reply, and with a survivor available the retry path
     should make all of them successes."""
-    fleet = ReplicaFleet(DefaultRegistryFactory(), config=_fleet_config(2))
+    config = FleetConfig(
+        num_replicas=2,
+        start_method="fork",
+        heartbeat_interval_s=0.05,
+        supervise_interval_s=0.02,
+        restart_backoff_s=0.05,
+        retry=RetryPolicy(max_retries=3, backoff_s=0.05),
+    )
+    fleet = ReplicaFleet(DefaultRegistryFactory(), config=config)
     fleet.start(timeout=120.0)
     try:
         futures = []
@@ -236,17 +199,11 @@ def _fleet_kill_soak(requests) -> dict:
 
 def _fleet_segment(smoke: bool, migration_limit: int) -> dict:
     num_requests = 12 if smoke else 48
-    replica_counts = (1, 2) if smoke else (1, 2, 4)
     requests = _requests(
         num_requests, num_pms=8, migration_limit=migration_limit,
         deadline_fraction=0.0, deadline_ms=0.0, seed=7,
     )
-    sweep = _fleet_saturation_sweep(requests, replica_counts)
-    kill_soak = _fleet_kill_soak(requests)
-    return {
-        "saturation_sweep": sweep,
-        "kill_soak": kill_soak,
-    }
+    return {"kill_soak": _fleet_kill_soak(requests)}
 
 
 def run(smoke: bool = False, output: Path | None = None) -> dict:

@@ -68,7 +68,7 @@ class MIPRescheduler(Rescheduler):
         if not movable:
             self._info = {"status": "no_movable_vms"}
             return MigrationPlan()
-        assignment, solution = self._solve(state, movable, migration_limit)
+        assignment, numa_targets, solution = self._solve(state, movable, migration_limit)
         self._info = {
             "status": solution.status,
             "objective_slots": solution.objective_slots,
@@ -77,7 +77,7 @@ class MIPRescheduler(Rescheduler):
         }
         if assignment is None:
             return MigrationPlan()
-        return order_migrations(state, assignment)
+        return order_migrations(state, assignment, numa_targets)
 
     def _last_info(self) -> Dict:
         return dict(self._info)
@@ -89,7 +89,10 @@ class MIPRescheduler(Rescheduler):
     # ------------------------------------------------------------------ #
     def _solve(
         self, state: ClusterState, movable: List[int], migration_limit: int
-    ) -> Tuple[Optional[Dict[int, int]], MIPSolution]:
+    ) -> Tuple[Optional[Dict[int, int]], Dict[int, int], MIPSolution]:
+        """Solve the MILP: the final VM→PM assignment, the NUMA each
+        single-NUMA VM lands on (so the applied plan keeps the solver's NUMA
+        choice), and the solver's status."""
         x_cores = state.fragment_cores
         pm_ids = state.sorted_pm_ids()
         numa_keys = [(pm_id, numa_id) for pm_id in pm_ids for numa_id in (0, 1)]
@@ -219,23 +222,20 @@ class MIPRescheduler(Rescheduler):
             mip_gap=getattr(result, "mip_gap", None),
         )
         if result.x is None:
-            return None, solution
+            return None, {}, solution
 
         values = result.x
         assignment: Dict[int, int] = {}
+        numa_targets: Dict[int, int] = {}
         for vm_id in single:
-            best_pm, best_val = None, -1.0
-            for pm_id in pm_ids:
-                for numa_id in (0, 1):
-                    val = values[x_index[(vm_id, pm_id, numa_id)]]
-                    if val > best_val:
-                        best_val = val
-                        best_pm = pm_id
-            assignment[vm_id] = best_pm
+            assignment[vm_id], numa_targets[vm_id] = max(
+                ((pm_id, numa_id) for pm_id in pm_ids for numa_id in (0, 1)),
+                key=lambda key: values[x_index[(vm_id, *key)]],
+            )
         for vm_id in double:
             best_pm = max(pm_ids, key=lambda pm_id: values[z_index[(vm_id, pm_id)]])
             assignment[vm_id] = best_pm
-        return assignment, solution
+        return assignment, numa_targets, solution
 
 
 def order_migrations(

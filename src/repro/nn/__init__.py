@@ -5,12 +5,12 @@ DESIGN.md).  The public surface mirrors a minimal ``torch.nn``:
 
 * :class:`~repro.nn.tensor.Tensor` — autograd-enabled numpy wrapper
 * :class:`~repro.nn.module.Module` — parameter container base class
-* layers — :class:`Linear`, :class:`LayerNorm`, :class:`MLP`, :class:`Embedding`,
-  :class:`Sequential`, :class:`Dropout`, :class:`Activation`
+* layers — :class:`Linear`, :class:`LayerNorm`, :class:`MLP`, :class:`Sequential`,
+  :class:`Activation`
 * attention — :class:`MultiHeadAttention`, :class:`TransformerEncoderLayer`,
   :class:`CrossAttentionLayer`, :class:`FeedForward`, :class:`AttentionMask`
-* optimizers — :class:`Adam`, :class:`SGD`, :class:`LinearSchedule`
-* :mod:`repro.nn.functional` — softmax / masked softmax / losses / distribution helpers
+* optimizers — :class:`Adam`, :class:`LinearSchedule`
+* :mod:`repro.nn.functional` — softmax / masked softmax / distribution helpers
 * checkpoint helpers — :func:`save_module`, :func:`load_module`
 """
 
@@ -24,9 +24,9 @@ from .attention import (
     MultiHeadAttention,
     TransformerEncoderLayer,
 )
-from .layers import MLP, Activation, Dropout, Embedding, LayerNorm, Linear, Sequential
+from .layers import MLP, Activation, LayerNorm, Linear, Sequential
 from .module import Module
-from .optim import Adam, ConstantSchedule, LinearSchedule, Optimizer, SGD
+from .optim import Adam, LinearSchedule, Optimizer
 from .serialization import (
     CheckpointCorruptError,
     checkpoint_size_bytes,
@@ -60,9 +60,7 @@ __all__ = [
     "Linear",
     "LayerNorm",
     "MLP",
-    "Embedding",
     "Sequential",
-    "Dropout",
     "Activation",
     "AttentionMask",
     "AttentionState",
@@ -71,10 +69,8 @@ __all__ = [
     "CrossAttentionLayer",
     "FeedForward",
     "Adam",
-    "SGD",
     "Optimizer",
     "LinearSchedule",
-    "ConstantSchedule",
     "save_module",
     "load_module",
     "checkpoint_size_bytes",

@@ -3,8 +3,8 @@
 These are the op-level primitives used by the layer classes in
 :mod:`repro.nn.layers` and :mod:`repro.nn.attention`: numerically stable
 softmax / log-softmax, masked softmax (used extensively by the two-stage
-policy to exclude infeasible VMs and PMs), layer normalization, activations,
-losses and categorical-distribution helpers.
+policy to exclude infeasible VMs and PMs), layer normalization, activations
+and categorical-distribution helpers.
 
 Each fused op is its array kernel plus optional graph recording: the output
 is computed first, and when nothing requires grad (or under
@@ -243,14 +243,6 @@ def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Te
     return Tensor(
         out_data, requires_grad=True, parents=(x, weight, bias), backward=backward
     )
-
-
-# ---------------------------------------------------------------------- #
-# Losses
-# ---------------------------------------------------------------------- #
-def mse_loss(prediction: Tensor, target: Tensor) -> Tensor:
-    diff = prediction - target
-    return (diff * diff).mean()
 
 
 # ---------------------------------------------------------------------- #

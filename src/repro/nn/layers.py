@@ -3,8 +3,7 @@
 These layers implement exactly the components the VMR2L architecture needs:
 ``Linear`` projections, ``LayerNorm`` (used after every attention block,
 §3.3 of the paper), ``MLP`` embedding networks shared across all PMs/VMs
-(§3.3 "Scale to Many VMs & PMs"), ``Sequential`` composition and a feature
-``Embedding`` lookup used by the Decima-style baseline.
+(§3.3 "Scale to Many VMs & PMs") and ``Sequential`` composition.
 """
 
 from __future__ import annotations
@@ -96,24 +95,6 @@ class LayerNorm(Module):
         return F.layer_norm(x, weight, bias, eps=self.eps)
 
 
-class Dropout(Module):
-    """Inverted dropout.  Only active in training mode."""
-
-    def __init__(self, p: float = 0.0, rng: Optional[np.random.Generator] = None) -> None:
-        super().__init__()
-        if not 0.0 <= p < 1.0:
-            raise ValueError("dropout probability must be in [0, 1)")
-        self.p = p
-        self.rng = rng if rng is not None else np.random.default_rng()
-
-    def forward(self, x: Tensor) -> Tensor:
-        if not self.training or self.p == 0.0:
-            return x
-        keep = 1.0 - self.p
-        mask = self.rng.random(x.shape) < keep
-        return x * Tensor(mask.astype(float) / keep)
-
-
 class Sequential(Module):
     """Run child modules in order."""
 
@@ -185,25 +166,3 @@ class MLP(Module):
     def forward(self, x: Tensor) -> Tensor:
         return self.network(x)
 
-
-class Embedding(Module):
-    """Lookup table mapping integer ids to dense vectors."""
-
-    def __init__(
-        self,
-        num_embeddings: int,
-        embedding_dim: int,
-        rng: Optional[np.random.Generator] = None,
-    ) -> None:
-        super().__init__()
-        rng = rng if rng is not None else np.random.default_rng()
-        table = rng.normal(0.0, 0.02, size=(num_embeddings, embedding_dim))
-        self.weight = self.register_parameter("weight", Tensor(table))
-        self.num_embeddings = num_embeddings
-        self.embedding_dim = embedding_dim
-
-    def forward(self, indices: np.ndarray) -> Tensor:
-        indices = np.asarray(indices, dtype=int)
-        if indices.min(initial=0) < 0 or (indices.size and indices.max() >= self.num_embeddings):
-            raise IndexError("embedding index out of range")
-        return self.weight[indices]

@@ -21,7 +21,6 @@ class Module:
     def __init__(self) -> None:
         self._parameters: Dict[str, Tensor] = {}
         self._modules: Dict[str, "Module"] = {}
-        self.training = True
 
     # ------------------------------------------------------------------ #
     # Registration
@@ -62,17 +61,6 @@ class Module:
     def num_parameters(self) -> int:
         """Total number of scalar parameters in the module tree."""
         return sum(param.size for param in self.parameters())
-
-    # ------------------------------------------------------------------ #
-    # Training / evaluation mode
-    # ------------------------------------------------------------------ #
-    def train(self, mode: bool = True) -> "Module":
-        for module in self.modules():
-            module.training = mode
-        return self
-
-    def eval(self) -> "Module":
-        return self.train(False)
 
     def zero_grad(self) -> None:
         for param in self.parameters():

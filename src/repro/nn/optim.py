@@ -1,12 +1,12 @@
 """Optimizers and learning-rate schedules for the :mod:`repro.nn` substrate.
 
-Provides Adam (the PPO default), plain SGD with momentum, gradient clipping
-integration, and the linear-anneal schedule used by CleanRL-style training.
+Provides Adam (the PPO default) with gradient clipping integration, and the
+linear-anneal schedule used by CleanRL-style training.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List
 
 import numpy as np
 
@@ -52,53 +52,6 @@ class Optimizer:
 
     def load_state_dict(self, state: Dict) -> None:
         self.lr = float(state.get("lr", self.lr))
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum."""
-
-    def __init__(
-        self,
-        parameters: Iterable[Tensor],
-        lr: float = 1e-2,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-    ) -> None:
-        super().__init__(parameters, lr)
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity = [np.zeros_like(p.data) for p in self.parameters]
-
-    def step(self) -> None:
-        for param, velocity in zip(self.parameters, self._velocity):
-            if param.grad is None:
-                continue
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            if self.momentum:
-                velocity *= self.momentum
-                velocity += grad
-                update = velocity
-            else:
-                update = grad
-            param.data = param.data - self.lr * update
-
-    def state_dict(self) -> Dict:
-        return {
-            "lr": self.lr,
-            "momentum": self.momentum,
-            "weight_decay": self.weight_decay,
-            "velocity": [v.copy() for v in self._velocity],
-        }
-
-    def load_state_dict(self, state: Dict) -> None:
-        super().load_state_dict(state)
-        self.momentum = float(state.get("momentum", self.momentum))
-        self.weight_decay = float(state.get("weight_decay", self.weight_decay))
-        velocity = state.get("velocity")
-        if velocity is not None:
-            self._velocity = [np.asarray(v).copy() for v in velocity]
 
 
 class Adam(Optimizer):
@@ -182,16 +135,3 @@ class LinearSchedule:
         optimizer.lr = lr
         return lr
 
-
-class ConstantSchedule:
-    """A schedule that always returns the same value."""
-
-    def __init__(self, value: float) -> None:
-        self._value = value
-
-    def value(self, step: int) -> float:
-        return self._value
-
-    def apply(self, optimizer: Optimizer, step: int) -> float:
-        optimizer.lr = self._value
-        return self._value

@@ -18,8 +18,9 @@ actually runs in: a cluster that never stands still.
 * :mod:`repro.sim.metrics` — steady-state summaries and the rolling
   :class:`DriftMonitor` with pluggable retraining hooks.
 
-Surfaces: ``repro simulate`` (CLI), ``benchmarks/sim_smoke.py`` (CI) and
-``benchmarks/bench_churn_longrun.py`` (multi-day RL-vs-baseline comparison).
+Surfaces: ``repro simulate`` (CLI) and ``benchmarks/bench_churn_longrun.py``
+(multi-day RL-vs-baseline comparison); determinism, record/replay and
+StepCache parity are tier-1 tests in ``tests/sim/test_online.py``.
 """
 
 from .engine import STAT_KEYS, LivingCluster

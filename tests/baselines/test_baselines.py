@@ -258,6 +258,24 @@ class TestMIP:
             ]
             assert len(groups) == len(set(groups))
 
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_applied_plan_keeps_the_milp_numa_choice(self, seed):
+        """The applied plan reaches the slot count the MILP claims.
+
+        On these snapshots the solver's optimum needs specific NUMAs; a plan
+        that keeps only the destination PM (best-fit NUMA on apply) ends
+        16-core slots short (seed 1: 20 vs 21, seed 2: 20 vs 22).
+        """
+        from repro.cluster import apply_plan
+
+        spec = ClusterSpec(num_pms=10, target_utilization=0.78, best_fit_fraction=0.3)
+        state = SnapshotGenerator(spec, seed=seed).generate()
+        result = MIPRescheduler().compute_plan(state, 10)
+        final_state, _ = apply_plan(state, result.plan, skip_infeasible=False)
+        free_cpu = final_state.arrays().numa_free_cpu
+        slots = int(np.floor(free_cpu / final_state.fragment_cores).sum())
+        assert slots == result.info["objective_slots"]
+
     def test_order_migrations_produces_applicable_sequence(self):
         state = tiny_state()
         assignment = {0: 1, 2: 2}  # move VM0 to PM1, VM2 to PM2
@@ -269,6 +287,18 @@ class TestMIP:
                 working.migrate_vm(migration.vm_id, migration.dest_pm_id)
                 applied += 1
         assert applied == len(plan)
+
+    def test_order_migrations_keeps_a_feasible_numa_target(self):
+        state = tiny_state()
+        # Best-fit would put VM0 (4 cores) on PM2's tighter NUMA 0 (12 free).
+        plan = order_migrations(state, {0: 2}, numa_targets={0: 1})
+        assert [(m.vm_id, m.dest_pm_id, m.dest_numa_id) for m in plan] == [(0, 2, 1)]
+
+    def test_order_migrations_downgrades_a_stale_numa_target_to_best_fit(self):
+        state = tiny_state()
+        # PM0's NUMA 1 is full, but VM3 (8 cores) fits on its NUMA 0.
+        plan = order_migrations(state, {3: 0}, numa_targets={3: 1})
+        assert [(m.vm_id, m.dest_pm_id, m.dest_numa_id) for m in plan] == [(3, 0, None)]
 
 
 class TestPOP:

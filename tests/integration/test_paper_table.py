@@ -1,8 +1,8 @@
 """Smoke-run the paper's experiment table and pin its agent memo key.
 
-Loads ``benchmarks/paper.py`` by path (as ``test_bench_perf_smoke.py`` loads
-its benchmark), runs every row at smoke size and checks the payload's shape;
-the verdicts at smoke size mean nothing, so only their presence is asserted.
+Loads ``benchmarks/paper.py`` by path, runs every row at smoke size and
+checks the payload's shape; the verdicts at smoke size mean nothing, so only
+their presence is asserted.
 The claim predicates are checked on hand-made numbers instead.
 """
 

@@ -1,4 +1,4 @@
-"""Tests for repro.nn.functional: softmax family, losses, distribution helpers."""
+"""Tests for repro.nn.functional: softmax family, distribution helpers."""
 
 import numpy as np
 import pytest
@@ -82,17 +82,6 @@ class TestMaskedSoftmax:
         assert probs.sum() == pytest.approx(1.0, abs=1e-6)
         if mask.any():
             assert probs[~mask].sum() == pytest.approx(0.0, abs=1e-6)
-
-
-class TestLosses:
-    def test_mse_loss_zero_for_identical(self):
-        x = Tensor(np.arange(5, dtype=float))
-        assert F.mse_loss(x, Tensor(x.data.copy())).item() == pytest.approx(0.0)
-
-    def test_mse_loss_value(self):
-        pred = Tensor(np.array([1.0, 2.0]))
-        target = Tensor(np.array([3.0, 2.0]))
-        assert F.mse_loss(pred, target).item() == pytest.approx(2.0)
 
 
 class TestCategoricalHelpers:

@@ -1,5 +1,6 @@
 """Tests for the Planner registry and the micro-batching ReschedulingService."""
 
+import json
 import statistics
 
 import pytest
@@ -17,6 +18,7 @@ from repro.serve import (
     RLPlanner,
     ServiceConfig,
     build_default_registry,
+    response_from_dict,
 )
 from repro.testing import FaultyPlanner
 
@@ -124,6 +126,8 @@ class TestServiceSingleRequests:
         # The returned plan must actually apply to the request snapshot.
         final_state, application = apply_plan(state.copy(), reply.plan(), skip_infeasible=True)
         assert application.num_applied == payload["num_applied"]
+        # The reply, ``info`` included, survives the JSON wire unchanged.
+        assert response_from_dict(json.loads(reply.to_json())) == reply
 
     def test_unknown_planner_is_structured_error(self, service):
         reply = service.handle(PlanRequest.from_state(small_state(), planner="quantum"))

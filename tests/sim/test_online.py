@@ -15,6 +15,8 @@ from repro.sim import (
     SimulationConfig,
     SyntheticTrace,
     invalidation_rate,
+    load_trace,
+    save_trace,
     steady_state_mean,
 )
 from repro.testing import FreshRLPlanner
@@ -22,12 +24,17 @@ from repro.testing import FreshRLPlanner
 DAY_S = 86400.0
 
 
-def build_cluster(seed=0, num_pms=6, horizon_s=DAY_S, churn=None):
-    spec = ClusterSpec(num_pms=num_pms, target_utilization=0.6, best_fit_fraction=0.3)
-    state = SnapshotGenerator(spec, seed=seed).generate()
+def churn_events(seed=0, horizon_s=DAY_S, churn=None):
     churn = churn or ChurnSpec(drains_per_day=4.0, failures_per_day=2.0, adds_per_day=6.0,
                                resizes_per_hour=2.0)
-    events = SyntheticTrace(churn, seed=seed + 1).generate(horizon_s)
+    return SyntheticTrace(churn, seed=seed + 1).generate(horizon_s)
+
+
+def build_cluster(seed=0, num_pms=6, horizon_s=DAY_S, churn=None, events=None):
+    spec = ClusterSpec(num_pms=num_pms, target_utilization=0.6, best_fit_fraction=0.3)
+    state = SnapshotGenerator(spec, seed=seed).generate()
+    if events is None:
+        events = churn_events(seed, horizon_s, churn)
     return LivingCluster(state, events, seed=seed + 2)
 
 
@@ -37,8 +44,9 @@ def build_service(seed=0, registry=None):
     )
 
 
-def run_simulation(planner="ha", seed=0, max_rounds=6, on_round=None, registry=None):
-    cluster = build_cluster(seed=seed)
+def run_simulation(planner="ha", seed=0, max_rounds=6, on_round=None, registry=None,
+                   events=None):
+    cluster = build_cluster(seed=seed, events=events)
     service = build_service(registry=registry)
     config = SimulationConfig(
         planner=planner, migration_limit=4, replan_every_s=3600.0,
@@ -54,6 +62,15 @@ class TestDeterminism:
     def test_same_seed_identical_report(self):
         first = run_simulation(seed=3).deterministic_dict()
         second = run_simulation(seed=3).deterministic_dict()
+        assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
+
+    def test_recorded_trace_replays_identically(self, tmp_path):
+        """A run replayed from its saved JSONL trace reproduces the report."""
+        events = churn_events(seed=3)
+        path = save_trace(events, tmp_path / "trace.jsonl", meta={"seed": 3})
+        _, replayed = load_trace(path)
+        first = run_simulation(seed=3, events=events).deterministic_dict()
+        second = run_simulation(seed=3, events=replayed).deterministic_dict()
         assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
 
     def test_step_cache_parity_with_rl_planner(self):
