@@ -7,7 +7,9 @@ numbers and verdict (``reproduced`` iff every part of the claim holds).  What
 holds for any policy (MIP ≤ HA, best-of-K non-increasing in K, FR in [0, 1],
 ...) is asserted instead and stops the run.  Clusters are scaled down (10 and
 24 PMs, MNL 10) and agents train for 768 PPO steps on a CPU; ``--smoke`` shrinks
-it all to check the table's shape in seconds (its verdicts mean nothing).
+it all to check the table's shape in seconds (its verdicts mean nothing).  One
+more row, ``churn``, runs the Medium agent online: it replans a living cluster
+(``repro.sim``) through the serving path for simulated days.
 
 Run:  PYTHONPATH=src python -m benchmarks.paper [--smoke] [--output PATH] [ROW_ID ...]
 """
@@ -34,6 +36,8 @@ from repro.core import (ModelConfig, PPOConfig, RiskSeekingConfig, VMR2LAgent, V
 from repro.datasets import ClusterSpec, SnapshotGenerator, multi_resource_spec, spec_for_workload
 from repro.env import (FragmentRateObjective, MigrationMinimizationObjective, MixedFragmentObjective,
                        MixedResourceObjective, Objective)
+from repro.serve import ReschedulingService, build_default_registry
+from repro.sim import ChurnSpec, LivingCluster, OnlineRescheduler, SimulationConfig, SyntheticTrace
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -48,10 +52,11 @@ class Scale:
     mip_s: float  # MIP time limit
     train: int  # training snapshots per cluster (seed 0)
     test: int  # held-out snapshots per cluster (seed 1)
+    churn_days: float = 3.0  # simulated horizon of the churn row
 
 
 FULL = Scale(medium_pms=10, large_pms=24, mnl=10, steps=768, mip_s=60.0, train=4, test=4)
-SMOKE = Scale(medium_pms=4, large_pms=6, mnl=4, steps=128, mip_s=5.0, train=2, test=1)
+SMOKE = Scale(medium_pms=4, large_pms=6, mnl=4, steps=128, mip_s=5.0, train=2, test=1, churn_days=0.25)
 
 
 def medium(s: Scale, num_pms: Optional[int] = None) -> ClusterSpec:
@@ -453,6 +458,31 @@ def table5(row, s):
     r = {"initial": {level: initial(states) for level, states in tests.items()}}
     for name, chosen in methods.items():
         r[name] = {level: evaluate(chosen, states, mnl)[0] for level, states in tests.items()}
+    return r
+
+
+@row("churn", "replanning hourly under days of diurnal churn, each plan applied 120 s after its snapshot, "
+     "VMR2L's steady-state FR ≤ HA's and < Random's", MEDIUM, ("vmr2l", "ha", "vbpp", "random"), AT_MNL,
+     lambda r: {"vmr2l_le_ha": r["vmr2l"]["steady_fr"] <= r["ha"]["steady_fr"] + 1e-9,
+                "vmr2l_lt_random": r["vmr2l"]["steady_fr"] < r["random"]["steady_fr"]})
+def churn(row, s):
+    """Every planner through one ``ReschedulingService.handle`` on the same held-out snapshot and trace."""
+    service = ReschedulingService(build_default_registry(agent=agent([medium(s)], s.mnl, s), include_slow=False))
+    horizon_s = s.churn_days * 86400.0
+    events = SyntheticTrace(ChurnSpec(), seed=0).generate(horizon_s)
+    r = {"days": s.churn_days, "events": len(events)}
+    for name in row.planners:
+        cluster = LivingCluster(snapshots(s, medium(s))[0], events, seed=1)
+        config = SimulationConfig(planner=name, migration_limit=s.mnl, replan_every_s=3600.0, plan_delay_s=120.0,
+                                  horizon_s=horizon_s)
+        report = OnlineRescheduler(cluster, service.handle, config).run()
+        assert report.failed_rounds == 0, f"{name}: {report.failed_rounds} failed rounds"
+        cluster.state.arrays().assert_in_sync(cluster.state)
+        for record in report.rounds:
+            fr(record.objective_after)  # asserts every round's FR is in [0, 1]
+        r[name] = {"rounds": len(report.rounds), "steady_fr": fr(report.steady_state_objective),
+                   "final_fr": fr(report.final_objective), "invalidation": report.invalidation,
+                   "planned": sum(record.planned for record in report.rounds)}
     return r
 
 

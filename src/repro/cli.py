@@ -228,25 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "in-process (e.g. http://127.0.0.1:8731)")
     simulate.add_argument("--retries", type=int, default=3,
                           help="transient-failure retries per request with --url")
-    simulate.add_argument("--autoscale", action="store_true",
-                          help="serve planning from an in-process replica fleet "
-                               "with the closed-loop autoscaler and brownout "
-                               "ladder enabled (see docs/serving.md)")
-    simulate.add_argument("--min-replicas", type=int, default=1,
-                          help="autoscaler lower bound with --autoscale")
-    simulate.add_argument("--max-replicas", type=int, default=3,
-                          help="autoscaler upper bound with --autoscale")
-    simulate.add_argument("--fallback-planner", default=None,
-                          help="registry key the brownout ladder degrades to at "
-                               "L2 with --autoscale (default 'ha')")
-    simulate.add_argument("--load-base", type=int, default=1,
-                          help="baseline concurrent plan requests per round")
-    simulate.add_argument("--load-per-event", type=float, default=0.0,
-                          help="extra concurrent requests per churn event in the "
-                               "preceding interval (couples cluster churn to "
-                               "offered planning load)")
-    simulate.add_argument("--load-max", type=int, default=32,
-                          help="cap on concurrent requests per round")
     simulate.add_argument("--json", action="store_true")
     return parser
 
@@ -438,41 +419,6 @@ def _build_fleet(args) -> ReplicaFleet:
     return ReplicaFleet(factory, config=fleet_config, service_config=service_config)
 
 
-def _build_sim_fleet(args) -> ReplicaFleet:
-    """The in-process autoscaled fleet behind ``repro simulate --autoscale``.
-
-    Tuned for a short-lived simulation driver rather than a long-running
-    server: fork replicas, tight heartbeat/supervise intervals so scale and
-    brownout decisions land within a simulation round, and the full brownout
-    ladder enabled (L2 degrades to ``--fallback-planner``, default ``ha``).
-    """
-    agent = (
-        VMR2LAgent.load(args.checkpoint) if args.checkpoint else VMR2LAgent(seed=0)
-    )
-    factory = DefaultRegistryFactory.from_agent(
-        agent, include_slow=not getattr(args, "fast_only", False)
-    )
-    brownout = BrownoutConfig()
-    service_config = ServiceConfig(
-        fallback_planner=args.fallback_planner or "ha",
-        brownout=brownout,
-    )
-    fleet_config = FleetConfig(
-        num_replicas=max(args.min_replicas, 1),
-        start_method="fork",
-        heartbeat_interval_s=0.05,
-        supervise_interval_s=0.05,
-        restart_backoff_s=0.1,
-        autoscale=AutoscaleConfig(
-            min_replicas=max(args.min_replicas, 1),
-            max_replicas=args.max_replicas,
-        ),
-        brownout=brownout,
-        seed=args.seed,
-    )
-    return ReplicaFleet(factory, config=fleet_config, service_config=service_config)
-
-
 def cmd_serve(args) -> Dict:
     if args.once:
         service = _build_service(args, max_batch_size=args.max_batch_size)
@@ -570,18 +516,7 @@ def cmd_simulate(args) -> Dict:
 
     cluster = LivingCluster(state, events, seed=args.seed)
     planner_key = args.planner or ("vmr2l" if args.checkpoint else "ha")
-    fleet = None
-    control_plane_stats = None
-    if args.autoscale:
-        if args.url:
-            raise SystemExit(
-                "--autoscale runs an in-process fleet and is incompatible with --url"
-            )
-        fleet = _build_sim_fleet(args)
-        fleet.start()
-        plan_fn = fleet.plan
-        control_plane_stats = fleet.control_plane_stats
-    elif args.url:
+    if args.url:
         plan_fn = _make_client(args).plan
     else:
         registry = build_default_registry(
@@ -603,17 +538,8 @@ def cmd_simulate(args) -> Dict:
         seed=args.seed,
         deadline_ms=args.deadline_ms,
         max_rounds=args.max_rounds,
-        load_base=args.load_base,
-        load_per_event=args.load_per_event,
-        load_max=args.load_max,
     )
-    try:
-        report = OnlineRescheduler(
-            cluster, plan_fn, config, control_plane_stats=control_plane_stats
-        ).run()
-    finally:
-        if fleet is not None:
-            fleet.stop()
+    report = OnlineRescheduler(cluster, plan_fn, config).run()
     payload = report.to_dict()
     if args.json:
         print(json.dumps(payload, indent=2, default=str))
@@ -631,13 +557,6 @@ def cmd_simulate(args) -> Dict:
             "exits": stats["exits"],
             "pm_churn": stats["drains"] + stats["failures"] + stats["adds"],
         }
-        control = payload.get("control_plane") or {}
-        if control:
-            row["offered"] = payload.get("offered_requests", payload["num_rounds"])
-            row["scale_ups"] = control.get("scale_ups", 0)
-            row["scale_downs"] = control.get("scale_downs", 0)
-            row["shed"] = control.get("shed", 0)
-            row["brownouts"] = control.get("brownout_transitions", 0)
         print(format_table([row], title=f"simulation over {horizon_s / 86400.0:g} day(s)"))
     return payload
 

@@ -19,6 +19,7 @@ server with known-bad requests is how retry storms start.
 from __future__ import annotations
 
 import json
+import math
 import socket
 import time
 import urllib.error
@@ -128,7 +129,7 @@ class PlanningClient:
                 payload = json.loads(exc.read().decode("utf-8"))
                 reply = response_from_dict(payload)
                 if retry_after_s is None:
-                    retry_after_s = getattr(reply, "retry_after_s", None)
+                    retry_after_s = _finite_delay(getattr(reply, "retry_after_s", None))
             except Exception:
                 reply = PlanError(
                     request.request_id,
@@ -157,7 +158,15 @@ def _parse_retry_after(header: Optional[str]) -> Optional[float]:
     if header is None:
         return None
     try:
-        value = float(header)
+        return _finite_delay(float(header))
     except (TypeError, ValueError):
+        return None
+
+
+def _finite_delay(value: Optional[float]) -> Optional[float]:
+    """A usable backoff hint: ``None`` for a missing or non-finite one (an
+    ``inf`` floor would make ``time.sleep`` raise instead of returning a
+    reply), and never below zero."""
+    if value is None or not math.isfinite(value):
         return None
     return max(value, 0.0)

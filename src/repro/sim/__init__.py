@@ -18,9 +18,10 @@ actually runs in: a cluster that never stands still.
 * :mod:`repro.sim.metrics` — steady-state summaries and the rolling
   :class:`DriftMonitor` with pluggable retraining hooks.
 
-Surfaces: ``repro simulate`` (CLI) and ``benchmarks/bench_churn_longrun.py``
-(multi-day RL-vs-baseline comparison); determinism, record/replay and
-StepCache parity are tier-1 tests in ``tests/sim/test_online.py``.
+Surfaces: ``repro simulate`` (CLI) and the ``churn`` row of
+``benchmarks/paper.py`` (the trained agent against HA, α-VBPP and Random over
+one multi-day trace); determinism, record/replay and StepCache parity are
+tier-1 tests in ``tests/sim/test_online.py``.
 """
 
 from .engine import STAT_KEYS, LivingCluster

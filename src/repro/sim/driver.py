@@ -28,8 +28,6 @@ reporting, but nothing branches on it.
 
 from __future__ import annotations
 
-import dataclasses
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Union
 
@@ -64,17 +62,6 @@ class SimulationConfig:
     #: Trailing fraction of rounds that counts as steady state.
     steady_state_fraction: float = 0.5
     drift: DriftConfig = field(default_factory=DriftConfig)
-    #: Concurrent plan requests offered per round (the applied plan's request
-    #: included).  Above 1, the backend must be concurrency-safe — a
-    #: :class:`~repro.serve.fleet.ReplicaFleet` or an HTTP client, never a
-    #: bare ``service.handle``.
-    load_base: int = 1
-    #: Extra concurrent requests per churn event in the round's lead-up
-    #: window: flash-crowd churn becomes a planning load spike, which is what
-    #: drives fleet autoscaling and brownout in ``repro simulate --autoscale``.
-    load_per_event: float = 0.0
-    #: Hard cap on one round's offered load.
-    load_max: int = 32
 
     def __post_init__(self) -> None:
         if self.replan_every_s <= 0:
@@ -91,12 +78,6 @@ class SimulationConfig:
             raise ValueError("max_rounds must be >= 1 when set")
         if not 0.0 < self.steady_state_fraction <= 1.0:
             raise ValueError("steady_state_fraction must be in (0, 1]")
-        if self.load_base < 1:
-            raise ValueError("load_base must be >= 1")
-        if self.load_per_event < 0:
-            raise ValueError("load_per_event must not be negative")
-        if self.load_max < self.load_base:
-            raise ValueError("load_max must be >= load_base")
 
 
 @dataclass
@@ -117,20 +98,10 @@ class RoundRecord:
     planner_ms: float = 0.0
     events_before: Dict[str, int] = field(default_factory=dict)
     events_during: Dict[str, int] = field(default_factory=dict)
-    #: Concurrent requests offered this round (derived from event counts —
-    #: deterministic).  How the extra ones fared is timing-dependent against
-    #: a real fleet, so the outcome counters live in :meth:`to_dict` only.
-    offered: int = 1
-    load_ok: int = 0
-    load_shed: int = 0
-    load_failed: int = 0
 
     def to_dict(self) -> Dict:
         payload = self.deterministic_dict()
         payload["planner_ms"] = self.planner_ms
-        payload["load_ok"] = self.load_ok
-        payload["load_shed"] = self.load_shed
-        payload["load_failed"] = self.load_failed
         return payload
 
     def deterministic_dict(self) -> Dict:
@@ -145,7 +116,6 @@ class RoundRecord:
             "applied": self.applied,
             "invalidated": self.invalidated,
             "error_code": self.error_code,
-            "offered": self.offered,
             "events_before": {k: v for k, v in self.events_before.items() if v},
             "events_during": {k: v for k, v in self.events_during.items() if v},
         }
@@ -164,13 +134,6 @@ class SimulationReport:
     invalidation: float
     failed_rounds: int
     horizon_s: float
-    #: Supervision counters from the planning backend (restarts, rolls,
-    #: sheds, retries, autoscale events, brownout transitions) — empty when
-    #: the backend exposes none.  Part of :meth:`deterministic_dict`: the
-    #: default in-process backend's counters are seed-reproducible, and churn
-    #: runs against a fleet record control-plane behavior alongside plan
-    #: quality.
-    control_plane: Dict = field(default_factory=dict)
 
     def to_dict(self) -> Dict:
         return {
@@ -181,10 +144,8 @@ class SimulationReport:
             "final_objective": self.final_objective,
             "steady_state_objective": self.steady_state_objective,
             "invalidation_rate": self.invalidation,
-            "offered_requests": sum(record.offered for record in self.rounds),
             "engine_stats": dict(self.engine_stats),
             "drift_events": list(self.drift_events),
-            "control_plane": dict(self.control_plane),
             "rounds": [record.to_dict() for record in self.rounds],
         }
 
@@ -209,15 +170,11 @@ class OnlineRescheduler:
         plan_fn: Callable[[PlanRequest], Reply],
         config: Optional[SimulationConfig] = None,
         on_round: Optional[Callable[[RoundRecord], None]] = None,
-        control_plane_stats: Optional[Callable[[], Dict]] = None,
     ) -> None:
         self.cluster = cluster
         self.plan_fn = plan_fn
         self.config = config if config is not None else SimulationConfig()
         self.on_round = on_round
-        # Sampled once at the end of the run into the report, e.g.
-        # ``fleet.control_plane_stats`` when simulating against a live fleet.
-        self.control_plane_stats = control_plane_stats
         self.drift = DriftMonitor(self.config.drift)
         self.rounds: List[RoundRecord] = []
 
@@ -254,43 +211,7 @@ class OnlineRescheduler:
             seed=config.seed,
             deadline_ms=config.deadline_ms,
         )
-        offered = config.load_base
-        if config.load_per_event > 0:
-            total_events = sum(events_before.values())
-            offered = min(
-                offered + int(config.load_per_event * total_events), config.load_max
-            )
-        # The extra offered requests run concurrently with the primary one —
-        # realistic pressure for the fleet's autoscaler/brownout controllers.
-        # Only the primary reply steers the simulation; the others are load.
-        ghost_replies: List[Optional[Reply]] = [None] * (offered - 1)
-        threads = []
-        for slot in range(offered - 1):
-            ghost = dataclasses.replace(request, request_id="")  # fresh id
-
-            def _issue(slot=slot, ghost=ghost):
-                try:
-                    ghost_replies[slot] = self.plan_fn(ghost)
-                except Exception as exc:  # ghost failures are load outcomes
-                    ghost_replies[slot] = PlanError(
-                        ghost.request_id, "internal_error", str(exc)
-                    )
-
-            thread = threading.Thread(
-                target=_issue, name=f"sim-load-{index}-{slot}", daemon=True
-            )
-            threads.append(thread)
-            thread.start()
         reply = self.plan_fn(request)
-        for thread in threads:
-            thread.join()
-        load_ok = sum(1 for r in ghost_replies if r is not None and r.ok)
-        load_shed = sum(
-            1
-            for r in ghost_replies
-            if r is not None and not r.ok and r.code == "service_unavailable"
-        )
-        load_failed = (offered - 1) - load_ok - load_shed
         planner_ms = float(reply.metrics.get("latency_ms", 0.0)) if reply.ok else 0.0
         # The plan "executes" while the cluster keeps churning.
         events_during = cluster.advance(round_time + config.plan_delay_s)
@@ -304,10 +225,6 @@ class OnlineRescheduler:
                 error_code=reply.code,
                 events_before=events_before,
                 events_during=events_during,
-                offered=offered,
-                load_ok=load_ok,
-                load_shed=load_shed,
-                load_failed=load_failed,
             )
         plan = reply.plan()
         _, application = apply_plan(
@@ -325,10 +242,6 @@ class OnlineRescheduler:
             planner_ms=planner_ms,
             events_before=events_before,
             events_during=events_during,
-            offered=offered,
-            load_ok=load_ok,
-            load_shed=load_shed,
-            load_failed=load_failed,
         )
 
     def _report(self, objective) -> SimulationReport:
@@ -348,9 +261,4 @@ class OnlineRescheduler:
             invalidation=invalidation_rate(planned, invalidated),
             failed_rounds=sum(1 for record in self.rounds if not record.ok),
             horizon_s=config.horizon_s,
-            control_plane=(
-                dict(self.control_plane_stats())
-                if self.control_plane_stats is not None
-                else {}
-            ),
         )

@@ -11,7 +11,7 @@ Two concerns live here:
   fire on every detection (a real deployment would enqueue a fine-tuning job
   on fresh snapshots; tests register a recorder).
 * summary helpers — steady-state means over the tail of a run and plan
-  invalidation rates, the numbers ``BENCH_churn_longrun.json`` records.
+  invalidation rates, the numbers the paper table's ``churn`` row records.
 
 Everything is pure arithmetic over observed series — deterministic, no
 clocks, no randomness.

@@ -6,11 +6,9 @@ from .faults import (
     FaultInjected,
     FaultyPlanner,
     FaultyRegistryFactory,
-    LoadSpike,
     kill_replica,
     malformed_http_payloads,
     oversized_body,
-    slow_replica_factory,
 )
 from .reference import FreshRLPlanner
 
@@ -20,9 +18,7 @@ __all__ = [
     "FaultyPlanner",
     "FaultyRegistryFactory",
     "FreshRLPlanner",
-    "LoadSpike",
     "kill_replica",
     "malformed_http_payloads",
     "oversized_body",
-    "slow_replica_factory",
 ]

@@ -14,16 +14,14 @@ chaos suites exercise:
   the restart budget.  A fault with a ``latch`` path fires only if it can
   create that file first (atomic ``open(..., "x")``), making it fire exactly
   once per latch across any number of respawns.
-* **Autoscale/brownout faults** — :func:`slow_replica_factory` plants a
-  *persistently* slow planner in one replica (``fail_calls=None`` fires on
-  every call), and :class:`LoadSpike` describes a deterministic flash-crowd
-  offered-load profile; together they force every autoscaler direction and
-  brownout-ladder rung without randomness.
+* **Persistent slowness** — ``FaultyPlanner(kind="slow", fail_calls=None)``
+  delays every call: a degraded-but-correct replica.  Load bursts are plain
+  ``submit`` loops in the tests that need them.
 * **HTTP faults** — :func:`malformed_http_payloads` / :func:`oversized_body`
   generate the adversarial request bodies the server-hardening suite replays.
 
-Everything is deterministic: faults fire on explicit call ordinals or
-rounds, and nothing here sleeps or randomizes at import time.
+Everything is deterministic: faults fire on explicit call ordinals, and
+nothing here sleeps or randomizes at import time.
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ from __future__ import annotations
 import os
 import threading
 import time
-from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 #: Exit code of injected hard crashes — distinguishable from Python errors.
@@ -192,62 +189,6 @@ class FaultyRegistryFactory:
             ),
         )
         return registry
-
-
-def slow_replica_factory(
-    inner: Callable[[], object],
-    planner_key: str,
-    latency_s: float,
-) -> FaultyRegistryFactory:
-    """A registry factory whose replica is *persistently* slow on one planner.
-
-    Every ``planner_key`` call sleeps ``latency_s`` before answering — a
-    degraded-but-correct replica.  Used by autoscale chaos tests to push
-    in-flight request age and p95 latency over the scale-up thresholds and to
-    force the service up the brownout ladder without any crashes.
-    """
-    return FaultyRegistryFactory(
-        inner,
-        planner_key,
-        fail_calls=None,
-        kind="slow",
-        latency_s=latency_s,
-    )
-
-
-@dataclass(frozen=True)
-class LoadSpike:
-    """A deterministic flash-crowd profile: requests offered per round.
-
-    ``offered(i)`` is ``peak`` for rounds in ``[start_round, start_round +
-    duration_rounds)`` and ``base`` elsewhere — a square burst, the simplest
-    shape that forces both autoscaler directions (scale-up inside the burst,
-    scale-down after the cooldown once it passes).  Purely arithmetic and
-    frozen, so two runs over the same profile offer identical load.
-    """
-
-    base: int = 1
-    peak: int = 8
-    start_round: int = 2
-    duration_rounds: int = 3
-
-    def __post_init__(self) -> None:
-        if self.base < 1:
-            raise ValueError("base offered load must be at least 1")
-        if self.peak < self.base:
-            raise ValueError("peak must be >= base")
-        if self.start_round < 0 or self.duration_rounds < 1:
-            raise ValueError("spike window must be non-empty and start at round >= 0")
-
-    def offered(self, round_index: int) -> int:
-        in_burst = (
-            self.start_round <= round_index < self.start_round + self.duration_rounds
-        )
-        return self.peak if in_burst else self.base
-
-    def schedule(self, num_rounds: int) -> Tuple[int, ...]:
-        """The full per-round offered-load vector for ``num_rounds`` rounds."""
-        return tuple(self.offered(i) for i in range(num_rounds))
 
 
 def kill_replica(fleet, index: int) -> Optional[int]:

@@ -22,6 +22,7 @@ PAPER_PATH = Path(__file__).resolve().parents[2] / "benchmarks" / "paper.py"
 ROW_IDS = {
     "fig04", "fig05", "fig09", "fig10", "fig11", "fig12", "fig13", "fig14", "fig16",
     "fig17", "fig18", "fig19", "fig20", "fig21", "table2", "table3", "table4", "table5",
+    "churn",
 }
 
 
@@ -102,6 +103,17 @@ def test_fig21_claim_needs_a_sacrifice(paper):
     assert not paper.holds_fig21(greedy)["gives_up_reward_for_a_later_gain"]
     assert paper.holds_fig21({"initial": 0.25, "reward": [], "fr_after": []}) == {
         "lowers_fr": False, "gives_up_reward_for_a_later_gain": False}
+
+
+def test_churn_claim_compares_steady_state_fr(paper):
+    def numbers(vmr2l, ha=0.05, random=0.08):
+        return {"vmr2l": {"steady_fr": vmr2l}, "ha": {"steady_fr": ha}, "vbpp": {"steady_fr": 0.2},
+                "random": {"steady_fr": random}}
+
+    holds = paper.ROWS["churn"].holds
+    assert all(holds(numbers(0.05)).values())  # a tie with HA holds
+    assert holds(numbers(0.06)) == {"vmr2l_le_ha": False, "vmr2l_lt_random": True}
+    assert holds(numbers(0.08, ha=0.1)) == {"vmr2l_le_ha": True, "vmr2l_lt_random": False}
 
 
 def test_fragment_rate_outside_unit_interval_stops_the_run(paper):

@@ -130,6 +130,44 @@ class TestManualScaling:
         finally:
             fleet.stop()
 
+class TestClosedLoop:
+    def test_burst_scales_up_then_cools_down_without_dropping_a_request(self):
+        """The live autoscaler, not set_target_replicas: a burst of HA
+        requests raises the per-replica backlog over the scale-up threshold,
+        every request still gets one successful reply, and once the burst has
+        drained the fleet gives the extra capacity back."""
+        autoscale = AutoscaleConfig(
+            min_replicas=1,
+            max_replicas=3,
+            scale_up_backlog=1.5,
+            scale_down_backlog=0.3,
+            alpha=1.0,
+            cooldown_up_s=0.05,
+            cooldown_down_s=0.5,
+        )
+        fleet = start_fleet(fast_config(autoscale=autoscale))
+        try:
+            request = plan_request(migration_limit=4)
+            futures = [fleet.submit(request) for _ in range(64)]
+            replies = [f.result(timeout=120.0) for f in futures]
+            assert all(isinstance(r, PlanResponse) for r in replies), [
+                (r.code, r.message) for r in replies if isinstance(r, PlanError)
+            ]
+            control = fleet.control_plane_stats()
+            assert control["scale_ups"] >= 1, control
+            assert control["errors"] == 0, control
+            assert control["submitted"] == 64
+            assert (
+                control["completed"] + control["errors"] + control["shed"]
+                == control["submitted"]
+            ), control
+            assert wait_until(
+                lambda: fleet.control_plane_stats()["scale_downs"] >= 1
+            ), fleet.control_plane_stats()
+        finally:
+            fleet.stop()
+
+
 class TestChaosProperty:
     def test_kills_and_scaling_concurrently_yield_exactly_one_reply_each(self):
         """Property check (the PR's headline invariant): under concurrent

@@ -19,6 +19,7 @@ from repro.serve import (
     PlanningClient,
     RetryPolicy,
 )
+from repro.serve.client import _parse_retry_after
 
 
 def make_request():
@@ -295,6 +296,43 @@ class TestElapsedBudget:
         assert isinstance(reply, PlanError)
         assert httpd.hits == 3
         assert fake.sleeps == [60.0, 60.0]
+
+
+class TestNonFiniteRetryAfter:
+    def test_infinite_header_without_budget_returns_a_reply(self, stub_server):
+        # The real time.sleep: an ``inf`` floor would raise OverflowError
+        # instead of retrying on the client's own backoff.
+        httpd, url = stub_server(
+            [(503, {"Retry-After": "inf"}, error_body("service_unavailable", "shed"))]
+        )
+        client = PlanningClient(
+            url, retry=RetryPolicy(max_retries=1, backoff_s=0.01), timeout_s=30.0
+        )
+        reply = client.plan(make_request())
+        assert isinstance(reply, PlanError)
+        assert reply.code == "service_unavailable"
+        assert httpd.hits == 2
+
+    @pytest.mark.parametrize("hint", [float("inf"), float("nan")])
+    def test_non_finite_body_hint_is_ignored(self, stub_server, hint):
+        httpd, url = stub_server(
+            [
+                (503, {}, error_body("service_unavailable", "shed", retry_after_s=hint)),
+                (200, {}, ok_body()),
+            ]
+        )
+        sleeps = []
+        reply = make_client(url, sleeps=sleeps).plan(make_request())
+        assert isinstance(reply, PlanResponse)
+        assert len(sleeps) == 1
+        assert 0.0 < sleeps[0] < 1.0  # the client's own jittered backoff
+
+    @pytest.mark.parametrize(
+        "header,expected",
+        [("inf", None), ("nan", None), ("-1", 0.0), ("abc", None), ("2.5", 2.5), (None, None)],
+    )
+    def test_parse_retry_after(self, header, expected):
+        assert _parse_retry_after(header) == expected
 
 
 class TestProbes:

@@ -379,6 +379,24 @@ class TestBrownoutDecisions:
         assert control.inflight[2].request_dict["deadline_ms"] == 900.0
 
 
+class TestAdmissionBound:
+    def test_max_inflight_sheds_past_the_bound_and_admits_after_it_drains(self):
+        control = serving_control(FleetConfig(num_replicas=1, max_inflight=2))
+        admitted = []
+        for ticket in range(2):
+            admitted += control.submit(ticket, f"r{ticket}", request_dict(ticket), now=0.0)
+        [shed] = control.submit(2, "r2", request_dict(2), now=0.0)
+        assert shed.reply.code == "service_unavailable"
+        assert "admission bound" in shed.reply.message
+        assert shed.reply.retry_after_s is not None
+        for send in admitted:  # admitted work completes; nothing fails
+            [resolve] = control.reply(0, 1, send.ticket, OK, now=0.1)
+            assert resolve.reply.ok
+        assert control.stats["shed"] == 1 and control.stats["errors"] == 0
+        [send] = control.submit(3, "r3", request_dict(3), now=0.2)
+        assert send.slot == 0
+
+
 class TestFleetConfigValidation:
     def test_drain_timeout_must_be_positive(self):
         for value in (-5.0, 0.0):

@@ -134,81 +134,6 @@ class TestFailureHandling:
         assert seen == [0, 1, 2]
 
 
-class TestOfferedLoad:
-    def test_offered_load_tracks_churn_and_is_deterministic(self):
-        def run(seed):
-            cluster = build_cluster(seed=seed)
-            service = build_service()
-            config = SimulationConfig(
-                planner="ha", migration_limit=4, replan_every_s=3600.0,
-                plan_delay_s=120.0, horizon_s=DAY_S, seed=seed, max_rounds=4,
-                load_base=1, load_per_event=0.5, load_max=8,
-            )
-            return OnlineRescheduler(cluster, service.handle, config).run()
-
-        first = run(11)
-        second = run(11)
-        # Offered load derives from event counts only — fully reproducible
-        # and part of the deterministic projection.
-        assert json.dumps(first.deterministic_dict(), sort_keys=True) == json.dumps(
-            second.deterministic_dict(), sort_keys=True
-        )
-        offered = [record.offered for record in first.rounds]
-        assert all(1 <= n <= 8 for n in offered)
-        assert any(n > 1 for n in offered), "churny rounds must add ghost load"
-        assert first.to_dict()["offered_requests"] == sum(offered)
-        for record in first.rounds:
-            assert record.load_ok + record.load_shed + record.load_failed == (
-                record.offered - 1
-            )
-            assert "load_ok" in record.to_dict()
-            assert "load_ok" not in record.deterministic_dict()
-
-    def test_ghost_outcomes_are_counted_not_steering(self):
-        import threading
-
-        cluster = build_cluster(seed=13)
-        service = build_service()
-
-        def shedding_backend(request):
-            # Ghost requests are issued from the driver's sim-load-* threads;
-            # the primary runs on the caller's thread.  Shed every ghost and
-            # prove only the primary reply steers the simulation.
-            if threading.current_thread().name.startswith("sim-load"):
-                return PlanError(request_id=request.request_id,
-                                 code="service_unavailable", message="shed")
-            return service.handle(request)
-
-        config = SimulationConfig(
-            planner="ha", migration_limit=4, replan_every_s=3600.0,
-            plan_delay_s=120.0, horizon_s=DAY_S, seed=13, max_rounds=3,
-            load_base=3,
-        )
-        report = OnlineRescheduler(cluster, shedding_backend, config).run()
-        assert report.failed_rounds == 0  # sheds hit ghosts only
-        for record in report.rounds:
-            assert record.offered == 3
-            assert record.load_shed == 2
-            assert record.load_ok == 0
-
-    def test_control_plane_stats_sampled_into_report(self):
-        cluster = build_cluster(seed=17)
-        service = build_service()
-        config = SimulationConfig(
-            planner="ha", migration_limit=4, replan_every_s=3600.0,
-            plan_delay_s=120.0, horizon_s=DAY_S, seed=17, max_rounds=2,
-        )
-        counters = {"scale_ups": 2, "scale_downs": 1, "shed": 4}
-        report = OnlineRescheduler(
-            cluster, service.handle, config,
-            control_plane_stats=lambda: counters,
-        ).run()
-        assert report.to_dict()["control_plane"] == counters
-        # Without a sampler the section stays an empty dict, not absent.
-        bare = OnlineRescheduler(build_cluster(seed=17), service.handle, config).run()
-        assert bare.to_dict()["control_plane"] == {}
-
-
 class TestConfigValidation:
     @pytest.mark.parametrize(
         "kwargs",
