@@ -31,8 +31,8 @@ from repro.analysis import achieved_fr_vs_delay, potential_fr_ratio, relative_ga
 from repro.baselines import (AlphaVBPP, FilteringHeuristic, MCTSRescheduler, MIPRescheduler,
                               NeuPlanRescheduler, POPRescheduler, evaluate_plan)
 from repro.cluster import ClusterState, ConstraintConfig, assign_anti_affinity_groups
-from repro.core import (ModelConfig, PPOConfig, RiskSeekingConfig, VMR2LAgent, VMR2LConfig,
-                        risk_seeking_evaluate, vm_selection_probability_histogram)
+from repro.core import (RiskSeekingConfig, VMR2LAgent, VMR2LConfig, risk_seeking_evaluate,
+                        vm_selection_probability_histogram)
 from repro.datasets import ClusterSpec, SnapshotGenerator, multi_resource_spec, spec_for_workload
 from repro.env import (FragmentRateObjective, MigrationMinimizationObjective, MixedFragmentObjective,
                        MixedResourceObjective, Objective)
@@ -82,23 +82,13 @@ def sweep_mnls(maximum: int, points: int) -> List[int]:
     return sorted({max(maximum * i // points, 1) for i in range(1, points + 1)})
 
 
-def default_agent_config(migration_limit: int = 10, **model_overrides) -> VMR2LConfig:
-    """The compact VMR2L configuration the benchmarks train and serve."""
-    return VMR2LConfig(
-        model=ModelConfig(embed_dim=16, num_heads=2, num_blocks=1, feedforward_dim=32, **model_overrides),
-        ppo=PPOConfig(rollout_steps=128, minibatch_size=32, update_epochs=2, learning_rate=2.5e-3, entropy_coef=0.005),
-        risk_seeking=RiskSeekingConfig(num_trajectories=4),
-        migration_limit=migration_limit,
-    )
-
-
 def train_agent(states: Sequence[ClusterState], mnl: int, steps: int, objective: Optional[Objective] = None,
                 eval_states: Sequence[ClusterState] = (), **model) -> VMR2LAgent:
     """A fresh agent trained with PPO on ``states``; given ``eval_states``, its
     ``training_history`` holds the greedy test objective after every update."""
     sized = list(states) + list(eval_states)
     mlp = model.get("extractor") == "mlp"  # the flat MLP's input is sized to the cluster
-    agent = VMR2LAgent(default_agent_config(mnl, **model), objective, ConstraintConfig(migration_limit=mnl),
+    agent = VMR2LAgent(VMR2LConfig.compact(mnl, **model), objective, ConstraintConfig(migration_limit=mnl),
                        max_pms=max(state.num_pms for state in sized) if mlp else None,
                        max_vms=max(state.num_vms for state in sized) + 32 if mlp else None)
     agent.train_on_states(states, total_steps=steps, eval_states=list(eval_states) or None)

@@ -8,7 +8,8 @@ cluster churn, what FR would it actually achieve?*  The achieved FR stays
 near-optimal below roughly five seconds and decays quickly afterwards — the
 "elbow" that motivates the five-second latency budget.
 
-:func:`achieved_fr_vs_delay` reproduces that experiment on synthetic churn.
+:func:`achieved_fr_vs_delay` reproduces that experiment on synthetic churn,
+replayed through the simulator's engine (:class:`repro.sim.engine.LivingCluster`).
 """
 
 from __future__ import annotations
@@ -18,13 +19,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..cluster import (
-    ClusterState,
-    EventGenerator,
-    MigrationPlan,
-    apply_events,
-    apply_plan,
-)
+from ..cluster import ClusterState, EventGenerator, MigrationPlan, apply_plan
 
 
 @dataclass
@@ -68,6 +63,10 @@ def achieved_fr_vs_delay(
     different random streams and the achieved FR is averaged, mirroring the
     paper's averaging over initial mappings.
     """
+    # Imported here, not at module level: the package root imports this
+    # module, so every spawned fleet replica would otherwise load repro.sim.
+    from ..sim.engine import LivingCluster
+
     if num_replicas <= 0:
         raise ValueError("num_replicas must be positive")
     outcomes: List[DelayOutcome] = []
@@ -75,11 +74,15 @@ def achieved_fr_vs_delay(
     for delay in sorted(delays_s):
         achieved, baseline, applied, stale = [], [], [], []
         for replica in range(num_replicas):
-            rng = np.random.default_rng(seed + 1000 * replica + int(delay * 17))
+            stream_seed = seed + 1000 * replica + int(delay * 17)
             working = state.copy()
-            generator = EventGenerator(changes_per_minute=changes_per_minute, rng=rng)
+            generator = EventGenerator(
+                changes_per_minute=changes_per_minute, rng=np.random.default_rng(stream_seed)
+            )
             events = generator.generate(horizon_s=delay, state=working)
-            apply_events(working, events, until_s=delay, rng=rng)
+            # The stream pins every arrival's flavor and every exit's VM, so
+            # the engine never draws from its own generator here.
+            LivingCluster(working, events, seed=stream_seed).advance(delay)
             baseline.append(working.fragment_rate())
             final_state, result = apply_plan(working, plan, skip_infeasible=True)
             achieved.append(final_state.fragment_rate())

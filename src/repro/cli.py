@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Sequence
 
 from .analysis import format_table, render_trace, trace_plan
 from .cluster import ClusterState, ConstraintConfig
-from .core import ModelConfig, PPOConfig, RiskSeekingConfig, VMR2LAgent, VMR2LConfig
+from .core import VMR2LAgent, VMR2LConfig
 from .datasets import (
     DatasetReader,
     SnapshotGenerator,
@@ -259,14 +259,9 @@ def cmd_train(args) -> Dict:
     eval_states = None
     if "validation" in reader.available_splits():
         eval_states = reader.load_split("validation", limit=2)
-    config = VMR2LConfig(
-        model=ModelConfig(embed_dim=args.embed_dim, num_heads=args.num_heads,
-                          num_blocks=args.num_blocks, extractor=args.extractor),
-        ppo=PPOConfig(rollout_steps=128, minibatch_size=32, update_epochs=2, learning_rate=2.5e-3,
-                      seed=args.seed),
-        risk_seeking=RiskSeekingConfig(num_trajectories=4),
-        migration_limit=args.migration_limit,
-    )
+    config = VMR2LConfig.compact(args.migration_limit, embed_dim=args.embed_dim, num_heads=args.num_heads,
+                                 num_blocks=args.num_blocks, extractor=args.extractor)
+    config.ppo.seed = args.seed
     agent = VMR2LAgent(config, constraint_config=ConstraintConfig(migration_limit=args.migration_limit),
                        seed=args.seed)
     history = agent.train_on_states(train_states, total_steps=args.total_steps,

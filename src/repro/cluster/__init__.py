@@ -9,7 +9,7 @@ This subpackage models the cluster the VM rescheduling problem operates on:
 * :mod:`repro.cluster.fragmentation` — fragment-rate metrics (§1, Eq. 8)
 * :mod:`repro.cluster.constraints` — feasibility checks and masks (Eq. 2–6, §5.4)
 * :mod:`repro.cluster.migration` — migration plans and the live-migration cost model
-* :mod:`repro.cluster.events` — dynamic arrival/exit processes (Fig. 1, Fig. 5)
+* :mod:`repro.cluster.events` — cluster events and dynamic arrival/exit processes (Fig. 1, Fig. 5)
 """
 
 from .constraints import (
@@ -22,7 +22,6 @@ from .events import (
     EVENT_KINDS,
     ClusterEvent,
     EventGenerator,
-    apply_events,
     best_fit_placement,
     diurnal_rate_profile,
     sample_daily_changes,
@@ -86,7 +85,6 @@ __all__ = [
     "VMType",
     "VMTypeCatalog",
     "VirtualMachine",
-    "apply_events",
     "apply_plan",
     "assign_anti_affinity_groups",
     "best_fit_placement",

@@ -7,15 +7,17 @@ matters: while a rescheduling algorithm computes, the cluster keeps changing,
 so slow solvers see many of their actions invalidated.
 
 This module provides the diurnal arrival/exit process, the event stream
-data structures, and the machinery to replay events onto a cluster state while
-a plan is "being computed" (used by :mod:`repro.analysis.dynamics` for the
-Fig. 5 experiment).
+data structures and best-fit placement.  Events are replayed onto a cluster
+state by :class:`repro.sim.engine.LivingCluster`, both for the continuous
+simulator and while a plan is "being computed" in the Fig. 5 experiment
+(:mod:`repro.analysis.dynamics`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -25,11 +27,9 @@ from .vm_types import VMType, VMTypeCatalog
 
 MINUTES_PER_DAY = 24 * 60
 
-#: Every event kind the living-cluster simulator understands.  The first two
-#: are the legacy Fig. 1 / Fig. 5 kinds; the rest were added for the
-#: trace-driven continuous simulator (:mod:`repro.sim`): VM resizes, PM
-#: maintenance drains, PM failures, and PM re-adds (possibly with a newer
-#: hardware generation).
+#: Every event kind the living-cluster simulator understands: VM arrivals and
+#: exits (the Fig. 1 / Fig. 5 churn), VM resizes, PM maintenance drains, PM
+#: failures, and PM re-adds (possibly with a newer hardware generation).
 EVENT_KINDS = ("arrival", "exit", "resize", "pm_drain", "pm_fail", "pm_add")
 
 
@@ -37,11 +37,9 @@ EVENT_KINDS = ("arrival", "exit", "resize", "pm_drain", "pm_fail", "pm_add")
 class ClusterEvent:
     """One cluster mutation at ``time_s`` seconds from the stream origin.
 
-    The legacy two-kind constructor path (``arrival`` with a
-    ``vm_type_name``, ``exit`` with an optional ``vm_id``) is unchanged and
-    remains what :mod:`repro.analysis.dynamics` replays for Fig. 5.  The
-    simulator kinds use the extra fields:
-
+    * ``arrival`` — a VM of flavor ``vm_type_name`` (or ``None``: the engine
+      samples one) is placed best-fit.
+    * ``exit`` — ``vm_id`` (or ``None``: engine-picked) leaves.
     * ``resize`` — ``vm_id`` (or ``None``: the engine picks one) changes its
       flavor to ``vm_type_name`` (or ``None``: the engine samples a
       neighboring flavor).
@@ -70,6 +68,10 @@ class ClusterEvent:
             raise ValueError(f"unknown event kind {self.kind!r}; known: {EVENT_KINDS}")
         if not isinstance(self.time_s, (int, float)) or isinstance(self.time_s, bool):
             raise ValueError(f"time_s must be a number, got {self.time_s!r}")
+        # A NaN time never comes due (``nan <= t`` is false), so it would
+        # block every later event of a time-sorted stream.
+        if not math.isfinite(self.time_s):
+            raise ValueError(f"time_s must be finite, got {self.time_s!r}")
         if self.time_s < 0:
             raise ValueError(f"time_s must not be negative, got {self.time_s!r}")
 
@@ -95,12 +97,15 @@ class ClusterEvent:
             raise ValueError(f"unknown event fields: {sorted(unknown)}")
         if "time_s" not in payload or "kind" not in payload:
             raise ValueError("event payload requires 'time_s' and 'kind'")
+        time_s = payload["time_s"]
+        if not isinstance(time_s, (int, float)) or isinstance(time_s, bool):
+            raise ValueError(f"time_s must be a number, got {time_s!r}")
         ints = {
             key: (None if payload.get(key) is None else int(payload[key]))
             for key in ("vm_id", "pm_id", "pm_cpu", "pm_memory")
         }
         return cls(
-            time_s=float(payload["time_s"]),
+            time_s=float(time_s),
             kind=str(payload["kind"]),
             vm_type_name=payload.get("vm_type_name"),
             pm_type_name=payload.get("pm_type_name"),
@@ -195,50 +200,6 @@ class EventGenerator:
         weights /= weights.sum()
         index = self.rng.choice(len(types), p=weights)
         return types[index]
-
-
-def apply_events(
-    state: ClusterState,
-    events: Iterable[ClusterEvent],
-    until_s: float,
-    rng: Optional[np.random.Generator] = None,
-) -> dict:
-    """Replay events with ``time_s <= until_s`` onto ``state`` in place.
-
-    Arrivals are scheduled with best-fit VMS (the production scheduler the
-    paper describes in §1): among feasible (PM, NUMA) targets, pick the one
-    whose post-placement fragment is smallest.  Arrivals that cannot fit are
-    dropped (counted as ``failed_arrivals``).  Returns occupancy statistics.
-    """
-    rng = rng if rng is not None else np.random.default_rng()
-    next_vm_id = max(state.vms, default=0) + 1
-    stats = {"arrivals": 0, "exits": 0, "failed_arrivals": 0}
-    catalog = VMTypeCatalog.multi_resource()
-    for event in sorted(events, key=lambda e: e.time_s):
-        if event.time_s > until_s:
-            break
-        if event.kind not in ("arrival", "exit"):
-            # Simulator-only kinds (resize, PM lifecycle) need engine state
-            # (rng schedules, generation counters); the one-shot Fig. 5
-            # replay ignores them.  See repro.sim.engine.LivingCluster.
-            continue
-        if event.kind == "exit":
-            if event.vm_id is not None and event.vm_id in state.vms:
-                state.remove_vm_from_cluster(event.vm_id)
-                stats["exits"] += 1
-            continue
-        vm_type = catalog.get(event.vm_type_name) if event.vm_type_name in catalog else None
-        if vm_type is None:
-            continue
-        vm = VirtualMachine(vm_id=next_vm_id, vm_type=vm_type)
-        next_vm_id += 1
-        placement = best_fit_placement(state, vm)
-        if placement is None:
-            stats["failed_arrivals"] += 1
-            continue
-        state.add_vm(vm, placement)
-        stats["arrivals"] += 1
-    return stats
 
 
 def best_fit_placement(state: ClusterState, vm: VirtualMachine) -> Optional[Placement]:

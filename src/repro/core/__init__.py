@@ -25,7 +25,6 @@ from .features import (
     build_feature_batch,
     stack_feature_batches,
 )
-from .finetune import finetune_top_layers, freeze_extractor, head_parameter_names, unfreeze_all
 from .policy import PolicyOutput, TwoStagePolicy
 from .ppo import PPOTrainer, TrainingLogEntry
 from .risk_seeking import (
@@ -61,10 +60,6 @@ __all__ = [
     "VanillaAttentionExtractor",
     "build_extractor",
     "build_feature_batch",
-    "finetune_top_layers",
-    "freeze_extractor",
-    "head_parameter_names",
-    "unfreeze_all",
     "risk_seeking_evaluate",
     "rollout_trajectory",
     "stack_feature_batches",

@@ -112,6 +112,22 @@ class VMR2LConfig:
         if self.migration_limit <= 0:
             raise ValueError("migration_limit must be positive")
 
+    @classmethod
+    def compact(cls, migration_limit: int, **model_overrides) -> "VMR2LConfig":
+        """The compact agent ``repro train`` and the paper table train.
+
+        ``model_overrides`` replace :class:`ModelConfig` fields (extractor,
+        embedding width, ...); the PPO and risk-seeking settings are fixed.
+        """
+        return cls(
+            model=ModelConfig(**{"embed_dim": 16, "num_heads": 2, "num_blocks": 1,
+                                 "feedforward_dim": 32, **model_overrides}),
+            ppo=PPOConfig(rollout_steps=128, minibatch_size=32, update_epochs=2,
+                          learning_rate=2.5e-3, entropy_coef=0.005),
+            risk_seeking=RiskSeekingConfig(num_trajectories=4),
+            migration_limit=migration_limit,
+        )
+
     def to_dict(self) -> Dict:
         return asdict(self)
 

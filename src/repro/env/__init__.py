@@ -1,6 +1,5 @@
 """Gym-style VM rescheduling simulator.
 
-* :mod:`repro.env.spaces` — Discrete / Box / MultiDiscrete / Tuple spaces
 * :mod:`repro.env.observation` — the paper's PM (8-dim) and VM (14-dim) features
 * :mod:`repro.env.objectives` — FR, min-migration and mixed objectives
 * :mod:`repro.env.vmr_env` — :class:`VMRescheduleEnv`, the deterministic simulator
@@ -22,26 +21,20 @@ from .observation import (
     PM_FEATURE_DIM,
     VM_FEATURE_DIM,
 )
-from .spaces import Box, Discrete, MultiDiscrete, Space, Tuple
 from .vector_env import SyncVectorEnv
 from .vmr_env import StepRecord, VMRescheduleEnv
 
 __all__ = [
-    "Box",
-    "Discrete",
     "FragmentRateObjective",
     "MigrationMinimizationObjective",
     "MixedFragmentObjective",
     "MixedResourceObjective",
-    "MultiDiscrete",
     "Objective",
     "Observation",
     "ObservationBuilder",
     "PM_FEATURE_DIM",
-    "Space",
     "StepRecord",
     "SyncVectorEnv",
-    "Tuple",
     "VMRescheduleEnv",
     "VM_FEATURE_DIM",
     "available_objectives",

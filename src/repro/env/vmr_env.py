@@ -22,7 +22,6 @@ import numpy as np
 from ..cluster import ClusterState, ConstraintChecker, ConstraintConfig, Migration, MigrationPlan
 from .objectives import FragmentRateObjective, Objective
 from .observation import Observation, ObservationBuilder
-from .spaces import Discrete, Tuple as TupleSpace
 
 
 @dataclass
@@ -88,15 +87,10 @@ class VMRescheduleEnv:
         self._initial_metric: Optional[float] = None
         self._done = True
 
-        if initial_state is not None:
-            reference = initial_state
-        else:
-            reference = state_sampler()
-            self._template_state = reference.copy()
-        self.action_space = TupleSpace(
-            (Discrete(max(reference.num_vms, 1)), Discrete(reference.num_pms))
-        )
-        self.observation_space = None  # feature shapes depend on cluster size
+        if initial_state is None:
+            # Samplers may draw from a shared generator, so this first draw
+            # is part of every episode stream that follows.
+            self._template_state = state_sampler().copy()
 
     # ------------------------------------------------------------------ #
     # Episode control

@@ -14,6 +14,8 @@
   processes over shared read-only weights, health-checked routing, bounded
   retries, graceful drain and rolling restart — every decision made by one
   pure, model-checked state machine, the processes and pipes kept in a shell
+* :mod:`repro.serve.shared_weights` — :class:`SharedModuleWeights`, the
+  fleet's one read-only copy of the policy weights in shared memory
 * :mod:`repro.serve.client` — retrying HTTP client (``repro plan --url``)
 
 See ``docs/serving.md`` for the API reference and a curl example, and

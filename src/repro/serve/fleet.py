@@ -3,7 +3,7 @@
 :class:`ReplicaFleet` runs ``N`` replica worker processes, each hosting a
 full :class:`~repro.serve.service.ReschedulingService` (its own queue worker
 and micro-batcher) over **read-only model weights** shared through
-:class:`~repro.env.shared_memory.SharedModuleWeights` pages — one weight copy
+:class:`~repro.serve.shared_weights.SharedModuleWeights` pages — one weight copy
 fleet-wide.  Requests go to the least-loaded replica and are retried on a
 survivor when theirs fails; dead or hung replicas are restarted in place
 under a per-slot budget with jittered backoff (through :mod:`repro.supervise`).
@@ -59,11 +59,11 @@ from concurrent.futures import Future
 from typing import Dict, List, NamedTuple, Optional
 
 from .. import supervise
-from ..env.shared_memory import SharedModuleWeights
 from .control import LIVE, TRANSITIONS, FleetConfig, FleetControl, Resolve, Send, Spawn
 from .registry import build_default_registry
 from .schemas import PlanError, PlanRequest, SchemaError
 from .service import Reply, ReschedulingService, ServiceConfig
+from .shared_weights import SharedModuleWeights
 
 
 # ---------------------------------------------------------------------- #

@@ -16,7 +16,7 @@ actually runs in: a cluster that never stands still.
   remote fleet via ``PlanningClient``), invalidating migrations the churn
   broke.
 * :mod:`repro.sim.metrics` — steady-state summaries and the rolling
-  :class:`DriftMonitor` with pluggable retraining hooks.
+  :class:`DriftMonitor` drift detector.
 
 Surfaces: ``repro simulate`` (CLI) and the ``churn`` row of
 ``benchmarks/paper.py`` (the trained agent against HA, α-VBPP and Random over

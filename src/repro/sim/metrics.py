@@ -7,9 +7,9 @@ Two concerns live here:
   *after* applying the plan); the monitor compares a recent window against
   the preceding baseline window and raises a :class:`DriftEvent` when the
   policy's steady-state quality has degraded past a relative threshold.
-  Retraining is pluggable: hooks registered with :meth:`DriftMonitor.add_hook`
-  fire on every detection (a real deployment would enqueue a fine-tuning job
-  on fresh snapshots; tests register a recorder).
+  Detections accumulate in :attr:`DriftMonitor.events` and every
+  :class:`~repro.sim.driver.SimulationReport` carries them as
+  ``drift_events``.
 * summary helpers — steady-state means over the tail of a run and plan
   invalidation rates, the numbers the paper table's ``churn`` row records.
 
@@ -19,8 +19,8 @@ clocks, no randomness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
 
 @dataclass(frozen=True)
@@ -67,18 +67,13 @@ class DriftEvent:
 
 
 class DriftMonitor:
-    """Rolling window-vs-baseline drift detector with retraining hooks."""
+    """Rolling window-vs-baseline drift detector."""
 
     def __init__(self, config: Optional[DriftConfig] = None) -> None:
         self.config = config if config is not None else DriftConfig()
         self.samples: List[float] = []
         self.events: List[DriftEvent] = []
-        self._hooks: List[Callable[[DriftEvent], None]] = []
         self._quiet_until = 0
-
-    def add_hook(self, hook: Callable[[DriftEvent], None]) -> None:
-        """Register a callback fired on every detection (retraining trigger)."""
-        self._hooks.append(hook)
 
     def observe(self, value: float) -> Optional[DriftEvent]:
         """Feed one per-round objective sample; returns a detection or None."""
@@ -104,8 +99,6 @@ class DriftMonitor:
         )
         self.events.append(event)
         self._quiet_until = index + 1 + config.cooldown
-        for hook in self._hooks:
-            hook(event)
         return event
 
 

@@ -18,7 +18,8 @@ Exit / resize / drain / fail events in a synthetic trace carry *no* target
 id: which VM exits or which PM drains depends on cluster state at
 application time, so the :class:`~repro.sim.engine.LivingCluster` engine
 resolves targets deterministically from its own seeded generator.  Recorded
-traces may pin explicit ids (the legacy Fig. 5 streams do).
+traces may pin explicit ids, as the Fig. 5 streams of
+:class:`~repro.cluster.events.EventGenerator` do.
 """
 
 from __future__ import annotations

@@ -57,6 +57,32 @@ class TestDynamics:
         elbow = find_elbow(outcomes)
         assert elbow is None or elbow in (0.0, 30.0)
 
+    def test_outcomes_pinned(self, snapshot):
+        # A fixed state, plan and churn stream give these outcomes exactly;
+        # they were recorded when Fig. 5 replayed churn through its own
+        # arrival/exit applier, before the simulator's engine took over.
+        plan = MigrationPlan([
+            Migration(vm_id=13, dest_pm_id=5, dest_numa_id=0),
+            Migration(vm_id=17, dest_pm_id=5, dest_numa_id=0),
+            Migration(vm_id=19, dest_pm_id=3, dest_numa_id=1),
+            Migration(vm_id=39, dest_pm_id=3, dest_numa_id=1),
+            Migration(vm_id=48, dest_pm_id=3, dest_numa_id=1),
+            Migration(vm_id=55, dest_pm_id=5, dest_numa_id=0),
+        ])
+        outcomes = achieved_fr_vs_delay(
+            snapshot, plan, [0.0, 5.0, 30.0, 120.0, 600.0], changes_per_minute=12.0, seed=0, num_replicas=3
+        )
+        assert [
+            (o.delay_s, o.achieved_fr, o.baseline_fr, o.actions_applied, o.actions_stale, o.initial_fr)
+            for o in outcomes
+        ] == [
+            (0.0, 0.02040816326530612, 0.1292517006802721, 6, 0, 0.1292517006802721),
+            (5.0, 0.03522036349551682, 0.11956154110326561, 5, 0, 0.1292517006802721),
+            (30.0, 0.09062888595052337, 0.10708979130031761, 4, 2, 0.1292517006802721),
+            (120.0, 0.11144850573001717, 0.0808530013090094, 3, 2, 0.1292517006802721),
+            (600.0, 0.06104013421086591, 0.06104013421086591, 0, 6, 0.1292517006802721),
+        ]
+
     def test_invalid_replicas(self, snapshot):
         with pytest.raises(ValueError):
             achieved_fr_vs_delay(snapshot, MigrationPlan(), [0.0], num_replicas=0)

@@ -16,13 +16,13 @@ from repro.cluster import (
     PMType,
     VirtualMachine,
     VMTypeCatalog,
-    apply_events,
     apply_plan,
     assign_anti_affinity_groups,
     best_fit_placement,
     diurnal_rate_profile,
     sample_daily_changes,
 )
+from repro.sim import LivingCluster
 
 CATALOG = VMTypeCatalog.main()
 
@@ -261,11 +261,11 @@ class TestEvents:
         kinds = {e.kind for e in events}
         assert kinds <= {"arrival", "exit"}
 
-    def test_apply_events_updates_state(self, small_state):
+    def test_living_cluster_updates_state(self, small_state):
         generator = EventGenerator(changes_per_minute=240, rng=np.random.default_rng(2))
         events = generator.generate(horizon_s=120.0, state=small_state)
         before_vm_count = small_state.num_vms
-        stats = apply_events(small_state, events, until_s=120.0, rng=np.random.default_rng(3))
+        stats = LivingCluster(small_state, events, seed=3).advance(120.0)
         assert stats["arrivals"] + stats["exits"] + stats["failed_arrivals"] > 0
         assert small_state.num_vms == before_vm_count + stats["arrivals"] - stats["exits"]
 

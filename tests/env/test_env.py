@@ -27,7 +27,6 @@ from repro.env import (
 )
 
 from oracles import dense_tree_mask
-from repro.env.spaces import Box, Discrete, MultiDiscrete, Tuple as TupleSpace
 
 CATALOG = VMTypeCatalog.main()
 
@@ -50,32 +49,6 @@ def build_state():
 @pytest.fixture
 def env():
     return VMRescheduleEnv(build_state(), ConstraintConfig(migration_limit=5))
-
-
-class TestSpaces:
-    def test_discrete(self):
-        space = Discrete(4, seed=0)
-        assert space.contains(space.sample())
-        assert not space.contains(7)
-        with pytest.raises(ValueError):
-            Discrete(0)
-
-    def test_box(self):
-        space = Box(0.0, 1.0, shape=(2, 3), seed=0)
-        assert space.sample().shape == (2, 3)
-        assert space.contains(np.full((2, 3), 0.5))
-        assert not space.contains(np.full((2, 3), 2.0))
-
-    def test_multidiscrete(self):
-        space = MultiDiscrete([3, 5], seed=0)
-        assert space.contains(space.sample())
-        assert not space.contains([3, 0])
-
-    def test_tuple(self):
-        space = TupleSpace((Discrete(3), Discrete(4)), seed=0)
-        sample = space.sample()
-        assert space.contains(sample)
-        assert len(space) == 2
 
 
 class TestObservationBuilder:
@@ -234,6 +207,21 @@ class TestEnvBasics:
         obs1 = env.reset()
         obs2 = env.reset()
         assert obs1.num_vms > 0 and obs2.num_vms > 0
+
+    def test_constructor_draws_one_state_from_the_sampler(self):
+        # Samplers share a generator with the trainer, so the constructor's
+        # one draw is part of every episode stream that follows.
+        generator = SnapshotGenerator(small_spec(), seed=0)
+        draws = []
+
+        def sampler():
+            draws.append(generator.generate())
+            return draws[-1]
+
+        env = VMRescheduleEnv(state_sampler=sampler, constraint_config=ConstraintConfig(migration_limit=3))
+        assert len(draws) == 1
+        env.reset()
+        assert len(draws) == 2
 
     def test_render_contains_fr(self, env):
         env.reset()

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core import VMR2LAgent, VMR2LConfig
 from repro.datasets import load_mappings
 from repro.serve import PlanRequest
 
@@ -81,6 +82,16 @@ class TestTrainEvaluatePlan:
     def test_train_writes_checkpoint(self, checkpoint):
         assert Path(checkpoint).exists()
         assert Path(checkpoint).stat().st_size < 2 * 1024 * 1024
+
+    def test_train_uses_the_compact_recipe(self, dataset_dir, checkpoint, tmp_path):
+        assert VMR2LAgent.load(checkpoint).config == VMR2LConfig.compact(4)
+        # The model flags override the recipe's model fields; --seed sets ppo.seed.
+        path = tmp_path / "agent.npz"
+        main(["train", "--dataset", str(dataset_dir), "--checkpoint", str(path), "--total-steps", "16",
+              "--migration-limit", "4", "--embed-dim", "8", "--num-blocks", "2", "--seed", "3"])
+        expected = VMR2LConfig.compact(4, embed_dim=8, num_blocks=2)
+        expected.ppo.seed = 3
+        assert VMR2LAgent.load(path).config == expected
 
     def test_evaluate_with_baseline_and_checkpoint(self, dataset_dir, checkpoint, capsys):
         main(

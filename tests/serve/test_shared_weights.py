@@ -5,7 +5,7 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from repro.env.shared_memory import SharedModuleWeights
+from repro.serve.shared_weights import SharedModuleWeights
 from repro.nn import MLP, tensor
 
 

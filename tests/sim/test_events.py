@@ -1,4 +1,4 @@
-"""Hardened ClusterEvent: validation, dict round-trips, legacy compatibility."""
+"""Hardened ClusterEvent: validation, dict round-trips, Fig. 5 streams through the engine."""
 
 import pytest
 
@@ -6,9 +6,9 @@ from repro.cluster import (
     ClusterEvent,
     EVENT_KINDS,
     EventGenerator,
-    apply_events,
 )
 from repro.datasets import ClusterSpec, SnapshotGenerator
+from repro.sim import LivingCluster
 
 import numpy as np
 
@@ -37,6 +37,23 @@ class TestValidation:
         with pytest.raises(ValueError):
             ClusterEvent(time_s=bad_time, kind="arrival")
 
+    @pytest.mark.parametrize("bad_time", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_time_rejected(self, bad_time):
+        with pytest.raises(ValueError, match="finite"):
+            ClusterEvent(time_s=bad_time, kind="arrival")
+
+    @pytest.mark.parametrize("bad_time", [float("nan"), float("inf"), float("-inf")])
+    def test_from_dict_rejects_non_finite_time(self, bad_time):
+        with pytest.raises(ValueError, match="finite"):
+            ClusterEvent.from_dict({"time_s": bad_time, "kind": "arrival"})
+
+    @pytest.mark.parametrize("bad_time", [True, "12", None, [1.0]])
+    def test_from_dict_rejects_non_numeric_time(self, bad_time):
+        # Checked before conversion: float() would turn True into 1.0 and
+        # "12" into 12.0, times the constructor itself rejects.
+        with pytest.raises(ValueError, match="must be a number"):
+            ClusterEvent.from_dict({"time_s": bad_time, "kind": "arrival"})
+
     def test_zero_time_allowed(self):
         assert ClusterEvent(time_s=0, kind="exit").time_s == 0
 
@@ -62,7 +79,7 @@ class TestRoundTrip:
 
     def test_from_dict_coerces_int_fields(self):
         event = ClusterEvent.from_dict(
-            {"time_s": "2.5", "kind": "pm_add", "pm_cpu": "64", "pm_memory": 256.0}
+            {"time_s": 2.5, "kind": "pm_add", "pm_cpu": "64", "pm_memory": 256.0}
         )
         assert event.time_s == 2.5
         assert event.pm_cpu == 64 and event.pm_memory == 256
@@ -82,8 +99,8 @@ class TestRoundTrip:
             ClusterEvent.from_dict([1.0, "exit"])
 
 
-class TestLegacyCompatibility:
-    """The two-kind Fig. 1 / Fig. 5 path must keep working unchanged."""
+class TestEventGeneratorStreams:
+    """The arrival/exit streams Fig. 5 replays through the simulator's engine."""
 
     def test_event_generator_stream_unchanged(self):
         state = small_state()
@@ -92,22 +109,24 @@ class TestLegacyCompatibility:
         assert events, "expected a non-empty stream"
         assert all(e.kind in ("arrival", "exit") for e in events)
 
-    def test_apply_events_replays_arrivals_and_exits(self):
+    def test_living_cluster_replays_arrivals_and_exits(self):
         state = small_state()
         generator = EventGenerator(rng=np.random.default_rng(1))
         events = generator.generate(300.0, state=state)
-        stats = apply_events(state, events, until_s=300.0, rng=np.random.default_rng(1))
+        engine = LivingCluster(state, events, seed=1)
+        stats = engine.advance(300.0)
         assert stats["arrivals"] + stats["exits"] + stats["failed_arrivals"] > 0
+        assert stats["skipped"] == 0 and engine.pending_events == 0
 
-    def test_apply_events_ignores_simulator_kinds(self):
-        state = small_state()
-        num_pms = state.num_pms
-        events = [
-            ClusterEvent(time_s=1.0, kind="pm_drain", pm_id=0),
-            ClusterEvent(time_s=2.0, kind="pm_fail"),
-            ClusterEvent(time_s=3.0, kind="resize"),
-            ClusterEvent(time_s=4.0, kind="pm_add"),
-        ]
-        stats = apply_events(state, events, until_s=10.0)
-        assert stats == {"arrivals": 0, "exits": 0, "failed_arrivals": 0}
-        assert state.num_pms == num_pms
+    def test_pinned_stream_never_draws_from_the_engine_seed(self):
+        # Every arrival names its flavor and every exit its VM, so the
+        # engine's seed cannot change the replay (Fig. 5 relies on this).
+        events = EventGenerator(changes_per_minute=60.0, rng=np.random.default_rng(4)).generate(
+            300.0, state=small_state()
+        )
+        replays = []
+        for seed in (0, 1, 99):
+            state = small_state()
+            stats = LivingCluster(state, events, seed=seed).advance(300.0)
+            replays.append((stats, state.to_dict()))
+        assert replays[0] == replays[1] == replays[2]

@@ -106,6 +106,19 @@ class TestRecordReplay:
         with pytest.raises(ValueError, match=":2:"):
             load_trace(path)
 
+    def test_nan_event_time_reports_location(self, tmp_path):
+        # json accepts NaN; a NaN time would never come due and would block
+        # every later event of the replay.
+        path = tmp_path / "nan.jsonl"
+        path.write_text(
+            json.dumps({"format": TRACE_FORMAT, "version": 1, "num_events": 2}) + "\n"
+            + json.dumps({"time_s": float("nan"), "kind": "arrival"}) + "\n"
+            + json.dumps({"time_s": 1.0, "kind": "exit"}) + "\n"
+        )
+        with pytest.raises(ValueError, match="finite") as info:
+            load_trace(path)
+        assert f"{path}:2:" in str(info.value)
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")
