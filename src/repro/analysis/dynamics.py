@@ -28,7 +28,10 @@ class DelayOutcome:
 
     ``baseline_fr`` is the FR of the churned cluster if no plan were applied at
     that moment; the *reduction* attributable to the (possibly stale) plan is
-    measured against that baseline, which is what decays with delay.
+    measured against that baseline, which is what decays with delay.  The
+    FRs are means over the churn replicas; ``actions_applied`` and
+    ``actions_stale`` are totals over them, so the two sum to
+    ``num_replicas * len(plan)``.
     """
 
     delay_s: float
@@ -61,7 +64,8 @@ def achieved_fr_vs_delay(
 
     For every delay the churn is re-simulated ``num_replicas`` times with
     different random streams and the achieved FR is averaged, mirroring the
-    paper's averaging over initial mappings.
+    paper's averaging over initial mappings; applied and stale actions are
+    counted over all replicas.
     """
     # Imported here, not at module level: the package root imports this
     # module, so every spawned fleet replica would otherwise load repro.sim.
@@ -93,8 +97,8 @@ def achieved_fr_vs_delay(
                 delay_s=float(delay),
                 achieved_fr=float(np.mean(achieved)),
                 baseline_fr=float(np.mean(baseline)),
-                actions_applied=int(np.mean(applied)),
-                actions_stale=int(np.mean(stale)),
+                actions_applied=sum(applied),
+                actions_stale=sum(stale),
                 initial_fr=initial_fr,
             )
         )

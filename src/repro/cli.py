@@ -157,13 +157,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "(1 = dispatch every request individually)")
     serve.add_argument("--max-queue-depth", type=int, default=0,
                        help="shed requests once this many are queued (0 = unbounded)")
-    serve.add_argument("--deadline-policy", default="partial",
-                       choices=("partial", "error", "fallback"),
-                       help="what an expired deadline_ms yields: the best partial "
-                            "plan, a 408 error, or a fallback-planner re-plan")
     serve.add_argument("--fallback-planner", default=None,
-                       help="registry key of the fast baseline used by "
-                            "--deadline-policy fallback (e.g. 'ha')")
+                       help="registry key of the fast baseline greedy RL requests "
+                            "degrade to at brownout L2 (e.g. 'ha'; needs --brownout)")
     serve.add_argument("--fast-only", action="store_true",
                        help="register only the low-latency planners (rl, ha, vbpp, random)")
     serve.add_argument("--once", action="store_true",
@@ -289,7 +285,6 @@ def _build_service(args, max_batch_size: int = 8) -> ReschedulingService:
     config = ServiceConfig(
         max_batch_size=max_batch_size,
         max_queue_depth=getattr(args, "max_queue_depth", 0),
-        deadline_policy=getattr(args, "deadline_policy", "partial"),
         fallback_planner=getattr(args, "fallback_planner", None),
         brownout=BrownoutConfig() if getattr(args, "brownout", False) else None,
     )
@@ -399,7 +394,6 @@ def _build_fleet(args) -> ReplicaFleet:
     brownout = BrownoutConfig() if getattr(args, "brownout", False) else None
     service_config = ServiceConfig(
         max_batch_size=args.max_batch_size,
-        deadline_policy=args.deadline_policy,
         fallback_planner=args.fallback_planner,
         brownout=brownout,
     )

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .machine import VirtualMachine
-from .state import ClusterState, Placement
+from .state import ClusterState, Placement, int_field
 from .vm_types import VMType, VMTypeCatalog
 
 MINUTES_PER_DAY = 24 * 60
@@ -101,7 +101,7 @@ class ClusterEvent:
         if not isinstance(time_s, (int, float)) or isinstance(time_s, bool):
             raise ValueError(f"time_s must be a number, got {time_s!r}")
         ints = {
-            key: (None if payload.get(key) is None else int(payload[key]))
+            key: (None if payload.get(key) is None else int_field(payload[key], key))
             for key in ("vm_id", "pm_id", "pm_cpu", "pm_memory")
         }
         return cls(

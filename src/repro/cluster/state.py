@@ -17,10 +17,30 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from . import fragmentation
 from .machine import BOTH_NUMAS, NumaNode, PhysicalMachine, VirtualMachine
 from .soa import ClusterArrays
 from .vm_types import DEFAULT_PM_TYPE, PMType, VMType, VMTypeCatalog
+
+
+def int_field(value, name: str) -> int:
+    """``value`` as an int: an int, an integral float or an integer string.
+
+    Decodes the integer fields of payloads from outside the program.  A bool,
+    a fractional or non-finite number or any other type raises ``ValueError``
+    naming ``name`` — plain ``int()`` would read ``true`` as 1 and 3.9 as 3.
+    """
+    if type(value) is int:
+        return value
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    if isinstance(value, str) and value.strip().lstrip("+-").isdigit():
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -511,29 +531,31 @@ class ClusterState:
         for pm_spec in payload["pms"]:
             pm_type = PMType(
                 name=pm_spec.get("type", DEFAULT_PM_TYPE.name),
-                cpu=int(pm_spec["cpu"]),
-                memory=int(pm_spec["memory"]),
+                cpu=int_field(pm_spec["cpu"], "cpu"),
+                memory=int_field(pm_spec["memory"], "memory"),
             )
-            pms.append(PhysicalMachine(pm_id=int(pm_spec["pm_id"]), pm_type=pm_type))
+            pms.append(PhysicalMachine(pm_id=int_field(pm_spec["pm_id"], "pm_id"), pm_type=pm_type))
         vms = []
         for vm_spec in payload["vms"]:
             vm_type = VMType(
                 name=vm_spec.get("type", f"custom-{vm_spec['cpu']}c"),
-                cpu=int(vm_spec["cpu"]),
-                memory=int(vm_spec["memory"]),
-                numa_count=int(vm_spec.get("numa_count", 1)),
+                cpu=int_field(vm_spec["cpu"], "cpu"),
+                memory=int_field(vm_spec["memory"], "memory"),
+                numa_count=int_field(vm_spec.get("numa_count", 1), "numa_count"),
             )
+            pm_id, numa_id = vm_spec.get("pm_id"), vm_spec.get("numa_id")
             vms.append(
                 VirtualMachine(
-                    vm_id=int(vm_spec["vm_id"]),
+                    vm_id=int_field(vm_spec["vm_id"], "vm_id"),
                     vm_type=vm_type,
-                    pm_id=vm_spec.get("pm_id"),
-                    numa_id=vm_spec.get("numa_id"),
+                    pm_id=None if pm_id is None else int_field(pm_id, "pm_id"),
+                    numa_id=None if numa_id is None else int_field(numa_id, "numa_id"),
                     anti_affinity_group=vm_spec.get("anti_affinity_group"),
                 )
             )
-        fragment_cores = int(
-            payload.get("fragment_cores", fragmentation.DEFAULT_FRAGMENT_CORES)
+        fragment_cores = int_field(
+            payload.get("fragment_cores", fragmentation.DEFAULT_FRAGMENT_CORES),
+            "fragment_cores",
         )
         return cls(pms=pms, vms=vms, fragment_cores=fragment_cores)
 

@@ -9,14 +9,14 @@ their decisions, so every hysteresis/cooldown/ladder transition is tested
 without spawning a single process (and the fleet's are model-checked
 together with its routing and restarts).
 
-**Autoscaler.**  :class:`Autoscaler` turns the supervisor's existing health
-signals (per-replica backlog from heartbeat queue depths + router in-flight
-counts, oldest in-flight request age, p95 latency) into a target replica
-count within ``[min_replicas, max_replicas]``.  Flap resistance comes from
-three places: the backlog signal is EWMA-smoothed, the up/down thresholds
-are separated (hysteresis band), and each direction has its own cooldown —
-scale-up is quick because queues hurt now, scale-down is slow because
-respawning a replica costs a model load.
+**Autoscaler.**  :class:`Autoscaler` turns the fleet's per-replica backlog
+(outstanding requests over desired replicas) into a target replica count
+within ``[min_replicas, max_replicas]``.  A stuck request needs no signal of
+its own: the fleet's ``request_timeout_s`` hang detector restarts its
+replica.  Flap resistance comes from three places: the backlog signal is
+EWMA-smoothed, the up/down thresholds are separated (hysteresis band), and
+each direction has its own cooldown — scale-up is quick because queues hurt
+now, scale-down is slow because respawning a replica costs a model load.
 
 **Brownout ladder.**  :class:`BrownoutController` maps smoothed load onto a
 four-level degradation ladder; each level *adds* a cheaper serving mode on
@@ -67,11 +67,6 @@ class AutoscaleConfig:
     #: Scale up when the EWMA-smoothed per-replica backlog (outstanding
     #: requests / active replicas) reaches this.
     scale_up_backlog: float = 3.0
-    #: ... or when the oldest in-flight request is older than this (a queue
-    #: that is shallow but *stuck* still needs capacity).  ``0`` disables.
-    scale_up_inflight_age_s: float = 0.0
-    #: ... or when p95 latency exceeds this many milliseconds.  ``0`` disables.
-    scale_up_p95_ms: float = 0.0
     #: Scale down when the smoothed per-replica backlog falls to this or below.
     scale_down_backlog: float = 0.5
     #: EWMA weight of the newest backlog sample (1.0 = no smoothing).
@@ -93,8 +88,6 @@ class AutoscaleConfig:
                 "scale_up_backlog must exceed scale_down_backlog "
                 "(the hysteresis band must have width)"
             )
-        if self.scale_up_inflight_age_s < 0 or self.scale_up_p95_ms < 0:
-            raise ValueError("scale-up signal thresholds must not be negative")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must be in (0, 1]")
         if self.cooldown_up_s < 0 or self.cooldown_down_s < 0:
@@ -120,10 +113,6 @@ class FleetLoad:
     active_replicas: int
     #: Requests outstanding fleet-wide: assigned to replicas + waiting.
     outstanding: int
-    #: Age of the oldest in-flight request, seconds (0 when none in flight).
-    oldest_inflight_age_s: float = 0.0
-    #: p95 end-to-end latency over the recent window, milliseconds.
-    p95_ms: float = 0.0
 
     @property
     def backlog_per_replica(self) -> float:
@@ -164,17 +153,16 @@ class Autoscaler:
         else:
             self.smoothed = config.alpha * backlog + (1 - config.alpha) * self.smoothed
 
-        up_reason = self._scale_up_reason(load)
-        if up_reason is not None and self.target < config.max_replicas:
+        if self.smoothed >= config.scale_up_backlog and self.target < config.max_replicas:
             if self._cooled(self._last_up, config.cooldown_up_s, now):
-                self._record(now, self.target, self.target + 1, up_reason)
+                self._record(now, self.target, self.target + 1, "backlog-high")
                 self.target += 1
                 self._last_up = now
             return self.target
 
+        # The hysteresis band keeps this branch and the one above exclusive.
         if (
-            up_reason is None
-            and self.smoothed <= config.scale_down_backlog
+            self.smoothed <= config.scale_down_backlog
             and load.outstanding <= load.active_replicas  # nothing queued deep
             and self.target > config.min_replicas
             and self._cooled(self._last_up, config.cooldown_down_s, now)
@@ -199,19 +187,6 @@ class Autoscaler:
         }
 
     # ------------------------------------------------------------------ #
-    def _scale_up_reason(self, load: FleetLoad) -> Optional[str]:
-        config = self.config
-        if self.smoothed is not None and self.smoothed >= config.scale_up_backlog:
-            return "backlog-high"
-        if (
-            config.scale_up_inflight_age_s > 0
-            and load.oldest_inflight_age_s >= config.scale_up_inflight_age_s
-        ):
-            return "inflight-age"
-        if config.scale_up_p95_ms > 0 and load.p95_ms >= config.scale_up_p95_ms:
-            return "p95-latency"
-        return None
-
     @staticmethod
     def _cooled(last: Optional[float], cooldown_s: float, now: float) -> bool:
         return last is None or now - last >= cooldown_s

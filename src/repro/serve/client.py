@@ -140,7 +140,7 @@ class PlanningClient:
             return reply, retry_after_s, exc.code in _RETRYABLE_STATUSES
         except (urllib.error.URLError, ConnectionError, socket.timeout, OSError) as exc:
             # Connection refused/reset, DNS, timeout: the server may be
-            # restarting (rolling deploy) — transient by definition.
+            # restarting (a redeploy) — transient by definition.
             reason = getattr(exc, "reason", exc)
             return (
                 PlanError(

@@ -7,7 +7,7 @@ drain-then-stop, autoscaling and brownout — and performs none of the I/O.
 It has no threads, clock, processes or pipes.  Each input is one method call
 that takes the current time as ``now``: ``start``, ``submit``, ``ready``,
 ``heartbeat``, ``reply``, ``lost`` (pipe EOF, a fatal report, a failed send,
-a dead process), ``stopped``, ``tick`` (the supervisor's scan), ``roll``,
+a dead process), ``stopped``, ``tick`` (the supervisor's scan),
 ``set_target``, ``drain`` and ``shutdown``.  Each call returns the I/O to
 perform as plain data: :class:`Spawn`, :class:`Stop`, :class:`Send` (its
 request already carries the brownout-L1 deadline) and :class:`Resolve`.  The
@@ -137,9 +137,9 @@ class _InFlight:
 # ---------------------------------------------------------------------- #
 #: The only way a slot's state changes.  Entering ``starting`` spawns a
 #: process; entering ``backoff`` schedules its respawn (``respawn`` counts
-#: against ``max_replica_restarts``, nothing else does); ``restarting`` and
-#: ``stopping`` are entered with nothing assigned and left on ``stopped``,
-#: once the process is gone.  ``docs/robustness.md`` prints this table and
+#: against ``max_replica_restarts``, nothing else does); ``stopping`` is
+#: entered with nothing assigned and left on ``stopped``, once the process is
+#: gone.  ``docs/robustness.md`` prints this table and
 #: ``tests/serve/test_fleet_lifecycle.py`` keeps the two equal.
 TRANSITIONS: Dict[Tuple[str, str], str] = {
     ("spare", "spawn"): "starting",
@@ -147,49 +147,37 @@ TRANSITIONS: Dict[Tuple[str, str], str] = {
     ("starting", "ready"): "up",
     ("starting", "fail"): "backoff",
     ("starting", "exhaust"): "exhausted",
-    ("starting", "roll"): "rolling",
     ("starting", "scale_down"): "retiring",
     ("starting", "shutdown"): "stopping",
     ("up", "fail"): "backoff",
     ("up", "exhaust"): "exhausted",
-    ("up", "roll"): "rolling",
     ("up", "scale_down"): "retiring",
     ("up", "shutdown"): "stopping",
-    ("rolling", "ready"): "rolling",
-    ("rolling", "drained"): "restarting",
-    ("rolling", "fail"): "backoff",
-    ("rolling", "exhaust"): "exhausted",
-    ("rolling", "scale_down"): "retiring",
-    ("rolling", "shutdown"): "stopping",
     ("retiring", "ready"): "retiring",
     ("retiring", "drained"): "stopping",
     ("retiring", "fail"): "spare",
     ("retiring", "exhaust"): "spare",
     ("retiring", "shutdown"): "stopping",
-    ("restarting", "stopped"): "starting",
-    ("restarting", "scale_down"): "stopping",
-    ("restarting", "shutdown"): "stopping",
     ("stopping", "stopped"): "spare",
     ("stopping", "shutdown"): "stopping",
     ("backoff", "respawn"): "starting",
-    ("backoff", "roll"): "starting",
     ("backoff", "scale_down"): "spare",
     ("backoff", "shutdown"): "spare",
-    ("exhausted", "roll"): "starting",
     ("exhausted", "scale_down"): "spare",
     ("exhausted", "shutdown"): "spare",
 }
 
 #: States in which the slot's current process runs and its signals count.
-LIVE = ("starting", "up", "rolling", "retiring")
+LIVE = ("starting", "up", "retiring")
 
-#: Slots that left routing on purpose (``/v1/state`` reports them draining).
-_OUT_OF_ROUTING = ("rolling", "retiring", "restarting", "stopping")
+#: Slots that left routing on purpose (``/v1/state`` reports them retiring
+#: and draining).
+_OUT_OF_ROUTING = ("retiring", "stopping")
 
 #: How each lifecycle state reads as ``/v1/state``'s ``state`` field.
 _PUBLIC_STATE = dict(
-    spare="down", starting="starting", up="up", rolling="up", retiring="up",
-    restarting="stopping", stopping="stopping", backoff="down", exhausted="down",
+    spare="down", starting="starting", up="up", retiring="up",
+    stopping="stopping", backoff="down", exhausted="down",
 )
 
 
@@ -310,7 +298,7 @@ class FleetControl:
         self.latencies: "deque[float]" = deque(maxlen=1024)
         self.stats: Dict[str, float] = dict.fromkeys(
             ("submitted", "completed", "errors", "retried", "shed", "restarts",
-             "replica_failures", "rolls", "scale_ups", "scale_downs", "supervisor_errors"),
+             "replica_failures", "scale_ups", "scale_downs", "supervisor_errors"),
             0,
         )
 
@@ -393,7 +381,7 @@ class FleetControl:
     def stopped(self, index: int, generation: int, *, now: float) -> List:
         """A process this core asked to stop has exited."""
         slot = self.slots[index]
-        if generation != slot.generation or slot.state not in ("restarting", "stopping"):
+        if generation != slot.generation or slot.state != "stopping":
             return []
         return self._fire(slot, "stopped", now)
 
@@ -426,11 +414,6 @@ class FleetControl:
                 error = PlanError(entry.request_id, "service_unavailable", message)
                 actions.append(self._resolve(ticket, entry, error, now))
         return actions + self._dispatch(now)
-
-    def roll(self, index: int, *, now: float) -> List:
-        """Take the slot out of routing to be drained, stopped and respawned."""
-        self.stats["rolls"] += 1
-        return self._fire(self.slots[index], "roll", now)
 
     def set_target(self, count: int, *, now: float) -> List:
         """Manually steer the replica count, clamped to the autoscale bounds."""
@@ -467,18 +450,9 @@ class FleetControl:
     # ------------------------------------------------------------------ #
     # Views
     # ------------------------------------------------------------------ #
-    def latency_percentiles(self) -> Dict[str, float]:
-        window = sorted(self.latencies)
-        if not window:
-            return {"p50_ms": 0.0, "p95_ms": 0.0, "p99_ms": 0.0}
-        return {
-            "p50_ms": window[int(0.50 * (len(window) - 1))],
-            "p95_ms": window[int(0.95 * (len(window) - 1))],
-            "p99_ms": window[int(0.99 * (len(window) - 1))],
-        }
-
     def state(self, pids, *, now: float) -> Dict:
         """The ``/v1/state`` body below its ``serving``/``draining`` flags."""
+        window = sorted(self.latencies) or [0.0]
         payload = {
             "replicas": [
                 {
@@ -487,7 +461,7 @@ class FleetControl:
                     "state": _PUBLIC_STATE[slot.state],
                     "healthy": slot.routable,
                     "desired": slot.desired,
-                    "retiring": slot.state in ("retiring", "stopping"),
+                    "retiring": slot.state in _OUT_OF_ROUTING,
                     "draining": slot.draining or slot.state in _OUT_OF_ROUTING,
                     "queue_depth": slot.queue_depth,
                     "assigned": len(slot.assigned),
@@ -501,7 +475,9 @@ class FleetControl:
             ],
             "inflight": len(self.inflight),
             "waiting": len(self.waiting),
-            "latency": self.latency_percentiles(),
+            "latency": {
+                f"p{q}_ms": window[int(q / 100 * (len(window) - 1))] for q in (50, 95, 99)
+            },
             "stats": dict(self.stats),
         }
         if self.autoscaler is not None:
@@ -510,23 +486,13 @@ class FleetControl:
             payload["brownout"] = self.brownout.state_dict()
         return payload
 
-    def control_plane_stats(self) -> Dict[str, float]:
-        """Flat supervision-counter summary for simulation reports:
-        restarts/rolls/sheds/retries plus autoscale and brownout activity."""
-        payload = {key: int(value) for key, value in self.stats.items()}
-        payload["active_replicas"] = sum(1 for slot in self.slots if slot.desired)
-        ladder = self.brownout
-        payload["brownout_transitions"] = 0 if ladder is None else len(ladder.transitions)
-        payload["brownout_level"] = 0 if ladder is None else ladder.level
-        return payload
-
     # ------------------------------------------------------------------ #
     # Internals — lifecycle
     # ------------------------------------------------------------------ #
     def _fire(self, slot: Slot, event: str, now: float) -> List:
         """Apply one lifecycle event to ``slot``; entering ``starting`` spawns."""
         state = next_state(slot.state, event)
-        if state in ("restarting", "stopping") and slot.assigned:
+        if state == "stopping" and slot.assigned:
             raise RuntimeError(f"replica {slot.index} cannot stop with work assigned")
         slot.state = state
         if state != "starting":
@@ -645,13 +611,13 @@ class FleetControl:
     # ------------------------------------------------------------------ #
     def _control_tick(self, now: float) -> List:
         """Drain-then-stop progression + one autoscale/brownout observation."""
-        # Rolling and retiring slots are out of routing; once their last
-        # assigned request resolves they are stopped.  With nothing assigned
+        # Retiring slots are out of routing; once their last assigned
+        # request resolves they are stopped.  With nothing assigned
         # the replica's drain is immediate; the 5 s grace only bounds a
         # wedged exit before SIGTERM/SIGKILL.
         actions: List = []
         for slot in self.slots:
-            if slot.state in ("rolling", "retiring") and not slot.assigned:
+            if slot.state == "retiring" and not slot.assigned:
                 actions += self._stop(slot, "drained", ("drain", 4.5), 5.0, now)
         if self.autoscaler is None and self.brownout is None:
             return actions
@@ -662,13 +628,7 @@ class FleetControl:
             # capacity per active replica.
             self.brownout.observe(outstanding / (max(active, 1) * self.max_batch_size), now)
         if self.autoscaler is not None:
-            oldest = min((e.assigned_at for e in self.inflight.values()), default=None)
-            load = FleetLoad(
-                active_replicas=active,
-                outstanding=outstanding,
-                oldest_inflight_age_s=(now - oldest) if oldest is not None else 0.0,
-                p95_ms=self.latency_percentiles()["p95_ms"],
-            )
+            load = FleetLoad(active_replicas=active, outstanding=outstanding)
             actions += self._apply_scale(self.autoscaler.observe(load, now), now)
         return actions
 

@@ -28,8 +28,8 @@ The contract, checked over every interleaving at small scope by
 * **Graceful drain** — :meth:`ReplicaFleet.drain` sheds new submits with a
   ``Retry-After`` hint, finishes every admitted request (retries through
   mid-drain failures included), then stops the replicas.
-* **Rolling restart** — :meth:`ReplicaFleet.rolling_restart` cycles replicas
-  one at a time with the rest of the fleet carrying traffic.
+* **Drain-before-kill scale-down** — a retired replica leaves routing at
+  once and is stopped only after its last assigned request resolves.
 
 Failure detectors, and why each exists:
 
@@ -59,7 +59,7 @@ from concurrent.futures import Future
 from typing import Dict, List, NamedTuple, Optional
 
 from .. import supervise
-from .control import LIVE, TRANSITIONS, FleetConfig, FleetControl, Resolve, Send, Spawn
+from .control import LIVE, FleetConfig, FleetControl, Resolve, Send, Spawn
 from .registry import build_default_registry
 from .schemas import PlanError, PlanRequest, SchemaError
 from .service import Reply, ReschedulingService, ServiceConfig
@@ -359,31 +359,6 @@ class ReplicaFleet:
     def __exit__(self, *exc_info) -> None:
         self.stop()
 
-    def rolling_restart(self, timeout_per_replica: float = 60.0) -> None:
-        """Replace every replica one at a time without dropping requests.
-
-        Each slot leaves routing, is stopped by the supervisor once its
-        in-flight work has drained, respawns, and rejoins routing once ready
-        — the rest of the fleet carries traffic throughout.  Intentional
-        rolls do not consume the failure restart budget.
-        """
-        for slot in self._control.slots:
-            with self._lock:
-                if self._stopped or (slot.state, "roll") not in TRANSITIONS:
-                    continue  # spare, retiring or already stopping: nothing to roll
-                actions = self._control.roll(slot.index, now=time.monotonic())
-                self._changed.notify_all()
-            self._apply(actions)
-            with self._lock:
-                back = self._changed.wait_for(
-                    lambda: slot.state in ("up", "spare"), timeout=timeout_per_replica
-                )
-            if not back:
-                raise RuntimeError(
-                    f"replica {slot.index} did not come back within "
-                    f"{timeout_per_replica:.0f}s during rolling restart"
-                )
-
     # ------------------------------------------------------------------ #
     # Request path
     # ------------------------------------------------------------------ #
@@ -420,21 +395,11 @@ class ReplicaFleet:
         with self._lock:
             return dict(self._control.stats)
 
-    def latency_percentiles(self) -> Dict[str, float]:
-        with self._lock:
-            return self._control.latency_percentiles()
-
     def state(self) -> Dict:
         """The ``/v1/state`` body: per-replica health + fleet-level counters."""
         with self._lock:
             view = self._control.state(self._pids, now=time.monotonic())
         return {"serving": self.is_serving, "draining": self.is_draining, **view}
-
-    def control_plane_stats(self) -> Dict[str, float]:
-        """Flat supervision-counter summary for simulation reports:
-        restarts/rolls/sheds/retries plus autoscale and brownout activity."""
-        with self._lock:
-            return self._control.control_plane_stats()
 
     def set_target_replicas(self, count: int) -> int:
         """Manually steer the replica count (clamped to the autoscale bounds).

@@ -199,8 +199,8 @@ class PlanResponse:
 
     ``partial=True`` marks a best-effort plan cut short by the request's
     ``deadline_ms`` budget: every migration in it is valid and applicable,
-    but the planner stopped before exhausting the migration limit (see
-    ``ServiceConfig.deadline_policy``).
+    but the planner stopped before exhausting the migration limit.  It is
+    the one answer to an expired budget.
     """
 
     request_id: str

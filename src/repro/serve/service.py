@@ -29,15 +29,12 @@ Every response carries ``latency_ms`` (receive → respond) and ``queue_ms``
 objective under the requested objective function).
 
 Overload and deadlines are first-class: ``max_queue_depth`` sheds work at
-admission (``service_unavailable`` before any compute is spent),
+admission (``service_unavailable`` before any compute is spent), and
 ``request.deadline_ms`` is enforced both at dequeue AND inside deadline-capable
 planners (the remaining budget is threaded into ``plan_batch`` so rollouts stop
-mid-plan), and ``deadline_policy`` decides what an expired budget yields: the
-best partial plan (``"partial"``, default), a stable 408-style
-``deadline_exceeded`` error (``"error"``), or a re-run on a fast fallback
-baseline planner (``"fallback"`` + ``fallback_planner``).  The optional
-brownout ladder is read only through
-:class:`~repro.serve.autoscale.BrownoutController`'s effect predicates.
+mid-plan).  An expired budget answers with the valid prefix the rollout already
+has (``PlanResponse.partial=True``).  The optional brownout ladder is read only
+through :class:`~repro.serve.autoscale.BrownoutController`'s effect predicates.
 :meth:`stop` fails any still-queued request with ``service_unavailable`` so no
 caller blocks on a future that will never resolve.
 """
@@ -74,24 +71,17 @@ class ServiceConfig:
     #: already queued is shed immediately with a ``service_unavailable`` error
     #: instead of growing the queue without bound.  ``0`` disables shedding.
     max_queue_depth: int = 0
-    #: What a deadline-capable planner's *partial* result (budget ran out
-    #: mid-plan) becomes: ``"partial"`` returns the best-effort plan with
-    #: ``PlanResponse.partial=True``; ``"error"`` converts it into a stable
-    #: ``deadline_exceeded`` error (HTTP 408); ``"fallback"`` re-plans the
-    #: request on ``fallback_planner`` (graceful degradation to a fast
-    #: baseline — the response notes ``info["degraded_from"/"degraded_to"]``).
-    deadline_policy: str = "partial"
-    #: Registry key of the fast baseline used by ``deadline_policy="fallback"``
-    #: (e.g. ``"ha"``).  Unset falls back to returning the partial plan.
+    #: Registry key of the fast baseline greedy requests degrade to at
+    #: brownout L2 (e.g. ``"ha"``); the response notes
+    #: ``info["degraded_from"/"degraded_to"]``.  Unset, L2 behaves like L1.
     fallback_planner: Optional[str] = None
     #: Backoff hint attached to shed / draining rejections (``retry_after_s``
     #: on the error, ``Retry-After`` on the HTTP reply): how long a client
     #: should wait before retrying.  ``0`` omits the hint.
     shed_retry_after_s: float = 0.25
     #: Enable the graceful-degradation ladder (L0 normal → L1 reduced-deadline
-    #: partials → L2 fallback planner → L3 shed), entered/exited on
-    #: EWMA-smoothed queue load.  L2 degrades to ``fallback_planner``; unset,
-    #: L2 behaves like L1.  ``None`` disables the ladder entirely (the
+    #: partials → L2 ``fallback_planner`` → L3 shed), entered/exited on
+    #: EWMA-smoothed queue load.  ``None`` disables the ladder entirely (the
     #: default — zero behavior change).
     brownout: Optional[BrownoutConfig] = None
 
@@ -100,11 +90,6 @@ class ServiceConfig:
             raise ValueError("max_batch_size must be >= 1")
         if self.max_queue_depth < 0:
             raise ValueError("max_queue_depth must not be negative")
-        if self.deadline_policy not in ("partial", "error", "fallback"):
-            raise ValueError(
-                "deadline_policy must be one of 'partial', 'error', 'fallback'; "
-                f"got {self.deadline_policy!r}"
-            )
         if self.shed_retry_after_s < 0:
             raise ValueError("shed_retry_after_s must not be negative")
 
@@ -314,24 +299,18 @@ class ReschedulingService:
         """Current ladder level (0 when the ladder is disabled)."""
         return 0 if self._brownout is None else self._brownout.level
 
-    def latency_percentiles(self) -> Dict[str, float]:
-        """p50/p99 over the most recent successful responses (sliding window)."""
-        with self._stats_lock:
-            window = sorted(self._latencies)
-        if not window:
-            return {"p50_ms": 0.0, "p99_ms": 0.0}
-        return {
-            "p50_ms": window[int(0.50 * (len(window) - 1))],
-            "p99_ms": window[int(0.99 * (len(window) - 1))],
-        }
-
     def state(self) -> Dict:
-        """One self-describing health/load snapshot (the ``/v1/state`` body)."""
+        """One self-describing health/load snapshot (the ``/v1/state`` body);
+        its latency percentiles cover the most recent successful responses."""
+        with self._stats_lock:
+            window = sorted(self._latencies) or [0.0]
         payload = {
             "serving": self.is_serving,
             "draining": self.is_draining,
             "queue_depth": self.pending_count(),
-            "latency": self.latency_percentiles(),
+            "latency": {
+                f"p{q}_ms": window[int(q / 100 * (len(window) - 1))] for q in (50, 99)
+            },
             "stats": self.stats(),
         }
         if self._brownout is not None:
@@ -510,7 +489,9 @@ class ReschedulingService:
                 replies[item.index] = self._error(item.request, "internal_error", message)
             return
         inference_ms = (time.perf_counter() - start) * 1e3
+        partials = [bool(result.info.get("partial", False)) for result in results]
         with self._stats_lock:
+            self._stats["partials"] += sum(partials)
             if len(group) > 1:
                 self._stats["batches"] += 1
                 self._stats["batched_requests"] += len(group)
@@ -524,38 +505,7 @@ class ReschedulingService:
         # width); a group larger than max_batch_size streams through that
         # many slots via continuous admission.
         width = min(len(group), self.config.max_batch_size)
-
-        # Apply the deadline policy to partial results BEFORE plan evaluation,
-        # so fallback plans are evaluated (and responded) like any other.
-        for item, result in zip(group, results):
-            request = item.request
-            partial = bool(result.info.get("partial", False))
-            if partial:
-                with self._stats_lock:
-                    self._stats["partials"] += 1
-                policy = self.config.deadline_policy
-                if policy == "error":
-                    replies[item.index] = self._error(
-                        request,
-                        "deadline_exceeded",
-                        f"deadline of {request.deadline_ms} ms expired after "
-                        f"{len(result.plan)} of {request.migration_limit} migrations",
-                    )
-                    continue
-                if policy == "fallback" and self.config.fallback_planner:
-                    try:
-                        fallback = self.registry.get(self.config.fallback_planner)
-                        degraded = fallback.plan(
-                            item.state, request.migration_limit, objective=item.objective
-                        )
-                    except Exception:
-                        pass  # a broken fallback must not lose the partial plan we have
-                    else:
-                        degraded.info["degraded_from"] = planner.name
-                        degraded.info["degraded_to"] = fallback.name
-                        with self._stats_lock:
-                            self._stats["degraded"] += 1
-                        result, partial = degraded, False
+        for item, result, partial in zip(group, results, partials):
             evaluation = evaluate_plan(item.state, result, objective=item.objective)
             replies[item.index] = self._respond(
                 item, result, evaluation, received, inference_ms, width, partial, level

@@ -63,9 +63,9 @@ class FaultyPlanner:
 
     ``fail_calls=None`` makes the fault *persistent* — it fires on every
     call.  With ``kind="slow"`` that models a degraded replica (bad NIC,
-    noisy neighbor) whose every plan call is slower than its peers: the
-    canonical trigger for autoscaler scale-up on in-flight age and for
-    climbing the brownout ladder without any crash involved.
+    noisy neighbor) whose every plan call is slower than its peers: a
+    backlog that builds, and a brownout ladder that climbs, without any
+    crash involved.
     """
 
     def __init__(

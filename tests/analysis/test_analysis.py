@@ -58,9 +58,10 @@ class TestDynamics:
         assert elbow is None or elbow in (0.0, 30.0)
 
     def test_outcomes_pinned(self, snapshot):
-        # A fixed state, plan and churn stream give these outcomes exactly;
-        # they were recorded when Fig. 5 replayed churn through its own
-        # arrival/exit applier, before the simulator's engine took over.
+        # A fixed state, plan and churn stream give these outcomes exactly.
+        # The FR columns were recorded when Fig. 5 replayed churn through its
+        # own arrival/exit applier, before the simulator's engine took over;
+        # the action counts are totals over the three replicas.
         plan = MigrationPlan([
             Migration(vm_id=13, dest_pm_id=5, dest_numa_id=0),
             Migration(vm_id=17, dest_pm_id=5, dest_numa_id=0),
@@ -76,12 +77,14 @@ class TestDynamics:
             (o.delay_s, o.achieved_fr, o.baseline_fr, o.actions_applied, o.actions_stale, o.initial_fr)
             for o in outcomes
         ] == [
-            (0.0, 0.02040816326530612, 0.1292517006802721, 6, 0, 0.1292517006802721),
-            (5.0, 0.03522036349551682, 0.11956154110326561, 5, 0, 0.1292517006802721),
-            (30.0, 0.09062888595052337, 0.10708979130031761, 4, 2, 0.1292517006802721),
-            (120.0, 0.11144850573001717, 0.0808530013090094, 3, 2, 0.1292517006802721),
-            (600.0, 0.06104013421086591, 0.06104013421086591, 0, 6, 0.1292517006802721),
+            (0.0, 0.02040816326530612, 0.1292517006802721, 18, 0, 0.1292517006802721),
+            (5.0, 0.03522036349551682, 0.11956154110326561, 17, 1, 0.1292517006802721),
+            (30.0, 0.09062888595052337, 0.10708979130031761, 12, 6, 0.1292517006802721),
+            (120.0, 0.11144850573001717, 0.0808530013090094, 10, 8, 0.1292517006802721),
+            (600.0, 0.06104013421086591, 0.06104013421086591, 0, 18, 0.1292517006802721),
         ]
+        for outcome in outcomes:  # every action of every replica is counted once
+            assert outcome.actions_applied + outcome.actions_stale == 3 * len(plan)
 
     def test_invalid_replicas(self, snapshot):
         with pytest.raises(ValueError):

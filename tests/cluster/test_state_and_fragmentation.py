@@ -261,6 +261,25 @@ class TestClusterStatePlacement:
         assert restored.vms[1].numa_id == state.vms[1].numa_id  # BOTH_NUMAS marker
         assert not restored.vms[2].is_placed
 
+    @pytest.mark.parametrize(
+        "section,field", [("pms", "cpu"), ("pms", "pm_id"), ("vms", "memory"),
+                          ("vms", "vm_id"), ("vms", "pm_id"), ("vms", "numa_count")],
+    )
+    def test_from_dict_rejects_bools_and_fractions(self, section, field):
+        for bad in (True, 2.5, float("nan"), "x"):
+            payload = build_paper_example().to_dict()
+            payload[section][0][field] = bad
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                ClusterState.from_dict(payload)
+
+    def test_from_dict_accepts_integral_floats_and_digit_strings(self):
+        state = build_paper_example()
+        payload = state.to_dict()
+        payload["pms"][0]["cpu"] = float(payload["pms"][0]["cpu"])
+        payload["vms"][0]["memory"] = str(payload["vms"][0]["memory"])
+        payload["fragment_cores"] = np.int64(payload["fragment_cores"])
+        assert ClusterState.from_dict(payload).to_dict() == state.to_dict()
+
     def test_json_roundtrip(self):
         state = build_paper_example()
         restored = ClusterState.from_json(state.to_json())

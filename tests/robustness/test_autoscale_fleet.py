@@ -153,17 +153,17 @@ class TestClosedLoop:
             assert all(isinstance(r, PlanResponse) for r in replies), [
                 (r.code, r.message) for r in replies if isinstance(r, PlanError)
             ]
-            control = fleet.control_plane_stats()
-            assert control["scale_ups"] >= 1, control
-            assert control["errors"] == 0, control
-            assert control["submitted"] == 64
+            stats = fleet.state()["stats"]
+            assert stats["scale_ups"] >= 1, stats
+            assert stats["errors"] == 0, stats
+            assert stats["submitted"] == 64
             assert (
-                control["completed"] + control["errors"] + control["shed"]
-                == control["submitted"]
-            ), control
+                stats["completed"] + stats["errors"] + stats["shed"]
+                == stats["submitted"]
+            ), stats
             assert wait_until(
-                lambda: fleet.control_plane_stats()["scale_downs"] >= 1
-            ), fleet.control_plane_stats()
+                lambda: fleet.state()["stats"]["scale_downs"] >= 1
+            ), fleet.state()["stats"]
         finally:
             fleet.stop()
 
@@ -227,8 +227,8 @@ class TestChaosProperty:
             fleet.stop()
 
 
-class TestControlPlaneExport:
-    def test_state_and_control_plane_surface_scaling_and_brownout(self):
+class TestStateExport:
+    def test_state_surfaces_scaling_and_brownout(self):
         fleet = start_fleet(
             fast_config(
                 num_replicas=1,
@@ -250,8 +250,7 @@ class TestControlPlaneExport:
             for replica in state["replicas"]:
                 assert "brownout_level" in replica
                 assert "desired" in replica and "retiring" in replica
-            control = fleet.control_plane_stats()
-            for key in (
+            assert set(state["stats"]) == {
                 "submitted",
                 "completed",
                 "errors",
@@ -259,15 +258,13 @@ class TestControlPlaneExport:
                 "shed",
                 "restarts",
                 "replica_failures",
-                "rolls",
                 "scale_ups",
                 "scale_downs",
-                "active_replicas",
-                "brownout_transitions",
-                "brownout_level",
-            ):
-                assert key in control, key
-            assert control["scale_ups"] == 1
-            assert control["active_replicas"] == 2
+                "supervisor_errors",
+            }
+            assert state["stats"]["scale_ups"] == 1
+            assert desired_count(fleet) == 2
+            assert state["brownout"]["level"] == 0
+            assert state["brownout"]["transitions"] == 0
         finally:
             fleet.stop()

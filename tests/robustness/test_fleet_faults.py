@@ -1,5 +1,5 @@
-"""Chaos tests for the replica fleet: crash/hang/kill churn, drain, rolling
-restart, and the exactly-one-terminal-reply invariant they all assert.
+"""Chaos tests for the replica fleet: crash/hang/kill churn, drain, expired
+budgets, and the exactly-one-terminal-reply invariant they all assert.
 
 Fleets here run small and fast (fork, tight heartbeats, short backoffs) so a
 full kill-respawn-retry cycle fits in CI seconds; one spawn-marked test keeps
@@ -208,7 +208,7 @@ class TestInjectedReplicaFaults:
             fleet.stop()
 
 
-class TestDrainAndRollingRestart:
+class TestDrain:
     def test_drain_finishes_admitted_work_and_sheds_new(self):
         fleet = start_fleet(fast_config())
         try:
@@ -252,26 +252,6 @@ class TestDrainAndRollingRestart:
             assert all(isinstance(r, PlanResponse) for r in replies), [
                 r.message for r in replies if isinstance(r, PlanError)
             ]
-        finally:
-            fleet.stop()
-
-    def test_rolling_restart_replaces_every_pid_without_drops(self):
-        fleet = start_fleet(fast_config())
-        try:
-            before = [r["pid"] for r in fleet.state()["replicas"]]
-            assert isinstance(
-                fleet.submit(plan_request()).result(timeout=60.0), PlanResponse
-            )
-            fleet.rolling_restart(timeout_per_replica=60.0)
-            after = [r["pid"] for r in fleet.state()["replicas"]]
-            assert all(a != b for a, b in zip(after, before))
-            assert fleet.stats()["rolls"] == 2
-            # Intentional rolls never consume the failure restart budget.
-            assert fleet.stats()["restarts"] == 0
-            assert isinstance(
-                fleet.submit(plan_request(seed=1)).result(timeout=60.0),
-                PlanResponse,
-            )
         finally:
             fleet.stop()
 
@@ -340,6 +320,32 @@ class TestStopAndState:
             assert state["inflight"] == 0 and state["waiting"] == 0
             assert set(state["latency"]) == {"p50_ms", "p95_ms", "p99_ms"}
             assert state["stats"]["completed"] == 1
+        finally:
+            fleet.stop()
+
+
+class TestExpiredBudget:
+    def test_deadline_bound_request_answers_with_a_prefix(self):
+        """Through the fleet, an expired budget still answers with the valid
+        prefix of the plan the same replica makes without a deadline."""
+        state = small_state(seed=1)
+        fleet = start_fleet(fast_config(num_replicas=1))
+        try:
+            full, bounded = (
+                fleet.plan(
+                    PlanRequest.from_state(
+                        state, planner="vmr2l", migration_limit=64,
+                        deadline_ms=deadline_ms,
+                    ),
+                    timeout=60.0,
+                )
+                for deadline_ms in (None, 30.0)
+            )
+            assert isinstance(full, PlanResponse) and not full.partial
+            assert isinstance(bounded, PlanResponse), bounded
+            assert bounded.partial
+            assert len(bounded.migrations) < len(full.migrations)
+            assert bounded.migrations == full.migrations[: len(bounded.migrations)]
         finally:
             fleet.stop()
 

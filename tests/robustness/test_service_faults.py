@@ -168,24 +168,10 @@ class TestDeadlineEnforcement:
         assert isinstance(full, PlanResponse) and isinstance(bounded, PlanResponse)
         assert bounded.migrations == full.migrations[: len(bounded.migrations)]
 
-    def test_error_policy_maps_to_deadline_exceeded(self, registry):
-        service = ReschedulingService(registry, ServiceConfig(deadline_policy="error"))
-        reply = service.handle(
-            PlanRequest.from_state(
-                small_state(num_pms=8, seed=1),
-                planner="vmr2l",
-                migration_limit=64,
-                deadline_ms=30.0,
-            )
-        )
-        assert isinstance(reply, PlanError)
-        assert reply.code == "deadline_exceeded"
-
-    def test_fallback_policy_degrades_to_baseline(self, registry):
-        service = ReschedulingService(
-            registry,
-            ServiceConfig(deadline_policy="fallback", fallback_planner="ha"),
-        )
+    def test_fallback_planner_does_not_replace_an_expired_plan(self, registry):
+        # The fallback planner is brownout L2's target only: an expired budget
+        # answers with the prefix, not with a late re-plan on the baseline.
+        service = ReschedulingService(registry, ServiceConfig(fallback_planner="ha"))
         reply = service.handle(
             PlanRequest.from_state(
                 small_state(num_pms=8, seed=1),
@@ -195,10 +181,10 @@ class TestDeadlineEnforcement:
             )
         )
         assert isinstance(reply, PlanResponse)
-        assert not reply.partial
-        assert reply.info.get("degraded_to") == "HA"
-        assert reply.info.get("degraded_from")
-        assert service.stats()["degraded"] >= 1
+        assert reply.partial
+        assert "degraded_to" not in reply.info
+        assert service.stats()["partials"] == 1
+        assert service.stats()["degraded"] == 0
 
     def test_queue_expired_deadline_is_rejected_at_dequeue(self):
         gated = build_default_registry(include_slow=False, seed=0)

@@ -19,13 +19,8 @@ from repro.serve import (
 )
 
 
-def load(active, outstanding, age_s=0.0, p95_ms=0.0):
-    return FleetLoad(
-        active_replicas=active,
-        outstanding=outstanding,
-        oldest_inflight_age_s=age_s,
-        p95_ms=p95_ms,
-    )
+def load(active, outstanding):
+    return FleetLoad(active_replicas=active, outstanding=outstanding)
 
 
 class TestAutoscaleConfig:
@@ -40,8 +35,6 @@ class TestAutoscaleConfig:
             AutoscaleConfig(alpha=0.0)
         with pytest.raises(ValueError):
             AutoscaleConfig(cooldown_up_s=-1.0)
-        with pytest.raises(ValueError):
-            AutoscaleConfig(scale_up_inflight_age_s=-0.1)
 
     def test_manual_config_never_autoscales(self):
         scaler = Autoscaler(AutoscaleConfig.manual(1, 4))
@@ -86,19 +79,6 @@ class TestAutoscalerUp:
         assert scaler.observe(load(1, 0), now=0.0) == 1
         assert scaler.observe(load(1, 8), now=1.0) == 2  # smoothed 4.0 >= 3.0
         assert scaler.smoothed == pytest.approx(4.0)
-
-    def test_inflight_age_triggers_without_backlog(self):
-        scaler = Autoscaler(
-            self.config(scale_up_inflight_age_s=2.0), initial_replicas=1
-        )
-        # One stuck request: backlog 1 < 3 but its age crosses the bar.
-        assert scaler.observe(load(1, 1, age_s=5.0), now=0.0) == 2
-        assert scaler.events[0]["reason"] == "inflight-age"
-
-    def test_p95_triggers_without_backlog(self):
-        scaler = Autoscaler(self.config(scale_up_p95_ms=100.0), initial_replicas=1)
-        assert scaler.observe(load(1, 1, p95_ms=250.0), now=0.0) == 2
-        assert scaler.events[0]["reason"] == "p95-latency"
 
 
 class TestAutoscalerDown:

@@ -88,7 +88,7 @@ class TestTransitionTable:
 
     @pytest.mark.parametrize(
         "edge",
-        [e for e, target in TRANSITIONS.items() if target in ("stopping", "restarting")],
+        [e for e, target in TRANSITIONS.items() if target == "stopping"],
     )
     def test_stopping_is_entered_only_with_an_empty_assigned_set(self, edge):
         state, event = edge
@@ -127,14 +127,15 @@ class TestTransitionTable:
         assert all(r < budget for state, r in seen if state == "backoff")
         assert ("exhausted", budget) in seen
 
-    def test_intentional_rolls_never_touch_the_restart_budget(self):
-        # Without a failure, a roll comes back to ``up`` and never passes
-        # through ``backoff`` — the one state whose exit spends the budget.
+    def test_scale_down_never_touches_the_restart_budget(self):
+        # Without a failure, a retired slot drains back to ``spare`` and never
+        # passes through ``backoff`` — the one state whose exit spends the
+        # budget.
         intentional = [e for e in EVENTS if e not in FAILURES]
         for state in ("up", "starting"):
-            after_roll = reachable({next_state(state, "roll")}, intentional)
-            assert "up" in after_roll and "starting" in after_roll
-            assert "backoff" not in after_roll
+            after = reachable({next_state(state, "scale_down")}, intentional)
+            assert {"stopping", "spare"} <= after
+            assert "backoff" not in after
 
 
 #: What an operator reads in ``/v1/state`` for a slot in each state.
@@ -143,9 +144,7 @@ EXPECTED_VIEW = {
     "spare": ("down", False, False, False, False),
     "starting": ("starting", False, True, False, False),
     "up": ("up", True, True, False, False),
-    "rolling": ("up", False, True, False, True),
     "retiring": ("up", False, False, True, True),
-    "restarting": ("stopping", False, True, False, True),
     "stopping": ("stopping", False, False, True, True),
     "backoff": ("down", False, True, False, False),
     "exhausted": ("down", False, True, False, False),
@@ -170,7 +169,7 @@ class TestStateView:
                 row["draining"],
             ) == view, state
         active = sum(1 for view in EXPECTED_VIEW.values() if view[2])
-        assert fleet.control_plane_stats()["active_replicas"] == active
+        assert sum(row["desired"] for row in fleet.state()["replicas"]) == active
 
     def test_a_drained_fleet_reports_stopped_not_draining(self):
         fleet = unstarted_fleet(1)
@@ -198,7 +197,7 @@ class TestFailureChecks:
         assert _failure_reason(slot, 110.01, None, CONFIG) == "replica never became ready"
 
     def test_heartbeat_timeout_boundary(self):
-        for state in ("up", "rolling", "retiring"):
+        for state in ("up", "retiring"):
             slot = live_slot(state, last_heartbeat=50.0)
             assert _failure_reason(slot, 52.0, None, CONFIG) is None
             assert _failure_reason(slot, 52.01, None, CONFIG) == "heartbeat timed out"
@@ -226,7 +225,7 @@ class TestFailureChecks:
             assert actions == [Stop(0, 1, None, 0.0)]
 
     @pytest.mark.parametrize(
-        "state", ["spare", "restarting", "stopping", "backoff", "exhausted"]
+        "state", ["spare", "stopping", "backoff", "exhausted"]
     )
     def test_slots_without_a_live_process_never_fail(self, state):
         slot = live_slot(state, spawned_at=0.0, last_heartbeat=0.1)
@@ -336,6 +335,22 @@ class TestScalingDecisions:
         assert control.stats["scale_downs"] == 1 and control.stats["errors"] == 0
 
 
+    def test_a_busy_slot_is_stopped_only_after_its_last_reply(self):
+        # Retiring a slot with work assigned takes two busy slots and a
+        # scale-down: deeper than the model check's autoscale scope reaches.
+        config = FleetConfig(num_replicas=2, autoscale=AutoscaleConfig.manual(1, 2))
+        control = serving_control(config)
+        sends = [control.submit(t, f"r{t}", request_dict(t), now=0.0)[0] for t in range(2)]
+        assert {send.slot for send in sends} == {0, 1}
+        assert control.set_target(1, now=0.0) == []
+        assert control.slots[1].state == "retiring"
+        assert control.tick(now=0.1) == []  # ticket 1 is still in flight there
+        [resolve] = control.reply(1, 1, 1, OK, now=0.2)
+        assert resolve.reply.ok
+        assert control.tick(now=0.3) == [Stop(1, 1, ("drain", 4.5), 5.0)]
+        assert control.slots[1].state == "stopping"
+
+
 class TestBrownoutDecisions:
     def test_ladder_climbs_sheds_then_recovers(self):
         brownout = BrownoutConfig(
@@ -349,7 +364,7 @@ class TestBrownoutDecisions:
         for ticket in range(8):
             sends += control.submit(ticket, f"r{ticket}", request_dict(ticket), now=0.0)
         control.tick(now=0.05)
-        assert control.control_plane_stats()["brownout_level"] == 3
+        assert control.state([None], now=0.05)["brownout"]["level"] == 3
         [shed] = control.submit(8, "r8", request_dict(8), now=0.06)
         assert isinstance(shed.reply, PlanError)
         assert shed.reply.code == "service_unavailable"

@@ -9,8 +9,8 @@ and not yet answered, the stops not yet reported.  From every world reached,
 breadth-first and deduplicated, every input the shell could feed next is
 tried — submit, ready, heartbeat, reply (ok or ``service_unavailable``),
 lost, stopped, tick (one second on), hang (``now`` advanced past
-``request_timeout_s``, then a tick), scale to 1 or 3, roll, drain and
-shutdown — including signals from replaced generations.  Every step is
+``request_timeout_s``, then a tick), scale to 1 or 3, drain and shutdown —
+including signals from replaced generations.  Every step is
 checked for:
 
 * exactly one ``Resolve`` per submitted ticket, never two; every admitted
@@ -64,7 +64,7 @@ BASE = dict(
 HORIZON = 4.0
 
 SCOPES = {
-    # Two fixed slots: failures, hangs, retries, rolls, drain and shutdown.
+    # Two fixed slots: failures, hangs, retries, drain and shutdown.
     "fixed": (FleetConfig(num_replicas=2, **BASE), 3, 6),
     # Up to three slots under a live autoscaler plus manual scaling.
     "autoscale": (
@@ -158,9 +158,6 @@ class World:
             if control.autoscaler is not None:
                 yield ("set_target", 1)
                 yield ("set_target", 3)
-            for slot in control.slots:
-                if (slot.state, "roll") in TRANSITIONS:
-                    yield ("roll", slot.index)
             if not control.draining:
                 yield ("drain",)
             yield ("shutdown", 1.0)

@@ -141,6 +141,17 @@ class TestServiceSingleRequests:
         assert isinstance(reply, PlanError)
         assert reply.code == "invalid_request"
 
+    @pytest.mark.parametrize("planner", ["ha", "vmr2l"])
+    @pytest.mark.parametrize("cpu", [True, 3.9, float("nan")])
+    def test_non_integer_snapshot_field_is_invalid_request(self, service, planner, cpu):
+        # A bool or a fractional count must not be read as 1 or 3 cores.
+        snapshot = small_state().to_dict()
+        snapshot["vms"][0]["cpu"] = cpu
+        reply = service.handle(PlanRequest(snapshot=snapshot, planner=planner))
+        assert isinstance(reply, PlanError)
+        assert reply.code == "invalid_request"
+        assert "cpu must be an integer" in reply.message
+
     def test_zero_limit_noop_request(self, service):
         reply = service.handle(
             PlanRequest.from_state(small_state(), planner="ha", migration_limit=0)

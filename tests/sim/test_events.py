@@ -84,6 +84,15 @@ class TestRoundTrip:
         assert event.time_s == 2.5
         assert event.pm_cpu == 64 and event.pm_memory == 256
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("vm_id", True), ("pm_id", False), ("pm_cpu", 63.9), ("pm_memory", float("inf")),
+         ("vm_id", "7.5"), ("pm_id", [2])],
+    )
+    def test_from_dict_rejects_non_integer_int_fields(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            ClusterEvent.from_dict({"time_s": 1.0, "kind": "pm_add", field: value})
+
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(ValueError, match="unknown event fields"):
             ClusterEvent.from_dict({"time_s": 1.0, "kind": "exit", "priority": 9})
