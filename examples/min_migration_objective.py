@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from repro.analysis import format_table
 from repro.baselines import FilteringHeuristic
-from repro.cluster import ConstraintConfig, LiveMigrationCostModel, apply_plan
+from repro.cluster import ConstraintConfig, LiveMigrationCostModel
 from repro.core import ModelConfig, PPOConfig, RiskSeekingConfig, VMR2LAgent, VMR2LConfig
 from repro.datasets import ClusterSpec, SnapshotGenerator
 from repro.env import MigrationMinimizationObjective

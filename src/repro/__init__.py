@@ -18,7 +18,7 @@ Subpackages
     Synthetic trace generation (Medium/Large/Multi-Resource analogues,
     workload levels) and dataset persistence.
 ``repro.baselines``
-    HA, α-VBPP, MIP, POP, MCTS, Decima-style, NeuPlan-style and random
+    HA, α-VBPP, MIP, POP, MCTS, NeuPlan-style and random
     baselines behind a common ``Rescheduler`` interface.
 ``repro.core``
     VMR2L itself: feature extraction, two-stage actors, PPO training,

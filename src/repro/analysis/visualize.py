@@ -9,7 +9,7 @@ rendering of NUMA occupancy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from ..cluster import ClusterState, MigrationPlan

@@ -6,7 +6,6 @@ One representative per category:
 * exact optimization — :class:`MIPRescheduler`
 * approximate optimization — :class:`POPRescheduler`
 * search — :class:`MCTSRescheduler`
-* deep learning — :class:`DecimaRescheduler`
 * hybrid — :class:`NeuPlanRescheduler`
 * sanity check — :class:`RandomRescheduler`
 
@@ -15,7 +14,6 @@ a plan and reports the achieved objective.
 """
 
 from .base import PlanEvaluation, Rescheduler, ReschedulingResult, evaluate_plan
-from .decima import DecimaRescheduler
 from .heuristic import FilteringHeuristic
 from .mcts import MCTSRescheduler
 from .mip import MIPRescheduler, order_migrations
@@ -26,7 +24,6 @@ from .vbpp import AlphaVBPP
 
 __all__ = [
     "AlphaVBPP",
-    "DecimaRescheduler",
     "FilteringHeuristic",
     "MCTSRescheduler",
     "MIPRescheduler",

@@ -18,7 +18,7 @@ heuristic works on raw fragment sizes (cheaper to evaluate locally).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from ..cluster import ClusterState, ConstraintChecker, ConstraintConfig, Migration, MigrationPlan
 from .base import Rescheduler

@@ -9,16 +9,14 @@ NeuPlan meet the latency limit at the cost of solution quality for large MNLs.
 The RL prefix accepts any policy implementing the planning interface; by
 default a greedy fragment-reduction policy stands in so the baseline can run
 without a training phase, and a trained :class:`repro.core.agent.VMR2LAgent`
-(or Decima policy) can be plugged in for the learned variant.
+can be plugged in for the learned variant.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional
 
-import numpy as np
-
-from ..cluster import ClusterState, ConstraintConfig, Migration, MigrationPlan
+from ..cluster import ClusterState, ConstraintConfig, MigrationPlan
 from .base import Rescheduler
 from .heuristic import FilteringHeuristic
 from .mip import MIPRescheduler

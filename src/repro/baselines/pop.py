@@ -14,7 +14,6 @@ loses quality, which is exactly the behaviour the paper reports in §5.2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np

@@ -10,10 +10,7 @@ does not consume migration budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
-
-import numpy as np
 
 from ..cluster import ClusterState, ConstraintConfig, MigrationPlan, Placement
 from .base import Rescheduler

@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from .analysis import format_table, render_trace, trace_plan
-from .cluster import ClusterState, ConstraintConfig
+from .cluster import ConstraintConfig
 from .core import VMR2LAgent, VMR2LConfig
 from .datasets import (
     DatasetReader,
@@ -148,8 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "enables closed-loop scaling between the bounds "
                             "(implies a fleet even without --replicas)")
     serve.add_argument("--brownout", action="store_true",
-                       help="enable the overload brownout ladder (L0 normal ... "
-                            "L3 shed) on the service / fleet")
+                       help="enable the fleet's overload brownout ladder (L0 normal "
+                            "... L3 shed; implies a fleet even without --replicas)")
     serve.add_argument("--drain-timeout-s", type=float, default=30.0,
                        help="graceful-drain budget on SIGTERM")
     serve.add_argument("--max-batch-size", type=int, default=8,
@@ -158,8 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-queue-depth", type=int, default=0,
                        help="shed requests once this many are queued (0 = unbounded)")
     serve.add_argument("--fallback-planner", default=None,
-                       help="registry key of the fast baseline greedy RL requests "
-                            "degrade to at brownout L2 (e.g. 'ha'; needs --brownout)")
+                       help="registry key of the fast planner greedy requests "
+                            "go to at brownout L2 (e.g. 'ha'; needs --brownout)")
     serve.add_argument("--fast-only", action="store_true",
                        help="register only the low-latency planners (rl, ha, vbpp, random)")
     serve.add_argument("--once", action="store_true",
@@ -285,8 +285,6 @@ def _build_service(args, max_batch_size: int = 8) -> ReschedulingService:
     config = ServiceConfig(
         max_batch_size=max_batch_size,
         max_queue_depth=getattr(args, "max_queue_depth", 0),
-        fallback_planner=getattr(args, "fallback_planner", None),
-        brownout=BrownoutConfig() if getattr(args, "brownout", False) else None,
     )
     return ReschedulingService(registry, config)
 
@@ -391,21 +389,27 @@ def _build_fleet(args) -> ReplicaFleet:
             min_replicas=max(getattr(args, "min_replicas", 0) or 0, 1),
             max_replicas=max_replicas,
         )
-    brownout = BrownoutConfig() if getattr(args, "brownout", False) else None
-    service_config = ServiceConfig(
-        max_batch_size=args.max_batch_size,
-        fallback_planner=args.fallback_planner,
-        brownout=brownout,
-    )
+    brownout = None
+    if args.brownout:
+        brownout = BrownoutConfig(fallback_planner=args.fallback_planner)
     fleet_config = FleetConfig(
-        num_replicas=args.replicas or (autoscale.min_replicas if autoscale else 0),
+        num_replicas=args.replicas or (autoscale.min_replicas if autoscale else 1),
         start_method=args.start_method,
         max_inflight=args.max_queue_depth,
         drain_timeout_s=args.drain_timeout_s,
         autoscale=autoscale,
         brownout=brownout,
     )
+    service_config = ServiceConfig(max_batch_size=args.max_batch_size)
     return ReplicaFleet(factory, config=fleet_config, service_config=service_config)
+
+
+def _build_backend(args):
+    """A fleet when any fleet flag is given (``--brownout`` too: the ladder
+    lives in the fleet's control plane), else one in-process service."""
+    if args.replicas > 0 or args.max_replicas > 0 or args.brownout:
+        return _build_fleet(args)
+    return _build_service(args, max_batch_size=args.max_batch_size)
 
 
 def cmd_serve(args) -> Dict:
@@ -421,14 +425,12 @@ def cmd_serve(args) -> Dict:
         print(json.dumps(payload, indent=None if args.json else 2, default=str))
         return payload
 
-    fleet_mode = args.replicas > 0 or args.max_replicas > 0
-    if fleet_mode:
-        backend = _build_fleet(args)
+    backend = _build_backend(args)
+    if isinstance(backend, ReplicaFleet):
         backend.start()
         described = backend.registry.describe()
         planners = ", ".join(sorted(entry.get("key", entry["name"]) for entry in described))
     else:
-        backend = _build_service(args, max_batch_size=args.max_batch_size)
         planners = ", ".join(backend.registry.names())
     server = PlanningServer(
         backend, host=args.host, port=args.port, verbose=args.verbose
@@ -437,8 +439,8 @@ def cmd_serve(args) -> Dict:
     if args.max_replicas > 0:
         mode = (f"autoscaled fleet {max(args.min_replicas, 1)}.."
                 f"{args.max_replicas} replicas")
-    elif args.replicas > 0:
-        mode = f"{args.replicas} replicas"
+    elif isinstance(backend, ReplicaFleet):
+        mode = f"{backend.config.num_replicas} replica(s)"
     else:
         mode = "single process"
     print(f"repro serve: listening on http://{host}:{port} ({mode}; "
@@ -560,6 +562,10 @@ def _emit(args, rows: Sequence[Dict], title: str) -> None:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "serve" and args.fallback_planner and not args.brownout:
+        parser.error("--fallback-planner is brownout L2's target; it needs --brownout")
+    if args.command == "serve" and args.once and args.brownout:
+        parser.error("--once serves one request: a brownout ladder has no load to read")
     handlers = {
         "generate-dataset": cmd_generate_dataset,
         "train": cmd_train,

@@ -9,7 +9,7 @@ its request evenly in the double-NUMA case.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from .vm_types import PMType, VMType
 

@@ -48,7 +48,7 @@ bit-for-bit identical to the object fields.
 
 from __future__ import annotations
 
-from typing import Dict, TYPE_CHECKING
+from typing import TYPE_CHECKING
 
 import numpy as np
 

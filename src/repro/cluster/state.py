@@ -15,14 +15,14 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from . import fragmentation
-from .machine import BOTH_NUMAS, NumaNode, PhysicalMachine, VirtualMachine
+from .machine import BOTH_NUMAS, PhysicalMachine, VirtualMachine
 from .soa import ClusterArrays
-from .vm_types import DEFAULT_PM_TYPE, PMType, VMType, VMTypeCatalog
+from .vm_types import DEFAULT_PM_TYPE, PMType, VMType
 
 
 def int_field(value, name: str) -> int:

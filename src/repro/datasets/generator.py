@@ -19,13 +19,12 @@ by the test-suite and the default benchmark scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..cluster import (
-    BOTH_NUMAS,
     ClusterState,
     PhysicalMachine,
     Placement,

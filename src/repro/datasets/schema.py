@@ -23,7 +23,7 @@ Datasets are stored as JSON-lines files (one mapping per line) next to a
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict
 
 SCHEMA_VERSION = 1
 

@@ -15,7 +15,6 @@ The paper optimizes several objectives with the same agent:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from ..cluster import ClusterState
 from ..cluster.fragmentation import REWARD_SCALE, pm_cpu_fragment, pm_memory_fragment

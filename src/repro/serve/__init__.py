@@ -12,8 +12,9 @@
 * :mod:`repro.serve.fleet` / :mod:`repro.serve.control` — the self-healing
   replica fleet (``repro serve --replicas N``): supervised serving
   processes over shared read-only weights, health-checked routing, bounded
-  retries, graceful drain and autoscaling — every decision made by one
-  pure, model-checked state machine, the processes and pipes kept in a shell
+  retries, graceful drain, autoscaling and the brownout ladder — every
+  decision made by one pure, model-checked state machine, the processes and
+  pipes kept in a shell
 * :mod:`repro.serve.shared_weights` — :class:`SharedModuleWeights`, the
   fleet's one read-only copy of the policy weights in shared memory
 * :mod:`repro.serve.client` — retrying HTTP client (``repro plan --url``)

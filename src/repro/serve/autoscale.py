@@ -3,11 +3,10 @@
 Both controllers here are deliberately **pure**: they consume load samples
 with an explicit ``now`` and emit decisions (a target replica count, a
 brownout level), mutating nothing outside themselves.  The fleet's control
-plane :class:`~repro.serve.control.FleetControl` and
-:class:`~repro.serve.service.ReschedulingService` feed them and *apply*
+plane :class:`~repro.serve.control.FleetControl` feeds them and *applies*
 their decisions, so every hysteresis/cooldown/ladder transition is tested
-without spawning a single process (and the fleet's are model-checked
-together with its routing and restarts).
+without spawning a single process, and model-checked together with the
+fleet's routing and restarts.
 
 **Autoscaler.**  :class:`Autoscaler` turns the fleet's per-replica backlog
 (outstanding requests over desired replicas) into a target replica count
@@ -18,18 +17,22 @@ EWMA-smoothed, the up/down thresholds are separated (hysteresis band), and
 each direction has its own cooldown — scale-up is quick because queues hurt
 now, scale-down is slow because respawning a replica costs a model load.
 
-**Brownout ladder.**  :class:`BrownoutController` maps smoothed load onto a
-four-level degradation ladder; each level *adds* a cheaper serving mode on
-top of the previous ones:
+**Brownout ladder.**  :class:`BrownoutController` maps the fleet's smoothed
+load onto a four-level degradation ladder; each level *adds* a cheaper
+serving mode on top of the previous ones:
 
 =====  ==============================================================
-level  effect (applied by the service / fleet)
+level  effect (on each request the fleet sends, or at its admission)
 =====  ==============================================================
 L0     normal serving
 L1     impose a reduced deadline → partial plans (a valid prefix)
-L2     degrade greedy RL requests to the fast fallback baseline
+L2     send greedy requests to the fast fallback planner instead
 L3     shed new requests with a ``Retry-After`` hint
 =====  ==============================================================
+
+:meth:`BrownoutController.apply` makes the L1 and L2 edits to a copy of the
+request and names the info keys its reply gains; ``shedding`` gates
+admission.
 
 Levels *enter* when smoothed load crosses ``enter_thresholds[level-1]`` (a
 spike can jump several rungs at once) and *exit* one rung at a time, only
@@ -225,6 +228,10 @@ class BrownoutConfig:
     min_dwell: int = 2
     #: The deadline L1 imposes on requests that arrive without a tighter one.
     reduced_deadline_ms: float = 250.0
+    #: Registry key of the fast planner greedy requests go to at L2 (e.g.
+    #: ``"ha"``); the reply notes ``info["degraded_from"/"degraded_to"]``.
+    #: Unset, L2 behaves like L1.
+    fallback_planner: Optional[str] = None
 
     def __post_init__(self) -> None:
         if len(self.enter_thresholds) != MAX_BROWNOUT_LEVEL:
@@ -289,26 +296,33 @@ class BrownoutController:
                 self._below_exit = 0
         return self.level
 
-    # Effect predicates — the service/fleet branch on these, never on raw
-    # level comparisons, so the ladder semantics live in exactly one place.
     @property
-    def reduce_deadline(self) -> bool:  # L1+
-        return self.level >= 1
-
-    @property
-    def degrade_to_fallback(self) -> bool:  # L2+
-        return self.level >= 2
-
-    @property
-    def shedding(self) -> bool:  # L3
+    def shedding(self) -> bool:  # L3: admission sheds new requests
         return self.level >= MAX_BROWNOUT_LEVEL
 
-    def effective_deadline_ms(self, deadline_ms: Optional[float]) -> Optional[float]:
-        """The request deadline after L1: the tighter of caller's and ours."""
-        if not self.reduce_deadline:
-            return deadline_ms
+    def apply(self, request: Dict) -> Tuple[Dict, Dict]:
+        """The copy of ``request`` to send at the current level, and the info
+        keys its reply gains; ``request`` itself is never changed.
+
+        L1 stamps the tighter of the caller's deadline and the reduced one
+        (a non-numeric deadline is left for the replica to reject); L2 sends
+        greedy requests to ``fallback_planner``.
+        """
+        if self.level == 0:
+            return request, {}
+        sent, info = dict(request), {"brownout_level": self.level}
         reduced = self.config.reduced_deadline_ms
-        return reduced if deadline_ms is None else min(float(deadline_ms), reduced)
+        deadline = request.get("deadline_ms")
+        if deadline is None:
+            sent["deadline_ms"] = reduced
+        elif isinstance(deadline, (int, float)) and not isinstance(deadline, bool):
+            sent["deadline_ms"] = min(float(deadline), reduced)
+        fallback, planner = self.config.fallback_planner, request.get("planner")
+        if (self.level >= 2 and fallback and request.get("greedy", True) is True
+                and str(planner).lower() != fallback.lower()):
+            sent["planner"] = fallback
+            info.update(degraded_from=planner, degraded_to=fallback)
+        return sent, info
 
     def state_dict(self) -> Dict:
         return {

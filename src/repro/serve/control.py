@@ -10,7 +10,7 @@ that takes the current time as ``now``: ``start``, ``submit``, ``ready``,
 a dead process), ``stopped``, ``tick`` (the supervisor's scan),
 ``set_target``, ``drain`` and ``shutdown``.  Each call returns the I/O to
 perform as plain data: :class:`Spawn`, :class:`Stop`, :class:`Send` (its
-request already carries the brownout-L1 deadline) and :class:`Resolve`.  The
+request already carries the brownout rungs' edits) and :class:`Resolve`.  The
 process shell calls them under one lock and applies what they return, so
 every interleaving can be enumerated: ``tests/serve/test_fleet_model.py``
 checks the fleet's contracts over all of them at small scope.
@@ -87,10 +87,8 @@ class FleetConfig:
     #: ``max_replicas`` (see :class:`AutoscaleConfig`).  ``None`` keeps the
     #: fleet fixed at ``num_replicas`` — the pre-autoscaler behavior.
     autoscale: Optional[AutoscaleConfig] = None
-    #: Fleet-level brownout ladder: L3 sheds at admission, L1 stamps reduced
-    #: deadlines onto dispatched requests, and the level is exported via
-    #: ``/v1/state``.  Replica-*internal* ladders come from
-    #: ``service_config.brownout`` instead.  ``None`` disables.
+    #: The brownout ladder (the only one: replicas run none).  L1 and L2 edit
+    #: each sent copy, L3 sheds at admission; ``None`` disables.
     brownout: Optional[BrownoutConfig] = None
 
     def __post_init__(self) -> None:
@@ -130,6 +128,7 @@ class _InFlight:
     replica: Optional[int] = None  # assigned slot index, None while waiting
     assigned_at: float = 0.0
     due_at: float = 0.0  # earliest re-dispatch time while waiting
+    info: Dict = field(default_factory=dict)  # brownout keys of the last send
 
 
 # ---------------------------------------------------------------------- #
@@ -204,7 +203,6 @@ class Slot:
         self.queue_depth = 0
         self.handled = 0
         self.draining = False  # replica-service-side (from heartbeat)
-        self.brownout_level = 0  # replica-service-side (from heartbeat)
         self.fatal: Optional[str] = None  # traceback of a failed startup
         self.restarts = 0
         self.respawn_at = 0.0  # when a ``backoff`` slot respawns
@@ -297,7 +295,7 @@ class FleetControl:
         self.draining = False
         self.latencies: "deque[float]" = deque(maxlen=1024)
         self.stats: Dict[str, float] = dict.fromkeys(
-            ("submitted", "completed", "errors", "retried", "shed", "restarts",
+            ("submitted", "completed", "errors", "retried", "shed", "degraded", "restarts",
              "replica_failures", "scale_ups", "scale_downs", "supervisor_errors"),
             0,
         )
@@ -345,7 +343,6 @@ class FleetControl:
             slot.queue_depth = int(load.get("queue_depth", 0))
             slot.handled = int(load.get("handled", 0))
             slot.draining = bool(load.get("draining", False))
-            slot.brownout_level = int(load.get("brownout_level", 0))
         return []
 
     def reply(self, index: int, generation: int, ticket: int, reply_dict: Dict, *, now) -> List:
@@ -368,6 +365,9 @@ class FleetControl:
         if retry and entry.attempts < self.config.retry.max_retries:
             self._schedule_retry(ticket, entry, now)
             return self._dispatch(now)
+        if reply.ok:
+            reply.info.update(entry.info)
+            self.stats["degraded"] += "degraded_to" in entry.info
         return [self._resolve(ticket, entry, reply, now)]
 
     def lost(self, index: int, generation: int, reason: str, fatal: Optional[str] = None,
@@ -467,7 +467,6 @@ class FleetControl:
                     "assigned": len(slot.assigned),
                     "restarts": slot.restarts,
                     "handled": slot.handled,
-                    "brownout_level": slot.brownout_level,
                     "heartbeat_age_s": None if slot.last_heartbeat is None
                     else round(now - slot.last_heartbeat, 3),
                 }
@@ -581,13 +580,11 @@ class FleetControl:
             entry.assigned_at = now
             self.inflight[ticket] = entry
             slot.assigned.add(ticket)
+            # Each attempt goes out at the level that holds *now*; the stored
+            # request stays as the caller sent it.
             request = entry.request_dict
-            if self.brownout is not None and self.brownout.reduce_deadline:
-                # Brownout L1: stamp the reduced deadline onto the dispatched
-                # copy (never the stored one — a retry after recovery should
-                # run at whatever level holds *then*).
-                deadline_ms = self.brownout.effective_deadline_ms(request.get("deadline_ms"))
-                request = {**request, "deadline_ms": deadline_ms}
+            if self.brownout is not None:
+                request, entry.info = self.brownout.apply(request)
             actions.append(Send(slot.index, slot.generation, ticket, request))
         return actions
 

@@ -179,7 +179,6 @@ def _replica_main(
                         "queue_depth": service.pending_count(),
                         "handled": int(service.stats()["requests"]),
                         "draining": service.is_draining,
-                        "brownout_level": service.brownout_level,
                     },
                 )
             )
@@ -311,8 +310,12 @@ class ReplicaFleet:
             )
             down = ("starting", "backoff", "exhausted")
             failed = [s for s in initial if s.fatal or s.state in down]
-        if failed:
+        fallback = self.config.brownout and self.config.brownout.fallback_planner
+        keys = [entry["key"] for entry in self._planners_description or []]
+        if failed or (fallback and fallback.lower() not in keys):
             self.stop()
+            if not failed:  # every L2 request would answer unknown_planner
+                raise RuntimeError(f"fallback planner {fallback!r} is not one of {keys}")
             slot = failed[0]
             if slot.fatal:
                 raise RuntimeError(f"replica {slot.index} failed to start:\n{slot.fatal}")

@@ -26,7 +26,6 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from ..baselines import (
     AlphaVBPP,
-    DecimaRescheduler,
     FilteringHeuristic,
     MCTSRescheduler,
     MIPRescheduler,
@@ -247,7 +246,7 @@ def build_default_registry(
     ``checkpoint`` loads a trained VMR2L agent; otherwise ``agent`` (or a
     freshly initialized, untrained agent) backs the ``rl`` entry so the full
     API surface works out of the box.  ``include_slow=False`` drops the
-    optimization/search baselines (MIP, POP, MCTS, NeuPlan, Decima) for
+    optimization/search baselines (MIP, POP, MCTS, NeuPlan) for
     latency-sensitive deployments.
     """
     registry = PlannerRegistry()
@@ -293,15 +292,6 @@ def build_default_registry(
                 "MCTS",
                 lambda seed=seed: MCTSRescheduler(seed=seed),
                 "Monte-Carlo tree search over migrations",
-                seedable=True,
-            ),
-        )
-        registry.register(
-            "decima",
-            BaselinePlanner(
-                "Decima",
-                lambda seed=seed: DecimaRescheduler(seed=seed),
-                "RL baseline with PM subsampling (vanilla extractor)",
                 seedable=True,
             ),
         )

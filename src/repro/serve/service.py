@@ -33,9 +33,9 @@ admission (``service_unavailable`` before any compute is spent), and
 ``request.deadline_ms`` is enforced both at dequeue AND inside deadline-capable
 planners (the remaining budget is threaded into ``plan_batch`` so rollouts stop
 mid-plan).  An expired budget answers with the valid prefix the rollout already
-has (``PlanResponse.partial=True``).  The optional brownout ladder is read only
-through :class:`~repro.serve.autoscale.BrownoutController`'s effect predicates.
-:meth:`stop` fails any still-queued request with ``service_unavailable`` so no
+has (``PlanResponse.partial=True``).  Overload degradation beyond shedding is
+the replica fleet's (:class:`~repro.serve.control.FleetControl`), which sees
+the whole fleet's backlog; the service plans what it is sent.  :meth:`stop` fails any still-queued request with ``service_unavailable`` so no
 caller blocks on a future that will never resolve.
 """
 
@@ -51,7 +51,6 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Union
 
 from ..baselines.base import PlanEvaluation, ReschedulingResult, evaluate_plan
 from ..cluster import ClusterState
-from .autoscale import BrownoutConfig, BrownoutController
 from .registry import Planner, PlannerRegistry, build_default_registry
 from .schemas import PlanError, PlanRequest, PlanResponse, SchemaError
 
@@ -71,19 +70,10 @@ class ServiceConfig:
     #: already queued is shed immediately with a ``service_unavailable`` error
     #: instead of growing the queue without bound.  ``0`` disables shedding.
     max_queue_depth: int = 0
-    #: Registry key of the fast baseline greedy requests degrade to at
-    #: brownout L2 (e.g. ``"ha"``); the response notes
-    #: ``info["degraded_from"/"degraded_to"]``.  Unset, L2 behaves like L1.
-    fallback_planner: Optional[str] = None
     #: Backoff hint attached to shed / draining rejections (``retry_after_s``
     #: on the error, ``Retry-After`` on the HTTP reply): how long a client
     #: should wait before retrying.  ``0`` omits the hint.
     shed_retry_after_s: float = 0.25
-    #: Enable the graceful-degradation ladder (L0 normal → L1 reduced-deadline
-    #: partials → L2 ``fallback_planner`` → L3 shed), entered/exited on
-    #: EWMA-smoothed queue load.  ``None`` disables the ladder entirely (the
-    #: default — zero behavior change).
-    brownout: Optional[BrownoutConfig] = None
 
     def __post_init__(self) -> None:
         if self.max_batch_size < 1:
@@ -130,14 +120,8 @@ class ReschedulingService:
         self._worker: Optional[threading.Thread] = None
         self._running = False
         self._draining = False
-        self._brownout_lock = threading.Lock()
         self._stats_lock = threading.Lock()
         self._latencies: "deque[float]" = deque(maxlen=512)
-        self._brownout = (
-            BrownoutController(self.config.brownout)
-            if self.config.brownout is not None
-            else None
-        )
         self._stats: Dict[str, float] = {
             "requests": 0,
             "errors": 0,
@@ -145,7 +129,6 @@ class ReschedulingService:
             "batched_requests": 0,
             "shed": 0,
             "partials": 0,
-            "degraded": 0,
         }
 
     # ------------------------------------------------------------------ #
@@ -163,13 +146,6 @@ class ReschedulingService:
         slot.
         """
         received = time.perf_counter()
-        # The sync path sees load only as burst width: one handle_many call
-        # IS the instantaneous queue, so the ladder observes its size.
-        if self._observe_brownout(len(requests)):
-            return [
-                self._shed(request, "brownout: service is shedding load; retry later")
-                for request in requests
-            ]
         return self._run([_Pending(request, received) for request in requests])
 
     # ------------------------------------------------------------------ #
@@ -267,11 +243,6 @@ class ReschedulingService:
             future.set_result(
                 self._shed(request, "service is draining and no longer admits requests")
             )
-        # Queued-path ladder input: depth of the queue the request joins.
-        elif self._observe_brownout(self._queue.qsize()):
-            future.set_result(
-                self._shed(request, "brownout: service is shedding load; retry later")
-            )
         elif depth > 0 and self._queue.qsize() >= depth:
             future.set_result(
                 self._shed(
@@ -289,22 +260,14 @@ class ReschedulingService:
 
     def stats(self) -> Dict[str, float]:
         with self._stats_lock:
-            payload = dict(self._stats)
-        if self._brownout is not None:
-            payload["brownout_transitions"] = len(self._brownout.transitions)
-        return payload
-
-    @property
-    def brownout_level(self) -> int:
-        """Current ladder level (0 when the ladder is disabled)."""
-        return 0 if self._brownout is None else self._brownout.level
+            return dict(self._stats)
 
     def state(self) -> Dict:
         """One self-describing health/load snapshot (the ``/v1/state`` body);
         its latency percentiles cover the most recent successful responses."""
         with self._stats_lock:
             window = sorted(self._latencies) or [0.0]
-        payload = {
+        return {
             "serving": self.is_serving,
             "draining": self.is_draining,
             "queue_depth": self.pending_count(),
@@ -313,22 +276,10 @@ class ReschedulingService:
             },
             "stats": self.stats(),
         }
-        if self._brownout is not None:
-            payload["brownout"] = self._brownout.state_dict()
-        return payload
 
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
-    def _observe_brownout(self, depth: int) -> bool:
-        """Fold one load sample (queue depth or burst width, in requests)
-        into the ladder; True when the ladder now sheds."""
-        if self._brownout is None:
-            return False
-        with self._brownout_lock:
-            self._brownout.observe(depth / self.config.max_batch_size, time.monotonic())
-            return self._brownout.shedding
-
     def _prepare(self, request: PlanRequest):
         """Validate a request and resolve its planner/state/objective."""
         request.validate()
@@ -350,12 +301,6 @@ class ReschedulingService:
         its error in its own slot and never affects the others.
         """
         received = time.perf_counter()
-        # One consistent read of the ladder for the whole run.
-        with self._brownout_lock:
-            ladder = self._brownout
-            level = self.brownout_level
-            reduced_ms = None if ladder is None else ladder.effective_deadline_ms(None)
-            degrade = ladder is not None and ladder.degrade_to_fallback
         replies: List[Optional[Reply]] = [None] * len(items)
         prepared: List[_Prepared] = []
         for index, item in enumerate(items):
@@ -364,10 +309,7 @@ class ReschedulingService:
                 # Validate (via _prepare) BEFORE touching deadline_ms: only a
                 # validated request is known to carry a numeric deadline.
                 planner, state, objective = self._prepare(request)
-                # The brownout budget runs from dispatch, so deadline-capable
-                # planners return a valid partial prefix instead of queueing
-                # full work; the caller's budget runs from receive.
-                bounds = [] if reduced_ms is None else [received + reduced_ms / 1e3]
+                deadline_at = None
                 if request.deadline_ms is not None:
                     waited_ms = (received - item.enqueued_at) * 1e3
                     if waited_ms > float(request.deadline_ms):
@@ -376,7 +318,7 @@ class ReschedulingService:
                             f"deadline of {request.deadline_ms} ms",
                             code="deadline_exceeded",
                         )
-                    bounds.append(item.enqueued_at + float(request.deadline_ms) / 1e3)
+                    deadline_at = item.enqueued_at + float(request.deadline_ms) / 1e3
             except SchemaError as exc:
                 replies[index] = self._error(request, exc.code, str(exc))
             except KeyError as exc:
@@ -388,11 +330,11 @@ class ReschedulingService:
             else:
                 prepared.append(
                     _Prepared(index, request, item.enqueued_at, planner, state,
-                              objective, min(bounds, default=None))
+                              objective, deadline_at)
                 )
 
         for group in self._group(prepared):
-            self._dispatch(group, replies, received, level, degrade)
+            self._dispatch(group, replies, received)
         return [
             reply
             if reply is not None
@@ -434,25 +376,11 @@ class ReschedulingService:
         group: List[_Prepared],
         replies: List[Optional[Reply]],
         received: float,
-        level: int,
-        degrade: bool,
     ) -> None:
         """Run one ``plan_batch`` call for a group and fill the reply slots."""
         first = group[0]
         planner: Planner = first.planner
         greedy = first.request.greedy
-        # Brownout fallback rung: greedy requests degrade to the fast fallback
-        # baseline wholesale (the base Planner.plan_batch loops plan(), so the
-        # swap is safe for multi-request groups too).
-        degraded_from: Optional[str] = None
-        if degrade and self.config.fallback_planner and greedy:
-            try:
-                fallback = self.registry.get(self.config.fallback_planner)
-            except KeyError:
-                fallback = None
-            if fallback is not None and fallback is not planner:
-                degraded_from = planner.name
-                planner = fallback
         # The group is deadline-homogeneous (see _group); members may differ
         # by queue wait, so the earliest absolute deadline binds the call.
         deadlines = [item.deadline_at for item in group if item.deadline_at is not None]
@@ -495,12 +423,6 @@ class ReschedulingService:
             if len(group) > 1:
                 self._stats["batches"] += 1
                 self._stats["batched_requests"] += len(group)
-            if degraded_from is not None:
-                self._stats["degraded"] += len(group)
-        if degraded_from is not None:
-            for result in results:
-                result.info["degraded_from"] = degraded_from
-                result.info["degraded_to"] = planner.name
         # batch_size reports the effective concurrency (stacked-forward
         # width); a group larger than max_batch_size streams through that
         # many slots via continuous admission.
@@ -508,7 +430,7 @@ class ReschedulingService:
         for item, result, partial in zip(group, results, partials):
             evaluation = evaluate_plan(item.state, result, objective=item.objective)
             replies[item.index] = self._respond(
-                item, result, evaluation, received, inference_ms, width, partial, level
+                item, result, evaluation, received, inference_ms, width, partial
             )
 
     def _respond(
@@ -520,7 +442,6 @@ class ReschedulingService:
         inference_ms: float,
         batch_size: int,
         partial: bool,
-        level: int,
     ) -> PlanResponse:
         request = item.request
         latency_ms = (time.perf_counter() - item.enqueued_at) * 1e3
@@ -537,9 +458,6 @@ class ReschedulingService:
         with self._stats_lock:
             self._stats["requests"] += 1
             self._latencies.append(latency_ms)
-        info = dict(result.info)
-        if level > 0:
-            info["brownout_level"] = level
         return PlanResponse(
             request_id=request.request_id,
             planner=result.algorithm,
@@ -550,7 +468,7 @@ class ReschedulingService:
             num_skipped=evaluation.num_skipped,
             partial=partial,
             metrics=metrics,
-            info=info,
+            info=dict(result.info),
         )
 
     def _shed(self, request: PlanRequest, message: str) -> PlanError:

@@ -5,7 +5,6 @@ import pytest
 
 from repro.baselines import (
     AlphaVBPP,
-    DecimaRescheduler,
     FilteringHeuristic,
     MCTSRescheduler,
     MIPRescheduler,
@@ -18,14 +17,12 @@ from repro.baselines import (
 )
 from repro.cluster import (
     ClusterState,
-    ConstraintConfig,
     PhysicalMachine,
     Placement,
     PMType,
     VirtualMachine,
     VMTypeCatalog,
 )
-from repro.core import ModelConfig, PPOConfig, VMR2LConfig
 from repro.datasets import ClusterSpec, SnapshotGenerator
 
 CATALOG = VMTypeCatalog.main()
@@ -349,54 +346,3 @@ class TestNeuPlan:
         evaluation = evaluate_plan(state, result)
         assert evaluation.final_objective <= evaluation.initial_objective
         assert result.num_migrations <= 6
-
-
-class TestDecima:
-    def test_decima_plans_without_training(self):
-        state = fragmented_state()
-        decima = DecimaRescheduler(
-            config=VMR2LConfig(
-                model=ModelConfig(extractor="vanilla", embed_dim=16, num_heads=2, num_blocks=1),
-                ppo=PPOConfig(rollout_steps=8, minibatch_size=4, update_epochs=1),
-                migration_limit=4,
-            ),
-            pm_subset_size=3,
-            seed=0,
-        )
-        result = decima.compute_plan(state, migration_limit=4)
-        evaluation = evaluate_plan(state, result)
-        assert result.num_migrations <= 4
-        assert 0.0 <= evaluation.final_objective <= 1.0
-
-    def test_decima_subsampling_limits_mask(self):
-        from repro.baselines.decima import _SubsampledEnv
-
-        state = fragmented_state()
-        env = _SubsampledEnv(
-            state,
-            ConstraintConfig(migration_limit=5),
-            pm_subset_size=2,
-            subsample_rng=np.random.default_rng(0),
-        )
-        env.reset()
-        mask = env.pm_action_mask(0)
-        assert mask.sum() <= 2
-
-    def test_decima_rejects_tree_extractor(self):
-        with pytest.raises(ValueError):
-            DecimaRescheduler(config=VMR2LConfig(model=ModelConfig(extractor="sparse")))
-
-    def test_decima_short_training_runs(self):
-        state = fragmented_state(num_pms=4, seed=4)
-        decima = DecimaRescheduler(
-            config=VMR2LConfig(
-                model=ModelConfig(extractor="vanilla", embed_dim=16, num_heads=2, num_blocks=1),
-                ppo=PPOConfig(rollout_steps=8, minibatch_size=8, update_epochs=1),
-                migration_limit=3,
-            ),
-            pm_subset_size=2,
-            seed=0,
-        )
-        decima.train_on_states([state], total_steps=8)
-        result = decima.compute_plan(state, migration_limit=3)
-        assert result.num_migrations <= 3

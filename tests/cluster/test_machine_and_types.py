@@ -1,6 +1,5 @@
 """Tests for VM/PM type catalogs and the machine resource accounting."""
 
-import numpy as np
 import pytest
 
 from repro.cluster import (

@@ -21,7 +21,6 @@ from repro.cluster.fragmentation import (
     memory_fragment_rate,
     mixed_objective,
     numa_cpu_fragment,
-    pm_cpu_fragment,
     pm_fragment_score,
 )
 

@@ -169,7 +169,7 @@ class TestEvaluateActionsBatchParity:
 class TestTreeGroupingParity:
     def test_grouped_stage_matches_dense_masked_layer(self, snapshot):
         """Padded per-tree attention must equal the dense masked tree stage."""
-        from repro.nn import AttentionMask, Tensor, TransformerEncoderLayer, concatenate
+        from repro.nn import AttentionMask, Tensor, TransformerEncoderLayer
 
         envs = [make_env(snapshot) for _ in range(3)]
         observations = [env.reset() for env in envs]

@@ -6,10 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _build_backend, build_parser, main
 from repro.core import VMR2LAgent, VMR2LConfig
 from repro.datasets import load_mappings
-from repro.serve import PlanRequest
+from repro.serve import BrownoutConfig, PlanRequest, ReplicaFleet, ServiceConfig
 
 
 @pytest.fixture(scope="module")
@@ -207,6 +207,36 @@ class TestServe:
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is False
         assert payload["code"] == "unknown_planner"
+
+
+class TestServeFlags:
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--fallback-planner", "ha"], "needs --brownout"),
+            (["--once", "--brownout"], "no load to read"),
+        ],
+        ids=["fallback-without-brownout", "once-with-brownout"],
+    )
+    def test_bad_combinations_are_usage_errors(self, flags, message, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--fast-only", *flags])
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_brownout_alone_builds_a_one_replica_fleet_without_replica_ladders(self):
+        backend = _build_backend(build_parser().parse_args(["serve", "--brownout", "--fast-only"]))
+        assert isinstance(backend, ReplicaFleet)
+        assert backend.config.num_replicas == 1
+        assert backend.config.brownout == BrownoutConfig()
+        assert backend.service_config == ServiceConfig(max_batch_size=8)
+        assert not hasattr(backend.service_config, "brownout")
+
+    def test_an_unknown_fallback_planner_fails_fleet_start(self):
+        argv = ["serve", "--brownout", "--fallback-planner", "quantum", "--fast-only",
+                "--start-method", "fork", "--port", "0"]
+        with pytest.raises(RuntimeError, match="fallback planner 'quantum' is not one of"):
+            main(argv)
 
 
 def _simulate(capsys, *extra):

@@ -11,7 +11,6 @@ from repro.nn import (
     LayerNorm,
     Linear,
     LinearSchedule,
-    Module,
     MultiHeadAttention,
     Sequential,
     Tensor,
@@ -19,7 +18,6 @@ from repro.nn import (
     load_module,
     save_module,
 )
-from repro.nn import functional as F
 from repro.nn import init as initializers
 
 

@@ -247,8 +247,8 @@ class TestStateExport:
             assert state["autoscale"]["min_replicas"] == 1
             assert state["autoscale"]["max_replicas"] == 2
             assert state["brownout"]["level_name"] == "normal"
-            for replica in state["replicas"]:
-                assert "brownout_level" in replica
+            for replica in state["replicas"]:  # replicas run no ladder of their own
+                assert "brownout_level" not in replica
                 assert "desired" in replica and "retiring" in replica
             assert set(state["stats"]) == {
                 "submitted",
@@ -256,6 +256,7 @@ class TestStateExport:
                 "errors",
                 "retried",
                 "shed",
+                "degraded",
                 "restarts",
                 "replica_failures",
                 "scale_ups",

@@ -22,7 +22,7 @@ from repro.serve import (
     RetryPolicy,
     ServiceConfig,
 )
-from repro.testing import CRASH_EXIT_CODE, FaultyRegistryFactory, kill_replica
+from repro.testing import FaultyRegistryFactory, kill_replica
 
 
 def small_state(seed=0):

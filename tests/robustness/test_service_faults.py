@@ -168,24 +168,6 @@ class TestDeadlineEnforcement:
         assert isinstance(full, PlanResponse) and isinstance(bounded, PlanResponse)
         assert bounded.migrations == full.migrations[: len(bounded.migrations)]
 
-    def test_fallback_planner_does_not_replace_an_expired_plan(self, registry):
-        # The fallback planner is brownout L2's target only: an expired budget
-        # answers with the prefix, not with a late re-plan on the baseline.
-        service = ReschedulingService(registry, ServiceConfig(fallback_planner="ha"))
-        reply = service.handle(
-            PlanRequest.from_state(
-                small_state(num_pms=8, seed=1),
-                planner="vmr2l",
-                migration_limit=64,
-                deadline_ms=30.0,
-            )
-        )
-        assert isinstance(reply, PlanResponse)
-        assert reply.partial
-        assert "degraded_to" not in reply.info
-        assert service.stats()["partials"] == 1
-        assert service.stats()["degraded"] == 0
-
     def test_queue_expired_deadline_is_rejected_at_dequeue(self):
         gated = build_default_registry(include_slow=False, seed=0)
         gate = gated.register("gate", GatePlanner(gated.get("ha")))

@@ -11,8 +11,6 @@ invalidations) must stay bit-identical with the cache on and off.
 
 import json
 
-import pytest
-
 import repro.cluster.soa as soa
 from repro.datasets import ClusterSpec, SnapshotGenerator
 from repro.serve import ReschedulingService, build_default_registry

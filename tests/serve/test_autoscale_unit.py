@@ -207,34 +207,62 @@ class TestBrownoutLadder:
         assert ladder.observe(0.1, now=3.0) == 1  # quiet x1 again
         assert ladder.observe(0.1, now=4.0) == 0  # quiet x2: now it exits
 
-    def test_effect_predicates_per_level(self):
-        expectations = {
-            0: (False, False, False),
-            1: (True, False, False),
-            2: (True, True, False),
-            3: (True, True, True),
-        }
-        loads = {0: 0.0, 1: 2.0, 2: 4.0, 3: 8.0}
-        for level, flags in expectations.items():
-            fresh = self.controller()
-            fresh.observe(loads[level], now=0.0)
-            assert fresh.level == level
-            assert (
-                fresh.reduce_deadline,
-                fresh.degrade_to_fallback,
-                fresh.shedding,
-            ) == flags
+    LOADS = {0: 0.0, 1: 2.0, 2: 4.0, 3: 8.0}
 
-    def test_effective_deadline_tightens_only_from_l1(self):
+    @pytest.mark.parametrize(
+        "level,caller_deadline,sent_deadline,sent_planner",
+        [
+            (0, None, None, "vmr2l"),
+            (0, 1000.0, 1000.0, "vmr2l"),
+            (1, None, 250.0, "vmr2l"),
+            (1, 1000.0, 250.0, "vmr2l"),
+            (1, 100.0, 100.0, "vmr2l"),  # a tighter caller deadline survives
+            (2, None, 250.0, "ha"),
+            (3, 1000.0, 250.0, "ha"),
+        ],
+    )
+    def test_apply_edits_a_copy_per_rung(
+        self, level, caller_deadline, sent_deadline, sent_planner
+    ):
+        ladder = self.controller(reduced_deadline_ms=250.0, fallback_planner="ha")
+        ladder.observe(self.LOADS[level], now=0.0)
+        assert ladder.level == level
+        assert ladder.shedding == (level == 3)
+        request = {"planner": "vmr2l", "greedy": True, "deadline_ms": caller_deadline}
+        stored = dict(request)
+        sent, info = ladder.apply(request)
+        assert request == stored
+        assert sent["deadline_ms"] == sent_deadline
+        assert sent["planner"] == sent_planner
+        expected = {} if level == 0 else {"brownout_level": level}
+        if level >= 2:
+            expected.update(degraded_from="vmr2l", degraded_to="ha")
+        assert info == expected
+
+    @pytest.mark.parametrize(
+        "request_fields",
+        [{"planner": "vmr2l", "greedy": False}, {"planner": "HA", "greedy": True}],
+        ids=["sampled", "already-the-fallback"],
+    )
+    def test_l2_leaves_sampled_and_fallback_requests_alone(self, request_fields):
+        ladder = self.controller(fallback_planner="ha")
+        ladder.observe(4.0, now=0.0)
+        sent, info = ladder.apply(request_fields)
+        assert sent["planner"] == request_fields["planner"]
+        assert info == {"brownout_level": 2}
+
+    def test_l2_without_a_fallback_is_l1(self):
         ladder = self.controller(reduced_deadline_ms=250.0)
-        ladder.observe(1.0, now=0.0)  # L0
-        assert ladder.effective_deadline_ms(None) is None
-        assert ladder.effective_deadline_ms(1000.0) == 1000.0
-        ladder.observe(2.5, now=1.0)  # L1
-        assert ladder.effective_deadline_ms(None) == 250.0
-        assert ladder.effective_deadline_ms(1000.0) == 250.0
-        # A caller deadline tighter than the brownout one survives.
-        assert ladder.effective_deadline_ms(100.0) == 100.0
+        ladder.observe(4.0, now=0.0)
+        sent, info = ladder.apply({"planner": "vmr2l"})
+        assert sent == {"planner": "vmr2l", "deadline_ms": 250.0}
+        assert info == {"brownout_level": 2}
+
+    def test_a_non_numeric_deadline_is_left_for_the_replica_to_reject(self):
+        ladder = self.controller()
+        ladder.observe(2.5, now=0.0)
+        sent, _ = ladder.apply({"planner": "ha", "deadline_ms": "soon"})
+        assert sent["deadline_ms"] == "soon"
 
     def test_state_dict_names_the_level(self):
         ladder = self.controller()

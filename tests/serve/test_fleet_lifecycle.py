@@ -15,14 +15,20 @@ from pathlib import Path
 
 import pytest
 
+from repro.datasets import ClusterSpec, SnapshotGenerator
 from repro.serve import (
     AutoscaleConfig,
     BrownoutConfig,
     DefaultRegistryFactory,
     FleetConfig,
     PlanError,
+    PlanRequest,
     PlanResponse,
     ReplicaFleet,
+    ReschedulingService,
+    RetryPolicy,
+    ServiceConfig,
+    build_default_registry,
 )
 from repro.serve.control import (
     LIVE,
@@ -249,6 +255,7 @@ def serving_control(config, max_batch_size=1, now=0.0):
 
 
 OK = PlanResponse("r", "ha").to_dict()
+UNAVAILABLE = PlanError("r", "service_unavailable", "replica stopping").to_dict()
 
 
 class TestStaleSignals:
@@ -393,6 +400,79 @@ class TestBrownoutDecisions:
         assert send.request["deadline_ms"] == 250.0
         assert control.inflight[2].request_dict["deadline_ms"] == 900.0
 
+
+    LADDER = BrownoutConfig(enter_thresholds=(1.0, 2.0, 3.0), alpha=1.0,
+                            reduced_deadline_ms=250.0, fallback_planner="ha")
+
+    def test_every_rung_acts_on_the_sent_copy_or_at_admission(self):
+        control = serving_control(FleetConfig(num_replicas=1, brownout=self.LADDER))
+        rl = {"request_id": "r", "planner": "vmr2l", "greedy": True, "deadline_ms": None}
+        sent = {}
+        for ticket, level in enumerate((0, 1, 2)):
+            [send] = control.submit(ticket, f"r{ticket}", dict(rl), now=ticket)
+            sent[level] = send.request
+            control.tick(now=ticket + 0.5)  # one more outstanding: one rung up
+            assert control.brownout.level == level + 1
+        assert sent[0] == rl  # L0 sends the request as the caller sent it
+        assert sent[1] == {**rl, "deadline_ms": 250.0}  # L1: reduced deadline
+        assert sent[2] == {**rl, "deadline_ms": 250.0, "planner": "ha"}  # L2: fallback
+        assert control.inflight[2].request_dict == rl  # the stored request is unchanged
+        [shed] = control.submit(3, "r3", dict(rl), now=3.0)  # L3: shed at admission
+        assert shed.reply.code == "service_unavailable" and shed.reply.retry_after_s
+        replies = {t: control.reply(0, 1, t, OK, now=4.0)[0].reply for t in range(3)}
+        assert "brownout_level" not in replies[0].info
+        assert replies[1].info == {"brownout_level": 1}
+        assert replies[2].info == {
+            "brownout_level": 2, "degraded_from": "vmr2l", "degraded_to": "ha",
+        }
+        assert control.stats["degraded"] == 1
+        assert control.stats["shed"] == 1 and control.stats["retried"] == 0
+
+    def test_l2_rewrites_only_greedy_sent_copies(self):
+        control = serving_control(FleetConfig(num_replicas=1, brownout=self.LADDER))
+        for ticket in range(2):
+            control.submit(ticket, f"r{ticket}", request_dict(ticket), now=0.0)
+        control.tick(now=0.5)
+        assert control.brownout.level == 2
+        sampled = {"request_id": "s", "planner": "vmr2l", "greedy": False}
+        [send] = control.submit(2, "s", sampled, now=0.6)
+        assert send.request["planner"] == "vmr2l"
+        [resolve] = control.reply(0, 1, 2, OK, now=0.7)
+        assert resolve.reply.info == {"brownout_level": 2}
+        assert control.stats["degraded"] == 0
+
+    def test_a_retry_goes_out_at_the_level_that_holds_then(self):
+        retry = RetryPolicy(max_retries=1, backoff_s=0.5, jitter=0.0)
+        control = serving_control(
+            FleetConfig(num_replicas=1, brownout=self.LADDER, retry=retry)
+        )
+        rl = {"request_id": "r", "planner": "vmr2l", "greedy": True}
+        for ticket in range(2):
+            control.submit(ticket, f"r{ticket}", dict(rl), now=0.0)
+        control.tick(now=0.5)
+        [degraded] = control.submit(2, "r2", dict(rl), now=0.6)
+        assert degraded.request["planner"] == "ha"
+        for ticket in range(2):
+            control.reply(0, 1, ticket, OK, now=0.7)
+        assert control.reply(0, 1, 2, UNAVAILABLE, now=0.8) == []  # parked for retry
+        sends = [a for t in (1.0, 1.5, 2.0) for a in control.tick(now=t)]
+        assert control.brownout.level == 1  # one outstanding: back down to L1
+        [resend] = sends
+        assert resend.request["planner"] == "vmr2l" and resend.request["deadline_ms"] == 250.0
+        [resolve] = control.reply(0, 1, 2, OK, now=2.1)
+        assert resolve.reply.info == {"brownout_level": 1}
+        assert control.stats["degraded"] == 0 and control.stats["retried"] == 1
+
+    def test_a_replica_never_sheds_for_brownout(self):
+        # Replicas run no ladder: a burst far past any rung's load is planned,
+        # so no replica-side shed can come back for the fleet to retry.
+        service = ReschedulingService(
+            build_default_registry(include_slow=False), ServiceConfig(max_batch_size=1)
+        )
+        state = SnapshotGenerator(ClusterSpec(num_pms=5), seed=0).generate()
+        burst = [PlanRequest.from_state(state, planner="ha", migration_limit=1)] * 12
+        assert all(reply.ok for reply in service.handle_many(burst))
+        assert service.stats()["shed"] == 0 and "brownout" not in service.state()
 
 class TestAdmissionBound:
     def test_max_inflight_sheds_past_the_bound_and_admits_after_it_drains(self):

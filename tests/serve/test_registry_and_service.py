@@ -10,7 +10,6 @@ from repro.core import ModelConfig, RiskSeekingConfig, VMR2LAgent, VMR2LConfig
 from repro.datasets import ClusterSpec, SnapshotGenerator
 from repro.env.objectives import MixedFragmentObjective
 from repro.serve import (
-    BrownoutConfig,
     PlanError,
     PlanRequest,
     PlanResponse,
@@ -43,7 +42,7 @@ def service(registry):
 class TestRegistry:
     def test_all_algorithms_registered(self, registry):
         assert registry.names() == [
-            "decima", "ha", "mcts", "mip", "neuplan", "pop", "random", "vbpp", "vmr2l",
+            "ha", "mcts", "mip", "neuplan", "pop", "random", "vbpp", "vmr2l",
         ]
 
     def test_aliases_and_case_insensitivity(self, registry):
@@ -110,7 +109,7 @@ class TestRLPlannerSampled:
 
 class TestServiceSingleRequests:
     @pytest.mark.parametrize(
-        "key", ["ha", "vbpp", "random", "mip", "pop", "mcts", "decima", "neuplan", "vmr2l"]
+        "key", ["ha", "vbpp", "random", "mip", "pop", "mcts", "neuplan", "vmr2l"]
     )
     def test_every_planner_returns_schema_valid_response(self, service, key):
         state = small_state()
@@ -343,51 +342,3 @@ class TestQueuedService:
                 PlanRequest.from_state(small_state(), planner="ha", migration_limit=2)
             ).result(timeout=60)
         assert isinstance(good, PlanResponse)
-
-
-class TestServiceBrownout:
-    """Every rung of the service's own ladder, driven by handle_many burst
-    width (max_batch_size=1 and alpha=1 make the load sample the width)."""
-
-    @staticmethod
-    def make_service(registry, reduced_deadline_ms):
-        brownout = BrownoutConfig(
-            enter_thresholds=(2.0, 3.0, 4.0),
-            alpha=1.0,
-            reduced_deadline_ms=reduced_deadline_ms,
-        )
-        config = ServiceConfig(max_batch_size=1, fallback_planner="ha", brownout=brownout)
-        return ReschedulingService(registry, config)
-
-    @staticmethod
-    def rl_requests(count):
-        return [
-            PlanRequest.from_state(small_state(seed=s), planner="vmr2l", migration_limit=2)
-            for s in range(count)
-        ]
-
-    def test_reduced_deadline_rung(self, registry):
-        # A microsecond brownout budget expires before dispatch, so L1's
-        # reduced deadline shows as deadline_exceeded; L0 is untouched.
-        service = self.make_service(registry, reduced_deadline_ms=1e-3)
-        normal = service.handle(self.rl_requests(1)[0])
-        assert isinstance(normal, PlanResponse)
-        assert "brownout_level" not in normal.info
-        replies = service.handle_many(self.rl_requests(2))
-        assert service.brownout_level == 1
-        assert [reply.code for reply in replies] == ["deadline_exceeded"] * 2
-
-    def test_fallback_then_shed_rungs(self, registry):
-        service = self.make_service(registry, reduced_deadline_ms=60_000.0)
-        degraded = service.handle_many(self.rl_requests(3))
-        assert service.brownout_level == 2
-        for reply in degraded:
-            assert isinstance(reply, PlanResponse)
-            assert reply.planner == "HA"
-            assert reply.info["degraded_from"] == "VMR2L"
-            assert reply.info["brownout_level"] == 2
-        shed = service.handle_many(self.rl_requests(4))
-        assert service.brownout_level == 3
-        assert [reply.code for reply in shed] == ["service_unavailable"] * 4
-        assert all(reply.retry_after_s is not None for reply in shed)
-        assert service.stats()["shed"] == 4
