@@ -152,8 +152,7 @@ class MIPRescheduler(Rescheduler):
                 cpu_row[var] = float(vm.cpu_per_numa)
                 mem_row[var] = float(vm.memory_per_numa)
             add_row(cpu_row, -np.inf, float(free_cpu[idx]))
-            if self.constraint_config.check_memory:
-                add_row(mem_row, -np.inf, float(free_mem[idx]))
+            add_row(mem_row, -np.inf, float(free_mem[idx]))
 
         # Each VM deployed exactly once (Eq. 4/6).
         for vm_id in single:

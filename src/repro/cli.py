@@ -485,9 +485,7 @@ def cmd_simulate(args) -> Dict:
     churn = None
     if args.trace:
         header, events = load_trace(args.trace)
-        meta = header.get("meta") or {}
-        if meta.get("horizon_s"):
-            horizon_s = float(meta["horizon_s"])
+        horizon_s = float(header.get("meta", {}).get("horizon_s", horizon_s))
     else:
         churn = ChurnSpec(
             family=args.family,
@@ -543,7 +541,6 @@ def cmd_simulate(args) -> Dict:
             "final_objective": round(payload["final_objective"], 6),
             "steady_state": round(payload["steady_state_objective"], 6),
             "invalidation": round(payload["invalidation_rate"], 4),
-            "drift_events": len(payload["drift_events"]),
             "arrivals": stats["arrivals"],
             "exits": stats["exits"],
             "pm_churn": stats["drains"] + stats["failures"] + stats["adds"],

@@ -15,7 +15,6 @@ This subpackage models the cluster the VM rescheduling problem operates on:
 from .constraints import (
     ConstraintChecker,
     ConstraintConfig,
-    ConstraintViolation,
     assign_anti_affinity_groups,
 )
 from .events import (
@@ -66,7 +65,6 @@ __all__ = [
     "ClusterState",
     "ConstraintChecker",
     "ConstraintConfig",
-    "ConstraintViolation",
     "DEFAULT_FRAGMENT_CORES",
     "DEFAULT_PM_TYPE",
     "EventGenerator",

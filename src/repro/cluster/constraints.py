@@ -43,33 +43,21 @@ class ConstraintConfig:
     allow_source_pm:
         Whether an action may "migrate" a VM back onto its own source PM.  The
         paper's action space always excludes the source PM.
-    check_memory:
-        Enforce the memory capacity constraint (Eq. 3).  Disabling it models
-        CPU-only clusters used in some ablations.
     """
 
     migration_limit: int = 50
     honor_anti_affinity: bool = True
     allow_source_pm: bool = False
-    check_memory: bool = True
 
     def __post_init__(self) -> None:
         if self.migration_limit <= 0:
             raise ValueError("migration_limit (MNL) must be positive")
 
 
-@dataclass
-class ConstraintViolation:
-    """A single violated constraint, for diagnostics and tests."""
-
-    kind: str
-    message: str
-    vm_id: Optional[int] = None
-    pm_id: Optional[int] = None
-
-
 class ConstraintChecker:
-    """Validate rescheduling actions and plans against a :class:`ConstraintConfig`."""
+    """The one legality rule under a :class:`ConstraintConfig`: the per-action
+    check and the stage-2 masks.  A whole plan is checked by replaying it
+    (:func:`~repro.cluster.migration.apply_plan`, ``skip_infeasible=False``)."""
 
     def __init__(self, config: Optional[ConstraintConfig] = None) -> None:
         self.config = config or ConstraintConfig()
@@ -91,53 +79,6 @@ class ConstraintChecker:
         return state.can_host(
             vm_id, dest_pm_id, honor_affinity=self.config.honor_anti_affinity
         )
-
-    def explain_migration(self, state: ClusterState, vm_id: int, dest_pm_id: int) -> List[ConstraintViolation]:
-        """Return the list of violations for a proposed migration (empty if legal)."""
-        violations: List[ConstraintViolation] = []
-        vm = state.vms.get(vm_id)
-        if vm is None:
-            return [ConstraintViolation("missing_vm", f"VM {vm_id} does not exist", vm_id=vm_id)]
-        if not vm.is_placed:
-            violations.append(ConstraintViolation("unplaced_vm", f"VM {vm_id} is not placed", vm_id=vm_id))
-            return violations
-        if dest_pm_id not in state.pms:
-            return [ConstraintViolation("missing_pm", f"PM {dest_pm_id} does not exist", pm_id=dest_pm_id)]
-        if not self.config.allow_source_pm and dest_pm_id == vm.pm_id:
-            violations.append(
-                ConstraintViolation(
-                    "source_pm", f"VM {vm_id} already resides on PM {dest_pm_id}", vm_id=vm_id, pm_id=dest_pm_id
-                )
-            )
-        pm = state.pms[dest_pm_id]
-        if vm.numa_count == 2:
-            for numa in pm.numas:
-                if numa.free_cpu + FEASIBILITY_EPS < vm.cpu_per_numa:
-                    violations.append(
-                        ConstraintViolation("cpu_capacity", f"NUMA {numa.numa_id} lacks CPU", vm_id, dest_pm_id)
-                    )
-                if self.config.check_memory and numa.free_memory + FEASIBILITY_EPS < vm.memory_per_numa:
-                    violations.append(
-                        ConstraintViolation("memory_capacity", f"NUMA {numa.numa_id} lacks memory", vm_id, dest_pm_id)
-                    )
-        else:
-            cpu_ok = any(numa.free_cpu + FEASIBILITY_EPS >= vm.cpu for numa in pm.numas)
-            if not cpu_ok:
-                violations.append(ConstraintViolation("cpu_capacity", "no NUMA has enough CPU", vm_id, dest_pm_id))
-            if self.config.check_memory:
-                both_ok = any(
-                    numa.free_cpu + FEASIBILITY_EPS >= vm.cpu and numa.free_memory + FEASIBILITY_EPS >= vm.memory
-                    for numa in pm.numas
-                )
-                if cpu_ok and not both_ok:
-                    violations.append(
-                        ConstraintViolation("memory_capacity", "no NUMA has enough CPU and memory", vm_id, dest_pm_id)
-                    )
-        if self.config.honor_anti_affinity and dest_pm_id in state.conflicting_pm_ids(vm_id):
-            violations.append(
-                ConstraintViolation("anti_affinity", f"PM {dest_pm_id} hosts a conflicting VM", vm_id, dest_pm_id)
-            )
-        return violations
 
     # ------------------------------------------------------------------ #
     # Vectorized masks (the stage-2 PM mask of the two-stage framework)
@@ -337,38 +278,6 @@ class ConstraintChecker:
             return movable
         rows = np.fromiter((soa.vm_row[vm_id] for vm_id in vm_ids), dtype=np.int64)
         return movable[rows] if rows.size else np.zeros(0, dtype=bool)
-
-    # ------------------------------------------------------------------ #
-    # Plan-level validation
-    # ------------------------------------------------------------------ #
-    def validate_plan(self, state: ClusterState, migrations: Sequence, partial: bool = False) -> List[ConstraintViolation]:
-        """Check a migration plan (a sequence of (vm_id, dest_pm_id)) end to end.
-
-        The plan is validated against a *copy* of the state, applying each step
-        in order, so capacity freed by earlier steps is visible to later ones —
-        exactly how the plan would execute in the data center.  Set ``partial``
-        to allow steps that fail (they are recorded and skipped), mirroring how
-        production treats stale actions (footnote 7 of the paper).
-        """
-        violations: List[ConstraintViolation] = []
-        working = state.copy()
-        if len(migrations) > self.config.migration_limit:
-            violations.append(
-                ConstraintViolation(
-                    "mnl",
-                    f"plan has {len(migrations)} migrations, limit is {self.config.migration_limit}",
-                )
-            )
-        for step in migrations:
-            vm_id, dest_pm_id = int(step[0]), int(step[1])
-            step_violations = self.explain_migration(working, vm_id, dest_pm_id)
-            if step_violations:
-                violations.extend(step_violations)
-                if partial:
-                    continue
-                break
-            working.migrate_vm(vm_id, dest_pm_id, honor_affinity=self.config.honor_anti_affinity)
-        return violations
 
 
 def assign_anti_affinity_groups(

@@ -31,7 +31,6 @@ from .risk_seeking import (
     RiskSeekingOutcome,
     TrajectoryResult,
     risk_seeking_evaluate,
-    rollout_trajectory,
     vm_selection_probability_histogram,
 )
 from .rollout import RolloutBuffer, Transition
@@ -61,7 +60,6 @@ __all__ = [
     "build_extractor",
     "build_feature_batch",
     "risk_seeking_evaluate",
-    "rollout_trajectory",
     "stack_feature_batches",
     "vm_selection_probability_histogram",
 ]

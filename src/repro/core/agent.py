@@ -25,7 +25,7 @@ from ..nn import load_module, save_module
 from .config import VMR2LConfig
 from .policy import TwoStagePolicy
 from .ppo import PPOTrainer, TrainingLogEntry
-from .risk_seeking import risk_seeking_evaluate, rollout_batch, rollout_trajectory
+from .risk_seeking import risk_seeking_evaluate, rollout_batch
 from .step_cache import StepCache
 
 
@@ -143,8 +143,8 @@ class VMR2LAgent(Rescheduler):
         ``greedy=True`` runs one deterministic trajectory per snapshot as a
         row of :func:`~repro.core.risk_seeking.rollout_batch` (see it for
         ``max_active``, ``deadline_s`` and the StepCache that
-        ``use_step_cache`` turns on), so micro-batched plans are identical to
-        :meth:`plan_single_trajectory`.  ``migration_limits`` may be a single
+        ``use_step_cache`` turns on), so a snapshot's plan does not depend on
+        its batch neighbours.  ``migration_limits`` may be a single
         limit or one per state.  Each result's ``inference_seconds`` is the
         batch's wall time split by decision-step share; under a deadline its
         info carries ``partial`` (the episode did not finish).
@@ -242,20 +242,6 @@ class VMR2LAgent(Rescheduler):
             "objective_spread": float(objectives.max() - objectives.min()),
         }
         return ReschedulingResult(outcome.best.plan, time.perf_counter() - start, self.name, info)
-
-    def plan_single_trajectory(
-        self, state: ClusterState, migration_limit: int, greedy: bool = True, seed: int = 0
-    ) -> MigrationPlan:
-        """One-trajectory planning (no risk-seeking), used by ablations."""
-        return rollout_trajectory(
-            self.policy,
-            state,
-            migration_limit,
-            np.random.default_rng(seed),
-            objective=self.objective,
-            constraint_config=self.constraint_config,
-            greedy=greedy,
-        ).plan
 
     # ------------------------------------------------------------------ #
     # Evaluation

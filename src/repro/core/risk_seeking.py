@@ -169,26 +169,6 @@ def rollout_batch(
     return results
 
 
-def rollout_trajectory(
-    policy: TwoStagePolicy,
-    state: ClusterState,
-    migration_limit: int,
-    rng: np.random.Generator,
-    objective: Optional[Objective] = None,
-    constraint_config: Optional[ConstraintConfig] = None,
-    greedy: bool = False,
-    vm_quantile: Optional[float] = None,
-    pm_quantile: Optional[float] = None,
-    step_cache: Optional[StepCache] = None,
-) -> TrajectoryResult:
-    """Roll out one trajectory: :func:`rollout_batch` over a batch of one."""
-    return rollout_batch(
-        policy, [state], [migration_limit], [rng], objective=objective,
-        constraint_config=constraint_config, greedy=greedy, vm_quantile=vm_quantile,
-        pm_quantile=pm_quantile, step_cache=step_cache,
-    )[0]
-
-
 def risk_seeking_evaluate(
     policy: TwoStagePolicy,
     state: ClusterState,

@@ -22,12 +22,11 @@ from .generator import (
 from .loader import (
     DatasetReader,
     DatasetWriter,
-    iter_mappings,
     load_mappings,
     save_mappings,
 )
-from .schema import DatasetMetadata, SchemaError, mapping_summary, validate_mapping
-from .splits import PAPER_SPLIT_FRACTIONS, build_dataset, load_dataset, split_mappings
+from .schema import DatasetMetadata, SchemaError, validate_mapping
+from .splits import PAPER_SPLIT_FRACTIONS, build_dataset, split_mappings
 from .workloads import (
     WORKLOAD_BANDS,
     WORKLOAD_FAMILIES,
@@ -67,11 +66,8 @@ __all__ = [
     "generate_workload_snapshots",
     "get_spec",
     "get_workload_level",
-    "iter_mappings",
     "large_spec",
-    "load_dataset",
     "load_mappings",
-    "mapping_summary",
     "medium_spec",
     "multi_resource_spec",
     "offpeak_minute",

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..cluster import ClusterState
 from .schema import DatasetMetadata, SchemaError, validate_mapping
@@ -52,20 +52,6 @@ def load_mappings(path: str | Path, limit: Optional[int] = None, validate: bool 
                 validate_mapping(payload)
             states.append(ClusterState.from_dict(payload))
     return states
-
-
-def iter_mappings(path: str | Path, validate: bool = True) -> Iterator[ClusterState]:
-    """Stream mapping snapshots from a JSON-lines file one at a time."""
-    path = Path(path)
-    with path.open("r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            payload = json.loads(line)
-            if validate:
-                validate_mapping(payload)
-            yield ClusterState.from_dict(payload)
 
 
 class DatasetWriter:
@@ -112,9 +98,3 @@ class DatasetReader:
         if not path.exists():
             raise FileNotFoundError(f"split {split!r} not present under {self.root}")
         return load_mappings(path, limit=limit)
-
-    def iter_split(self, split: str) -> Iterator[ClusterState]:
-        path = self.root / SPLIT_FILES[split]
-        if not path.exists():
-            raise FileNotFoundError(f"split {split!r} not present under {self.root}")
-        return iter_mappings(path)

@@ -102,18 +102,3 @@ def validate_mapping(mapping: Dict) -> None:
                 raise SchemaError(f"double-NUMA VM {vm['vm_id']} must use numa_id -1")
             if vm["numa_count"] == 1 and numa_id not in (0, 1):
                 raise SchemaError(f"single-NUMA VM {vm['vm_id']} must use numa_id 0 or 1")
-
-
-def mapping_summary(mapping: Dict) -> Dict:
-    """Small summary used in logs and dataset listings."""
-    vms = mapping["vms"]
-    pms = mapping["pms"]
-    placed = sum(1 for vm in vms if vm.get("pm_id") is not None)
-    total_vm_cpu = sum(vm["cpu"] for vm in vms if vm.get("pm_id") is not None)
-    total_pm_cpu = sum(pm["cpu"] for pm in pms)
-    return {
-        "num_pms": len(pms),
-        "num_vms": len(vms),
-        "num_placed_vms": placed,
-        "cpu_utilization": total_vm_cpu / total_pm_cpu if total_pm_cpu else 0.0,
-    }

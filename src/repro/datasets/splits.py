@@ -15,7 +15,7 @@ import numpy as np
 
 from ..cluster import ClusterState
 from .generator import ClusterSpec, SnapshotGenerator
-from .loader import DatasetReader, DatasetWriter
+from .loader import DatasetWriter
 from .schema import DatasetMetadata
 
 #: The paper's split proportions (4000 / 200 / 200 out of 4400 mappings).
@@ -102,10 +102,3 @@ def build_dataset(
         )
         written = DatasetWriter(root, metadata).write(splits)
     return splits, written
-
-
-def load_dataset(root: str | Path) -> Tuple[DatasetReader, Dict[str, List[ClusterState]]]:
-    """Load every split of a dataset directory into memory."""
-    reader = DatasetReader(root)
-    splits = {split: reader.load_split(split) for split in reader.available_splits()}
-    return reader, splits

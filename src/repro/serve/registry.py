@@ -128,7 +128,7 @@ class RLPlanner(Planner):
     shared agent changes per request.  ``greedy=True`` (the serving
     default) runs a deterministic single trajectory, and many greedy
     requests share one stacked extractor forward per step, always on the
-    StepCache (:class:`repro.testing.FreshRLPlanner` is the cache-off
+    StepCache (``tests/oracles.py::FreshRLPlanner`` is the cache-off
     reference).  ``greedy=False`` runs the risk-seeking evaluation of §3.4 (sample
     several trajectories as rows of one stacked rollout, keep the best);
     its plan depends only on the snapshot, limit, objective and seed.

@@ -15,8 +15,7 @@ actually runs in: a cluster that never stands still.
   periodic replanning through the serving stack (in-process service or a
   remote fleet via ``PlanningClient``), invalidating migrations the churn
   broke.
-* :mod:`repro.sim.metrics` — steady-state summaries and the rolling
-  :class:`DriftMonitor` drift detector.
+* :mod:`repro.sim.metrics` — steady-state and invalidation summaries.
 
 Surfaces: ``repro simulate`` (CLI) and the ``churn`` row of
 ``benchmarks/paper.py`` (the trained agent against HA, α-VBPP and Random over
@@ -31,13 +30,7 @@ from .driver import (
     SimulationConfig,
     SimulationReport,
 )
-from .metrics import (
-    DriftConfig,
-    DriftEvent,
-    DriftMonitor,
-    invalidation_rate,
-    steady_state_mean,
-)
+from .metrics import invalidation_rate, steady_state_mean
 from .trace import (
     ChurnSpec,
     SyntheticTrace,
@@ -49,9 +42,6 @@ from .trace import (
 
 __all__ = [
     "ChurnSpec",
-    "DriftConfig",
-    "DriftEvent",
-    "DriftMonitor",
     "LivingCluster",
     "OnlineRescheduler",
     "RoundRecord",

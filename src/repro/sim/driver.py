@@ -28,6 +28,7 @@ reporting, but nothing branches on it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Union
 
@@ -37,7 +38,7 @@ from ..serve.schemas import PlanError, PlanRequest, PlanResponse
 
 Reply = Union[PlanResponse, PlanError]
 from .engine import LivingCluster
-from .metrics import DriftConfig, DriftMonitor, invalidation_rate, steady_state_mean
+from .metrics import invalidation_rate, steady_state_mean
 
 
 @dataclass(frozen=True)
@@ -61,9 +62,11 @@ class SimulationConfig:
     max_rounds: Optional[int] = None
     #: Trailing fraction of rounds that counts as steady state.
     steady_state_fraction: float = 0.5
-    drift: DriftConfig = field(default_factory=DriftConfig)
 
     def __post_init__(self) -> None:
+        for name in ("replan_every_s", "plan_delay_s", "horizon_s"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.replan_every_s <= 0:
             raise ValueError("replan_every_s must be positive")
         if self.plan_delay_s < 0:
@@ -128,7 +131,6 @@ class SimulationReport:
     planner: str
     rounds: List[RoundRecord]
     engine_stats: Dict[str, int]
-    drift_events: List[Dict]
     final_objective: float
     steady_state_objective: float
     invalidation: float
@@ -145,7 +147,6 @@ class SimulationReport:
             "steady_state_objective": self.steady_state_objective,
             "invalidation_rate": self.invalidation,
             "engine_stats": dict(self.engine_stats),
-            "drift_events": list(self.drift_events),
             "rounds": [record.to_dict() for record in self.rounds],
         }
 
@@ -175,7 +176,6 @@ class OnlineRescheduler:
         self.plan_fn = plan_fn
         self.config = config if config is not None else SimulationConfig()
         self.on_round = on_round
-        self.drift = DriftMonitor(self.config.drift)
         self.rounds: List[RoundRecord] = []
 
     def run(self) -> SimulationReport:
@@ -188,7 +188,6 @@ class OnlineRescheduler:
         for index in range(num_rounds):
             record = self._run_round(index, objective)
             self.rounds.append(record)
-            self.drift.observe(record.objective_after)
             if self.on_round is not None:
                 self.on_round(record)
         # Drain churn scheduled after the last replanning round.
@@ -253,7 +252,6 @@ class OnlineRescheduler:
             planner=config.planner,
             rounds=list(self.rounds),
             engine_stats=dict(self.cluster.stats),
-            drift_events=[event.to_dict() for event in self.drift.events],
             final_objective=objective.episode_metric(self.cluster.state),
             steady_state_objective=steady_state_mean(
                 series, config.steady_state_fraction

@@ -44,6 +44,7 @@ trajectory.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -130,6 +131,8 @@ class LivingCluster:
 
     def advance(self, until_s: float) -> Dict[str, int]:
         """Apply every event with ``time_s <= until_s``; returns delta stats."""
+        if not math.isfinite(until_s):
+            raise ValueError(f"cannot advance to a non-finite time: {until_s!r}")
         if until_s < self.now_s:
             raise ValueError(
                 f"cannot advance backwards: now={self.now_s:.1f}s, asked {until_s:.1f}s"

@@ -25,6 +25,7 @@ traces may pin explicit ids, as the Fig. 5 streams of
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -32,6 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..cluster import ClusterEvent
+from ..cluster.state import int_field
 from ..datasets.workloads import WORKLOAD_FAMILIES, family_rate_profile
 
 #: Trace file format marker + revision.
@@ -179,18 +181,35 @@ def save_trace(
 
 
 def load_trace(path) -> Tuple[Dict, List[ClusterEvent]]:
-    """Load a JSONL trace; returns ``(header, events)`` (events time-sorted)."""
+    """Load a JSONL trace; returns ``(header, events)`` (events time-sorted).
+    A malformed header or event raises ``ValueError`` naming the file."""
     path = Path(path)
     with path.open("r", encoding="utf-8") as handle:
         first = handle.readline()
         if not first.strip():
             raise ValueError(f"{path} is empty — not a trace file")
-        header = json.loads(first)
+        try:
+            header = json.loads(first)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: bad trace header: {exc}") from exc
         if not isinstance(header, dict) or header.get("format") != TRACE_FORMAT:
             raise ValueError(f"{path} is not a {TRACE_FORMAT} file")
-        if int(header.get("version", 0)) > TRACE_VERSION:
+        try:
+            version = int_field(header.get("version", 0), "version")
+            declared = header.get("num_events")
+            if declared is not None:
+                declared = int_field(declared, "num_events")
+            meta = header.get("meta", {})
+            if not isinstance(meta, dict):
+                raise ValueError(f"meta must be an object, got {meta!r}")
+            horizon_s = meta.get("horizon_s", 1.0)
+            if type(horizon_s) not in (int, float) or not 0 < horizon_s < math.inf:
+                raise ValueError(f"meta.horizon_s must be a finite positive number, got {horizon_s!r}")
+        except ValueError as exc:
+            raise ValueError(f"{path}: bad trace header: {exc}") from exc
+        if version > TRACE_VERSION:
             raise ValueError(
-                f"trace version {header.get('version')} is newer than supported {TRACE_VERSION}"
+                f"{path}: trace version {version} is newer than supported {TRACE_VERSION}"
             )
         events = []
         for line_number, line in enumerate(handle, start=2):
@@ -201,8 +220,7 @@ def load_trace(path) -> Tuple[Dict, List[ClusterEvent]]:
             except (ValueError, json.JSONDecodeError) as exc:
                 raise ValueError(f"{path}:{line_number}: bad trace event: {exc}") from exc
     events.sort(key=lambda e: (e.time_s, e.kind))
-    declared = header.get("num_events")
-    if declared is not None and int(declared) != len(events):
+    if declared is not None and declared != len(events):
         raise ValueError(
             f"{path}: header declares {declared} events but file holds {len(events)} "
             "(truncated recording?)"

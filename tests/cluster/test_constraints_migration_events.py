@@ -74,35 +74,42 @@ class TestConstraintChecker:
         assert not checker.migration_is_feasible(small_state, 99, 1)
         assert not checker.migration_is_feasible(small_state, 0, 99)
 
-    def test_capacity_violation_explained(self):
+    @staticmethod
+    def assert_rejected(checker, state, vm_id, pm_id):
+        """Every legality path says no: the per-action check, the stage-2
+        mask row and the memoized matrix."""
+        assert not checker.migration_is_feasible(state, vm_id, pm_id)
+        assert not checker.destination_mask(state, vm_id, [pm_id])[0]
+        column = sorted(state.pms).index(pm_id)
+        row = state.sorted_vm_ids().index(vm_id)
+        assert not checker.feasibility_matrix(state)[row, column]
+
+    def test_capacity_violation_rejected(self):
         state = make_cluster(num_pms=2, cpu=32, memory=64)
         add_vm(state, 0, "4xlarge", pm_id=0, numa_id=0)
         add_vm(state, 1, "4xlarge", pm_id=1, numa_id=0)
         add_vm(state, 2, "4xlarge", pm_id=1, numa_id=1)
-        checker = ConstraintChecker()
-        violations = checker.explain_migration(state, 0, 1)
-        assert any(v.kind == "cpu_capacity" for v in violations)
+        self.assert_rejected(ConstraintChecker(), state, 0, 1)
 
-    def test_memory_violation_explained(self):
+    def test_memory_only_violation_rejected(self):
         state = make_cluster(num_pms=2, cpu=256, memory=64)
         add_vm(state, 0, "4xlarge", pm_id=0, numa_id=0)   # needs 32 GB
         add_vm(state, 1, "2xlarge", pm_id=1, numa_id=0)   # uses 16 GB of 32 per NUMA
         add_vm(state, 2, "2xlarge", pm_id=1, numa_id=1)
-        checker = ConstraintChecker()
-        violations = checker.explain_migration(state, 0, 1)
-        assert any(v.kind == "memory_capacity" for v in violations)
-        relaxed = ConstraintChecker(ConstraintConfig(check_memory=False))
-        assert relaxed.migration_is_feasible(state, 0, 1) is False  # capacity check still applies via state
-        # explain under relaxed config should not flag memory
-        assert not any(v.kind == "memory_capacity" for v in relaxed.explain_migration(state, 0, 1))
+        vm = state.vms[0]
+        numas = state.pms[1].numas
+        # CPU alone would fit on either NUMA; memory (Eq. 3) is what says no.
+        assert all(numa.free_cpu >= vm.cpu for numa in numas)
+        assert all(numa.free_memory < vm.memory for numa in numas)
+        self.assert_rejected(ConstraintChecker(), state, 0, 1)
 
     def test_anti_affinity_violation(self, small_state):
         small_state.vms[0].anti_affinity_group = 5
         small_state.vms[2].anti_affinity_group = 5
-        checker = ConstraintChecker()
-        assert not checker.migration_is_feasible(small_state, 0, 1)
-        violations = checker.explain_migration(small_state, 0, 1)
-        assert any(v.kind == "anti_affinity" for v in violations)
+        self.assert_rejected(ConstraintChecker(), small_state, 0, 1)
+        relaxed = ConstraintChecker(ConstraintConfig(honor_anti_affinity=False))
+        assert relaxed.migration_is_feasible(small_state, 0, 1)
+        assert relaxed.destination_mask(small_state, 0, [1])[0]
 
     def test_destination_mask_matches_feasibility(self, small_state):
         checker = ConstraintChecker()
@@ -117,25 +124,25 @@ class TestConstraintChecker:
         assert mask.shape == (3,)
         assert mask.all()  # plenty of space everywhere
 
-    def test_validate_plan_detects_mnl_violation(self, small_state):
-        checker = ConstraintChecker(ConstraintConfig(migration_limit=1))
-        plan = [(0, 1), (1, 2)]
-        violations = checker.validate_plan(small_state, plan)
-        assert any(v.kind == "mnl" for v in violations)
-
-    def test_validate_plan_sees_freed_capacity(self):
+    def test_plan_replay_sees_freed_capacity(self):
         """A later step may rely on space freed by an earlier step."""
         state = make_cluster(num_pms=2, cpu=32, memory=128)
         add_vm(state, 0, "4xlarge", pm_id=0, numa_id=0)
-        add_vm(state, 1, "4xlarge", pm_id=0, numa_id=1)
         add_vm(state, 2, "4xlarge", pm_id=1, numa_id=0)
         add_vm(state, 3, "4xlarge", pm_id=1, numa_id=1)
         checker = ConstraintChecker()
-        # Move VM 0 off PM0 first is impossible (PM1 full) -> both orders fail,
-        # but moving VM 2 to PM0 is impossible too; validate_plan should simply
-        # report violations rather than crash.
-        violations = checker.validate_plan(state, [(0, 1), (2, 0)], partial=True)
-        assert violations
+        assert not checker.migration_is_feasible(state, 0, 1)  # PM1 is full
+        # VM 2 leaves PM1 first, so VM 0 fits into the NUMA it freed.
+        plan = MigrationPlan.from_pairs([(2, 0), (0, 1)])
+        after, result = apply_plan(state, plan, skip_infeasible=False)
+        assert len(result.applied) == 2 and not result.skipped
+        assert after.vms[0].pm_id == 1 and after.vms[2].pm_id == 0
+        # The other order asks VM 0 onto the still-full PM1.
+        with pytest.raises(ValueError, match="infeasible"):
+            apply_plan(state, MigrationPlan.from_pairs([(0, 1), (2, 0)]), skip_infeasible=False)
+        _, result = apply_plan(state, MigrationPlan.from_pairs([(0, 1), (2, 0)]))
+        assert [m.vm_id for m in result.skipped] == [0]
+        assert [m.vm_id for m in result.applied] == [2]
 
 
 class TestAffinityGroupSynthesis:

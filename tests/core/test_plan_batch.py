@@ -24,7 +24,7 @@ class TestPlanBatch:
         states = snapshots(3)
         results = agent.plan_batch(states, migration_limits=4, greedy=True)
         for state, result in zip(states, results):
-            solo = agent.plan_single_trajectory(state, 4, greedy=True)
+            solo = agent.plan_batch([state], 4, greedy=True, use_step_cache=False)[0].plan
             assert [m.as_tuple() for m in result.plan] == [m.as_tuple() for m in solo]
             assert result.algorithm == "VMR2L"
             assert result.info["batch_size"] == 3
@@ -86,7 +86,7 @@ class TestPlanBatch:
         )
         assert len(results) == 4
         for state, result in zip(states, results):
-            solo = agent.plan_single_trajectory(state, 3, greedy=True)
+            solo = agent.plan_batch([state], 3, greedy=True, use_step_cache=False)[0].plan
             assert [m.as_tuple() for m in result.plan] == [m.as_tuple() for m in solo]
 
 

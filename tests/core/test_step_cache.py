@@ -311,18 +311,18 @@ class TestStepCachePlans:
                 (m.vm_id, m.dest_pm_id) for m in expected.plan
             ]
 
-    def test_rollout_trajectory_with_cache(self):
-        from repro.core.risk_seeking import rollout_trajectory
+    def test_rollout_with_cache(self):
+        from repro.core.risk_seeking import rollout_batch
 
         state = _state(seed=9)
         policy = TwoStagePolicy(ModelConfig(), rng=np.random.default_rng(0))
-        fresh = rollout_trajectory(
-            policy, state, 5, np.random.default_rng(0), greedy=True
-        )
-        cached = rollout_trajectory(
-            policy, state, 5, np.random.default_rng(0), greedy=True,
+        fresh = rollout_batch(
+            policy, [state], [5], [np.random.default_rng(0)], greedy=True
+        )[0]
+        cached = rollout_batch(
+            policy, [state], [5], [np.random.default_rng(0)], greedy=True,
             step_cache=StepCache(),
-        )
+        )[0]
         assert [(m.vm_id, m.dest_pm_id) for m in cached.plan] == [
             (m.vm_id, m.dest_pm_id) for m in fresh.plan
         ]

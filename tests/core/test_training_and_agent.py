@@ -14,7 +14,6 @@ from repro.core import (
     VMR2LAgent,
     VMR2LConfig,
     risk_seeking_evaluate,
-    rollout_trajectory,
     vm_selection_probability_histogram,
 )
 from repro.core.risk_seeking import rollout_batch
@@ -108,10 +107,10 @@ class TestPPOTrainer:
 
 
 class TestRiskSeeking:
-    def test_rollout_trajectory_is_feasible_plan(self, snapshots):
+    def test_rollout_is_feasible_plan(self, snapshots):
         config = tiny_config()
         policy = TwoStagePolicy(config.model, rng=np.random.default_rng(0))
-        trajectory = rollout_trajectory(policy, snapshots[0], 4, np.random.default_rng(0))
+        trajectory = rollout_batch(policy, [snapshots[0]], [4], [np.random.default_rng(0)])[0]
         assert len(trajectory.plan) <= 4
         assert 0.0 <= trajectory.final_objective <= 1.0
 
@@ -151,10 +150,10 @@ class TestRiskSeeking:
         outcome = risk_seeking_evaluate(policy, snapshots[1], 4, config=rs_config, seed=11)
         for k, trajectory in enumerate(outcome.trajectories):
             greedy = greedy_first and k == 0
-            solo = rollout_trajectory(
-                policy, snapshots[1], 4, np.random.default_rng([11, k]), greedy=greedy,
+            solo = rollout_batch(
+                policy, [snapshots[1]], [4], [np.random.default_rng([11, k])], greedy=greedy,
                 vm_quantile=None if greedy else 0.3, pm_quantile=None if greedy else 0.5,
-            )
+            )[0]
             assert trajectory.greedy == greedy
             assert plan_tuples(trajectory.plan) == plan_tuples(solo.plan)
             assert trajectory.final_objective == solo.final_objective
@@ -169,7 +168,9 @@ class TestRiskSeeking:
         assert rows[1].plan.migrations == [] and rows[1].steps == 0
         assert rows[1].final_objective == FragmentRateObjective().episode_metric(snapshots[1])
         for k in (0, 2):
-            solo = rollout_trajectory(policy, snapshots[k], [4, 0, 3][k], np.random.default_rng([3, k]))
+            solo = rollout_batch(
+                policy, [snapshots[k]], [[4, 0, 3][k]], [np.random.default_rng([3, k])]
+            )[0]
             assert plan_tuples(rows[k].plan) == plan_tuples(solo.plan)
             assert rows[k].final_objective == solo.final_objective
 
@@ -280,14 +281,14 @@ class TestVMR2LAgent:
         agent = VMR2LAgent(tiny_config(), seed=0)
         evaluation = agent.evaluate(snapshots, migration_limit=3, greedy=greedy, seed=4)
         finals = [
-            rollout_trajectory(
-                agent.policy, state, 3, np.random.default_rng([4, k]), greedy=greedy
-            ).final_objective
+            rollout_batch(
+                agent.policy, [state], [3], [np.random.default_rng([4, k])], greedy=greedy
+            )[0].final_objective
             for k, state in enumerate(snapshots)
         ]
         assert evaluation["mean_final_objective"] == float(np.mean(finals))
 
-    def test_plan_single_trajectory(self, snapshots):
+    def test_plan_batch_of_one(self, snapshots):
         agent = VMR2LAgent(tiny_config(), seed=0)
-        plan = agent.plan_single_trajectory(snapshots[0], migration_limit=3)
+        plan = agent.plan_batch([snapshots[0]], 3)[0].plan
         assert len(plan) <= 3

@@ -21,7 +21,6 @@ from repro.datasets import (
     get_spec,
     get_workload_level,
     load_mappings,
-    mapping_summary,
     offpeak_minute,
     save_mappings,
     small_spec,
@@ -164,12 +163,6 @@ class TestSchemaAndIO:
             validate_mapping({"pms": []})
         with pytest.raises(SchemaError):
             validate_mapping({"pms": [{"pm_id": 0, "cpu": 10, "memory": 10}], "vms": [{"vm_id": 0}]})
-
-    def test_mapping_summary(self):
-        state = SnapshotGenerator(small_spec(), seed=0).generate()
-        summary = mapping_summary(state.to_dict())
-        assert summary["num_pms"] == 24
-        assert 0.0 < summary["cpu_utilization"] < 1.0
 
     def test_save_load_roundtrip(self, tmp_path):
         states = SnapshotGenerator(small_spec(), seed=0).generate_many(3)

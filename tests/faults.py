@@ -1,4 +1,4 @@
-"""Deterministic fault injection for the serving stack.
+"""Deterministic fault injection for the serving stack's tests.
 
 Robustness claims need a harness that can *cause* the failures they promise to
 survive.  This module provides the hooks to inject them at every layer the

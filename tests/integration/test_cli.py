@@ -259,6 +259,17 @@ class TestSimulate:
         assert recorded["failed_rounds"] == 0
         assert _without_wall_clock(replayed) == _without_wall_clock(recorded)
 
+    def test_a_trace_whose_meta_is_not_an_object_is_rejected_by_name(self, tmp_path, capsys):
+        trace = tmp_path / "trace.jsonl"
+        _simulate(capsys, "--record-trace", str(trace))
+        lines = trace.read_text().splitlines()
+        header = json.loads(lines[0])
+        header["meta"] = [header["meta"]]
+        trace.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        with pytest.raises(ValueError, match="meta must be an object") as info:
+            _simulate(capsys, "--trace", str(trace))
+        assert str(trace) in str(info.value)
+
     def test_unknown_planner_exits(self):
         with pytest.raises(SystemExit, match="unknown planner"):
             main(["simulate", "--planner", "quantum", "--fast-only", "--max-rounds", "1"])

@@ -11,7 +11,8 @@ it replaced live here, beside the tests that compare against them:
   ``TreeGrouping``, and an extractor whose tree stage is one dense masked
   layer — :func:`dense_tree_stage` (also part of :func:`oracle_ops`);
 * per-pair loops for the stage-1 / stage-2 feasibility masks and a
-  per-object observation build.
+  per-object observation build;
+* the VMR2L planner with the StepCache off — :class:`FreshRLPlanner`.
 
 Run the pair under test once normally and once inside the context manager,
 then compare.
@@ -25,10 +26,12 @@ from unittest import mock
 
 import numpy as np
 
+from repro.baselines import ReschedulingResult
 from repro.cluster import ClusterState, ConstraintChecker
 from repro.core.attention import ExtractorOutput, SparseAttentionExtractor, _stacked_features
 from repro.core.features import FeatureBatch
 from repro.core.step_cache import StepCache
+from repro.env.objectives import Objective
 from repro.env.observation import (
     PM_FEATURE_DIM,
     PM_FEATURES_PER_NUMA,
@@ -41,6 +44,7 @@ from repro.env.observation import (
 from repro.nn import AttentionMask, MultiHeadAttention, Tensor, concatenate, where
 from repro.nn import functional as F
 from repro.nn.attention import _first_row
+from repro.serve.registry import RLPlanner
 
 
 # ---------------------------------------------------------------------- #
@@ -299,3 +303,43 @@ def _vm_features(
             source_pm[row] = pm_row
             features[row, VM_OWN_FEATURE_DIM:] = raw_pm_features[pm_row]
     return features, source_pm
+
+
+# ---------------------------------------------------------------------- #
+# Cache-off planner
+# ---------------------------------------------------------------------- #
+class FreshRLPlanner(RLPlanner):
+    """The VMR2L planner with the StepCache off: every decision step
+    re-featurizes and re-encodes the whole snapshot.
+
+    The service always plans RL requests with the cache on, so the fresh
+    side of a cache parity check is this planner swapped into the registry
+    (``registry.replace("vmr2l", FreshRLPlanner(agent))``).  ``calls``
+    counts ``plan_batch`` calls, so a check can prove the reference ran.
+    """
+
+    def __init__(self, agent) -> None:
+        super().__init__(agent)
+        self.calls = 0
+
+    def plan_batch(
+        self,
+        states: Sequence[ClusterState],
+        migration_limits: Sequence[int],
+        objective: Optional[Objective] = None,
+        greedy: bool = True,
+        seed: Optional[int] = None,
+        max_active: Optional[int] = None,
+        deadline_s: Optional[float] = None,
+    ) -> List[ReschedulingResult]:
+        self.calls += 1
+        return self.agent.plan_batch(
+            states,
+            list(migration_limits),
+            greedy=greedy,
+            seed=0 if seed is None else seed,
+            objective=objective,
+            max_active=max_active,
+            use_step_cache=False,
+            deadline_s=deadline_s,
+        )

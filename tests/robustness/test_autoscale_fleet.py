@@ -29,7 +29,8 @@ from repro.serve import (
     RetryPolicy,
     ServiceConfig,
 )
-from repro.testing import kill_replica
+
+from faults import kill_replica
 
 
 def small_state(seed=0):

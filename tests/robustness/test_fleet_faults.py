@@ -2,8 +2,9 @@
 budgets, and the exactly-one-terminal-reply invariant they all assert.
 
 Fleets here run small and fast (fork, tight heartbeats, short backoffs) so a
-full kill-respawn-retry cycle fits in CI seconds; one spawn-marked test keeps
-the picklability contract honest.
+full kill-respawn-retry cycle fits in CI seconds; two spawn tests keep the
+picklability contract honest, one of them for the fault factory of
+``tests/faults.py``.
 """
 
 import threading
@@ -22,7 +23,8 @@ from repro.serve import (
     RetryPolicy,
     ServiceConfig,
 )
-from repro.testing import FaultyRegistryFactory, kill_replica
+
+from faults import FaultyRegistryFactory, kill_replica
 
 
 def small_state(seed=0):
@@ -359,5 +361,32 @@ class TestSpawnFleet:
             reply = fleet.submit(plan_request()).result(timeout=120.0)
             assert isinstance(reply, PlanResponse)
             assert fleet.drain(timeout=60.0) == 0
+        finally:
+            fleet.stop()
+
+    def test_spawned_replica_unpickles_the_fault_factory(self, tmp_path):
+        # Under spawn the factory crosses the process boundary by pickle, so
+        # the replica must import it from the test harness's own module.
+        # The first "ha" call crashes the replica once (latched); the
+        # respawned replica rebuilds the registry and answers the retry.
+        factory = FaultyRegistryFactory(
+            DefaultRegistryFactory(),
+            "ha",
+            fail_calls=(0,),
+            kind="crash",
+            latch=str(tmp_path / "crash.latch"),
+        )
+        fleet = start_fleet(
+            fast_config(num_replicas=1, start_method="spawn", ready_timeout_s=120.0),
+            factory=factory,
+        )
+        try:
+            reply = fleet.submit(plan_request()).result(timeout=120.0)
+            assert isinstance(reply, PlanResponse)
+            assert (tmp_path / "crash.latch").exists()
+            stats = fleet.stats()
+            assert stats["replica_failures"] == 1
+            assert stats["retried"] >= 1
+            assert fleet.state()["replicas"][0]["restarts"] == 1
         finally:
             fleet.stop()

@@ -18,8 +18,8 @@ from repro.serve import (
     ServiceConfig,
     build_default_registry,
 )
-from repro.testing import FaultyPlanner, malformed_http_payloads, oversized_body
 
+from faults import FaultyPlanner, malformed_http_payloads, oversized_body
 from gate import GatePlanner
 
 

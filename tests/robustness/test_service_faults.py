@@ -15,8 +15,8 @@ from repro.serve import (
     ServiceConfig,
     build_default_registry,
 )
-from repro.testing import FaultyPlanner
 
+from faults import FaultyPlanner
 from gate import GatePlanner
 
 

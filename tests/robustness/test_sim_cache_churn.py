@@ -21,7 +21,8 @@ from repro.sim import (
     SimulationConfig,
     SyntheticTrace,
 )
-from repro.testing import FreshRLPlanner
+
+from oracles import FreshRLPlanner
 
 DAY_S = 86400.0
 

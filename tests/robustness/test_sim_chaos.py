@@ -27,7 +27,8 @@ from repro.sim import (
     SimulationConfig,
     SyntheticTrace,
 )
-from repro.testing import kill_replica
+
+from faults import kill_replica
 
 DAY_S = 86400.0
 

@@ -19,8 +19,8 @@ from repro.serve import (
     build_default_registry,
     response_from_dict,
 )
-from repro.testing import FaultyPlanner
 
+from faults import FaultyPlanner
 from gate import GatePlanner
 
 

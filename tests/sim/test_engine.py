@@ -254,6 +254,16 @@ class TestEngineChurn:
         with pytest.raises(ValueError, match="backwards"):
             cluster.advance(50.0)
 
+    @pytest.mark.parametrize("until_s", [float("nan"), float("inf")])
+    def test_advance_to_non_finite_time_rejected(self, until_s):
+        # NaN compares false with every event time: it would set now_s to
+        # NaN and apply nothing, silently.
+        cluster = LivingCluster(small_state(), [ClusterEvent(time_s=1.0, kind="exit")])
+        with pytest.raises(ValueError, match="non-finite"):
+            cluster.advance(until_s)
+        assert cluster.now_s == 0.0
+        assert cluster.pending_events == 1
+
     def test_partial_advance_resumes(self):
         state = small_state()
         events = SyntheticTrace(ChurnSpec(), seed=3).generate(4 * 3600.0)

@@ -1,4 +1,4 @@
-"""OnlineRescheduler: determinism, StepCache parity, failure handling, drift."""
+"""OnlineRescheduler: determinism, StepCache parity, failure handling."""
 
 import json
 
@@ -8,8 +8,6 @@ from repro.datasets import ClusterSpec, SnapshotGenerator
 from repro.serve import PlanError, ReschedulingService, build_default_registry
 from repro.sim import (
     ChurnSpec,
-    DriftConfig,
-    DriftMonitor,
     LivingCluster,
     OnlineRescheduler,
     SimulationConfig,
@@ -19,7 +17,8 @@ from repro.sim import (
     save_trace,
     steady_state_mean,
 )
-from repro.testing import FreshRLPlanner
+
+from oracles import FreshRLPlanner
 
 DAY_S = 86400.0
 
@@ -144,44 +143,18 @@ class TestConfigValidation:
             {"horizon_s": 0.0},
             {"max_rounds": 0},
             {"steady_state_fraction": 0.0},
+        ]
+        # NaN passes every ordering check, so only an explicit finiteness
+        # check keeps it (and inf) out of the round arithmetic.
+        + [
+            {name: value}
+            for name in ("replan_every_s", "plan_delay_s", "horizon_s")
+            for value in (float("nan"), float("inf"), float("-inf"))
         ],
     )
     def test_bad_configs_rejected(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="|".join(kwargs)):
             SimulationConfig(**kwargs)
-
-
-class TestDriftMonitor:
-    def test_fires_on_sustained_degradation(self):
-        monitor = DriftMonitor(DriftConfig(window=4, baseline_window=8, threshold=0.2))
-        for _ in range(12):
-            monitor.observe(0.10)
-        assert monitor.events == []
-        event = None
-        for _ in range(6):
-            event = event or monitor.observe(0.20)
-        assert event is not None
-        assert event.degradation > 0.2
-        assert monitor.events == [event]
-
-    def test_quiet_on_stable_series(self):
-        monitor = DriftMonitor(DriftConfig(window=4, baseline_window=8, threshold=0.2))
-        for i in range(50):
-            monitor.observe(0.10 + 0.001 * (i % 3))
-        assert monitor.events == []
-
-    def test_improvement_never_fires(self):
-        monitor = DriftMonitor(DriftConfig(window=4, baseline_window=8, threshold=0.1))
-        for value in [0.3] * 12 + [0.05] * 12:
-            monitor.observe(value)
-        assert monitor.events == []
-
-    def test_cooldown_suppresses_refiring(self):
-        config = DriftConfig(window=4, baseline_window=8, threshold=0.2, cooldown=100)
-        monitor = DriftMonitor(config)
-        for value in [0.1] * 12 + [0.5] * 30:
-            monitor.observe(value)
-        assert len(monitor.events) == 1
 
 
 class TestSummaries:

@@ -124,3 +124,46 @@ class TestRecordReplay:
         path.write_text("")
         with pytest.raises(ValueError, match="empty"):
             load_trace(path)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"version": None}, "version must be an integer"),
+            ({"version": "two"}, "version must be an integer"),
+            ({"num_events": True}, "num_events must be an integer"),
+            ({"num_events": 0.5}, "num_events must be an integer"),
+            ({"meta": ["not", "an", "object"]}, "meta must be an object"),
+            ({"meta": "seed=1"}, "meta must be an object"),
+            ({"meta": None}, "meta must be an object"),
+            ({"meta": {"horizon_s": float("nan")}}, "horizon_s must be a finite positive"),
+            ({"meta": {"horizon_s": float("inf")}}, "horizon_s must be a finite positive"),
+            ({"meta": {"horizon_s": -60.0}}, "horizon_s must be a finite positive"),
+            ({"meta": {"horizon_s": "1d"}}, "horizon_s must be a finite positive"),
+            ({"meta": {"horizon_s": True}}, "horizon_s must be a finite positive"),
+        ],
+    )
+    def test_bad_header_fields_name_the_file(self, tmp_path, fields, message):
+        path = tmp_path / "bad_header.jsonl"
+        header = {"format": TRACE_FORMAT, "version": 1, **fields}
+        path.write_text(json.dumps(header) + "\n")
+        with pytest.raises(ValueError, match=message) as info:
+            load_trace(path)
+        assert str(path) in str(info.value)
+
+    def test_unparsable_header_names_the_file(self, tmp_path):
+        path = tmp_path / "garbled.jsonl"
+        path.write_text('{"format": \n')
+        with pytest.raises(ValueError, match="bad trace header") as info:
+            load_trace(path)
+        assert str(path) in str(info.value)
+
+    def test_integral_header_fields_load(self, tmp_path):
+        events = SyntheticTrace(ChurnSpec(), seed=9).generate(3600.0)
+        path = save_trace(events, tmp_path / "trace.jsonl", meta={"horizon_s": 3600})
+        lines = path.read_text().splitlines()
+        header = json.loads(lines[0])
+        header.update(version="1", num_events=float(len(events)))
+        path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        loaded_header, loaded = load_trace(path)
+        assert loaded == events
+        assert loaded_header["meta"] == {"horizon_s": 3600}
