@@ -15,12 +15,16 @@ Masks and host rows are plain numpy arrays — they carry no gradients.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..env.observation import Observation
 from ..nn import AttentionMask, Module, Tensor, concatenate
+
+#: One observation's trees: every local sequence position tree by tree, and
+#: each tree's member count (see :func:`_row_tree_layout`).
+TreeLayout = Tuple[np.ndarray, np.ndarray]
 
 
 @dataclass
@@ -55,14 +59,14 @@ class FeatureBatch:
     #: assignment is fixed once collected) and carried over by
     #: :func:`stack_feature_batches` so regrouping a minibatch only offsets
     #: and buckets instead of re-deriving trees from the host rows.
-    _tree_layouts: Optional[list] = field(default=None, repr=False)
+    _tree_layouts: Optional[List[TreeLayout]] = field(default=None, repr=False)
 
     @property
     def sequence_length(self) -> int:
         return self.num_pms + self.num_vms
 
-    def tree_layout(self) -> list:
-        """Per-tree local position arrays for a single observation (cached)."""
+    def tree_layout(self) -> TreeLayout:
+        """A single observation's ``(positions, sizes)`` tree layout (cached)."""
         if self.batch_size is not None:
             raise ValueError("tree_layout is per single observation; use tree_grouping")
         return self._layouts()[0]
@@ -70,11 +74,13 @@ class FeatureBatch:
     def tree_grouping(self) -> Optional["TreeGrouping"]:
         """Grouped per-tree layout for the sparse tree-attention stage.
 
-        Built lazily and cached on the batch, so every extractor block (and
-        every epoch revisiting a cached stacked minibatch) reuses one
-        grouping.  A single-row batch yields a one-row grouping (what the
-        extractor applies after lifting it to a batch of one).  Returns
-        ``None`` only when there are no VMs (no tree stage to run).
+        Built lazily and cached on the batch, so every extractor block of a
+        forward reuses one grouping.  A stacked minibatch is a fresh batch
+        (:func:`stack_feature_batches`), so each minibatch of each epoch
+        buckets its rows' cached layouts anew.  A single-row batch yields a
+        one-row grouping (what the extractor applies after lifting it to a
+        batch of one).  Returns ``None`` only when there are no VMs (no tree
+        stage to run).
         """
         if self.num_vms == 0:
             return None
@@ -82,7 +88,7 @@ class FeatureBatch:
             self._tree_grouping = _grouping_from_layouts(self._layouts(), self.sequence_length)
         return self._tree_grouping
 
-    def _layouts(self) -> list:
+    def _layouts(self) -> List[TreeLayout]:
         if self._tree_layouts is None:
             self._tree_layouts = [
                 _row_tree_layout(hosts, self.num_pms) for hosts in np.atleast_2d(self.hosts)
@@ -108,59 +114,26 @@ def patch_feature_batch(
     """Single-observation FeatureBatch reusing the previous step's structure.
 
     Feature tensors are always fresh copies of the observation's arrays (they
-    are cheap, and callers may keep the previous batch alive), but the
-    tree-side structure — per-tree layouts and grouping — is carried over
-    from ``previous`` when the observation's delta proves the host
-    assignment did not change, and *patched per moved VM* (two trees edited,
-    grouping re-bucketed) when it did.  Falls back to
-    :func:`build_feature_batch` whenever the delta chain cannot vouch for
-    ``previous`` (episode start, shape change, unplaced endpoints).  The
-    result is exactly what ``build_feature_batch`` would produce — pinned by
-    the step-cache parity tests.
+    are cheap, and callers may keep the previous batch alive); the tree
+    layout and grouping are carried over from ``previous`` when the
+    observation's delta proves the host assignment did not change, and
+    rebuilt lazily from the host rows when a VM moved.  The result is exactly
+    what :func:`build_feature_batch` would produce — pinned by the step-cache
+    parity tests.
     """
+    batch = build_feature_batch(observation)
     delta = observation.delta
     if (
-        previous is None
-        or delta is None
-        or delta.step_index == 0  # chain start: no previous step to patch from
-        or previous.batch_size is not None
-        or previous.num_pms != observation.num_pms
-        or previous.num_vms != observation.num_vms
+        previous is not None
+        and delta is not None
+        and delta.step_index > 0  # chain start: no previous step to patch from
+        and previous.batch_size is None
+        and (previous.num_pms, previous.num_vms) == (batch.num_pms, batch.num_vms)
+        and not delta.moved_vm_rows.size
     ):
-        return build_feature_batch(observation)
-    layouts = previous._tree_layouts
-    grouping = previous._tree_grouping
-    if delta.moved_vm_rows.size:
-        old_hosts = previous.hosts[delta.moved_vm_rows]
-        new_hosts = observation.vm_source_pm[delta.moved_vm_rows]
-        if (old_hosts < 0).any() or (new_hosts < 0).any():
-            # Placement appeared/disappeared (not a plain migration): the
-            # singleton-tree tail would change shape — rebuild.
-            return build_feature_batch(observation)
-        if layouts is not None:
-            num_pms = observation.num_pms
-            tree_list = list(layouts[0])
-            for vm_row, old_host, new_host in zip(
-                delta.moved_vm_rows, old_hosts, new_hosts
-            ):
-                position = int(num_pms + vm_row)
-                source = tree_list[old_host]
-                tree_list[old_host] = source[source != position]
-                dest = tree_list[new_host]
-                insert_at = int(np.searchsorted(dest[1:], position)) + 1
-                tree_list[new_host] = np.insert(dest, insert_at, position)
-            layouts = [tree_list]
-        grouping = None  # members changed: re-bucket lazily from the layouts
-    return FeatureBatch(
-        pm_features=Tensor(observation.pm_features.copy()),
-        vm_features=Tensor(observation.vm_features.copy()),
-        hosts=observation.vm_source_pm,
-        vm_mask=observation.vm_mask.copy(),
-        num_pms=observation.num_pms,
-        num_vms=observation.num_vms,
-        _tree_grouping=grouping,
-        _tree_layouts=layouts,
-    )
+        batch._tree_layouts = previous._tree_layouts
+        batch._tree_grouping = previous._tree_grouping
+    return batch
 
 
 class TreeBucket:
@@ -169,7 +142,7 @@ class TreeBucket:
     __slots__ = ("members", "valid", "attention_mask")
 
     def __init__(self, members: np.ndarray, valid: np.ndarray) -> None:
-        self.members = members  # (groups, size) flat sequence positions
+        self.members = members  # (groups, size) flat row positions
         self.valid = valid  # (groups, size) real-member indicator
         self.attention_mask = AttentionMask(valid[:, :, None] & valid[:, None, :])
 
@@ -179,42 +152,51 @@ class TreeGrouping:
 
     The host rows partition the combined [PMs..., VMs...] sequence of every
     batch row into disjoint trees — a PM with its hosted VMs, or an unplaced
-    VM alone — and attention within a tree is *full*.  Tree-local attention is
-    therefore exactly equivalent to running the layer over padded
-    ``(num_trees, tree_size)`` groups: gather each tree's members, attend
-    inside the (tiny) tree under a padding mask, scatter back.  A dense
-    ``S×S`` tree mask (the parity tests' oracle) costs ``O(S²)`` scores per
-    row; the grouped path ``O(Σ tree_size²)`` — typically an order of
-    magnitude less.  Trees are split into at most two size-class buckets
-    (chosen to minimize padded score area), so one oversize tree does not
-    inflate the padding of every small one.
+    VM alone — and attention within a tree is *full*.  Only the score core
+    needs the trees side by side: :meth:`apply` runs an encoder layer's
+    per-row work (norms, projections, residuals, feed-forward) on the real
+    rows and gathers just q, k and v into padded ``(num_trees, tree_size)``
+    groups for one masked attention node per bucket.  A dense ``S×S`` tree
+    mask (the parity tests' oracle) costs ``O(S²)`` scores per row; the
+    grouped core ``O(Σ tree_size²)`` — typically an order of magnitude less.
+    Trees are split into size-class buckets (:func:`_bucket_widths`), so a
+    few large trees do not inflate the padding of every small one.
 
     Exactness invariants: trees are disjoint and ordered [PM, VMs ascending],
     matching the dense row order, padding keys are excluded by the additive
-    bias (exactly zero weight and gradient), and padded slots gather position
-    0 but receive exactly zero gradient because nothing reads them back.
+    bias (exactly zero weight and gradient), and padded slots gather row 0
+    but pass back no gradient: the context scatter never reads them, and the
+    q/k/v gathers return only the valid slots' gradients.
     """
 
     __slots__ = ("buckets", "inverse")
 
     def __init__(self, buckets: Sequence[TreeBucket], inverse: np.ndarray) -> None:
         self.buckets = list(buckets)
-        self.inverse = inverse  # (batch * seq,) slot in the concatenated layout
+        self.inverse = inverse  # (rows,) slot of each row in the concatenated buckets
 
-    def apply(self, layer: Module, combined: Tensor) -> Tensor:
-        """Run an encoder ``layer`` tree-locally over the ``(batch, seq, dim)``
-        combined sequence."""
-        dim = combined.shape[-1]
-        flat = combined.reshape(combined.shape[0] * combined.shape[1], dim)
-        outputs = []
+    def apply(self, layer: Module, x: Tensor) -> Tensor:
+        """Run encoder ``layer`` tree-locally over ``x``; its leading axes,
+        flattened, are the rows the buckets index."""
+        dim = x.shape[-1]
+        flat = x.reshape(-1, dim)
+        attention = layer.attention
+        normed = layer.norm1(flat)
+        projected = (
+            attention._scaled_queries(normed), attention.k_proj(normed), attention.v_proj(normed)
+        )
+        contexts = []
         for bucket in self.buckets:
             groups, size = bucket.members.shape
-            grouped = _gather_rows(
-                flat, bucket.members.reshape(-1), bucket.valid.reshape(-1)
-            ).reshape(groups, size, dim)
-            outputs.append(layer(grouped, mask=bucket.attention_mask).reshape(groups * size, dim))
-        stacked = outputs[0] if len(outputs) == 1 else concatenate(outputs, axis=0)
-        return _gather_rows(stacked, self.inverse).reshape(combined.shape)
+            index, valid = bucket.members.reshape(-1), bucket.valid.reshape(-1)
+            q, k, v = (
+                _gather_rows(rows, index, valid).reshape(groups, size, dim) for rows in projected
+            )
+            context = attention.attend(q, k, v, bucket.attention_mask)
+            contexts.append(context.reshape(groups * size, dim))
+        context = contexts[0] if len(contexts) == 1 else concatenate(contexts, axis=0)
+        attended = attention.out_proj(_gather_rows(context, self.inverse))
+        return layer._residual_feed_forward(flat, attended).reshape(x.shape)
 
 
 def _gather_rows(
@@ -245,80 +227,80 @@ def _gather_rows(
     return Tensor(out_data, requires_grad=True, parents=(source,), backward=backward)
 
 
-def _pad_bucket(groups: Sequence[np.ndarray], size: int) -> TreeBucket:
-    members = np.zeros((len(groups), size), dtype=np.intp)
-    valid = np.zeros((len(groups), size), dtype=bool)
-    for index, group in enumerate(groups):
-        members[index, : len(group)] = group
-        valid[index, : len(group)] = True
-    return TreeBucket(members=members, valid=valid)
+def _row_tree_layout(hosts: np.ndarray, num_pms: int) -> TreeLayout:
+    """One observation's trees as ``(positions, sizes)``.
 
-
-def _row_tree_layout(hosts: np.ndarray, num_pms: int) -> list:
-    """Per-tree arrays of *local* sequence positions for one observation.
-
-    Each array lists one tree's members in dense row order — the PM first,
-    then its hosted VMs ascending — followed by singleton trees for unplaced
-    VMs.  Cached per transition (the host assignment never changes after
-    collection); stacking into a minibatch only adds row offsets.
+    ``positions`` lists every *local* sequence position tree by tree, in
+    dense row order — each PM's tree (the PM, then its hosted VMs ascending)
+    by PM row, then a singleton tree per unplaced VM — and ``sizes`` holds
+    each tree's member count.  Cached per transition (the host assignment
+    never changes after collection); stacking into a minibatch only adds row
+    offsets.
     """
-    host = np.where(hosts >= 0, hosts, num_pms)
-    order = np.argsort(host, kind="stable")  # VMs ascending within each host
-    sorted_host = host[order]
-    bounds = np.searchsorted(sorted_host, np.arange(num_pms + 1))
-    counts = bounds[1:] - bounds[:-1]
-    # PM trees, filled without a per-group python loop: slot 0 is the PM,
-    # each hosted VM lands at 1 + its rank within the host.
-    row_members = np.zeros((num_pms, int(counts.max(initial=0)) + 1), dtype=np.intp)
-    row_members[:, 0] = np.arange(num_pms)
-    hosted = order[: bounds[num_pms]]
-    hosted_on = sorted_host[: bounds[num_pms]]
-    ranks = np.arange(hosted.size) - np.repeat(bounds[:-1], counts)
-    row_members[hosted_on, 1 + ranks] = num_pms + hosted
-    layout = [row_members[pm, : counts[pm] + 1] for pm in range(num_pms)]
-    # Unplaced VMs: singleton trees.
-    layout.extend(np.array([num_pms + vm]) for vm in order[bounds[num_pms] :])
-    return layout
+    unplaced = hosts < 0
+    # Tree id of every position: a PM's row, a VM's host, or past the PMs
+    # for an unplaced VM; a stable sort keeps each tree's positions ascending.
+    tree = np.concatenate(
+        [np.arange(num_pms), np.where(unplaced, num_pms + np.cumsum(unplaced) - 1, hosts)]
+    )
+    return np.argsort(tree, kind="stable"), np.bincount(tree)
 
 
-def _grouping_from_layouts(layouts: Sequence[list], seq: int) -> TreeGrouping:
-    """Offset cached per-row layouts into one flat grouping and bucket it."""
-    groups = [
-        group + row * seq for row, layout in enumerate(layouts) for group in layout
-    ]
-
-    # Split into ≤2 size buckets at the cut minimizing padded score area —
-    # but only when splitting at least halves the area.  Every bucket costs a
-    # full encoder-layer pass (a dozen tensor ops), so on the overhead-bound
-    # shapes of serving micro-batches one padded pass beats two lean ones;
-    # the split pays off on skewed layouts (one big tree + many singletons)
-    # where padding everything to the largest tree would explode the area.
-    sizes = np.array([group.size for group in groups])
-    unique_sizes = np.unique(sizes)
-    largest = int(unique_sizes[-1])
-    single_area = len(groups) * largest * largest
-    best_area, split = single_area, None
-    for cut in unique_sizes[:-1]:
-        small = int((sizes <= cut).sum())
-        area = small * int(cut) ** 2 + (len(groups) - small) * largest * largest
-        if area < best_area:
-            best_area, split = area, int(cut)
-    if split is not None and best_area * 2 > single_area:
-        split = None
-    if split is None:
-        buckets = [_pad_bucket(groups, largest)]
-    else:
-        buckets = [
-            _pad_bucket([g for g in groups if g.size <= split], split),
-            _pad_bucket([g for g in groups if g.size > split], largest),
-        ]
-
-    inverse = np.empty(len(layouts) * seq, dtype=np.intp)
-    offset = 0
-    for bucket in buckets:
-        inverse[bucket.members[bucket.valid]] = offset + np.flatnonzero(bucket.valid.reshape(-1))
-        offset += bucket.members.size
+def _grouping(positions: np.ndarray, sizes: np.ndarray, widths: Sequence[int]) -> TreeGrouping:
+    """Bucket the trees (``positions`` tree by tree, ``sizes`` members each)
+    into padded groups, each tree in the narrowest of ``widths`` that fits."""
+    slots = np.searchsorted(widths, sizes)
+    inverse = np.empty(positions.size, dtype=np.intp)
+    buckets, offset = [], 0
+    for slot in np.unique(slots):
+        chosen = slots == slot
+        valid = np.arange(widths[slot]) < sizes[chosen, None]
+        members = np.zeros(valid.shape, dtype=np.intp)
+        members[valid] = positions[np.repeat(chosen, sizes)]
+        inverse[members[valid]] = offset + np.flatnonzero(valid)
+        buckets.append(TreeBucket(members=members, valid=valid))
+        offset += members.size
     return TreeGrouping(buckets=buckets, inverse=inverse)
+
+
+def _grouping_from_layouts(layouts: Sequence[TreeLayout], seq: int) -> TreeGrouping:
+    """Offset cached per-row layouts into one flat grouping and bucket it."""
+    positions = np.concatenate([local + row * seq for row, (local, _) in enumerate(layouts)])
+    sizes = np.concatenate([row_sizes for _, row_sizes in layouts])
+    return _grouping(positions, sizes, _bucket_widths(sizes))
+
+
+#: What one more bucket costs, in padded scores.  Measured (1 BLAS thread):
+#: ~800 scores' work no-grad at 900 VMs, more with gradients (each bucket's
+#: q/k/v gathers scatter full-size gradients), where narrow buckets also save
+#: more than their area says; the StepCache's dirty-tree pass pays each extra
+#: width again on every cached step.  4000 picks the fastest of the splits
+#: tried on each e2e shape and on a 32-row training minibatch.
+_BUCKET_SCORES = 4000
+
+
+def _bucket_widths(sizes: np.ndarray) -> List[int]:
+    """Bucket widths minimizing the padded score area plus
+    :data:`_BUCKET_SCORES` per bucket.
+
+    A bucket takes a run of the sorted tree sizes, padded to the widest; the
+    exact split is a small dynamic program over the distinct sizes.
+    """
+    widths, counts = np.unique(sizes, return_counts=True)
+    widths, below = widths.tolist(), [0, *np.cumsum(counts).tolist()]
+    # cost[j]: cheapest bucketing of the trees of the j narrowest sizes;
+    # start[j]: where its widest bucket begins.
+    cost, start = [0], [0]
+    for j, width in enumerate(widths, 1):
+        options = [cost[i] + (below[j] - below[i]) * width * width for i in range(j)]
+        i = options.index(min(options))
+        cost.append(options[i] + _BUCKET_SCORES)
+        start.append(i)
+    chosen, j = [], len(widths)
+    while j:
+        chosen.append(widths[j - 1])
+        j = start[j]
+    return chosen[::-1]
 
 
 def stack_feature_batches(batches: Sequence[FeatureBatch]) -> FeatureBatch:

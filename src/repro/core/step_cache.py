@@ -9,9 +9,9 @@ between consecutive steps of ``act_batch`` / ``plan_batch``:
   so only rows whose normalized features changed recompute),
 * the **first block's tree-local attention stage** — tree-local attention
   mixes only the members of one PM tree, so only *dirty trees* (trees
-  containing a changed row, or whose membership changed) re-run, gathered
-  into padded buckets exactly like
-  :class:`~repro.core.features.TreeGrouping`, and
+  containing a changed row, or whose membership changed) re-run: their
+  rows alone go through :meth:`~repro.core.features.TreeGrouping.apply`,
+  padded to the full pass's bucket widths, and
 * the **first block's dense VM↔VM self-attention** — not its ``V×V`` weights
   but their softmax state (:class:`~repro.nn.attention.AttentionState`: q, k,
   v, context, and each row's score maximum and sum of exponentials, O(V·dim)).
@@ -51,7 +51,7 @@ forwards, and entries never alias tensors a training graph could retain.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -60,7 +60,8 @@ from ..nn import AttentionState, Tensor, grad_enabled
 from .attention import ExtractorOutput, SparseAttentionExtractor
 from .features import (
     FeatureBatch,
-    _pad_bucket,
+    TreeLayout,
+    _grouping,
     patch_feature_batch,
     stack_feature_batches,
 )
@@ -82,34 +83,6 @@ class _ChainEntry:
     #: Block-0 VM↔VM softmax state of this row (``None`` without VMs, or
     #: with too few for an update ever to pay).
     vm_attention: Optional[AttentionState]
-
-
-def _run_tree_layer_subset(
-    layer,
-    flat: np.ndarray,
-    out: np.ndarray,
-    groups: Sequence[np.ndarray],
-    padded_sizes: Sequence[int],
-) -> None:
-    """Run the tree-attention layer over a subset of trees, scattering into ``out``.
-
-    ``groups`` are flat sequence positions per tree; each tree is padded to
-    the smallest of ``padded_sizes`` (the full grouping's bucket widths) that
-    fits, so per-tree GEMM shapes match what the full grouped pass uses and
-    recomputed trees stay numerically aligned with untouched ones.
-    """
-    by_size: Dict[int, List[np.ndarray]] = {}
-    for group in groups:
-        size = next((s for s in padded_sizes if s >= group.size), group.size)
-        by_size.setdefault(int(size), []).append(group)
-    for size, members in by_size.items():
-        bucket = _pad_bucket(members, size)
-        grouped = flat[bucket.members.reshape(-1)].reshape(
-            len(members), size, flat.shape[-1]
-        )
-        result = layer(Tensor(grouped), mask=bucket.attention_mask).data
-        valid = bucket.valid
-        out[bucket.members[valid]] = result[valid]
 
 
 class StepCache:
@@ -198,13 +171,9 @@ class StepCache:
             stage1_rows = None
             pm1, vm1 = h[:, :num_pms], h[:, num_pms:]
         else:
-            layer = extractor.blocks[0].tree_attention
             flat = h.reshape(count * seq, dim)
             stage1 = np.empty_like(flat)
-            padded_sizes = sorted(
-                {bucket.members.shape[1] for bucket in grouping.buckets}
-            )
-            groups: List[np.ndarray] = []
+            positions, sizes = [], []
             for row, (obs, entry, batch) in enumerate(
                 zip(observations, entries, batches)
             ):
@@ -213,15 +182,23 @@ class StepCache:
                     entry.stage1.shape == (seq, dim)
                 ):
                     stage1[offset : offset + seq] = entry.stage1
-                    row_groups = self._dirty_tree_groups(batch, obs)
-                    if row_groups:
-                        rerun = np.concatenate(row_groups)
-                        vm_changed[row, rerun[rerun >= num_pms] - num_pms] = True
+                    row_positions, row_sizes = self._dirty_trees(batch, obs)
+                    vm_changed[row, row_positions[row_positions >= num_pms] - num_pms] = True
                 else:
-                    row_groups = batch.tree_layout()
+                    row_positions, row_sizes = batch.tree_layout()
                     vm_changed[row] = True
-                groups.extend(group + offset for group in row_groups)
-            _run_tree_layer_subset(layer, flat, stage1, groups, padded_sizes)
+                positions.append(row_positions + offset)
+                sizes.append(row_sizes)
+            rerun = np.concatenate(positions)
+            if rerun.size:
+                # The rerun trees' rows, compacted and padded to the full
+                # pass's bucket widths so their scores match what it computes.
+                subset = _grouping(
+                    np.arange(rerun.size), np.concatenate(sizes),
+                    [bucket.members.shape[1] for bucket in grouping.buckets],
+                )
+                layer = extractor.blocks[0].tree_attention
+                stage1[rerun] = subset.apply(layer, Tensor(flat[rerun])).data
             stage1_rows = stage1.reshape(count, seq, dim)
             pm1, vm1 = stage1_rows[:, :num_pms], stage1_rows[:, num_pms:]
 
@@ -290,31 +267,29 @@ class StepCache:
         return pm_x, vm_x
 
     @staticmethod
-    def _dirty_tree_groups(batch: FeatureBatch, observation: Observation) -> List[np.ndarray]:
-        """Trees whose stage-1 output must re-run for this step.
+    def _dirty_trees(batch: FeatureBatch, observation: Observation) -> TreeLayout:
+        """The ``(positions, sizes)`` of the trees whose stage-1 output must
+        re-run for this step.
 
         A tree is dirty when any member row's embedding changed or its
-        membership changed: PM trees are indexed by PM row (the layout lists
+        membership changed: PM trees are numbered by PM row (the layout lists
         them first), placed VMs dirty their host's tree, unplaced VMs their
         singleton tree.  ``moved_pm_rows`` covers both endpoints of every
         migration even when feature values happen to be unchanged.
         """
         delta = observation.delta
-        num_pms = observation.num_pms
-        layout = batch.tree_layout()
-        vm_source = observation.vm_source_pm
-        dirty_pm_trees = set(delta.changed_pm_rows.tolist())
-        dirty_pm_trees.update(delta.moved_pm_rows.tolist())
-        singles: List[np.ndarray] = []
-        for vm_row in np.union1d(delta.changed_vm_rows, delta.moved_vm_rows):
-            host = int(vm_source[vm_row])
-            if host >= 0:
-                dirty_pm_trees.add(host)
-            else:
-                singles.append(np.array([num_pms + int(vm_row)]))
-        groups = [layout[pm_row] for pm_row in sorted(dirty_pm_trees)]
-        groups.extend(singles)
-        return groups
+        positions, sizes = batch.tree_layout()
+        hosts = observation.vm_source_pm
+        vm_rows = np.union1d(delta.changed_vm_rows, delta.moved_vm_rows).astype(np.intp)
+        # Unplaced VMs' singleton trees follow the PMs' in row order.
+        tree_of_vm = np.where(
+            hosts >= 0, hosts, observation.num_pms + np.cumsum(hosts < 0) - 1
+        )
+        dirty = np.zeros(sizes.size, dtype=bool)
+        dirty[delta.changed_pm_rows] = True
+        dirty[delta.moved_pm_rows] = True
+        dirty[tree_of_vm[vm_rows]] = True
+        return positions[np.repeat(dirty, sizes)], sizes[dirty]
 
     @staticmethod
     def _interaction_stages(

@@ -494,14 +494,24 @@ class MultiHeadAttention(Module):
             )
         if query.ndim != 3:
             raise ValueError(f"expected 2-D or 3-D query, got shape {query.shape}")
-        mask = self._checked_mask(mask, query.shape[0], query.shape[1], key.shape[1])
-        result = _attention(
+        result = self.attend(
             self._scaled_queries(query), self.k_proj(key), self.v_proj(value), mask,
-            self.num_heads, return_weights,
+            return_weights,
         )
         if return_weights:
             return self.out_proj(result[0]), result[1]
         return self.out_proj(result)
+
+    def attend(
+        self, q: Tensor, k: Tensor, v: Tensor, mask=None, return_weights: bool = False
+    ):
+        """The score core alone: the :func:`_attention` node over merged
+        ``(batch, len, embed)`` projections (``q`` pre-scaled) — everything
+        :meth:`forward` does between the projections and ``out_proj``.  A
+        caller that projects rows itself (the grouped tree stage) attends
+        through here."""
+        mask = self._checked_mask(mask, q.shape[0], q.shape[1], k.shape[1])
+        return _attention(q, k, v, mask, self.num_heads, return_weights)
 
     def self_attention_array(
         self,

@@ -102,17 +102,28 @@ class TestSingleObservationGroupedParity:
 
     def test_dense_tree_mask_never_materialized(self, env, observation, policy, monkeypatch):
         """The acceptance assertion: no attention layer sees an ``S×S`` tree
-        mask on the library path; the dense oracle stage is the only one."""
+        mask on the library path; the dense oracle stage is the only one.
+
+        Masks are recorded both where a layer is called (``forward``) and
+        where the score core runs (``attend``), which the grouped tree stage
+        reaches directly with per-bucket padding masks."""
         seq = observation.num_pms + observation.num_vms
-        shapes = []
-        forward = MultiHeadAttention.forward
+        shapes, core_shapes = [], []
+        forward, attend = MultiHeadAttention.forward, MultiHeadAttention.attend
 
         def recording(self, query, key, value, mask=None, return_weights=False):
             if mask is not None:
                 shapes.append(np.shape(getattr(mask, "mask", mask))[-2:])
             return forward(self, query, key, value, mask, return_weights)
 
+        def recording_core(self, q, k, v, mask=None, return_weights=False):
+            if mask is not None:
+                shapes.append(np.shape(getattr(mask, "mask", mask))[-2:])
+                core_shapes.append(shapes[-1])
+            return attend(self, q, k, v, mask, return_weights)
+
         monkeypatch.setattr(MultiHeadAttention, "forward", recording)
+        monkeypatch.setattr(MultiHeadAttention, "attend", recording_core)
         output = policy.act(observation, pm_mask_fn=env.pm_action_mask, rng=np.random.default_rng(5))
         policy.evaluate_actions(
             observation,
@@ -122,10 +133,11 @@ class TestSingleObservationGroupedParity:
             env.pm_action_mask(output.vm_index),
         )
         assert shapes and (seq, seq) not in shapes
+        assert core_shapes  # the grouped tree stage's per-bucket masks
         # The probe does see the dense stage when the oracle is patched in.
         with oracles.dense_tree_stage():
             policy.extractor(build_feature_batch(observation))
-        assert (seq, seq) in shapes
+        assert (seq, seq) in shapes and (seq, seq) in core_shapes
 
     def test_oracle_ops_patches_are_scoped(self, observation, policy):
         """The oracle is a scoped patch, not a process-global mode: leaving

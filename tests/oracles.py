@@ -10,6 +10,8 @@ it replaced live here, beside the tests that compare against them:
 * a dense ``S×S`` tree mask built from host rows, independently of
   ``TreeGrouping``, and an extractor whose tree stage is one dense masked
   layer — :func:`dense_tree_stage` (also part of :func:`oracle_ops`);
+* the padded whole-layer tree stage, which ran the entire encoder layer on
+  the padded per-tree groups — :func:`padded_tree_stage`;
 * per-pair loops for the stage-1 / stage-2 feasibility masks and a
   per-object observation build;
 * the VMR2L planner with the StepCache off — :class:`FreshRLPlanner`.
@@ -29,7 +31,7 @@ import numpy as np
 from repro.baselines import ReschedulingResult
 from repro.cluster import ClusterState, ConstraintChecker
 from repro.core.attention import ExtractorOutput, SparseAttentionExtractor, _stacked_features
-from repro.core.features import FeatureBatch
+from repro.core.features import FeatureBatch, TreeGrouping, _gather_rows
 from repro.core.step_cache import StepCache
 from repro.env.objectives import Objective
 from repro.env.observation import (
@@ -135,6 +137,24 @@ def dense_tree_mask(hosts: np.ndarray, num_pms: int) -> np.ndarray:
     alone = num_pms + np.arange(hosts.size)
     tree = np.concatenate([np.arange(num_pms), np.where(hosts >= 0, hosts, alone)])
     return tree[:, None] == tree[None, :]
+
+
+def padded_tree_stage(grouping: TreeGrouping, layer, combined: Tensor) -> Tensor:
+    """``grouping.apply(layer, combined)`` with the *whole* layer — norms,
+    projections, residuals and feed-forward included — run on the padded
+    ``(trees, width, dim)`` groups, padding rows and all, and the outputs
+    scattered back through ``grouping.inverse``."""
+    dim = combined.shape[-1]
+    flat = combined.reshape(-1, dim)
+    outputs = []
+    for bucket in grouping.buckets:
+        groups, size = bucket.members.shape
+        grouped = _gather_rows(
+            flat, bucket.members.reshape(-1), bucket.valid.reshape(-1)
+        ).reshape(groups, size, dim)
+        outputs.append(layer(grouped, mask=bucket.attention_mask).reshape(groups * size, dim))
+    stacked = outputs[0] if len(outputs) == 1 else concatenate(outputs, axis=0)
+    return _gather_rows(stacked, grouping.inverse).reshape(combined.shape)
 
 
 def tree_mask(batch: FeatureBatch) -> np.ndarray:
