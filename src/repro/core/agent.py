@@ -18,6 +18,7 @@ import numpy as np
 
 from ..baselines.base import Rescheduler, ReschedulingResult
 from ..cluster import ClusterState, ConstraintConfig, MigrationPlan
+from ..cluster.state import int_field
 from ..env.objectives import FragmentRateObjective, Objective
 from ..env.vector_env import SyncVectorEnv
 from ..env.vmr_env import VMRescheduleEnv
@@ -145,9 +146,11 @@ class VMR2LAgent(Rescheduler):
         ``max_active``, ``deadline_s`` and the StepCache that
         ``use_step_cache`` turns on), so a snapshot's plan does not depend on
         its batch neighbours.  ``migration_limits`` may be a single
-        limit or one per state.  Each result's ``inference_seconds`` is the
-        batch's wall time split by decision-step share; under a deadline its
-        info carries ``partial`` (the episode did not finish).
+        limit or one per state; each is decoded with ``int_field``, so a
+        bool or a fractional limit raises ``ValueError``.  Each result's
+        ``inference_seconds`` is the batch's wall time split by
+        decision-step share; under a deadline its info carries ``partial``
+        (the episode did not finish).
 
         ``greedy=False`` runs risk-seeking evaluation under
         ``config.risk_seeking`` per snapshot (info: ``num_trajectories``,
@@ -159,9 +162,9 @@ class VMR2LAgent(Rescheduler):
         states = list(states)
         if not states:
             return []
-        if isinstance(migration_limits, int):
+        if np.ndim(migration_limits) == 0:
             migration_limits = [migration_limits] * len(states)
-        migration_limits = [int(limit) for limit in migration_limits]
+        migration_limits = [int_field(limit, "migration_limit") for limit in migration_limits]
         if len(migration_limits) != len(states):
             raise ValueError("need one migration limit per state")
         if any(limit < 0 for limit in migration_limits):

@@ -40,33 +40,14 @@ class ExtractorOutput:
     """Embeddings produced by a feature extractor.
 
     ``(batch, machines, dim)`` embeddings and ``(batch, num_vms, num_pms)``
-    scores for a stacked :class:`FeatureBatch` — the only layout the actor
-    heads consume; a caller that handed the extractor a single-row batch gets
-    the same without the batch axis.
+    scores, one row per row of the :class:`FeatureBatch` — the layout the
+    actor heads consume.
     """
 
     def __init__(self, vm_embeddings: Tensor, pm_embeddings: Tensor, vm_pm_scores: np.ndarray) -> None:
         self.vm_embeddings = vm_embeddings
         self.pm_embeddings = pm_embeddings
         self.vm_pm_scores = vm_pm_scores
-
-    def for_batch(self, batch: FeatureBatch) -> "ExtractorOutput":
-        """Undo :func:`_stacked_features` for a single-row ``batch``."""
-        if batch.batch_size is not None:
-            return self
-        return ExtractorOutput(self.vm_embeddings[0], self.pm_embeddings[0], self.vm_pm_scores[0])
-
-
-def _stacked_features(batch: FeatureBatch) -> Tuple[np.ndarray, np.ndarray]:
-    """PM / VM feature arrays with a leading batch axis.
-
-    The one place a single-row :class:`FeatureBatch` becomes a batch of one:
-    every layer past the extractor boundary handles stacked shapes only.
-    """
-    pm_features, vm_features = batch.pm_features.data, batch.vm_features.data
-    if batch.batch_size is None:
-        pm_features, vm_features = pm_features[None], vm_features[None]
-    return pm_features, vm_features
 
 
 class _AttentionBlock(Module):
@@ -96,14 +77,19 @@ class _AttentionBlock(Module):
         block) also returns the head-averaged stage-3 VM→PM weights; they
         never feed an embedding, so every other block skips computing them.
         """
-        num_pms = pm_embeddings.shape[-2]
-        # Stage 1: sparse local attention within each PM tree.
-        if self.use_tree_attention and tree_groups is not None:
-            combined = concatenate([pm_embeddings, vm_embeddings], axis=-2)
-            combined = tree_groups.apply(self.tree_attention, combined)
-            pm_embeddings = combined[..., :num_pms, :]
-            vm_embeddings = combined[..., num_pms:, :]
+        pm_embeddings, vm_embeddings = self.tree_stage(pm_embeddings, vm_embeddings, tree_groups)
         return self.interaction_stages(pm_embeddings, vm_embeddings, want_scores)[:3]
+
+    def tree_stage(
+        self, pm_embeddings: Tensor, vm_embeddings: Tensor, tree_groups: Optional[TreeGrouping]
+    ) -> Tuple[Tensor, Tensor]:
+        """Stage 1: sparse local attention within each PM tree."""
+        if not self.use_tree_attention or tree_groups is None:
+            return pm_embeddings, vm_embeddings
+        num_pms = pm_embeddings.shape[-2]
+        combined = concatenate([pm_embeddings, vm_embeddings], axis=-2)
+        combined = tree_groups.apply(self.tree_attention, combined)
+        return combined[..., :num_pms, :], combined[..., num_pms:, :]
 
     def interaction_stages(
         self,
@@ -165,29 +151,61 @@ class SparseAttentionExtractor(Module):
         self.final_norm_pm = LayerNorm(dim)
 
     def forward(self, batch: FeatureBatch) -> ExtractorOutput:
-        pm_inputs, vm_inputs = _stacked_features(batch)
+        pm_inputs, vm_inputs = self.input_arrays(batch)
+        # Tree-local attention runs inside padded per-tree groups (cached on
+        # the FeatureBatch).  No VMs, no trees: the grouping is None.
+        tree_groups = batch.tree_grouping() if self.use_tree_attention else None
+        pm_embeddings, vm_embeddings = self.blocks[0].tree_stage(
+            self.pm_embed(Tensor(pm_inputs)), self.vm_embed(Tensor(vm_inputs)), tree_groups
+        )
+        return self.finish(pm_embeddings, vm_embeddings, tree_groups)[0]
+
+    def input_arrays(self, batch: FeatureBatch) -> Tuple[np.ndarray, np.ndarray]:
+        """The PM / VM feature arrays the embedding MLPs take.
+
+        Float32 inference casts the features once; every downstream layer
+        then runs in single precision against cached float32 weight copies
+        (see repro.nn.layers._float32_params).
+        """
+        pm_inputs, vm_inputs = batch.pm_features.data, batch.vm_features.data
         if self.config.inference_dtype == "float32" and not grad_enabled():
-            # Float32 inference: cast the features once; every downstream
-            # layer then runs in single precision against cached float32
-            # weight copies (see repro.nn.layers._float32_params).
             pm_inputs = pm_inputs.astype(np.float32)
             vm_inputs = vm_inputs.astype(np.float32)
-        pm_embeddings = self.pm_embed(Tensor(pm_inputs))
-        vm_embeddings = self.vm_embed(Tensor(vm_inputs))
-        # Tree-local attention runs inside padded per-tree groups (cached on
-        # the FeatureBatch; a single-row batch's one-row grouping indexes its
-        # lifted form unchanged).  No VMs, no trees: the grouping is None.
-        tree_groups = batch.tree_grouping() if self.use_tree_attention else None
-        for block in self.blocks:
+        return pm_inputs, vm_inputs
+
+    def finish(
+        self,
+        pm_embeddings: Tensor,
+        vm_embeddings: Tensor,
+        tree_groups: Optional[TreeGrouping],
+        vm_previous: Optional[Sequence[AttentionState]] = None,
+        vm_changed: Optional[np.ndarray] = None,
+    ) -> Tuple[ExtractorOutput, Optional[AttentionState]]:
+        """Everything after block 0's tree stage: block 0's stages 2–3, the
+        later blocks and the final norms.
+
+        ``vm_previous`` / ``vm_changed`` let block 0's VM↔VM stage update
+        from the previous step's softmax state (see
+        :meth:`_AttentionBlock.interaction_stages`); the StepCache passes
+        them, and block 0's new VM↔VM state is the second result.
+        """
+        first = self.blocks[0]
+        pm_embeddings, vm_embeddings, scores, vm_state = first.interaction_stages(
+            pm_embeddings, vm_embeddings, first is self.blocks[-1], vm_previous, vm_changed
+        )
+        for block in self.blocks[1:]:
             pm_embeddings, vm_embeddings, scores = block(
                 pm_embeddings, vm_embeddings, tree_groups,
                 want_scores=block is self.blocks[-1],
             )
-        return ExtractorOutput(
-            vm_embeddings=self.final_norm_vm(vm_embeddings) if batch.num_vms else vm_embeddings,
+        output = ExtractorOutput(
+            vm_embeddings=(
+                self.final_norm_vm(vm_embeddings) if vm_embeddings.shape[-2] else vm_embeddings
+            ),
             pm_embeddings=self.final_norm_pm(pm_embeddings),
             vm_pm_scores=scores,
-        ).for_batch(batch)
+        )
+        return output, vm_state
 
 
 class VanillaAttentionExtractor(SparseAttentionExtractor):
@@ -232,7 +250,7 @@ class MLPExtractor(Module):
                 f"observation with {batch.num_pms} PMs / {batch.num_vms} VMs exceeds the "
                 f"MLP extractor capacity ({self.max_pms} PMs / {self.max_vms} VMs)"
             )
-        pm_features, vm_features = _stacked_features(batch)
+        pm_features, vm_features = batch.pm_features.data, batch.vm_features.data
         count = pm_features.shape[0]
         vm_start = self.max_pms * PM_FEATURE_DIM
         flat = np.zeros((count, vm_start + self.max_vms * VM_FEATURE_DIM))
@@ -245,7 +263,7 @@ class MLPExtractor(Module):
             vm_embeddings=output[:, self.max_pms : self.max_pms + batch.num_vms],
             pm_embeddings=output[:, : batch.num_pms],
             vm_pm_scores=np.zeros((count, batch.num_vms, batch.num_pms)),
-        ).for_batch(batch)
+        )
 
 
 def build_extractor(

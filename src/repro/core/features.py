@@ -29,47 +29,39 @@ TreeLayout = Tuple[np.ndarray, np.ndarray]
 
 @dataclass
 class FeatureBatch:
-    """Tensors and tree structure for one decision step.
+    """Tensors and tree structure for a stack of same-size decision steps.
 
-    A single-row batch (2-D feature tensors, ``batch_size`` None) is the unit
-    of featurization: it is what the rollout buffer and the step cache keep
-    per observation, with its tree layout cached on it.  The policy forward
-    consumes *stacked* batches (:func:`stack_feature_batches`) — several
-    same-size rows along a leading batch axis: ``batch_size`` set,
-    ``(batch, machines, features)`` tensors, ``(batch, num_vms)`` hosts.
-    Batched attention keeps batch items independent, so one extractor
-    forward equals running each row separately; handed a single-row batch,
-    an extractor lifts it to a batch of one.
+    Every batch is stacked: ``(batch, machines, features)`` tensors and
+    ``(batch, num_vms)`` hosts, one row per observation.
+    :func:`build_feature_batch` makes a batch of one (what the rollout
+    buffer keeps per transition, with its tree layout cached on it) and
+    :func:`stack_feature_batches` concatenates batches along axis 0.
+    Batched attention keeps rows independent, so one extractor forward
+    equals running each row separately.
     """
 
     pm_features: Tensor
     vm_features: Tensor
-    #: (num_vms,) host PM row of each VM, ``-1`` when unplaced — the
-    #: observation's ``vm_source_pm``, shared and never written; leading
-    #: batch axis when stacked.
+    #: (batch, num_vms) host PM row of each VM, ``-1`` when unplaced — for a
+    #: batch of one a view of the observation's ``vm_source_pm``, never
+    #: written.
     hosts: np.ndarray
-    vm_mask: np.ndarray
     num_pms: int
     num_vms: int
-    #: Number of stacked observations, or None for a single observation.
-    batch_size: Optional[int] = None
     #: Lazily-built grouped layout for sparse tree attention.
     _tree_grouping: Optional["TreeGrouping"] = field(default=None, repr=False)
-    #: Per-row tree layouts: cached on single-observation batches (the host
-    #: assignment is fixed once collected) and carried over by
-    #: :func:`stack_feature_batches` so regrouping a minibatch only offsets
-    #: and buckets instead of re-deriving trees from the host rows.
+    #: Per-row tree layouts: built once per row (the host assignment is fixed
+    #: once collected) and carried over by :func:`stack_feature_batches`, so
+    #: regrouping a minibatch only offsets and buckets them.
     _tree_layouts: Optional[List[TreeLayout]] = field(default=None, repr=False)
 
     @property
     def sequence_length(self) -> int:
         return self.num_pms + self.num_vms
 
-    def tree_layout(self) -> TreeLayout:
-        """A single observation's ``(positions, sizes)`` tree layout (cached)."""
-        if self.batch_size is not None:
-            raise ValueError("tree_layout is per single observation; use tree_grouping")
-        return self._layouts()[0]
+    def tree_layout(self, row: int) -> TreeLayout:
+        """Row ``row``'s ``(positions, sizes)`` tree layout (cached)."""
+        return self._layouts()[row]
 
     def tree_grouping(self) -> Optional["TreeGrouping"]:
         """Grouped per-tree layout for the sparse tree-attention stage.
@@ -77,10 +69,8 @@ class FeatureBatch:
         Built lazily and cached on the batch, so every extractor block of a
         forward reuses one grouping.  A stacked minibatch is a fresh batch
         (:func:`stack_feature_batches`), so each minibatch of each epoch
-        buckets its rows' cached layouts anew.  A single-row batch yields a
-        one-row grouping (what the extractor applies after lifting it to a
-        batch of one).  Returns ``None`` only when there are no VMs (no tree
-        stage to run).
+        buckets its rows' cached layouts anew.  Returns ``None`` only when
+        there are no VMs (no tree stage to run).
         """
         if self.num_vms == 0:
             return None
@@ -90,50 +80,19 @@ class FeatureBatch:
 
     def _layouts(self) -> List[TreeLayout]:
         if self._tree_layouts is None:
-            self._tree_layouts = [
-                _row_tree_layout(hosts, self.num_pms) for hosts in np.atleast_2d(self.hosts)
-            ]
+            self._tree_layouts = [_row_tree_layout(hosts, self.num_pms) for hosts in self.hosts]
         return self._tree_layouts
 
 
 def build_feature_batch(observation: Observation) -> FeatureBatch:
-    """Convert an observation into feature tensors plus its host rows."""
+    """A batch of one: the observation's feature tensors plus its host rows."""
     return FeatureBatch(
-        pm_features=Tensor(observation.pm_features.copy()),
-        vm_features=Tensor(observation.vm_features.copy()),
-        hosts=observation.vm_source_pm,
-        vm_mask=observation.vm_mask.copy(),
+        pm_features=Tensor(observation.pm_features[None]),
+        vm_features=Tensor(observation.vm_features[None]),
+        hosts=observation.vm_source_pm[None],
         num_pms=observation.num_pms,
         num_vms=observation.num_vms,
     )
-
-
-def patch_feature_batch(
-    previous: Optional[FeatureBatch], observation: Observation
-) -> FeatureBatch:
-    """Single-observation FeatureBatch reusing the previous step's structure.
-
-    Feature tensors are always fresh copies of the observation's arrays (they
-    are cheap, and callers may keep the previous batch alive); the tree
-    layout and grouping are carried over from ``previous`` when the
-    observation's delta proves the host assignment did not change, and
-    rebuilt lazily from the host rows when a VM moved.  The result is exactly
-    what :func:`build_feature_batch` would produce — pinned by the step-cache
-    parity tests.
-    """
-    batch = build_feature_batch(observation)
-    delta = observation.delta
-    if (
-        previous is not None
-        and delta is not None
-        and delta.step_index > 0  # chain start: no previous step to patch from
-        and previous.batch_size is None
-        and (previous.num_pms, previous.num_vms) == (batch.num_pms, batch.num_vms)
-        and not delta.moved_vm_rows.size
-    ):
-        batch._tree_layouts = previous._tree_layouts
-        batch._tree_grouping = previous._tree_grouping
-    return batch
 
 
 class TreeBucket:
@@ -304,32 +263,33 @@ def _bucket_widths(sizes: np.ndarray) -> List[int]:
 
 
 def stack_feature_batches(batches: Sequence[FeatureBatch]) -> FeatureBatch:
-    """Stack already-built single-observation batches along a new batch axis.
+    """Concatenate same-size batches along the batch axis.
 
     The PPO update caches one :class:`FeatureBatch` per stored transition
     (featurization and tree layouts happen once per rollout); each
-    minibatch then stacks the cached arrays here — a plain ``np.stack`` per
-    field — instead of re-deriving trees from the observations every
-    epoch × minibatch.  All batches must be single-observation (2-D) and share
-    one cluster size.
+    minibatch then concatenates the cached arrays here instead of
+    re-deriving trees from the observations every epoch × minibatch.  A
+    single batch is returned as it is.
     """
     if not batches:
         raise ValueError("need at least one feature batch")
-    if any(batch.batch_size is not None for batch in batches):
-        raise ValueError("can only stack single-observation feature batches")
     sizes = {(batch.num_pms, batch.num_vms) for batch in batches}
     if len(sizes) > 1:
         raise ValueError(f"feature batches disagree on cluster size: {sorted(sizes)}")
+    if len(batches) == 1:
+        return batches[0]
     # Carry the cached per-row tree layouts (built once per transition) so
     # the minibatch grouping only offsets and buckets them.
-    layouts = [batch.tree_layout() for batch in batches] if batches[0].num_vms else None
+    layouts = (
+        [layout for batch in batches for layout in batch._layouts()]
+        if batches[0].num_vms
+        else None
+    )
     return FeatureBatch(
-        pm_features=Tensor(np.stack([b.pm_features.data for b in batches], axis=0)),
-        vm_features=Tensor(np.stack([b.vm_features.data for b in batches], axis=0)),
-        hosts=np.stack([b.hosts for b in batches], axis=0),
-        vm_mask=np.stack([b.vm_mask for b in batches], axis=0),
+        pm_features=Tensor(np.concatenate([b.pm_features.data for b in batches])),
+        vm_features=Tensor(np.concatenate([b.vm_features.data for b in batches])),
+        hosts=np.concatenate([b.hosts for b in batches]),
         num_pms=batches[0].num_pms,
         num_vms=batches[0].num_vms,
-        batch_size=len(batches),
         _tree_layouts=layouts,
     )

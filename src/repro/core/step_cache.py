@@ -62,7 +62,7 @@ from .features import (
     FeatureBatch,
     TreeLayout,
     _grouping,
-    patch_feature_batch,
+    build_feature_batch,
     stack_feature_batches,
 )
 
@@ -72,7 +72,6 @@ class _ChainEntry:
     """Per-episode-chain state carried between consecutive steps."""
 
     step_index: int
-    feature_batch: FeatureBatch
     #: Input embeddings (pm_embed / vm_embed outputs): row views of the
     #: step's stacked array, copied forward and patched by the next step.
     h_pm: np.ndarray
@@ -86,7 +85,7 @@ class _ChainEntry:
 
 
 class StepCache:
-    """Carries featurization + first-block encoder state across decision steps.
+    """Carries first-block encoder state across decision steps.
 
     One instance serves one rollout driver (a ``plan_batch`` call, an
     evaluation loop); entries for many concurrent episodes coexist, keyed by
@@ -123,15 +122,10 @@ class StepCache:
         the row from scratch.  All rows' dirty trees run in ONE bucketed
         tree-layer pass, and the global stages run stacked as usual.
         """
-        dtype = self._dtype(extractor)
+        stacked = stack_feature_batches([build_feature_batch(obs) for obs in observations])
+        pm_x, vm_x = extractor.input_arrays(stacked)
+        dtype = pm_x.dtype
         entries = [self._lookup(obs, dtype) for obs in observations]
-        batches = [
-            patch_feature_batch(
-                entry.feature_batch if entry is not None else None, obs
-            )
-            for entry, obs in zip(entries, observations)
-        ]
-        stacked = stack_feature_batches(batches)
         num_pms, num_vms = stacked.num_pms, stacked.num_vms
         seq = num_pms + num_vms
         dim = extractor.config.embed_dim
@@ -140,8 +134,7 @@ class StepCache:
         h = np.empty((count, seq, dim), dtype=dtype)
         # VM rows whose block-0 stage-1 output differs from the entry's step.
         vm_changed = np.ones((count, num_vms), dtype=bool)
-        for row, (obs, entry, batch) in enumerate(zip(observations, entries, batches)):
-            pm_x, vm_x = self._inputs(extractor, batch, dtype)
+        for row, (obs, entry) in enumerate(zip(observations, entries)):
             if entry is not None:
                 self.hits += 1
                 h[row, :num_pms] = entry.h_pm
@@ -151,16 +144,16 @@ class StepCache:
                 vm_changed[row, delta.changed_vm_rows] = True
                 if delta.changed_pm_rows.size:
                     h[row, delta.changed_pm_rows] = extractor.pm_embed(
-                        Tensor(pm_x[delta.changed_pm_rows])
+                        Tensor(pm_x[row, delta.changed_pm_rows])
                     ).data
                 if delta.changed_vm_rows.size:
                     h[row, num_pms + delta.changed_vm_rows] = extractor.vm_embed(
-                        Tensor(vm_x[delta.changed_vm_rows])
+                        Tensor(vm_x[row, delta.changed_vm_rows])
                     ).data
             else:
                 self.misses += 1
-                h[row, :num_pms] = extractor.pm_embed(Tensor(pm_x)).data
-                h[row, num_pms:] = extractor.vm_embed(Tensor(vm_x)).data
+                h[row, :num_pms] = extractor.pm_embed(Tensor(pm_x[row])).data
+                h[row, num_pms:] = extractor.vm_embed(Tensor(vm_x[row])).data
 
         grouping = (
             stacked.tree_grouping()
@@ -174,18 +167,17 @@ class StepCache:
             flat = h.reshape(count * seq, dim)
             stage1 = np.empty_like(flat)
             positions, sizes = [], []
-            for row, (obs, entry, batch) in enumerate(
-                zip(observations, entries, batches)
-            ):
+            for row, (obs, entry) in enumerate(zip(observations, entries)):
                 offset = row * seq
+                layout = stacked.tree_layout(row)
                 if entry is not None and entry.stage1 is not None and (
                     entry.stage1.shape == (seq, dim)
                 ):
                     stage1[offset : offset + seq] = entry.stage1
-                    row_positions, row_sizes = self._dirty_trees(batch, obs)
+                    row_positions, row_sizes = self._dirty_trees(layout, obs)
                     vm_changed[row, row_positions[row_positions >= num_pms] - num_pms] = True
                 else:
-                    row_positions, row_sizes = batch.tree_layout()
+                    row_positions, row_sizes = layout
                     vm_changed[row] = True
                 positions.append(row_positions + offset)
                 sizes.append(row_sizes)
@@ -204,8 +196,8 @@ class StepCache:
 
         vm_states = [None if entry is None else entry.vm_attention for entry in entries]
         # The update needs every stacked row's state; one miss re-seeds them all.
-        output, vm_state = self._interaction_stages(
-            extractor, pm1, vm1, grouping,
+        output, vm_state = extractor.finish(
+            Tensor(pm1), Tensor(vm1), grouping,
             None if None in vm_states else vm_states, vm_changed,
         )
         if vm_state is not None and vm_state.recomputed < num_vms:
@@ -219,7 +211,6 @@ class StepCache:
                 obs.delta.chain_id,
                 _ChainEntry(
                     step_index=obs.delta.step_index,
-                    feature_batch=batches[row],
                     # Disjoint row views of this step's arrays: safe to keep
                     # without copying (the next step copies them forward).
                     h_pm=h[row, :num_pms],
@@ -233,14 +224,6 @@ class StepCache:
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _dtype(extractor) -> np.dtype:
-        return np.dtype(
-            np.float32
-            if extractor.config.inference_dtype == "float32"
-            else np.float64
-        )
-
     def _lookup(self, observation: Observation, dtype) -> Optional[_ChainEntry]:
         delta = observation.delta
         if delta is None:
@@ -258,18 +241,9 @@ class StepCache:
         return entry
 
     @staticmethod
-    def _inputs(extractor, batch: FeatureBatch, dtype) -> Tuple[np.ndarray, np.ndarray]:
-        pm_x = batch.pm_features.data
-        vm_x = batch.vm_features.data
-        if dtype == np.float32:
-            pm_x = pm_x.astype(np.float32)
-            vm_x = vm_x.astype(np.float32)
-        return pm_x, vm_x
-
-    @staticmethod
-    def _dirty_trees(batch: FeatureBatch, observation: Observation) -> TreeLayout:
-        """The ``(positions, sizes)`` of the trees whose stage-1 output must
-        re-run for this step.
+    def _dirty_trees(layout: TreeLayout, observation: Observation) -> TreeLayout:
+        """The ``(positions, sizes)`` of the trees of the observation's
+        ``layout`` whose stage-1 output must re-run for this step.
 
         A tree is dirty when any member row's embedding changed or its
         membership changed: PM trees are numbered by PM row (the layout lists
@@ -278,7 +252,7 @@ class StepCache:
         migration even when feature values happen to be unchanged.
         """
         delta = observation.delta
-        positions, sizes = batch.tree_layout()
+        positions, sizes = layout
         hosts = observation.vm_source_pm
         vm_rows = np.union1d(delta.changed_vm_rows, delta.moved_vm_rows).astype(np.intp)
         # Unplaced VMs' singleton trees follow the PMs' in row order.
@@ -290,31 +264,6 @@ class StepCache:
         dirty[delta.moved_pm_rows] = True
         dirty[tree_of_vm[vm_rows]] = True
         return positions[np.repeat(dirty, sizes)], sizes[dirty]
-
-    @staticmethod
-    def _interaction_stages(
-        extractor, pm1: np.ndarray, vm1: np.ndarray, grouping,
-        vm_previous: Optional[Sequence[AttentionState]], vm_changed: np.ndarray,
-    ) -> Tuple[ExtractorOutput, Optional[AttentionState]]:
-        """Global stages: block-0 stages 2–3 (its VM↔VM stage from
-        ``vm_previous`` where the changed rows allow), full later blocks,
-        final norms.  Also returns block 0's new VM↔VM state."""
-        blocks = extractor.blocks
-        pm_t, vm_t = Tensor(pm1), Tensor(vm1)
-        pm_t, vm_t, scores, vm_state = blocks[0].interaction_stages(
-            pm_t, vm_t, blocks[0] is blocks[-1], vm_previous, vm_changed
-        )
-        for block in blocks[1:]:
-            pm_t, vm_t, scores = block(
-                pm_t, vm_t, grouping, want_scores=block is blocks[-1]
-            )
-        num_vms = vm1.shape[-2]
-        output = ExtractorOutput(
-            vm_embeddings=extractor.final_norm_vm(vm_t) if num_vms else vm_t,
-            pm_embeddings=extractor.final_norm_pm(pm_t),
-            vm_pm_scores=scores,
-        )
-        return output, vm_state
 
     def _store(self, chain_id: int, entry: _ChainEntry) -> None:
         entries = self._entries

@@ -18,8 +18,8 @@ two-stage policy.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -65,6 +65,11 @@ class ObservationDelta:
 class Observation:
     """A featurized cluster state handed to the agent.
 
+    Row *i* of the VM arrays is the cluster's *i*-th VM in sorted id order,
+    and likewise for PMs: the SoA view keeps its rows sorted by id, so an
+    action's row indices resolve through ``state.sorted_vm_ids()`` /
+    ``state.sorted_pm_ids()`` (see ``VMRescheduleEnv.step``).
+
     Attributes
     ----------
     pm_features:
@@ -75,32 +80,22 @@ class Observation:
         ``(num_vms,)`` index of each VM's source PM (``-1`` if unplaced).
     vm_mask:
         ``(num_vms,)`` boolean — True where the VM is a legal stage-1 candidate.
-    pm_mask_fn:
-        Callable producing the stage-2 PM mask for a chosen VM index.
-    vm_ids / pm_ids:
-        Index → id lookup tables (row *i* of the feature arrays corresponds to
-        ``vm_ids[i]`` / ``pm_ids[i]``).
+        The stage-2 mask of a chosen VM comes from the environment
+        (``VMRescheduleEnv.pm_action_mask``).
+    migrations_left:
+        Migrations the episode may still make.
+    delta:
+        Diff against the previous observation of the same episode chain, set
+        by incremental :class:`ObservationBuilder` builds; ``None`` means "no
+        usable previous step" (full rebuild).  The encoder step cache
+        (:class:`repro.core.step_cache.StepCache`) consumes it.
     """
 
     pm_features: np.ndarray
     vm_features: np.ndarray
     vm_source_pm: np.ndarray
     vm_mask: np.ndarray
-    vm_ids: List[int]
-    pm_ids: List[int]
     migrations_left: int
-    extras: Dict = field(default_factory=dict)
-    #: numpy views of vm_ids / pm_ids (row i of the feature arrays corresponds
-    #: to id_array[i]); shared straight from the SoA view, so consumers can
-    #: vectorize id lookups (e.g. ``np.searchsorted``) instead of rebuilding
-    #: ``{id: index}`` dicts each step.  None when constructed by hand.
-    vm_id_array: Optional[np.ndarray] = None
-    pm_id_array: Optional[np.ndarray] = None
-    #: Diff against the previous observation of the same episode chain, set
-    #: by incremental :class:`ObservationBuilder` builds; ``None`` means "no
-    #: usable previous step" (full rebuild).  Consumers: incremental
-    #: featurization (:func:`repro.core.features.patch_feature_batch`) and
-    #: the encoder step cache.
     delta: Optional[ObservationDelta] = None
 
     @property
@@ -200,11 +195,7 @@ class ObservationBuilder:
             vm_features=vm_features,
             vm_source_pm=vm_source_pm,
             vm_mask=vm_mask,
-            vm_ids=list(state.sorted_vm_ids()),
-            pm_ids=list(state.sorted_pm_ids()),
             migrations_left=migrations_left,
-            vm_id_array=soa.vm_ids,
-            pm_id_array=soa.pm_ids,
             # Step 0 of a fresh chain: everything counts as changed (there is
             # no previous step to patch from), but downstream caches can key
             # their entries on the chain id right away.
@@ -266,11 +257,7 @@ class ObservationBuilder:
             vm_features=vm_features,
             vm_source_pm=vm_source_pm,
             vm_mask=vm_mask,
-            vm_ids=list(state.sorted_vm_ids()),
-            pm_ids=list(state.sorted_pm_ids()),
             migrations_left=migrations_left,
-            vm_id_array=soa.vm_ids,
-            pm_id_array=soa.pm_ids,
             delta=ObservationDelta(
                 chain_id=cache.chain_id,
                 step_index=cache.step_index,
@@ -280,10 +267,6 @@ class ObservationBuilder:
                 moved_pm_rows=moved_pm_rows,
             ),
         )
-
-    def pm_mask(self, state: ClusterState, vm_id: int, pm_ids: Optional[List[int]] = None) -> np.ndarray:
-        """Stage-2 feasibility mask over PMs for the selected VM."""
-        return self.checker.destination_mask(state, vm_id, pm_ids)
 
     # ------------------------------------------------------------------ #
     # Vectorized featurization over the SoA view

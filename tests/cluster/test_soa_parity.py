@@ -127,10 +127,12 @@ class TestFeatureParity:
         np.testing.assert_array_equal(fast.vm_features, reference.vm_features)
         np.testing.assert_array_equal(fast.vm_source_pm, reference.vm_source_pm)
         np.testing.assert_array_equal(fast.vm_mask, reference.vm_mask)
-        assert fast.vm_ids == reference.vm_ids
-        assert fast.pm_ids == reference.pm_ids
-        np.testing.assert_array_equal(fast.vm_id_array, np.array(fast.vm_ids))
-        np.testing.assert_array_equal(fast.pm_id_array, np.array(fast.pm_ids))
+        # The reference featurizes in sorted id order, and so does the SoA
+        # view: row i is the i-th id, the index -> id contract that
+        # VMRescheduleEnv.step resolves actions through.
+        soa = state.arrays()
+        np.testing.assert_array_equal(soa.vm_ids, state.sorted_vm_ids())
+        np.testing.assert_array_equal(soa.pm_ids, state.sorted_pm_ids())
 
 
 class TestMetricParity:

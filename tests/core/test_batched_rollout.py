@@ -33,18 +33,37 @@ class TestStackedFeatureBatch:
         batch = stack_feature_batches([build_feature_batch(obs) for obs in observations])
         p = observations[0].num_pms
         v = observations[0].num_vms
-        assert batch.batch_size == 2
         assert batch.num_pms == p and batch.num_vms == v
         assert batch.pm_features.shape == (2, p, observations[0].pm_features.shape[1])
         assert batch.vm_features.shape == (2, v, observations[0].vm_features.shape[1])
         assert batch.hosts.shape == (2, v)
         assert tree_mask(batch).shape == (2, p + v, p + v)
-        assert batch.vm_mask.shape == (2, v)
-        # Each batch slice equals the single-observation batch.
+        # Each batch slice equals the batch of one.
         single = build_feature_batch(observations[0])
-        np.testing.assert_array_equal(tree_mask(batch)[0], tree_mask(single))
-        np.testing.assert_array_equal(batch.hosts[0], single.hosts)
-        np.testing.assert_array_equal(batch.pm_features.numpy()[0], single.pm_features.numpy())
+        assert single.pm_features.shape == (1,) + batch.pm_features.shape[1:]
+        np.testing.assert_array_equal(tree_mask(batch)[:1], tree_mask(single))
+        np.testing.assert_array_equal(batch.hosts[:1], single.hosts)
+        np.testing.assert_array_equal(batch.pm_features.numpy()[:1], single.pm_features.numpy())
+
+    def test_concatenates_batches_of_any_size(self, snapshot):
+        """Batches of several rows concatenate along axis 0, carrying their
+        cached per-row tree layouts."""
+        env = make_env(snapshot)
+        observations = [env.reset()]
+        for _ in range(2):
+            vm = int(np.flatnonzero(observations[-1].vm_mask)[0])
+            pm = int(np.flatnonzero(env.pm_action_mask(vm))[0])
+            observations.append(env.step((vm, pm))[0])
+        singles = [build_feature_batch(obs) for obs in observations]
+        pair = stack_feature_batches(singles[:2])
+        assert pair.tree_layout(1) is singles[1].tree_layout(0)
+        batch = stack_feature_batches([pair, singles[2]])
+        assert batch.pm_features.shape[0] == batch.hosts.shape[0] == 3
+        for row, single in enumerate(singles):
+            np.testing.assert_array_equal(batch.vm_features.numpy()[row], single.vm_features.numpy()[0])
+            np.testing.assert_array_equal(batch.hosts[row], single.hosts[0])
+            assert batch.tree_layout(row) is single.tree_layout(0)
+        assert stack_feature_batches([pair]) is pair
 
     def test_empty_observation_list_rejected(self):
         with pytest.raises(ValueError):

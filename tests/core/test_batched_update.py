@@ -258,13 +258,11 @@ class TestBatchedActorForwards:
                 policy.pm_actor(single_output, [vm_indices[index]]).numpy()[0],
                 atol=1e-8,
             )
-            # A single-row batch is lifted at the extractor boundary and
-            # comes back without the batch axis.
-            unbatched = policy.extractor(batch)
-            np.testing.assert_array_equal(
-                unbatched.vm_embeddings.numpy(), single_output.vm_embeddings.numpy()[0]
+            # Every batch is stacked: a batch of one stacks to itself.
+            assert stack_feature_batches([batch]) is batch
+            assert single_output.vm_pm_scores.shape == (
+                1, observations[0].num_vms, observations[0].num_pms
             )
-            assert unbatched.vm_pm_scores.shape == single_output.vm_pm_scores.shape[1:]
 
     def test_pm_actor_rejects_bad_indices(self, snapshot):
         config = ModelConfig(embed_dim=16, num_heads=2, num_blocks=1)

@@ -108,7 +108,7 @@ class TestTreeMask:
     def test_tree_mask_structure(self):
         state = small_cluster()
         obs = observation_of(state)
-        mask = tree_mask(build_feature_batch(obs))
+        mask = tree_mask(build_feature_batch(obs))[0]
         num_pms, num_vms = obs.num_pms, obs.num_vms
         assert mask.shape == (num_pms + num_vms, num_pms + num_vms)
         # Diagonal always allowed.
@@ -127,7 +127,7 @@ class TestTreeMask:
         state = small_cluster()
         state.vms[10] = VirtualMachine(vm_id=10, vm_type=CATALOG.get("large"))
         obs = observation_of(state)
-        row = tree_mask(build_feature_batch(obs))[obs.num_pms + sorted(state.vms).index(10)]
+        row = tree_mask(build_feature_batch(obs))[0, obs.num_pms + sorted(state.vms).index(10)]
         assert row.sum() == 1  # only itself
 
     def test_sparsity_summary(self):
@@ -136,7 +136,7 @@ class TestTreeMask:
         state = small_cluster()
         state.vms[10] = VirtualMachine(vm_id=10, vm_type=CATALOG.get("large"))
         batch = build_feature_batch(observation_of(state))
-        mask = tree_mask(batch)
+        mask = tree_mask(batch)[0]
         links = 0
         for bucket in batch.tree_grouping().buckets:
             for members, valid in zip(bucket.members, bucket.valid):
@@ -154,17 +154,17 @@ class TestExtractors:
         batch = build_feature_batch(observation_of(state))
         extractor = SparseAttentionExtractor(model_config, rng=np.random.default_rng(0))
         output = extractor(batch)
-        assert output.vm_embeddings.shape == (5, 16)
-        assert output.pm_embeddings.shape == (3, 16)
-        assert output.vm_pm_scores.shape == (5, 3)
-        np.testing.assert_allclose(output.vm_pm_scores.sum(axis=1), np.ones(5), atol=1e-6)
+        assert output.vm_embeddings.shape == (1, 5, 16)
+        assert output.pm_embeddings.shape == (1, 3, 16)
+        assert output.vm_pm_scores.shape == (1, 5, 3)
+        np.testing.assert_allclose(output.vm_pm_scores.sum(axis=-1), np.ones((1, 5)), atol=1e-6)
 
     def test_vanilla_extractor_ignores_tree_mask(self, model_config):
         state = small_cluster()
         batch = build_feature_batch(observation_of(state))
         extractor = VanillaAttentionExtractor(model_config, rng=np.random.default_rng(0))
         output_a = extractor(batch)
-        batch.hosts = np.full(batch.num_vms, -1)  # every token a tree of its own
+        batch.hosts = np.full((1, batch.num_vms), -1)  # every token a tree of its own
         output_b = extractor(batch)
         np.testing.assert_allclose(output_a.vm_embeddings.numpy(), output_b.vm_embeddings.numpy())
 
@@ -191,7 +191,7 @@ class TestExtractors:
         batch = build_feature_batch(observation_of(state))
         extractor = MLPExtractor(model_config, max_pms=3, max_vms=5, rng=np.random.default_rng(0))
         output = extractor(batch)
-        assert output.vm_embeddings.shape == (5, 16)
+        assert output.vm_embeddings.shape == (1, 5, 16)
         small = MLPExtractor(model_config, max_pms=2, max_vms=2, rng=np.random.default_rng(0))
         with pytest.raises(ValueError):
             small(batch)

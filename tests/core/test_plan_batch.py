@@ -1,5 +1,6 @@
 """Tests for VMR2LAgent.plan_batch (micro-batched greedy planning)."""
 
+import numpy as np
 import pytest
 
 from repro.cluster import ConstraintConfig, apply_plan
@@ -61,6 +62,19 @@ class TestPlanBatch:
     def test_negative_limit_rejected(self, agent):
         with pytest.raises(ValueError):
             agent.plan_batch(snapshots(1), migration_limits=[-1])
+
+    def test_numpy_integer_limit_is_one_limit_for_every_state(self, agent):
+        states = snapshots(2)
+        results = agent.plan_batch(states, np.int64(3), greedy=True)
+        expected = agent.plan_batch(states, 3, greedy=True)
+        assert [[m.as_tuple() for m in r.plan] for r in results] == [
+            [m.as_tuple() for m in r.plan] for r in expected
+        ]
+
+    @pytest.mark.parametrize("limits", [True, [2.7], [False]], ids=["bool", "fraction", "bool_list"])
+    def test_non_integer_limits_rejected(self, agent, limits):
+        with pytest.raises(ValueError, match="migration_limit"):
+            agent.plan_batch(snapshots(1), limits)
 
     def test_input_states_not_mutated(self, agent):
         states = snapshots(2)

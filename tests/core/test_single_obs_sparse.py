@@ -182,7 +182,8 @@ class TestSingleObservationGroupedParity:
         with oracles.oracle_ops():
             policy.extractor(build_feature_batch(observation))
         seq = observation.num_pms + observation.num_vms
-        assert [mask.shape for mask in masks] == [(seq, seq)]
+        # The batch of one's mask, built once from its one row's.
+        assert [mask.shape for mask in masks] == [(seq, seq), (1, seq, seq)]
 
     def test_grouping_built_once_per_batch(self, observation):
         batch = build_feature_batch(observation)

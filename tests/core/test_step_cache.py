@@ -1,4 +1,4 @@
-"""Incremental StepCache + incremental featurization vs fresh recompute.
+"""Incremental StepCache + incremental observation builds vs fresh recompute.
 
 The step cache must be *exact*: over full multi-step episodes (including
 auto-reset into a new episode), cached forwards match fresh featurize/encode
@@ -14,7 +14,7 @@ import pytest
 from repro.cluster import ConstraintConfig
 from repro.core.agent import VMR2LAgent
 from repro.core.config import ModelConfig, VMR2LConfig
-from repro.core.features import build_feature_batch, patch_feature_batch
+from repro.core.features import build_feature_batch
 from repro.core.policy import TwoStagePolicy
 from repro.core.step_cache import StepCache
 from repro.datasets import ClusterSpec, SnapshotGenerator
@@ -83,26 +83,6 @@ class TestIncrementalObservation:
         assert rebuilt.delta is None or rebuilt.delta.step_index == 0
         assert rebuilt.num_vms == obs.num_vms + 1
 
-    def test_patch_feature_batch_matches_fresh(self):
-        env = VMRescheduleEnv(_state(seed=5), ConstraintConfig(migration_limit=8))
-        obs = env.reset()
-        rng = np.random.default_rng(1)
-        previous = None
-        for _ in range(8):
-            batch = patch_feature_batch(previous, obs)
-            fresh = build_feature_batch(obs)
-            assert np.array_equal(batch.hosts, fresh.hosts)
-            for got, expected in zip(batch.tree_layout(), fresh.tree_layout()):
-                np.testing.assert_array_equal(got, expected)
-            previous = batch
-            if not obs.vm_mask.any():
-                break
-            vm = rng.choice(np.flatnonzero(obs.vm_mask))
-            pm = rng.choice(np.flatnonzero(env.pm_action_mask(vm)))
-            obs, _, done, _ = env.step((vm, pm))
-            if done:
-                break
-
 
 class TestStepCacheEncoder:
     @pytest.mark.parametrize("model", [
@@ -127,13 +107,13 @@ class TestStepCacheEncoder:
                 _, cached = cache.forward(policy.extractor, [obs])
                 fresh = policy.extractor(build_feature_batch(obs))
                 np.testing.assert_allclose(
-                    cached.vm_embeddings.data[0], fresh.vm_embeddings.data, rtol=0, atol=atol
+                    cached.vm_embeddings.data[0], fresh.vm_embeddings.data[0], rtol=0, atol=atol
                 )
                 np.testing.assert_allclose(
-                    cached.pm_embeddings.data[0], fresh.pm_embeddings.data, rtol=0, atol=atol
+                    cached.pm_embeddings.data[0], fresh.pm_embeddings.data[0], rtol=0, atol=atol
                 )
                 np.testing.assert_allclose(
-                    cached.vm_pm_scores[0], fresh.vm_pm_scores, rtol=0, atol=atol
+                    cached.vm_pm_scores[0], fresh.vm_pm_scores[0], rtol=0, atol=atol
                 )
                 if not obs.vm_mask.any():
                     break
@@ -170,12 +150,12 @@ class TestStepCacheEncoder:
                     fresh = policy.extractor(build_feature_batch(obs))
                     np.testing.assert_allclose(
                         stacked.vm_embeddings.data[row],
-                        fresh.vm_embeddings.data,
+                        fresh.vm_embeddings.data[0],
                         rtol=0, atol=1e-10,
                     )
                     np.testing.assert_allclose(
                         stacked.vm_pm_scores[row],
-                        fresh.vm_pm_scores,
+                        fresh.vm_pm_scores[0],
                         rtol=0, atol=1e-10,
                     )
                 for index, env in enumerate(envs):
@@ -188,6 +168,77 @@ class TestStepCacheEncoder:
                     next_obs, _, done, _ = env.step((vm, pm))
                     observations[index] = env.reset() if done else next_obs
         assert cache.hits > 0
+
+
+class TestStepsThatMoveNoVm:
+    """Penalty mode: an illegal action is penalized and leaves the placement
+    as it was, so the next observation continues its chain with no VM moved
+    (usually with no row changed at all).  These are the only cached steps
+    whose tree layout equals the previous step's."""
+
+    POLICY = ModelConfig(action_mode="penalty")
+
+    def test_cached_embeddings_match_fresh(self):
+        policy = TwoStagePolicy(self.POLICY, rng=np.random.default_rng(0))
+        env = VMRescheduleEnv(
+            _state(seed=5), ConstraintConfig(migration_limit=10), illegal_action_penalty=-5.0
+        )
+        obs = env.reset()
+        cache = StepCache()
+        rng = np.random.default_rng(1)
+        unmoved = moved = 0
+        with no_grad():
+            for step in range(10):
+                _, cached = cache.forward(policy.extractor, [obs])
+                fresh = policy.extractor(build_feature_batch(obs))
+                for name in ("vm_embeddings", "pm_embeddings"):
+                    np.testing.assert_allclose(
+                        getattr(cached, name).data, getattr(fresh, name).data,
+                        rtol=0, atol=1e-10, err_msg=name,
+                    )
+                np.testing.assert_allclose(
+                    cached.vm_pm_scores, fresh.vm_pm_scores, rtol=0, atol=1e-10
+                )
+                if obs.delta.step_index:
+                    if obs.delta.moved_vm_rows.size:
+                        moved += 1
+                    else:
+                        unmoved += 1
+                # Even steps take an illegal destination, odd ones a legal one.
+                vm = rng.choice(np.flatnonzero(obs.vm_mask))
+                legal = env.pm_action_mask(vm)
+                pm = rng.choice(np.flatnonzero(legal if step % 2 else ~legal))
+                obs, _, done, info = env.step((vm, pm))
+                assert info["last_step"].legal == bool(step % 2)
+                if done:
+                    break
+        assert unmoved >= 4 and moved >= 4
+        assert cache.hits == unmoved + moved
+
+    def test_greedy_plans_identical_with_and_without_cache(self):
+        from repro.core.risk_seeking import rollout_batch
+
+        policy = TwoStagePolicy(self.POLICY, rng=np.random.default_rng(0))
+        states = [_state(seed=seed) for seed in range(3)]
+
+        def plans(step_cache):
+            return rollout_batch(
+                policy, states, [6] * len(states),
+                [np.random.default_rng(0)] * len(states),
+                greedy=True, step_cache=step_cache,
+            )
+
+        cache = StepCache()
+        cached, fresh = plans(cache), plans(None)
+        # Some greedy steps were illegal: they count as steps, not migrations.
+        assert any(len(got.plan) < got.steps for got in cached)
+        assert cache.hits > 0
+        for got, expected in zip(cached, fresh):
+            assert got.steps == expected.steps
+            assert [(m.vm_id, m.dest_pm_id) for m in got.plan] == [
+                (m.vm_id, m.dest_pm_id) for m in expected.plan
+            ]
+            assert got.final_objective == expected.final_objective
 
 
 class TestVmAttentionUpdate:
@@ -227,15 +278,15 @@ class TestVmAttentionUpdate:
                 for row, (env, obs) in enumerate(zip(envs, observations)):
                     fresh = policy.extractor(build_feature_batch(obs))
                     np.testing.assert_allclose(
-                        cached.vm_embeddings.data[row], fresh.vm_embeddings.data,
+                        cached.vm_embeddings.data[row], fresh.vm_embeddings.data[0],
                         rtol=0, atol=1e-10,
                     )
                     np.testing.assert_allclose(
-                        cached.pm_embeddings.data[row], fresh.pm_embeddings.data,
+                        cached.pm_embeddings.data[row], fresh.pm_embeddings.data[0],
                         rtol=0, atol=1e-10,
                     )
                     np.testing.assert_allclose(
-                        cached.vm_pm_scores[row], fresh.vm_pm_scores, rtol=0, atol=1e-10
+                        cached.vm_pm_scores[row], fresh.vm_pm_scores[0], rtol=0, atol=1e-10
                     )
                     action = policy.act(
                         obs, env.pm_action_mask, rng, greedy=True, compute_stats=False

@@ -34,19 +34,16 @@ DIM, HEADS = 16, 2
 
 
 def host_batch(hosts: np.ndarray, num_pms: int) -> FeatureBatch:
-    """A feature batch carrying only what the grouping reads: host rows."""
-    hosts = np.asarray(hosts)
-    stacked = hosts.ndim == 2
-    rows = hosts.shape[0] if stacked else None
-    lead = (rows,) if stacked else ()
+    """A feature batch carrying only what the grouping reads: host rows
+    (one row per observation; a 1-D ``hosts`` is a batch of one)."""
+    hosts = np.atleast_2d(hosts)
+    rows, num_vms = hosts.shape
     return FeatureBatch(
-        pm_features=Tensor(np.zeros(lead + (num_pms, 1))),
-        vm_features=Tensor(np.zeros(lead + (hosts.shape[-1], 1))),
+        pm_features=Tensor(np.zeros((rows, num_pms, 1))),
+        vm_features=Tensor(np.zeros((rows, num_vms, 1))),
         hosts=hosts,
-        vm_mask=np.ones(hosts.shape, dtype=bool),
         num_pms=num_pms,
-        num_vms=hosts.shape[-1],
-        batch_size=rows,
+        num_vms=num_vms,
     )
 
 
@@ -118,7 +115,7 @@ def test_grouped_stage_matches_padded_layer(name):
         assert len(grouping.buckets) == buckets
     if "unplaced" in name:
         assert (np.asarray(batch.hosts) < 0).any()
-    rows = batch.batch_size or 1
+    rows = len(batch.hosts)
     layer = TransformerEncoderLayer(DIM, HEADS, 32, rng=np.random.default_rng(1))
     x = np.random.default_rng(2).normal(size=(rows, batch.sequence_length, DIM))
 
@@ -137,7 +134,7 @@ def test_grouped_stage_no_grad_is_the_grad_forward():
     batch, _ = LAYOUTS["train_32_rows"]
     grouping = batch.tree_grouping()
     layer = TransformerEncoderLayer(DIM, HEADS, 32, rng=np.random.default_rng(1))
-    x = np.random.default_rng(2).normal(size=(batch.batch_size, batch.sequence_length, DIM))
+    x = np.random.default_rng(2).normal(size=(len(batch.hosts), batch.sequence_length, DIM))
     tracked = grouping.apply(layer, Tensor(x, requires_grad=True)).data
     with no_grad():
         untracked = grouping.apply(layer, Tensor(x)).data
@@ -184,11 +181,10 @@ def test_step_cache_dirty_trees_match_a_full_pass():
             stacked, _ = cache.forward(policy.extractor, [observation])
             entry = cache._entries[observation.delta.chain_id]
             if observation.delta.step_index > 0:
-                batch = entry.feature_batch
                 embeddings = np.concatenate([entry.h_pm, entry.h_vm])
                 full = stacked.tree_grouping().apply(layer, Tensor(embeddings[None])).data[0]
-                dirty, _ = StepCache._dirty_trees(batch, observation)
-                assert 0 < dirty.size < batch.sequence_length
+                dirty, _ = StepCache._dirty_trees(stacked.tree_layout(0), observation)
+                assert 0 < dirty.size < stacked.sequence_length
                 np.testing.assert_allclose(entry.stage1, full, rtol=0, atol=1e-12)
                 partial_steps += 1
             vm = rng.choice(np.flatnonzero(observation.vm_mask))

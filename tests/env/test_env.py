@@ -90,8 +90,7 @@ class TestObservationBuilder:
 
     def test_pm_mask_excludes_source(self):
         state = build_state()
-        builder = ObservationBuilder()
-        mask = builder.pm_mask(state, vm_id=0)
+        mask = ObservationBuilder().checker.destination_mask(state, vm_id=0)
         assert not mask[0]  # source PM excluded
         assert mask[1] or mask[2]
 

@@ -36,8 +36,6 @@ def assert_observations_equal(lhs, rhs):
     np.testing.assert_array_equal(lhs.vm_features, rhs.vm_features)
     np.testing.assert_array_equal(lhs.vm_source_pm, rhs.vm_source_pm)
     np.testing.assert_array_equal(lhs.vm_mask, rhs.vm_mask)
-    assert lhs.vm_ids == rhs.vm_ids
-    assert lhs.pm_ids == rhs.pm_ids
     assert lhs.migrations_left == rhs.migrations_left
 
 

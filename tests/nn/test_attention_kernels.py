@@ -717,8 +717,6 @@ class TestEncoderLayerAndExtractor:
             vm_features=rng.random((num_vms, 14)),
             vm_source_pm=source,
             vm_mask=np.ones(num_vms, dtype=bool),
-            vm_ids=list(range(num_vms)),
-            pm_ids=list(range(num_pms)),
             migrations_left=10,
         )
 
@@ -805,7 +803,7 @@ class TestEncoderLayerAndExtractor:
         else:
             observation = self._observation(rng)
             build = lambda: build_feature_batch(observation)  # noqa: E731
-            lead = ()
+            lead = (1,)
         extractor = SparseAttentionExtractor(ModelConfig(), rng=np.random.default_rng(10))
         tracked = extractor(build())
         with no_grad():

@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.baselines import ReschedulingResult
 from repro.cluster import ClusterState, ConstraintChecker
-from repro.core.attention import ExtractorOutput, SparseAttentionExtractor, _stacked_features
+from repro.core.attention import ExtractorOutput, SparseAttentionExtractor
 from repro.core.features import FeatureBatch, TreeGrouping, _gather_rows
 from repro.core.step_cache import StepCache
 from repro.env.objectives import Objective
@@ -158,16 +158,15 @@ def padded_tree_stage(grouping: TreeGrouping, layer, combined: Tensor) -> Tensor
 
 
 def tree_mask(batch: FeatureBatch) -> np.ndarray:
-    """The dense tree mask of a (single-row or stacked) feature batch."""
+    """The ``(batch, S, S)`` dense tree mask of a feature batch."""
     return dense_tree_mask(batch.hosts, batch.num_pms)
 
 
 def dense_extractor_forward(self: SparseAttentionExtractor, batch: FeatureBatch) -> ExtractorOutput:
     """The extractor with stage 1 as ONE layer over all ``S`` tokens under
     :func:`tree_mask` (shared by every block), in the parameters' dtype."""
-    pm_inputs, vm_inputs = _stacked_features(batch)
-    pm_embeddings = self.pm_embed(Tensor(pm_inputs))
-    vm_embeddings = self.vm_embed(Tensor(vm_inputs))
+    pm_embeddings = self.pm_embed(batch.pm_features)
+    vm_embeddings = self.vm_embed(batch.vm_features)
     mask = None
     if self.use_tree_attention and batch.num_vms:
         mask = AttentionMask(tree_mask(batch))
@@ -185,7 +184,7 @@ def dense_extractor_forward(self: SparseAttentionExtractor, batch: FeatureBatch)
         vm_embeddings=self.final_norm_vm(vm_embeddings) if batch.num_vms else vm_embeddings,
         pm_embeddings=self.final_norm_pm(pm_embeddings),
         vm_pm_scores=scores,
-    ).for_batch(batch)
+    )
 
 
 @contextlib.contextmanager
@@ -267,8 +266,6 @@ def build_reference(
         vm_features=_min_max_normalize(vm_features),
         vm_source_pm=vm_source_pm,
         vm_mask=movable_vm_mask_reference(builder.checker, state, vm_ids),
-        vm_ids=list(vm_ids),
-        pm_ids=list(pm_ids),
         migrations_left=migrations_left,
     )
 
