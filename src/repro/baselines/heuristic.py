@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from ..cluster import ClusterState, ConstraintChecker, ConstraintConfig, Migration, MigrationPlan
+from ..cluster import ClusterState, Migration, MigrationPlan
 from .base import Rescheduler
 
 
@@ -37,8 +37,6 @@ class FilteringHeuristic(Rescheduler):
 
     Parameters
     ----------
-    constraint_config:
-        Constraint set used for feasibility (anti-affinity etc.).
     allow_zero_gain:
         If False (default) the heuristic stops as soon as no migration strictly
         reduces the fragment, matching the behaviour in Fig. 4 where HA stops
@@ -49,11 +47,8 @@ class FilteringHeuristic(Rescheduler):
 
     def __init__(
         self,
-        constraint_config: Optional[ConstraintConfig] = None,
         allow_zero_gain: bool = False,
     ) -> None:
-        self.constraint_config = constraint_config or ConstraintConfig()
-        self.checker = ConstraintChecker(self.constraint_config)
         self.allow_zero_gain = allow_zero_gain
         self._info: Dict = {}
 
@@ -72,7 +67,6 @@ class FilteringHeuristic(Rescheduler):
                 candidate.vm_id,
                 candidate.dest_pm_id,
                 dest_numa_id=candidate.dest_numa_id,
-                honor_affinity=self.constraint_config.honor_anti_affinity,
             )
             plan.append(Migration(candidate.vm_id, candidate.dest_pm_id, candidate.dest_numa_id))
         self._info = {"stop_reason": stalled_reason, "final_fragment_rate": state.fragment_rate()}
@@ -96,9 +90,7 @@ class FilteringHeuristic(Rescheduler):
             vm = state.vms[vm_id]
             if not vm.is_placed:
                 continue
-            if not state.feasible_destination_pms(
-                vm_id, honor_affinity=self.constraint_config.honor_anti_affinity
-            ):
+            if not state.feasible_destination_pms(vm_id):
                 continue
             source_pm = vm.pm_id
             before = state.pm_fragment(source_pm)
@@ -121,11 +113,10 @@ class FilteringHeuristic(Rescheduler):
         source_delta = after_source - before_source
 
         best: Optional[_Candidate] = None
+        conflicts = state.conflicting_pm_ids(vm_id)
         try:
             for pm_id in state.sorted_pm_ids():
-                if pm_id == source_pm and not self.constraint_config.allow_source_pm:
-                    continue
-                if self.constraint_config.honor_anti_affinity and pm_id in state.conflicting_pm_ids(vm_id):
+                if pm_id == source_pm or pm_id in conflicts:
                     continue
                 numa_id = state.best_numa_for(vm_id, pm_id, honor_affinity=False)
                 if numa_id is None:

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..cluster import ClusterState, ConstraintConfig, Migration, MigrationPlan
+from ..cluster import ClusterState, Migration, MigrationPlan
 from .base import Rescheduler
 
 
@@ -50,7 +50,6 @@ class MCTSRescheduler(Rescheduler):
         candidate_actions: int = 8,
         rollout_depth: int = 4,
         exploration: float = 1.0,
-        constraint_config: Optional[ConstraintConfig] = None,
         seed: int = 0,
     ) -> None:
         if iterations_per_step <= 0 or candidate_actions <= 0:
@@ -59,7 +58,6 @@ class MCTSRescheduler(Rescheduler):
         self.candidate_actions = candidate_actions
         self.rollout_depth = rollout_depth
         self.exploration = exploration
-        self.constraint_config = constraint_config or ConstraintConfig()
         self.rng = np.random.default_rng(seed)
         self._info: Dict = {}
 
@@ -73,7 +71,7 @@ class MCTSRescheduler(Rescheduler):
                 break
             simulations += self.iterations_per_step
             vm_id, dest_pm_id = action
-            state.migrate_vm(vm_id, dest_pm_id, honor_affinity=self.constraint_config.honor_anti_affinity)
+            state.migrate_vm(vm_id, dest_pm_id)
             plan.append(Migration(vm_id=vm_id, dest_pm_id=dest_pm_id))
         self._info = {"simulations": simulations, "final_fragment_rate": state.fragment_rate()}
         return plan
@@ -157,13 +155,9 @@ class MCTSRescheduler(Rescheduler):
             before_source = state.pm_fragment(source_pm)
             placement = state.remove_vm(vm_id)
             after_source = state.pm_fragment(source_pm)
+            conflicts = state.conflicting_pm_ids(vm_id)
             for pm_id in state.pms:
-                if pm_id == source_pm:
-                    continue
-                if (
-                    self.constraint_config.honor_anti_affinity
-                    and pm_id in state.conflicting_pm_ids(vm_id)
-                ):
+                if pm_id == source_pm or pm_id in conflicts:
                     continue
                 numa_id = state.best_numa_for(vm_id, pm_id, honor_affinity=False)
                 if numa_id is None:
@@ -188,7 +182,7 @@ class MCTSRescheduler(Rescheduler):
         before = state.pm_fragment(source_pm) + state.pm_fragment(dest_pm_id)
         working = state if commit else state.copy()
         try:
-            working.migrate_vm(vm_id, dest_pm_id, honor_affinity=self.constraint_config.honor_anti_affinity)
+            working.migrate_vm(vm_id, dest_pm_id)
         except ValueError:
             return -float("inf")
         after = working.pm_fragment(source_pm) + working.pm_fragment(dest_pm_id)

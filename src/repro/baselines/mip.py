@@ -30,7 +30,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, milp
 
-from ..cluster import ClusterState, ConstraintConfig, Migration, MigrationPlan
+from ..cluster import ClusterState, Migration, MigrationPlan
 from .base import Rescheduler
 
 
@@ -53,12 +53,10 @@ class MIPRescheduler(Rescheduler):
         self,
         time_limit_s: Optional[float] = None,
         candidate_vms: Optional[Sequence[int]] = None,
-        constraint_config: Optional[ConstraintConfig] = None,
         mip_rel_gap: float = 0.0,
     ) -> None:
         self.time_limit_s = time_limit_s
         self.candidate_vms = list(candidate_vms) if candidate_vms is not None else None
-        self.constraint_config = constraint_config or ConstraintConfig()
         self.mip_rel_gap = mip_rel_gap
         self._info: Dict = {}
 
@@ -173,24 +171,23 @@ class MIPRescheduler(Rescheduler):
         add_row(stay_row, float(len(movable) - migration_limit), np.inf)
 
         # Anti-affinity: at most one VM of a group per PM (§5.4).
-        if self.constraint_config.honor_anti_affinity:
-            groups: Dict[int, List[int]] = {}
-            for vm_id in movable:
-                group = state.vms[vm_id].anti_affinity_group
-                if group is not None:
-                    groups.setdefault(group, []).append(vm_id)
-            for group, members in groups.items():
-                if len(members) < 2:
-                    continue
-                for pm_id in pm_ids:
-                    row: Dict[int, float] = {}
-                    for vm_id in members:
-                        if state.vms[vm_id].numa_count == 2:
-                            row[z_index[(vm_id, pm_id)]] = 1.0
-                        else:
-                            row[x_index[(vm_id, pm_id, 0)]] = 1.0
-                            row[x_index[(vm_id, pm_id, 1)]] = 1.0
-                    add_row(row, -np.inf, 1.0)
+        groups: Dict[int, List[int]] = {}
+        for vm_id in movable:
+            group = state.vms[vm_id].anti_affinity_group
+            if group is not None:
+                groups.setdefault(group, []).append(vm_id)
+        for group, members in groups.items():
+            if len(members) < 2:
+                continue
+            for pm_id in pm_ids:
+                row: Dict[int, float] = {}
+                for vm_id in members:
+                    if state.vms[vm_id].numa_count == 2:
+                        row[z_index[(vm_id, pm_id)]] = 1.0
+                    else:
+                        row[x_index[(vm_id, pm_id, 0)]] = 1.0
+                        row[x_index[(vm_id, pm_id, 1)]] = 1.0
+                add_row(row, -np.inf, 1.0)
 
         self._num_constraints = len(rows)
         matrix = sparse.lil_matrix((len(rows), num_vars))

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from ..cluster import ClusterState, ConstraintConfig, MigrationPlan
+from ..cluster import ClusterState, MigrationPlan
 from .base import Rescheduler
 from .heuristic import FilteringHeuristic
 from .mip import MIPRescheduler
@@ -33,7 +33,6 @@ class NeuPlanRescheduler(Rescheduler):
         prefix_fraction: float = 0.3,
         relax_factor: int = 30,
         time_limit_s: Optional[float] = 5.0,
-        constraint_config: Optional[ConstraintConfig] = None,
     ) -> None:
         if not 0.0 <= prefix_fraction < 1.0:
             raise ValueError("prefix_fraction must be in [0, 1)")
@@ -43,7 +42,6 @@ class NeuPlanRescheduler(Rescheduler):
         self.prefix_fraction = prefix_fraction
         self.relax_factor = relax_factor
         self.time_limit_s = time_limit_s
-        self.constraint_config = constraint_config or ConstraintConfig()
         self._info: Dict = {}
 
     def _compute(self, state: ClusterState, migration_limit: int) -> MigrationPlan:
@@ -65,7 +63,6 @@ class NeuPlanRescheduler(Rescheduler):
             solver = MIPRescheduler(
                 time_limit_s=self.time_limit_s,
                 candidate_vms=candidates,
-                constraint_config=self.constraint_config,
             )
             suffix_result = solver.compute_plan(state, remaining_budget)
             for migration in suffix_result.plan:

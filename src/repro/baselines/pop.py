@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..cluster import ClusterState, ConstraintConfig, MigrationPlan
+from ..cluster import ClusterState, MigrationPlan
 from .base import Rescheduler
 from .mip import MIPRescheduler
 
@@ -32,14 +32,12 @@ class POPRescheduler(Rescheduler):
         self,
         num_partitions: int = 4,
         time_limit_s: Optional[float] = 5.0,
-        constraint_config: Optional[ConstraintConfig] = None,
         seed: int = 0,
     ) -> None:
         if num_partitions <= 0:
             raise ValueError("num_partitions must be positive")
         self.num_partitions = num_partitions
         self.time_limit_s = time_limit_s
-        self.constraint_config = constraint_config or ConstraintConfig()
         self.seed = seed
         self._info: Dict = {}
 
@@ -62,10 +60,7 @@ class POPRescheduler(Rescheduler):
             sub_state = self._extract_subproblem(state, [int(p) for p in partition_pms])
             if sub_state.num_vms == 0:
                 continue
-            solver = MIPRescheduler(
-                time_limit_s=per_partition_time,
-                constraint_config=self.constraint_config,
-            )
+            solver = MIPRescheduler(time_limit_s=per_partition_time)
             result = solver.compute_plan(sub_state, per_partition_budget)
             partition_stats.append(
                 {

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
-from ..cluster import ClusterState, ConstraintChecker, ConstraintConfig, Migration, MigrationPlan
+from ..cluster import ClusterState, Migration, MigrationPlan
 from .base import Rescheduler
 
 
@@ -15,9 +13,7 @@ class RandomRescheduler(Rescheduler):
 
     name = "Random"
 
-    def __init__(self, constraint_config: Optional[ConstraintConfig] = None, seed: int = 0) -> None:
-        self.constraint_config = constraint_config or ConstraintConfig()
-        self.checker = ConstraintChecker(self.constraint_config)
+    def __init__(self, seed: int = 0) -> None:
         self.rng = np.random.default_rng(seed)
 
     def _compute(self, state: ClusterState, migration_limit: int) -> MigrationPlan:
@@ -27,17 +23,13 @@ class RandomRescheduler(Rescheduler):
                 vm_id
                 for vm_id in state.vms
                 if state.vms[vm_id].is_placed
-                and state.feasible_destination_pms(
-                    vm_id, honor_affinity=self.constraint_config.honor_anti_affinity
-                )
+                and state.feasible_destination_pms(vm_id)
             ]
             if not movable:
                 break
             vm_id = int(self.rng.choice(movable))
-            destinations = state.feasible_destination_pms(
-                vm_id, honor_affinity=self.constraint_config.honor_anti_affinity
-            )
+            destinations = state.feasible_destination_pms(vm_id)
             dest_pm_id = int(self.rng.choice(destinations))
-            state.migrate_vm(vm_id, dest_pm_id, honor_affinity=self.constraint_config.honor_anti_affinity)
+            state.migrate_vm(vm_id, dest_pm_id)
             plan.append(Migration(vm_id=vm_id, dest_pm_id=dest_pm_id))
         return plan

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..cluster import ClusterState, ConstraintConfig, MigrationPlan, Placement
+from ..cluster import ClusterState, MigrationPlan, Placement
 from .base import Rescheduler
 from .mip import order_migrations
 
@@ -36,7 +36,6 @@ class AlphaVBPP(Rescheduler):
         self,
         alpha: int = 10,
         cpu_weight: float = 0.7,
-        constraint_config: Optional[ConstraintConfig] = None,
     ) -> None:
         if alpha <= 0:
             raise ValueError("alpha must be positive")
@@ -44,7 +43,6 @@ class AlphaVBPP(Rescheduler):
             raise ValueError("cpu_weight must be in [0, 1]")
         self.alpha = alpha
         self.cpu_weight = cpu_weight
-        self.constraint_config = constraint_config or ConstraintConfig()
         self._info: Dict = {}
 
     def _compute(self, state: ClusterState, migration_limit: int) -> MigrationPlan:
@@ -130,11 +128,9 @@ class AlphaVBPP(Rescheduler):
         vm = state.vms[vm_id]
         best_placement = None
         best_score = None
+        conflicts = state.conflicting_pm_ids(vm_id)
         for pm_id in state.sorted_pm_ids():
-            if (
-                self.constraint_config.honor_anti_affinity
-                and pm_id in state.conflicting_pm_ids(vm_id)
-            ):
+            if pm_id in conflicts:
                 continue
             for numa_id in state.feasible_numas(vm_id, pm_id, honor_affinity=False):
                 score = self._score(state, vm, pm_id, numa_id)

@@ -16,10 +16,10 @@ from .vm_types import PMType, VMType
 #: NUMA placement marker for a double-NUMA VM (occupies both NUMAs of its PM).
 BOTH_NUMAS = -1
 
-#: Shared tolerance for capacity feasibility comparisons.  Every feasibility
-#: check — object-based (``NumaNode.can_host``), the explain path, and the
-#: vectorized masks in :mod:`repro.cluster.constraints` — must use this same
-#: constant or masks and mutations disagree at exact-fit boundaries.
+#: Shared tolerance for capacity feasibility comparisons.  Both feasibility
+#: checks — object-based (``NumaNode.can_host``) and the vectorized matrix in
+#: :mod:`repro.cluster.constraints` — must use this same constant or masks
+#: and mutations disagree at exact-fit boundaries.
 FEASIBILITY_EPS = 1e-9
 
 
@@ -100,10 +100,6 @@ class NumaNode:
     @property
     def used_cpu(self) -> float:
         return self.cpu_capacity - self.free_cpu
-
-    @property
-    def used_memory(self) -> float:
-        return self.memory_capacity - self.free_memory
 
     @property
     def cpu_utilization(self) -> float:

@@ -23,6 +23,8 @@ observation in this repository uses):
   (``-1`` when unplaced)
 * ``vm_numa``           — ``(V,)`` int64 NUMA target: 0/1, ``-1`` for
   BOTH_NUMAS, ``-2`` when unplaced
+* ``vm_group``          — ``(V,)`` int64 dense anti-affinity group index
+  (``-1`` for no group), numbered in first-seen sorted-VM order
 * ``version``           — int, bumped on every placement mutation; consumers
   (e.g. the feasibility-matrix memo) key caches on it
 * a bounded *mutation journal* recording the (vm_row, pm_row) pair of every
@@ -37,9 +39,9 @@ incrementally in sync by ``place_vm`` / ``remove_vm`` (and therefore
 ``migrate_vm``).  Structural changes — ``add_vm``,
 ``remove_vm_from_cluster``, or any direct mutation of the ``vms`` dict —
 invalidate the view; ``ClusterState.arrays`` detects a stale view by
-comparing machine counts and rebuilds it.  Anti-affinity group ids are *not*
-cached here: constraint code re-reads them from the VM objects on each mask
-construction, so assigning groups after the view exists stays correct.
+comparing machine counts and rebuilds it.  Anti-affinity groups are cached
+in ``vm_group``: ``ClusterState.set_anti_affinity_group`` drops the view, so
+the next access rebuilds it with the new assignment.
 
 Free-resource updates replay the exact float operations of
 :meth:`NumaNode.allocate` / :meth:`NumaNode.release`, so the arrays stay
@@ -86,6 +88,7 @@ class ClusterArrays:
         "vm_double",
         "vm_pm",
         "vm_numa",
+        "vm_group",
         "version",
         "_journal",
         "_journal_base",
@@ -141,6 +144,8 @@ class ClusterArrays:
         soa.vm_double = np.zeros(num_vms, dtype=bool)
         soa.vm_pm = np.full(num_vms, -1, dtype=np.int64)
         soa.vm_numa = np.full(num_vms, UNPLACED_NUMA, dtype=np.int64)
+        soa.vm_group = np.full(num_vms, -1, dtype=np.int64)
+        group_index = {}
         for row, vm_id in enumerate(vm_id_list):
             vm = state.vms[vm_id]
             soa.vm_cpu[row] = vm.cpu
@@ -148,6 +153,8 @@ class ClusterArrays:
             soa.vm_cpu_half[row] = vm.cpu_per_numa
             soa.vm_mem_half[row] = vm.memory_per_numa
             soa.vm_double[row] = vm.numa_count == 2
+            if vm.anti_affinity_group is not None:
+                soa.vm_group[row] = group_index.setdefault(vm.anti_affinity_group, len(group_index))
             if vm.is_placed:
                 soa.vm_pm[row] = soa.pm_row[vm.pm_id]
                 soa.vm_numa[row] = vm.numa_id
@@ -169,6 +176,7 @@ class ClusterArrays:
         clone.vm_cpu_half = self.vm_cpu_half
         clone.vm_mem_half = self.vm_mem_half
         clone.vm_double = self.vm_double
+        clone.vm_group = self.vm_group
         clone.vm_pm = self.vm_pm.copy()
         clone.vm_numa = self.vm_numa.copy()
         clone.version = self.version
@@ -280,3 +288,4 @@ class ClusterArrays:
         np.testing.assert_array_equal(self.numa_free_mem, fresh.numa_free_mem)
         np.testing.assert_array_equal(self.vm_pm, fresh.vm_pm)
         np.testing.assert_array_equal(self.vm_numa, fresh.vm_numa)
+        np.testing.assert_array_equal(self.vm_group, fresh.vm_group)

@@ -13,9 +13,10 @@ provides the operations every algorithm in this repository relies on:
 
 from __future__ import annotations
 
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -26,7 +27,8 @@ from .vm_types import DEFAULT_PM_TYPE, PMType, VMType
 
 
 def int_field(value, name: str) -> int:
-    """``value`` as an int: an int, an integral float or an integer string.
+    """``value`` as an int: an int, an integral float or an integer string
+    (one optional sign and ASCII digits, surrounding whitespace allowed).
 
     Decodes the integer fields of payloads from outside the program.  A bool,
     a fractional or non-finite number or any other type raises ``ValueError``
@@ -38,9 +40,21 @@ def int_field(value, name: str) -> int:
         return int(value)
     if isinstance(value, (float, np.floating)) and float(value).is_integer():
         return int(value)
-    if isinstance(value, str) and value.strip().lstrip("+-").isdigit():
+    if isinstance(value, str) and re.fullmatch(r"[+-]?[0-9]+", value.strip()):
         return int(value)
     raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _group_field(value) -> Optional[Union[int, str]]:
+    """A decoded ``anti_affinity_group``: None, an int or a str.  Groups are
+    hashed into the SoA view's dense group index, so anything else (a list, a
+    bool, a float) raises ``ValueError`` here rather than a ``TypeError``
+    later."""
+    if value is None or type(value) is int or isinstance(value, str):
+        return value
+    if isinstance(value, np.integer):
+        return int(value)
+    raise ValueError(f"anti_affinity_group must be None, an int or a str, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -184,9 +198,11 @@ class ClusterState:
 
         Machine objects may be shared with copies of this state — mutate them
         only through the state's own methods, never by writing fields on
-        objects pulled out of ``state.vms`` / ``state.pms`` directly.
+        objects pulled out of ``state.vms`` / ``state.pms`` directly.  The SoA
+        view caches the groups, so it is dropped and rebuilt on next access.
         """
         self._own_vm(vm_id).anti_affinity_group = group
+        self._soa = None
 
     def pm_list(self) -> List[PhysicalMachine]:
         return [self.pms[pm_id] for pm_id in self.sorted_pm_ids()]
@@ -196,9 +212,6 @@ class ClusterState:
 
     def placed_vm_ids(self) -> List[int]:
         return [vm_id for vm_id in self.sorted_vm_ids() if self.vms[vm_id].is_placed]
-
-    def vms_on_pm(self, pm_id: int) -> List[VirtualMachine]:
-        return [self.vms[vm_id] for vm_id in sorted(self.pms[pm_id].vm_ids)]
 
     # ------------------------------------------------------------------ #
     # Anti-affinity
@@ -258,18 +271,15 @@ class ClusterState:
         """Whether ``pm_id`` can host ``vm_id`` on at least one NUMA target."""
         return bool(self.feasible_numas(vm_id, pm_id, honor_affinity=honor_affinity))
 
-    def feasible_destination_pms(
-        self, vm_id: int, exclude_source: bool = True, honor_affinity: bool = True
-    ) -> List[int]:
-        """All PMs that could receive ``vm_id`` right now."""
+    def feasible_destination_pms(self, vm_id: int) -> List[int]:
+        """All PMs that could receive ``vm_id`` right now: never its source
+        PM, and anti-affinity always holds."""
         vm = self.vms[vm_id]
-        destinations = []
-        for pm_id in self.sorted_pm_ids():
-            if exclude_source and vm.is_placed and pm_id == vm.pm_id:
-                continue
-            if self.can_host(vm_id, pm_id, honor_affinity=honor_affinity):
-                destinations.append(pm_id)
-        return destinations
+        return [
+            pm_id
+            for pm_id in self.sorted_pm_ids()
+            if not (vm.is_placed and pm_id == vm.pm_id) and self.can_host(vm_id, pm_id)
+        ]
 
     def best_numa_for(self, vm_id: int, pm_id: int, honor_affinity: bool = True) -> Optional[int]:
         """Pick the NUMA on ``pm_id`` minimizing the resulting fragment (best fit).
@@ -550,7 +560,7 @@ class ClusterState:
                     vm_type=vm_type,
                     pm_id=None if pm_id is None else int_field(pm_id, "pm_id"),
                     numa_id=None if numa_id is None else int_field(numa_id, "numa_id"),
-                    anti_affinity_group=vm_spec.get("anti_affinity_group"),
+                    anti_affinity_group=_group_field(vm_spec.get("anti_affinity_group")),
                 )
             )
         fragment_cores = int_field(

@@ -167,7 +167,7 @@ class SparseAttentionExtractor(Module):
         then runs in single precision against cached float32 weight copies
         (see repro.nn.layers._float32_params).
         """
-        pm_inputs, vm_inputs = batch.pm_features.data, batch.vm_features.data
+        pm_inputs, vm_inputs = batch.pm_features, batch.vm_features
         if self.config.inference_dtype == "float32" and not grad_enabled():
             pm_inputs = pm_inputs.astype(np.float32)
             vm_inputs = vm_inputs.astype(np.float32)
@@ -250,7 +250,7 @@ class MLPExtractor(Module):
                 f"observation with {batch.num_pms} PMs / {batch.num_vms} VMs exceeds the "
                 f"MLP extractor capacity ({self.max_pms} PMs / {self.max_vms} VMs)"
             )
-        pm_features, vm_features = batch.pm_features.data, batch.vm_features.data
+        pm_features, vm_features = batch.pm_features, batch.vm_features
         count = pm_features.shape[0]
         vm_start = self.max_pms * PM_FEATURE_DIM
         flat = np.zeros((count, vm_start + self.max_vms * VM_FEATURE_DIM))

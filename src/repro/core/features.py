@@ -29,9 +29,9 @@ TreeLayout = Tuple[np.ndarray, np.ndarray]
 
 @dataclass
 class FeatureBatch:
-    """Tensors and tree structure for a stack of same-size decision steps.
+    """Feature arrays and tree structure for a stack of same-size decision steps.
 
-    Every batch is stacked: ``(batch, machines, features)`` tensors and
+    Every batch is stacked: ``(batch, machines, features)`` arrays and
     ``(batch, num_vms)`` hosts, one row per observation.
     :func:`build_feature_batch` makes a batch of one (what the rollout
     buffer keeps per transition, with its tree layout cached on it) and
@@ -40,8 +40,8 @@ class FeatureBatch:
     equals running each row separately.
     """
 
-    pm_features: Tensor
-    vm_features: Tensor
+    pm_features: np.ndarray
+    vm_features: np.ndarray
     #: (batch, num_vms) host PM row of each VM, ``-1`` when unplaced — for a
     #: batch of one a view of the observation's ``vm_source_pm``, never
     #: written.
@@ -85,10 +85,10 @@ class FeatureBatch:
 
 
 def build_feature_batch(observation: Observation) -> FeatureBatch:
-    """A batch of one: the observation's feature tensors plus its host rows."""
+    """A batch of one: views of the observation's feature arrays plus its host rows."""
     return FeatureBatch(
-        pm_features=Tensor(observation.pm_features[None]),
-        vm_features=Tensor(observation.vm_features[None]),
+        pm_features=observation.pm_features[None],
+        vm_features=observation.vm_features[None],
         hosts=observation.vm_source_pm[None],
         num_pms=observation.num_pms,
         num_vms=observation.num_vms,
@@ -286,8 +286,8 @@ def stack_feature_batches(batches: Sequence[FeatureBatch]) -> FeatureBatch:
         else None
     )
     return FeatureBatch(
-        pm_features=Tensor(np.concatenate([b.pm_features.data for b in batches])),
-        vm_features=Tensor(np.concatenate([b.vm_features.data for b in batches])),
+        pm_features=np.concatenate([b.pm_features for b in batches]),
+        vm_features=np.concatenate([b.vm_features for b in batches]),
         hosts=np.concatenate([b.hosts for b in batches]),
         num_pms=batches[0].num_pms,
         num_vms=batches[0].num_vms,

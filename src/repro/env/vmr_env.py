@@ -46,7 +46,8 @@ class VMRescheduleEnv:
         state (or a newly provided one) exactly — the environment never mutates
         the snapshot it was given.
     constraint_config:
-        MNL, anti-affinity and capacity-check settings (Eq. 2–6, §5.4).
+        The task's MNL (Eq. 5); capacity, NUMA and anti-affinity constraints
+        (Eq. 2–6, §5.4) always hold.
     objective:
         Reward/metric definition; defaults to 16-core FR minimization.
     illegal_action_penalty:
@@ -155,9 +156,7 @@ class VMRescheduleEnv:
         source_pm_id = self.state.vms[vm_id].pm_id
         before_source = self.objective.pm_score(self.state, source_pm_id)
         before_dest = self.objective.pm_score(self.state, dest_pm_id)
-        self.state.migrate_vm(
-            vm_id, dest_pm_id, honor_affinity=self.constraint_config.honor_anti_affinity
-        )
+        self.state.migrate_vm(vm_id, dest_pm_id)
         after_source = self.objective.pm_score(self.state, source_pm_id)
         after_dest = self.objective.pm_score(self.state, dest_pm_id)
         reward = self.objective.step_reward(

@@ -141,10 +141,6 @@ class RLPlanner(Planner):
         self.agent = agent
         self.name = agent.name
 
-    @classmethod
-    def from_checkpoint(cls, path, **kwargs) -> "RLPlanner":
-        return cls(VMR2LAgent.load(path, **kwargs))
-
     def plan(
         self,
         state: ClusterState,

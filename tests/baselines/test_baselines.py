@@ -115,7 +115,7 @@ class TestFilteringHeuristic:
         state = fragmented_state()
         vm_ids = sorted(state.vms)[:4]
         for vm_id in vm_ids:
-            state.vms[vm_id].anti_affinity_group = 1
+            state.set_anti_affinity_group(vm_id, 1)
         result = FilteringHeuristic().compute_plan(state, migration_limit=6)
         violations = []
         working = state.copy()
@@ -244,7 +244,7 @@ class TestMIP:
 
         state = tiny_state()
         for vm_id in (0, 2, 4):
-            state.vms[vm_id].anti_affinity_group = 3
+            state.set_anti_affinity_group(vm_id, 3)
         result = MIPRescheduler(time_limit_s=15).compute_plan(state, 3)
         final_state, _ = apply_plan(state, result.plan, honor_affinity=True, skip_infeasible=True)
         for pm_id in final_state.pms:

@@ -1,5 +1,7 @@
 """Tests for constraint checking, migration plans and dynamic events."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,8 @@ from repro.cluster import (
     sample_daily_changes,
 )
 from repro.sim import LivingCluster
+
+from oracles import destination_mask_reference
 
 CATALOG = VMTypeCatalog.main()
 
@@ -55,7 +59,7 @@ class TestConstraintConfig:
     def test_defaults(self):
         config = ConstraintConfig()
         assert config.migration_limit == 50
-        assert config.honor_anti_affinity
+        assert [field.name for field in dataclasses.fields(config)] == ["migration_limit"]
 
 
 class TestConstraintChecker:
@@ -66,8 +70,7 @@ class TestConstraintChecker:
     def test_source_pm_not_a_destination(self, small_state):
         checker = ConstraintChecker()
         assert not checker.migration_is_feasible(small_state, 0, 0)
-        relaxed = ConstraintChecker(ConstraintConfig(allow_source_pm=True))
-        assert relaxed.migration_is_feasible(small_state, 0, 0)
+        assert not checker.destination_mask(small_state, 0)[0]
 
     def test_unknown_vm_or_pm(self, small_state):
         checker = ConstraintChecker()
@@ -79,8 +82,8 @@ class TestConstraintChecker:
         """Every legality path says no: the per-action check, the stage-2
         mask row and the memoized matrix."""
         assert not checker.migration_is_feasible(state, vm_id, pm_id)
-        assert not checker.destination_mask(state, vm_id, [pm_id])[0]
         column = sorted(state.pms).index(pm_id)
+        assert not checker.destination_mask(state, vm_id)[column]
         row = state.sorted_vm_ids().index(vm_id)
         assert not checker.feasibility_matrix(state)[row, column]
 
@@ -104,16 +107,16 @@ class TestConstraintChecker:
         self.assert_rejected(ConstraintChecker(), state, 0, 1)
 
     def test_anti_affinity_violation(self, small_state):
-        small_state.vms[0].anti_affinity_group = 5
-        small_state.vms[2].anti_affinity_group = 5
-        self.assert_rejected(ConstraintChecker(), small_state, 0, 1)
-        relaxed = ConstraintChecker(ConstraintConfig(honor_anti_affinity=False))
-        assert relaxed.migration_is_feasible(small_state, 0, 1)
-        assert relaxed.destination_mask(small_state, 0, [1])[0]
+        checker = ConstraintChecker()
+        assert checker.migration_is_feasible(small_state, 0, 1)
+        small_state.set_anti_affinity_group(0, 5)
+        small_state.set_anti_affinity_group(2, 5)
+        self.assert_rejected(checker, small_state, 0, 1)
 
     def test_destination_mask_matches_feasibility(self, small_state):
         checker = ConstraintChecker()
         mask = checker.destination_mask(small_state, 0)
+        np.testing.assert_array_equal(mask, destination_mask_reference(small_state, 0))
         pm_ids = sorted(small_state.pms)
         for index, pm_id in enumerate(pm_ids):
             assert mask[index] == checker.migration_is_feasible(small_state, 0, pm_id)

@@ -3,14 +3,14 @@
 One long-lived :class:`ConstraintChecker` must return, after every placement
 mutation, exactly the matrix a fresh checker builds from scratch — whether it
 patched the dirty PM columns / VM rows or fell back to a full build (journal
-overflow, a cloned state, reassigned groups, too many touched PMs).
+overflow, a cloned state, assigned groups, too many touched PMs).
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import ConstraintChecker, ConstraintConfig, Placement
+from repro.cluster import ConstraintChecker, Placement
 from repro.cluster import soa as soa_module
 from repro.cluster.constraints import assign_anti_affinity_groups
 from repro.datasets import ClusterSpec, SnapshotGenerator
@@ -44,7 +44,7 @@ class _Recorder:
         return shapes
 
 
-def _mutate(state, kind, rng, honor):
+def _mutate(state, kind, rng):
     """Apply one random placement mutation of ``kind``; False when none exists."""
     placed = state.placed_vm_ids()
     unplaced = [vm_id for vm_id in state.sorted_vm_ids() if not state.vms[vm_id].is_placed]
@@ -53,26 +53,24 @@ def _mutate(state, kind, rng, honor):
             return False
         vm_id = int(unplaced[rng.integers(len(unplaced))])
         for pm_id in rng.permutation(state.sorted_pm_ids()):
-            numas = state.feasible_numas(vm_id, int(pm_id), honor_affinity=honor)
+            numas = state.feasible_numas(vm_id, int(pm_id))
             if numas:
-                state.place_vm(vm_id, Placement(int(pm_id), numas[0]), honor_affinity=honor)
+                state.place_vm(vm_id, Placement(int(pm_id), numas[0]))
                 return True
         return False
     vm_id = int(placed[rng.integers(len(placed))])
     if kind == "remove":
         state.remove_vm(vm_id)
         return True
-    destinations = state.feasible_destination_pms(vm_id, honor_affinity=honor)
+    destinations = state.feasible_destination_pms(vm_id)
     if not destinations:
         return False
-    state.migrate_vm(
-        vm_id, int(destinations[rng.integers(len(destinations))]), honor_affinity=honor
-    )
+    state.migrate_vm(vm_id, int(destinations[rng.integers(len(destinations))]))
     return True
 
 
 def _assert_equal_to_fresh(checker, state):
-    fresh = ConstraintChecker(checker.config)
+    fresh = ConstraintChecker()
     np.testing.assert_array_equal(
         checker.feasibility_matrix(state), fresh.feasibility_matrix(state)
     )
@@ -86,22 +84,19 @@ class TestPatchedMatrixEqualsFresh:
         st.lists(st.sampled_from(["migrate", "migrate", "remove", "place"]), min_size=1, max_size=25),
         st.integers(0, 2 ** 31 - 1),
         st.booleans(),
-        st.booleans(),
     )
     @settings(max_examples=25, deadline=None)
-    def test_random_mutation_sequences(self, kinds, seed, honor, allow_source):
+    def test_random_mutation_sequences(self, kinds, seed, groups):
         rng = np.random.default_rng(seed)
         state = _state(seed=seed % 5)
-        if honor:
+        if groups:
             assign_anti_affinity_groups(state, group_count=8, vms_per_group=4, rng=rng)
-        checker = ConstraintChecker(
-            ConstraintConfig(honor_anti_affinity=honor, allow_source_pm=allow_source)
-        )
+        checker = ConstraintChecker()
         recorder = _Recorder(checker)
         _assert_equal_to_fresh(checker, state)
         assert recorder.take() == [(state.num_vms, state.num_pms)]
         for kind in kinds:
-            if not _mutate(state, kind, rng, honor):
+            if not _mutate(state, kind, rng):
                 continue
             _assert_equal_to_fresh(checker, state)
             # One mutation touches ≤ 2 PMs and 1 VM: patched, never rebuilt.
@@ -111,8 +106,8 @@ class TestPatchedMatrixEqualsFresh:
 
 
 class TestFallsBackToFullBuild:
-    def _checker(self, state, **config):
-        checker = ConstraintChecker(ConstraintConfig(**config))
+    def _checker(self, state):
+        checker = ConstraintChecker()
         recorder = _Recorder(checker)
         checker.feasibility_matrix(state)
         recorder.take()
@@ -125,14 +120,14 @@ class TestFallsBackToFullBuild:
         state = _state(seed=1)
         rng = np.random.default_rng(0)
         checker, recorder = self._checker(state)
-        assert _mutate(state, "migrate", rng, True)
+        assert _mutate(state, "migrate", rng)
         _assert_equal_to_fresh(checker, state)
         assert len(recorder.take()) == 2  # patched
         assign_anti_affinity_groups(state, group_count=6, vms_per_group=5, rng=rng)
-        assert _mutate(state, "migrate", rng, True)
+        assert _mutate(state, "migrate", rng)
         _assert_equal_to_fresh(checker, state)
         assert recorder.take() == self._full(state)
-        assert _mutate(state, "migrate", rng, True)
+        assert _mutate(state, "migrate", rng)
         _assert_equal_to_fresh(checker, state)
         assert len(recorder.take()) == 2  # same groups again: patched
 
@@ -141,7 +136,7 @@ class TestFallsBackToFullBuild:
         rng = np.random.default_rng(1)
         checker, recorder = self._checker(state)
         clone = state.copy()
-        assert _mutate(clone, "migrate", rng, True)
+        assert _mutate(clone, "migrate", rng)
         _assert_equal_to_fresh(checker, clone)
         assert recorder.take() == self._full(clone)
         # ... and the original, untouched by the clone's migration, rebuilds too.
@@ -155,7 +150,7 @@ class TestFallsBackToFullBuild:
         # Divisor 0: the touched-PM rule never vetoes the patch, only the journal can.
         monkeypatch.setattr("repro.cluster.constraints._PATCH_PM_DIVISOR", 0)
         checker, recorder = self._checker(state)
-        moved = sum(_mutate(state, "migrate", rng, True) for _ in range(6))
+        moved = sum(_mutate(state, "migrate", rng) for _ in range(6))
         assert 2 * moved > 4 and state.arrays().dirty_since(0) is None
         _assert_equal_to_fresh(checker, state)
         assert recorder.take() == self._full(state)
@@ -166,12 +161,12 @@ class TestFallsBackToFullBuild:
         small = _state(num_pms=8, seed=4)
         rng = np.random.default_rng(3)
         checker, recorder = self._checker(small)
-        assert _mutate(small, "migrate", rng, True)
+        assert _mutate(small, "migrate", rng)
         _assert_equal_to_fresh(checker, small)
         assert recorder.take() == self._full(small)
 
         state = _state(seed=4)
         checker, recorder = self._checker(state)
-        assert sum(_mutate(state, "migrate", rng, True) for _ in range(5)) >= 2
+        assert sum(_mutate(state, "migrate", rng) for _ in range(5)) >= 2
         _assert_equal_to_fresh(checker, state)
         assert recorder.take() == self._full(state)

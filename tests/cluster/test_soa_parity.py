@@ -46,37 +46,30 @@ def random_state(seed: int, num_pms: int = 20, groups: int = 3) -> ClusterState:
     return state
 
 
-CONFIGS = [
-    ConstraintConfig(),
-    ConstraintConfig(allow_source_pm=True),
-    ConstraintConfig(honor_anti_affinity=False),
-]
-
-
 class TestMaskParity:
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    @pytest.mark.parametrize("config_index", range(len(CONFIGS)))
-    def test_destination_and_movable_masks(self, seed, config_index):
+    def test_destination_and_movable_masks(self, seed):
         state = random_state(seed)
-        checker = ConstraintChecker(CONFIGS[config_index])
+        checker = ConstraintChecker()
         np.testing.assert_array_equal(
-            checker.movable_vm_mask(state), movable_vm_mask_reference(checker, state)
+            checker.movable_vm_mask(state), movable_vm_mask_reference(state)
         )
         matrix = checker.feasibility_matrix(state)
+        pm_ids = state.sorted_pm_ids()
         for row, vm_id in enumerate(state.sorted_vm_ids()):
-            reference = destination_mask_reference(checker, state, vm_id)
+            reference = destination_mask_reference(state, vm_id)
             np.testing.assert_array_equal(checker.destination_mask(state, vm_id), reference)
             np.testing.assert_array_equal(matrix[row], reference)
+            cells = [checker.migration_is_feasible(state, vm_id, pm_id) for pm_id in pm_ids]
+            np.testing.assert_array_equal(cells, reference)
 
-    def test_custom_pm_id_order_and_unknown_ids(self):
+    def test_unknown_ids(self):
         state = random_state(4)
         checker = ConstraintChecker()
         vm_id = state.placed_vm_ids()[0]
-        pm_ids = list(reversed(state.sorted_pm_ids())) + [10_000]
-        np.testing.assert_array_equal(
-            checker.destination_mask(state, vm_id, pm_ids),
-            destination_mask_reference(checker, state, vm_id, pm_ids),
-        )
+        assert not checker.migration_is_feasible(state, vm_id, 10_000)
+        assert not checker.migration_is_feasible(state, 999_999, state.sorted_pm_ids()[0])
+        assert not checker.destination_mask(state, 999_999).any()
 
     def test_unplaced_and_missing_vm(self):
         state = random_state(5, groups=0)
@@ -86,16 +79,7 @@ class TestMaskParity:
         assert not checker.destination_mask(state, unplaced_id).any()
         assert not checker.destination_mask(state, 999_999).any()
         np.testing.assert_array_equal(
-            checker.movable_vm_mask(state), movable_vm_mask_reference(checker, state)
-        )
-
-    def test_vm_id_subset(self):
-        state = random_state(6)
-        checker = ConstraintChecker()
-        subset = state.sorted_vm_ids()[::3][::-1]
-        np.testing.assert_array_equal(
-            checker.movable_vm_mask(state, subset),
-            movable_vm_mask_reference(checker, state, subset),
+            checker.movable_vm_mask(state), movable_vm_mask_reference(state)
         )
 
     def test_group_assigned_after_arrays_built(self):
@@ -104,16 +88,55 @@ class TestMaskParity:
         checker = ConstraintChecker()
         checker.movable_vm_mask(state)  # builds the SoA view
         placed = state.placed_vm_ids()
-        state.vms[placed[0]].anti_affinity_group = 42
-        state.vms[placed[1]].anti_affinity_group = 42
+        state.set_anti_affinity_group(placed[0], 42)
+        state.set_anti_affinity_group(placed[1], 42)
         for vm_id in (placed[0], placed[1]):
             np.testing.assert_array_equal(
                 checker.destination_mask(state, vm_id),
-                destination_mask_reference(checker, state, vm_id),
+                destination_mask_reference(state, vm_id),
             )
         np.testing.assert_array_equal(
-            checker.movable_vm_mask(state), movable_vm_mask_reference(checker, state)
+            checker.movable_vm_mask(state), movable_vm_mask_reference(state)
         )
+        state.arrays().assert_in_sync(state)
+
+
+class TestGroupsInTheView:
+    def test_vm_group_is_dense_and_shared_by_copies(self):
+        state = random_state(8, groups=0)
+        placed = state.placed_vm_ids()
+        state.set_anti_affinity_group(placed[2], "web")
+        state.set_anti_affinity_group(placed[0], 7)
+        state.set_anti_affinity_group(placed[1], "web")
+        soa = state.arrays()
+        expected = np.full(state.num_vms, -1)
+        rows = [soa.vm_row[vm_id] for vm_id in placed[:3]]
+        expected[rows] = [0, 1, 1]  # numbered in sorted-VM order
+        np.testing.assert_array_equal(soa.vm_group, expected)
+        assert state.copy().arrays().vm_group is soa.vm_group
+
+    def test_group_set_on_a_copy_leaves_the_original(self):
+        state = random_state(9, groups=0)
+        checker = ConstraintChecker()
+        before = checker.feasibility_matrix(state)
+        clone = state.copy()
+        for vm_id in clone.placed_vm_ids()[:6]:
+            clone.set_anti_affinity_group(vm_id, 1)
+        clone.arrays().assert_in_sync(clone)
+        state.arrays().assert_in_sync(state)
+        assert state.arrays().vm_group.max() == -1
+        np.testing.assert_array_equal(checker.feasibility_matrix(state), before)
+        np.testing.assert_array_equal(
+            checker.movable_vm_mask(clone), movable_vm_mask_reference(clone)
+        )
+
+    def test_assert_in_sync_catches_a_stale_group(self):
+        state = random_state(10, groups=0)
+        soa = state.arrays()
+        soa.vm_group = soa.vm_group.copy()
+        soa.vm_group[0] = 0
+        with pytest.raises(AssertionError):
+            soa.assert_in_sync(state)
 
 
 class TestFeatureParity:
@@ -180,7 +203,7 @@ class TestIncrementalSync:
                     state.remove_vm_from_cluster(int(rng.choice(unplaced)))
             state.arrays().assert_in_sync(state)
             np.testing.assert_array_equal(
-                checker.movable_vm_mask(state), movable_vm_mask_reference(checker, state)
+                checker.movable_vm_mask(state), movable_vm_mask_reference(state)
             )
 
     def test_double_numa_place_remove_cycle(self):
@@ -206,7 +229,7 @@ class TestCopyParity:
         clone.arrays().assert_in_sync(clone)
         checker = ConstraintChecker()
         np.testing.assert_array_equal(
-            checker.movable_vm_mask(clone), movable_vm_mask_reference(checker, clone)
+            checker.movable_vm_mask(clone), movable_vm_mask_reference(clone)
         )
         # Mutating the clone leaves the original untouched (and vice versa).
         vm_id = clone.placed_vm_ids()[0]
@@ -238,7 +261,7 @@ class TestRewardParity:
         for _ in range(6):
             vm_mask = env.vm_action_mask()
             np.testing.assert_array_equal(
-                vm_mask, movable_vm_mask_reference(env.checker, env.state)
+                vm_mask, movable_vm_mask_reference(env.state)
             )
             if not vm_mask.any():
                 break
@@ -246,9 +269,7 @@ class TestRewardParity:
             pm_mask = env.pm_action_mask(vm_index)
             np.testing.assert_array_equal(
                 pm_mask,
-                destination_mask_reference(
-                    env.checker, env.state, env.state.sorted_vm_ids()[vm_index]
-                ),
+                destination_mask_reference(env.state, env.state.sorted_vm_ids()[vm_index]),
             )
             if not pm_mask.any():
                 continue
@@ -292,11 +313,10 @@ def test_vectorized_paths_beat_the_loop_oracles():
     if groups * 3 <= state.num_vms:
         assign_anti_affinity_groups(state, groups, 3, np.random.default_rng(1))
     config = ConstraintConfig(migration_limit=25)
-    checker = ConstraintChecker(config)
-    builder = ObservationBuilder(checker)
+    builder = ObservationBuilder(ConstraintChecker(config))
     state.arrays()
     assert _best_of(lambda: ConstraintChecker(config).movable_vm_mask(state), 8) < _best_of(
-        lambda: movable_vm_mask_reference(checker, state), 4
+        lambda: movable_vm_mask_reference(state), 4
     )
     assert _best_of(
         lambda: ObservationBuilder(ConstraintChecker(config)).build(state, 25), 8

@@ -9,6 +9,7 @@ from repro.baselines import FilteringHeuristic, evaluate_plan
 from repro.cluster import (
     BOTH_NUMAS,
     ClusterState,
+    ConstraintChecker,
     PhysicalMachine,
     Placement,
     PMType,
@@ -271,6 +272,21 @@ class TestClusterStatePlacement:
             with pytest.raises(ValueError, match=f"{field} must be an integer"):
                 ClusterState.from_dict(payload)
 
+    @pytest.mark.parametrize("bad", [[1], {"g": 1}, True, 1.0])
+    def test_from_dict_rejects_unhashable_or_odd_groups(self, bad):
+        payload = build_paper_example().to_dict()
+        payload["vms"][0]["anti_affinity_group"] = bad
+        with pytest.raises(ValueError, match="anti_affinity_group must be"):
+            ClusterState.from_dict(payload)
+
+    @pytest.mark.parametrize("group", [None, 3, "web"])
+    def test_from_dict_accepts_int_and_str_groups(self, group):
+        payload = build_paper_example().to_dict()
+        payload["vms"][0]["anti_affinity_group"] = group
+        state = ClusterState.from_dict(payload)
+        assert state.vms[payload["vms"][0]["vm_id"]].anti_affinity_group == group
+        ConstraintChecker().movable_vm_mask(state)
+
     def test_from_dict_accepts_integral_floats_and_digit_strings(self):
         state = build_paper_example()
         payload = state.to_dict()
@@ -306,7 +322,8 @@ class TestAntiAffinity:
         vm_b = make_vm(2, "xlarge", pm_id=2, numa_id=0, group=7)
         state = ClusterState(pms=[pm1, pm2, pm3], vms=[vm_a, vm_b])
         assert state.feasible_destination_pms(1) == [3]
-        assert state.feasible_destination_pms(1, honor_affinity=False) == [2, 3]
+        assert not state.can_host(1, 2)
+        assert state.can_host(1, 2, honor_affinity=False)
 
     def test_affinity_ratio(self):
         pm1 = make_pm(1, cpu=128, memory=512)

@@ -43,7 +43,7 @@ class TestStackedFeatureBatch:
         assert single.pm_features.shape == (1,) + batch.pm_features.shape[1:]
         np.testing.assert_array_equal(tree_mask(batch)[:1], tree_mask(single))
         np.testing.assert_array_equal(batch.hosts[:1], single.hosts)
-        np.testing.assert_array_equal(batch.pm_features.numpy()[:1], single.pm_features.numpy())
+        np.testing.assert_array_equal(batch.pm_features[:1], single.pm_features)
 
     def test_concatenates_batches_of_any_size(self, snapshot):
         """Batches of several rows concatenate along axis 0, carrying their
@@ -60,10 +60,22 @@ class TestStackedFeatureBatch:
         batch = stack_feature_batches([pair, singles[2]])
         assert batch.pm_features.shape[0] == batch.hosts.shape[0] == 3
         for row, single in enumerate(singles):
-            np.testing.assert_array_equal(batch.vm_features.numpy()[row], single.vm_features.numpy()[0])
+            np.testing.assert_array_equal(batch.vm_features[row], single.vm_features[0])
             np.testing.assert_array_equal(batch.hosts[row], single.hosts[0])
             assert batch.tree_layout(row) is single.tree_layout(0)
         assert stack_feature_batches([pair]) is pair
+
+    def test_batch_of_one_views_the_observation_arrays(self, snapshot):
+        """A batch of one holds plain arrays that view the observation's
+        feature matrices: no copy and no tensor wrapper."""
+        observation = make_env(snapshot).reset()
+        single = build_feature_batch(observation)
+        for features, source in (
+            (single.pm_features, observation.pm_features),
+            (single.vm_features, observation.vm_features),
+        ):
+            assert type(features) is np.ndarray
+            assert features.base is source
 
     def test_empty_observation_list_rejected(self):
         with pytest.raises(ValueError):

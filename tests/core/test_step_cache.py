@@ -41,7 +41,7 @@ class TestIncrementalObservation:
         env = VMRescheduleEnv(_state(seed=3), ConstraintConfig(migration_limit=8))
         obs = env.reset()
         rng = np.random.default_rng(0)
-        config = env.builder.checker.config
+        config = env.constraint_config
         deltas_seen = 0
         for step in range(16):
             fresh = ObservationBuilder(ConstraintChecker(config)).build(

@@ -39,8 +39,8 @@ def host_batch(hosts: np.ndarray, num_pms: int) -> FeatureBatch:
     hosts = np.atleast_2d(hosts)
     rows, num_vms = hosts.shape
     return FeatureBatch(
-        pm_features=Tensor(np.zeros((rows, num_pms, 1))),
-        vm_features=Tensor(np.zeros((rows, num_vms, 1))),
+        pm_features=np.zeros((rows, num_pms, 1)),
+        vm_features=np.zeros((rows, num_vms, 1)),
         hosts=hosts,
         num_pms=num_pms,
         num_vms=num_vms,

@@ -29,7 +29,7 @@ from unittest import mock
 import numpy as np
 
 from repro.baselines import ReschedulingResult
-from repro.cluster import ClusterState, ConstraintChecker
+from repro.cluster import ClusterState
 from repro.core.attention import ExtractorOutput, SparseAttentionExtractor
 from repro.core.features import FeatureBatch, TreeGrouping, _gather_rows
 from repro.core.step_cache import StepCache
@@ -165,8 +165,8 @@ def tree_mask(batch: FeatureBatch) -> np.ndarray:
 def dense_extractor_forward(self: SparseAttentionExtractor, batch: FeatureBatch) -> ExtractorOutput:
     """The extractor with stage 1 as ONE layer over all ``S`` tokens under
     :func:`tree_mask` (shared by every block), in the parameters' dtype."""
-    pm_embeddings = self.pm_embed(batch.pm_features)
-    vm_embeddings = self.vm_embed(batch.vm_features)
+    pm_embeddings = self.pm_embed(Tensor(batch.pm_features))
+    vm_embeddings = self.vm_embed(Tensor(batch.vm_features))
     mask = None
     if self.use_tree_attention and batch.num_vms:
         mask = AttentionMask(tree_mask(batch))
@@ -224,32 +224,27 @@ def oracle_ops():
 # ---------------------------------------------------------------------- #
 # Loop feasibility masks and featurization
 # ---------------------------------------------------------------------- #
-def destination_mask_reference(
-    checker: ConstraintChecker, state: ClusterState, vm_id: int,
-    pm_ids: Optional[Sequence[int]] = None,
-) -> np.ndarray:
-    """``checker.destination_mask`` as one ``migration_is_feasible`` per PM."""
-    pm_ids = list(pm_ids) if pm_ids is not None else sorted(state.pms)
+def destination_mask_reference(state: ClusterState, vm_id: int) -> np.ndarray:
+    """``checker.destination_mask`` from the object path: ``state.can_host``
+    per sorted PM, never the VM's source PM."""
+    vm = state.vms.get(vm_id)
+    if vm is None or not vm.is_placed:
+        return np.zeros(len(state.pms), dtype=bool)
     return np.array(
-        [checker.migration_is_feasible(state, vm_id, pm_id) for pm_id in pm_ids], dtype=bool
+        [pm_id != vm.pm_id and state.can_host(vm_id, pm_id) for pm_id in sorted(state.pms)],
+        dtype=bool,
     )
 
 
-def movable_vm_mask_reference(
-    checker: ConstraintChecker, state: ClusterState, vm_ids: Optional[Sequence[int]] = None
-) -> np.ndarray:
+def movable_vm_mask_reference(state: ClusterState) -> np.ndarray:
     """``checker.movable_vm_mask`` from ``state.feasible_destination_pms``."""
-    vm_ids = list(vm_ids) if vm_ids is not None else sorted(state.vms)
-    mask = np.zeros(len(vm_ids), dtype=bool)
-    for index, vm_id in enumerate(vm_ids):
-        if not state.vms[vm_id].is_placed:
-            continue
-        mask[index] = bool(state.feasible_destination_pms(
-            vm_id,
-            exclude_source=not checker.config.allow_source_pm,
-            honor_affinity=checker.config.honor_anti_affinity,
-        ))
-    return mask
+    return np.array(
+        [
+            state.vms[vm_id].is_placed and bool(state.feasible_destination_pms(vm_id))
+            for vm_id in sorted(state.vms)
+        ],
+        dtype=bool,
+    )
 
 
 def build_reference(
@@ -265,7 +260,7 @@ def build_reference(
         pm_features=_min_max_normalize(pm_features),
         vm_features=_min_max_normalize(vm_features),
         vm_source_pm=vm_source_pm,
-        vm_mask=movable_vm_mask_reference(builder.checker, state, vm_ids),
+        vm_mask=movable_vm_mask_reference(state),
         migrations_left=migrations_left,
     )
 

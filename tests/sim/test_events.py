@@ -87,7 +87,8 @@ class TestRoundTrip:
     @pytest.mark.parametrize(
         "field,value",
         [("vm_id", True), ("pm_id", False), ("pm_cpu", 63.9), ("pm_memory", float("inf")),
-         ("vm_id", "7.5"), ("pm_id", [2])],
+         ("vm_id", "7.5"), ("pm_id", [2]), ("vm_id", "+-5"), ("pm_id", "--3"),
+         ("pm_cpu", "\u00b2")],
     )
     def test_from_dict_rejects_non_integer_int_fields(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
