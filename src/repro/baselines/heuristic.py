@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from ..cluster import ClusterState, Migration, MigrationPlan
+from ..cluster import ClusterState, ConstraintChecker, Migration, MigrationPlan
 from .base import Rescheduler
 
 
@@ -83,16 +83,17 @@ class FilteringHeuristic(Rescheduler):
         return self._score_destinations(state, vm_id)
 
     def _filter_vm(self, state: ClusterState) -> Optional[int]:
-        """Filtering stage: the VM whose removal drops the source fragment most."""
+        """Filtering stage: the VM whose removal drops the source fragment most.
+
+        Only VMs with a legal destination compete; the matrix is read once,
+        before the loop's remove/place probes (each puts the VM back)."""
         best_vm = None
         best_drop = None
-        for vm_id in state.sorted_vm_ids():
-            vm = state.vms[vm_id]
-            if not vm.is_placed:
+        movable = ConstraintChecker().movable_vm_mask(state)
+        for row, vm_id in enumerate(state.sorted_vm_ids()):
+            if not movable[row]:
                 continue
-            if not state.feasible_destination_pms(vm_id):
-                continue
-            source_pm = vm.pm_id
+            source_pm = state.vms[vm_id].pm_id
             before = state.pm_fragment(source_pm)
             placement = state.remove_vm(vm_id)
             after = state.pm_fragment(source_pm)

@@ -21,8 +21,8 @@ import numpy as np
 from .machine import FEASIBILITY_EPS
 from .state import ClusterState
 
-#: The feasibility matrix is patched from the mutation journal while at most
-#: one PM in this many was touched since it was built, and rebuilt otherwise.
+#: The feasibility matrix is patched in place while at most one PM in this
+#: many can have been touched since it was built, and rebuilt otherwise.
 #: Measured ``movable_vm_mask`` after one migration (two PMs touched), rebuild
 #: vs patch: 8 PMs / 85 VMs 88 vs 108 µs, 12 PMs even (140 µs), 16 PMs / 179
 #: VMs 209 vs 137 µs, 40 PMs / 335 VMs 733 vs 183 µs, 120 PMs / 1092 VMs
@@ -61,7 +61,8 @@ class ConstraintChecker:
         # ``config`` is accepted for existing ``ConstraintChecker(config)``
         # call sites and not stored: the rule reads none of it (the MNL
         # bounds episodes, not single moves).
-        #: Single-entry memo for feasibility_matrix: (soa, version, matrix).
+        #: Single-entry memo for feasibility_matrix: (soa, version, matrix,
+        #: the soa.snapshot() it was computed from).
         self._matrix_cache = None
 
     def migration_is_feasible(self, state: ClusterState, vm_id: int, dest_pm_id: int) -> bool:
@@ -101,14 +102,14 @@ class ConstraintChecker:
 
         One matrix is kept per checker, valid for one SoA view (by identity)
         and version, so the several mask consumers of one env step share one
-        pass.  When only the view's version moved, the journal names the PM
-        and VM rows touched since: a cell depends on its VM's demand, group
-        and host and on its PM's free capacity and hosted groups, so only the
-        dirty PM columns (all VMs) and dirty VM rows (all PMs) are recomputed,
-        in place.  A journal that no longer reaches back, another view
-        (``state.copy()``, a structural change or a group assignment), or too
-        many touched PMs for the patch to pay (:data:`_PATCH_PM_DIVISOR`)
-        rebuild every cell — through the same block function.
+        pass.  When only the view's version moved, the view's diff against
+        the memo's snapshot names the moved VM rows and dirty PM columns: a
+        cell depends on its VM's demand, group and host and on its PM's free
+        capacity and hosted groups, so only those columns (all VMs) and rows
+        (all PMs) are recomputed, in place.  Another view (``state.copy()``, a
+        structural change or a group assignment), or too many mutations for
+        the patch to pay (:data:`_PATCH_PM_DIVISOR`) rebuild every cell —
+        through the same block function.
         """
         soa = state.arrays()
         cache = self._matrix_cache
@@ -125,18 +126,15 @@ class ConstraintChecker:
                 minlength=group_count * soa.num_pms,
             ).reshape(group_count, soa.num_pms)
         everything = slice(None)
-        matrix = None
-        # Each journalled mutation dirties one PM (a migration: two).
+        # Each mutation dirties at most one PM (a migration: two).
         if reusable and (soa.version - cache[1]) * _PATCH_PM_DIVISOR <= soa.num_pms:
-            dirty = soa.dirty_since(cache[1])
-            if dirty is not None:
-                vm_rows, pm_rows = dirty
-                matrix = cache[2]
-                matrix[:, pm_rows] = self._feasibility_block(soa, everything, pm_rows, host_counts)
-                matrix[vm_rows] = self._feasibility_block(soa, vm_rows, everything, host_counts)
-        if matrix is None:
+            vm_rows, pm_rows = soa.changed_since(cache[3])
+            matrix = cache[2]
+            matrix[:, pm_rows] = self._feasibility_block(soa, everything, pm_rows, host_counts)
+            matrix[vm_rows] = self._feasibility_block(soa, vm_rows, everything, host_counts)
+        else:
             matrix = self._feasibility_block(soa, everything, everything, host_counts)
-        self._matrix_cache = (soa, soa.version, matrix)
+        self._matrix_cache = (soa, soa.version, matrix, soa.snapshot())
         return matrix
 
     @staticmethod

@@ -25,12 +25,12 @@ observation in this repository uses):
   BOTH_NUMAS, ``-2`` when unplaced
 * ``vm_group``          — ``(V,)`` int64 dense anti-affinity group index
   (``-1`` for no group), numbered in first-seen sorted-VM order
-* ``version``           — int, bumped on every placement mutation; consumers
-  (e.g. the feasibility-matrix memo) key caches on it
-* a bounded *mutation journal* recording the (vm_row, pm_row) pair of every
-  placement mutation; :meth:`ClusterArrays.dirty_since` turns it into the
-  dirty row sets that drive incremental featurization and the encoder
-  step cache (see :mod:`repro.env.observation` / :mod:`repro.core.step_cache`)
+* ``version``           — int, bumped on every placement mutation; the
+  feasibility-matrix memo keys its exact hits on it
+
+The view keeps no history.  A consumer that patches what it derived from an
+earlier state keeps a :meth:`ClusterArrays.snapshot` and asks
+:meth:`ClusterArrays.changed_since` which rows moved since.
 
 Sync invariants
 ---------------
@@ -62,12 +62,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: ``vm_numa`` marker for an unplaced VM.
 UNPLACED_NUMA = -2
 
-#: Mutation-journal length cap.  Entries older than this are dropped (the
-#: base version advances); a consumer whose snapshot predates the base gets
-#: ``None`` from :meth:`ClusterArrays.dirty_since` and falls back to a full
-#: rebuild.  Sized far above any episode's step count.
-JOURNAL_CAPACITY = 4096
-
 
 class ClusterArrays:
     """Contiguous array mirror of one :class:`ClusterState`."""
@@ -90,8 +84,6 @@ class ClusterArrays:
         "vm_numa",
         "vm_group",
         "version",
-        "_journal",
-        "_journal_base",
     )
 
     @property
@@ -110,8 +102,6 @@ class ClusterArrays:
         """Materialize the SoA view from the object state."""
         soa = object.__new__(cls)
         soa.version = 0
-        soa._journal = []
-        soa._journal_base = 0
         pm_id_list = state.sorted_pm_ids()
         vm_id_list = state.sorted_vm_ids()
         num_pms = len(pm_id_list)
@@ -179,44 +169,31 @@ class ClusterArrays:
         clone.vm_group = self.vm_group
         clone.vm_pm = self.vm_pm.copy()
         clone.vm_numa = self.vm_numa.copy()
+        # Consumers key their caches on the view's identity, so a clone never
+        # satisfies a cache built against the original (and vice versa).
         clone.version = self.version
-        # The clone journals independently from here on; consumers key their
-        # caches on the *object identity* plus version, so a clone's history
-        # never satisfies a cache built against the original (and vice versa).
-        clone._journal = list(self._journal)
-        clone._journal_base = self._journal_base
         return clone
 
     # ------------------------------------------------------------------ #
-    # Mutation journal (dirty-set tracking)
+    # Measured dirty sets
     # ------------------------------------------------------------------ #
-    def _record(self, vm_row: int, pm_row: int) -> None:
-        """Append one mutation to the journal (called with version bumped)."""
-        journal = self._journal
-        journal.append((vm_row, pm_row))
-        if len(journal) > JOURNAL_CAPACITY:
-            drop = JOURNAL_CAPACITY // 2
-            del journal[:drop]
-            self._journal_base += drop
+    def snapshot(self) -> tuple:
+        """Copies of the placement arrays that :meth:`changed_since` diffs."""
+        return self.vm_pm.copy(), self.numa_free_cpu.copy(), self.numa_free_mem.copy()
 
-    def dirty_since(self, version: int):
-        """Rows touched since ``version``: ``(vm_rows, pm_rows)`` arrays.
+    def changed_since(self, snapshot: tuple) -> tuple:
+        """Rows that moved since ``snapshot``: sorted ``(vm_rows, pm_rows)``.
 
-        Returns ``None`` when ``version`` predates the journal (too old or
-        from before a rebuild) — the caller must fall back to a full rebuild.
-        Each placement mutation touches exactly one VM row and one PM row;
-        a migration contributes two entries (remove from the source PM, place
-        on the destination).  The arrays are deduplicated and sorted.
+        The VM rows are those whose host changed; the PM rows are those whose
+        free capacity changed, plus both hosts of every moved VM.  A VM that
+        left and came back is not a moved VM.
         """
-        if version > self.version or version < self._journal_base:
-            return None
-        if version == self.version:
-            empty = np.empty(0, dtype=np.intp)
-            return empty, empty
-        entries = self._journal[version - self._journal_base :]
-        vm_rows = np.unique(np.fromiter((e[0] for e in entries), dtype=np.intp, count=len(entries)))
-        pm_rows = np.unique(np.fromiter((e[1] for e in entries), dtype=np.intp, count=len(entries)))
-        return vm_rows, pm_rows
+        vm_pm, free_cpu, free_mem = snapshot
+        vm_rows = np.flatnonzero(self.vm_pm != vm_pm)
+        pm_dirty = ((self.numa_free_cpu != free_cpu) | (self.numa_free_mem != free_mem)).any(axis=1)
+        hosts = np.concatenate((vm_pm[vm_rows], self.vm_pm[vm_rows]))
+        pm_dirty[hosts[hosts >= 0]] = True
+        return vm_rows, np.flatnonzero(pm_dirty)
 
     # ------------------------------------------------------------------ #
     # Incremental sync (driven by ClusterState mutations)
@@ -236,7 +213,6 @@ class ClusterArrays:
         self.vm_pm[row] = pm_row
         self.vm_numa[row] = vm.numa_id
         self.version += 1
-        self._record(row, pm_row)
         return True
 
     def apply_remove(self, vm_id: int, pm_id: int, numa_id: int) -> bool:
@@ -269,7 +245,6 @@ class ClusterArrays:
         self.vm_pm[row] = -1
         self.vm_numa[row] = UNPLACED_NUMA
         self.version += 1
-        self._record(row, pm_row)
         return True
 
     # ------------------------------------------------------------------ #

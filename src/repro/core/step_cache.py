@@ -35,9 +35,9 @@ later blocks, the final norms and the actor/critic heads.
 Validity and exactness
 ----------------------
 Cache entries are keyed on the :class:`~repro.env.observation.ObservationDelta`
-chain: the observation builder starts a fresh chain on every full rebuild and
-bumps ``step_index`` per incremental build, so an entry is consulted only when
-it holds exactly the previous step of the same episode.  Changed rows come
+chain: the builder starts a fresh chain on any SoA view but its last one and
+bumps ``step_index`` per build on the same view, so an entry is consulted only
+when it holds exactly the previous step of the same episode.  Changed rows come
 from *exact comparison* of normalized feature matrices (never inferred), so a
 cached forward computes the same function as a fresh one; clean-tree outputs
 are reused from the previous step, where they were computed from bitwise-equal

@@ -9,8 +9,8 @@ actually runs in: a cluster that never stands still.
   failures and newer-generation PM re-adds) and a JSONL record/replay format.
 * :mod:`repro.sim.engine` — :class:`LivingCluster` replays the event stream
   onto a live :class:`~repro.cluster.state.ClusterState` through its mutation
-  methods, keeping the SoA mutation journal (and thus StepCache exactness)
-  intact under external churn.
+  methods, so the SoA view (and thus StepCache exactness) stays exact under
+  external churn.
 * :mod:`repro.sim.driver` — :class:`OnlineRescheduler` interleaves churn with
   periodic replanning through the serving stack (in-process service or a
   remote fleet via ``PlanningClient``), invalidating migrations the churn

@@ -4,10 +4,10 @@
 time-sorted event stream, and advances simulated time by applying every event
 that has come due.  All mutations flow through the state's own methods
 (``add_vm`` / ``remove_vm_from_cluster`` / ``migrate_vm`` / ``add_pm`` /
-``remove_pm``), so the SoA view, its mutation journal and therefore the
-dirty-set/StepCache machinery stay exact under external churn: placement-level
-changes (drain migrations) land in the journal, structural changes (VM/PM
-arrival and departure, resizes) invalidate the view for an exact rebuild.
+``remove_pm``), so the SoA view and therefore the measured dirty sets and the
+StepCache stay exact under external churn: placement-level changes (drain
+migrations) update the live view in place, structural changes (VM/PM arrival
+and departure, resizes) invalidate it for an exact rebuild.
 
 Event semantics
 ---------------
@@ -22,9 +22,9 @@ Event semantics
     re-scheduled best-fit.  If the new size fits nowhere the resize fails and
     the VM stays as it was (``failed_resizes``).
 ``pm_drain``
-    Maintenance: hosted VMs are migrated off best-fit (these are exactly the
-    journal-tracked placement mutations), VMs that fit nowhere else are
-    evicted, then the PM leaves.
+    Maintenance: hosted VMs are migrated off best-fit (placement mutations
+    of the live view), VMs that fit nowhere else are evicted, then the PM
+    leaves.
 ``pm_fail``
     Hard failure: hosted VMs are lost with the PM.
 ``pm_add``

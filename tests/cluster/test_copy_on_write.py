@@ -1,16 +1,23 @@
-"""SoA mutation journal (dirty-set tracking) + copy-on-write ClusterState.copy."""
+"""The SoA view's measured dirty sets + copy-on-write ClusterState.copy."""
 
 import numpy as np
 import pytest
 
-from repro.cluster import ClusterState, ConstraintChecker
-from repro.cluster.soa import JOURNAL_CAPACITY
+from repro.cluster import (
+    ClusterState,
+    ConstraintChecker,
+    PhysicalMachine,
+    Placement,
+    PMType,
+    VirtualMachine,
+    VMTypeCatalog,
+)
 from repro.datasets import ClusterSpec, SnapshotGenerator
 
 
 def _state(num_pms=10, seed=0):
     spec = ClusterSpec(
-        name="journal", num_pms=num_pms, target_utilization=0.8, best_fit_fraction=0.3
+        name="cow", num_pms=num_pms, target_utilization=0.8, best_fit_fraction=0.3
     )
     return SnapshotGenerator(spec, seed=seed).generate()
 
@@ -24,55 +31,63 @@ def _first_move(state):
     pytest.skip("no feasible migration in generated state")
 
 
-class TestMutationJournal:
-    def test_migration_records_both_endpoints(self):
+class TestChangedSince:
+    def test_migration_marks_both_endpoints(self):
         state = _state()
         soa = state.arrays()
-        version = soa.version
+        snapshot = soa.snapshot()
         vm_id, dest_pm = _first_move(state)
         source_row = int(soa.vm_pm[soa.vm_row[vm_id]])
         state.migrate_vm(vm_id, dest_pm)
-        vm_rows, pm_rows = soa.dirty_since(version)
+        vm_rows, pm_rows = soa.changed_since(snapshot)
         assert vm_rows.tolist() == [soa.vm_row[vm_id]]
-        assert set(pm_rows.tolist()) == {source_row, soa.pm_row[dest_pm]}
+        assert pm_rows.tolist() == sorted({source_row, soa.pm_row[dest_pm]})
 
-    def test_current_version_is_empty(self):
+    def test_copy_diffs_independently(self):
         state = _state()
         soa = state.arrays()
-        vm_rows, pm_rows = soa.dirty_since(soa.version)
-        assert vm_rows.size == 0 and pm_rows.size == 0
-
-    def test_future_and_stale_versions_return_none(self):
-        state = _state()
-        soa = state.arrays()
-        assert soa.dirty_since(soa.version + 1) is None
-
-    def test_journal_trims_and_reports_stale(self):
-        state = _state()
-        soa = state.arrays()
-        vm_id, dest_pm = _first_move(state)
-        source_pm = int(state.vms[vm_id].pm_id)
-        version = soa.version
-        for _ in range(JOURNAL_CAPACITY // 2 + 2):
-            state.migrate_vm(vm_id, dest_pm)
-            state.migrate_vm(vm_id, source_pm)
-        assert soa.dirty_since(version) is None  # fell off the journal
-        recent = soa.version - 2
-        dirty = soa.dirty_since(recent)
-        assert dirty is not None and dirty[0].size == 1
-
-    def test_copy_journals_independently(self):
-        state = _state()
-        soa = state.arrays()
-        version = soa.version
+        snapshot = soa.snapshot()
         clone = state.copy()
         vm_id, dest_pm = _first_move(clone)
         clone.migrate_vm(vm_id, dest_pm)
-        # Original's view saw nothing; the clone's own view journalled it.
-        vm_rows, pm_rows = soa.dirty_since(version)
-        assert vm_rows.size == 0
-        clone_dirty = clone.arrays().dirty_since(version)
-        assert clone_dirty is not None and clone_dirty[0].size == 1
+        # The original's view saw nothing; the clone's own view moved.
+        vm_rows, pm_rows = soa.changed_since(snapshot)
+        assert vm_rows.size == 0 and pm_rows.size == 0
+        vm_rows, pm_rows = clone.arrays().changed_since(snapshot)
+        assert vm_rows.tolist() == [soa.vm_row[vm_id]] and pm_rows.size == 2
+
+
+    def test_numa_switch_on_the_same_pm_marks_only_that_pm(self):
+        state = _hand_built()
+        soa = state.arrays()
+        snapshot = soa.snapshot()
+        state.migrate_vm(0, 2, dest_numa_id=0)
+        state.migrate_vm(0, 0, dest_numa_id=1)
+        vm_rows, pm_rows = soa.changed_since(snapshot)
+        assert vm_rows.size == 0 and pm_rows.tolist() == [0]
+
+    def test_swap_of_equal_vms_marks_both_hosts(self):
+        """Two equal VMs trade hosts: no free capacity moved, yet both hosts
+        count, since what they host (and so its anti-affinity groups) did."""
+        state = _hand_built()
+        soa = state.arrays()
+        snapshot = soa.snapshot()
+        state.migrate_vm(0, 2, dest_numa_id=0)
+        state.migrate_vm(1, 0, dest_numa_id=0)
+        state.migrate_vm(0, 1, dest_numa_id=0)
+        np.testing.assert_array_equal(soa.numa_free_cpu, snapshot[1])
+        vm_rows, pm_rows = soa.changed_since(snapshot)
+        assert vm_rows.tolist() == [0, 1] and pm_rows.tolist() == [0, 1]
+
+
+def _hand_built():
+    """Three 64-core PMs; two equal VMs on NUMA 0 of PMs 0 and 1."""
+    pms = [PhysicalMachine(pm_id=i, pm_type=PMType("pm64", cpu=64, memory=256)) for i in range(3)]
+    state = ClusterState(pms=pms, vms=[])
+    vm_type = VMTypeCatalog.main().get("xlarge")
+    for vm_id in (0, 1):
+        state.add_vm(VirtualMachine(vm_id=vm_id, vm_type=vm_type), Placement(pm_id=vm_id, numa_id=0))
+    return state
 
 
 class TestCopyOnWrite:

@@ -1,9 +1,10 @@
-"""The memoized feasibility matrix patched from the SoA mutation journal.
+"""The memoized feasibility matrix patched from the SoA view's measured diff.
 
 One long-lived :class:`ConstraintChecker` must return, after every placement
 mutation, exactly the matrix a fresh checker builds from scratch — whether it
-patched the dirty PM columns / VM rows or fell back to a full build (journal
-overflow, a cloned state, assigned groups, too many touched PMs).
+patched the dirty PM columns / VM rows (those the view's
+``changed_since`` names) or fell back to a full build (a cloned state,
+assigned groups, too many mutations).
 """
 
 import numpy as np
@@ -11,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import ConstraintChecker, Placement
-from repro.cluster import soa as soa_module
 from repro.cluster.constraints import assign_anti_affinity_groups
 from repro.datasets import ClusterSpec, SnapshotGenerator
 
@@ -143,18 +143,6 @@ class TestFallsBackToFullBuild:
         _assert_equal_to_fresh(checker, state)
         assert recorder.take() == self._full(state)
 
-    def test_journal_overflow(self, monkeypatch):
-        monkeypatch.setattr(soa_module, "JOURNAL_CAPACITY", 4)
-        state = _state(seed=3)
-        rng = np.random.default_rng(2)
-        # Divisor 0: the touched-PM rule never vetoes the patch, only the journal can.
-        monkeypatch.setattr("repro.cluster.constraints._PATCH_PM_DIVISOR", 0)
-        checker, recorder = self._checker(state)
-        moved = sum(_mutate(state, "migrate", rng) for _ in range(6))
-        assert 2 * moved > 4 and state.arrays().dirty_since(0) is None
-        _assert_equal_to_fresh(checker, state)
-        assert recorder.take() == self._full(state)
-
     def test_too_many_touched_pms(self):
         """8 PMs: a migration's two are a quarter of them — rebuilt, not patched;
         likewise many migrations between two reads on a larger cluster."""
@@ -170,3 +158,21 @@ class TestFallsBackToFullBuild:
         assert sum(_mutate(state, "migrate", rng) for _ in range(5)) >= 2
         _assert_equal_to_fresh(checker, state)
         assert recorder.take() == self._full(state)
+
+
+class TestMeasuredDirtySet:
+    def test_vm_moved_away_and_back_patches_nothing(self):
+        """Between two reads a VM leaves and returns to its NUMA: no VM row
+        and no PM column differs, so the patch recomputes no cell."""
+        state = _state(num_pms=40, seed=5)
+        checker = ConstraintChecker()
+        recorder = _Recorder(checker)
+        movable = checker.movable_vm_mask(state)
+        recorder.take()
+        vm_id = state.sorted_vm_ids()[int(np.flatnonzero(movable)[0])]
+        vm = state.vms[vm_id]
+        source_pm, source_numa = vm.pm_id, vm.numa_id
+        state.migrate_vm(vm_id, state.feasible_destination_pms(vm_id)[0])
+        state.migrate_vm(vm_id, source_pm, dest_numa_id=source_numa)
+        _assert_equal_to_fresh(checker, state)
+        assert recorder.take() == [(state.num_vms, 0), (0, state.num_pms)]

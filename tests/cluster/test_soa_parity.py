@@ -145,7 +145,7 @@ class TestFeatureParity:
         state = random_state(seed)
         builder = ObservationBuilder(ConstraintChecker())
         fast = builder.build(state, migrations_left=12)
-        reference = build_reference(builder, state, migrations_left=12)
+        reference = build_reference(state, migrations_left=12)
         np.testing.assert_array_equal(fast.pm_features, reference.pm_features)
         np.testing.assert_array_equal(fast.vm_features, reference.vm_features)
         np.testing.assert_array_equal(fast.vm_source_pm, reference.vm_source_pm)
@@ -313,11 +313,10 @@ def test_vectorized_paths_beat_the_loop_oracles():
     if groups * 3 <= state.num_vms:
         assign_anti_affinity_groups(state, groups, 3, np.random.default_rng(1))
     config = ConstraintConfig(migration_limit=25)
-    builder = ObservationBuilder(ConstraintChecker(config))
     state.arrays()
     assert _best_of(lambda: ConstraintChecker(config).movable_vm_mask(state), 8) < _best_of(
         lambda: movable_vm_mask_reference(state), 4
     )
     assert _best_of(
         lambda: ObservationBuilder(ConstraintChecker(config)).build(state, 25), 8
-    ) < _best_of(lambda: build_reference(builder, state, 25), 2)
+    ) < _best_of(lambda: build_reference(state, 25), 2)

@@ -1,4 +1,4 @@
-"""Incremental StepCache + incremental observation builds vs fresh recompute.
+"""Incremental StepCache + observation deltas vs fresh recompute.
 
 The step cache must be *exact*: over full multi-step episodes (including
 auto-reset into a new episode), cached forwards match fresh featurize/encode
@@ -10,8 +10,12 @@ clusters, where it does, and checks through ``StepCache.stats()`` that it ran.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.cluster import ConstraintConfig
+from repro.cluster import ConstraintConfig, Placement
+from repro.cluster.machine import VirtualMachine
+from repro.cluster.vm_types import VMType
 from repro.core.agent import VMR2LAgent
 from repro.core.config import ModelConfig, VMR2LConfig
 from repro.core.features import build_feature_batch
@@ -51,10 +55,7 @@ class TestIncrementalObservation:
             assert np.array_equal(obs.vm_features, fresh.vm_features)
             assert np.array_equal(obs.vm_mask, fresh.vm_mask)
             assert np.array_equal(obs.vm_source_pm, fresh.vm_source_pm)
-            if obs.delta is not None and obs.delta.step_index > 0:
-                deltas_seen += 1
-                # The journalled move must appear in the delta's moved rows.
-                assert obs.delta.moved_vm_rows.size >= 1
+            deltas_seen += obs.delta.step_index > 0
             if not obs.vm_mask.any():
                 break
             vm = rng.choice(np.flatnonzero(obs.vm_mask))
@@ -63,14 +64,52 @@ class TestIncrementalObservation:
             if done:
                 obs = env.reset()
                 # Auto-reset copies the template: a fresh chain begins.
-                assert obs.delta is None or obs.delta.step_index == 0
+                assert obs.delta.step_index == 0
         assert deltas_seen > 0
+
+    @given(
+        st.lists(
+            st.sampled_from(["migrate", "migrate", "remove", "place", "add", "copy", "group"]),
+            min_size=1,
+            max_size=20,
+        ),
+        st.integers(0, 2 ** 31 - 1),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_delta_is_the_exact_diff(self, kinds, seed):
+        """Every build's delta is the exact diff against the previous
+        observation, and a chain restarts exactly when the SoA view changes."""
+        from repro.env.observation import ObservationBuilder
+
+        rng = np.random.default_rng(seed)
+        state = _state(seed=seed % 4)
+        builder = ObservationBuilder()
+        previous, previous_view, chain_ids = None, None, set()
+        for kind in [None] + kinds:
+            state = _mutate(state, kind, rng)
+            obs = builder.build(state, migrations_left=5)
+            delta = obs.delta
+            if state.arrays() is not previous_view:
+                assert delta.step_index == 0 and delta.chain_id not in chain_ids
+                assert delta.changed_pm_rows.tolist() == list(range(obs.num_pms))
+                assert delta.changed_vm_rows.tolist() == list(range(obs.num_vms))
+                assert delta.moved_vm_rows.size == delta.moved_pm_rows.size == 0
+            else:
+                assert delta.chain_id == previous.delta.chain_id
+                assert delta.step_index == previous.delta.step_index + 1
+                changed_pm = (obs.pm_features != previous.pm_features).any(axis=1)
+                changed_vm = (obs.vm_features != previous.vm_features).any(axis=1)
+                moved = np.flatnonzero(obs.vm_source_pm != previous.vm_source_pm)
+                endpoints = set(previous.vm_source_pm[moved]) | set(obs.vm_source_pm[moved])
+                assert delta.changed_pm_rows.tolist() == np.flatnonzero(changed_pm).tolist()
+                assert delta.changed_vm_rows.tolist() == np.flatnonzero(changed_vm).tolist()
+                assert delta.moved_vm_rows.tolist() == moved.tolist()
+                assert delta.moved_pm_rows.tolist() == sorted(endpoints - {-1})
+            chain_ids.add(delta.chain_id)
+            previous, previous_view = obs, state.arrays()
 
     def test_structural_change_falls_back(self):
         """add_vm invalidates the SoA view; the next build starts a new chain."""
-        from repro.cluster.machine import VirtualMachine
-        from repro.cluster.vm_types import VMType
-
         env = VMRescheduleEnv(_state(seed=4), ConstraintConfig(migration_limit=6))
         obs = env.reset()
         vm = np.flatnonzero(obs.vm_mask)[0]
@@ -82,6 +121,37 @@ class TestIncrementalObservation:
         rebuilt = env.builder.build(env.state, env.migrations_left())
         assert rebuilt.delta is None or rebuilt.delta.step_index == 0
         assert rebuilt.num_vms == obs.num_vms + 1
+
+
+def _mutate(state, kind, rng):
+    """Apply one random change of ``kind`` (a no-op when none exists) and
+    return the state to build next: ``copy`` hands back a copy."""
+    placed = state.placed_vm_ids()
+    if kind == "copy":
+        return state.copy()
+    if kind == "add":
+        new_id = max(state.vms) + 1
+        state.add_vm(VirtualMachine(vm_id=new_id, vm_type=VMType("t", 1, 4, 1)))
+    elif kind == "group" and len(placed) >= 2:
+        for vm_id in rng.choice(placed, size=2, replace=False):
+            state.set_anti_affinity_group(int(vm_id), int(rng.integers(3)))
+    elif kind == "remove" and placed:
+        state.remove_vm(int(placed[rng.integers(len(placed))]))
+    elif kind == "place":
+        unplaced = [vm_id for vm_id in state.sorted_vm_ids() if not state.vms[vm_id].is_placed]
+        if unplaced:
+            vm_id = int(unplaced[rng.integers(len(unplaced))])
+            for pm_id in rng.permutation(state.sorted_pm_ids()):
+                numas = state.feasible_numas(vm_id, int(pm_id))
+                if numas:
+                    state.place_vm(vm_id, Placement(int(pm_id), numas[0]))
+                    break
+    elif kind == "migrate" and placed:
+        vm_id = int(placed[rng.integers(len(placed))])
+        destinations = state.feasible_destination_pms(vm_id)
+        if destinations:
+            state.migrate_vm(vm_id, int(destinations[rng.integers(len(destinations))]))
+    return state
 
 
 class TestStepCacheEncoder:

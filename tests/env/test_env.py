@@ -26,7 +26,7 @@ from repro.env import (
     make_objective,
 )
 
-from oracles import dense_tree_mask
+from oracles import build_reference, dense_tree_mask
 
 CATALOG = VMTypeCatalog.main()
 
@@ -87,6 +87,22 @@ class TestObservationBuilder:
         state = build_state()
         obs = ObservationBuilder().build(state, migrations_left=10)
         assert obs.vm_mask.all()
+
+    def test_features_use_the_snapshots_fragment_cores(self):
+        """A snapshot at 8-core granularity is featurized at 8 cores, like its
+        objective: the same placements at the default 16 featurize apart."""
+        payload = SnapshotGenerator(small_spec(), seed=0).generate().to_dict()
+        default = ClusterState.from_dict(payload)
+        payload["fragment_cores"] = 8
+        state = ClusterState.from_dict(payload)
+        assert state.fragment_rate() != default.fragment_rate()
+        obs = ObservationBuilder().build(state, migrations_left=10)
+        reference = build_reference(state, migrations_left=10)
+        np.testing.assert_array_equal(obs.pm_features, reference.pm_features)
+        np.testing.assert_array_equal(obs.vm_features, reference.vm_features)
+        at_default = ObservationBuilder().build(default, migrations_left=10)
+        assert not np.array_equal(obs.pm_features, at_default.pm_features)
+        assert not np.array_equal(obs.vm_features, at_default.vm_features)
 
     def test_pm_mask_excludes_source(self):
         state = build_state()

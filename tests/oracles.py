@@ -40,7 +40,6 @@ from repro.env.observation import (
     VM_FEATURE_DIM,
     VM_OWN_FEATURE_DIM,
     Observation,
-    ObservationBuilder,
     _min_max_normalize,
 )
 from repro.nn import AttentionMask, MultiHeadAttention, Tensor, concatenate, where
@@ -247,15 +246,13 @@ def movable_vm_mask_reference(state: ClusterState) -> np.ndarray:
     )
 
 
-def build_reference(
-    builder: ObservationBuilder, state: ClusterState, migrations_left: int
-) -> Observation:
-    """``builder.build`` featurized machine by machine."""
+def build_reference(state: ClusterState, migrations_left: int) -> Observation:
+    """``ObservationBuilder.build`` featurized machine by machine."""
     pm_ids = sorted(state.pms)
     vm_ids = sorted(state.vms)
     pm_index = {pm_id: index for index, pm_id in enumerate(pm_ids)}
-    pm_features = _pm_features(builder, state, pm_ids)
-    vm_features, vm_source_pm = _vm_features(builder, state, vm_ids, pm_index, pm_features)
+    pm_features = _pm_features(state, pm_ids)
+    vm_features, vm_source_pm = _vm_features(state, vm_ids, pm_index, pm_features)
     return Observation(
         pm_features=_min_max_normalize(pm_features),
         vm_features=_min_max_normalize(vm_features),
@@ -265,9 +262,9 @@ def build_reference(
     )
 
 
-def _pm_features(builder: ObservationBuilder, state: ClusterState, pm_ids: List[int]) -> np.ndarray:
+def _pm_features(state: ClusterState, pm_ids: List[int]) -> np.ndarray:
     features = np.zeros((len(pm_ids), PM_FEATURE_DIM), dtype=float)
-    x = builder.fragment_cores
+    x = state.fragment_cores
     for row, pm_id in enumerate(pm_ids):
         pm = state.pms[pm_id]
         pm_free = pm.free_cpu
@@ -283,7 +280,6 @@ def _pm_features(builder: ObservationBuilder, state: ClusterState, pm_ids: List[
 
 
 def _vm_features(
-    builder: ObservationBuilder,
     state: ClusterState,
     vm_ids: List[int],
     pm_index: Dict[int, int],
@@ -291,7 +287,7 @@ def _vm_features(
 ) -> tuple:
     features = np.zeros((len(vm_ids), VM_FEATURE_DIM), dtype=float)
     source_pm = np.full(len(vm_ids), -1, dtype=int)
-    x = builder.fragment_cores
+    x = state.fragment_cores
     for row, vm_id in enumerate(vm_ids):
         vm = state.vms[vm_id]
         if vm.numa_count == 2:

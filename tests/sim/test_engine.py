@@ -1,4 +1,4 @@
-"""LivingCluster engine: event semantics, PM lifecycle, SoA/journal exactness."""
+"""LivingCluster engine: event semantics, PM lifecycle, SoA exactness."""
 
 import pytest
 
