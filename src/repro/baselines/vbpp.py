@@ -10,7 +10,7 @@ does not consume migration budget.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..cluster import ClusterState, MigrationPlan, Placement
 from .base import Rescheduler
@@ -74,38 +74,47 @@ class AlphaVBPP(Rescheduler):
         # one victim's destination may still be occupied by another victim
         # that moves later in the list — so order_migrations linearizes the
         # final assignment into one-at-a-time moves.
-        scratch = state.copy()
-        original: Dict[int, Placement] = {}
-        for vm_id in victims:
-            original[vm_id] = scratch.remove_vm(vm_id)
-        assignment: Dict[int, int] = {}
-        numa_targets: Dict[int, int] = {}
-        # Re-place in decreasing CPU order (first-fit decreasing flavour).
-        for vm_id in sorted(victims, key=lambda v: -scratch.vms[v].cpu):
-            placement = self._pack(scratch, vm_id)
-            if placement is None:
-                placement = original[vm_id]
-            scratch.place_vm(vm_id, placement, honor_affinity=False)
-            if placement.pm_id != original[vm_id].pm_id:
-                assignment[vm_id] = placement.pm_id
-                numa_targets[vm_id] = placement.numa_id
+        assignment, numa_targets = self._repack(state, victims)
         # order_migrations appends the moves it could not linearize (cyclic
         # swaps with no free buffer) after the feasible ones.  Those are not
         # emitted: the plan must replay strictly, so their victims stay where
         # they are in ``state`` and cost no budget.
         moved = 0
         for migration in order_migrations(state, assignment, numa_targets):
-            if not state.can_host(migration.vm_id, migration.dest_pm_id, honor_affinity=False):
+            if not state.can_host(migration.vm_id, migration.dest_pm_id):
                 continue
-            state.migrate_vm(
-                migration.vm_id,
-                migration.dest_pm_id,
-                dest_numa_id=migration.dest_numa_id,
-                honor_affinity=False,
-            )
+            state.migrate_vm(migration.vm_id, migration.dest_pm_id, dest_numa_id=migration.dest_numa_id)
             plan.append(migration)
             moved += 1
         return moved
+
+    def _repack(
+        self, state: ClusterState, victims: List[int]
+    ) -> Tuple[Dict[int, int], Dict[int, int]]:
+        """Destination PM and NUMA of every victim that changes PM.
+
+        Victims are re-placed in decreasing CPU order (first-fit decreasing
+        flavour).  A victim that finds no room — earlier victims took its
+        old spot — is pinned to its original placement and the repack starts
+        over with it left in place, so the final assignment always fits.
+        """
+        pinned: Set[int] = set()
+        while True:
+            scratch = state.copy()
+            original = {v: scratch.remove_vm(v) for v in victims if v not in pinned}
+            assignment: Dict[int, int] = {}
+            numa_targets: Dict[int, int] = {}
+            for vm_id in sorted(original, key=lambda v: -scratch.vms[v].cpu):
+                placement = self._pack(scratch, vm_id)
+                if placement is None:
+                    pinned.add(vm_id)
+                    break
+                scratch.place_vm(vm_id, placement)
+                if placement.pm_id != original[vm_id].pm_id:
+                    assignment[vm_id] = placement.pm_id
+                    numa_targets[vm_id] = placement.numa_id
+            else:
+                return assignment, numa_targets
 
     def _select_victims(self, state: ClusterState, count: int) -> List[int]:
         """VMs on the most fragmented PMs whose removal helps the most."""

@@ -82,3 +82,24 @@ def test_every_planner_keeps_anti_affinity(agent, seed, num_pms, group_count, gr
         plans.append(planner.compute_plan(state, MIGRATION_LIMIT).plan)
     for plan in plans:
         assert_keeps_anti_affinity(state, plan)
+
+
+@pytest.mark.parametrize(
+    "seed, num_pms, group_count, group_size, alpha",
+    [
+        (14095, 4, 1, 3, 3),
+        (48345, 4, 5, 4, 3),
+        (63830, 4, 2, 4, 3),
+        (29961, 7, 5, 4, 5),
+    ],
+)
+def test_vbpp_replays_strictly_on_grouped_clusters(seed, num_pms, group_count, group_size, alpha):
+    # Regression: the first three put a stage victim that found no room back
+    # on its original NUMA after another victim had taken it (a crash at NUMA
+    # allocate); the last emitted a move onto a PM still hosting a group
+    # member that left only later in the plan, so strict replay refused it.
+    state = grouped_cluster(seed, num_pms, group_count, group_size)
+    result = AlphaVBPP(alpha=alpha).compute_plan(state, MIGRATION_LIMIT)
+    assert_keeps_anti_affinity(state, result.plan)
+    replayed, _ = apply_plan(state, result.plan, skip_infeasible=False)
+    assert replayed.fragment_rate() == pytest.approx(result.info["final_fragment_rate"])
