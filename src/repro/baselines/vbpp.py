@@ -68,42 +68,33 @@ class AlphaVBPP(Rescheduler):
         victims = self._select_victims(state, min(self.alpha, budget))
         if not victims:
             return 0
-        # The packer works unpack-then-repack on a scratch copy: all victims
-        # are removed at once so it sees the freed capacity, then re-placed.
-        # The resulting moves are only *jointly* feasible — emitted naively,
-        # one victim's destination may still be occupied by another victim
-        # that moves later in the list — so order_migrations linearizes the
-        # final assignment into one-at-a-time moves.
+        # The repack removes all victims at once on a scratch copy, so its
+        # moves are only *jointly* feasible; order_migrations linearizes them.
+        # A move that does not fit ``state`` at its turn (a cyclic swap with no
+        # buffer, a PM still hosting a group member, a pinned NUMA that a
+        # skipped move left taken) is not emitted: migrate_vm is atomic, so the
+        # victim stays put, costs no budget, and the plan replays strictly.
         assignment, numa_targets = self._repack(state, victims)
-        # order_migrations appends the moves it could not linearize (cyclic
-        # swaps with no free buffer) after the feasible ones.  Those are not
-        # emitted: the plan must replay strictly, so their victims stay where
-        # they are in ``state`` and cost no budget.
         moved = 0
         for migration in order_migrations(state, assignment, numa_targets):
-            if not state.can_host(migration.vm_id, migration.dest_pm_id):
+            try:
+                state.migrate_vm(migration.vm_id, migration.dest_pm_id, dest_numa_id=migration.dest_numa_id)
+            except ValueError:
                 continue
-            state.migrate_vm(migration.vm_id, migration.dest_pm_id, dest_numa_id=migration.dest_numa_id)
             plan.append(migration)
             moved += 1
         return moved
 
-    def _repack(
-        self, state: ClusterState, victims: List[int]
-    ) -> Tuple[Dict[int, int], Dict[int, int]]:
-        """Destination PM and NUMA of every victim that changes PM.
-
-        Victims are re-placed in decreasing CPU order (first-fit decreasing
-        flavour).  A victim that finds no room — earlier victims took its
-        old spot — is pinned to its original placement and the repack starts
-        over with it left in place, so the final assignment always fits.
+    def _repack(self, state: ClusterState, victims: List[int]) -> Tuple[Dict[int, int], Dict[int, int]]:
+        """Destination PM and NUMA of every victim that changes PM, re-placed in
+        decreasing CPU order.  A victim that finds no room (earlier victims took
+        its old spot) is pinned in place and the repack starts over without it.
         """
         pinned: Set[int] = set()
         while True:
             scratch = state.copy()
             original = {v: scratch.remove_vm(v) for v in victims if v not in pinned}
-            assignment: Dict[int, int] = {}
-            numa_targets: Dict[int, int] = {}
+            assignment, numa_targets = {}, {}
             for vm_id in sorted(original, key=lambda v: -scratch.vms[v].cpu):
                 placement = self._pack(scratch, vm_id)
                 if placement is None:

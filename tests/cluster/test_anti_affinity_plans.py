@@ -91,13 +91,16 @@ def test_every_planner_keeps_anti_affinity(agent, seed, num_pms, group_count, gr
         (48345, 4, 5, 4, 3),
         (63830, 4, 2, 4, 3),
         (29961, 7, 5, 4, 5),
+        (59141, 5, 6, 4, 3),
     ],
 )
 def test_vbpp_replays_strictly_on_grouped_clusters(seed, num_pms, group_count, group_size, alpha):
     # Regression: the first three put a stage victim that found no room back
     # on its original NUMA after another victim had taken it (a crash at NUMA
     # allocate); the last emitted a move onto a PM still hosting a group
-    # member that left only later in the plan, so strict replay refused it.
+    # member that left only later in the plan, so strict replay refused it;
+    # the fifth emitted a move onto its pinned NUMA after a skipped move had
+    # left that NUMA taken (a crash at NUMA allocate).
     state = grouped_cluster(seed, num_pms, group_count, group_size)
     result = AlphaVBPP(alpha=alpha).compute_plan(state, MIGRATION_LIMIT)
     assert_keeps_anti_affinity(state, result.plan)
