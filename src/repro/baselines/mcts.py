@@ -7,6 +7,11 @@ hopeless, so the search only branches over a pruned candidate set — the top-K
 estimates values with greedy rollouts.  The rollout/iteration budget controls
 the latency/quality trade-off that makes MCTS fall behind under the
 five-second limit (§5.2).
+
+Every gain is read from the state's move scores
+(:meth:`~repro.cluster.soa.ClusterArrays.move_scores`): the candidates are a
+stable top-K over all legal (VM, PM) pairs, ties in sorted-VM then sorted-PM
+order, and a move's gain is one cell of its VM's row.
 """
 
 from __future__ import annotations
@@ -39,6 +44,10 @@ class _Node:
         return self.total_value / self.visits if self.visits else 0.0
 
 
+#: UCT exploration constant.
+_EXPLORATION = 1.0
+
+
 class MCTSRescheduler(Rescheduler):
     """Pruned Monte-Carlo tree search over migration sequences."""
 
@@ -49,7 +58,6 @@ class MCTSRescheduler(Rescheduler):
         iterations_per_step: int = 24,
         candidate_actions: int = 8,
         rollout_depth: int = 4,
-        exploration: float = 1.0,
         seed: int = 0,
     ) -> None:
         if iterations_per_step <= 0 or candidate_actions <= 0:
@@ -57,7 +65,6 @@ class MCTSRescheduler(Rescheduler):
         self.iterations_per_step = iterations_per_step
         self.candidate_actions = candidate_actions
         self.rollout_depth = rollout_depth
-        self.exploration = exploration
         self.rng = np.random.default_rng(seed)
         self._info: Dict = {}
 
@@ -92,7 +99,7 @@ class MCTSRescheduler(Rescheduler):
         best_action = max(root.children.items(), key=lambda item: item[1].visits)[0]
         # Only commit to moves that do not increase fragments.
         best_child = root.children[best_action]
-        if best_child.mean_value < 0.0 and self._greedy_gain(state, best_action) < 0.0:
+        if best_child.mean_value < 0.0 and self._score(state, best_action)[0] < 0.0:
             return None
         return best_action
 
@@ -125,7 +132,7 @@ class MCTSRescheduler(Rescheduler):
         best_score = -float("inf")
         for child in node.children.values():
             exploit = child.mean_value
-            explore = self.exploration * math.sqrt(log_visits / max(child.visits, 1))
+            explore = _EXPLORATION * math.sqrt(log_visits / max(child.visits, 1))
             score = exploit + explore
             if score > best_score:
                 best_score = score
@@ -146,50 +153,24 @@ class MCTSRescheduler(Rescheduler):
     def _candidate_actions(self, state: ClusterState, limit: Optional[int] = None) -> List[Tuple[int, int]]:
         """Top-K (vm, pm) pairs ranked by immediate fragment reduction (pruning)."""
         limit = limit or self.candidate_actions
-        scored: List[Tuple[float, Tuple[int, int]]] = []
-        for vm_id in state.sorted_vm_ids():
-            vm = state.vms[vm_id]
-            if not vm.is_placed:
-                continue
-            source_pm = vm.pm_id
-            before_source = state.pm_fragment(source_pm)
-            placement = state.remove_vm(vm_id)
-            after_source = state.pm_fragment(source_pm)
-            conflicts = state.conflicting_pm_ids(vm_id)
-            for pm_id in state.pms:
-                if pm_id == source_pm or pm_id in conflicts:
-                    continue
-                numa_id = state.best_numa_for(vm_id, pm_id, honor_affinity=False)
-                if numa_id is None:
-                    continue
-                before_dest = state.pm_fragment(pm_id)
-                state.place_vm(vm_id, _placement(pm_id, numa_id), honor_affinity=False)
-                after_dest = state.pm_fragment(pm_id)
-                state.remove_vm(vm_id)
-                gain = (before_source - after_source) + (before_dest - after_dest)
-                scored.append((gain, (vm_id, pm_id)))
-            state.place_vm(vm_id, placement, honor_affinity=False)
-        scored.sort(key=lambda item: -item[0])
-        return [action for _, action in scored[:limit]]
+        soa = state.arrays()
+        total, _ = soa.move_scores(slice(None), state.fragment_cores)
+        legal = np.flatnonzero(total < np.inf)
+        best = legal[np.argsort(total.ravel()[legal], kind="stable")[:limit]]
+        rows, columns = np.divmod(best, soa.num_pms)
+        return [(int(vm_id), int(pm_id)) for vm_id, pm_id in zip(soa.vm_ids[rows], soa.pm_ids[columns])]
+
+    def _score(self, state: ClusterState, action: Tuple[int, int]) -> Tuple[float, int]:
+        """Fragment reduction of one move (``-inf`` if it is illegal) and the
+        NUMA it lands on: one cell of the move scores."""
+        vm_id, dest_pm_id = action
+        soa = state.arrays()
+        total, numa = soa.move_scores([soa.vm_row[vm_id]], state.fragment_cores)
+        column = soa.pm_row[dest_pm_id]
+        return -float(total[0, column]), int(numa[0, column])
 
     def _apply(self, state: ClusterState, action: Tuple[int, int]) -> float:
-        return self._greedy_gain(state, action, commit=True)
-
-    def _greedy_gain(self, state: ClusterState, action: Tuple[int, int], commit: bool = False) -> float:
-        vm_id, dest_pm_id = action
-        vm = state.vms[vm_id]
-        source_pm = vm.pm_id
-        before = state.pm_fragment(source_pm) + state.pm_fragment(dest_pm_id)
-        working = state if commit else state.copy()
-        try:
-            working.migrate_vm(vm_id, dest_pm_id)
-        except ValueError:
-            return -float("inf")
-        after = working.pm_fragment(source_pm) + working.pm_fragment(dest_pm_id)
-        return before - after
-
-
-def _placement(pm_id: int, numa_id: int):
-    from ..cluster import Placement
-
-    return Placement(pm_id=pm_id, numa_id=numa_id)
+        gain, numa_id = self._score(state, action)
+        if gain > -math.inf:
+            state.migrate_vm(*action, dest_numa_id=numa_id)
+        return gain

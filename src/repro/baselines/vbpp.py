@@ -1,20 +1,28 @@
 """α-VBPP: vector-bin-packing generalized to rescheduling (§5.1).
 
 The baseline divides the episode into ``MNL / alpha`` stages.  In each stage it
-greedily removes the ``alpha`` VMs whose removal reduces fragments the most,
-then treats them as newly arriving VMs and re-places them with a vector
-bin-packing heuristic (best-fit on the weighted CPU/memory residual, following
-Panigrahy et al.'s norm-based scoring).  Re-placing a VM on its original PM
-does not consume migration budget.
+removes the ``alpha`` VMs whose departure reduces their source PM's fragment
+the most (a stable argsort of
+:meth:`~repro.cluster.soa.ClusterArrays.source_deltas`, ties to the lower VM
+id), then treats them as newly arriving VMs and re-places them on a scratch
+copy with a vector bin-packing heuristic (best-fit on the weighted CPU/memory
+residual, following Panigrahy et al.'s norm-based scoring).  Re-placing a VM
+on its original PM does not consume migration budget.  The stages stop early
+once a stage moves no VM.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
+import numpy as np
+
 from ..cluster import ClusterState, MigrationPlan, Placement
 from .base import Rescheduler
 from .mip import order_migrations
+
+#: Weight of the CPU dimension in the packing score; memory gets the rest.
+_CPU_WEIGHT = 0.7
 
 
 class AlphaVBPP(Rescheduler):
@@ -25,39 +33,25 @@ class AlphaVBPP(Rescheduler):
     alpha:
         Number of VMs removed and re-packed per stage (the paper tunes this to
         10 on the Medium dataset).
-    cpu_weight:
-        Weight of the CPU dimension in the packing score; memory gets
-        ``1 - cpu_weight``.
     """
 
     name = "alpha-VBPP"
 
-    def __init__(
-        self,
-        alpha: int = 10,
-        cpu_weight: float = 0.7,
-    ) -> None:
+    def __init__(self, alpha: int = 10) -> None:
         if alpha <= 0:
             raise ValueError("alpha must be positive")
-        if not 0.0 <= cpu_weight <= 1.0:
-            raise ValueError("cpu_weight must be in [0, 1]")
         self.alpha = alpha
-        self.cpu_weight = cpu_weight
         self._info: Dict = {}
 
     def _compute(self, state: ClusterState, migration_limit: int) -> MigrationPlan:
         plan = MigrationPlan()
         stages = max(migration_limit // self.alpha, 1)
-        moved_total = 0
-        for _ in range(stages):
-            if moved_total >= migration_limit:
+        stages_run = 0
+        while stages_run < stages and len(plan) < migration_limit:
+            stages_run += 1
+            if self._run_stage(state, plan, migration_limit - len(plan)) == 0:
                 break
-            budget = migration_limit - moved_total
-            moved = self._run_stage(state, plan, budget)
-            moved_total += moved
-            if moved == 0:
-                break
-        self._info = {"stages_run": stages, "final_fragment_rate": state.fragment_rate()}
+        self._info = {"stages_run": stages_run, "final_fragment_rate": state.fragment_rate()}
         return plan
 
     def _last_info(self) -> Dict:
@@ -108,20 +102,12 @@ class AlphaVBPP(Rescheduler):
                 return assignment, numa_targets
 
     def _select_victims(self, state: ClusterState, count: int) -> List[int]:
-        """VMs on the most fragmented PMs whose removal helps the most."""
-        scored: List[Tuple[float, int]] = []
-        for vm_id in state.sorted_vm_ids():
-            vm = state.vms[vm_id]
-            if not vm.is_placed:
-                continue
-            source_pm = vm.pm_id
-            before = state.pm_fragment(source_pm)
-            placement = state.remove_vm(vm_id)
-            after = state.pm_fragment(source_pm)
-            state.place_vm(vm_id, placement, honor_affinity=False)
-            scored.append((after - before, vm_id))
-        scored.sort()
-        return [vm_id for _, vm_id in scored[:count]]
+        """The ``count`` placed VMs whose departure drops their source PM's
+        fragment most."""
+        soa = state.arrays()
+        placed = np.flatnonzero(soa.vm_pm >= 0)
+        drops = soa.source_deltas(placed, state.fragment_cores)
+        return [int(vm_id) for vm_id in soa.vm_ids[placed[np.argsort(drops, kind="stable")[:count]]]]
 
     def _pack(self, state: ClusterState, vm_id: int) -> Optional[Placement]:
         """Norm-based best-fit over feasible (PM, NUMA) targets."""
@@ -155,4 +141,4 @@ class AlphaVBPP(Rescheduler):
             capacity_mem = numa.memory_capacity
         cpu_term = residual_cpu / capacity_cpu
         mem_term = residual_mem / capacity_mem
-        return self.cpu_weight * cpu_term ** 2 + (1.0 - self.cpu_weight) * mem_term ** 2
+        return _CPU_WEIGHT * cpu_term ** 2 + (1.0 - _CPU_WEIGHT) * mem_term ** 2

@@ -5,9 +5,10 @@ This subpackage models the cluster the VM rescheduling problem operates on:
 * :mod:`repro.cluster.vm_types` — VM / PM flavor catalogs (Table 1, §5.4)
 * :mod:`repro.cluster.machine` — ``VirtualMachine``, ``NumaNode``, ``PhysicalMachine``
 * :mod:`repro.cluster.state` — ``ClusterState`` placement bookkeeping
-* :mod:`repro.cluster.soa` — ``ClusterArrays`` structure-of-arrays hot-path view
+* :mod:`repro.cluster.soa` — ``ClusterArrays`` structure-of-arrays view: the
+  feasibility matrix and the move scores every planner reads
 * :mod:`repro.cluster.fragmentation` — fragment-rate metrics (§1, Eq. 8)
-* :mod:`repro.cluster.constraints` — feasibility checks and masks (Eq. 2–6, §5.4)
+* :mod:`repro.cluster.constraints` — constraint setting and masks (Eq. 2–6, §5.4)
 * :mod:`repro.cluster.migration` — migration plans and the live-migration cost model
 * :mod:`repro.cluster.events` — cluster events and dynamic arrival/exit processes (Fig. 1, Fig. 5)
 """

@@ -18,7 +18,7 @@ BOTH_NUMAS = -1
 
 #: Shared tolerance for capacity feasibility comparisons.  Both feasibility
 #: checks — object-based (``NumaNode.can_host``) and the vectorized matrix in
-#: :mod:`repro.cluster.constraints` — must use this same constant or masks
+#: :mod:`repro.cluster.soa` — must use this same constant or masks
 #: and mutations disagree at exact-fit boundaries.
 FEASIBILITY_EPS = 1e-9
 

@@ -284,24 +284,19 @@ class ClusterState:
     def best_numa_for(self, vm_id: int, pm_id: int, honor_affinity: bool = True) -> Optional[int]:
         """Pick the NUMA on ``pm_id`` minimizing the resulting fragment (best fit).
 
-        Returns ``None`` when the PM cannot host the VM at all.  Single-NUMA VMs
-        are assigned to the feasible NUMA whose post-placement X-core fragment
-        is smallest, breaking ties toward the NUMA with less free CPU.
+        Returns ``None`` when the PM cannot host the VM at all.  The choice is
+        the move-scoring rule's (:meth:`ClusterArrays.placement_scores`): a
+        single-NUMA VM goes to the feasible NUMA whose post-placement X-core
+        fragment is smallest, then to the one with less free CPU, then NUMA 0.
         """
-        candidates = self.feasible_numas(vm_id, pm_id, honor_affinity=honor_affinity)
-        if not candidates:
+        if honor_affinity and pm_id in self.conflicting_pm_ids(vm_id):
             return None
-        vm = self.vms[vm_id]
-        if candidates == [BOTH_NUMAS]:
-            return BOTH_NUMAS
-        pm = self.pms[pm_id]
-
-        def post_fragment(numa_id: int) -> Tuple[float, float]:
-            numa = pm.numas[numa_id]
-            remaining = numa.free_cpu - vm.cpu
-            return (remaining % self.fragment_cores, numa.free_cpu)
-
-        return min(candidates, key=post_fragment)
+        soa = self.arrays()
+        row, column = soa.vm_row[vm_id], soa.pm_row[pm_id]
+        _, numa, fits = soa.placement_scores(
+            slice(row, row + 1), slice(column, column + 1), self.fragment_cores
+        )
+        return int(numa[0, 0]) if fits[0, 0] else None
 
     # ------------------------------------------------------------------ #
     # Mutation

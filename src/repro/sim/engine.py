@@ -249,20 +249,20 @@ class LivingCluster:
         pm_ids = state.sorted_pm_ids()
         return pm_ids[int(self._rng.integers(len(pm_ids)))]
 
-    def _drain_destination(self, vm_id: int, exclude_pm: int) -> Optional[Placement]:
-        """Best-fit destination for a VM leaving ``exclude_pm`` (arithmetic,
-        no probe mutations): smallest post-placement fragment, then least
-        free CPU, then lowest PM id."""
+    def _drain_destination(self, vm_id: int) -> Optional[Placement]:
+        """Best-fit destination for a VM leaving its PM (arithmetic, no probe
+        mutations): smallest post-placement fragment, then least free CPU,
+        then lowest PM id.  The legal PMs and their NUMA choices are one row
+        of the SoA view's feasibility matrix and placement scores."""
         state = self.state
         vm = state.vms[vm_id]
+        soa = state.arrays()
+        row = soa.vm_row[vm_id]
+        _, numas, _ = soa.placement_scores(slice(row, row + 1), slice(None), state.fragment_cores)
         best: Optional[Placement] = None
         best_key = None
-        for pm_id in state.sorted_pm_ids():
-            if pm_id == exclude_pm:
-                continue
-            numa_id = state.best_numa_for(vm_id, pm_id)
-            if numa_id is None:
-                continue
+        for column in np.flatnonzero(soa.feasibility()[row]):
+            pm_id, numa_id = int(soa.pm_ids[column]), int(numas[0, column])
             pm = state.pms[pm_id]
             if numa_id == BOTH_NUMAS:
                 fragment = sum(
@@ -287,7 +287,7 @@ class LivingCluster:
             self.stats["skipped"] += 1
             return
         for vm_id in sorted(state.pms[pm_id].vm_ids):
-            destination = self._drain_destination(vm_id, exclude_pm=pm_id)
+            destination = self._drain_destination(vm_id)
             if destination is None:
                 state.remove_vm_from_cluster(vm_id)
                 self.stats["evictions"] += 1

@@ -131,8 +131,24 @@ class TestAlphaVBPP:
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             AlphaVBPP(alpha=0)
-        with pytest.raises(ValueError):
-            AlphaVBPP(cpu_weight=2.0)
+
+    def test_stages_run_counts_the_stages_that_ran(self):
+        # MNL 40 plans four stages of 10; they move 10, 6 and then 0 VMs,
+        # and the stage that moved nothing ends the loop.
+        spec = ClusterSpec(num_pms=6, target_utilization=0.7, best_fit_fraction=0.3)
+        state = SnapshotGenerator(spec, seed=0).generate()
+        planner = AlphaVBPP()
+        moved = []
+        run_stage = planner._run_stage
+
+        def recording(*args):
+            moved.append(run_stage(*args))
+            return moved[-1]
+
+        planner._run_stage = recording
+        result = planner.compute_plan(state, 40)
+        assert moved == [10, 6, 0]
+        assert result.info["stages_run"] == 3
 
     def test_reduces_or_preserves_fr(self):
         state = fragmented_state(seed=1)

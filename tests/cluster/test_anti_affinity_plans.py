@@ -1,10 +1,10 @@
 """Every planner's plan keeps the §5.4 anti-affinity constraint.
 
 On generated clusters whose anti-affinity groups start spread over distinct
-PMs, greedy VMR2L (StepCache on and off), risk-seeking VMR2L, HA, α-VBPP and
-Random must each emit a plan that replays step by step under
+PMs, greedy VMR2L (StepCache on and off), risk-seeking VMR2L, HA, α-VBPP,
+MCTS and Random must each emit a plan that replays step by step under
 ``apply_plan(..., skip_infeasible=False)`` and leaves no PM hosting two VMs of
-one group.
+one group.  MIP, POP and NeuPlan are not replayed here.
 """
 
 from collections import Counter
@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines import AlphaVBPP, FilteringHeuristic, RandomRescheduler
+from repro.baselines import AlphaVBPP, FilteringHeuristic, MCTSRescheduler, RandomRescheduler
 from repro.cluster import apply_plan
 from repro.core import ModelConfig, RiskSeekingConfig, VMR2LAgent, VMR2LConfig
 from repro.datasets import ClusterSpec, SnapshotGenerator
@@ -78,7 +78,12 @@ def test_every_planner_keeps_anti_affinity(agent, seed, num_pms, group_count, gr
         agent.plan_batch([state], MIGRATION_LIMIT, use_step_cache=False)[0].plan,
         agent.plan_batch([state], MIGRATION_LIMIT, greedy=False, seed=seed)[0].plan,
     ]
-    for planner in (FilteringHeuristic(), AlphaVBPP(alpha=3), RandomRescheduler(seed=seed)):
+    for planner in (
+        FilteringHeuristic(),
+        AlphaVBPP(alpha=3),
+        MCTSRescheduler(iterations_per_step=4, candidate_actions=4, rollout_depth=2, seed=seed),
+        RandomRescheduler(seed=seed),
+    ):
         plans.append(planner.compute_plan(state, MIGRATION_LIMIT).plan)
     for plan in plans:
         assert_keeps_anti_affinity(state, plan)

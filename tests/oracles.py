@@ -14,6 +14,9 @@ it replaced live here, beside the tests that compare against them:
   the padded per-tree groups — :func:`padded_tree_stage`;
 * per-pair loops for the stage-1 / stage-2 feasibility masks and a
   per-object observation build;
+* the remove/place probe loops HA, α-VBPP and MCTS scored moves with, and
+  the object-path NUMA choice (:func:`best_numa_reference`), against the
+  SoA view's move scores;
 * the VMR2L planner with the StepCache off — :class:`FreshRLPlanner`.
 
 Run the pair under test once normally and once inside the context manager,
@@ -29,7 +32,7 @@ from unittest import mock
 import numpy as np
 
 from repro.baselines import ReschedulingResult
-from repro.cluster import ClusterState
+from repro.cluster import BOTH_NUMAS, ClusterState, ConstraintChecker, Migration, Placement
 from repro.core.attention import ExtractorOutput, SparseAttentionExtractor
 from repro.core.features import FeatureBatch, TreeGrouping, _gather_rows
 from repro.core.step_cache import StepCache
@@ -311,6 +314,143 @@ def _vm_features(
             source_pm[row] = pm_row
             features[row, VM_OWN_FEATURE_DIM:] = raw_pm_features[pm_row]
     return features, source_pm
+
+
+# ---------------------------------------------------------------------- #
+# Remove/place probe loops of the search baselines
+# ---------------------------------------------------------------------- #
+def best_numa_reference(state: ClusterState, vm_id: int, pm_id: int, honor_affinity: bool = True):
+    """``state.best_numa_for`` on the object path: the feasible NUMA with the
+    least post-placement fragment, then less free CPU (``None`` if none)."""
+    candidates = state.feasible_numas(vm_id, pm_id, honor_affinity=honor_affinity)
+    if not candidates:
+        return None
+    vm = state.vms[vm_id]
+    if candidates == [BOTH_NUMAS]:
+        return BOTH_NUMAS
+    pm = state.pms[pm_id]
+
+    def post_fragment(numa_id: int):
+        numa = pm.numas[numa_id]
+        remaining = numa.free_cpu - vm.cpu
+        return (remaining % state.fragment_cores, numa.free_cpu)
+
+    return min(candidates, key=post_fragment)
+
+
+def ha_plan_reference(state: ClusterState, migration_limit: int) -> List[Migration]:
+    """``FilteringHeuristic`` by probes: per step, the movable VM whose
+    removal drops its source fragment most, moved to the PM with the largest
+    total drop, until no move strictly helps.  Mutates ``state``."""
+    plan = []
+    for _ in range(migration_limit):
+        vm_id = _ha_filter_vm(state)
+        if vm_id is None:
+            break
+        candidate = _ha_score_destinations(state, vm_id)
+        if candidate is None or candidate[3] >= 0:
+            break
+        state.migrate_vm(candidate[0], candidate[1], dest_numa_id=candidate[2])
+        plan.append(Migration(candidate[0], candidate[1], candidate[2]))
+    return plan
+
+
+def _ha_filter_vm(state: ClusterState):
+    best_vm = None
+    best_drop = None
+    movable = ConstraintChecker().movable_vm_mask(state)
+    for row, vm_id in enumerate(state.sorted_vm_ids()):
+        if not movable[row]:
+            continue
+        source_pm = state.vms[vm_id].pm_id
+        before = state.pm_fragment(source_pm)
+        placement = state.remove_vm(vm_id)
+        after = state.pm_fragment(source_pm)
+        state.place_vm(vm_id, placement, honor_affinity=False)
+        drop = after - before  # negative means removal reduces the fragment
+        if best_drop is None or drop < best_drop:
+            best_drop = drop
+            best_vm = vm_id
+    return best_vm
+
+
+def _ha_score_destinations(state: ClusterState, vm_id: int):
+    """``(vm_id, pm_id, numa_id, total_delta)`` of the best destination."""
+    vm = state.vms[vm_id]
+    source_pm = vm.pm_id
+    before_source = state.pm_fragment(source_pm)
+    source_placement = state.remove_vm(vm_id)
+    after_source = state.pm_fragment(source_pm)
+    source_delta = after_source - before_source
+
+    best = None
+    conflicts = state.conflicting_pm_ids(vm_id)
+    try:
+        for pm_id in state.sorted_pm_ids():
+            if pm_id == source_pm or pm_id in conflicts:
+                continue
+            numa_id = best_numa_reference(state, vm_id, pm_id, honor_affinity=False)
+            if numa_id is None:
+                continue
+            before_dest = state.pm_fragment(pm_id)
+            state.place_vm(vm_id, Placement(pm_id, numa_id), honor_affinity=False)
+            after_dest = state.pm_fragment(pm_id)
+            state.remove_vm(vm_id)
+            total_delta = source_delta + (after_dest - before_dest)
+            if best is None or total_delta < best[3]:
+                best = (vm_id, pm_id, numa_id, total_delta)
+    finally:
+        state.place_vm(vm_id, source_placement, honor_affinity=False)
+    return best
+
+
+def vbpp_victims_reference(state: ClusterState, count: int) -> List[int]:
+    """``AlphaVBPP._select_victims`` by probes: the ``count`` placed VMs whose
+    removal drops their source fragment most, ties to the lower id."""
+    scored = []
+    for vm_id in state.sorted_vm_ids():
+        vm = state.vms[vm_id]
+        if not vm.is_placed:
+            continue
+        source_pm = vm.pm_id
+        before = state.pm_fragment(source_pm)
+        placement = state.remove_vm(vm_id)
+        after = state.pm_fragment(source_pm)
+        state.place_vm(vm_id, placement, honor_affinity=False)
+        scored.append((after - before, vm_id))
+    scored.sort()
+    return [vm_id for _, vm_id in scored[:count]]
+
+
+def mcts_candidates_reference(state: ClusterState, limit: int) -> List[tuple]:
+    """``MCTSRescheduler._candidate_actions`` by probes: the top ``limit``
+    legal (vm, pm) pairs by fragment reduction, ties in VM then
+    ``state.pms`` order."""
+    scored = []
+    for vm_id in state.sorted_vm_ids():
+        vm = state.vms[vm_id]
+        if not vm.is_placed:
+            continue
+        source_pm = vm.pm_id
+        before_source = state.pm_fragment(source_pm)
+        placement = state.remove_vm(vm_id)
+        after_source = state.pm_fragment(source_pm)
+        conflicts = state.conflicting_pm_ids(vm_id)
+        for pm_id in state.pms:
+            if pm_id == source_pm or pm_id in conflicts:
+                continue
+            numa_id = best_numa_reference(state, vm_id, pm_id, honor_affinity=False)
+            if numa_id is None:
+                continue
+            before_dest = state.pm_fragment(pm_id)
+            state.place_vm(vm_id, Placement(pm_id, numa_id), honor_affinity=False)
+            after_dest = state.pm_fragment(pm_id)
+            state.remove_vm(vm_id)
+            gain = (before_source - after_source) + (before_dest - after_dest)
+            scored.append((gain, (vm_id, pm_id)))
+        state.place_vm(vm_id, placement, honor_affinity=False)
+    scored.sort(key=lambda item: -item[0])
+    return [action for _, action in scored[:limit]]
 
 
 # ---------------------------------------------------------------------- #
