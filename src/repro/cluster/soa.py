@@ -295,8 +295,8 @@ class ClusterArrays:
         the one with less free CPU, then NUMA 0.
         """
         free = self.numa_free_cpu[pm_rows]  # (P, 2)
-        fits = _numa_fits(self, vm_rows, pm_rows)  # (V, P, 2)
-        fits0, fits1 = fits[..., 0], fits[..., 1]
+        numa_fits, fits = _fits(self, vm_rows, pm_rows)
+        fits0, fits1 = numa_fits[..., 0], numa_fits[..., 1]
         double = self.vm_double[vm_rows][:, None]  # (V, 1)
         before = free % x_cores
         before0, before1 = before[:, 0], before[:, 1]
@@ -307,7 +307,7 @@ class ClusterArrays:
         )
         after = np.where(on_one, before0, landed0) + np.where(double | on_one, landed1, before1)
         numa = np.where(double, BOTH_NUMAS, on_one.astype(np.int64))
-        return after - (before0 + before1), numa, np.where(double, fits0 & fits1, fits0 | fits1)
+        return after - (before0 + before1), numa, fits
 
     def move_scores(self, vm_rows, x_cores: int) -> tuple:
         """The one move-scoring rule: ``(total, numa)`` for ``vm_rows`` over
@@ -394,14 +394,18 @@ class ClusterArrays:
         np.testing.assert_array_equal(self.vm_group, fresh.vm_group)
 
 
-def _numa_fits(soa: ClusterArrays, vm_rows, pm_rows) -> np.ndarray:
-    """``(rows, cols, 2)``: whether each NUMA of each PM has room for the VM's
-    per-NUMA request (the same comparison as :meth:`NumaNode.can_host`)."""
+def _fits(soa: ClusterArrays, vm_rows, pm_rows) -> tuple:
+    """Whether ``vm_rows`` fit ``pm_rows``' free capacity: per NUMA
+    ``(rows, cols, 2)``, room for the VM's per-NUMA request (the comparison of
+    :meth:`NumaNode.can_host`), and per PM ``(rows, cols)``, both NUMAs for a
+    double-NUMA VM and either for a single-NUMA one."""
     eps = FEASIBILITY_EPS
-    return (
+    numa_fits = (
         (soa.numa_free_cpu[pm_rows] + eps >= soa.vm_cpu_half[vm_rows][:, None, None])
         & (soa.numa_free_mem[pm_rows] + eps >= soa.vm_mem_half[vm_rows][:, None, None])
     )
+    fits0, fits1 = numa_fits[..., 0], numa_fits[..., 1]
+    return numa_fits, np.where(soa.vm_double[vm_rows][:, None], fits0 & fits1, fits0 | fits1)
 
 
 def _feasibility_block(soa: ClusterArrays, vm_rows, pm_rows, host_counts) -> np.ndarray:
@@ -409,8 +413,7 @@ def _feasibility_block(soa: ClusterArrays, vm_rows, pm_rows, host_counts) -> np.
     ``slice(None)`` for all of them): capacity per NUMA count, anti-affinity
     and source-PM exclusion.  The whole matrix is the block of all rows and
     all columns."""
-    fits = _numa_fits(soa, vm_rows, pm_rows)
-    block = np.where(soa.vm_double[vm_rows][:, None], fits.all(axis=2), fits.any(axis=2))
+    block = _fits(soa, vm_rows, pm_rows)[1]
 
     source = soa.vm_pm[vm_rows]
     block[source < 0] = False  # unplaced VMs have no legal migration
