@@ -467,9 +467,9 @@ def churn(row, s):
                                   horizon_s=horizon_s)
         report = OnlineRescheduler(cluster, service.handle, config).run()
         assert report.failed_rounds == 0, f"{name}: {report.failed_rounds} failed rounds"
-        cluster.state.arrays().assert_in_sync(cluster.state)
-        for record in report.rounds:
-            fr(record.objective_after)  # asserts every round's FR is in [0, 1]
+        recounted = ClusterState.from_dict(cluster.state.to_dict()).arrays()  # free = capacity - placed demands
+        assert all(map(np.array_equal, recounted.snapshot(), cluster.state.arrays().snapshot())), f"{name}: recount"
+        assert all(0.0 <= record.objective_after <= 1.0 for record in report.rounds), f"{name}: FR outside [0, 1]"
         r[name] = {"rounds": len(report.rounds), "steady_fr": fr(report.steady_state_objective),
                    "final_fr": fr(report.final_objective), "invalidation": report.invalidation,
                    "planned": sum(record.planned for record in report.rounds)}

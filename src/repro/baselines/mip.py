@@ -30,7 +30,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, milp
 
-from ..cluster import ClusterState, Migration, MigrationPlan
+from ..cluster import BOTH_NUMAS, ClusterState, Migration, MigrationPlan
 from .base import Rescheduler
 
 
@@ -82,7 +82,10 @@ class MIPRescheduler(Rescheduler):
 
     def _movable_vms(self, state: ClusterState) -> List[int]:
         vm_ids = self.candidate_vms if self.candidate_vms is not None else state.sorted_vm_ids()
-        return [vm_id for vm_id in vm_ids if vm_id in state.vms and state.vms[vm_id].is_placed]
+        soa = state.arrays()
+        return [
+            vm_id for vm_id in vm_ids if vm_id in soa.vm_row and soa.vm_pm[soa.vm_row[vm_id]] >= 0
+        ]
 
     # ------------------------------------------------------------------ #
     def _solve(
@@ -92,23 +95,26 @@ class MIPRescheduler(Rescheduler):
         single-NUMA VM lands on (so the applied plan keeps the solver's NUMA
         choice), and the solver's status."""
         x_cores = state.fragment_cores
+        soa = state.arrays()
+        vm_rows = {vm_id: soa.vm_row[vm_id] for vm_id in movable}
         pm_ids = state.sorted_pm_ids()
         numa_keys = [(pm_id, numa_id) for pm_id in pm_ids for numa_id in (0, 1)]
         numa_index = {key: idx for idx, key in enumerate(numa_keys)}
 
-        single = [vm_id for vm_id in movable if state.vms[vm_id].numa_count == 1]
-        double = [vm_id for vm_id in movable if state.vms[vm_id].numa_count == 2]
+        single = [vm_id for vm_id in movable if not soa.vm_double[vm_rows[vm_id]]]
+        double = [vm_id for vm_id in movable if soa.vm_double[vm_rows[vm_id]]]
 
         # Effective capacity: current free resources plus what the movable VMs
-        # currently occupy (their placement is being re-decided).
-        free_cpu = np.array([state.pms[p].numas[j].free_cpu for p, j in numa_keys])
-        free_mem = np.array([state.pms[p].numas[j].free_memory for p, j in numa_keys])
-        for vm_id in movable:
-            vm = state.vms[vm_id]
-            for numa_id in vm.numa_ids_on_pm():
-                idx = numa_index[(vm.pm_id, numa_id)]
-                free_cpu[idx] += vm.cpu_per_numa if vm.numa_count == 2 else vm.cpu
-                free_mem[idx] += vm.memory_per_numa if vm.numa_count == 2 else vm.memory
+        # currently occupy (their placement is being re-decided).  Flattened,
+        # the (P, 2) free arrays follow ``numa_keys``.
+        free_cpu = soa.numa_free_cpu.flatten()
+        free_mem = soa.numa_free_mem.flatten()
+        for row in vm_rows.values():
+            numa = soa.vm_numa[row]
+            for numa_id in (0, 1) if numa == BOTH_NUMAS else (numa,):
+                idx = 2 * soa.vm_pm[row] + numa_id
+                free_cpu[idx] += soa.vm_cpu_half[row]
+                free_mem[idx] += soa.vm_mem_half[row]
 
         # Variable layout: [x (single), z (double), y (numa slots)]
         x_vars = [(vm_id, pm_id, numa_id) for vm_id in single for pm_id in pm_ids for numa_id in (0, 1)]
@@ -140,15 +146,13 @@ class MIPRescheduler(Rescheduler):
             mem_row: Dict[int, float] = {}
             pm_id, numa_id = key
             for vm_id in single:
-                vm = state.vms[vm_id]
                 var = x_index[(vm_id, pm_id, numa_id)]
-                cpu_row[var] = float(vm.cpu)
-                mem_row[var] = float(vm.memory)
+                cpu_row[var] = float(soa.vm_cpu[vm_rows[vm_id]])
+                mem_row[var] = float(soa.vm_mem[vm_rows[vm_id]])
             for vm_id in double:
-                vm = state.vms[vm_id]
                 var = z_index[(vm_id, pm_id)]
-                cpu_row[var] = float(vm.cpu_per_numa)
-                mem_row[var] = float(vm.memory_per_numa)
+                cpu_row[var] = float(soa.vm_cpu_half[vm_rows[vm_id]])
+                mem_row[var] = float(soa.vm_mem_half[vm_rows[vm_id]])
             add_row(cpu_row, -np.inf, float(free_cpu[idx]))
             add_row(mem_row, -np.inf, float(free_mem[idx]))
 
@@ -162,19 +166,18 @@ class MIPRescheduler(Rescheduler):
 
         # Migration number limit (Eq. 5): sum of "stayed home" indicators >= M - MNL.
         stay_row: Dict[int, float] = {}
+        home = {vm_id: pm_ids[soa.vm_pm[row]] for vm_id, row in vm_rows.items()}
         for vm_id in single:
-            vm = state.vms[vm_id]
-            stay_row[x_index[(vm_id, vm.pm_id, vm.numa_id)]] = 1.0
+            stay_row[x_index[(vm_id, home[vm_id], int(soa.vm_numa[vm_rows[vm_id]]))]] = 1.0
         for vm_id in double:
-            vm = state.vms[vm_id]
-            stay_row[z_index[(vm_id, vm.pm_id)]] = 1.0
+            stay_row[z_index[(vm_id, home[vm_id])]] = 1.0
         add_row(stay_row, float(len(movable) - migration_limit), np.inf)
 
         # Anti-affinity: at most one VM of a group per PM (§5.4).
         groups: Dict[int, List[int]] = {}
-        for vm_id in movable:
-            group = state.vms[vm_id].anti_affinity_group
-            if group is not None:
+        for vm_id, row in vm_rows.items():
+            group = int(soa.vm_group[row])
+            if group >= 0:
                 groups.setdefault(group, []).append(vm_id)
         for group, members in groups.items():
             if len(members) < 2:
@@ -182,7 +185,7 @@ class MIPRescheduler(Rescheduler):
             for pm_id in pm_ids:
                 row: Dict[int, float] = {}
                 for vm_id in members:
-                    if state.vms[vm_id].numa_count == 2:
+                    if soa.vm_double[vm_rows[vm_id]]:
                         row[z_index[(vm_id, pm_id)]] = 1.0
                     else:
                         row[x_index[(vm_id, pm_id, 0)]] = 1.0
@@ -253,10 +256,11 @@ def order_migrations(
     """
     numa_targets = numa_targets or {}
     working = state.copy()
+    soa = state.arrays()
     pending = [
         (vm_id, dest_pm)
         for vm_id, dest_pm in sorted(assignment.items())
-        if state.vms[vm_id].pm_id != dest_pm
+        if soa.vm_pm[soa.vm_row[vm_id]] != soa.pm_row[dest_pm]
     ]
     plan = MigrationPlan()
     progress = True

@@ -81,12 +81,13 @@ class NeuPlanRescheduler(Rescheduler):
     @staticmethod
     def _candidate_vms(state: ClusterState, relax_factor: int) -> list:
         """Pick the β VMs sitting on the most fragmented PMs."""
-        pm_fragment = {pm_id: state.pm_fragment(pm_id) for pm_id in state.pms}
-        scored = []
-        for vm_id in state.sorted_vm_ids():
-            vm = state.vms[vm_id]
-            if not vm.is_placed:
-                continue
-            scored.append((pm_fragment[vm.pm_id], vm_id))
+        soa = state.arrays()
+        fragment = soa.numa_free_cpu % state.fragment_cores
+        pm_fragment = (fragment[:, 0] + fragment[:, 1]).tolist()
+        scored = [
+            (pm_fragment[column], vm_id)
+            for vm_id, column in zip(state.sorted_vm_ids(), soa.vm_pm.tolist())
+            if column >= 0
+        ]
         scored.sort(key=lambda item: -item[0])
         return [vm_id for _, vm_id in scored[:relax_factor]]

@@ -19,12 +19,11 @@ class RandomRescheduler(Rescheduler):
     def _compute(self, state: ClusterState, migration_limit: int) -> MigrationPlan:
         plan = MigrationPlan()
         for _ in range(migration_limit):
-            movable = [
-                vm_id
-                for vm_id in state.vms
-                if state.vms[vm_id].is_placed
-                and state.feasible_destination_pms(vm_id)
-            ]
+            soa = state.arrays()
+            has_destination = soa.feasibility().any(axis=1)
+            # In the order the VMs joined the cluster, which the seeded draw
+            # below depends on.
+            movable = [vm_id for vm_id in state.vms if has_destination[soa.vm_row[vm_id]]]
             if not movable:
                 break
             vm_id = int(self.rng.choice(movable))

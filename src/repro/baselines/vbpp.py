@@ -17,7 +17,8 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from ..cluster import ClusterState, MigrationPlan, Placement
+from ..cluster import BOTH_NUMAS, ClusterState, MigrationPlan, Placement
+from ..cluster.soa import _fits
 from .base import Rescheduler
 from .mip import order_migrations
 
@@ -89,7 +90,8 @@ class AlphaVBPP(Rescheduler):
             scratch = state.copy()
             original = {v: scratch.remove_vm(v) for v in victims if v not in pinned}
             assignment, numa_targets = {}, {}
-            for vm_id in sorted(original, key=lambda v: -scratch.vms[v].cpu):
+            soa = scratch.arrays()
+            for vm_id in sorted(original, key=lambda v: -soa.vm_cpu[soa.vm_row[v]]):
                 placement = self._pack(scratch, vm_id)
                 if placement is None:
                     pinned.add(vm_id)
@@ -110,35 +112,39 @@ class AlphaVBPP(Rescheduler):
         return [int(vm_id) for vm_id in soa.vm_ids[placed[np.argsort(drops, kind="stable")[:count]]]]
 
     def _pack(self, state: ClusterState, vm_id: int) -> Optional[Placement]:
-        """Norm-based best-fit over feasible (PM, NUMA) targets."""
-        vm = state.vms[vm_id]
-        best_placement = None
-        best_score = None
-        conflicts = state.conflicting_pm_ids(vm_id)
-        for pm_id in state.sorted_pm_ids():
-            if pm_id in conflicts:
-                continue
-            for numa_id in state.feasible_numas(vm_id, pm_id, honor_affinity=False):
-                score = self._score(state, vm, pm_id, numa_id)
-                if best_score is None or score < best_score:
-                    best_score = score
-                    best_placement = Placement(pm_id=pm_id, numa_id=numa_id)
-        return best_placement
-
-    def _score(self, state: ClusterState, vm, pm_id: int, numa_id: int) -> float:
-        """Weighted residual norm after placement: smaller is a tighter fit."""
-        pm = state.pms[pm_id]
-        if numa_id == -1:
-            residual_cpu = sum(n.free_cpu - vm.cpu_per_numa for n in pm.numas)
-            residual_mem = sum(n.free_memory - vm.memory_per_numa for n in pm.numas)
-            capacity_cpu = pm.cpu_capacity
-            capacity_mem = pm.memory_capacity
+        """Norm-based best-fit: of the (PM, NUMA) targets with room and no
+        member of the VM's anti-affinity group on the PM, the first in PM
+        then NUMA order with the smallest weighted residual norm after
+        placement (a tighter fit)."""
+        soa = state.arrays()
+        row = soa.vm_row[vm_id]
+        numa_fits, fits = _fits(soa, slice(row, row + 1), slice(None))
+        allowed = fits[0] & ~soa.group_hosts(soa.vm_group[row], row)
+        residual_cpu = soa.numa_free_cpu - soa.vm_cpu_half[row]
+        residual_mem = soa.numa_free_mem - soa.vm_mem_half[row]
+        capacity_cpu, capacity_mem = soa.numa_cap_cpu, soa.numa_cap_mem
+        if soa.vm_double[row]:
+            numas = (BOTH_NUMAS,)
+            slots = allowed[:, None]
+            residual_cpu, residual_mem, capacity_cpu, capacity_mem = (
+                (pair[:, 0] + pair[:, 1])[:, None]
+                for pair in (residual_cpu, residual_mem, capacity_cpu, capacity_mem)
+            )
         else:
-            numa = pm.numas[numa_id]
-            residual_cpu = numa.free_cpu - vm.cpu
-            residual_mem = numa.free_memory - vm.memory
-            capacity_cpu = numa.cpu_capacity
-            capacity_mem = numa.memory_capacity
-        cpu_term = residual_cpu / capacity_cpu
-        mem_term = residual_mem / capacity_mem
-        return _CPU_WEIGHT * cpu_term ** 2 + (1.0 - _CPU_WEIGHT) * mem_term ** 2
+            numas = (0, 1)
+            slots = numa_fits[0] & allowed[:, None]
+        candidates = np.flatnonzero(slots)
+        if not candidates.size:
+            return None
+        cpu_terms = (residual_cpu / capacity_cpu).ravel()[candidates].tolist()
+        mem_terms = (residual_mem / capacity_mem).ravel()[candidates].tolist()
+        # Python floats: ``** 2`` is pow(), which can differ from a numpy
+        # square in the last bit, and ties go to the first target.
+        scores = [
+            _CPU_WEIGHT * cpu_term ** 2 + (1.0 - _CPU_WEIGHT) * mem_term ** 2
+            for cpu_term, mem_term in zip(cpu_terms, mem_terms)
+        ]
+        best = int(candidates[scores.index(min(scores))])
+        return Placement(
+            pm_id=int(soa.pm_ids[best // len(numas)]), numa_id=numas[best % len(numas)]
+        )

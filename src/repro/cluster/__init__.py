@@ -4,10 +4,12 @@ This subpackage models the cluster the VM rescheduling problem operates on:
 
 * :mod:`repro.cluster.vm_types` — VM / PM flavor catalogs (Table 1, §5.4)
 * :mod:`repro.cluster.machine` — ``VirtualMachine``, ``NumaNode``, ``PhysicalMachine``
+  snapshots and the immutable ``VMRecord``
 * :mod:`repro.cluster.state` — ``ClusterState`` placement bookkeeping
-* :mod:`repro.cluster.soa` — ``ClusterArrays`` structure-of-arrays view: the
-  feasibility matrix and the move scores every planner reads
-* :mod:`repro.cluster.fragmentation` — fragment-rate metrics (§1, Eq. 8)
+* :mod:`repro.cluster.soa` — ``ClusterArrays`` structure-of-arrays view, the
+  one store of a cluster's state: the feasibility matrix and the move scores
+  every planner reads
+* :mod:`repro.cluster.fragmentation` — fragment-rate metrics over the arrays (§1, Eq. 8)
 * :mod:`repro.cluster.constraints` — constraint setting and masks (Eq. 2–6, §5.4)
 * :mod:`repro.cluster.migration` — migration plans and the live-migration cost model
 * :mod:`repro.cluster.events` — cluster events and dynamic arrival/exit processes (Fig. 1, Fig. 5)
@@ -24,22 +26,17 @@ from .events import (
     EventGenerator,
     best_fit_placement,
     diurnal_rate_profile,
+    landing_slots,
     sample_daily_changes,
 )
 from .fragmentation import (
     DEFAULT_FRAGMENT_CORES,
     REWARD_SCALE,
-    cluster_cpu_fragment,
-    fragment_rate,
-    max_hostable_vms,
-    memory_fragment_rate,
+    fragment_arrays,
+    fragment_rate_arrays,
     mixed_objective,
-    numa_cpu_fragment,
-    pm_cpu_fragment,
-    pm_fragment_score,
-    pm_memory_fragment,
 )
-from .machine import BOTH_NUMAS, NumaNode, PhysicalMachine, VirtualMachine
+from .machine import BOTH_NUMAS, NumaNode, PhysicalMachine, VirtualMachine, VMRecord
 from .migration import (
     LiveMigrationCostModel,
     Migration,
@@ -84,18 +81,14 @@ __all__ = [
     "VMType",
     "VMTypeCatalog",
     "VirtualMachine",
+    "VMRecord",
     "apply_plan",
     "assign_anti_affinity_groups",
     "best_fit_placement",
-    "cluster_cpu_fragment",
     "diurnal_rate_profile",
-    "fragment_rate",
-    "max_hostable_vms",
-    "memory_fragment_rate",
+    "fragment_arrays",
+    "fragment_rate_arrays",
+    "landing_slots",
     "mixed_objective",
-    "numa_cpu_fragment",
-    "pm_cpu_fragment",
-    "pm_fragment_score",
-    "pm_memory_fragment",
     "sample_daily_changes",
 ]

@@ -86,8 +86,8 @@ class ConstraintChecker:
         Capacity, NUMA-count and anti-affinity constraints are evaluated as
         broadcast boolean algebra over the structure-of-arrays view
         (:meth:`ClusterState.arrays`); the source PM and unplaced VMs are
-        never legal.  The parity tests pin it against the object path
-        (``state.can_host`` per PM).  Returns a defensive copy.
+        never legal.  The parity tests pin it against per-pair loops over
+        the machine snapshots.  Returns a defensive copy.
         """
         return state.arrays().feasibility().copy()
 
@@ -117,7 +117,5 @@ def assign_anti_affinity_groups(
         members = chosen[group_id * vms_per_group : (group_id + 1) * vms_per_group]
         groups[group_id] = [int(vm_id) for vm_id in members]
         for vm_id in members:
-            # Through the copy-on-write layer: the VM objects may be shared
-            # with copies of this state.
             state.set_anti_affinity_group(int(vm_id), group_id)
     return groups

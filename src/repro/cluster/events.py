@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .machine import VirtualMachine
+from .machine import BOTH_NUMAS, VirtualMachine
+from .soa import has_room
 from .state import ClusterState, Placement, int_field
 from .vm_types import VMType, VMTypeCatalog
 
@@ -202,25 +203,47 @@ class EventGenerator:
         return types[index]
 
 
+def landing_slots(state: ClusterState, vm: VirtualMachine) -> Tuple[np.ndarray, Tuple[int, ...]]:
+    """Where a VM that is not (yet) in ``state`` could land: ``(fits, numas)``.
+
+    ``fits`` is a ``(P, K)`` mask over sorted PMs × the NUMA targets
+    ``numas`` — NUMA 0 and 1 for a single-NUMA VM, ``BOTH_NUMAS`` for a
+    double-NUMA one — True where the free capacity holds the VM and no VM of
+    its anti-affinity group sits on the PM.  Flattened, it lists the targets
+    PM by PM.
+    """
+    soa = state.arrays()
+    room = has_room(soa.numa_free_cpu, soa.numa_free_mem, vm.cpu_per_numa, vm.memory_per_numa)
+    room &= ~soa.group_hosts(soa.group_code.get(vm.anti_affinity_group, -1))[:, None]
+    if vm.numa_count == 2:
+        return room.all(axis=1, keepdims=True), (BOTH_NUMAS,)
+    return room, (0, 1)
+
+
 def best_fit_placement(state: ClusterState, vm: VirtualMachine) -> Optional[Placement]:
     """Best-fit VMS: choose the feasible placement with the largest FR reduction.
 
     This mirrors the production VM scheduler described in §1 ("sorts all PMs
     that meet the requirements ... according to the amount of FR reduction ...
-    and chooses the PM with the largest reduction").  Returns ``None`` when no
-    PM can host the VM.
+    and chooses the PM with the largest reduction").  Targets are ranked by
+    the change of their PM's X-core fragment, then by the PM's free CPU, then
+    in :func:`landing_slots` order.  Returns ``None`` when no PM can host the
+    VM.
     """
-    best: Optional[Placement] = None
-    best_key = None
-    with state.probe_vm(vm):
-        for pm_id in state.sorted_pm_ids():
-            for numa_id in state.feasible_numas(vm.vm_id, pm_id):
-                before = state.pm_fragment(pm_id)
-                state.place_vm(vm.vm_id, Placement(pm_id=pm_id, numa_id=numa_id))
-                after = state.pm_fragment(pm_id)
-                state.remove_vm(vm.vm_id)
-                key = (after - before, state.pms[pm_id].free_cpu)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = Placement(pm_id=pm_id, numa_id=numa_id)
-    return best
+    fits, numas = landing_slots(state, vm)
+    candidates = np.flatnonzero(fits)
+    if candidates.size == 0:
+        return None
+    free = state.arrays().numa_free_cpu
+    before = free % state.fragment_cores
+    landed = (free - vm.cpu_per_numa) % state.fragment_cores
+    if vm.numa_count == 2:
+        after = (landed[:, 0] + landed[:, 1])[:, None]
+    else:
+        after = np.stack((landed[:, 0] + before[:, 1], before[:, 0] + landed[:, 1]), axis=1)
+    change = (after - (before[:, 0] + before[:, 1])[:, None]).ravel()[candidates]
+    pm_free = (free[:, 0] + free[:, 1]).repeat(len(numas))[candidates]
+    best = int(candidates[np.lexsort((pm_free, change))[0]])
+    return Placement(
+        pm_id=state.sorted_pm_ids()[best // len(numas)], numa_id=numas[best % len(numas)]
+    )

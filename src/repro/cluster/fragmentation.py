@@ -1,4 +1,4 @@
-"""Fragmentation metrics.
+"""Fragmentation metrics over the SoA view's free-resource arrays.
 
 The paper's headline objective is the X-core fragment rate (FR): the fraction
 of free CPU across the cluster that cannot be used to host an additional
@@ -7,16 +7,14 @@ X-core VM because it is scattered in pieces smaller than X cores per NUMA
 
 Also provided: the 64-core FR used in the mixed objective of §5.5.2, the
 64-GB memory fragment metric (Mem64) of §5.5.3, and the per-PM fragment size
-used for the dense reward (Eq. 8–9).
+used for the dense reward (Eq. 8–9).  Every metric reads free-resource arrays
+(``numa_free_cpu`` / ``numa_free_mem`` of
+:class:`~repro.cluster.soa.ClusterArrays`, or one PM's row of them).
 """
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
-
-from .machine import NumaNode, PhysicalMachine
 
 #: The default fragment granularity (16-core VMs, §1).
 DEFAULT_FRAGMENT_CORES = 16
@@ -25,85 +23,23 @@ DEFAULT_FRAGMENT_CORES = 16
 REWARD_SCALE = 64.0
 
 
-def numa_cpu_fragment(numa: NumaNode, x_cores: int = DEFAULT_FRAGMENT_CORES) -> float:
-    """CPU cores on ``numa`` that cannot serve an additional ``x_cores`` VM."""
-    if x_cores <= 0:
-        raise ValueError("x_cores must be positive")
-    return float(numa.free_cpu % x_cores)
-
-
-def numa_memory_fragment(numa: NumaNode, x_memory: float = 64.0) -> float:
-    """Memory (GB) on ``numa`` that cannot serve an additional ``x_memory`` chunk."""
-    if x_memory <= 0:
-        raise ValueError("x_memory must be positive")
-    return float(numa.free_memory % x_memory)
-
-
-def pm_cpu_fragment(pm: PhysicalMachine, x_cores: int = DEFAULT_FRAGMENT_CORES) -> float:
-    """Total X-core CPU fragment of a PM: sum over its NUMAs (Eq. 8 numerator)."""
-    return sum(numa_cpu_fragment(numa, x_cores) for numa in pm.numas)
-
-
-def pm_memory_fragment(pm: PhysicalMachine, x_memory: float = 64.0) -> float:
-    """Total memory fragment of a PM, summed over its NUMAs."""
-    return sum(numa_memory_fragment(numa, x_memory) for numa in pm.numas)
-
-
-def pm_fragment_score(pm: PhysicalMachine, x_cores: int = DEFAULT_FRAGMENT_CORES,
-                      scale: float = REWARD_SCALE) -> float:
-    """Rescaled fragment size S_i of Eq. 8 (fragment divided by constant c)."""
-    return pm_cpu_fragment(pm, x_cores) / scale
-
-
-def cluster_cpu_fragment(pms: Iterable[PhysicalMachine], x_cores: int = DEFAULT_FRAGMENT_CORES) -> float:
-    """Total X-core CPU fragments across all PMs (Eq. 1 objective value)."""
-    return sum(pm_cpu_fragment(pm, x_cores) for pm in pms)
-
-
-def fragment_rate(pms: Iterable[PhysicalMachine], x_cores: int = DEFAULT_FRAGMENT_CORES) -> float:
-    """X-core fragment rate: unusable free CPU / total free CPU (§1).
-
-    The worked example in Figs. 2–3: PM1 has 12 free cores and PM2 has 20 free
-    cores; fragments are ``12 % 16 + 20 % 16 = 16`` and free CPU totals 32, so
-    the FR is 50%.  After migrating a 4-core VM both PMs hold 16 free cores and
-    the FR drops to 0.  An empty cluster (no free CPU at all) has FR 0 by
-    convention.
-    """
-    pms = list(pms)
-    total_free = sum(pm.free_cpu for pm in pms)
-    if total_free <= 0:
-        return 0.0
-    fragments = cluster_cpu_fragment(pms, x_cores)
-    return fragments / total_free
-
-
-def memory_fragment_rate(pms: Iterable[PhysicalMachine], x_memory: float = 64.0) -> float:
-    """Memory analogue of :func:`fragment_rate` (Mem64 in §5.5.3)."""
-    pms = list(pms)
-    total_free = sum(pm.free_memory for pm in pms)
-    if total_free <= 0:
-        return 0.0
-    fragments = sum(pm_memory_fragment(pm, x_memory) for pm in pms)
-    return fragments / total_free
-
-
-# ---------------------------------------------------------------------- #
-# Array-based variants (used by ClusterState via its SoA view).  Same
-# formulas and conventions as the object-based reductions above — keep the
-# two in sync; the SoA parity tests assert they agree.
-# ---------------------------------------------------------------------- #
-def cluster_fragment_arrays(free: np.ndarray, granularity: float) -> float:
-    """Total fragment over a ``(P, 2)`` free-resource array (Eq. 1 numerator)."""
+def fragment_arrays(free: np.ndarray, granularity: float) -> float:
+    """Total fragment of a free-resource array: one PM's ``(2,)`` row (the
+    Eq. 8 numerator) or the cluster's ``(P, 2)`` matrix (Eq. 1)."""
     if granularity <= 0:
         raise ValueError("fragment granularity must be positive")
     return float((free % granularity).sum())
 
 
 def fragment_rate_arrays(free: np.ndarray, granularity: float) -> float:
-    """:func:`fragment_rate` over a ``(P, 2)`` free-resource array.
+    """Fragment rate of a ``(P, 2)`` free-resource array: unusable free
+    resource / total free resource (§1).
 
-    Applies to CPU (X-core FR) and memory (Mem64) alike; an empty cluster
-    (no free resource) has rate 0 by convention, as above.
+    Applies to CPU (X-core FR) and memory (Mem64) alike.  The worked example
+    in Figs. 2–3: PM1 has 12 free cores and PM2 has 20 free cores; fragments
+    are ``12 % 16 + 20 % 16 = 16`` and free CPU totals 32, so the FR is 50%.
+    After migrating a 4-core VM both PMs hold 16 free cores and the FR drops
+    to 0.  An empty cluster (no free resource) has rate 0 by convention.
     """
     if granularity <= 0:
         raise ValueError("fragment granularity must be positive")
@@ -114,13 +50,13 @@ def fragment_rate_arrays(free: np.ndarray, granularity: float) -> float:
 
 
 def mixed_objective(
-    pms: Iterable[PhysicalMachine],
+    soa,
     weight: float,
     primary_cores: int = DEFAULT_FRAGMENT_CORES,
     secondary_cores: int | None = 64,
     secondary_memory: float | None = None,
 ) -> float:
-    """Convex combination of two fragment rates (Eq. 12).
+    """Convex combination of two fragment rates (Eq. 12) of a SoA view.
 
     ``Obj_lambda = weight * secondary + (1 - weight) * primary`` where the
     primary is the ``primary_cores`` CPU FR and the secondary is either the
@@ -131,19 +67,9 @@ def mixed_objective(
         raise ValueError("weight must be in [0, 1]")
     if (secondary_cores is None) == (secondary_memory is None):
         raise ValueError("provide exactly one of secondary_cores / secondary_memory")
-    pms = list(pms)
-    primary = fragment_rate(pms, primary_cores)
+    primary = fragment_rate_arrays(soa.numa_free_cpu, primary_cores)
     if secondary_cores is not None:
-        secondary = fragment_rate(pms, secondary_cores)
+        secondary = fragment_rate_arrays(soa.numa_free_cpu, secondary_cores)
     else:
-        secondary = memory_fragment_rate(pms, secondary_memory)
+        secondary = fragment_rate_arrays(soa.numa_free_mem, secondary_memory)
     return weight * secondary + (1.0 - weight) * primary
-
-
-def max_hostable_vms(pm: PhysicalMachine, x_cores: int = DEFAULT_FRAGMENT_CORES) -> int:
-    """Number of additional X-core (single-NUMA) VMs the PM could host.
-
-    This is the integer variable y_{i,j} of the MIP formulation (Eq. 1–2),
-    summed over the PM's NUMAs.
-    """
-    return sum(int(numa.free_cpu // x_cores) for numa in pm.numas)

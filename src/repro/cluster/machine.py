@@ -1,26 +1,41 @@
-"""Physical machines, NUMA nodes and virtual machines.
+"""Physical machines, NUMA nodes and virtual machines as plain values.
 
-These are the concrete resource-accounting objects manipulated by
-:class:`repro.cluster.state.ClusterState`.  Each PM has exactly two NUMA nodes
-(§2.1); a VM occupies either one NUMA or both NUMAs of a single PM, splitting
-its request evenly in the double-NUMA case.
+A :class:`~repro.cluster.state.ClusterState` keeps its cluster in one store,
+the SoA view (:class:`~repro.cluster.soa.ClusterArrays`); these classes only
+carry machines in and out of it.  A :class:`VirtualMachine` or
+:class:`PhysicalMachine` handed to ``ClusterState(...)``, ``add_vm`` or
+``add_pm`` says what joins the cluster, and ``state.vms[id]`` /
+``state.pms[id]`` build a fresh one from the arrays on every lookup — a
+read-only snapshot for serialization, display and tests: writing its fields
+changes nothing in the state.
+
+Each PM has exactly two NUMA nodes (§2.1); a VM occupies either one NUMA or
+both NUMAs of a single PM, splitting its request evenly in the double-NUMA
+case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Set, Tuple
+from typing import List, NamedTuple, Optional, Set, Tuple, Union
 
 from .vm_types import PMType, VMType
 
 #: NUMA placement marker for a double-NUMA VM (occupies both NUMAs of its PM).
 BOTH_NUMAS = -1
 
-#: Shared tolerance for capacity feasibility comparisons.  Both feasibility
-#: checks — object-based (``NumaNode.can_host``) and the vectorized matrix in
-#: :mod:`repro.cluster.soa` — must use this same constant or masks
-#: and mutations disagree at exact-fit boundaries.
+#: Tolerance of the one capacity comparison, :func:`repro.cluster.soa.has_room`,
+#: which the feasibility matrix, the move scores and every placement check
+#: share, so masks and mutations agree at exact-fit boundaries.
 FEASIBILITY_EPS = 1e-9
+
+
+class VMRecord(NamedTuple):
+    """What a VM is, apart from where it runs: its flavor and anti-affinity
+    group.  Immutable, so copies of a state share them."""
+
+    vm_type: VMType
+    anti_affinity_group: Optional[Union[int, str]]
 
 
 @dataclass
@@ -65,21 +80,11 @@ class VirtualMachine:
             return (0, 1)
         return (int(self.numa_id),)
 
-    def copy(self) -> "VirtualMachine":
-        # Direct field snapshot (no dataclass __init__): copies sit on the
-        # search/simulation hot path.  Keep in sync with the fields above.
-        clone = object.__new__(VirtualMachine)
-        clone.vm_id = self.vm_id
-        clone.vm_type = self.vm_type
-        clone.pm_id = self.pm_id
-        clone.numa_id = self.numa_id
-        clone.anti_affinity_group = self.anti_affinity_group
-        return clone
-
 
 @dataclass
 class NumaNode:
-    """One NUMA node of a physical machine with free-resource bookkeeping."""
+    """One NUMA node of a physical machine: capacity, free resources and the
+    VMs it hosts."""
 
     pm_id: int
     numa_id: int
@@ -104,43 +109,6 @@ class NumaNode:
     @property
     def cpu_utilization(self) -> float:
         return self.used_cpu / self.cpu_capacity
-
-    def can_host(self, cpu: float, memory: float) -> bool:
-        eps = FEASIBILITY_EPS
-        return self.free_cpu + eps >= cpu and self.free_memory + eps >= memory
-
-    def allocate(self, vm_id: int, cpu: float, memory: float) -> None:
-        if not self.can_host(cpu, memory):
-            raise ValueError(
-                f"NUMA ({self.pm_id},{self.numa_id}) cannot host VM {vm_id}: "
-                f"needs cpu={cpu}/mem={memory}, free cpu={self.free_cpu}/mem={self.free_memory}"
-            )
-        if vm_id in self.vm_ids:
-            raise ValueError(f"VM {vm_id} already allocated on NUMA ({self.pm_id},{self.numa_id})")
-        self.free_cpu -= cpu
-        self.free_memory -= memory
-        self.vm_ids.add(vm_id)
-
-    def release(self, vm_id: int, cpu: float, memory: float) -> None:
-        if vm_id not in self.vm_ids:
-            raise ValueError(f"VM {vm_id} is not allocated on NUMA ({self.pm_id},{self.numa_id})")
-        self.free_cpu = min(self.free_cpu + cpu, self.cpu_capacity)
-        self.free_memory = min(self.free_memory + memory, self.memory_capacity)
-        self.vm_ids.discard(vm_id)
-
-    def copy(self) -> "NumaNode":
-        # Direct field snapshot (no dataclass __init__ / __post_init__
-        # validation): copies sit on the search/simulation hot path.  Keep in
-        # sync with the fields above.
-        clone = object.__new__(NumaNode)
-        clone.pm_id = self.pm_id
-        clone.numa_id = self.numa_id
-        clone.cpu_capacity = self.cpu_capacity
-        clone.memory_capacity = self.memory_capacity
-        clone.free_cpu = self.free_cpu
-        clone.free_memory = self.free_memory
-        clone.vm_ids = set(self.vm_ids)
-        return clone
 
 
 @dataclass
@@ -191,12 +159,3 @@ class PhysicalMachine:
         for numa in self.numas:
             hosted |= numa.vm_ids
         return hosted
-
-    def copy(self) -> "PhysicalMachine":
-        # Direct field snapshot (no dataclass __init__ / __post_init__); keep
-        # in sync with the fields above.
-        clone = object.__new__(PhysicalMachine)
-        clone.pm_id = self.pm_id
-        clone.pm_type = self.pm_type
-        clone.numas = [numa.copy() for numa in self.numas]
-        return clone

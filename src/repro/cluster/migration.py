@@ -90,13 +90,14 @@ def apply_plan(
     initial_fr = working.fragment_rate()
     applied: List[Migration] = []
     skipped: List[Migration] = []
+    soa = working.arrays()
     for migration in plan:
-        vm = working.vms.get(migration.vm_id)
+        row = soa.vm_row.get(migration.vm_id)
+        column = soa.pm_row.get(migration.dest_pm_id)
         feasible = (
-            vm is not None
-            and vm.is_placed
-            and vm.pm_id != migration.dest_pm_id
-            and migration.dest_pm_id in working.pms
+            row is not None
+            and column is not None
+            and soa.vm_pm[row] not in (-1, column)
             and working.can_host(migration.vm_id, migration.dest_pm_id, honor_affinity=honor_affinity)
         )
         if not feasible:

@@ -1,11 +1,12 @@
-"""Structure-of-arrays (SoA) view of a cluster state.
+"""Structure-of-arrays (SoA) view of a cluster: the one store of its state.
 
-The dict-of-objects representation in :mod:`repro.cluster.state` is the
-authoritative bookkeeping, but it makes the per-step hot paths — feasibility
-masks over all VMs × PMs, move scoring, featurization, fragment metrics —
-interpreter-bound.  :class:`ClusterArrays` mirrors the same information as
-contiguous numpy arrays so those paths become broadcast boolean algebra and
-sliced array ops.
+:class:`ClusterArrays` holds everything about a cluster that changes — free
+capacity per NUMA and every VM's placement — as contiguous numpy arrays, so
+the per-step hot paths (feasibility masks over all VMs × PMs, move scoring,
+featurization, fragment metrics) are broadcast boolean algebra and sliced
+array ops.  :class:`~repro.cluster.state.ClusterState` owns one view, mutates
+it in place through ``place_vm`` / ``remove_vm`` / ``migrate_vm``, and beside
+it keeps only immutable records (a VM's type and group, a PM's type).
 
 Layout (rows follow the *sorted* id order, the same order every mask and
 observation in this repository uses):
@@ -24,8 +25,17 @@ observation in this repository uses):
 * ``vm_numa``           — ``(V,)`` int64 NUMA target: 0/1, ``-1`` for
   BOTH_NUMAS, ``-2`` when unplaced
 * ``vm_group``          — ``(V,)`` int64 dense anti-affinity group index
-  (``-1`` for no group), numbered in first-seen sorted-VM order
+  (``-1`` for no group), numbered in first-seen sorted-VM order;
+  ``group_code`` maps each group label to its index
 * ``version``           — int, bumped on every placement mutation
+
+A placement bumps ``version`` and changes the arrays in place: a VM landing
+subtracts its per-NUMA demand from the free arrays, a VM leaving adds it back
+clamped at the NUMA's capacity.  A structural change (a VM or PM joining or
+leaving, a group assignment) builds a new view (:meth:`ClusterArrays.reshaped`,
+:meth:`ClusterArrays.regroup`), so consumers that key caches on the view's
+identity start over.  ``copy()`` copies the placement arrays and shares the
+rest, which never change in place.
 
 The view answers the two questions every planner asks about a move:
 
@@ -35,6 +45,7 @@ The view answers the two questions every planner asks about a move:
   baselines read.  The memo is patched from the view's own diff
   (:meth:`~ClusterArrays.changed_since` against the snapshot it was built
   from) or rebuilt, through one block function, :func:`_feasibility_block`.
+  Capacity is one comparison, :func:`has_room`, which placements check too.
 * **What does it do to the fragment?**  :meth:`ClusterArrays.move_scores`
   is the one move-scoring rule: the X-core fragment change of a VM leaving
   its PM (:meth:`~ClusterArrays.source_deltas`) and landing on each PM
@@ -45,34 +56,16 @@ The view answers the two questions every planner asks about a move:
 The view keeps no history.  A consumer that patches what it derived from an
 earlier state keeps a :meth:`ClusterArrays.snapshot` and asks
 :meth:`ClusterArrays.changed_since` which rows moved since.
-
-Sync invariants
----------------
-The view is created lazily by :meth:`ClusterState.arrays` and kept
-incrementally in sync by ``place_vm`` / ``remove_vm`` (and therefore
-``migrate_vm``).  Structural changes — ``add_vm``,
-``remove_vm_from_cluster``, or any direct mutation of the ``vms`` dict —
-invalidate the view; ``ClusterState.arrays`` detects a stale view by
-comparing machine counts and rebuilds it.  Anti-affinity groups are cached
-in ``vm_group``: ``ClusterState.set_anti_affinity_group`` drops the view, so
-the next access rebuilds it with the new assignment.
-
-Free-resource updates replay the exact float operations of
-:meth:`NumaNode.allocate` / :meth:`NumaNode.release`, so the arrays stay
-bit-for-bit identical to the object fields, and the move scores equal what
-``pm_fragment`` reads after a real remove/place.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .machine import BOTH_NUMAS, FEASIBILITY_EPS, VirtualMachine
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .state import ClusterState
+from .machine import BOTH_NUMAS, FEASIBILITY_EPS, VMRecord
+from .vm_types import PMType
 
 #: ``vm_numa`` marker for an unplaced VM.
 UNPLACED_NUMA = -2
@@ -85,9 +78,24 @@ UNPLACED_NUMA = -2
 #: 5980 vs 440 µs.
 _PATCH_PM_DIVISOR = 8
 
+#: Per-PM and per-VM arrays that :meth:`ClusterArrays.reshaped` carries over
+#: row by row (``vm_pm`` also gets remapped when PM rows change).
+_PM_COLUMNS = ("numa_free_cpu", "numa_free_mem", "numa_cap_cpu", "numa_cap_mem")
+
+#: What a placement changes in place (so :meth:`ClusterArrays.copy` copies
+#: it), and what never changes in place (so copies share it).
+_PLACEMENT = ("numa_free_cpu", "numa_free_mem", "vm_pm", "vm_numa")
+_SHARED = (
+    "pm_ids", "pm_row", "numa_cap_cpu", "numa_cap_mem", "vm_ids", "vm_row", "vm_cpu", "vm_mem",
+    "vm_cpu_half", "vm_mem_half", "vm_double", "vm_group", "group_code", "version",
+)
+_VM_COLUMNS = (
+    "vm_cpu", "vm_mem", "vm_cpu_half", "vm_mem_half", "vm_double", "vm_pm", "vm_numa", "vm_group",
+)
+
 
 class ClusterArrays:
-    """Contiguous array mirror of one :class:`ClusterState`."""
+    """The array store of one :class:`~repro.cluster.state.ClusterState`."""
 
     __slots__ = (
         "pm_ids",
@@ -106,6 +114,7 @@ class ClusterArrays:
         "vm_pm",
         "vm_numa",
         "vm_group",
+        "group_code",
         "version",
         "_feasibility_memo",
     )
@@ -122,83 +131,114 @@ class ClusterArrays:
     # Construction
     # ------------------------------------------------------------------ #
     @classmethod
-    def build(cls, state: "ClusterState") -> "ClusterArrays":
-        """Materialize the SoA view from the object state."""
+    def empty(
+        cls, pm_types: Mapping[int, PMType], vm_records: Mapping[int, VMRecord]
+    ) -> "ClusterArrays":
+        """A view of the given machines (id → PM type, id → VM record) with
+        every NUMA free and every VM unplaced."""
+        pm_id_list = sorted(pm_types)
+        vm_id_list = sorted(vm_records)
+        soa = cls._bare(np.array(pm_id_list, dtype=np.int64), np.array(vm_id_list, dtype=np.int64))
+        pms = [pm_types[pm_id] for pm_id in pm_id_list]
+        soa.numa_cap_cpu = np.array([(t.cpu_per_numa,) * 2 for t in pms], dtype=np.float64).reshape(-1, 2)
+        soa.numa_cap_mem = np.array([(t.memory_per_numa,) * 2 for t in pms], dtype=np.float64).reshape(-1, 2)
+        soa.numa_free_cpu = soa.numa_cap_cpu.copy()
+        soa.numa_free_mem = soa.numa_cap_mem.copy()
+        records = [vm_records[vm_id] for vm_id in vm_id_list]
+        demands = np.array(
+            [(r.vm_type.cpu, r.vm_type.memory, r.vm_type.numa_count) for r in records], dtype=np.float64
+        ).reshape(-1, 3)
+        soa.vm_cpu, soa.vm_mem = demands[:, 0].copy(), demands[:, 1].copy()
+        soa.vm_double = demands[:, 2] == 2
+        soa.vm_cpu_half = soa.vm_cpu / demands[:, 2]
+        soa.vm_mem_half = soa.vm_mem / demands[:, 2]
+        soa.vm_pm = np.full(len(records), -1, dtype=np.int64)
+        soa.vm_numa = np.full(len(records), UNPLACED_NUMA, dtype=np.int64)
+        soa.regroup([record.anti_affinity_group for record in records])
+        return soa
+
+    @classmethod
+    def _bare(cls, pm_ids: np.ndarray, vm_ids: np.ndarray) -> "ClusterArrays":
+        """A view with only its (sorted) id arrays and row lookups set."""
         soa = object.__new__(cls)
         soa.version = 0
         soa._feasibility_memo = None
-        pm_id_list = state.sorted_pm_ids()
-        vm_id_list = state.sorted_vm_ids()
-        num_pms = len(pm_id_list)
-        num_vms = len(vm_id_list)
+        soa._set_pm_ids(pm_ids)
+        soa._set_vm_ids(vm_ids)
+        return soa
 
-        soa.pm_ids = np.asarray(pm_id_list, dtype=np.int64)
-        # The id arrays are shared widely (observations, state copies); freeze
-        # them so an accidental write cannot corrupt every sharer's ordering.
-        soa.pm_ids.flags.writeable = False
-        soa.pm_row = {pm_id: row for row, pm_id in enumerate(pm_id_list)}
-        soa.numa_free_cpu = np.empty((num_pms, 2), dtype=np.float64)
-        soa.numa_free_mem = np.empty((num_pms, 2), dtype=np.float64)
-        soa.numa_cap_cpu = np.empty((num_pms, 2), dtype=np.float64)
-        soa.numa_cap_mem = np.empty((num_pms, 2), dtype=np.float64)
-        for row, pm_id in enumerate(pm_id_list):
-            for numa in state.pms[pm_id].numas:
-                column = numa.numa_id
-                soa.numa_free_cpu[row, column] = numa.free_cpu
-                soa.numa_free_mem[row, column] = numa.free_memory
-                soa.numa_cap_cpu[row, column] = numa.cpu_capacity
-                soa.numa_cap_mem[row, column] = numa.memory_capacity
+    # The id arrays are shared widely (observations, state copies); they are
+    # frozen so an accidental write cannot corrupt every sharer's ordering.
+    def _set_pm_ids(self, pm_ids: np.ndarray) -> None:
+        pm_ids.flags.writeable = False
+        self.pm_ids = pm_ids
+        self.pm_row = dict(zip(pm_ids.tolist(), range(len(pm_ids))))
 
-        soa.vm_ids = np.asarray(vm_id_list, dtype=np.int64)
-        soa.vm_ids.flags.writeable = False
-        soa.vm_row = {vm_id: row for row, vm_id in enumerate(vm_id_list)}
-        soa.vm_cpu = np.empty(num_vms, dtype=np.float64)
-        soa.vm_mem = np.empty(num_vms, dtype=np.float64)
-        soa.vm_cpu_half = np.empty(num_vms, dtype=np.float64)
-        soa.vm_mem_half = np.empty(num_vms, dtype=np.float64)
-        soa.vm_double = np.zeros(num_vms, dtype=bool)
-        soa.vm_pm = np.full(num_vms, -1, dtype=np.int64)
-        soa.vm_numa = np.full(num_vms, UNPLACED_NUMA, dtype=np.int64)
-        soa.vm_group = np.full(num_vms, -1, dtype=np.int64)
-        group_index = {}
-        for row, vm_id in enumerate(vm_id_list):
-            vm = state.vms[vm_id]
-            soa.vm_cpu[row] = vm.cpu
-            soa.vm_mem[row] = vm.memory
-            soa.vm_cpu_half[row] = vm.cpu_per_numa
-            soa.vm_mem_half[row] = vm.memory_per_numa
-            soa.vm_double[row] = vm.numa_count == 2
-            if vm.anti_affinity_group is not None:
-                soa.vm_group[row] = group_index.setdefault(vm.anti_affinity_group, len(group_index))
-            if vm.is_placed:
-                soa.vm_pm[row] = soa.pm_row[vm.pm_id]
-                soa.vm_numa[row] = vm.numa_id
+    def _set_vm_ids(self, vm_ids: np.ndarray) -> None:
+        vm_ids.flags.writeable = False
+        self.vm_ids = vm_ids
+        self.vm_row = dict(zip(vm_ids.tolist(), range(len(vm_ids))))
+
+    def regroup(self, groups: Sequence) -> None:
+        """Set ``vm_group`` from each sorted VM's group label (``None`` for
+        none): dense indices in first-seen order."""
+        code: dict = {}
+        self.vm_group = np.asarray(
+            [-1 if group is None else code.setdefault(group, len(code)) for group in groups],
+            dtype=np.int64,
+        )
+        self.group_code = code
+
+    def reshaped(self, keep_vms=None, keep_pms=None, joining=None) -> "ClusterArrays":
+        """A new view of this view's kept rows (``keep_vms`` / ``keep_pms``:
+        boolean masks, ``None`` to keep all) plus every row of ``joining``,
+        whose VMs are unplaced and PMs empty, in id order.
+
+        Kept VMs keep their placements and kept PMs their free capacity, so no
+        kept VM may sit on a dropped PM.  The arrays of an unchanged side are
+        shared as in :meth:`copy`.  ``vm_group`` is the two views' columns
+        side by side: regroup when either has a group.
+        """
+        joining = _NOTHING if joining is None else joining
+        soa = self.copy()
+        if keep_pms is not None or joining.num_pms:
+            pm_ids, order = _merged_ids(self.pm_ids, keep_pms, joining.pm_ids)
+            soa._set_pm_ids(pm_ids)
+            for name in _PM_COLUMNS:
+                setattr(soa, name, _merged(getattr(self, name), keep_pms, getattr(joining, name), order))
+            host = np.where(self.vm_pm >= 0, self.pm_ids[self.vm_pm], -1)
+            soa.vm_pm = np.where(host >= 0, np.searchsorted(pm_ids, host), -1)
+        if keep_vms is not None or joining.num_vms:
+            vm_ids, order = _merged_ids(self.vm_ids, keep_vms, joining.vm_ids)
+            soa._set_vm_ids(vm_ids)
+            for name in _VM_COLUMNS:
+                setattr(soa, name, _merged(getattr(soa, name), keep_vms, getattr(joining, name), order))
         return soa
 
     def copy(self) -> "ClusterArrays":
-        """O(arrays) snapshot; immutable id/capacity arrays are shared."""
+        """O(arrays) snapshot: the placement arrays are copied, everything
+        else (ids, capacities, demands, groups) is shared — it never changes
+        in place."""
         clone = object.__new__(ClusterArrays)
-        clone.pm_ids = self.pm_ids
-        clone.pm_row = self.pm_row
-        clone.numa_cap_cpu = self.numa_cap_cpu
-        clone.numa_cap_mem = self.numa_cap_mem
-        clone.numa_free_cpu = self.numa_free_cpu.copy()
-        clone.numa_free_mem = self.numa_free_mem.copy()
-        clone.vm_ids = self.vm_ids
-        clone.vm_row = self.vm_row
-        clone.vm_cpu = self.vm_cpu
-        clone.vm_mem = self.vm_mem
-        clone.vm_cpu_half = self.vm_cpu_half
-        clone.vm_mem_half = self.vm_mem_half
-        clone.vm_double = self.vm_double
-        clone.vm_group = self.vm_group
-        clone.vm_pm = self.vm_pm.copy()
-        clone.vm_numa = self.vm_numa.copy()
+        for name in _SHARED:
+            setattr(clone, name, getattr(self, name))
+        for name in _PLACEMENT:
+            setattr(clone, name, getattr(self, name).copy())
         # Consumers key their caches on the view's identity, so a clone never
         # satisfies a cache built against the original (and vice versa).
-        clone.version = self.version
         clone._feasibility_memo = None
         return clone
+
+    def group_hosts(self, group: int, row: int = -1) -> np.ndarray:
+        """``(P,)`` bool: PMs hosting a placed VM of dense group ``group``
+        (none for ``-1``), VM row ``row`` left out."""
+        hosts = np.zeros(self.num_pms, dtype=bool)
+        if group >= 0:
+            members = (self.vm_group == group) & (self.vm_pm >= 0)
+            if row >= 0:
+                members[row] = False
+            hosts[self.vm_pm[members]] = True
+        return hosts
 
     # ------------------------------------------------------------------ #
     # Measured dirty sets
@@ -268,8 +308,8 @@ class ClusterArrays:
         """Change of the source PM's X-core fragment if each of ``vm_rows``
         left it (``inf`` for an unplaced VM).
 
-        Replays :meth:`NumaNode.release`, clamp included, as
-        :meth:`apply_remove` does; negative means the departure helps.
+        Replays ``ClusterState.remove_vm``'s release, clamp at capacity
+        included; negative means the departure helps.
         """
         pm = self.vm_pm[vm_rows]
         numa = self.vm_numa[vm_rows]
@@ -323,86 +363,43 @@ class ClusterArrays:
         source = self.source_deltas(vm_rows, x_cores)
         return np.where(self.feasibility()[vm_rows], source[:, None] + delta, np.inf), numa
 
-    # ------------------------------------------------------------------ #
-    # Incremental sync (driven by ClusterState mutations)
-    # ------------------------------------------------------------------ #
-    def apply_place(self, vm: VirtualMachine) -> bool:
-        """Mirror a successful ``place_vm``; False if the VM is unknown."""
-        row = self.vm_row.get(vm.vm_id)
-        pm_row = self.pm_row.get(vm.pm_id)
-        if row is None or pm_row is None:
-            return False
-        if vm.numa_id == BOTH_NUMAS:
-            self.numa_free_cpu[pm_row, :] -= self.vm_cpu_half[row]
-            self.numa_free_mem[pm_row, :] -= self.vm_mem_half[row]
-        else:
-            self.numa_free_cpu[pm_row, vm.numa_id] -= self.vm_cpu[row]
-            self.numa_free_mem[pm_row, vm.numa_id] -= self.vm_mem[row]
-        self.vm_pm[row] = pm_row
-        self.vm_numa[row] = vm.numa_id
-        self.version += 1
-        return True
 
-    def apply_remove(self, vm_id: int, pm_id: int, numa_id: int) -> bool:
-        """Mirror a successful ``remove_vm``; False if the VM is unknown."""
-        row = self.vm_row.get(vm_id)
-        pm_row = self.pm_row.get(pm_id)
-        if row is None or pm_row is None:
-            return False
-        # Replay NumaNode.release exactly: min(free + released, capacity).
-        if numa_id == BOTH_NUMAS:
-            np.minimum(
-                self.numa_free_cpu[pm_row, :] + self.vm_cpu_half[row],
-                self.numa_cap_cpu[pm_row, :],
-                out=self.numa_free_cpu[pm_row, :],
-            )
-            np.minimum(
-                self.numa_free_mem[pm_row, :] + self.vm_mem_half[row],
-                self.numa_cap_mem[pm_row, :],
-                out=self.numa_free_mem[pm_row, :],
-            )
-        else:
-            self.numa_free_cpu[pm_row, numa_id] = min(
-                self.numa_free_cpu[pm_row, numa_id] + self.vm_cpu[row],
-                self.numa_cap_cpu[pm_row, numa_id],
-            )
-            self.numa_free_mem[pm_row, numa_id] = min(
-                self.numa_free_mem[pm_row, numa_id] + self.vm_mem[row],
-                self.numa_cap_mem[pm_row, numa_id],
-            )
-        self.vm_pm[row] = -1
-        self.vm_numa[row] = UNPLACED_NUMA
-        self.version += 1
-        return True
+def _merged(rows: np.ndarray, keep, extra: np.ndarray, order) -> np.ndarray:
+    """``rows[keep]`` followed by ``extra``, put in ``order`` (``None``: as is)."""
+    if keep is not None:
+        rows = rows[keep]
+    if len(extra):
+        rows = np.concatenate((rows, extra))
+    return rows if order is None else rows[order]
 
-    # ------------------------------------------------------------------ #
-    # Diagnostics
-    # ------------------------------------------------------------------ #
-    def matches(self, state: "ClusterState") -> bool:
-        """Cheap staleness probe: machine counts still line up."""
-        return self.num_vms == len(state.vms) and self.num_pms == len(state.pms)
 
-    def assert_in_sync(self, state: "ClusterState") -> None:
-        """Exact comparison against the object state (test helper)."""
-        fresh = ClusterArrays.build(state)
-        np.testing.assert_array_equal(self.pm_ids, fresh.pm_ids)
-        np.testing.assert_array_equal(self.vm_ids, fresh.vm_ids)
-        np.testing.assert_array_equal(self.numa_free_cpu, fresh.numa_free_cpu)
-        np.testing.assert_array_equal(self.numa_free_mem, fresh.numa_free_mem)
-        np.testing.assert_array_equal(self.vm_pm, fresh.vm_pm)
-        np.testing.assert_array_equal(self.vm_numa, fresh.vm_numa)
-        np.testing.assert_array_equal(self.vm_group, fresh.vm_group)
+def _merged_ids(ids: np.ndarray, keep, extra: np.ndarray) -> tuple:
+    """The merged ids, sorted, and the order that sorts them (``None`` when
+    they already are)."""
+    ids = _merged(ids, keep, extra, None)
+    if (ids[1:] > ids[:-1]).all():
+        return ids, None
+    order = np.argsort(ids, kind="stable")
+    return ids[order], order
+
+
+def has_room(free_cpu, free_mem, cpu, mem):
+    """The one capacity comparison: whether free CPU and memory hold a
+    request, within :data:`~repro.cluster.machine.FEASIBILITY_EPS`.  Takes
+    scalars or broadcasting arrays."""
+    return (free_cpu + FEASIBILITY_EPS >= cpu) & (free_mem + FEASIBILITY_EPS >= mem)
 
 
 def _fits(soa: ClusterArrays, vm_rows, pm_rows) -> tuple:
     """Whether ``vm_rows`` fit ``pm_rows``' free capacity: per NUMA
-    ``(rows, cols, 2)``, room for the VM's per-NUMA request (the comparison of
-    :meth:`NumaNode.can_host`), and per PM ``(rows, cols)``, both NUMAs for a
-    double-NUMA VM and either for a single-NUMA one."""
-    eps = FEASIBILITY_EPS
-    numa_fits = (
-        (soa.numa_free_cpu[pm_rows] + eps >= soa.vm_cpu_half[vm_rows][:, None, None])
-        & (soa.numa_free_mem[pm_rows] + eps >= soa.vm_mem_half[vm_rows][:, None, None])
+    ``(rows, cols, 2)``, room for the VM's per-NUMA request, and per PM
+    ``(rows, cols)``, both NUMAs for a double-NUMA VM and either for a
+    single-NUMA one."""
+    numa_fits = has_room(
+        soa.numa_free_cpu[pm_rows],
+        soa.numa_free_mem[pm_rows],
+        soa.vm_cpu_half[vm_rows][:, None, None],
+        soa.vm_mem_half[vm_rows][:, None, None],
     )
     fits0, fits1 = numa_fits[..., 0], numa_fits[..., 1]
     return numa_fits, np.where(soa.vm_double[vm_rows][:, None], fits0 & fits1, fits0 | fits1)
@@ -432,3 +429,7 @@ def _feasibility_block(soa: ClusterArrays, vm_rows, pm_rows, host_counts) -> np.
     at_home = np.flatnonzero(source_column >= 0)
     block[at_home, source_column[at_home]] = False
     return block
+
+
+#: A view with no machines: what joins on a change that only drops rows.
+_NOTHING = ClusterArrays.empty({}, {})

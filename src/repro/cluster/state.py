@@ -1,28 +1,41 @@
-"""Cluster state: the authoritative VM→PM/NUMA placement bookkeeping.
+"""Cluster state: the VM→PM/NUMA placement bookkeeping of one cluster.
 
-A :class:`ClusterState` owns all :class:`~repro.cluster.machine.PhysicalMachine`
-and :class:`~repro.cluster.machine.VirtualMachine` objects of one cluster and
-provides the operations every algorithm in this repository relies on:
+A :class:`ClusterState` keeps its cluster in one store, the SoA view
+(:class:`~repro.cluster.soa.ClusterArrays`, :meth:`ClusterState.arrays`):
+free capacity per NUMA and every VM's placement.  Beside it sit only
+immutable records — a VM's type and anti-affinity group, a PM's type — which
+copies share.  The state provides the operations every algorithm in this
+repository relies on:
 
 * feasibility checks for placing a VM on a PM (capacity + NUMA + anti-affinity),
-* placement / removal / migration with exact resource accounting,
-* fragment-rate metrics (delegated to :mod:`repro.cluster.fragmentation`),
-* deep copies for search / simulation, and
+* placement / removal / migration, which validate and change the arrays in
+  place,
+* structural changes (VMs and PMs joining or leaving, group assignments),
+  which build a new view over the records and the current placements,
+* fragment-rate metrics over the arrays (:mod:`repro.cluster.fragmentation`),
+* copies for search / simulation (the placement arrays are copied, the
+  records shared), and
 * dict round-tripping used by the dataset format.
+
+``state.pms`` and ``state.vms`` map ids to snapshots — a
+:class:`~repro.cluster.machine.PhysicalMachine` or
+:class:`~repro.cluster.machine.VirtualMachine` built from the arrays on each
+lookup, for serialization, display and tests.  They iterate in the order the
+machines joined.
 """
 
 from __future__ import annotations
 
 import re
-from contextlib import contextmanager
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from . import fragmentation
-from .machine import BOTH_NUMAS, PhysicalMachine, VirtualMachine
-from .soa import ClusterArrays
+from .machine import BOTH_NUMAS, NumaNode, PhysicalMachine, VirtualMachine, VMRecord
+from .soa import UNPLACED_NUMA, ClusterArrays, _fits, has_room
 from .vm_types import DEFAULT_PM_TYPE, PMType, VMType
 
 
@@ -65,6 +78,31 @@ class Placement:
     numa_id: int
 
 
+class _Snapshots(Mapping):
+    """Read-only id → machine mapping: every lookup builds a snapshot from
+    the arrays; iteration follows the records (joining order)."""
+
+    __slots__ = ("_records", "_snapshot")
+
+    def __init__(self, records: Mapping, snapshot: Callable) -> None:
+        self._records = records
+        self._snapshot = snapshot
+
+    def __getitem__(self, machine_id):
+        if machine_id not in self._records:
+            raise KeyError(machine_id)
+        return self._snapshot(machine_id)
+
+    def __contains__(self, machine_id) -> bool:
+        return machine_id in self._records
+
+    def __iter__(self):
+        return iter(self._records)
+
+    def __len__(self) -> int:
+        return len(self._records)
+
+
 class ClusterState:
     """Mutable state of one data-center cluster."""
 
@@ -77,169 +115,169 @@ class ClusterState:
         if not pms:
             raise ValueError("cluster requires at least one PM")
         self.fragment_cores = fragment_cores
-        self.pms: Dict[int, PhysicalMachine] = {pm.pm_id: pm for pm in pms}
-        if len(self.pms) != len(pms):
+        self._pm_types: Dict[int, PMType] = {pm.pm_id: pm.pm_type for pm in pms}
+        if len(self._pm_types) != len(pms):
             raise ValueError("duplicate PM ids")
-        self.vms: Dict[int, VirtualMachine] = {vm.vm_id: vm for vm in vms}
-        if len(self.vms) != len(vms):
+        self._vm_records: Dict[int, VMRecord] = {
+            vm.vm_id: VMRecord(vm.vm_type, vm.anti_affinity_group) for vm in vms
+        }
+        if len(self._vm_records) != len(vms):
             raise ValueError("duplicate VM ids")
-        # Copy-on-write bookkeeping: ids whose machine objects this state owns
-        # exclusively.  A fresh state owns everything; copy() shares every
-        # object between both states and empties both sets, and mutators
-        # re-own (snapshot) a machine the first time they touch it.
-        self._owned_pms: Set[int] = set(self.pms)
-        self._owned_vms: Set[int] = set(self.vms)
-        self._soa: Optional[ClusterArrays] = None
-        self._sorted_pm_ids: Optional[List[int]] = None
-        self._sorted_vm_ids: Optional[List[int]] = None
-        # Apply initial placements recorded on the VM objects.
-        for vm in list(self.vms.values()):
-            if vm.pm_id is not None:
-                pm_id = vm.pm_id
-                numa_id = vm.numa_id if vm.numa_id is not None else (
-                    BOTH_NUMAS if vm.numa_count == 2 else 0
-                )
-                vm.pm_id = None
-                vm.numa_id = None
-                # Pre-existing co-locations are allowed: anti-affinity only
-                # constrains *new* rescheduling decisions (§5.4).
-                self.place_vm(vm.vm_id, Placement(pm_id=pm_id, numa_id=numa_id), honor_affinity=False)
+        self._install(ClusterArrays.empty(self._pm_types, self._vm_records))
+        # Initial placements recorded on the VM objects.  Pre-existing
+        # co-locations are allowed: anti-affinity only constrains *new*
+        # rescheduling decisions (§5.4).
+        default_numa = {1: 0, 2: BOTH_NUMAS}
+        placements = [
+            (vm.vm_id, Placement(vm.pm_id, default_numa[vm.numa_count] if vm.numa_id is None else vm.numa_id))
+            for vm in vms
+            if vm.pm_id is not None
+        ]
+        if placements and not self._place_all(placements):
+            # Place one by one so that the first bad placement raises its error.
+            for vm_id, placement in placements:
+                self.place_vm(vm_id, placement, honor_affinity=False)
+
+    def _place_all(self, placements: List[Tuple[int, Placement]]) -> bool:
+        """Place unplaced VMs at once, exactly as one ``place_vm`` each would;
+        False, with the view untouched, when a PM is unknown, a NUMA target
+        does not suit the VM or a NUMA ends up over-committed."""
+        soa = self._soa
+        if any(placement.pm_id not in soa.pm_row for _, placement in placements):
+            return False
+        rows = np.asarray([soa.vm_row[vm_id] for vm_id, _ in placements], dtype=np.int64)
+        columns = np.asarray([soa.pm_row[p.pm_id] for _, p in placements], dtype=np.int64)
+        numas = np.asarray([p.numa_id for _, p in placements], dtype=np.int64)
+        if not np.where(soa.vm_double[rows], numas == BOTH_NUMAS, (numas == 0) | (numas == 1)).all():
+            return False
+        free_cpu, free_mem = soa.numa_free_cpu.copy(), soa.numa_free_mem.copy()
+        for numa in (0, 1):
+            on = (numas == numa) | (numas == BOTH_NUMAS)
+            np.subtract.at(free_cpu[:, numa], columns[on], soa.vm_cpu_half[rows[on]])
+            np.subtract.at(free_mem[:, numa], columns[on], soa.vm_mem_half[rows[on]])
+        # Free capacity only shrinks as VMs land, so every placement had room
+        # iff the final free arrays still hold an empty request.
+        if not has_room(free_cpu, free_mem, 0.0, 0.0).all():
+            return False
+        soa.numa_free_cpu[...], soa.numa_free_mem[...] = free_cpu, free_mem
+        soa.vm_pm[rows], soa.vm_numa[rows] = columns, numas
+        return True
+
+    def _install(self, soa: ClusterArrays) -> None:
+        self._soa = soa
+        self._sorted_pm_ids: List[int] = soa.pm_ids.tolist()
+        self._sorted_vm_ids: List[int] = soa.vm_ids.tolist()
 
     # ------------------------------------------------------------------ #
     # Convenience accessors
     # ------------------------------------------------------------------ #
     @property
+    def pms(self) -> Mapping:
+        """PM id → :class:`PhysicalMachine` snapshot (read-only)."""
+        return _Snapshots(self._pm_types, self._pm_snapshot)
+
+    @property
+    def vms(self) -> Mapping:
+        """VM id → :class:`VirtualMachine` snapshot (read-only)."""
+        return _Snapshots(self._vm_records, self._vm_snapshot)
+
+    @property
     def num_pms(self) -> int:
-        return len(self.pms)
+        return len(self._pm_types)
 
     @property
     def num_vms(self) -> int:
-        return len(self.vms)
+        return len(self._vm_records)
 
     def sorted_pm_ids(self) -> List[int]:
-        """Sorted PM ids, cached (the ordering every mask/featurizer uses)."""
-        cache = self._sorted_pm_ids
-        if cache is None or len(cache) != len(self.pms):
-            cache = sorted(self.pms)
-            self._sorted_pm_ids = cache
-        return cache
+        """Sorted PM ids (the ordering every mask/featurizer uses); shared,
+        treat as read-only."""
+        return self._sorted_pm_ids
 
     def sorted_vm_ids(self) -> List[int]:
-        """Sorted VM ids, cached; invalidated when VMs enter or leave."""
-        cache = self._sorted_vm_ids
-        if cache is None or len(cache) != len(self.vms):
-            cache = sorted(self.vms)
-            self._sorted_vm_ids = cache
-        return cache
+        """Sorted VM ids; shared, treat as read-only."""
+        return self._sorted_vm_ids
 
     def arrays(self) -> ClusterArrays:
-        """The structure-of-arrays view, built lazily and kept in sync.
+        """The SoA view, the one store of this state's placements and free
+        capacity.  Read it freely; change it only through this state's
+        methods."""
+        return self._soa
 
-        Mutations through ``place_vm`` / ``remove_vm`` / ``migrate_vm`` update
-        the view incrementally; structural changes rebuild it on next access.
-        """
+    def _vm_snapshot(self, vm_id: int) -> VirtualMachine:
         soa = self._soa
-        if soa is None or not soa.matches(self):
-            soa = ClusterArrays.build(self)
-            self._soa = soa
-        return soa
+        row = soa.vm_row[vm_id]
+        column = int(soa.vm_pm[row])
+        vm_type, group = self._vm_records[vm_id]
+        return VirtualMachine(
+            vm_id=vm_id,
+            vm_type=vm_type,
+            pm_id=int(soa.pm_ids[column]) if column >= 0 else None,
+            numa_id=int(soa.vm_numa[row]) if column >= 0 else None,
+            anti_affinity_group=group,
+        )
 
-    def invalidate_arrays(self) -> None:
-        """Drop the SoA view (call after out-of-band mutations)."""
-        self._soa = None
-        self._sorted_vm_ids = None
-        self._sorted_pm_ids = None
+    def _pm_snapshot(self, pm_id: int) -> PhysicalMachine:
+        soa = self._soa
+        row = soa.pm_row[pm_id]
+        pm_type = self._pm_types[pm_id]
+        hosted = soa.vm_pm == row
+        numas = [
+            NumaNode(
+                pm_id=pm_id,
+                numa_id=numa_id,
+                cpu_capacity=pm_type.cpu_per_numa,
+                memory_capacity=pm_type.memory_per_numa,
+                free_cpu=float(soa.numa_free_cpu[row, numa_id]),
+                free_memory=float(soa.numa_free_mem[row, numa_id]),
+                vm_ids=set(
+                    soa.vm_ids[
+                        hosted & ((soa.vm_numa == numa_id) | (soa.vm_numa == BOTH_NUMAS))
+                    ].tolist()
+                ),
+            )
+            for numa_id in (0, 1)
+        ]
+        return PhysicalMachine(pm_id=pm_id, pm_type=pm_type, numas=numas)
 
-    # ------------------------------------------------------------------ #
-    # Copy-on-write ownership
-    # ------------------------------------------------------------------ #
-    def _own_vm(self, vm_id: int) -> VirtualMachine:
-        """Writable VM object: snapshot it first if shared with a copy."""
-        vm = self.vms[vm_id]
-        if vm_id not in self._owned_vms:
-            vm = vm.copy()
-            self.vms[vm_id] = vm
-            self._owned_vms.add(vm_id)
-        return vm
-
-    def _own_pm(self, pm_id: int) -> PhysicalMachine:
-        """Writable PM object: snapshot it first if shared with a copy."""
-        pm = self.pms[pm_id]
-        if pm_id not in self._owned_pms:
-            pm = pm.copy()
-            self.pms[pm_id] = pm
-            self._owned_pms.add(pm_id)
-        return pm
-
-    @contextmanager
-    def probe_vm(self, vm: VirtualMachine):
-        """Temporarily add ``vm`` for feasibility probing (context manager).
-
-        Placement helpers probe candidate slots by inserting a not-yet-member
-        VM, trying placements, and removing it again.  This owns the COW
-        bookkeeping in one place: the probe is marked owned (it is the
-        caller's object, never shared with a copy) and both the dict entry
-        and the ownership mark are dropped on exit.  A VM that is already a
-        member is left untouched.
-        """
-        was_member = vm.vm_id in self.vms
-        if not was_member:
-            self.vms[vm.vm_id] = vm
-            self._owned_vms.add(vm.vm_id)
-        try:
-            yield vm
-        finally:
-            if not was_member:
-                del self.vms[vm.vm_id]
-                self._owned_vms.discard(vm.vm_id)
-
-    def set_anti_affinity_group(self, vm_id: int, group: Optional[int]) -> None:
-        """Assign a VM's anti-affinity group through the copy-on-write layer.
-
-        Machine objects may be shared with copies of this state — mutate them
-        only through the state's own methods, never by writing fields on
-        objects pulled out of ``state.vms`` / ``state.pms`` directly.  The SoA
-        view caches the groups, so it is dropped and rebuilt on next access.
-        """
-        self._own_vm(vm_id).anti_affinity_group = group
-        self._soa = None
-
-    def pm_list(self) -> List[PhysicalMachine]:
-        return [self.pms[pm_id] for pm_id in self.sorted_pm_ids()]
-
-    def vm_list(self) -> List[VirtualMachine]:
-        return [self.vms[vm_id] for vm_id in self.sorted_vm_ids()]
+    def pm_type(self, pm_id: int) -> PMType:
+        return self._pm_types[pm_id]
 
     def placed_vm_ids(self) -> List[int]:
-        return [vm_id for vm_id in self.sorted_vm_ids() if self.vms[vm_id].is_placed]
+        soa = self._soa
+        return soa.vm_ids[soa.vm_pm >= 0].tolist()
 
     # ------------------------------------------------------------------ #
     # Anti-affinity
     # ------------------------------------------------------------------ #
-    def conflicting_pm_ids(self, vm_id: int) -> Set[int]:
-        """PMs hosting a VM in the same anti-affinity group as ``vm_id``."""
-        vm = self.vms[vm_id]
-        if vm.anti_affinity_group is None:
-            return set()
-        conflicts: Set[int] = set()
-        for other in self.vms.values():
-            if other.vm_id == vm_id or not other.is_placed:
-                continue
-            if other.anti_affinity_group == vm.anti_affinity_group:
-                conflicts.add(other.pm_id)
-        return conflicts
+    def set_anti_affinity_group(self, vm_id: int, group: Optional[Union[int, str]]) -> None:
+        """Assign a VM's anti-affinity group.  The SoA view holds the groups
+        in ``vm_group``, so this builds a new view (copied placements)."""
+        record = self._vm_records[vm_id]
+        self._vm_records = {**self._vm_records, vm_id: record._replace(anti_affinity_group=group)}
+        soa = self._soa.copy()
+        soa.regroup(self._groups())
+        self._soa = soa
+
+    def _groups(self) -> list:
+        """Group label of every VM, in sorted VM order."""
+        records = self._vm_records
+        return [records[vm_id].anti_affinity_group for vm_id in self._sorted_vm_ids]
+
+    def _group_blocks(self, row: int, column: int) -> bool:
+        """Whether another placed VM of VM row ``row``'s group sits on PM row
+        ``column``."""
+        soa = self._soa
+        return bool(soa.group_hosts(soa.vm_group[row], row)[column])
 
     def affinity_ratio(self) -> float:
         """Average fraction of other VMs a VM conflicts with (Table 2 metric)."""
-        total_vms = len(self.vms)
+        total_vms = self.num_vms
         if total_vms <= 1:
             return 0.0
-        group_sizes: Dict[int, int] = {}
-        for vm in self.vms.values():
-            if vm.anti_affinity_group is not None:
-                group_sizes[vm.anti_affinity_group] = group_sizes.get(vm.anti_affinity_group, 0) + 1
-        conflicts = sum(size * (size - 1) for size in group_sizes.values())
-        return conflicts / (total_vms * (total_vms - 1))
+        group = self._soa.vm_group
+        sizes = np.bincount(group[group >= 0])
+        return int((sizes * (sizes - 1)).sum()) / (total_vms * (total_vms - 1))
 
     # ------------------------------------------------------------------ #
     # Feasibility
@@ -252,34 +290,25 @@ class ClusterState:
         always moves a VM to a *different* PM, and the caller excludes the
         source PM.
         """
-        vm = self.vms[vm_id]
-        pm = self.pms[pm_id]
-        if honor_affinity and pm_id in self.conflicting_pm_ids(vm_id):
+        soa = self._soa
+        row, column = soa.vm_row[vm_id], soa.pm_row[pm_id]
+        if honor_affinity and self._group_blocks(row, column):
             return []
-        if vm.numa_count == 2:
-            fits = all(
-                numa.can_host(vm.cpu_per_numa, vm.memory_per_numa) for numa in pm.numas
-            )
-            return [BOTH_NUMAS] if fits else []
-        return [
-            numa.numa_id
-            for numa in pm.numas
-            if numa.can_host(vm.cpu, vm.memory)
-        ]
+        numa_fits, fits = _fits(soa, slice(row, row + 1), slice(column, column + 1))
+        if soa.vm_double[row]:
+            return [BOTH_NUMAS] if fits[0, 0] else []
+        return [numa_id for numa_id in (0, 1) if numa_fits[0, 0, numa_id]]
 
     def can_host(self, vm_id: int, pm_id: int, honor_affinity: bool = True) -> bool:
         """Whether ``pm_id`` can host ``vm_id`` on at least one NUMA target."""
         return bool(self.feasible_numas(vm_id, pm_id, honor_affinity=honor_affinity))
 
     def feasible_destination_pms(self, vm_id: int) -> List[int]:
-        """All PMs that could receive ``vm_id`` right now: never its source
-        PM, and anti-affinity always holds."""
-        vm = self.vms[vm_id]
-        return [
-            pm_id
-            for pm_id in self.sorted_pm_ids()
-            if not (vm.is_placed and pm_id == vm.pm_id) and self.can_host(vm_id, pm_id)
-        ]
+        """The PMs ``vm_id`` could migrate to right now: its row of the
+        feasibility matrix (never its source PM, anti-affinity always holds,
+        none for an unplaced VM)."""
+        soa = self._soa
+        return soa.pm_ids[soa.feasibility()[soa.vm_row[vm_id]]].tolist()
 
     def best_numa_for(self, vm_id: int, pm_id: int, honor_affinity: bool = True) -> Optional[int]:
         """Pick the NUMA on ``pm_id`` minimizing the resulting fragment (best fit).
@@ -289,10 +318,10 @@ class ClusterState:
         single-NUMA VM goes to the feasible NUMA whose post-placement X-core
         fragment is smallest, then to the one with less free CPU, then NUMA 0.
         """
-        if honor_affinity and pm_id in self.conflicting_pm_ids(vm_id):
-            return None
-        soa = self.arrays()
+        soa = self._soa
         row, column = soa.vm_row[vm_id], soa.pm_row[pm_id]
+        if honor_affinity and self._group_blocks(row, column):
+            return None
         _, numa, fits = soa.placement_scores(
             slice(row, row + 1), slice(column, column + 1), self.fragment_cores
         )
@@ -303,51 +332,57 @@ class ClusterState:
     # ------------------------------------------------------------------ #
     def place_vm(self, vm_id: int, placement: Placement, honor_affinity: bool = True) -> None:
         """Place an unplaced VM on the given PM/NUMA target."""
-        vm = self._own_vm(vm_id)
-        if vm.is_placed:
-            raise ValueError(f"VM {vm_id} is already placed on PM {vm.pm_id}")
-        pm = self._own_pm(placement.pm_id)
-        if honor_affinity and placement.pm_id in self.conflicting_pm_ids(vm_id):
-            raise ValueError(f"placing VM {vm_id} on PM {placement.pm_id} violates anti-affinity")
-        if vm.numa_count == 2:
-            if placement.numa_id != BOTH_NUMAS:
+        soa = self._soa
+        row = soa.vm_row[vm_id]
+        if soa.vm_pm[row] >= 0:
+            raise ValueError(f"VM {vm_id} is already placed on PM {soa.pm_ids[soa.vm_pm[row]]}")
+        pm_id, numa_id = placement.pm_id, placement.numa_id
+        column = soa.pm_row[pm_id]
+        if honor_affinity and self._group_blocks(row, column):
+            raise ValueError(f"placing VM {vm_id} on PM {pm_id} violates anti-affinity")
+        room = _fits(soa, slice(row, row + 1), slice(column, column + 1))[0][0, 0]
+        if soa.vm_double[row]:
+            if numa_id != BOTH_NUMAS:
                 raise ValueError(f"double-NUMA VM {vm_id} must target both NUMAs")
-            for numa in pm.numas:
-                if not numa.can_host(vm.cpu_per_numa, vm.memory_per_numa):
-                    raise ValueError(
-                        f"PM {placement.pm_id} NUMA {numa.numa_id} cannot host half of VM {vm_id}"
-                    )
-            for numa in pm.numas:
-                numa.allocate(vm_id, vm.cpu_per_numa, vm.memory_per_numa)
+            for numa in (0, 1):
+                if not room[numa]:
+                    raise ValueError(f"PM {pm_id} NUMA {numa} cannot host half of VM {vm_id}")
+            numas = slice(None)
         else:
-            if placement.numa_id not in (0, 1):
+            if numa_id not in (0, 1):
                 raise ValueError(f"single-NUMA VM {vm_id} must target NUMA 0 or 1")
-            numa = pm.numas[placement.numa_id]
-            numa.allocate(vm_id, vm.cpu, vm.memory)
-        vm.pm_id = placement.pm_id
-        vm.numa_id = placement.numa_id
-        if self._soa is not None and not self._soa.apply_place(vm):
-            self._soa = None
+            if not room[numa_id]:
+                vm_type = self._vm_records[vm_id].vm_type
+                raise ValueError(
+                    f"NUMA ({pm_id},{numa_id}) cannot host VM {vm_id}: "
+                    f"needs cpu={vm_type.cpu}/mem={vm_type.memory}, "
+                    f"free cpu={float(soa.numa_free_cpu[column, numa_id])}"
+                    f"/mem={float(soa.numa_free_mem[column, numa_id])}"
+                )
+            numas = numa_id
+        soa.numa_free_cpu[column, numas] -= soa.vm_cpu_half[row]
+        soa.numa_free_mem[column, numas] -= soa.vm_mem_half[row]
+        soa.vm_pm[row] = column
+        soa.vm_numa[row] = numa_id
+        soa.version += 1
 
     def remove_vm(self, vm_id: int) -> Placement:
-        """Remove a placed VM from its PM; returns the vacated placement."""
-        vm = self._own_vm(vm_id)
-        if not vm.is_placed:
+        """Remove a placed VM from its PM; returns the vacated placement.
+        The freed resources are added back clamped at each NUMA's capacity."""
+        soa = self._soa
+        row = soa.vm_row[vm_id]
+        column = soa.vm_pm[row]
+        if column < 0:
             raise ValueError(f"VM {vm_id} is not placed")
-        pm = self._own_pm(vm.pm_id)
-        previous = Placement(pm_id=vm.pm_id, numa_id=vm.numa_id)
-        if vm.numa_id == BOTH_NUMAS:
-            for numa in pm.numas:
-                numa.release(vm_id, vm.cpu_per_numa, vm.memory_per_numa)
-        else:
-            pm.numas[vm.numa_id].release(vm_id, vm.cpu, vm.memory)
-        vm.pm_id = None
-        vm.numa_id = None
-        if self._soa is not None and not self._soa.apply_remove(
-            vm_id, previous.pm_id, previous.numa_id
-        ):
-            self._soa = None
-        return previous
+        numa_id = int(soa.vm_numa[row])
+        numas = slice(None) if numa_id == BOTH_NUMAS else numa_id
+        free_cpu, free_mem = soa.numa_free_cpu[column], soa.numa_free_mem[column]
+        free_cpu[numas] = np.minimum(free_cpu[numas] + soa.vm_cpu_half[row], soa.numa_cap_cpu[column, numas])
+        free_mem[numas] = np.minimum(free_mem[numas] + soa.vm_mem_half[row], soa.numa_cap_mem[column, numas])
+        soa.vm_pm[row] = -1
+        soa.vm_numa[row] = UNPLACED_NUMA
+        soa.version += 1
+        return Placement(pm_id=int(soa.pm_ids[column]), numa_id=numa_id)
 
     def migrate_vm(
         self,
@@ -361,10 +396,11 @@ class ClusterState:
         The operation is atomic: if the destination cannot host the VM the
         original placement is restored and a ``ValueError`` is raised.
         """
-        vm = self.vms[vm_id]
-        if not vm.is_placed:
+        soa = self._soa
+        column = soa.vm_pm[soa.vm_row[vm_id]]
+        if column < 0:
             raise ValueError(f"VM {vm_id} is not placed and cannot be migrated")
-        if dest_pm_id == vm.pm_id:
+        if dest_pm_id == soa.pm_ids[column]:
             raise ValueError(f"VM {vm_id} is already on PM {dest_pm_id}")
         source = self.remove_vm(vm_id)
         if dest_numa_id is None:
@@ -380,26 +416,45 @@ class ClusterState:
             raise
         return source, destination
 
+    def _reshape(
+        self,
+        pm_types: Dict[int, PMType],
+        vm_records: Dict[int, VMRecord],
+        keep_vms: Optional[np.ndarray] = None,
+        keep_pms: Optional[np.ndarray] = None,
+        joining: Optional[ClusterArrays] = None,
+    ) -> None:
+        """Structural change: swap in new records and a new view over them
+        (:meth:`ClusterArrays.reshaped`).  Kept machines keep their placements
+        and free capacity; ``joining`` machines arrive unplaced and empty."""
+        self._pm_types, self._vm_records = pm_types, vm_records
+        self._install(self._soa.reshaped(keep_vms, keep_pms, joining))
+        if self._soa.vm_group.max(initial=-1) >= 0:
+            self._soa.regroup(self._groups())
+
     def remove_vm_from_cluster(self, vm_id: int) -> None:
         """Delete a VM entirely (a completed VM exiting, §1 / Fig. 1)."""
-        vm = self.vms[vm_id]
-        if vm.is_placed:
+        soa = self._soa
+        row = soa.vm_row[vm_id]
+        if soa.vm_pm[row] >= 0:
             self.remove_vm(vm_id)
-        del self.vms[vm_id]
-        self._owned_vms.discard(vm_id)
-        self._soa = None
-        self._sorted_vm_ids = None
+        records = dict(self._vm_records)
+        del records[vm_id]
+        keep = np.ones(soa.num_vms, dtype=bool)
+        keep[row] = False
+        self._reshape(self._pm_types, records, keep_vms=keep)
 
     def add_vm(self, vm: VirtualMachine, placement: Optional[Placement] = None) -> None:
-        """Add a new VM (an arrival); optionally place it immediately."""
-        if vm.vm_id in self.vms:
+        """Add a new VM (an arrival), unplaced whatever ``vm`` says;
+        optionally place it immediately."""
+        if vm.vm_id in self._vm_records:
             raise ValueError(f"VM id {vm.vm_id} already exists")
-        vm.pm_id = None
-        vm.numa_id = None
-        self.vms[vm.vm_id] = vm
-        self._owned_vms.add(vm.vm_id)
-        self._soa = None
-        self._sorted_vm_ids = None
+        record = VMRecord(vm.vm_type, vm.anti_affinity_group)
+        self._reshape(
+            self._pm_types,
+            {**self._vm_records, vm.vm_id: record},
+            joining=ClusterArrays.empty({}, {vm.vm_id: record}),
+        )
         if placement is not None:
             self.place_vm(vm.vm_id, placement)
 
@@ -407,90 +462,76 @@ class ClusterState:
         """Add a new (empty) PM — a maintenance re-add or capacity expansion.
 
         The PM may carry a different :class:`~repro.cluster.vm_types.PMType`
-        than the incumbents (a newer hardware generation).  Structural change:
-        the SoA view and the sorted-id caches are dropped and rebuilt lazily.
+        than the incumbents (a newer hardware generation).
         """
-        if pm.pm_id in self.pms:
+        if pm.pm_id in self._pm_types:
             raise ValueError(f"PM id {pm.pm_id} already exists")
         if pm.vm_ids:
             raise ValueError(f"PM {pm.pm_id} must join the cluster empty")
-        self.pms[pm.pm_id] = pm
-        self._owned_pms.add(pm.pm_id)
-        self._soa = None
-        self._sorted_pm_ids = None
+        self._reshape(
+            {**self._pm_types, pm.pm_id: pm.pm_type},
+            self._vm_records,
+            joining=ClusterArrays.empty({pm.pm_id: pm.pm_type}, {}),
+        )
 
     def remove_pm(self, pm_id: int) -> None:
         """Delete an *empty* PM (completed maintenance drain or failure).
 
         The caller is responsible for getting the hosted VMs off first —
         migrating them on a drain, removing them on a failure; a non-empty PM
-        raises so resource accounting can never be silently lost.  Dropping
-        the SoA here is load-bearing even though ``matches()`` only compares
-        counts: a remove+add pair of the same count must still rebuild.
+        raises so resource accounting can never be silently lost.
         """
-        pm = self.pms[pm_id]
-        if pm.vm_ids:
-            raise ValueError(f"PM {pm_id} still hosts VMs {sorted(pm.vm_ids)}")
-        if len(self.pms) == 1:
+        soa = self._soa
+        row = soa.pm_row[pm_id]
+        hosted = soa.vm_ids[soa.vm_pm == row]
+        if hosted.size:
+            raise ValueError(f"PM {pm_id} still hosts VMs {hosted.tolist()}")
+        if self.num_pms == 1:
             raise ValueError("cannot remove the last PM of a cluster")
-        del self.pms[pm_id]
-        self._owned_pms.discard(pm_id)
-        self._soa = None
-        self._sorted_pm_ids = None
+        pm_types = dict(self._pm_types)
+        del pm_types[pm_id]
+        keep = np.ones(soa.num_pms, dtype=bool)
+        keep[row] = False
+        self._reshape(pm_types, self._vm_records, keep_pms=keep)
 
     # ------------------------------------------------------------------ #
     # Metrics
     # ------------------------------------------------------------------ #
     def fragment_rate(self, x_cores: Optional[int] = None) -> float:
         return fragmentation.fragment_rate_arrays(
-            self.arrays().numa_free_cpu, x_cores or self.fragment_cores
+            self._soa.numa_free_cpu, x_cores or self.fragment_cores
         )
 
     def memory_fragment_rate(self, x_memory: float = 64.0) -> float:
-        return fragmentation.fragment_rate_arrays(self.arrays().numa_free_mem, x_memory)
+        return fragmentation.fragment_rate_arrays(self._soa.numa_free_mem, x_memory)
 
     def total_fragment(self, x_cores: Optional[int] = None) -> float:
-        return fragmentation.cluster_fragment_arrays(
-            self.arrays().numa_free_cpu, x_cores or self.fragment_cores
+        return fragmentation.fragment_arrays(
+            self._soa.numa_free_cpu, x_cores or self.fragment_cores
         )
 
     def pm_fragment(self, pm_id: int, x_cores: Optional[int] = None) -> float:
-        return fragmentation.pm_cpu_fragment(self.pms[pm_id], x_cores or self.fragment_cores)
+        soa = self._soa
+        return fragmentation.fragment_arrays(
+            soa.numa_free_cpu[soa.pm_row[pm_id]], x_cores or self.fragment_cores
+        )
 
     def cpu_utilization(self) -> float:
-        soa = self.arrays()
+        soa = self._soa
         return 1.0 - float(soa.numa_free_cpu.sum()) / float(soa.numa_cap_cpu.sum())
 
     # ------------------------------------------------------------------ #
     # Copy / serialization
     # ------------------------------------------------------------------ #
     def copy(self) -> "ClusterState":
-        """Logical deep copy with copy-on-write machine sharing.
-
-        Only the id→machine dicts and the SoA *pages* are duplicated (both
-        O(machines) but allocation-free per object); the PM/VM objects
-        themselves are shared between the two states until one of them
-        mutates a machine, at which point that state snapshots just the
-        touched object (``_own_vm`` / ``_own_pm``).  Both states therefore
-        lose exclusive ownership here.  Semantically this is still a deep
-        copy — ``plan_batch`` and eval replay copy states per request, and a
-        typical episode then touches a handful of machines per step — as
-        long as every mutation flows through the ``ClusterState`` methods
-        (``place_vm`` / ``remove_vm`` / ``migrate_vm`` / ``add_vm`` /
-        ``set_anti_affinity_group``).  Writing fields directly on a machine
-        object pulled out of the dicts bypasses the snapshot and corrupts
-        every sharer.
-        """
+        """Independent copy: the view's placement arrays are copied; the
+        records and the view's fixed arrays (ids, capacities, demands,
+        groups), which never change in place, are shared."""
         clone = object.__new__(ClusterState)
         clone.fragment_cores = self.fragment_cores
-        clone.pms = dict(self.pms)
-        clone.vms = dict(self.vms)
-        clone._owned_pms = set()
-        clone._owned_vms = set()
-        self._owned_pms = set()
-        self._owned_vms = set()
-        soa = self._soa
-        clone._soa = soa.copy() if soa is not None and soa.matches(self) else None
+        clone._pm_types = self._pm_types
+        clone._vm_records = self._vm_records
+        clone._soa = self._soa.copy()
         clone._sorted_pm_ids = self._sorted_pm_ids
         clone._sorted_vm_ids = self._sorted_vm_ids
         return clone
@@ -501,33 +542,38 @@ class ClusterState:
         The payload round-trips everything :meth:`copy` preserves — PM/VM
         flavors, placements (including NUMA targets and double-NUMA markers),
         anti-affinity groups and the cluster's ``fragment_cores`` — so a
-        deserialized state reproduces the original fragment rate, feasibility
-        masks and SoA view exactly.
+        deserialized state reproduces the original arrays exactly.
         """
+        soa = self._soa
+        pm_ids = self._sorted_pm_ids
+        vms = []
+        for vm_id, column, numa_id in zip(self._sorted_vm_ids, soa.vm_pm.tolist(), soa.vm_numa.tolist()):
+            vm_type, group = self._vm_records[vm_id]
+            placed = column >= 0
+            vms.append(
+                {
+                    "vm_id": vm_id,
+                    "type": vm_type.name,
+                    "cpu": vm_type.cpu,
+                    "memory": vm_type.memory,
+                    "numa_count": vm_type.numa_count,
+                    "pm_id": pm_ids[column] if placed else None,
+                    "numa_id": numa_id if placed else None,
+                    "anti_affinity_group": group,
+                }
+            )
         return {
             "fragment_cores": self.fragment_cores,
             "pms": [
                 {
-                    "pm_id": pm.pm_id,
-                    "type": pm.pm_type.name,
-                    "cpu": pm.pm_type.cpu,
-                    "memory": pm.pm_type.memory,
+                    "pm_id": pm_id,
+                    "type": pm_type.name,
+                    "cpu": pm_type.cpu,
+                    "memory": pm_type.memory,
                 }
-                for pm in self.pm_list()
+                for pm_id, pm_type in ((pm_id, self._pm_types[pm_id]) for pm_id in pm_ids)
             ],
-            "vms": [
-                {
-                    "vm_id": vm.vm_id,
-                    "type": vm.vm_type.name,
-                    "cpu": vm.vm_type.cpu,
-                    "memory": vm.vm_type.memory,
-                    "numa_count": vm.vm_type.numa_count,
-                    "pm_id": vm.pm_id,
-                    "numa_id": vm.numa_id,
-                    "anti_affinity_group": vm.anti_affinity_group,
-                }
-                for vm in self.vm_list()
-            ],
+            "vms": vms,
         }
 
     @classmethod

@@ -32,6 +32,7 @@ from ..cluster import (
     VMTypeCatalog,
     assign_anti_affinity_groups,
     best_fit_placement,
+    landing_slots,
 )
 from ..cluster.vm_types import (
     DEFAULT_PM_TYPE,
@@ -240,14 +241,14 @@ class SnapshotGenerator:
         if rng.random() < self.spec.best_fit_fraction:
             return best_fit_placement(state, vm)
         # Random fit: pick a random feasible (PM, NUMA) pair.
-        with state.probe_vm(vm):
-            candidates: List[Placement] = []
-            for pm_id in state.pms:
-                for numa_id in state.feasible_numas(vm.vm_id, pm_id):
-                    candidates.append(Placement(pm_id=pm_id, numa_id=numa_id))
-        if not candidates:
+        fits, numas = landing_slots(state, vm)
+        candidates = np.flatnonzero(fits)
+        if not candidates.size:
             return None
-        return candidates[rng.integers(len(candidates))]
+        pick = int(candidates[rng.integers(len(candidates))])
+        return Placement(
+            pm_id=state.sorted_pm_ids()[pick // len(numas)], numa_id=numas[pick % len(numas)]
+        )
 
     def _apply_churn(self, state: ClusterState, rng: np.random.Generator) -> None:
         """Remove a fraction of VMs to carve the release-holes VMR must repair."""

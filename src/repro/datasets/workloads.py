@@ -84,11 +84,11 @@ def generate_workload_snapshots(
 
 def cpu_usage_samples(states: Sequence[ClusterState]) -> np.ndarray:
     """Per-PM CPU usage across snapshots (the samples behind Fig. 15's CDF)."""
-    usages: List[float] = []
-    for state in states:
-        for pm in state.pms.values():
-            usages.append(pm.cpu_utilization)
-    return np.asarray(usages, dtype=float)
+    usages = [
+        1.0 - soa.numa_free_cpu.sum(axis=1) / soa.numa_cap_cpu.sum(axis=1)
+        for soa in (state.arrays() for state in states)
+    ]
+    return np.concatenate(usages) if usages else np.zeros(0)
 
 
 def cpu_usage_cdf(states: Sequence[ClusterState], grid: Optional[np.ndarray] = None) -> Dict[str, np.ndarray]:

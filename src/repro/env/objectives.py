@@ -17,7 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..cluster import ClusterState
-from ..cluster.fragmentation import REWARD_SCALE, pm_cpu_fragment, pm_memory_fragment
+from ..cluster.fragmentation import REWARD_SCALE, fragment_arrays
+
+
+def pm_free(state: ClusterState, pm_id: int) -> tuple:
+    """A PM's ``(2,)`` rows of the SoA view's free CPU and free memory."""
+    soa = state.arrays()
+    row = soa.pm_row[pm_id]
+    return soa.numa_free_cpu[row], soa.numa_free_mem[row]
 
 
 class Objective:
@@ -59,7 +66,7 @@ class FragmentRateObjective(Objective):
     name = "fragment_rate"
 
     def pm_score(self, state: ClusterState, pm_id: int) -> float:
-        return pm_cpu_fragment(state.pms[pm_id], self.x_cores) / self.reward_scale
+        return fragment_arrays(pm_free(state, pm_id)[0], self.x_cores) / self.reward_scale
 
     def episode_metric(self, state: ClusterState) -> float:
         return state.fragment_rate(self.x_cores)
@@ -82,7 +89,7 @@ class MigrationMinimizationObjective(Objective):
             raise ValueError("fr_goal must be in [0, 1]")
 
     def pm_score(self, state: ClusterState, pm_id: int) -> float:
-        return pm_cpu_fragment(state.pms[pm_id], self.x_cores) / self.reward_scale
+        return fragment_arrays(pm_free(state, pm_id)[0], self.x_cores) / self.reward_scale
 
     def episode_metric(self, state: ClusterState) -> float:
         return state.fragment_rate(self.x_cores)
@@ -116,9 +123,9 @@ class MixedFragmentObjective(Objective):
             raise ValueError("weight (lambda) must be in [0, 1]")
 
     def pm_score(self, state: ClusterState, pm_id: int) -> float:
-        pm = state.pms[pm_id]
-        primary = pm_cpu_fragment(pm, self.primary_cores)
-        secondary = pm_cpu_fragment(pm, self.secondary_cores)
+        free_cpu, _ = pm_free(state, pm_id)
+        primary = fragment_arrays(free_cpu, self.primary_cores)
+        secondary = fragment_arrays(free_cpu, self.secondary_cores)
         return ((1.0 - self.weight) * primary + self.weight * secondary) / self.reward_scale
 
     def episode_metric(self, state: ClusterState) -> float:
@@ -150,9 +157,9 @@ class MixedResourceObjective(Objective):
             raise ValueError("weight (lambda) must be in [0, 1]")
 
     def pm_score(self, state: ClusterState, pm_id: int) -> float:
-        pm = state.pms[pm_id]
-        cpu_term = pm_cpu_fragment(pm, self.cpu_cores) / self.reward_scale
-        mem_term = pm_memory_fragment(pm, self.memory_gb) / self.memory_reward_scale
+        free_cpu, free_mem = pm_free(state, pm_id)
+        cpu_term = fragment_arrays(free_cpu, self.cpu_cores) / self.reward_scale
+        mem_term = fragment_arrays(free_mem, self.memory_gb) / self.memory_reward_scale
         return (1.0 - self.weight) * cpu_term + self.weight * mem_term
 
     def episode_metric(self, state: ClusterState) -> float:

@@ -132,6 +132,9 @@ class VMRescheduleEnv:
             raise IndexError(f"pm_index {pm_index} out of range")
         vm_id = vm_ids[vm_index]
         dest_pm_id = pm_ids[pm_index]
+        soa = self.state.arrays()
+        source_row = soa.vm_pm[vm_index]
+        source_pm_id = int(soa.pm_ids[source_row]) if source_row >= 0 else -1
 
         legal = self.checker.migration_is_feasible(self.state, vm_id, dest_pm_id)
         if not legal:
@@ -143,7 +146,7 @@ class VMRescheduleEnv:
             self.steps_taken += 1
             record = StepRecord(
                 vm_id=vm_id,
-                source_pm_id=self.state.vms[vm_id].pm_id if self.state.vms[vm_id].is_placed else -1,
+                source_pm_id=source_pm_id,
                 dest_pm_id=dest_pm_id,
                 reward=reward,
                 fragment_rate=self.objective.episode_metric(self.state),
@@ -153,7 +156,6 @@ class VMRescheduleEnv:
             self._done = self._should_terminate()
             return self._observation(), reward, self._done, self._info(record)
 
-        source_pm_id = self.state.vms[vm_id].pm_id
         before_source = self.objective.pm_score(self.state, source_pm_id)
         before_dest = self.objective.pm_score(self.state, dest_pm_id)
         self.state.migrate_vm(vm_id, dest_pm_id)
@@ -224,7 +226,8 @@ class VMRescheduleEnv:
         """ANSI rendering of the current cluster occupancy."""
         self._require_state()
         lines = [f"step={self.steps_taken} FR={self.fragment_rate():.4f}"]
-        for pm in self.state.pm_list():
+        pms = self.state.pms
+        for pm in (pms[pm_id] for pm_id in self.state.sorted_pm_ids()):
             numa_bits = " | ".join(
                 f"numa{numa.numa_id}: used={numa.used_cpu:.0f}/{numa.cpu_capacity:.0f}c"
                 for numa in pm.numas

@@ -7,7 +7,7 @@ that has come due.  All mutations flow through the state's own methods
 ``remove_pm``), so the SoA view and therefore the measured dirty sets and the
 StepCache stay exact under external churn: placement-level changes (drain
 migrations) update the live view in place, structural changes (VM/PM arrival
-and departure, resizes) invalidate it for an exact rebuild.
+and departure, resizes) build a new view.
 
 Event semantics
 ---------------
@@ -114,8 +114,9 @@ class LivingCluster:
         self._generation_growth = generation_growth
         # Generation-0 hardware: the most common PM flavor of the seed state.
         flavor_counts: Dict[PMType, int] = {}
-        for pm in state.pms.values():
-            flavor_counts[pm.pm_type] = flavor_counts.get(pm.pm_type, 0) + 1
+        for pm_id in state.sorted_pm_ids():
+            pm_type = state.pm_type(pm_id)
+            flavor_counts[pm_type] = flavor_counts.get(pm_type, 0) + 1
         self._base_pm_type = max(
             flavor_counts, key=lambda t: (flavor_counts[t], t.cpu)
         )
@@ -178,8 +179,9 @@ class LivingCluster:
 
     def _pick_placed_vm(self, vm_id: Optional[int]) -> Optional[int]:
         if vm_id is not None:
-            vm = self.state.vms.get(vm_id)
-            return vm_id if vm is not None and vm.is_placed else None
+            soa = self.state.arrays()
+            row = soa.vm_row.get(vm_id)
+            return vm_id if row is not None and soa.vm_pm[row] >= 0 else None
         placed = self.state.placed_vm_ids()
         if not placed:
             return None
@@ -251,31 +253,31 @@ class LivingCluster:
 
     def _drain_destination(self, vm_id: int) -> Optional[Placement]:
         """Best-fit destination for a VM leaving its PM (arithmetic, no probe
-        mutations): smallest post-placement fragment, then least free CPU,
-        then lowest PM id.  The legal PMs and their NUMA choices are one row
-        of the SoA view's feasibility matrix and placement scores."""
+        mutations): smallest post-placement fragment of the NUMAs it lands
+        on, then least free CPU, then lowest PM id.  The legal PMs and their
+        NUMA choices are one row of the SoA view's feasibility matrix and
+        placement scores."""
         state = self.state
-        vm = state.vms[vm_id]
         soa = state.arrays()
         row = soa.vm_row[vm_id]
         _, numas, _ = soa.placement_scores(slice(row, row + 1), slice(None), state.fragment_cores)
-        best: Optional[Placement] = None
-        best_key = None
-        for column in np.flatnonzero(soa.feasibility()[row]):
-            pm_id, numa_id = int(soa.pm_ids[column]), int(numas[0, column])
-            pm = state.pms[pm_id]
-            if numa_id == BOTH_NUMAS:
-                fragment = sum(
-                    (numa.free_cpu - vm.cpu_per_numa) % state.fragment_cores
-                    for numa in pm.numas
-                )
-            else:
-                fragment = (pm.numas[numa_id].free_cpu - vm.cpu) % state.fragment_cores
-            key = (fragment, pm.free_cpu, pm_id)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = Placement(pm_id=pm_id, numa_id=numa_id)
-        return best
+        columns = np.flatnonzero(soa.feasibility()[row])
+        if columns.size == 0:
+            return None
+        free = soa.numa_free_cpu[columns]
+        landed = (free - soa.vm_cpu_half[row]) % state.fragment_cores
+        numa = numas[0, columns]
+        fragment = np.where(
+            numa == BOTH_NUMAS,
+            landed[:, 0] + landed[:, 1],
+            landed[np.arange(columns.size), np.maximum(numa, 0)],
+        )
+        best = columns[np.lexsort((free[:, 0] + free[:, 1], fragment))[0]]
+        return Placement(pm_id=int(soa.pm_ids[best]), numa_id=int(numas[0, best]))
+
+    def _hosted_vm_ids(self, pm_id: int) -> List[int]:
+        soa = self.state.arrays()
+        return soa.vm_ids[soa.vm_pm == soa.pm_row[pm_id]].tolist()
 
     def _apply_pm_drain(self, event: ClusterEvent) -> None:
         state = self.state
@@ -286,7 +288,7 @@ class LivingCluster:
         if pm_id is None:
             self.stats["skipped"] += 1
             return
-        for vm_id in sorted(state.pms[pm_id].vm_ids):
+        for vm_id in self._hosted_vm_ids(pm_id):
             destination = self._drain_destination(vm_id)
             if destination is None:
                 state.remove_vm_from_cluster(vm_id)
@@ -306,7 +308,7 @@ class LivingCluster:
         if pm_id is None:
             self.stats["skipped"] += 1
             return
-        lost = sorted(state.pms[pm_id].vm_ids)
+        lost = self._hosted_vm_ids(pm_id)
         for vm_id in lost:
             state.remove_vm_from_cluster(vm_id)
         state.remove_pm(pm_id)

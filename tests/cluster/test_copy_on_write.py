@@ -14,6 +14,8 @@ from repro.cluster import (
 )
 from repro.datasets import ClusterSpec, SnapshotGenerator
 
+from oracles import assert_recounted
+
 
 def _state(num_pms=10, seed=0):
     spec = ClusterSpec(
@@ -99,8 +101,8 @@ class TestCopyOnWrite:
         clone.migrate_vm(vm_id, dest_pm)
         assert state.vms[vm_id].pm_id == before
         assert clone.vms[vm_id].pm_id == dest_pm
-        state.arrays().assert_in_sync(state)
-        clone.arrays().assert_in_sync(clone)
+        assert_recounted(state)
+        assert_recounted(clone)
 
     def test_original_mutation_leaves_clone_intact(self):
         state = _state(seed=1)
@@ -109,8 +111,8 @@ class TestCopyOnWrite:
         before = clone.vms[vm_id].pm_id
         state.migrate_vm(vm_id, dest_pm)
         assert clone.vms[vm_id].pm_id == before
-        clone.arrays().assert_in_sync(clone)
-        state.arrays().assert_in_sync(state)
+        assert_recounted(clone)
+        assert_recounted(state)
 
     def test_chained_copies(self):
         state = _state(seed=2)
@@ -125,7 +127,7 @@ class TestCopyOnWrite:
             second.migrate_vm(vm_id, back_to)
             assert first.vms[vm_id].pm_id == source_pm
         for s in (state, first, second):
-            s.arrays().assert_in_sync(s)
+            assert_recounted(s)
 
     def test_set_anti_affinity_group_is_cow_safe(self):
         state = _state(seed=3)

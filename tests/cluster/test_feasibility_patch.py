@@ -12,7 +12,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import ConstraintChecker, Placement, soa
+from repro.cluster import ClusterState, ConstraintChecker, Placement, soa
 from repro.cluster.constraints import assign_anti_affinity_groups
 from repro.datasets import ClusterSpec, SnapshotGenerator
 
@@ -58,7 +58,7 @@ def _fresh_matrix(state, recorder=None):
     if recorder is not None:
         recorder.recording = False
     try:
-        return soa.ClusterArrays.build(state).feasibility()
+        return ClusterState.from_dict(state.to_dict()).arrays().feasibility()
     finally:
         if recorder is not None:
             recorder.recording = True
@@ -82,7 +82,12 @@ def _mutate(state, kind, rng):
     if kind == "remove":
         state.remove_vm(vm_id)
         return True
-    destinations = state.feasible_destination_pms(vm_id)
+    # Destinations from can_host, not feasible_destination_pms: reading the
+    # memoized matrix here would move the reads the tests count.
+    source = state.vms[vm_id].pm_id
+    destinations = [
+        pm_id for pm_id in state.sorted_pm_ids() if pm_id != source and state.can_host(vm_id, pm_id)
+    ]
     if not destinations:
         return False
     state.migrate_vm(vm_id, int(destinations[rng.integers(len(destinations))]))

@@ -1,11 +1,12 @@
-"""Tests for VM/PM type catalogs and the machine resource accounting."""
+"""Tests for VM/PM type catalogs, machine snapshots and NUMA accounting."""
 
 import pytest
 
 from repro.cluster import (
     BOTH_NUMAS,
-    NumaNode,
+    ClusterState,
     PhysicalMachine,
+    Placement,
     PMType,
     TABLE1_VM_TYPES,
     VirtualMachine,
@@ -88,40 +89,54 @@ class TestPMTypes:
             PMType("odd", cpu=7, memory=16)
 
 
+def _one_pm_state(cpu: int, memory: int, *vm_types: VMType) -> ClusterState:
+    """One PM (id 0) and unplaced VMs 1, 2, ... of ``vm_types``."""
+    return ClusterState(
+        pms=[PhysicalMachine(pm_id=0, pm_type=PMType("t", cpu=cpu, memory=memory))],
+        vms=[VirtualMachine(vm_id=i, vm_type=t) for i, t in enumerate(vm_types, start=1)],
+    )
+
+
 class TestNumaNode:
+    """NUMA accounting, read through the state's PM snapshots."""
+
     def test_allocation_and_release(self):
-        numa = NumaNode(pm_id=0, numa_id=0, cpu_capacity=64, memory_capacity=256)
-        numa.allocate(vm_id=1, cpu=16, memory=32)
+        state = _one_pm_state(128, 512, VMType("v", 16, 32, 1))
+        state.place_vm(1, Placement(pm_id=0, numa_id=0))
+        numa = state.pms[0].numas[0]
         assert numa.free_cpu == 48
         assert numa.free_memory == 224
         assert numa.used_cpu == 16
-        numa.release(vm_id=1, cpu=16, memory=32)
+        assert numa.vm_ids == {1}
+        state.remove_vm(1)
+        numa = state.pms[0].numas[0]
         assert numa.free_cpu == 64
         assert 1 not in numa.vm_ids
 
     def test_over_allocation_rejected(self):
-        numa = NumaNode(pm_id=0, numa_id=0, cpu_capacity=16, memory_capacity=32)
-        with pytest.raises(ValueError):
-            numa.allocate(vm_id=1, cpu=32, memory=16)
+        state = _one_pm_state(32, 64, VMType("v", 32, 16, 1))
+        with pytest.raises(ValueError, match="cannot host"):
+            state.place_vm(1, Placement(pm_id=0, numa_id=0))
+        assert state.pms[0].numas[0].free_cpu == 16
 
     def test_double_allocation_of_same_vm_rejected(self):
-        numa = NumaNode(pm_id=0, numa_id=0, cpu_capacity=64, memory_capacity=256)
-        numa.allocate(vm_id=1, cpu=4, memory=8)
-        with pytest.raises(ValueError):
-            numa.allocate(vm_id=1, cpu=4, memory=8)
+        state = _one_pm_state(128, 512, VMType("v", 4, 8, 1))
+        state.place_vm(1, Placement(pm_id=0, numa_id=0))
+        with pytest.raises(ValueError, match="already placed"):
+            state.place_vm(1, Placement(pm_id=0, numa_id=0))
 
     def test_release_unknown_vm_rejected(self):
-        numa = NumaNode(pm_id=0, numa_id=0, cpu_capacity=64, memory_capacity=256)
-        with pytest.raises(ValueError):
-            numa.release(vm_id=5, cpu=4, memory=8)
+        state = _one_pm_state(128, 512, VMType("v", 4, 8, 1))
+        with pytest.raises(ValueError, match="not placed"):
+            state.remove_vm(1)
 
     def test_copy_is_independent(self):
-        numa = NumaNode(pm_id=0, numa_id=0, cpu_capacity=64, memory_capacity=256)
-        numa.allocate(vm_id=1, cpu=4, memory=8)
-        clone = numa.copy()
-        clone.release(vm_id=1, cpu=4, memory=8)
-        assert numa.free_cpu == 60
-        assert clone.free_cpu == 64
+        state = _one_pm_state(128, 512, VMType("v", 4, 8, 1))
+        state.place_vm(1, Placement(pm_id=0, numa_id=0))
+        clone = state.copy()
+        clone.remove_vm(1)
+        assert state.pms[0].numas[0].free_cpu == 60
+        assert clone.pms[0].numas[0].free_cpu == 64
 
 
 class TestPhysicalMachine:
@@ -132,18 +147,30 @@ class TestPhysicalMachine:
         assert pm.free_cpu == DEFAULT_PM_TYPE.cpu
 
     def test_utilization_and_vm_ids(self):
-        pm = PhysicalMachine(pm_id=0, pm_type=PMType("t", cpu=32, memory=64))
-        pm.numas[0].allocate(vm_id=7, cpu=8, memory=16)
+        state = _one_pm_state(32, 64, VMType("v", 8, 16, 1))
+        state.place_vm(1, Placement(pm_id=0, numa_id=0))
+        pm = state.pms[0]
         assert pm.cpu_utilization == pytest.approx(0.25)
-        assert pm.vm_ids == {7}
+        assert pm.vm_ids == {1}
 
     def test_copy_preserves_allocations(self):
-        pm = PhysicalMachine(pm_id=0, pm_type=PMType("t", cpu=32, memory=64))
-        pm.numas[1].allocate(vm_id=2, cpu=4, memory=8)
-        clone = pm.copy()
-        assert clone.numas[1].free_cpu == pm.numas[1].free_cpu
-        clone.numas[1].release(vm_id=2, cpu=4, memory=8)
-        assert pm.numas[1].free_cpu == 12
+        state = _one_pm_state(32, 64, VMType("v", 4, 8, 1))
+        state.place_vm(1, Placement(pm_id=0, numa_id=1))
+        clone = state.copy()
+        assert clone.pms[0].numas[1].free_cpu == state.pms[0].numas[1].free_cpu
+        clone.remove_vm(1)
+        assert state.pms[0].numas[1].free_cpu == 12
+
+    def test_snapshots_are_read_only_copies(self):
+        """Writing a snapshot's fields changes nothing in the state."""
+        state = _one_pm_state(32, 64, VMType("v", 4, 8, 1))
+        state.place_vm(1, Placement(pm_id=0, numa_id=1))
+        state.pms[0].numas[1].free_cpu = 0.0
+        state.vms[1].pm_id = None
+        assert state.pms[0].numas[1].free_cpu == 12
+        assert state.vms[1].pm_id == 0
+        with pytest.raises(TypeError):
+            state.vms[2] = VirtualMachine(vm_id=2, vm_type=VMType("v", 4, 8, 1))
 
 
 class TestVirtualMachine:

@@ -3,8 +3,8 @@
 The vectorized masks, featurization, fragment metrics and ``copy`` must be
 bit-for-bit identical to the loop implementations (the ``*_reference``
 oracles in ``tests/oracles.py``) on randomized clusters, including 2-NUMA VMs and
-anti-affinity edge cases, and the incrementally-synced arrays must always
-match a fresh rebuild after arbitrary mutation sequences.
+anti-affinity edge cases, and the arrays must always recount exactly after
+arbitrary mutation sequences.
 """
 
 import time
@@ -14,20 +14,24 @@ import pytest
 
 from repro.cluster import (
     BOTH_NUMAS,
-    ClusterArrays,
     ClusterState,
     ConstraintChecker,
     ConstraintConfig,
     VirtualMachine,
     assign_anti_affinity_groups,
-    cluster_cpu_fragment,
-    fragment_rate,
-    memory_fragment_rate,
 )
 from repro.datasets import ClusterSpec, SnapshotGenerator
 from repro.env.observation import ObservationBuilder
 
-from oracles import build_reference, destination_mask_reference, movable_vm_mask_reference
+from oracles import (
+    assert_recounted,
+    build_reference,
+    cluster_cpu_fragment,
+    destination_mask_reference,
+    fragment_rate,
+    memory_fragment_rate,
+    movable_vm_mask_reference,
+)
 
 
 def random_state(seed: int, num_pms: int = 20, groups: int = 3) -> ClusterState:
@@ -98,7 +102,7 @@ class TestMaskParity:
         np.testing.assert_array_equal(
             checker.movable_vm_mask(state), movable_vm_mask_reference(state)
         )
-        state.arrays().assert_in_sync(state)
+        assert_recounted(state)
 
 
 class TestGroupsInTheView:
@@ -122,21 +126,28 @@ class TestGroupsInTheView:
         clone = state.copy()
         for vm_id in clone.placed_vm_ids()[:6]:
             clone.set_anti_affinity_group(vm_id, 1)
-        clone.arrays().assert_in_sync(clone)
-        state.arrays().assert_in_sync(state)
+        assert_recounted(clone)
+        assert_recounted(state)
         assert state.arrays().vm_group.max() == -1
         np.testing.assert_array_equal(checker.feasibility_matrix(state), before)
         np.testing.assert_array_equal(
             checker.movable_vm_mask(clone), movable_vm_mask_reference(clone)
         )
 
-    def test_assert_in_sync_catches_a_stale_group(self):
+    def test_recount_catches_a_stale_group(self):
         state = random_state(10, groups=0)
         soa = state.arrays()
         soa.vm_group = soa.vm_group.copy()
         soa.vm_group[0] = 0
         with pytest.raises(AssertionError):
-            soa.assert_in_sync(state)
+            assert_recounted(state)
+
+    def test_recount_catches_a_lost_release(self):
+        state = random_state(10, groups=0)
+        soa = state.arrays()
+        soa.numa_free_cpu[soa.vm_pm[np.flatnonzero(soa.vm_pm >= 0)[0]]] -= 0.5
+        with pytest.raises(AssertionError):
+            assert_recounted(state)
 
 
 class TestFeatureParity:
@@ -172,13 +183,13 @@ class TestMetricParity:
         assert state.cpu_utilization() == pytest.approx(1.0 - free / total)
 
 
-class TestIncrementalSync:
+class TestMutationsRecount:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_arrays_track_random_mutations(self, seed):
         state = random_state(seed)
         checker = ConstraintChecker()
         rng = np.random.default_rng(seed)
-        state.arrays().assert_in_sync(state)
+        assert_recounted(state)
         vm_type = next(iter(state.vms.values())).vm_type
         next_id = max(state.vms) + 1
         for step in range(60):
@@ -201,7 +212,7 @@ class TestIncrementalSync:
                 unplaced = [v for v in state.sorted_vm_ids() if not state.vms[v].is_placed]
                 if unplaced:
                     state.remove_vm_from_cluster(int(rng.choice(unplaced)))
-            state.arrays().assert_in_sync(state)
+            assert_recounted(state)
             np.testing.assert_array_equal(
                 checker.movable_vm_mask(state), movable_vm_mask_reference(state)
             )
@@ -214,10 +225,10 @@ class TestIncrementalSync:
         vm_id = doubles[0]
         state.arrays()
         placement = state.remove_vm(vm_id)
-        state.arrays().assert_in_sync(state)
+        assert_recounted(state)
         assert placement.numa_id == BOTH_NUMAS
         state.place_vm(vm_id, placement, honor_affinity=False)
-        state.arrays().assert_in_sync(state)
+        assert_recounted(state)
 
 
 class TestCopyParity:
@@ -226,7 +237,7 @@ class TestCopyParity:
         state.arrays()  # ensure the SoA view is carried over
         clone = state.copy()
         assert clone.to_dict() == state.to_dict()
-        clone.arrays().assert_in_sync(clone)
+        assert_recounted(clone)
         checker = ConstraintChecker()
         np.testing.assert_array_equal(
             checker.movable_vm_mask(clone), movable_vm_mask_reference(clone)
@@ -238,14 +249,14 @@ class TestCopyParity:
             dest = clone.sorted_pm_ids()[int(np.nonzero(mask)[0][0])]
             clone.migrate_vm(vm_id, dest)
             assert state.vms[vm_id].pm_id != clone.vms[vm_id].pm_id
-            state.arrays().assert_in_sync(state)
-            clone.arrays().assert_in_sync(clone)
+            assert_recounted(state)
+            assert_recounted(clone)
 
     def test_copy_without_arrays_built(self):
         state = random_state(4)
         clone = state.copy()
         assert clone.to_dict() == state.to_dict()
-        clone.arrays().assert_in_sync(clone)
+        assert_recounted(clone)
 
 
 class TestRewardParity:
@@ -281,15 +292,25 @@ class TestRewardParity:
         assert np.isfinite(total)
 
 
-def test_cluster_arrays_build_matches_state():
+def test_snapshots_read_the_arrays():
+    """``state.pms`` / ``state.vms`` snapshots show the view's free capacity
+    and placements."""
     state = random_state(11)
-    soa = ClusterArrays.build(state)
+    soa = state.arrays()
     assert soa.num_pms == state.num_pms and soa.num_vms == state.num_vms
     for row, pm_id in enumerate(state.sorted_pm_ids()):
         pm = state.pms[pm_id]
         for numa in pm.numas:
             assert soa.numa_free_cpu[row, numa.numa_id] == numa.free_cpu
             assert soa.numa_free_mem[row, numa.numa_id] == numa.free_memory
+            for vm_id in numa.vm_ids:
+                assert soa.vm_pm[soa.vm_row[vm_id]] == row
+                assert soa.vm_numa[soa.vm_row[vm_id]] in (numa.numa_id, BOTH_NUMAS)
+    for row, vm_id in enumerate(state.sorted_vm_ids()):
+        vm = state.vms[vm_id]
+        assert (soa.vm_pm[row] >= 0) == vm.is_placed
+        if vm.is_placed:
+            assert soa.pm_ids[soa.vm_pm[row]] == vm.pm_id and soa.vm_numa[row] == vm.numa_id
 
 
 def _best_of(fn, repeats: int) -> float:

@@ -14,16 +14,11 @@ from repro.cluster import (
     Placement,
     PMType,
     VirtualMachine,
+    VMType,
     VMTypeCatalog,
-    fragment_rate,
 )
-from repro.cluster.fragmentation import (
-    max_hostable_vms,
-    memory_fragment_rate,
-    mixed_objective,
-    numa_cpu_fragment,
-    pm_fragment_score,
-)
+from repro.cluster.fragmentation import fragment_arrays, fragment_rate_arrays, mixed_objective
+from repro.env import FragmentRateObjective
 
 CATALOG = VMTypeCatalog.main()
 
@@ -92,51 +87,49 @@ class TestFragmentMetricsPaperExample:
         assert state.pm_fragment(2) == pytest.approx(4.0)
 
 
+def one_pm(cpu=64, memory=256, placed=()):
+    """PM 0 hosting one VM per ``(numa_id, cpu, memory)`` of ``placed``."""
+    vms = [
+        VirtualMachine(vm_id=i, vm_type=VMType(f"t{i}", c, m, 1), pm_id=0, numa_id=numa_id)
+        for i, (numa_id, c, m) in enumerate(placed)
+    ]
+    return ClusterState(pms=[make_pm(0, cpu=cpu, memory=memory)], vms=vms)
+
+
 class TestFragmentationFunctions:
     def test_numa_fragment_modulo(self):
-        pm = make_pm(0, cpu=64)
-        pm.numas[0].allocate(1, cpu=10, memory=10)
-        assert numa_cpu_fragment(pm.numas[0], 16) == pytest.approx(22 % 16)
+        state = one_pm(placed=[(0, 10, 10)])
+        assert fragment_arrays(state.arrays().numa_free_cpu[0, :1], 16) == pytest.approx(22 % 16)
+        assert state.pm_fragment(0, 16) == pytest.approx(22 % 16)
 
     def test_empty_cluster_fr_zero(self):
-        assert fragment_rate([], 16) == 0.0
+        assert fragment_rate_arrays(np.zeros((0, 2)), 16) == 0.0
 
     def test_fully_packed_cluster_fr_zero(self):
-        pm = make_pm(0, cpu=32, memory=128)
-        pm.numas[0].allocate(1, cpu=16, memory=32)
-        pm.numas[1].allocate(2, cpu=16, memory=32)
-        assert fragment_rate([pm], 16) == 0.0
+        state = one_pm(cpu=32, memory=128, placed=[(0, 16, 32), (1, 16, 32)])
+        assert state.fragment_rate(16) == 0.0
 
-    def test_fragment_score_uses_reward_scale(self):
-        pm = make_pm(0, cpu=32)
-        pm.numas[0].allocate(1, cpu=4, memory=4)
+    def test_pm_score_uses_reward_scale(self):
+        state = one_pm(cpu=32, placed=[(0, 4, 4)])
         # free: 12 and 16 -> fragments 12 + 0 = 12, scaled by 64
-        assert pm_fragment_score(pm, 16) == pytest.approx(12 / 64)
+        assert FragmentRateObjective(x_cores=16).pm_score(state, 0) == pytest.approx(12 / 64)
 
     def test_memory_fragment_rate(self):
-        pm = make_pm(0, cpu=64, memory=256)
-        pm.numas[0].allocate(1, cpu=4, memory=100)
+        state = one_pm(placed=[(0, 4, 100)])
         # free memory: 28 and 128 -> fragments 28 % 64 + 0 = 28 of 156 free
-        assert memory_fragment_rate([pm], 64) == pytest.approx(28 / 156)
+        assert state.memory_fragment_rate(64) == pytest.approx(28 / 156)
 
     def test_mixed_objective_bounds_and_validation(self):
-        pm = make_pm(0, cpu=64)
-        assert 0.0 <= mixed_objective([pm], weight=0.3) <= 1.0
+        soa = one_pm().arrays()
+        assert 0.0 <= mixed_objective(soa, weight=0.3) <= 1.0
         with pytest.raises(ValueError):
-            mixed_objective([pm], weight=1.5)
+            mixed_objective(soa, weight=1.5)
         with pytest.raises(ValueError):
-            mixed_objective([pm], weight=0.5, secondary_cores=None, secondary_memory=None)
-
-    def test_max_hostable_vms(self):
-        pm = make_pm(0, cpu=64)  # 32 per NUMA
-        assert max_hostable_vms(pm, 16) == 4
-        pm.numas[0].allocate(1, cpu=20, memory=8)
-        assert max_hostable_vms(pm, 16) == 2
+            mixed_objective(soa, weight=0.5, secondary_cores=None, secondary_memory=None)
 
     def test_invalid_granularity_raises(self):
-        pm = make_pm(0)
         with pytest.raises(ValueError):
-            numa_cpu_fragment(pm.numas[0], 0)
+            fragment_arrays(one_pm().arrays().numa_free_cpu[0], 0)
 
 
 class TestClusterStatePlacement:
@@ -159,8 +152,10 @@ class TestClusterStatePlacement:
         state = ClusterState(pms=[pm], vms=[])
         vm = make_vm(9, "16xlarge")
         state.add_vm(vm, Placement(pm_id=0, numa_id=BOTH_NUMAS))
-        assert pm.numas[0].free_cpu == 64 - 32
-        assert pm.numas[1].free_cpu == 64 - 32
+        numas = state.pms[0].numas
+        assert numas[0].free_cpu == 64 - 32
+        assert numas[1].free_cpu == 64 - 32
+        assert numas[0].vm_ids == numas[1].vm_ids == {9}
 
     def test_double_numa_vm_requires_both_numa_target(self):
         pm = make_pm(0, cpu=128, memory=512)
@@ -313,8 +308,10 @@ class TestAntiAffinity:
         vm_b = make_vm(2, "xlarge", pm_id=2, numa_id=0, group=0)
         vm_c = make_vm(3, "xlarge", pm_id=2, numa_id=1, group=None)
         state = ClusterState(pms=[pm1, pm2], vms=[vm_a, vm_b, vm_c])
-        assert state.conflicting_pm_ids(1) == {2}
-        assert state.conflicting_pm_ids(3) == set()
+        # PM 2 hosts VM 1's group-mate; VM 3 has no group.
+        assert state.feasible_numas(1, 2) == []
+        assert state.feasible_numas(1, 2, honor_affinity=False) == [0, 1]
+        assert state.feasible_numas(3, 1) == [0, 1]
 
     def test_feasible_destinations_respect_affinity(self):
         pm1, pm2, pm3 = make_pm(1), make_pm(2), make_pm(3)
@@ -343,15 +340,14 @@ class TestPropertyBased:
         pms = [make_pm(i, cpu=64, memory=256) for i in range(3)]
         state = ClusterState(pms=pms, vms=[])
         for vm_id, name in enumerate(type_names):
-            vm = make_vm(vm_id, name)
-            state.vms[vm_id] = vm
+            state.add_vm(make_vm(vm_id, name))
             candidates = [
                 (pm_id, numa_id)
                 for pm_id in state.pms
                 for numa_id in state.feasible_numas(vm_id, pm_id)
             ]
             if not candidates:
-                del state.vms[vm_id]
+                state.remove_vm_from_cluster(vm_id)
                 continue
             pm_id, numa_id = candidates[rng.integers(len(candidates))]
             state.place_vm(vm_id, Placement(pm_id=pm_id, numa_id=numa_id))

@@ -125,7 +125,7 @@ class TestTreeMask:
 
     def test_tree_mask_unplaced_vm_isolated(self):
         state = small_cluster()
-        state.vms[10] = VirtualMachine(vm_id=10, vm_type=CATALOG.get("large"))
+        state.add_vm(VirtualMachine(vm_id=10, vm_type=CATALOG.get("large")))
         obs = observation_of(state)
         row = tree_mask(build_feature_batch(obs))[0, obs.num_pms + sorted(state.vms).index(10)]
         assert row.sum() == 1  # only itself
@@ -134,7 +134,7 @@ class TestTreeMask:
         """The grouped trees attend over exactly the links the dense mask
         allows: every pair inside a tree is allowed, and the counts agree."""
         state = small_cluster()
-        state.vms[10] = VirtualMachine(vm_id=10, vm_type=CATALOG.get("large"))
+        state.add_vm(VirtualMachine(vm_id=10, vm_type=CATALOG.get("large")))
         batch = build_feature_batch(observation_of(state))
         mask = tree_mask(batch)[0]
         links = 0

@@ -261,8 +261,9 @@ class TestObjectives:
         every objective reports exactly what ``ClusterState`` reduces from its SoA
         page — the value the benchmark's checker replays ``final_objective``
         against — and the object-walking functions stay its oracle."""
-        from repro.cluster import fragmentation
         from repro.datasets import ClusterSpec
+
+        from oracles import fragment_rate, memory_fragment_rate
 
         spec = ClusterSpec(
             name="bench-like", num_pms=num_pms, target_utilization=0.75, best_fit_fraction=0.3
@@ -284,8 +285,8 @@ class TestObjectives:
         assert MixedResourceObjective(weight=0.25).episode_metric(state) == 0.75 * fr16 + 0.25 * mem64
         assert MixedResourceObjective().component_metrics(state) == {"fr16": fr16, "mem64": mem64}
         pms = list(state.pms.values())
-        assert fr16 == pytest.approx(fragmentation.fragment_rate(pms, 16), abs=1e-12)
-        assert mem64 == pytest.approx(fragmentation.memory_fragment_rate(pms, 64.0), abs=1e-12)
+        assert fr16 == pytest.approx(fragment_rate(pms, 16), abs=1e-12)
+        assert mem64 == pytest.approx(memory_fragment_rate(pms, 64.0), abs=1e-12)
 
     def test_min_migration_objective_rewards(self):
         state = build_state()

@@ -12,11 +12,16 @@ it replaced live here, beside the tests that compare against them:
   layer — :func:`dense_tree_stage` (also part of :func:`oracle_ops`);
 * the padded whole-layer tree stage, which ran the entire encoder layer on
   the padded per-tree groups — :func:`padded_tree_stage`;
-* per-pair loops for the stage-1 / stage-2 feasibility masks and a
-  per-object observation build;
+* per-pair loops for the stage-1 / stage-2 feasibility masks over the
+  machine snapshots (``state.pms`` / ``state.vms``), and a per-object
+  observation build;
+* the per-object fragment reductions (:func:`fragment_rate` and friends)
+  the array metrics of :mod:`repro.cluster.fragmentation` replaced;
 * the remove/place probe loops HA, α-VBPP and MCTS scored moves with, and
   the object-path NUMA choice (:func:`best_numa_reference`), against the
   SoA view's move scores;
+* a recount of a state's free capacity from its placements
+  (:func:`assert_recounted`);
 * the VMR2L planner with the StepCache off — :class:`FreshRLPlanner`.
 
 Run the pair under test once normally and once inside the context manager,
@@ -224,27 +229,119 @@ def oracle_ops():
 
 
 # ---------------------------------------------------------------------- #
+# Recount and per-object fragment reductions
+# ---------------------------------------------------------------------- #
+def assert_recounted(state: ClusterState) -> None:
+    """Every NUMA's free CPU and memory equal its capacity minus the
+    per-NUMA demands of the VMs placed on it (demands are multiples of 0.5,
+    so the sums are exact), no NUMA is over-committed, and the state equals
+    its ``from_dict(to_dict())`` round trip."""
+    soa = state.arrays()
+    used_cpu = np.zeros((soa.num_pms, 2))
+    used_mem = np.zeros((soa.num_pms, 2))
+    for vm in state.vms.values():
+        if vm.is_placed:
+            for numa_id in vm.numa_ids_on_pm():
+                used_cpu[soa.pm_row[vm.pm_id], numa_id] += vm.cpu_per_numa
+                used_mem[soa.pm_row[vm.pm_id], numa_id] += vm.memory_per_numa
+    capacity = np.array([[state.pm_type(pm_id).cpu_per_numa] * 2 for pm_id in state.sorted_pm_ids()])
+    memory = np.array([[state.pm_type(pm_id).memory_per_numa] * 2 for pm_id in state.sorted_pm_ids()])
+    np.testing.assert_array_equal(soa.numa_free_cpu, capacity - used_cpu)
+    np.testing.assert_array_equal(soa.numa_free_mem, memory - used_mem)
+    assert (soa.numa_free_cpu >= 0).all() and (soa.numa_free_mem >= 0).all()
+    restored = ClusterState.from_dict(state.to_dict())
+    assert restored.to_dict() == state.to_dict()
+    for mine, theirs in zip(soa.snapshot(), restored.arrays().snapshot()):
+        np.testing.assert_array_equal(mine, theirs)
+    np.testing.assert_array_equal(soa.vm_numa, restored.arrays().vm_numa)
+    np.testing.assert_array_equal(soa.vm_group, restored.arrays().vm_group)
+
+
+def pm_cpu_fragment(pm, x_cores: int = 16) -> float:
+    """X-core CPU fragment of a PM snapshot: the sum over its NUMAs."""
+    return sum(float(numa.free_cpu % x_cores) for numa in pm.numas)
+
+
+def pm_memory_fragment(pm, x_memory: float = 64.0) -> float:
+    return sum(float(numa.free_memory % x_memory) for numa in pm.numas)
+
+
+def cluster_cpu_fragment(pms, x_cores: int = 16) -> float:
+    return sum(pm_cpu_fragment(pm, x_cores) for pm in pms)
+
+
+def fragment_rate(pms, x_cores: int = 16) -> float:
+    """Unusable free CPU / total free CPU over PM snapshots (0 when none is free)."""
+    pms = list(pms)
+    total_free = sum(pm.free_cpu for pm in pms)
+    return cluster_cpu_fragment(pms, x_cores) / total_free if total_free > 0 else 0.0
+
+
+def memory_fragment_rate(pms, x_memory: float = 64.0) -> float:
+    pms = list(pms)
+    total_free = sum(pm.free_memory for pm in pms)
+    if total_free <= 0:
+        return 0.0
+    return sum(pm_memory_fragment(pm, x_memory) for pm in pms) / total_free
+
+
+# ---------------------------------------------------------------------- #
 # Loop feasibility masks and featurization
 # ---------------------------------------------------------------------- #
+def conflicting_pm_ids(state: ClusterState, vm_id: int) -> set:
+    """PMs hosting another placed VM of ``vm_id``'s anti-affinity group."""
+    group = state.vms[vm_id].anti_affinity_group
+    if group is None:
+        return set()
+    return {
+        other.pm_id
+        for other in state.vms.values()
+        if other.vm_id != vm_id and other.is_placed and other.anti_affinity_group == group
+    }
+
+
+def feasible_numas_reference(
+    state: ClusterState, vm_id: int, pm_id: int, honor_affinity: bool = True, conflicts=None
+):
+    """``state.feasible_numas`` on the snapshots: the NUMAs of ``pm_id`` whose
+    free CPU and memory hold the VM's per-NUMA request (both, as
+    ``BOTH_NUMAS``, for a double-NUMA VM).  ``conflicts``: the VM's
+    :func:`conflicting_pm_ids`, if already known."""
+    if conflicts is None:
+        conflicts = conflicting_pm_ids(state, vm_id)
+    if honor_affinity and pm_id in conflicts:
+        return []
+    vm, pm = state.vms[vm_id], state.pms[pm_id]
+    room = [
+        numa.free_cpu >= vm.cpu_per_numa and numa.free_memory >= vm.memory_per_numa
+        for numa in pm.numas
+    ]
+    if vm.numa_count == 2:
+        return [BOTH_NUMAS] if all(room) else []
+    return [numa_id for numa_id in (0, 1) if room[numa_id]]
+
+
 def destination_mask_reference(state: ClusterState, vm_id: int) -> np.ndarray:
-    """``checker.destination_mask`` from the object path: ``state.can_host``
-    per sorted PM, never the VM's source PM."""
+    """``checker.destination_mask`` from the snapshots: room and no group
+    conflict per sorted PM, never the VM's source PM."""
     vm = state.vms.get(vm_id)
     if vm is None or not vm.is_placed:
         return np.zeros(len(state.pms), dtype=bool)
+    conflicts = conflicting_pm_ids(state, vm_id)
     return np.array(
-        [pm_id != vm.pm_id and state.can_host(vm_id, pm_id) for pm_id in sorted(state.pms)],
+        [
+            pm_id != vm.pm_id
+            and bool(feasible_numas_reference(state, vm_id, pm_id, conflicts=conflicts))
+            for pm_id in sorted(state.pms)
+        ],
         dtype=bool,
     )
 
 
 def movable_vm_mask_reference(state: ClusterState) -> np.ndarray:
-    """``checker.movable_vm_mask`` from ``state.feasible_destination_pms``."""
+    """``checker.movable_vm_mask``: VMs with any destination."""
     return np.array(
-        [
-            state.vms[vm_id].is_placed and bool(state.feasible_destination_pms(vm_id))
-            for vm_id in sorted(state.vms)
-        ],
+        [destination_mask_reference(state, vm_id).any() for vm_id in sorted(state.vms)],
         dtype=bool,
     )
 
@@ -322,7 +419,7 @@ def _vm_features(
 def best_numa_reference(state: ClusterState, vm_id: int, pm_id: int, honor_affinity: bool = True):
     """``state.best_numa_for`` on the object path: the feasible NUMA with the
     least post-placement fragment, then less free CPU (``None`` if none)."""
-    candidates = state.feasible_numas(vm_id, pm_id, honor_affinity=honor_affinity)
+    candidates = feasible_numas_reference(state, vm_id, pm_id, honor_affinity=honor_affinity)
     if not candidates:
         return None
     vm = state.vms[vm_id]
@@ -384,7 +481,7 @@ def _ha_score_destinations(state: ClusterState, vm_id: int):
     source_delta = after_source - before_source
 
     best = None
-    conflicts = state.conflicting_pm_ids(vm_id)
+    conflicts = conflicting_pm_ids(state, vm_id)
     try:
         for pm_id in state.sorted_pm_ids():
             if pm_id == source_pm or pm_id in conflicts:
@@ -435,7 +532,7 @@ def mcts_candidates_reference(state: ClusterState, limit: int) -> List[tuple]:
         before_source = state.pm_fragment(source_pm)
         placement = state.remove_vm(vm_id)
         after_source = state.pm_fragment(source_pm)
-        conflicts = state.conflicting_pm_ids(vm_id)
+        conflicts = conflicting_pm_ids(state, vm_id)
         for pm_id in state.pms:
             if pm_id == source_pm or pm_id in conflicts:
                 continue

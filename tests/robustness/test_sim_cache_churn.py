@@ -20,7 +20,7 @@ from repro.sim import (
     SyntheticTrace,
 )
 
-from oracles import FreshRLPlanner
+from oracles import FreshRLPlanner, assert_recounted
 
 DAY_S = 86400.0
 
@@ -66,7 +66,7 @@ def run_simulation(plan_log, reference=None):
         seed=0,
     )
     report = OnlineRescheduler(cluster, logging_plan, config).run()
-    cluster.state.arrays().assert_in_sync(cluster.state)
+    assert_recounted(cluster.state)
     return report
 
 

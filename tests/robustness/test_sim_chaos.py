@@ -30,6 +30,8 @@ from repro.sim import (
 
 from faults import kill_replica
 
+from oracles import assert_recounted
+
 DAY_S = 86400.0
 
 
@@ -90,4 +92,4 @@ class TestSimulationSurvivesReplicaKill:
         # round on a slow respawn, and require planning to have recovered.
         assert report.failed_rounds <= 1
         assert report.rounds[-1].ok
-        cluster.state.arrays().assert_in_sync(cluster.state)
+        assert_recounted(cluster.state)

@@ -7,6 +7,8 @@ from repro.cluster.vm_types import DEFAULT_PM_TYPE, PMType
 from repro.datasets import ClusterSpec, SnapshotGenerator
 from repro.sim import ChurnSpec, LivingCluster, SyntheticTrace
 
+from oracles import assert_recounted
+
 DAY_S = 86400.0
 
 
@@ -24,7 +26,7 @@ class TestPmLifecycleStateMethods:
         state.add_pm(PhysicalMachine(pm_id=new_id, pm_type=DEFAULT_PM_TYPE))
         assert state.num_pms == before + 1
         assert not state.pms[new_id].vm_ids
-        state.arrays().assert_in_sync(state)
+        assert_recounted(state)
 
     def test_add_pm_duplicate_id_rejected(self):
         state = small_state()
@@ -55,7 +57,7 @@ class TestPmLifecycleStateMethods:
         bigger = PMType("pm-big", cpu=256, memory=1024)
         state.add_pm(PhysicalMachine(pm_id=new_id + 1, pm_type=bigger))
         state.remove_pm(new_id + 1)
-        state.arrays().assert_in_sync(state)
+        assert_recounted(state)
 
     def test_cannot_remove_last_pm(self):
         state = small_state(num_pms=2, utilization=0.3)
@@ -109,7 +111,7 @@ class TestPinnedEvents:
         cluster.advance(10.0)
         assert cluster.stats["resizes"] == 1
         assert state.vms[vm_id].vm_type.name == "large"
-        state.arrays().assert_in_sync(state)
+        assert_recounted(state)
 
     def test_resize_to_same_flavor_skipped(self):
         state = small_state()
@@ -143,7 +145,7 @@ class TestPinnedEvents:
         assert cluster.stats["failed_resizes"] == 1
         assert state.vms[vm_id].vm_type == old_type
         assert state.vms[vm_id].pm_id == old_pm
-        state.arrays().assert_in_sync(state)
+        assert_recounted(state)
 
     def test_pm_drain_moves_vms_and_removes_pm(self):
         state = small_state()
@@ -159,7 +161,7 @@ class TestPinnedEvents:
         for vm_id in hosted:
             if vm_id in state.vms:
                 assert state.vms[vm_id].pm_id != victim
-        state.arrays().assert_in_sync(state)
+        assert_recounted(state)
 
     def test_pm_fail_loses_vms(self):
         state = small_state()
@@ -171,7 +173,7 @@ class TestPinnedEvents:
         assert cluster.stats["failures"] == 1
         assert cluster.stats["lost_vms"] == len(hosted)
         assert all(vm_id not in state.vms for vm_id in hosted)
-        state.arrays().assert_in_sync(state)
+        assert_recounted(state)
 
     def test_drain_of_missing_pm_skipped(self):
         state = small_state()
@@ -205,7 +207,7 @@ class TestPinnedEvents:
         new_id = next(pm_id for pm_id in state.pms if pm_id not in before)
         assert state.pms[new_id].pm_type.cpu == 256
         assert cluster.stats["adds"] == 1
-        state.arrays().assert_in_sync(state)
+        assert_recounted(state)
 
     def test_pm_add_generation_schedule_grows_capacity(self):
         state = small_state()
@@ -235,7 +237,7 @@ class TestEngineChurn:
         assert cluster.pending_events == 0
         assert sum(cluster.stats.values()) == len(events) + cluster.stats["drain_migrations"] \
             + cluster.stats["evictions"] + cluster.stats["lost_vms"]
-        state.arrays().assert_in_sync(state)
+        assert_recounted(state)
 
     def test_same_seed_identical_trajectory(self):
         spec = ChurnSpec(drains_per_day=6.0, failures_per_day=3.0, adds_per_day=9.0)

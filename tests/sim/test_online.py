@@ -18,7 +18,7 @@ from repro.sim import (
     steady_state_mean,
 )
 
-from oracles import FreshRLPlanner
+from oracles import FreshRLPlanner, assert_recounted
 
 DAY_S = 86400.0
 
@@ -53,7 +53,7 @@ def run_simulation(planner="ha", seed=0, max_rounds=6, on_round=None, registry=N
     )
     driver = OnlineRescheduler(cluster, service.handle, config, on_round=on_round)
     report = driver.run()
-    cluster.state.arrays().assert_in_sync(cluster.state)
+    assert_recounted(cluster.state)
     return report
 
 
