@@ -17,8 +17,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from ..cluster import BOTH_NUMAS, ClusterState, MigrationPlan, Placement
-from ..cluster.soa import _fits
+from ..cluster import ClusterState, MigrationPlan, Placement, landing_slots
 from .base import Rescheduler
 from .mip import order_migrations
 
@@ -112,30 +111,24 @@ class AlphaVBPP(Rescheduler):
         return [int(vm_id) for vm_id in soa.vm_ids[placed[np.argsort(drops, kind="stable")[:count]]]]
 
     def _pack(self, state: ClusterState, vm_id: int) -> Optional[Placement]:
-        """Norm-based best-fit: of the (PM, NUMA) targets with room and no
-        member of the VM's anti-affinity group on the PM, the first in PM
-        then NUMA order with the smallest weighted residual norm after
-        placement (a tighter fit)."""
+        """Norm-based best-fit: of the VM's :func:`landing_slots` (room, and
+        no member of its anti-affinity group on the PM), the first in PM then
+        NUMA order with the smallest weighted residual norm after placement
+        (a tighter fit)."""
+        fits, numas = landing_slots(state, state.vms[vm_id])
+        candidates = np.flatnonzero(fits)
+        if not candidates.size:
+            return None
         soa = state.arrays()
         row = soa.vm_row[vm_id]
-        numa_fits, fits = _fits(soa, slice(row, row + 1), slice(None))
-        allowed = fits[0] & ~soa.group_hosts(soa.vm_group[row], row)
         residual_cpu = soa.numa_free_cpu - soa.vm_cpu_half[row]
         residual_mem = soa.numa_free_mem - soa.vm_mem_half[row]
         capacity_cpu, capacity_mem = soa.numa_cap_cpu, soa.numa_cap_mem
         if soa.vm_double[row]:
-            numas = (BOTH_NUMAS,)
-            slots = allowed[:, None]
             residual_cpu, residual_mem, capacity_cpu, capacity_mem = (
                 (pair[:, 0] + pair[:, 1])[:, None]
                 for pair in (residual_cpu, residual_mem, capacity_cpu, capacity_mem)
             )
-        else:
-            numas = (0, 1)
-            slots = numa_fits[0] & allowed[:, None]
-        candidates = np.flatnonzero(slots)
-        if not candidates.size:
-            return None
         cpu_terms = (residual_cpu / capacity_cpu).ravel()[candidates].tolist()
         mem_terms = (residual_mem / capacity_mem).ravel()[candidates].tolist()
         # Python floats: ``** 2`` is pow(), which can differ from a numpy

@@ -97,27 +97,7 @@ _VM_COLUMNS = (
 class ClusterArrays:
     """The array store of one :class:`~repro.cluster.state.ClusterState`."""
 
-    __slots__ = (
-        "pm_ids",
-        "pm_row",
-        "numa_free_cpu",
-        "numa_free_mem",
-        "numa_cap_cpu",
-        "numa_cap_mem",
-        "vm_ids",
-        "vm_row",
-        "vm_cpu",
-        "vm_mem",
-        "vm_cpu_half",
-        "vm_mem_half",
-        "vm_double",
-        "vm_pm",
-        "vm_numa",
-        "vm_group",
-        "group_code",
-        "version",
-        "_feasibility_memo",
-    )
+    __slots__ = _PLACEMENT + _SHARED + ("_feasibility_memo",)
 
     @property
     def num_pms(self) -> int:
@@ -138,7 +118,11 @@ class ClusterArrays:
         every NUMA free and every VM unplaced."""
         pm_id_list = sorted(pm_types)
         vm_id_list = sorted(vm_records)
-        soa = cls._bare(np.array(pm_id_list, dtype=np.int64), np.array(vm_id_list, dtype=np.int64))
+        soa = object.__new__(cls)
+        soa.version = 0
+        soa._feasibility_memo = None
+        soa._set_ids("pm", np.array(pm_id_list, dtype=np.int64))
+        soa._set_ids("vm", np.array(vm_id_list, dtype=np.int64))
         pms = [pm_types[pm_id] for pm_id in pm_id_list]
         soa.numa_cap_cpu = np.array([(t.cpu_per_numa,) * 2 for t in pms], dtype=np.float64).reshape(-1, 2)
         soa.numa_cap_mem = np.array([(t.memory_per_numa,) * 2 for t in pms], dtype=np.float64).reshape(-1, 2)
@@ -157,27 +141,13 @@ class ClusterArrays:
         soa.regroup([record.anti_affinity_group for record in records])
         return soa
 
-    @classmethod
-    def _bare(cls, pm_ids: np.ndarray, vm_ids: np.ndarray) -> "ClusterArrays":
-        """A view with only its (sorted) id arrays and row lookups set."""
-        soa = object.__new__(cls)
-        soa.version = 0
-        soa._feasibility_memo = None
-        soa._set_pm_ids(pm_ids)
-        soa._set_vm_ids(vm_ids)
-        return soa
-
-    # The id arrays are shared widely (observations, state copies); they are
-    # frozen so an accidental write cannot corrupt every sharer's ordering.
-    def _set_pm_ids(self, pm_ids: np.ndarray) -> None:
-        pm_ids.flags.writeable = False
-        self.pm_ids = pm_ids
-        self.pm_row = dict(zip(pm_ids.tolist(), range(len(pm_ids))))
-
-    def _set_vm_ids(self, vm_ids: np.ndarray) -> None:
-        vm_ids.flags.writeable = False
-        self.vm_ids = vm_ids
-        self.vm_row = dict(zip(vm_ids.tolist(), range(len(vm_ids))))
+    def _set_ids(self, kind: str, ids: np.ndarray) -> None:
+        """Set the sorted ``{kind}_ids`` and the ``{kind}_row`` lookup.  The id
+        arrays are shared widely (observations, state copies); they are frozen
+        so an accidental write cannot corrupt every sharer's ordering."""
+        ids.flags.writeable = False
+        setattr(self, f"{kind}_ids", ids)
+        setattr(self, f"{kind}_row", dict(zip(ids.tolist(), range(len(ids)))))
 
     def regroup(self, groups: Sequence) -> None:
         """Set ``vm_group`` from each sorted VM's group label (``None`` for
@@ -203,14 +173,14 @@ class ClusterArrays:
         soa = self.copy()
         if keep_pms is not None or joining.num_pms:
             pm_ids, order = _merged_ids(self.pm_ids, keep_pms, joining.pm_ids)
-            soa._set_pm_ids(pm_ids)
+            soa._set_ids("pm", pm_ids)
             for name in _PM_COLUMNS:
                 setattr(soa, name, _merged(getattr(self, name), keep_pms, getattr(joining, name), order))
             host = np.where(self.vm_pm >= 0, self.pm_ids[self.vm_pm], -1)
             soa.vm_pm = np.where(host >= 0, np.searchsorted(pm_ids, host), -1)
         if keep_vms is not None or joining.num_vms:
             vm_ids, order = _merged_ids(self.vm_ids, keep_vms, joining.vm_ids)
-            soa._set_vm_ids(vm_ids)
+            soa._set_ids("vm", vm_ids)
             for name in _VM_COLUMNS:
                 setattr(soa, name, _merged(getattr(soa, name), keep_vms, getattr(joining, name), order))
         return soa
@@ -342,9 +312,7 @@ class ClusterArrays:
         before0, before1 = before[:, 0], before[:, 1]
         landed = (free - self.vm_cpu_half[vm_rows][:, None, None]) % x_cores
         landed0, landed1 = landed[..., 0], landed[..., 1]
-        on_one = fits1 & ~double & (
-            ~fits0 | (landed1 < landed0) | ((landed1 == landed0) & (free[:, 1] < free[:, 0]))
-        )
+        on_one = ~double & prefers_numa_one(fits0, fits1, landed0, landed1, free[:, 0], free[:, 1])
         after = np.where(on_one, before0, landed0) + np.where(double | on_one, landed1, before1)
         numa = np.where(double, BOTH_NUMAS, on_one.astype(np.int64))
         return after - (before0 + before1), numa, fits
@@ -362,6 +330,14 @@ class ClusterArrays:
         delta, numa, _ = self.placement_scores(vm_rows, slice(None), x_cores)
         source = self.source_deltas(vm_rows, x_cores)
         return np.where(self.feasibility()[vm_rows], source[:, None] + delta, np.inf), numa
+
+
+def prefers_numa_one(fits0, fits1, landed0, landed1, free0, free1):
+    """The best-fit NUMA rule for a single-NUMA VM, over arrays or numpy
+    scalars: NUMA 1 when it fits and NUMA 0 does not, or both fit and NUMA 1
+    is left with less X-core fragment (``landed``), or as much and less free
+    CPU; NUMA 0 otherwise."""
+    return fits1 & (~fits0 | (landed1 < landed0) | ((landed1 == landed0) & (free1 < free0)))
 
 
 def _merged(rows: np.ndarray, keep, extra: np.ndarray, order) -> np.ndarray:

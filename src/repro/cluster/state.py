@@ -35,7 +35,7 @@ import numpy as np
 
 from . import fragmentation
 from .machine import BOTH_NUMAS, NumaNode, PhysicalMachine, VirtualMachine, VMRecord
-from .soa import UNPLACED_NUMA, ClusterArrays, _fits, has_room
+from .soa import UNPLACED_NUMA, ClusterArrays, has_room, prefers_numa_one
 from .vm_types import DEFAULT_PM_TYPE, PMType, VMType
 
 
@@ -112,26 +112,32 @@ class ClusterState:
         vms: Sequence[VirtualMachine],
         fragment_cores: int = fragmentation.DEFAULT_FRAGMENT_CORES,
     ) -> None:
+        self._setup(
+            [(pm.pm_id, pm.pm_type) for pm in pms],
+            [(vm.vm_id, VMRecord(vm.vm_type, vm.anti_affinity_group), vm.pm_id, vm.numa_id) for vm in vms],
+            fragment_cores,
+        )
+
+    def _setup(self, pms: list, vms: list, fragment_cores: int) -> None:
+        """Build from ``(pm_id, pm_type)`` pairs and ``(vm_id, record, pm_id,
+        numa_id)`` rows, placing every VM that names a PM."""
         if not pms:
             raise ValueError("cluster requires at least one PM")
         self.fragment_cores = fragment_cores
-        self._pm_types: Dict[int, PMType] = {pm.pm_id: pm.pm_type for pm in pms}
+        self._pm_types: Dict[int, PMType] = dict(pms)
         if len(self._pm_types) != len(pms):
             raise ValueError("duplicate PM ids")
-        self._vm_records: Dict[int, VMRecord] = {
-            vm.vm_id: VMRecord(vm.vm_type, vm.anti_affinity_group) for vm in vms
-        }
+        self._vm_records: Dict[int, VMRecord] = {vm_id: record for vm_id, record, _, _ in vms}
         if len(self._vm_records) != len(vms):
             raise ValueError("duplicate VM ids")
         self._install(ClusterArrays.empty(self._pm_types, self._vm_records))
-        # Initial placements recorded on the VM objects.  Pre-existing
-        # co-locations are allowed: anti-affinity only constrains *new*
-        # rescheduling decisions (§5.4).
+        # Pre-existing co-locations are allowed: anti-affinity only constrains
+        # *new* rescheduling decisions (§5.4).
         default_numa = {1: 0, 2: BOTH_NUMAS}
         placements = [
-            (vm.vm_id, Placement(vm.pm_id, default_numa[vm.numa_count] if vm.numa_id is None else vm.numa_id))
-            for vm in vms
-            if vm.pm_id is not None
+            (vm_id, Placement(pm_id, default_numa[record.vm_type.numa_count] if numa_id is None else numa_id))
+            for vm_id, record, pm_id, numa_id in vms
+            if pm_id is not None
         ]
         if placements and not self._place_all(placements):
             # Place one by one so that the first bad placement raises its error.
@@ -268,7 +274,8 @@ class ClusterState:
         """Whether another placed VM of VM row ``row``'s group sits on PM row
         ``column``."""
         soa = self._soa
-        return bool(soa.group_hosts(soa.vm_group[row], row)[column])
+        group = soa.vm_group[row]
+        return group >= 0 and bool(soa.group_hosts(group, row)[column])
 
     def affinity_ratio(self) -> float:
         """Average fraction of other VMs a VM conflicts with (Table 2 metric)."""
@@ -294,10 +301,18 @@ class ClusterState:
         row, column = soa.vm_row[vm_id], soa.pm_row[pm_id]
         if honor_affinity and self._group_blocks(row, column):
             return []
-        numa_fits, fits = _fits(soa, slice(row, row + 1), slice(column, column + 1))
+        room = self._room(row, column)
         if soa.vm_double[row]:
-            return [BOTH_NUMAS] if fits[0, 0] else []
-        return [numa_id for numa_id in (0, 1) if numa_fits[0, 0, numa_id]]
+            return [BOTH_NUMAS] if room[0] and room[1] else []
+        return [numa_id for numa_id in (0, 1) if room[numa_id]]
+
+    def _room(self, row: int, column: int) -> tuple:
+        """Whether each NUMA of PM row ``column`` has room for VM row
+        ``row``'s per-NUMA request (numpy bools)."""
+        soa = self._soa
+        cpu, mem = soa.vm_cpu_half[row], soa.vm_mem_half[row]
+        free_cpu, free_mem = soa.numa_free_cpu[column], soa.numa_free_mem[column]
+        return has_room(free_cpu[0], free_mem[0], cpu, mem), has_room(free_cpu[1], free_mem[1], cpu, mem)
 
     def can_host(self, vm_id: int, pm_id: int, honor_affinity: bool = True) -> bool:
         """Whether ``pm_id`` can host ``vm_id`` on at least one NUMA target."""
@@ -314,7 +329,8 @@ class ClusterState:
         """Pick the NUMA on ``pm_id`` minimizing the resulting fragment (best fit).
 
         Returns ``None`` when the PM cannot host the VM at all.  The choice is
-        the move-scoring rule's (:meth:`ClusterArrays.placement_scores`): a
+        the move-scoring rule's (:func:`~repro.cluster.soa.prefers_numa_one`,
+        as in :meth:`ClusterArrays.placement_scores`) for one pair: a
         single-NUMA VM goes to the feasible NUMA whose post-placement X-core
         fragment is smallest, then to the one with less free CPU, then NUMA 0.
         """
@@ -322,10 +338,14 @@ class ClusterState:
         row, column = soa.vm_row[vm_id], soa.pm_row[pm_id]
         if honor_affinity and self._group_blocks(row, column):
             return None
-        _, numa, fits = soa.placement_scores(
-            slice(row, row + 1), slice(column, column + 1), self.fragment_cores
-        )
-        return int(numa[0, 0]) if fits[0, 0] else None
+        fits0, fits1 = self._room(row, column)
+        if soa.vm_double[row]:
+            return BOTH_NUMAS if fits0 and fits1 else None
+        if not (fits0 or fits1):
+            return None
+        free = soa.numa_free_cpu[column]
+        landed = (free - soa.vm_cpu_half[row]) % self.fragment_cores
+        return int(prefers_numa_one(fits0, fits1, landed[0], landed[1], free[0], free[1]))
 
     # ------------------------------------------------------------------ #
     # Mutation
@@ -340,14 +360,14 @@ class ClusterState:
         column = soa.pm_row[pm_id]
         if honor_affinity and self._group_blocks(row, column):
             raise ValueError(f"placing VM {vm_id} on PM {pm_id} violates anti-affinity")
-        room = _fits(soa, slice(row, row + 1), slice(column, column + 1))[0][0, 0]
+        room = self._room(row, column)
         if soa.vm_double[row]:
             if numa_id != BOTH_NUMAS:
                 raise ValueError(f"double-NUMA VM {vm_id} must target both NUMAs")
             for numa in (0, 1):
                 if not room[numa]:
                     raise ValueError(f"PM {pm_id} NUMA {numa} cannot host half of VM {vm_id}")
-            numas = slice(None)
+            numas = (0, 1)
         else:
             if numa_id not in (0, 1):
                 raise ValueError(f"single-NUMA VM {vm_id} must target NUMA 0 or 1")
@@ -359,9 +379,11 @@ class ClusterState:
                     f"free cpu={float(soa.numa_free_cpu[column, numa_id])}"
                     f"/mem={float(soa.numa_free_mem[column, numa_id])}"
                 )
-            numas = numa_id
-        soa.numa_free_cpu[column, numas] -= soa.vm_cpu_half[row]
-        soa.numa_free_mem[column, numas] -= soa.vm_mem_half[row]
+            numas = (numa_id,)
+        free_cpu, free_mem = soa.numa_free_cpu[column], soa.numa_free_mem[column]
+        for numa in numas:
+            free_cpu[numa] -= soa.vm_cpu_half[row]
+            free_mem[numa] -= soa.vm_mem_half[row]
         soa.vm_pm[row] = column
         soa.vm_numa[row] = numa_id
         soa.version += 1
@@ -375,10 +397,10 @@ class ClusterState:
         if column < 0:
             raise ValueError(f"VM {vm_id} is not placed")
         numa_id = int(soa.vm_numa[row])
-        numas = slice(None) if numa_id == BOTH_NUMAS else numa_id
         free_cpu, free_mem = soa.numa_free_cpu[column], soa.numa_free_mem[column]
-        free_cpu[numas] = np.minimum(free_cpu[numas] + soa.vm_cpu_half[row], soa.numa_cap_cpu[column, numas])
-        free_mem[numas] = np.minimum(free_mem[numas] + soa.vm_mem_half[row], soa.numa_cap_mem[column, numas])
+        for numa in (0, 1) if numa_id == BOTH_NUMAS else (numa_id,):
+            free_cpu[numa] = min(free_cpu[numa] + soa.vm_cpu_half[row], soa.numa_cap_cpu[column, numa])
+            free_mem[numa] = min(free_mem[numa] + soa.vm_mem_half[row], soa.numa_cap_mem[column, numa])
         soa.vm_pm[row] = -1
         soa.vm_numa[row] = UNPLACED_NUMA
         soa.version += 1
@@ -578,14 +600,17 @@ class ClusterState:
 
     @classmethod
     def from_dict(cls, payload: Dict) -> "ClusterState":
-        pms = []
-        for pm_spec in payload["pms"]:
-            pm_type = PMType(
-                name=pm_spec.get("type", DEFAULT_PM_TYPE.name),
-                cpu=int_field(pm_spec["cpu"], "cpu"),
-                memory=int_field(pm_spec["memory"], "memory"),
+        pms = [
+            (
+                int_field(pm_spec["pm_id"], "pm_id"),
+                PMType(
+                    name=pm_spec.get("type", DEFAULT_PM_TYPE.name),
+                    cpu=int_field(pm_spec["cpu"], "cpu"),
+                    memory=int_field(pm_spec["memory"], "memory"),
+                ),
             )
-            pms.append(PhysicalMachine(pm_id=int_field(pm_spec["pm_id"], "pm_id"), pm_type=pm_type))
+            for pm_spec in payload["pms"]
+        ]
         vms = []
         for vm_spec in payload["vms"]:
             vm_type = VMType(
@@ -596,19 +621,20 @@ class ClusterState:
             )
             pm_id, numa_id = vm_spec.get("pm_id"), vm_spec.get("numa_id")
             vms.append(
-                VirtualMachine(
-                    vm_id=int_field(vm_spec["vm_id"], "vm_id"),
-                    vm_type=vm_type,
-                    pm_id=None if pm_id is None else int_field(pm_id, "pm_id"),
-                    numa_id=None if numa_id is None else int_field(numa_id, "numa_id"),
-                    anti_affinity_group=_group_field(vm_spec.get("anti_affinity_group")),
+                (
+                    int_field(vm_spec["vm_id"], "vm_id"),
+                    VMRecord(vm_type, _group_field(vm_spec.get("anti_affinity_group"))),
+                    None if pm_id is None else int_field(pm_id, "pm_id"),
+                    None if numa_id is None else int_field(numa_id, "numa_id"),
                 )
             )
         fragment_cores = int_field(
             payload.get("fragment_cores", fragmentation.DEFAULT_FRAGMENT_CORES),
             "fragment_cores",
         )
-        return cls(pms=pms, vms=vms, fragment_cores=fragment_cores)
+        state = object.__new__(cls)
+        state._setup(pms, vms, fragment_cores)
+        return state
 
     def to_json(self) -> str:
         """JSON form of :meth:`to_dict` (one line, used by requests/datasets)."""

@@ -12,7 +12,9 @@ Every mutator of :class:`ClusterState` — ``migrate_vm``, ``place_vm``,
 * the memoized ``feasibility()`` equals the one of a fresh build.
 
 The clusters have 20 PMs, so a migration's two dirty PMs stay under the
-feasibility memo's patch threshold and the patch path runs.
+feasibility memo's patch threshold and the patch path runs, and their PM ids
+have gaps, so PMs join and leave between others and the rows after them
+shift.
 """
 
 import numpy as np
@@ -59,6 +61,7 @@ KINDS = (
     "remove_vm_from_cluster",
     "add_pm",
     "remove_pm",
+    "drain_pm",
     "group",
     "resize",
     "copy",
@@ -70,12 +73,18 @@ PM_TYPES = (DEFAULT_PM_TYPE, PMType("pm-large", cpu=192, memory=768))
 
 
 def _state(seed: int) -> ClusterState:
+    """A generated 20-PM cluster with two groups, its PM ids doubled so that
+    PMs can join between existing ones."""
     spec = ClusterSpec(
         name="mutation-parity", num_pms=20, target_utilization=0.78, best_fit_fraction=0.3
     )
     state = SnapshotGenerator(spec, seed=seed).generate()
     assign_anti_affinity_groups(state, 2, 3, np.random.default_rng(seed))
-    return state
+    payload = state.to_dict()
+    for machine in payload["pms"] + payload["vms"]:
+        if machine.get("pm_id") is not None:
+            machine["pm_id"] *= 2
+    return ClusterState.from_dict(payload)
 
 
 def _fingerprint(state: ClusterState) -> tuple:
@@ -140,12 +149,22 @@ def _mutate(state: ClusterState, kind: str, rng: np.random.Generator):
         state.remove_vm_from_cluster(int(rng.choice(vm_ids)))
     elif kind == "add_pm":
         pm_type = PM_TYPES[rng.integers(len(PM_TYPES))]
-        pm_id = max(pm_ids) + 1 + int(rng.integers(3))
-        state.add_pm(PhysicalMachine(pm_id=pm_id, pm_type=pm_type))
+        free_ids = sorted(set(range(max(pm_ids) + 3)) - set(pm_ids))
+        state.add_pm(PhysicalMachine(pm_id=int(rng.choice(free_ids)), pm_type=pm_type))
     elif kind == "remove_pm" and len(pm_ids) > 1:
         empty = [pm_id for pm_id in pm_ids if not state.pms[pm_id].vm_ids]
         if empty:
             state.remove_pm(int(rng.choice(empty)))
+    elif kind == "drain_pm" and len(pm_ids) > 1:
+        # Empty a PM (its VMs leave the cluster or stay unplaced), then
+        # remove it: the PM rows after it shift down.
+        pm_id = int(rng.choice(pm_ids))
+        for vm_id in sorted(state.pms[pm_id].vm_ids):
+            if rng.random() < 0.5:
+                state.remove_vm_from_cluster(vm_id)
+            else:
+                state.remove_vm(vm_id)
+        state.remove_pm(pm_id)
     elif kind == "group" and vm_ids:
         vm_id = int(rng.choice(vm_ids))
         state.set_anti_affinity_group(vm_id, GROUPS[rng.integers(len(GROUPS))])
