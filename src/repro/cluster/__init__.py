@@ -4,7 +4,7 @@ This subpackage models the cluster the VM rescheduling problem operates on:
 
 * :mod:`repro.cluster.vm_types` — VM / PM flavor catalogs (Table 1, §5.4)
 * :mod:`repro.cluster.machine` — ``VirtualMachine``, ``NumaNode``, ``PhysicalMachine``
-  snapshots and the immutable ``VMRecord``
+  snapshots and the immutable ``VMRecord``s a state keeps
 * :mod:`repro.cluster.state` — ``ClusterState`` placement bookkeeping
 * :mod:`repro.cluster.soa` — ``ClusterArrays`` structure-of-arrays view, the
   one store of a cluster's state: the feasibility matrix and the move scores
@@ -36,7 +36,7 @@ from .fragmentation import (
     fragment_rate_arrays,
     mixed_objective,
 )
-from .machine import BOTH_NUMAS, NumaNode, PhysicalMachine, VirtualMachine, VMRecord
+from .machine import BOTH_NUMAS, NumaNode, PhysicalMachine, VirtualMachine
 from .migration import (
     LiveMigrationCostModel,
     Migration,
@@ -81,7 +81,6 @@ __all__ = [
     "VMType",
     "VMTypeCatalog",
     "VirtualMachine",
-    "VMRecord",
     "apply_plan",
     "assign_anti_affinity_groups",
     "best_fit_placement",

@@ -153,7 +153,7 @@ class ClusterState:
             return False
         rows = np.asarray([soa.vm_row[vm_id] for vm_id, _ in placements], dtype=np.int64)
         columns = np.asarray([soa.pm_row[p.pm_id] for _, p in placements], dtype=np.int64)
-        numas = np.asarray([p.numa_id for _, p in placements], dtype=np.int64)
+        numas = np.asarray([p.numa_id for _, p in placements])
         if not np.where(soa.vm_double[rows], numas == BOTH_NUMAS, (numas == 0) | (numas == 1)).all():
             return False
         free_cpu, free_mem = soa.numa_free_cpu.copy(), soa.numa_free_mem.copy()
@@ -415,14 +415,15 @@ class ClusterState:
     ) -> Tuple[Placement, Placement]:
         """Migrate a VM to a new PM, returning (source, destination) placements.
 
-        The operation is atomic: if the destination cannot host the VM the
+        The operation is atomic: an unknown destination raises ``KeyError``
+        before anything moves, and if the destination cannot host the VM the
         original placement is restored and a ``ValueError`` is raised.
         """
         soa = self._soa
         column = soa.vm_pm[soa.vm_row[vm_id]]
         if column < 0:
             raise ValueError(f"VM {vm_id} is not placed and cannot be migrated")
-        if dest_pm_id == soa.pm_ids[column]:
+        if soa.pm_row[dest_pm_id] == column:
             raise ValueError(f"VM {vm_id} is already on PM {dest_pm_id}")
         source = self.remove_vm(vm_id)
         if dest_numa_id is None:

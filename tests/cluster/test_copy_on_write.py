@@ -1,4 +1,4 @@
-"""The SoA view's measured dirty sets + copy-on-write ClusterState.copy."""
+"""The SoA view's measured dirty sets, and copies that never see each other's mutations."""
 
 import numpy as np
 import pytest

@@ -192,6 +192,14 @@ class TestClusterStatePlacement:
         assert state.vms[12].pm_id == 1
         assert state.pms[1].free_cpu == 32 - 16
 
+    @pytest.mark.parametrize("dest_numa_id", [None, 0])
+    def test_migrate_to_unknown_pm_leaves_the_vm_in_place(self, dest_numa_id):
+        state = build_paper_example()
+        with pytest.raises(KeyError):
+            state.migrate_vm(1, dest_pm_id=99, dest_numa_id=dest_numa_id)
+        assert state.vms[1].pm_id == 1
+        assert state.pms[1].free_cpu == 12
+
     def test_best_numa_prefers_smallest_resulting_fragment(self):
         pm = make_pm(0, cpu=64, memory=256)  # 32 cores per NUMA
         filler = make_vm(1, "4xlarge", pm_id=0, numa_id=0)  # NUMA0 left with 16
