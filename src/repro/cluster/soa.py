@@ -82,8 +82,8 @@ _PATCH_PM_DIVISOR = 8
 #: row by row (``vm_pm`` also gets remapped when PM rows change).
 _PM_COLUMNS = ("numa_free_cpu", "numa_free_mem", "numa_cap_cpu", "numa_cap_mem")
 
-#: What a placement changes in place (so :meth:`ClusterArrays.copy` copies
-#: it), and what never changes in place (so copies share it).
+#: What a placement changes in place (:meth:`ClusterArrays.copy` copies it),
+#: and what never changes in place (copies share it).
 _PLACEMENT = ("numa_free_cpu", "numa_free_mem", "vm_pm", "vm_numa")
 _SHARED = (
     "pm_ids", "pm_row", "numa_cap_cpu", "numa_cap_mem", "vm_ids", "vm_row", "vm_cpu", "vm_mem",
@@ -190,10 +190,24 @@ class ClusterArrays:
         else (ids, capacities, demands, groups) is shared — it never changes
         in place."""
         clone = object.__new__(ClusterArrays)
-        for name in _SHARED:
-            setattr(clone, name, getattr(self, name))
-        for name in _PLACEMENT:
-            setattr(clone, name, getattr(self, name).copy())
+        clone.numa_free_cpu = self.numa_free_cpu.copy()
+        clone.numa_free_mem = self.numa_free_mem.copy()
+        clone.vm_pm = self.vm_pm.copy()
+        clone.vm_numa = self.vm_numa.copy()
+        clone.pm_ids = self.pm_ids
+        clone.pm_row = self.pm_row
+        clone.numa_cap_cpu = self.numa_cap_cpu
+        clone.numa_cap_mem = self.numa_cap_mem
+        clone.vm_ids = self.vm_ids
+        clone.vm_row = self.vm_row
+        clone.vm_cpu = self.vm_cpu
+        clone.vm_mem = self.vm_mem
+        clone.vm_cpu_half = self.vm_cpu_half
+        clone.vm_mem_half = self.vm_mem_half
+        clone.vm_double = self.vm_double
+        clone.vm_group = self.vm_group
+        clone.group_code = self.group_code
+        clone.version = self.version
         # Consumers key their caches on the view's identity, so a clone never
         # satisfies a cache built against the original (and vice versa).
         clone._feasibility_memo = None
