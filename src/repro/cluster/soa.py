@@ -166,8 +166,9 @@ class ClusterArrays:
 
         Kept VMs keep their placements and kept PMs their free capacity, so no
         kept VM may sit on a dropped PM.  The arrays of an unchanged side are
-        shared as in :meth:`copy`.  ``vm_group`` is the two views' columns
-        side by side: regroup when either has a group.
+        shared as in :meth:`copy`.  When VMs change, ``vm_group`` is the two
+        views' columns side by side and ``group_code`` is empty: regroup when
+        either has a group.
         """
         joining = _NOTHING if joining is None else joining
         soa = self.copy()
@@ -183,6 +184,7 @@ class ClusterArrays:
             soa._set_ids("vm", vm_ids)
             for name in _VM_COLUMNS:
                 setattr(soa, name, _merged(getattr(soa, name), keep_vms, getattr(joining, name), order))
+            soa.group_code = {}
         return soa
 
     def copy(self) -> "ClusterArrays":

@@ -119,6 +119,20 @@ class TestGroupsInTheView:
         np.testing.assert_array_equal(soa.vm_group, expected)
         assert state.copy().arrays().vm_group is soa.vm_group
 
+    def test_group_code_follows_the_members(self):
+        """A label keeps its dense index while a VM carries it, and leaves
+        ``group_code`` with its last member."""
+        state = random_state(8, groups=0)
+        placed = state.placed_vm_ids()
+        state.set_anti_affinity_group(placed[0], "web")
+        state.set_anti_affinity_group(placed[1], "db")
+        assert state.arrays().group_code == {"web": 0, "db": 1}
+        state.remove_vm_from_cluster(placed[0])
+        assert state.arrays().group_code == {"db": 0}
+        state.remove_vm_from_cluster(placed[1])
+        assert state.arrays().group_code == {}
+        assert state.arrays().vm_group.max() == -1
+
     def test_group_set_on_a_copy_leaves_the_original(self):
         state = random_state(9, groups=0)
         checker = ConstraintChecker()
