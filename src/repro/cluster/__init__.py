@@ -34,7 +34,6 @@ from .fragmentation import (
     REWARD_SCALE,
     fragment_arrays,
     fragment_rate_arrays,
-    mixed_objective,
 )
 from .machine import BOTH_NUMAS, NumaNode, PhysicalMachine, VirtualMachine
 from .migration import (
@@ -88,6 +87,5 @@ __all__ = [
     "fragment_arrays",
     "fragment_rate_arrays",
     "landing_slots",
-    "mixed_objective",
     "sample_daily_changes",
 ]

@@ -28,6 +28,9 @@ from .vm_types import VMType, VMTypeCatalog
 
 MINUTES_PER_DAY = 24 * 60
 
+#: Hour of the day at which the diurnal change rate peaks (Fig. 1).
+DIURNAL_PEAK_HOUR = 14.0
+
 #: Every event kind the living-cluster simulator understands: VM arrivals and
 #: exits (the Fig. 1 / Fig. 5 churn), VM resizes, PM maintenance drains, PM
 #: failures, and PM re-adds (possibly with a newer hardware generation).
@@ -117,18 +120,17 @@ class ClusterEvent:
 def diurnal_rate_profile(
     peak_per_minute: float = 80.0,
     trough_per_minute: float = 6.0,
-    peak_hour: float = 14.0,
 ) -> np.ndarray:
     """Per-minute VM change rate over a day (the green curve of Fig. 1).
 
-    A raised cosine with its maximum at ``peak_hour`` and minimum 12 hours
-    away, matching the qualitative shape reported by the paper (busy afternoon,
-    quiet early morning around 4–6 am when VMR runs).
+    A raised cosine with its maximum at ``DIURNAL_PEAK_HOUR`` and minimum 12
+    hours away, matching the qualitative shape reported by the paper (busy
+    afternoon, quiet early morning around 4–6 am when VMR runs).
     """
     if peak_per_minute <= trough_per_minute:
         raise ValueError("peak rate must exceed trough rate")
     minutes = np.arange(MINUTES_PER_DAY)
-    phase = 2.0 * np.pi * (minutes / 60.0 - peak_hour) / 24.0
+    phase = 2.0 * np.pi * (minutes / 60.0 - DIURNAL_PEAK_HOUR) / 24.0
     shape = 0.5 * (1.0 + np.cos(phase))
     return trough_per_minute + (peak_per_minute - trough_per_minute) * shape
 

@@ -5,9 +5,10 @@ of free CPU across the cluster that cannot be used to host an additional
 X-core VM because it is scattered in pieces smaller than X cores per NUMA
 (§1, §2.1).  The default is X = 16 (the 4xlarge development-machine flavor).
 
-Also provided: the 64-core FR used in the mixed objective of §5.5.2, the
-64-GB memory fragment metric (Mem64) of §5.5.3, and the per-PM fragment size
-used for the dense reward (Eq. 8–9).  Every metric reads free-resource arrays
+The same functions give the 64-core FR and the 64-GB memory fragment metric
+(Mem64) that the mixed objectives of §5.5.2–5.5.3 combine (Eq. 12,
+:mod:`repro.env.objectives`), and the per-PM fragment size used for the
+dense reward (Eq. 8–9).  Every metric reads free-resource arrays
 (``numa_free_cpu`` / ``numa_free_mem`` of
 :class:`~repro.cluster.soa.ClusterArrays`, or one PM's row of them).
 """
@@ -48,28 +49,3 @@ def fragment_rate_arrays(free: np.ndarray, granularity: float) -> float:
         return 0.0
     return float((free % granularity).sum()) / total_free
 
-
-def mixed_objective(
-    soa,
-    weight: float,
-    primary_cores: int = DEFAULT_FRAGMENT_CORES,
-    secondary_cores: int | None = 64,
-    secondary_memory: float | None = None,
-) -> float:
-    """Convex combination of two fragment rates (Eq. 12) of a SoA view.
-
-    ``Obj_lambda = weight * secondary + (1 - weight) * primary`` where the
-    primary is the ``primary_cores`` CPU FR and the secondary is either the
-    ``secondary_cores`` CPU FR (§5.5.2) or the ``secondary_memory`` memory FR
-    (§5.5.3).  Exactly one of the two secondary metrics must be provided.
-    """
-    if not 0.0 <= weight <= 1.0:
-        raise ValueError("weight must be in [0, 1]")
-    if (secondary_cores is None) == (secondary_memory is None):
-        raise ValueError("provide exactly one of secondary_cores / secondary_memory")
-    primary = fragment_rate_arrays(soa.numa_free_cpu, primary_cores)
-    if secondary_cores is not None:
-        secondary = fragment_rate_arrays(soa.numa_free_cpu, secondary_cores)
-    else:
-        secondary = fragment_rate_arrays(soa.numa_free_mem, secondary_memory)
-    return weight * secondary + (1.0 - weight) * primary

@@ -43,9 +43,8 @@ class PMActor(Module):
         super().__init__()
         rng = rng if rng is not None else np.random.default_rng()
         dim = config.embed_dim
-        self.vm_encoder = MLP(dim, [dim], dim, activation=config.activation, rng=rng)
-        self.decoder = CrossAttentionLayer(dim, config.num_heads, config.feedforward_dim,
-                                           config.activation, rng=rng)
+        self.vm_encoder = MLP(dim, [dim], dim, rng=rng)
+        self.decoder = CrossAttentionLayer(dim, config.num_heads, config.feedforward_dim, rng=rng)
         self.projection = Linear(dim, 1, rng=rng, gain=0.01)
         #: weight of the VM->PM attention-score bias added to the logits.
         self.score_weight = self.register_parameter("score_weight", Tensor(np.array([1.0])))
@@ -92,7 +91,7 @@ class ValueHead(Module):
         super().__init__()
         rng = rng if rng is not None else np.random.default_rng()
         dim = config.embed_dim
-        self.network = MLP(2 * dim, [dim], 1, activation=config.activation, rng=rng, final_gain=1.0)
+        self.network = MLP(2 * dim, [dim], 1, rng=rng, final_gain=1.0)
 
     def forward(self, extractor_output: ExtractorOutput) -> Tensor:
         """Return ``(batch,)`` state values from ``(batch, machines, dim)``

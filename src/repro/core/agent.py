@@ -190,7 +190,6 @@ class VMR2LAgent(Rescheduler):
             migration_limits,
             [np.random.default_rng(seed)] * len(states),
             objective=objective,
-            constraint_config=self.constraint_config,
             greedy=True,
             step_cache=step_cache,
             max_active=max_active,
@@ -236,7 +235,7 @@ class VMR2LAgent(Rescheduler):
         start = time.perf_counter()
         outcome = risk_seeking_evaluate(
             self.policy, state, migration_limit, config=self.config.risk_seeking,
-            objective=objective, constraint_config=self.constraint_config, seed=seed,
+            objective=objective, seed=seed,
         )
         objectives = outcome.objectives()
         info = {
@@ -270,7 +269,6 @@ class VMR2LAgent(Rescheduler):
             [migration_limit] * len(states),
             [np.random.default_rng([seed, k]) for k in range(len(states))],
             objective=self.objective,
-            constraint_config=self.constraint_config,
             greedy=greedy,
         )
         initial = [self.objective.episode_metric(state) for state in states]

@@ -58,10 +58,10 @@ class _AttentionBlock(Module):
         dim, heads, hidden = config.embed_dim, config.num_heads, config.feedforward_dim
         self.use_tree_attention = use_tree_attention
         if use_tree_attention:
-            self.tree_attention = TransformerEncoderLayer(dim, heads, hidden, config.activation, rng=rng)
-        self.pm_self_attention = TransformerEncoderLayer(dim, heads, hidden, config.activation, rng=rng)
-        self.vm_self_attention = TransformerEncoderLayer(dim, heads, hidden, config.activation, rng=rng)
-        self.cross_attention = CrossAttentionLayer(dim, heads, hidden, config.activation, rng=rng)
+            self.tree_attention = TransformerEncoderLayer(dim, heads, hidden, rng=rng)
+        self.pm_self_attention = TransformerEncoderLayer(dim, heads, hidden, rng=rng)
+        self.vm_self_attention = TransformerEncoderLayer(dim, heads, hidden, rng=rng)
+        self.cross_attention = CrossAttentionLayer(dim, heads, hidden, rng=rng)
 
     def forward(
         self,
@@ -140,8 +140,8 @@ class SparseAttentionExtractor(Module):
         rng = rng if rng is not None else np.random.default_rng()
         self.config = config
         dim = config.embed_dim
-        self.pm_embed = MLP(PM_FEATURE_DIM, [dim], dim, activation=config.activation, rng=rng)
-        self.vm_embed = MLP(VM_FEATURE_DIM, [dim], dim, activation=config.activation, rng=rng)
+        self.pm_embed = MLP(PM_FEATURE_DIM, [dim], dim, rng=rng)
+        self.vm_embed = MLP(VM_FEATURE_DIM, [dim], dim, rng=rng)
         self.blocks = []
         for index in range(config.num_blocks):
             block = _AttentionBlock(config, self.use_tree_attention, rng)
@@ -241,8 +241,8 @@ class MLPExtractor(Module):
         dim = config.embed_dim
         input_dim = max_pms * PM_FEATURE_DIM + max_vms * VM_FEATURE_DIM
         output_dim = (max_pms + max_vms) * dim
-        self.network = MLP(input_dim, [config.feedforward_dim, config.feedforward_dim], output_dim,
-                           activation=config.activation, rng=rng)
+        hidden = [config.feedforward_dim, config.feedforward_dim]
+        self.network = MLP(input_dim, hidden, output_dim, rng=rng)
 
     def forward(self, batch: FeatureBatch) -> ExtractorOutput:
         if batch.num_pms > self.max_pms or batch.num_vms > self.max_vms:

@@ -20,7 +20,6 @@ class ModelConfig:
     num_heads: int = 4
     num_blocks: int = 2
     feedforward_dim: int = 64
-    activation: str = "relu"
     #: "sparse" (tree-level attention, the paper's design), "vanilla"
     #: (encoder-decoder without tree features) or "mlp" (flat concatenation).
     extractor: str = "sparse"
@@ -137,7 +136,13 @@ class VMR2LConfig:
         # retired since then (the PPO path switches; the attention
         # implementation, chunk width and float32 VM↔VM stage, now one
         # kernel) never changed the weights, so they are dropped and old
-        # checkpoints keep loading.
+        # checkpoints keep loading.  The activation did shape the weights:
+        # the network is ReLU throughout, so a checkpoint trained with any
+        # other is refused rather than loaded into the wrong function.
+        activation = payload.get("model", {}).get("activation", "relu")
+        if activation != "relu":
+            raise ValueError(f"checkpoint trained with activation {activation!r}; the network is ReLU")
+
         def current(section: str, config_cls):
             names = {spec.name for spec in fields(config_cls)}
             options = payload.get(section, {})

@@ -15,7 +15,7 @@ single trajectory is a batch of one.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -64,7 +64,6 @@ def rollout_batch(
     migration_limits: Sequence[int],
     rngs: Sequence[np.random.Generator],
     objective: Optional[Objective] = None,
-    constraint_config: Optional[ConstraintConfig] = None,
     greedy: bool = False,
     vm_quantile: Optional[float] = None,
     pm_quantile: Optional[float] = None,
@@ -80,9 +79,8 @@ def rollout_batch(
     from ``rngs[i]`` (repeat one generator to share a stream), so with
     per-row generators a row's trajectory depends neither on the batch size
     nor on its neighbours; greedy rows take the argmax of the distribution a
-    batch of one computes.  A limit of zero is a no-op row.
-    ``constraint_config`` supplies the constraint flags; each row runs under
-    its own ``migration_limits`` entry.
+    batch of one computes.  A limit of zero is a no-op row; each row runs
+    under its own ``migration_limits`` entry.
 
     ``max_active`` caps the number of concurrently-running episodes; batching
     is *continuous*: when an episode finishes early (no movable VM, limit
@@ -106,7 +104,6 @@ def rollout_batch(
     call overshoots the budget by at most one stacked forward, and a greedy
     deadline-bounded plan is a prefix of the unbounded one.
     """
-    base = constraint_config or ConstraintConfig()
     objective = objective or FragmentRateObjective()
     # Penalty-mode policies sample without masks, so the environment must absorb
     # illegal actions instead of raising (the §5.4 Penalty ablation).
@@ -127,7 +124,7 @@ def rollout_batch(
             break
         while waiting and len(active) < slots:
             index = waiting.pop()
-            config = replace(base, migration_limit=migration_limits[index])
+            config = ConstraintConfig(migration_limit=migration_limits[index])
             envs[index] = VMRescheduleEnv(
                 states[index], config, objective=objective, illegal_action_penalty=illegal_penalty
             )
@@ -175,7 +172,6 @@ def risk_seeking_evaluate(
     migration_limit: int,
     config: Optional[RiskSeekingConfig] = None,
     objective: Optional[Objective] = None,
-    constraint_config: Optional[ConstraintConfig] = None,
     seed: int = 0,
 ) -> RiskSeekingOutcome:
     """Sample multiple trajectories and keep the one with the best objective.
@@ -200,7 +196,6 @@ def risk_seeking_evaluate(
             [migration_limit] * len(rows),
             rows,
             objective=objective,
-            constraint_config=constraint_config,
             greedy=greedy,
             vm_quantile=config.vm_quantile if thresholded else None,
             pm_quantile=config.pm_quantile if thresholded else None,

@@ -2,10 +2,9 @@
 
 The paper evaluates on anonymized production snapshots (Medium / Large /
 Multi-Resource, plus Low/Middle/High workload variants).  This subpackage
-substitutes a calibrated synthetic generator (see DESIGN.md for the
-substitution rationale) and provides the same dataset mechanics the paper
-describes: 4000/200/200 train/validation/test splits of mapping snapshots,
-stored as JSON-lines files.
+substitutes a calibrated synthetic generator for them and provides the same
+dataset mechanics the paper describes: 4000/200/200 train/validation/test
+splits of mapping snapshots, stored as JSON-lines files.
 """
 
 from .generator import (

@@ -26,9 +26,8 @@ def split_mappings(
     states: Sequence[ClusterState],
     fractions: Optional[Dict[str, float]] = None,
     seed: int = 0,
-    shuffle: bool = True,
 ) -> Dict[str, List[ClusterState]]:
-    """Split snapshots into named subsets according to ``fractions``.
+    """Shuffle snapshots by ``seed`` and split them into subsets by ``fractions``.
 
     Fractions must sum to 1 (within tolerance).  Remainder mappings after
     rounding are assigned to the training split.
@@ -42,8 +41,7 @@ def split_mappings(
 
     states = list(states)
     indices = np.arange(len(states))
-    if shuffle:
-        np.random.default_rng(seed).shuffle(indices)
+    np.random.default_rng(seed).shuffle(indices)
 
     counts = {name: int(len(states) * fraction) for name, fraction in fractions.items()}
     assigned = sum(counts.values())

@@ -17,6 +17,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..cluster import ClusterState, sample_daily_changes
+from ..cluster.events import MINUTES_PER_DAY
 from .generator import ClusterSpec, SnapshotGenerator, get_spec
 
 #: Target PM CPU-utilization bands for the three workload levels of Fig. 15.
@@ -144,12 +145,17 @@ def offpeak_minute(series: Dict[str, np.ndarray]) -> int:
 #: Synthetic churn families the trace-driven simulator supports.
 WORKLOAD_FAMILIES = ("diurnal", "flash_crowd", "abnormal")
 
+#: Standard deviation, in minutes, of a flash-crowd spike.
+SPIKE_WIDTH_MINUTES = 20.0
+
+#: Length, in minutes, of one rate regime of an abnormal day.
+ABNORMAL_SEGMENT_MINUTES = 90
+
 
 def flash_crowd_rate_profile(
     base_per_minute: float = 6.0,
     spike_per_minute: float = 120.0,
     spike_minutes: Sequence[int] = (11 * 60, 20 * 60),
-    spike_width_min: float = 20.0,
 ) -> np.ndarray:
     """Per-minute change rate for a flash-crowd day: calm baseline + spikes.
 
@@ -159,12 +165,10 @@ def flash_crowd_rate_profile(
     """
     if spike_per_minute <= base_per_minute:
         raise ValueError("spike rate must exceed the baseline rate")
-    if spike_width_min <= 0:
-        raise ValueError("spike_width_min must be positive")
-    minutes = np.arange(24 * 60)
-    rates = np.full(24 * 60, float(base_per_minute))
+    minutes = np.arange(MINUTES_PER_DAY)
+    rates = np.full(MINUTES_PER_DAY, float(base_per_minute))
     for center in spike_minutes:
-        bump = np.exp(-0.5 * ((minutes - float(center)) / spike_width_min) ** 2)
+        bump = np.exp(-0.5 * ((minutes - float(center)) / SPIKE_WIDTH_MINUTES) ** 2)
         rates += (spike_per_minute - base_per_minute) * bump
     return rates
 
@@ -173,24 +177,21 @@ def abnormal_rate_profile(
     rng: np.random.Generator,
     low_per_minute: float = 3.0,
     high_per_minute: float = 60.0,
-    segment_minutes: int = 90,
 ) -> np.ndarray:
     """Per-minute change rate for an abnormal day: regime-switching bursts.
 
-    The day is cut into ``segment_minutes`` segments, each drawing its own
-    rate log-uniformly between the low and high levels — the "abnormal
+    The day is cut into ``ABNORMAL_SEGMENT_MINUTES`` segments, each drawing
+    its own rate log-uniformly between the low and high levels — the "abnormal
     workload" analogue of Table 5, where the mix looks nothing like the
     diurnal training distribution.  Deterministic given ``rng``.
     """
     if low_per_minute <= 0 or high_per_minute <= low_per_minute:
         raise ValueError("need 0 < low_per_minute < high_per_minute")
-    if segment_minutes <= 0:
-        raise ValueError("segment_minutes must be positive")
-    num_segments = -(-(24 * 60) // segment_minutes)
+    num_segments = -(-MINUTES_PER_DAY // ABNORMAL_SEGMENT_MINUTES)
     levels = np.exp(
         rng.uniform(np.log(low_per_minute), np.log(high_per_minute), size=num_segments)
     )
-    return np.repeat(levels, segment_minutes)[: 24 * 60]
+    return np.repeat(levels, ABNORMAL_SEGMENT_MINUTES)[:MINUTES_PER_DAY]
 
 
 def family_rate_profile(
@@ -212,7 +213,7 @@ def family_rate_profile(
     if key == "diurnal":
         return diurnal_rate_profile(peak_per_minute, trough_per_minute)
     if key == "flash_crowd":
-        centers = rng.integers(0, 24 * 60, size=2)
+        centers = rng.integers(0, MINUTES_PER_DAY, size=2)
         return flash_crowd_rate_profile(
             base_per_minute=trough_per_minute,
             spike_per_minute=max(peak_per_minute, trough_per_minute * 1.5 + 1.0),

@@ -1,16 +1,18 @@
 """Neural-network substrate: numpy autograd, layers, attention and optimizers.
 
 This subpackage replaces PyTorch for the purposes of this reproduction (see
-DESIGN.md).  The public surface mirrors a minimal ``torch.nn``:
+``docs/performance.md`` for its kernels).  The public surface mirrors a
+minimal ``torch.nn``:
 
 * :class:`~repro.nn.tensor.Tensor` — autograd-enabled numpy wrapper
 * :class:`~repro.nn.module.Module` — parameter container base class
-* layers — :class:`Linear`, :class:`LayerNorm`, :class:`MLP`, :class:`Sequential`,
-  :class:`Activation`
+* layers — :class:`Linear` (orthogonal init), :class:`LayerNorm`, :class:`MLP`,
+  :class:`Sequential`, :class:`Activation` (ReLU)
 * attention — :class:`MultiHeadAttention`, :class:`TransformerEncoderLayer`,
   :class:`CrossAttentionLayer`, :class:`FeedForward`, :class:`AttentionMask`
 * optimizers — :class:`Adam`, :class:`LinearSchedule`
 * :mod:`repro.nn.functional` — softmax / masked softmax / distribution helpers
+* :mod:`repro.nn.init` — :func:`~repro.nn.init.orthogonal`
 * checkpoint helpers — :func:`save_module`, :func:`load_module`
 """
 

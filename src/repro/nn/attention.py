@@ -570,14 +570,13 @@ class FeedForward(Module):
         self,
         embed_dim: int,
         hidden_dim: int,
-        activation: str = "relu",
         rng: Optional[np.random.Generator] = None,
     ) -> None:
         super().__init__()
         rng = rng if rng is not None else np.random.default_rng()
         self.network = Sequential(
             Linear(embed_dim, hidden_dim, rng=rng),
-            Activation(activation),
+            Activation(),
             Linear(hidden_dim, embed_dim, rng=rng),
         )
 
@@ -593,14 +592,13 @@ class TransformerEncoderLayer(Module):
         embed_dim: int,
         num_heads: int,
         hidden_dim: Optional[int] = None,
-        activation: str = "relu",
         rng: Optional[np.random.Generator] = None,
     ) -> None:
         super().__init__()
         rng = rng if rng is not None else np.random.default_rng()
         hidden_dim = hidden_dim if hidden_dim is not None else 4 * embed_dim
         self.attention = MultiHeadAttention(embed_dim, num_heads, rng=rng)
-        self.feed_forward = FeedForward(embed_dim, hidden_dim, activation=activation, rng=rng)
+        self.feed_forward = FeedForward(embed_dim, hidden_dim, rng=rng)
         self.norm1 = LayerNorm(embed_dim)
         self.norm2 = LayerNorm(embed_dim)
 
@@ -654,14 +652,13 @@ class CrossAttentionLayer(Module):
         embed_dim: int,
         num_heads: int,
         hidden_dim: Optional[int] = None,
-        activation: str = "relu",
         rng: Optional[np.random.Generator] = None,
     ) -> None:
         super().__init__()
         rng = rng if rng is not None else np.random.default_rng()
         hidden_dim = hidden_dim if hidden_dim is not None else 4 * embed_dim
         self.attention = MultiHeadAttention(embed_dim, num_heads, rng=rng)
-        self.feed_forward = FeedForward(embed_dim, hidden_dim, activation=activation, rng=rng)
+        self.feed_forward = FeedForward(embed_dim, hidden_dim, rng=rng)
         self.norm_query = LayerNorm(embed_dim)
         self.norm_key = LayerNorm(embed_dim)
         self.norm_out = LayerNorm(embed_dim)

@@ -3,8 +3,8 @@
 These are the op-level primitives used by the layer classes in
 :mod:`repro.nn.layers` and :mod:`repro.nn.attention`: numerically stable
 softmax / log-softmax, masked softmax (used extensively by the two-stage
-policy to exclude infeasible VMs and PMs), layer normalization, activations
-and categorical-distribution helpers.
+policy to exclude infeasible VMs and PMs), layer normalization and
+categorical-distribution helpers.
 
 Each fused op is its array kernel plus optional graph recording: the output
 is computed first, and when nothing requires grad (or under
@@ -22,49 +22,6 @@ import numpy as np
 from .tensor import Tensor, grad_enabled, where
 
 MASK_FILL_VALUE = -1e9
-
-
-# ---------------------------------------------------------------------- #
-# Activations
-# ---------------------------------------------------------------------- #
-def relu(x: Tensor) -> Tensor:
-    return x.relu()
-
-
-def tanh(x: Tensor) -> Tensor:
-    return x.tanh()
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    return x.sigmoid()
-
-
-def gelu(x: Tensor) -> Tensor:
-    """Gaussian error linear unit (tanh approximation)."""
-    cubic = x * x * x
-    inner = (x + cubic * 0.044715) * float(np.sqrt(2.0 / np.pi))
-    return x * 0.5 * (inner.tanh() + 1.0)
-
-
-def leaky_relu(x: Tensor, negative_slope: float = 0.01) -> Tensor:
-    return where(x.data > 0.0, x, x * negative_slope)
-
-
-ACTIVATIONS = {
-    "relu": relu,
-    "tanh": tanh,
-    "gelu": gelu,
-    "sigmoid": sigmoid,
-    "leaky_relu": leaky_relu,
-}
-
-
-def get_activation(name: str):
-    """Look up an activation function by name."""
-    try:
-        return ACTIVATIONS[name]
-    except KeyError:
-        raise ValueError(f"unknown activation '{name}'; expected one of {sorted(ACTIVATIONS)}")
 
 
 # ---------------------------------------------------------------------- #
@@ -115,24 +72,25 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     return Tensor(out_data, requires_grad=True, parents=(x,), backward=backward)
 
 
-def mask_to_bias(mask: np.ndarray, fill_value: float = MASK_FILL_VALUE) -> np.ndarray:
-    """Additive attention bias for a boolean keep-mask: 0 kept, ``fill_value`` masked.
+def mask_to_bias(mask: np.ndarray) -> np.ndarray:
+    """Additive attention bias for a boolean keep-mask: 0 kept,
+    ``MASK_FILL_VALUE`` masked.
 
     Computed once and broadcast (over heads / layers) instead of re-expanding
     the boolean mask per consumer.
     """
-    return np.where(np.asarray(mask, dtype=bool), 0.0, fill_value)
+    return np.where(np.asarray(mask, dtype=bool), 0.0, MASK_FILL_VALUE)
 
 
-def masked_fill(x: Tensor, mask: np.ndarray, fill_value: float = MASK_FILL_VALUE) -> Tensor:
-    """Replace entries of ``x`` where ``mask`` is False with ``fill_value``.
+def masked_fill(x: Tensor, mask: np.ndarray) -> Tensor:
+    """Replace entries of ``x`` where ``mask`` is False with ``MASK_FILL_VALUE``.
 
     ``mask`` uses the convention "True means keep" (a feasibility mask).  The
     fill value enters as a scalar operand, so no full-shape fill array is
     materialized.
     """
     mask = np.asarray(mask, dtype=bool)
-    return where(mask, x, fill_value)
+    return where(mask, x, MASK_FILL_VALUE)
 
 
 def masked_softmax(x: Tensor, mask: Optional[np.ndarray], axis: int = -1) -> Tensor:

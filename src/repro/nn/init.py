@@ -1,32 +1,13 @@
-"""Weight initialization schemes for the :mod:`repro.nn` substrate.
+"""Weight initialization for the :mod:`repro.nn` substrate.
 
 The paper follows the CleanRL PPO convention of orthogonal initialization with
-layer-dependent gains; those initializers are provided here along with the
-standard Xavier/Kaiming families.
+layer-dependent gains; every :class:`~repro.nn.layers.Linear` weight is drawn
+here.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-
-def xavier_uniform(shape, rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
-    """Glorot/Xavier uniform initialization for a 2-D weight matrix."""
-    fan_in, fan_out = _fans(shape)
-    limit = gain * np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
-
-
-def xavier_normal(shape, rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
-    fan_in, fan_out = _fans(shape)
-    std = gain * np.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=shape)
-
-
-def kaiming_uniform(shape, rng: np.random.Generator, gain: float = np.sqrt(2.0)) -> np.ndarray:
-    fan_in, _ = _fans(shape)
-    limit = gain * np.sqrt(3.0 / fan_in)
-    return rng.uniform(-limit, limit, size=shape)
 
 
 def orthogonal(shape, rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
@@ -42,37 +23,3 @@ def orthogonal(shape, rng: np.random.Generator, gain: float = 1.0) -> np.ndarray
     if rows < cols:
         q = q.T
     return gain * q[:rows, :cols].reshape(shape)
-
-
-def zeros(shape, rng: np.random.Generator | None = None) -> np.ndarray:
-    return np.zeros(shape)
-
-
-def normal(shape, rng: np.random.Generator, std: float = 0.01) -> np.ndarray:
-    return rng.normal(0.0, std, size=shape)
-
-
-def _fans(shape) -> tuple[int, int]:
-    if len(shape) == 1:
-        return shape[0], shape[0]
-    fan_in = int(np.prod(shape[1:]))
-    fan_out = shape[0]
-    return fan_in, fan_out
-
-
-INITIALIZERS = {
-    "xavier_uniform": xavier_uniform,
-    "xavier_normal": xavier_normal,
-    "kaiming_uniform": kaiming_uniform,
-    "orthogonal": orthogonal,
-    "zeros": zeros,
-    "normal": normal,
-}
-
-
-def get_initializer(name: str):
-    """Look up an initializer by name."""
-    try:
-        return INITIALIZERS[name]
-    except KeyError:
-        raise ValueError(f"unknown initializer '{name}'; expected one of {sorted(INITIALIZERS)}")

@@ -8,12 +8,12 @@ These layers implement exactly the components the VMR2L architecture needs:
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from . import functional as F
-from . import init as initializers
+from .init import orthogonal
 from .module import Module
 from .tensor import Tensor
 
@@ -48,7 +48,6 @@ class Linear(Module):
         out_features: int,
         bias: bool = True,
         rng: Optional[np.random.Generator] = None,
-        weight_init: str = "orthogonal",
         gain: float = np.sqrt(2.0),
     ) -> None:
         super().__init__()
@@ -57,10 +56,7 @@ class Linear(Module):
         rng = rng if rng is not None else np.random.default_rng()
         self.in_features = in_features
         self.out_features = out_features
-        init_fn = initializers.get_initializer(weight_init)
-        weight = init_fn((out_features, in_features), rng, gain) if weight_init != "zeros" else np.zeros(
-            (out_features, in_features)
-        )
+        weight = orthogonal((out_features, in_features), rng, gain)
         self.weight = self.register_parameter("weight", Tensor(weight))
         self.has_bias = bias
         if bias:
@@ -118,19 +114,18 @@ class Sequential(Module):
 
 
 class Activation(Module):
-    """Wrap a functional activation so it can live inside ``Sequential``."""
+    """The ReLU between two ``Linear`` layers of a ``Sequential``.
 
-    def __init__(self, name: str = "relu") -> None:
-        super().__init__()
-        self.name = name
-        self._fn: Callable[[Tensor], Tensor] = F.get_activation(name)
+    It holds no parameters, but it keeps its slot in the ``Sequential``, so
+    the layers around it keep their names (``network.0``, ``network.2``).
+    """
 
     def forward(self, x: Tensor) -> Tensor:
-        return self._fn(x)
+        return x.relu()
 
 
 class MLP(Module):
-    """Multi-layer perceptron with configurable hidden sizes and activation.
+    """Multi-layer perceptron: ``Linear`` layers with a ReLU between each pair.
 
     This is the shared embedding network the paper applies to every PM's and
     every VM's raw features, keeping the parameter count independent of the
@@ -142,8 +137,6 @@ class MLP(Module):
         in_features: int,
         hidden_sizes: Sequence[int],
         out_features: int,
-        activation: str = "tanh",
-        final_activation: Optional[str] = None,
         rng: Optional[np.random.Generator] = None,
         final_gain: float = np.sqrt(2.0),
     ) -> None:
@@ -156,9 +149,7 @@ class MLP(Module):
             gain = final_gain if is_last else np.sqrt(2.0)
             layers.append(Linear(a, b, rng=rng, gain=gain))
             if not is_last:
-                layers.append(Activation(activation))
-            elif final_activation is not None:
-                layers.append(Activation(final_activation))
+                layers.append(Activation())
         self.network = Sequential(*layers)
         self.in_features = in_features
         self.out_features = out_features

@@ -13,6 +13,10 @@ import numpy as np
 from .functional import grad_norm
 from .tensor import Tensor
 
+#: Adam's moment decay rates (the Kingma & Ba defaults CleanRL's PPO uses).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+
 
 class Optimizer:
     """Base optimizer holding a parameter list."""
@@ -61,12 +65,10 @@ class Adam(Optimizer):
         self,
         parameters: Iterable[Tensor],
         lr: float = 3e-4,
-        betas: tuple = (0.9, 0.999),
         eps: float = 1e-8,
         weight_decay: float = 0.0,
     ) -> None:
         super().__init__(parameters, lr)
-        self.beta1, self.beta2 = betas
         self.eps = eps
         self.weight_decay = weight_decay
         self._step_count = 0
@@ -75,18 +77,18 @@ class Adam(Optimizer):
 
     def step(self) -> None:
         self._step_count += 1
-        bias1 = 1.0 - self.beta1 ** self._step_count
-        bias2 = 1.0 - self.beta2 ** self._step_count
+        bias1 = 1.0 - ADAM_BETA1 ** self._step_count
+        bias2 = 1.0 - ADAM_BETA2 ** self._step_count
         for param, m, v in zip(self.parameters, self._m, self._v):
             if param.grad is None:
                 continue
             grad = param.grad
             if self.weight_decay:
                 grad = grad + self.weight_decay * param.data
-            m *= self.beta1
-            m += (1.0 - self.beta1) * grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * grad ** 2
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * grad
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * grad ** 2
             m_hat = m / bias1
             v_hat = v / bias2
             param.data = param.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
@@ -94,8 +96,6 @@ class Adam(Optimizer):
     def state_dict(self) -> Dict:
         return {
             "lr": self.lr,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
             "eps": self.eps,
             "weight_decay": self.weight_decay,
             "step_count": self._step_count,
@@ -105,8 +105,6 @@ class Adam(Optimizer):
 
     def load_state_dict(self, state: Dict) -> None:
         super().load_state_dict(state)
-        self.beta1 = float(state.get("beta1", self.beta1))
-        self.beta2 = float(state.get("beta2", self.beta2))
         self.eps = float(state.get("eps", self.eps))
         self.weight_decay = float(state.get("weight_decay", self.weight_decay))
         self._step_count = int(state.get("step_count", self._step_count))

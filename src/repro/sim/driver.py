@@ -60,8 +60,6 @@ class SimulationConfig:
     deadline_ms: Optional[float] = None
     #: Cap on replanning rounds (smoke runs); ``None`` = horizon decides.
     max_rounds: Optional[int] = None
-    #: Trailing fraction of rounds that counts as steady state.
-    steady_state_fraction: float = 0.5
 
     def __post_init__(self) -> None:
         for name in ("replan_every_s", "plan_delay_s", "horizon_s"):
@@ -79,8 +77,6 @@ class SimulationConfig:
             raise ValueError("migration_limit must not be negative")
         if self.max_rounds is not None and self.max_rounds < 1:
             raise ValueError("max_rounds must be >= 1 when set")
-        if not 0.0 < self.steady_state_fraction <= 1.0:
-            raise ValueError("steady_state_fraction must be in (0, 1]")
 
 
 @dataclass
@@ -253,9 +249,7 @@ class OnlineRescheduler:
             rounds=list(self.rounds),
             engine_stats=dict(self.cluster.stats),
             final_objective=objective.episode_metric(self.cluster.state),
-            steady_state_objective=steady_state_mean(
-                series, config.steady_state_fraction
-            ),
+            steady_state_objective=steady_state_mean(series),
             invalidation=invalidation_rate(planned, invalidated),
             failed_rounds=sum(1 for record in self.rounds if not record.ok),
             horizon_s=config.horizon_s,

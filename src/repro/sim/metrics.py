@@ -9,14 +9,15 @@ from __future__ import annotations
 
 from typing import Sequence
 
+#: Trailing fraction of a run's rounds that counts as steady state.
+STEADY_STATE_FRACTION = 0.5
 
-def steady_state_mean(series: Sequence[float], tail_fraction: float = 0.5) -> float:
-    """Mean of the trailing ``tail_fraction`` of a series (warm-up excluded)."""
+
+def steady_state_mean(series: Sequence[float]) -> float:
+    """Mean of the trailing ``STEADY_STATE_FRACTION`` of a series (warm-up excluded)."""
     if not series:
         return float("nan")
-    if not 0.0 < tail_fraction <= 1.0:
-        raise ValueError("tail_fraction must be in (0, 1]")
-    start = min(len(series) - 1, int(len(series) * (1.0 - tail_fraction)))
+    start = min(len(series) - 1, int(len(series) * (1.0 - STEADY_STATE_FRACTION)))
     tail = series[start:]
     return float(sum(tail) / len(tail))
 

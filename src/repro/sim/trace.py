@@ -33,6 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..cluster import ClusterEvent
+from ..cluster.events import MINUTES_PER_DAY
 from ..cluster.state import int_field
 from ..datasets.workloads import WORKLOAD_FAMILIES, family_rate_profile
 
@@ -41,7 +42,6 @@ TRACE_FORMAT = "repro-sim-trace"
 TRACE_VERSION = 1
 
 SECONDS_PER_MINUTE = 60.0
-MINUTES_PER_DAY = 24 * 60
 
 
 @dataclass(frozen=True)

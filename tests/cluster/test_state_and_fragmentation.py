@@ -17,8 +17,8 @@ from repro.cluster import (
     VMType,
     VMTypeCatalog,
 )
-from repro.cluster.fragmentation import fragment_arrays, fragment_rate_arrays, mixed_objective
-from repro.env import FragmentRateObjective
+from repro.cluster.fragmentation import fragment_arrays, fragment_rate_arrays
+from repro.env import FragmentRateObjective, MixedFragmentObjective, MixedResourceObjective
 
 CATALOG = VMTypeCatalog.main()
 
@@ -119,13 +119,16 @@ class TestFragmentationFunctions:
         # free memory: 28 and 128 -> fragments 28 % 64 + 0 = 28 of 156 free
         assert state.memory_fragment_rate(64) == pytest.approx(28 / 156)
 
-    def test_mixed_objective_bounds_and_validation(self):
-        soa = one_pm().arrays()
-        assert 0.0 <= mixed_objective(soa, weight=0.3) <= 1.0
+    @pytest.mark.parametrize("objective_cls", [MixedFragmentObjective, MixedResourceObjective])
+    def test_mixed_objective_bounds_and_validation(self, objective_cls):
+        # Eq. 12 is a convex combination of two rates, so it stays in [0, 1],
+        # and a lambda outside [0, 1] is refused.
+        state = one_pm(placed=[(0, 4, 100), (1, 10, 30)])
+        assert 0.0 < objective_cls(weight=0.3).episode_metric(state) <= 1.0
         with pytest.raises(ValueError):
-            mixed_objective(soa, weight=1.5)
+            objective_cls(weight=1.5)
         with pytest.raises(ValueError):
-            mixed_objective(soa, weight=0.5, secondary_cores=None, secondary_memory=None)
+            objective_cls(weight=-0.1)
 
     def test_invalid_granularity_raises(self):
         with pytest.raises(ValueError):

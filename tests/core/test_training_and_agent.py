@@ -254,6 +254,26 @@ class TestVMR2LAgent:
         for name, array in agent.policy.state_dict().items():
             assert np.array_equal(loaded.policy.state_dict()[name], array)
 
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_checkpoint_recording_an_activation(self, tmp_path, activation):
+        # The network is ReLU throughout: a checkpoint recording "relu" (as
+        # every saved config once did) loads, and one trained with any other
+        # activation is refused instead of running as a ReLU network.
+        from repro.nn.serialization import save_module
+
+        agent = VMR2LAgent(tiny_config(), seed=0)
+        config = agent.config.to_dict()
+        config["model"]["activation"] = activation
+        path = save_module(agent.policy, tmp_path / "ckpt", metadata={"config": config, "seed": 0})
+        if activation != "relu":
+            with pytest.raises(ValueError, match="tanh"):
+                VMR2LAgent.load(path)
+            return
+        loaded = VMR2LAgent.load(path)
+        assert loaded.config == agent.config
+        for name, array in agent.policy.state_dict().items():
+            assert np.array_equal(loaded.policy.state_dict()[name], array)
+
     def test_checkpoint_is_small(self, tmp_path):
         """The paper highlights checkpoints under 2 MB."""
         agent = VMR2LAgent(tiny_config(), seed=0)

@@ -123,12 +123,3 @@ class TestUtilities:
     def test_grad_norm(self):
         assert F.grad_norm([np.array([3.0, 4.0]), None]) == pytest.approx(5.0)
         assert F.grad_norm([None]) == 0.0
-
-    def test_get_activation_unknown_raises(self):
-        with pytest.raises(ValueError):
-            F.get_activation("swishy")
-
-    def test_gelu_close_to_relu_for_large_inputs(self):
-        x = Tensor(np.array([10.0, -10.0]))
-        out = F.gelu(x).numpy()
-        np.testing.assert_allclose(out, [10.0, 0.0], atol=1e-3)

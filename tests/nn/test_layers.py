@@ -28,7 +28,7 @@ def rng():
 
 class TestModule:
     def test_named_parameters_nested(self, rng):
-        model = Sequential(Linear(3, 4, rng=rng), Activation("relu"), Linear(4, 2, rng=rng))
+        model = Sequential(Linear(3, 4, rng=rng), Activation(), Linear(4, 2, rng=rng))
         names = [name for name, _ in model.named_parameters()]
         assert "0.weight" in names and "2.bias" in names
         assert len(names) == 4
@@ -101,11 +101,6 @@ class TestMLPAndEmbedding:
     def test_mlp_shapes(self, rng):
         mlp = MLP(6, [16, 16], 3, rng=rng)
         assert mlp(Tensor(rng.normal(size=(10, 6)))).shape == (10, 3)
-
-    def test_mlp_final_activation(self, rng):
-        mlp = MLP(4, [8], 2, final_activation="sigmoid", rng=rng)
-        out = mlp(Tensor(rng.normal(size=(5, 4)))).numpy()
-        assert ((out >= 0) & (out <= 1)).all()
 
 
 class TestAttention:
@@ -229,15 +224,6 @@ class TestInitializers:
         w = initializers.orthogonal((4, 8), rng)
         gram = w @ w.T
         np.testing.assert_allclose(gram, np.eye(4), atol=1e-8)
-
-    def test_xavier_uniform_within_limit(self, rng):
-        w = initializers.xavier_uniform((20, 30), rng)
-        limit = np.sqrt(6.0 / 50)
-        assert np.abs(w).max() <= limit + 1e-12
-
-    def test_unknown_initializer_raises(self):
-        with pytest.raises(ValueError):
-            initializers.get_initializer("nope")
 
 
 class TestSerialization:

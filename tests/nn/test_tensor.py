@@ -189,7 +189,7 @@ class TestReductions:
 
 
 class TestNonlinearities:
-    @pytest.mark.parametrize("op", ["exp", "log", "sqrt", "tanh", "sigmoid", "relu", "abs"])
+    @pytest.mark.parametrize("op", ["exp", "log", "sqrt", "relu", "abs"])
     def test_gradients_match_finite_differences(self, op):
         rng = np.random.default_rng(3)
         x_val = rng.uniform(0.2, 2.0, size=(5,))

@@ -81,9 +81,9 @@ def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Te
     return normalized * weight + bias
 
 
-def masked_fill(x: Tensor, mask: np.ndarray, fill_value: float = F.MASK_FILL_VALUE) -> Tensor:
+def masked_fill(x: Tensor, mask: np.ndarray) -> Tensor:
     mask = np.asarray(mask, dtype=bool)
-    return where(mask, x, Tensor(np.full(x.shape, fill_value)))
+    return where(mask, x, Tensor(np.full(x.shape, F.MASK_FILL_VALUE)))
 
 
 def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:

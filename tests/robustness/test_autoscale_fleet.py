@@ -16,32 +16,20 @@ import time
 
 import pytest
 
-from repro.datasets import ClusterSpec, SnapshotGenerator
 from repro.serve import (
     AutoscaleConfig,
     BrownoutConfig,
     DefaultRegistryFactory,
     FleetConfig,
     PlanError,
-    PlanRequest,
     PlanResponse,
     ReplicaFleet,
     RetryPolicy,
     ServiceConfig,
 )
 
+from clusters import plan_request
 from faults import kill_replica
-
-
-def small_state(seed=0):
-    spec = ClusterSpec(num_pms=5, target_utilization=0.7, best_fit_fraction=0.2)
-    return SnapshotGenerator(spec, seed=seed).generate()
-
-
-def plan_request(seed=0, planner="ha", migration_limit=2):
-    return PlanRequest.from_state(
-        small_state(seed), planner=planner, migration_limit=migration_limit
-    )
 
 
 def fast_config(**overrides):

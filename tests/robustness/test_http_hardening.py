@@ -10,7 +10,6 @@ import urllib.request
 
 import pytest
 
-from repro.datasets import ClusterSpec, SnapshotGenerator
 from repro.serve import (
     PlanningServer,
     PlanRequest,
@@ -19,13 +18,9 @@ from repro.serve import (
     build_default_registry,
 )
 
+from clusters import small_state
 from faults import FaultyPlanner, malformed_http_payloads, oversized_body
 from gate import GatePlanner
-
-
-def small_state(num_pms=5, seed=0):
-    spec = ClusterSpec(num_pms=num_pms, target_utilization=0.7, best_fit_fraction=0.2)
-    return SnapshotGenerator(spec, seed=seed).generate()
 
 
 def post_raw(url, body: bytes, timeout=60):

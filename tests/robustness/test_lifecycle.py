@@ -13,11 +13,9 @@ import urllib.request
 
 import pytest
 
-from repro.datasets import ClusterSpec, SnapshotGenerator
 from repro.serve import (
     DefaultRegistryFactory,
     FleetConfig,
-    PlanRequest,
     PlanResponse,
     PlanningServer,
     ReplicaFleet,
@@ -27,14 +25,7 @@ from repro.serve import (
     build_default_registry,
 )
 
-
-def small_state(seed=0):
-    spec = ClusterSpec(num_pms=5, target_utilization=0.7, best_fit_fraction=0.2)
-    return SnapshotGenerator(spec, seed=seed).generate()
-
-
-def plan_request(seed=0):
-    return PlanRequest.from_state(small_state(seed), planner="ha", migration_limit=2)
+from clusters import plan_request
 
 
 def make_service(**config_overrides):

@@ -6,7 +6,6 @@ import time
 
 import pytest
 
-from repro.datasets import ClusterSpec, SnapshotGenerator
 from repro.serve import (
     PlanError,
     PlanRequest,
@@ -16,13 +15,9 @@ from repro.serve import (
     build_default_registry,
 )
 
+from clusters import small_state
 from faults import FaultyPlanner
 from gate import GatePlanner
-
-
-def small_state(num_pms=5, seed=0):
-    spec = ClusterSpec(num_pms=num_pms, target_utilization=0.7, best_fit_fraction=0.2)
-    return SnapshotGenerator(spec, seed=seed).generate()
 
 
 @pytest.fixture(scope="module")

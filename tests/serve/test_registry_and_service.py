@@ -7,7 +7,6 @@ import pytest
 
 from repro.cluster import apply_plan
 from repro.core import ModelConfig, RiskSeekingConfig, VMR2LAgent, VMR2LConfig
-from repro.datasets import ClusterSpec, SnapshotGenerator
 from repro.env.objectives import MixedFragmentObjective
 from repro.serve import (
     PlanError,
@@ -20,13 +19,9 @@ from repro.serve import (
     response_from_dict,
 )
 
+from clusters import small_state
 from faults import FaultyPlanner
 from gate import GatePlanner
-
-
-def small_state(num_pms=5, seed=0):
-    spec = ClusterSpec(num_pms=num_pms, target_utilization=0.7, best_fit_fraction=0.2)
-    return SnapshotGenerator(spec, seed=seed).generate()
 
 
 @pytest.fixture(scope="module")

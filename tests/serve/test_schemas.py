@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.cluster import MigrationPlan, Migration
-from repro.datasets import ClusterSpec, SnapshotGenerator
 from repro.serve import (
     SCHEMA_VERSION,
     PlanError,
@@ -15,10 +14,7 @@ from repro.serve import (
     response_from_dict,
 )
 
-
-def small_state(num_pms=5, seed=0):
-    spec = ClusterSpec(num_pms=num_pms, target_utilization=0.7, best_fit_fraction=0.2)
-    return SnapshotGenerator(spec, seed=seed).generate()
+from clusters import small_state
 
 
 class TestPlanRequest:

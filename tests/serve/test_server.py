@@ -6,7 +6,6 @@ import urllib.request
 
 import pytest
 
-from repro.datasets import ClusterSpec, SnapshotGenerator
 from repro.serve import (
     PlanRequest,
     PlanResponse,
@@ -17,10 +16,7 @@ from repro.serve import (
     response_from_dict,
 )
 
-
-def small_state(num_pms=5, seed=0):
-    spec = ClusterSpec(num_pms=num_pms, target_utilization=0.7, best_fit_fraction=0.2)
-    return SnapshotGenerator(spec, seed=seed).generate()
+from clusters import small_state
 
 
 @pytest.fixture(scope="module")

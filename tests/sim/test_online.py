@@ -142,7 +142,6 @@ class TestConfigValidation:
             {"plan_delay_s": 3600.0, "replan_every_s": 3600.0},
             {"horizon_s": 0.0},
             {"max_rounds": 0},
-            {"steady_state_fraction": 0.0},
         ]
         # NaN passes every ordering check, so only an explicit finiteness
         # check keeps it (and inf) out of the round arithmetic.
@@ -160,8 +159,8 @@ class TestConfigValidation:
 class TestSummaries:
     def test_steady_state_mean_uses_tail(self):
         series = [1.0] * 5 + [0.0] * 5
-        assert steady_state_mean(series, 0.5) == 0.0
-        assert steady_state_mean(series, 1.0) == 0.5
+        assert steady_state_mean(series) == 0.0
+        assert steady_state_mean([9.0, 9.0, 1.0, 3.0]) == 2.0
 
     def test_steady_state_mean_empty_is_nan(self):
         assert steady_state_mean([]) != steady_state_mean([])  # NaN
