@@ -102,6 +102,25 @@ class TestMLPAndEmbedding:
         mlp = MLP(6, [16, 16], 3, rng=rng)
         assert mlp(Tensor(rng.normal(size=(10, 6)))).shape == (10, 3)
 
+    def test_mlp_puts_a_relu_between_linear_layers_and_ends_linear(self, rng):
+        mlp = MLP(4, [8, 8], 3, rng=rng)
+        kinds = [type(layer) for layer in mlp.network]
+        assert kinds == [Linear, Activation, Linear, Activation, Linear]
+        # The ReLU slots keep the Linear layers at the names checkpoints record.
+        assert [name for name, _ in mlp.named_parameters()] == [
+            f"network.{index}.{field}" for index in (0, 2, 4) for field in ("weight", "bias")
+        ]
+        # No activation follows the output layer, so outputs can be negative.
+        assert (mlp(Tensor(rng.normal(size=(64, 4)))).numpy() < 0).any()
+
+
+class TestActivation:
+    def test_activation_is_a_parameterless_relu(self, rng):
+        x = rng.normal(size=(6, 5))
+        activation = Activation()
+        np.testing.assert_array_equal(activation(Tensor(x)).numpy(), np.maximum(x, 0.0))
+        assert list(activation.named_parameters()) == []
+
 
 class TestAttention:
     def test_output_shape(self, rng):
@@ -224,6 +243,20 @@ class TestInitializers:
         w = initializers.orthogonal((4, 8), rng)
         gram = w @ w.T
         np.testing.assert_allclose(gram, np.eye(4), atol=1e-8)
+
+    def test_orthogonal_tall_shape_has_orthonormal_columns_scaled_by_gain(self, rng):
+        w = initializers.orthogonal((8, 3), rng, gain=np.sqrt(2.0))
+        np.testing.assert_allclose(w.T @ w, 2.0 * np.eye(3), atol=1e-8)
+
+    def test_orthogonal_needs_two_dimensions(self, rng):
+        with pytest.raises(ValueError):
+            initializers.orthogonal((5,), rng)
+
+    def test_linear_draws_orthogonal_weight_and_zero_bias(self):
+        layer = Linear(6, 4, rng=np.random.default_rng(7), gain=0.01)
+        expected = initializers.orthogonal((4, 6), np.random.default_rng(7), 0.01)
+        np.testing.assert_array_equal(layer.weight.data, expected)
+        np.testing.assert_array_equal(layer.bias.data, np.zeros(4))
 
 
 class TestSerialization:

@@ -202,6 +202,14 @@ class TestNonlinearities:
         expected = numerical_grad(forward, x_val.copy())
         np.testing.assert_allclose(x.grad, expected, atol=1e-4)
 
+    def test_relu_passes_gradient_only_where_positive(self):
+        # The finite-difference check above draws positive inputs only.
+        x = Tensor(np.array([-2.0, -0.5, 0.5, 3.0]), requires_grad=True)
+        out = x.relu()
+        np.testing.assert_array_equal(out.numpy(), [0.0, 0.0, 0.5, 3.0])
+        out.sum().backward()
+        np.testing.assert_array_equal(x.grad, [0.0, 0.0, 1.0, 1.0])
+
     def test_clip_grad_zero_outside_range(self):
         x = Tensor(np.array([-2.0, 0.5, 2.0]), requires_grad=True)
         x.clip(-1.0, 1.0).sum().backward()

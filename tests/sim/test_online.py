@@ -142,6 +142,7 @@ class TestConfigValidation:
             {"plan_delay_s": 3600.0, "replan_every_s": 3600.0},
             {"horizon_s": 0.0},
             {"max_rounds": 0},
+            {"migration_limit": -1},
         ]
         # NaN passes every ordering check, so only an explicit finiteness
         # check keeps it (and inf) out of the round arithmetic.
