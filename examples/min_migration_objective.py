@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from repro.analysis import format_table
 from repro.baselines import FilteringHeuristic
-from repro.cluster import ConstraintConfig, LiveMigrationCostModel
+from repro.cluster import ConstraintConfig, plan_cost
 from repro.core import ModelConfig, PPOConfig, RiskSeekingConfig, VMR2LAgent, VMR2LConfig
 from repro.datasets import ClusterSpec, SnapshotGenerator
 from repro.env import MigrationMinimizationObjective
@@ -65,12 +65,11 @@ def main() -> None:
     print("training VMR2L on the min-migration objective (short CPU budget)...")
     agent.train_on_states(train_states, total_steps=512)
 
-    cost_model = LiveMigrationCostModel(network_bandwidth_gbps=25.0)
     rows = []
     for planner in (FilteringHeuristic(), agent):
         plan = planner.compute_plan(state, MIGRATION_LIMIT).plan
         used, final_state = migrations_until_goal(state, plan, fr_goal)
-        cost = cost_model.plan_cost(state, plan.truncated(used), parallelism=4)
+        cost = plan_cost(state, plan.truncated(used), parallelism=4)
         rows.append(
             {
                 "algorithm": planner.name,

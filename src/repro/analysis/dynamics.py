@@ -8,8 +8,10 @@ cluster churn, what FR would it actually achieve?*  The achieved FR stays
 near-optimal below roughly five seconds and decays quickly afterwards — the
 "elbow" that motivates the five-second latency budget.
 
-:func:`achieved_fr_vs_delay` reproduces that experiment on synthetic churn,
-replayed through the simulator's engine (:class:`repro.sim.engine.LivingCluster`).
+:func:`achieved_fr_vs_delay` reproduces that experiment on synthetic churn:
+the simulator's own arrival/exit sampler (:func:`repro.sim.trace.arrival_exit_events`)
+at a flat rate, replayed through its engine (:class:`repro.sim.engine.LivingCluster`),
+which picks every arriving flavor and exiting VM.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..cluster import ClusterState, EventGenerator, MigrationPlan, apply_plan
+from ..cluster import ClusterState, MigrationPlan, apply_plan
 
 
 @dataclass
@@ -70,6 +72,7 @@ def achieved_fr_vs_delay(
     # Imported here, not at module level: the package root imports this
     # module, so every spawned fleet replica would otherwise load repro.sim.
     from ..sim.engine import LivingCluster
+    from ..sim.trace import SECONDS_PER_MINUTE, arrival_exit_events
 
     if num_replicas <= 0:
         raise ValueError("num_replicas must be positive")
@@ -80,12 +83,10 @@ def achieved_fr_vs_delay(
         for replica in range(num_replicas):
             stream_seed = seed + 1000 * replica + int(delay * 17)
             working = state.copy()
-            generator = EventGenerator(
-                changes_per_minute=changes_per_minute, rng=np.random.default_rng(stream_seed)
-            )
-            events = generator.generate(horizon_s=delay, state=working)
-            # The stream pins every arrival's flavor and every exit's VM, so
-            # the engine never draws from its own generator here.
+            rates = np.full(int(np.ceil(delay / SECONDS_PER_MINUTE)), changes_per_minute)
+            # The events draw from their own stream, independent of the
+            # engine's, which resolves each arrival's flavor and exit's VM.
+            events = arrival_exit_events(np.random.default_rng([stream_seed, 1]), rates, delay)
             LivingCluster(working, events, seed=stream_seed).advance(delay)
             baseline.append(working.fragment_rate())
             final_state, result = apply_plan(working, plan, skip_infeasible=True)

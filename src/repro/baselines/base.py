@@ -85,10 +85,6 @@ class PlanEvaluation:
     num_skipped: int
     inference_seconds: float
 
-    @property
-    def objective_reduction(self) -> float:
-        return self.initial_objective - self.final_objective
-
 
 def evaluate_plan(
     state: ClusterState,

@@ -12,7 +12,7 @@ This subpackage models the cluster the VM rescheduling problem operates on:
 * :mod:`repro.cluster.fragmentation` — fragment-rate metrics over the arrays (§1, Eq. 8)
 * :mod:`repro.cluster.constraints` — constraint setting and masks (Eq. 2–6, §5.4)
 * :mod:`repro.cluster.migration` — migration plans and the live-migration cost model
-* :mod:`repro.cluster.events` — cluster events and dynamic arrival/exit processes (Fig. 1, Fig. 5)
+* :mod:`repro.cluster.events` — cluster events and best-fit placement (Fig. 1, Fig. 5)
 """
 
 from .constraints import (
@@ -23,11 +23,8 @@ from .constraints import (
 from .events import (
     EVENT_KINDS,
     ClusterEvent,
-    EventGenerator,
     best_fit_placement,
-    diurnal_rate_profile,
     landing_slots,
-    sample_daily_changes,
 )
 from .fragmentation import (
     DEFAULT_FRAGMENT_CORES,
@@ -37,11 +34,12 @@ from .fragmentation import (
 )
 from .machine import BOTH_NUMAS, NumaNode, PhysicalMachine, VirtualMachine
 from .migration import (
-    LiveMigrationCostModel,
     Migration,
     MigrationPlan,
     PlanApplicationResult,
     apply_plan,
+    migration_seconds,
+    plan_cost,
 )
 from .soa import ClusterArrays
 from .state import ClusterState, Placement
@@ -64,8 +62,6 @@ __all__ = [
     "ConstraintConfig",
     "DEFAULT_FRAGMENT_CORES",
     "DEFAULT_PM_TYPE",
-    "EventGenerator",
-    "LiveMigrationCostModel",
     "MEMORY_INTENSIVE_VM_TYPES",
     "MULTI_RESOURCE_PM_TYPES",
     "Migration",
@@ -83,9 +79,9 @@ __all__ = [
     "apply_plan",
     "assign_anti_affinity_groups",
     "best_fit_placement",
-    "diurnal_rate_profile",
     "fragment_arrays",
     "fragment_rate_arrays",
     "landing_slots",
-    "sample_daily_changes",
+    "migration_seconds",
+    "plan_cost",
 ]

@@ -1,35 +1,28 @@
-"""Dynamic VM arrival / exit events.
+"""Cluster events and best-fit placement.
 
-Figure 1 of the paper shows the number of VM arrivals and exits per minute over
-24 hours: a pronounced diurnal pattern with a peak during working hours and a
-trough in the early morning, which is when VMR runs.  Figure 5 shows why this
-matters: while a rescheduling algorithm computes, the cluster keeps changing,
-so slow solvers see many of their actions invalidated.
+Figure 1 of the paper shows VMs arriving and exiting all day; Figure 5 shows
+why that matters: while a rescheduling algorithm computes, the cluster keeps
+changing, so slow solvers see many of their actions invalidated.
 
-This module provides the diurnal arrival/exit process, the event stream
-data structures and best-fit placement.  Events are replayed onto a cluster
-state by :class:`repro.sim.engine.LivingCluster`, both for the continuous
-simulator and while a plan is "being computed" in the Fig. 5 experiment
-(:mod:`repro.analysis.dynamics`).
+This module holds the event record and the best-fit placement arrivals use.
+The arrival/exit process is sampled by :mod:`repro.sim.trace` (its rate
+profiles live in :mod:`repro.datasets.workloads`), and events are replayed
+onto a cluster state by :class:`repro.sim.engine.LivingCluster`, both for the
+continuous simulator and while a plan is "being computed" in the Fig. 5
+experiment (:mod:`repro.analysis.dynamics`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from .machine import BOTH_NUMAS, VirtualMachine
 from .soa import has_room
 from .state import ClusterState, Placement, int_field
-from .vm_types import VMType, VMTypeCatalog
-
-MINUTES_PER_DAY = 24 * 60
-
-#: Hour of the day at which the diurnal change rate peaks (Fig. 1).
-DIURNAL_PEAK_HOUR = 14.0
 
 #: Every event kind the living-cluster simulator understands: VM arrivals and
 #: exits (the Fig. 1 / Fig. 5 churn), VM resizes, PM maintenance drains, PM
@@ -115,94 +108,6 @@ class ClusterEvent:
             pm_type_name=payload.get("pm_type_name"),
             **ints,
         )
-
-
-def diurnal_rate_profile(
-    peak_per_minute: float = 80.0,
-    trough_per_minute: float = 6.0,
-) -> np.ndarray:
-    """Per-minute VM change rate over a day (the green curve of Fig. 1).
-
-    A raised cosine with its maximum at ``DIURNAL_PEAK_HOUR`` and minimum 12
-    hours away, matching the qualitative shape reported by the paper (busy
-    afternoon, quiet early morning around 4–6 am when VMR runs).
-    """
-    if peak_per_minute <= trough_per_minute:
-        raise ValueError("peak rate must exceed trough rate")
-    minutes = np.arange(MINUTES_PER_DAY)
-    phase = 2.0 * np.pi * (minutes / 60.0 - DIURNAL_PEAK_HOUR) / 24.0
-    shape = 0.5 * (1.0 + np.cos(phase))
-    return trough_per_minute + (peak_per_minute - trough_per_minute) * shape
-
-
-def sample_daily_changes(
-    rng: np.random.Generator,
-    peak_per_minute: float = 80.0,
-    trough_per_minute: float = 6.0,
-    arrival_fraction: float = 0.5,
-) -> dict:
-    """Sample per-minute arrival and exit counts for one day (Fig. 1 series)."""
-    rates = diurnal_rate_profile(peak_per_minute, trough_per_minute)
-    totals = rng.poisson(rates)
-    arrivals = rng.binomial(totals, arrival_fraction)
-    exits = totals - arrivals
-    return {
-        "minute": np.arange(MINUTES_PER_DAY),
-        "arrivals": arrivals,
-        "exits": exits,
-        "total": totals,
-    }
-
-
-class EventGenerator:
-    """Generate a stream of arrival/exit events around a VMR request.
-
-    VMR runs off-peak, so the default rate corresponds to the trough of the
-    diurnal profile.  Events are exponential-interarrival (Poisson process).
-    """
-
-    def __init__(
-        self,
-        catalog: Optional[VMTypeCatalog] = None,
-        changes_per_minute: float = 6.0,
-        arrival_fraction: float = 0.5,
-        rng: Optional[np.random.Generator] = None,
-    ) -> None:
-        if changes_per_minute <= 0:
-            raise ValueError("changes_per_minute must be positive")
-        if not 0.0 <= arrival_fraction <= 1.0:
-            raise ValueError("arrival_fraction must be in [0, 1]")
-        self.catalog = catalog or VMTypeCatalog.main()
-        self.changes_per_minute = changes_per_minute
-        self.arrival_fraction = arrival_fraction
-        self.rng = rng if rng is not None else np.random.default_rng()
-
-    def generate(self, horizon_s: float, state: Optional[ClusterState] = None) -> List[ClusterEvent]:
-        """Events within ``horizon_s`` seconds; exits reference VMs of ``state`` if given."""
-        if horizon_s <= 0:
-            return []
-        mean_gap_s = 60.0 / self.changes_per_minute
-        events: List[ClusterEvent] = []
-        placed = list(state.placed_vm_ids()) if state is not None else []
-        self.rng.shuffle(placed)
-        time_s = self.rng.exponential(mean_gap_s)
-        while time_s < horizon_s:
-            if self.rng.random() < self.arrival_fraction or not placed:
-                vm_type = self._sample_vm_type()
-                events.append(ClusterEvent(time_s=time_s, kind="arrival", vm_type_name=vm_type.name))
-            else:
-                vm_id = placed.pop()
-                events.append(ClusterEvent(time_s=time_s, kind="exit", vm_id=vm_id))
-            time_s += self.rng.exponential(mean_gap_s)
-        return events
-
-    def _sample_vm_type(self) -> VMType:
-        types = list(self.catalog)
-        # Smaller VMs arrive much more often than large ones (§1).
-        weights = np.array([1.0 / vm_type.cpu for vm_type in types])
-        weights /= weights.sum()
-        index = self.rng.choice(len(types), p=weights)
-        return types[index]
 
 
 def landing_slots(state: ClusterState, vm: VirtualMachine) -> Tuple[np.ndarray, Tuple[int, ...]]:

@@ -128,7 +128,7 @@ class PhysicalMachine:
                     cpu_capacity=self.pm_type.cpu_per_numa,
                     memory_capacity=self.pm_type.memory_per_numa,
                 )
-                for numa_id in range(self.pm_type.numa_count)
+                for numa_id in (0, 1)
             ]
         if len(self.numas) != 2:
             raise ValueError("a PM must have exactly two NUMA nodes")

@@ -132,68 +132,57 @@ def apply_plan(
     return working, result
 
 
-@dataclass
-class LiveMigrationCostModel:
-    """Estimate the wall-clock cost and downtime of live migrations.
+#: Live-migration network bandwidth, in Gbit/s.
+NETWORK_BANDWIDTH_GBPS = 25.0
+#: Share of the copied memory a VM dirties again during one pre-copy round.
+DIRTY_PAGE_RATIO = 0.15
+#: Residual dirty memory, in GB, small enough for the final stop-and-copy.
+STOP_THRESHOLD_GB = 0.25
+#: Pre-copy rounds after which the final stop-and-copy runs regardless.
+MAX_PRECOPY_ROUNDS = 10
 
-    Compute-storage separation means only memory moves (§1): the model runs
-    pre-copy rounds over the VM's memory, shrinking the residual dirty set by
-    ``dirty_page_ratio`` each round until it falls below ``stop_threshold_gb``,
-    then pauses the VM for the final synchronization.
+
+def migration_seconds(memory_gb: float) -> float:
+    """Transfer time of one live migration of a VM with ``memory_gb`` memory.
+
+    Compute-storage separation means only memory moves (§1): pre-copy rounds
+    shrink the residual dirty set by ``DIRTY_PAGE_RATIO`` each round until it
+    falls below ``STOP_THRESHOLD_GB``, then the VM pauses for the final copy.
     """
-
-    network_bandwidth_gbps: float = 25.0
-    dirty_page_ratio: float = 0.15
-    stop_threshold_gb: float = 0.25
-    max_rounds: int = 10
-
-    def migration_seconds(self, memory_gb: float) -> float:
-        """Total transfer time for one VM of ``memory_gb`` memory."""
-        if memory_gb <= 0:
-            raise ValueError("memory_gb must be positive")
-        bandwidth_gb_per_s = self.network_bandwidth_gbps / 8.0
-        remaining = float(memory_gb)
-        total = 0.0
-        for _ in range(self.max_rounds):
-            total += remaining / bandwidth_gb_per_s
-            remaining *= self.dirty_page_ratio
-            if remaining <= self.stop_threshold_gb:
-                break
+    if memory_gb <= 0:
+        raise ValueError("memory_gb must be positive")
+    bandwidth_gb_per_s = NETWORK_BANDWIDTH_GBPS / 8.0
+    remaining = float(memory_gb)
+    total = 0.0
+    for _ in range(MAX_PRECOPY_ROUNDS):
         total += remaining / bandwidth_gb_per_s
-        return total
+        remaining *= DIRTY_PAGE_RATIO
+        if remaining <= STOP_THRESHOLD_GB:
+            break
+    total += remaining / bandwidth_gb_per_s
+    return total
 
-    def downtime_seconds(self, memory_gb: float) -> float:
-        """Pause time for the final synchronization round."""
-        bandwidth_gb_per_s = self.network_bandwidth_gbps / 8.0
-        remaining = float(memory_gb)
-        for _ in range(self.max_rounds):
-            next_remaining = remaining * self.dirty_page_ratio
-            if next_remaining <= self.stop_threshold_gb:
-                remaining = next_remaining
-                break
-            remaining = next_remaining
-        return remaining / bandwidth_gb_per_s
 
-    def plan_cost(self, state: ClusterState, plan: MigrationPlan, parallelism: int = 4) -> dict:
-        """Aggregate cost of a plan assuming ``parallelism`` concurrent migrations."""
-        if parallelism <= 0:
-            raise ValueError("parallelism must be positive")
-        durations = []
-        total_memory = 0.0
-        for migration in plan:
-            vm = state.vms.get(migration.vm_id)
-            if vm is None:
-                continue
-            durations.append(self.migration_seconds(vm.memory))
-            total_memory += vm.memory
-        durations.sort(reverse=True)
-        # Greedy longest-processing-time makespan approximation.
-        lanes = [0.0] * parallelism
-        for duration in durations:
-            lanes[lanes.index(min(lanes))] += duration
-        return {
-            "num_migrations": len(durations),
-            "total_memory_gb": total_memory,
-            "serial_seconds": float(sum(durations)),
-            "makespan_seconds": float(max(lanes) if durations else 0.0),
-        }
+def plan_cost(state: ClusterState, plan: MigrationPlan, parallelism: int = 4) -> dict:
+    """Aggregate cost of a plan assuming ``parallelism`` concurrent migrations."""
+    if parallelism <= 0:
+        raise ValueError("parallelism must be positive")
+    durations = []
+    total_memory = 0.0
+    for migration in plan:
+        vm = state.vms.get(migration.vm_id)
+        if vm is None:
+            continue
+        durations.append(migration_seconds(vm.memory))
+        total_memory += vm.memory
+    durations.sort(reverse=True)
+    # Greedy longest-processing-time makespan approximation.
+    lanes = [0.0] * parallelism
+    for duration in durations:
+        lanes[lanes.index(min(lanes))] += duration
+    return {
+        "num_migrations": len(durations),
+        "total_memory_gb": total_memory,
+        "serial_seconds": float(sum(durations)),
+        "makespan_seconds": float(max(lanes) if durations else 0.0),
+    }

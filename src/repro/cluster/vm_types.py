@@ -55,28 +55,26 @@ class VMType:
 
 @dataclass(frozen=True)
 class PMType:
-    """A physical-machine configuration: total capacity split over two NUMAs."""
+    """A physical-machine configuration: total capacity split evenly over the
+    two NUMA nodes every PM of the paper's clusters has (§2.1)."""
 
     name: str
     cpu: int
     memory: int
-    numa_count: int = 2
 
     def __post_init__(self) -> None:
         if self.cpu <= 0 or self.memory <= 0:
             raise ValueError(f"PM type {self.name!r} must have positive capacity")
-        if self.numa_count != 2:
-            raise ValueError("the paper's clusters use PMs with exactly two NUMA nodes")
-        if self.cpu % self.numa_count or self.memory % self.numa_count:
+        if self.cpu % 2 or self.memory % 2:
             raise ValueError(f"PM type {self.name!r} capacity must split evenly across NUMAs")
 
     @property
     def cpu_per_numa(self) -> int:
-        return self.cpu // self.numa_count
+        return self.cpu // 2
 
     @property
     def memory_per_numa(self) -> int:
-        return self.memory // self.numa_count
+        return self.memory // 2
 
 
 # --------------------------------------------------------------------------- #

@@ -21,7 +21,7 @@ from ..cluster import ClusterState, ConstraintConfig, MigrationPlan
 from ..cluster.state import int_field
 from ..env.objectives import FragmentRateObjective, Objective
 from ..env.vector_env import SyncVectorEnv
-from ..env.vmr_env import VMRescheduleEnv
+from ..env.vmr_env import ILLEGAL_ACTION_PENALTY, VMRescheduleEnv
 from ..nn import load_module, save_module
 from .config import VMR2LConfig
 from .policy import TwoStagePolicy
@@ -68,13 +68,13 @@ class VMR2LAgent(Rescheduler):
         total_steps: int,
         eval_states: Optional[Sequence[ClusterState]] = None,
         eval_every: int = 1,
-        illegal_action_penalty: Optional[float] = None,
         num_envs: int = 1,
     ) -> List[TrainingLogEntry]:
         """Train PPO on episodes sampled uniformly from ``train_states``.
 
-        ``illegal_action_penalty`` activates the §5.4 Penalty ablation; leave
-        it ``None`` for the (default) masked two-stage and full-joint modes.
+        A penalty-mode policy (the §5.4 Penalty ablation) trains on envs that
+        absorb illegal actions at ``ILLEGAL_ACTION_PENALTY``; the masked
+        two-stage and full-joint modes never emit one.
 
         Experience is collected from a
         :class:`~repro.env.vector_env.SyncVectorEnv` of ``num_envs``
@@ -86,9 +86,7 @@ class VMR2LAgent(Rescheduler):
             raise ValueError("num_envs must be >= 1")
         train_states = list(train_states)
 
-        penalty = illegal_action_penalty
-        if penalty is None and self.config.model.action_mode == "penalty":
-            penalty = -5.0
+        penalty = ILLEGAL_ACTION_PENALTY if self.config.model.action_mode == "penalty" else None
 
         def make_env(sampler_seed: int) -> VMRescheduleEnv:
             rng = np.random.default_rng(sampler_seed)

@@ -88,7 +88,6 @@ class RiskSeekingConfig:
     vm_quantile: float = 0.98
     pm_quantile: float = 0.98
     use_thresholding: bool = True
-    greedy_first: bool = True
 
     def __post_init__(self) -> None:
         if self.num_trajectories <= 0:
@@ -135,8 +134,9 @@ class VMR2LConfig:
         # Checkpoints record the config they were trained with; options
         # retired since then (the PPO path switches; the attention
         # implementation, chunk width and float32 VM↔VM stage, now one
-        # kernel) never changed the weights, so they are dropped and old
-        # checkpoints keep loading.  The activation did shape the weights:
+        # kernel; risk-seeking's greedy-first switch, now always on) never
+        # changed the weights, so they are dropped and old checkpoints keep
+        # loading.  The activation did shape the weights:
         # the network is ReLU throughout, so a checkpoint trained with any
         # other is refused rather than loaded into the wrong function.
         activation = payload.get("model", {}).get("activation", "relu")
@@ -151,6 +151,6 @@ class VMR2LConfig:
         return cls(
             model=current("model", ModelConfig),
             ppo=current("ppo", PPOConfig),
-            risk_seeking=RiskSeekingConfig(**payload.get("risk_seeking", {})),
+            risk_seeking=current("risk_seeking", RiskSeekingConfig),
             migration_limit=int(payload.get("migration_limit", 50)),
         )

@@ -22,7 +22,7 @@ import numpy as np
 
 from ..cluster import ClusterState, ConstraintConfig, MigrationPlan
 from ..env.objectives import FragmentRateObjective, Objective
-from ..env.vmr_env import VMRescheduleEnv
+from ..env.vmr_env import ILLEGAL_ACTION_PENALTY, VMRescheduleEnv
 from ..nn import no_grad
 from .config import RiskSeekingConfig
 from .policy import TwoStagePolicy
@@ -107,7 +107,7 @@ def rollout_batch(
     objective = objective or FragmentRateObjective()
     # Penalty-mode policies sample without masks, so the environment must absorb
     # illegal actions instead of raising (the §5.4 Penalty ablation).
-    illegal_penalty = -5.0 if policy.config.action_mode == "penalty" else None
+    illegal_penalty = ILLEGAL_ACTION_PENALTY if policy.config.action_mode == "penalty" else None
     joint_mode = policy.config.action_mode == "full_joint"
     slots = max_active if max_active is not None else len(states)
 
@@ -176,9 +176,9 @@ def risk_seeking_evaluate(
 ) -> RiskSeekingOutcome:
     """Sample multiple trajectories and keep the one with the best objective.
 
-    The first trajectory is greedy (argmax actions) when ``greedy_first`` is
-    set, matching how a deployment would fall back to the deterministic policy
-    if only one trajectory could be afforded.  The sampled trajectories run
+    The first trajectory is greedy (argmax actions), matching how a
+    deployment would fall back to the deterministic policy if only one
+    trajectory could be afforded.  The sampled trajectories run
     as rows of ONE stacked :func:`rollout_batch` call, and row ``k`` draws
     from ``np.random.default_rng([seed, k])``: a trajectory depends on
     neither ``num_trajectories`` nor its batch neighbours, so the first
@@ -186,7 +186,6 @@ def risk_seeking_evaluate(
     """
     config = config or RiskSeekingConfig()
     rngs = [np.random.default_rng([seed, k]) for k in range(config.num_trajectories)]
-    split = 1 if config.greedy_first else 0
 
     def rollout(rows: List[np.random.Generator], greedy: bool) -> List[TrajectoryResult]:
         thresholded = config.use_thresholding and not greedy
@@ -201,7 +200,7 @@ def risk_seeking_evaluate(
             pm_quantile=config.pm_quantile if thresholded else None,
         )
 
-    trajectories = rollout(rngs[:split], True) + rollout(rngs[split:], False)
+    trajectories = rollout(rngs[:1], True) + rollout(rngs[1:], False)
     best = min(trajectories, key=lambda t: t.final_objective)
     return RiskSeekingOutcome(best=best, trajectories=trajectories)
 

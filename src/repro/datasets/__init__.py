@@ -34,6 +34,7 @@ from .workloads import (
     cpu_usage_cdf,
     cpu_usage_samples,
     daily_arrival_exit_series,
+    diurnal_rate_profile,
     family_rate_profile,
     flash_crowd_rate_profile,
     generate_workload_snapshots,
@@ -60,6 +61,7 @@ __all__ = [
     "cpu_usage_cdf",
     "cpu_usage_samples",
     "daily_arrival_exit_series",
+    "diurnal_rate_profile",
     "family_rate_profile",
     "flash_crowd_rate_profile",
     "generate_workload_snapshots",

@@ -6,7 +6,8 @@ the main Medium dataset corresponds to the High workload.  Table 5 and Fig. 19
 evaluate generalization across these levels.
 
 This module maps workload levels to generator specs, produces the CPU-usage
-CDF of Fig. 15 and the daily arrival/exit series of Fig. 1.
+CDF of Fig. 15 and the daily arrival/exit series of Fig. 1, and holds every
+per-minute change-rate profile the simulator's churn is drawn from.
 """
 
 from __future__ import annotations
@@ -16,9 +17,20 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..cluster import ClusterState, sample_daily_changes
-from ..cluster.events import MINUTES_PER_DAY
+from ..cluster import ClusterState
 from .generator import ClusterSpec, SnapshotGenerator, get_spec
+
+MINUTES_PER_DAY = 24 * 60
+
+#: Share of VM changes that are arrivals; the rest are exits.
+ARRIVAL_FRACTION = 0.5
+
+#: Hour of the day at which the diurnal change rate peaks (Fig. 1).
+DIURNAL_PEAK_HOUR = 14.0
+
+#: Fig. 1's production-scale change rates, in VMs per minute.
+FIG1_PEAK_PER_MINUTE = 80.0
+FIG1_TROUGH_PER_MINUTE = 6.0
 
 #: Target PM CPU-utilization bands for the three workload levels of Fig. 15.
 #: The bands are strictly non-overlapping, matching the paper's statement that
@@ -104,26 +116,26 @@ def cpu_usage_cdf(states: Sequence[ClusterState], grid: Optional[np.ndarray] = N
     return {"cpu_usage": grid, "cdf": cdf}
 
 
-def daily_arrival_exit_series(
-    seed: int = 0,
-    days: int = 30,
-    peak_per_minute: float = 80.0,
-    trough_per_minute: float = 6.0,
-) -> Dict[str, np.ndarray]:
+def daily_arrival_exit_series(seed: int = 0, days: int = 30) -> Dict[str, np.ndarray]:
     """Average VM arrivals/exits per minute over ``days`` days (Fig. 1).
 
-    Returns the per-minute mean arrival, exit and total-change counts along
-    with the minute index, mirroring the series plotted by the paper.
+    Each day draws Poisson change counts per minute under the diurnal
+    profile at Fig. 1's rates and splits them binomially into arrivals and
+    exits.  Returns the per-minute mean arrival, exit and total-change
+    counts along with the minute index, mirroring the series plotted by the
+    paper.
     """
     if days <= 0:
         raise ValueError("days must be positive")
     rng = np.random.default_rng(seed)
+    rates = diurnal_rate_profile(FIG1_PEAK_PER_MINUTE, FIG1_TROUGH_PER_MINUTE)
     arrival_stack = []
     exit_stack = []
     for _ in range(days):
-        day = sample_daily_changes(rng, peak_per_minute, trough_per_minute)
-        arrival_stack.append(day["arrivals"])
-        exit_stack.append(day["exits"])
+        totals = rng.poisson(rates)
+        arrivals = rng.binomial(totals, ARRIVAL_FRACTION)
+        arrival_stack.append(arrivals)
+        exit_stack.append(totals - arrivals)
     arrivals = np.mean(arrival_stack, axis=0)
     exits = np.mean(exit_stack, axis=0)
     return {
@@ -150,6 +162,21 @@ SPIKE_WIDTH_MINUTES = 20.0
 
 #: Length, in minutes, of one rate regime of an abnormal day.
 ABNORMAL_SEGMENT_MINUTES = 90
+
+
+def diurnal_rate_profile(peak_per_minute: float, trough_per_minute: float) -> np.ndarray:
+    """Per-minute VM change rate over a day (the green curve of Fig. 1).
+
+    A raised cosine with its maximum at ``DIURNAL_PEAK_HOUR`` and minimum 12
+    hours away, matching the qualitative shape reported by the paper (busy
+    afternoon, quiet early morning around 4–6 am when VMR runs).
+    """
+    if peak_per_minute <= trough_per_minute:
+        raise ValueError("peak rate must exceed trough rate")
+    minutes = np.arange(MINUTES_PER_DAY)
+    phase = 2.0 * np.pi * (minutes / 60.0 - DIURNAL_PEAK_HOUR) / 24.0
+    shape = 0.5 * (1.0 + np.cos(phase))
+    return trough_per_minute + (peak_per_minute - trough_per_minute) * shape
 
 
 def flash_crowd_rate_profile(
@@ -195,10 +222,7 @@ def abnormal_rate_profile(
 
 
 def family_rate_profile(
-    family: str,
-    rng: np.random.Generator,
-    peak_per_minute: float = 80.0,
-    trough_per_minute: float = 6.0,
+    family: str, rng: np.random.Generator, peak_per_minute: float, trough_per_minute: float
 ) -> np.ndarray:
     """One day's per-minute change rates for a named workload family.
 
@@ -207,8 +231,6 @@ def family_rate_profile(
     minutes.  Only ``abnormal`` (regime draws) and ``flash_crowd`` (spike
     centers) consume randomness, so the stream stays reproducible per day.
     """
-    from ..cluster import diurnal_rate_profile
-
     key = family.lower().replace("-", "_")
     if key == "diurnal":
         return diurnal_rate_profile(peak_per_minute, trough_per_minute)

@@ -24,6 +24,11 @@ from .objectives import FragmentRateObjective, Objective
 from .observation import Observation, ObservationBuilder
 
 
+#: The reward for an illegal action in the §5.4 Penalty ablation, whose
+#: policies sample without masks (``ModelConfig.action_mode == "penalty"``).
+ILLEGAL_ACTION_PENALTY = -5.0
+
+
 @dataclass
 class StepRecord:
     """Bookkeeping for one executed migration step."""
@@ -52,8 +57,9 @@ class VMRescheduleEnv:
         Reward/metric definition; defaults to 16-core FR minimization.
     illegal_action_penalty:
         If ``None`` (default) an illegal action raises ``ValueError`` — the
-        two-stage policy guarantees it never emits one.  If set (e.g. −5 as in
-        the §5.4 Penalty ablation) illegal actions are absorbed: the state does
+        two-stage policy guarantees it never emits one.  If set (the agent
+        sets ``ILLEGAL_ACTION_PENALTY`` for penalty-mode policies) illegal
+        actions are absorbed: the state does
         not change, the penalty is returned as reward and the step is consumed.
     state_sampler:
         Optional callable returning a fresh :class:`ClusterState` per episode;
@@ -207,11 +213,6 @@ class VMRescheduleEnv:
     def episode_metric(self) -> float:
         self._require_state()
         return self.objective.episode_metric(self.state)
-
-    def initial_metric(self) -> float:
-        if self._initial_metric is None:
-            raise RuntimeError("call reset() first")
-        return self._initial_metric
 
     def migrations_left(self) -> int:
         return max(self.constraint_config.migration_limit - self.steps_taken, 0)

@@ -6,11 +6,13 @@ minimal ``torch.nn``:
 
 * :class:`~repro.nn.tensor.Tensor` — autograd-enabled numpy wrapper
 * :class:`~repro.nn.module.Module` — parameter container base class
-* layers — :class:`Linear` (orthogonal init), :class:`LayerNorm`, :class:`MLP`,
-  :class:`Sequential`, :class:`Activation` (ReLU)
+* layers — :class:`Linear` (orthogonal weight, zero bias), :class:`LayerNorm`
+  (eps ``functional.LAYER_NORM_EPS``), :class:`MLP`, :class:`Sequential`,
+  :class:`Activation` (ReLU)
 * attention — :class:`MultiHeadAttention`, :class:`TransformerEncoderLayer`,
   :class:`CrossAttentionLayer`, :class:`FeedForward`, :class:`AttentionMask`
-* optimizers — :class:`Adam`, :class:`LinearSchedule`
+* optimizers — :class:`Adam` (betas and eps are the ``optim.ADAM_*``
+  constants, no weight decay), :class:`LinearSchedule`
 * :mod:`repro.nn.functional` — softmax / masked softmax / distribution helpers
 * :mod:`repro.nn.init` — :func:`~repro.nn.init.orthogonal`
 * checkpoint helpers — :func:`save_module`, :func:`load_module`

@@ -23,6 +23,9 @@ from .tensor import Tensor, grad_enabled, where
 
 MASK_FILL_VALUE = -1e9
 
+#: Added to the variance before :func:`layer_norm` takes its square root.
+LAYER_NORM_EPS = 1e-5
+
 
 # ---------------------------------------------------------------------- #
 # Softmax family
@@ -124,7 +127,7 @@ def masked_log_softmax(x: Tensor, mask: Optional[np.ndarray], axis: int = -1) ->
 # ---------------------------------------------------------------------- #
 # Linear projection
 # ---------------------------------------------------------------------- #
-def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Fused affine transform ``y = x W^T + b`` as one graph node.
 
     Leading axes are flattened so the projection (and the weight gradient)
@@ -135,12 +138,9 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     data = x.data
     flat = data.reshape(-1, data.shape[-1])
     out_data = flat @ weight.data.T
-    if bias is not None:
-        out_data += bias.data
+    out_data += bias.data
     out_data = out_data.reshape(data.shape[:-1] + out_data.shape[-1:])
-    if not grad_enabled() or not (
-        x.requires_grad or weight.requires_grad or (bias is not None and bias.requires_grad)
-    ):
+    if not grad_enabled() or not (x.requires_grad or weight.requires_grad or bias.requires_grad):
         return Tensor(out_data)
 
     def backward(grad: np.ndarray) -> None:
@@ -149,17 +149,16 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
             x._accumulate((grad_flat @ weight.data).reshape(x.shape))
         if weight.requires_grad:
             weight._accumulate(grad_flat.T @ flat)
-        if bias is not None and bias.requires_grad:
+        if bias.requires_grad:
             bias._accumulate(grad_flat.sum(axis=0))
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return Tensor(out_data, requires_grad=True, parents=parents, backward=backward)
+    return Tensor(out_data, requires_grad=True, parents=(x, weight, bias), backward=backward)
 
 
 # ---------------------------------------------------------------------- #
 # Normalization
 # ---------------------------------------------------------------------- #
-def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Layer normalization over the last dimension.
 
     Fused into a single graph node with the analytic backward
@@ -173,7 +172,7 @@ def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Te
     mean = data.mean(axis=-1, keepdims=True)
     centered = data - mean
     variance = np.einsum("...i,...i->...", centered, centered)[..., None] / dim
-    inv_std = 1.0 / np.sqrt(variance + eps)
+    inv_std = 1.0 / np.sqrt(variance + LAYER_NORM_EPS)
     centered *= inv_std
     normalized = centered
     out_data = normalized * weight.data

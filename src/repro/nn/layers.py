@@ -18,8 +18,8 @@ from .module import Module
 from .tensor import Tensor
 
 
-def _float32_params(module: Module, *params: Optional[Tensor]) -> List[Optional[Tensor]]:
-    """Cached float32 copies of a module's ``params`` (``None`` stays ``None``).
+def _float32_params(module: Module, *params: Tensor) -> List[Tensor]:
+    """Cached float32 copies of a module's ``params``.
 
     A float32 input (float32 inference, ``ModelConfig.inference_dtype``)
     uses them, keeping the whole op in single precision; re-casting every
@@ -30,12 +30,12 @@ def _float32_params(module: Module, *params: Optional[Tensor]) -> List[Optional[
     gradient: float32 forwards are inference-only.
     """
     cache = module.__dict__.setdefault("_float32_param_cache", {})
-    copies: List[Optional[Tensor]] = []
+    copies: List[Tensor] = []
     for index, param in enumerate(params):
         entry = cache.get(index)
-        if param is not None and (entry is None or entry[0] is not param.data):
+        if entry is None or entry[0] is not param.data:
             entry = cache[index] = (param.data, Tensor(param.data.astype(np.float32)))
-        copies.append(None if param is None else entry[1])
+        copies.append(entry[1])
     return copies
 
 
@@ -46,7 +46,6 @@ class Linear(Module):
         self,
         in_features: int,
         out_features: int,
-        bias: bool = True,
         rng: Optional[np.random.Generator] = None,
         gain: float = np.sqrt(2.0),
     ) -> None:
@@ -58,28 +57,22 @@ class Linear(Module):
         self.out_features = out_features
         weight = orthogonal((out_features, in_features), rng, gain)
         self.weight = self.register_parameter("weight", Tensor(weight))
-        self.has_bias = bias
-        if bias:
-            self.bias = self.register_parameter("bias", Tensor(np.zeros(out_features)))
+        self.bias = self.register_parameter("bias", Tensor(np.zeros(out_features)))
 
     def forward(self, x: Tensor) -> Tensor:
-        weight, bias = self.weight, (self.bias if self.has_bias else None)
+        weight, bias = self.weight, self.bias
         if x.data.dtype == np.float32:
             weight, bias = _float32_params(self, weight, bias)
         if x.data.ndim >= 2:
             return F.linear(x, weight, bias)
-        out = x.matmul(weight.swapaxes(0, 1))
-        if bias is not None:
-            out = out + bias
-        return out
+        return x.matmul(weight.swapaxes(0, 1)) + bias
 
 
 class LayerNorm(Module):
     """Layer normalization over the final feature dimension."""
 
-    def __init__(self, normalized_shape: int, eps: float = 1e-5) -> None:
+    def __init__(self, normalized_shape: int) -> None:
         super().__init__()
-        self.eps = eps
         self.normalized_shape = normalized_shape
         self.weight = self.register_parameter("weight", Tensor(np.ones(normalized_shape)))
         self.bias = self.register_parameter("bias", Tensor(np.zeros(normalized_shape)))
@@ -88,7 +81,7 @@ class LayerNorm(Module):
         weight, bias = self.weight, self.bias
         if x.data.dtype == np.float32:
             weight, bias = _float32_params(self, weight, bias)
-        return F.layer_norm(x, weight, bias, eps=self.eps)
+        return F.layer_norm(x, weight, bias)
 
 
 class Sequential(Module):

@@ -58,10 +58,6 @@ class Module:
         for module in self._modules.values():
             yield from module.modules()
 
-    def num_parameters(self) -> int:
-        """Total number of scalar parameters in the module tree."""
-        return sum(param.size for param in self.parameters())
-
     def zero_grad(self) -> None:
         for param in self.parameters():
             param.zero_grad()

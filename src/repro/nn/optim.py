@@ -13,9 +13,11 @@ import numpy as np
 from .functional import grad_norm
 from .tensor import Tensor
 
-#: Adam's moment decay rates (the Kingma & Ba defaults CleanRL's PPO uses).
+#: Adam's moment decay rates and denominator guard (the Kingma & Ba
+#: defaults CleanRL's PPO uses).
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class Optimizer:
@@ -61,16 +63,8 @@ class Optimizer:
 class Adam(Optimizer):
     """Adam optimizer with bias correction (Kingma & Ba, 2015)."""
 
-    def __init__(
-        self,
-        parameters: Iterable[Tensor],
-        lr: float = 3e-4,
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ) -> None:
+    def __init__(self, parameters: Iterable[Tensor], lr: float = 3e-4) -> None:
         super().__init__(parameters, lr)
-        self.eps = eps
-        self.weight_decay = weight_decay
         self._step_count = 0
         self._m = [np.zeros_like(p.data) for p in self.parameters]
         self._v = [np.zeros_like(p.data) for p in self.parameters]
@@ -83,30 +77,26 @@ class Adam(Optimizer):
             if param.grad is None:
                 continue
             grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
             m *= ADAM_BETA1
             m += (1.0 - ADAM_BETA1) * grad
             v *= ADAM_BETA2
             v += (1.0 - ADAM_BETA2) * grad ** 2
             m_hat = m / bias1
             v_hat = v / bias2
-            param.data = param.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            param.data = param.data - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
     def state_dict(self) -> Dict:
         return {
             "lr": self.lr,
-            "eps": self.eps,
-            "weight_decay": self.weight_decay,
             "step_count": self._step_count,
             "m": [m.copy() for m in self._m],
             "v": [v.copy() for v in self._v],
         }
 
     def load_state_dict(self, state: Dict) -> None:
+        # A state saved while eps and weight decay were options loads: those
+        # keys only ever held ADAM_EPS and zero, and are ignored.
         super().load_state_dict(state)
-        self.eps = float(state.get("eps", self.eps))
-        self.weight_decay = float(state.get("weight_decay", self.weight_decay))
         self._step_count = int(state.get("step_count", self._step_count))
         if "m" in state:
             self._m = [np.asarray(m).copy() for m in state["m"]]

@@ -132,10 +132,6 @@ class Tensor:
             raise ValueError("item() requires a tensor with exactly one element")
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        """Return a new tensor sharing data but outside the graph."""
-        return Tensor(self.data, requires_grad=False)
-
     def copy(self) -> "Tensor":
         return Tensor(self.data.copy(), requires_grad=self.requires_grad)
 

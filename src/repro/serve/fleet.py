@@ -453,14 +453,15 @@ class ReplicaFleet:
                 (self.registry_factory, self.service_config, config.heartbeat_interval_s, index),
                 name=f"fleet-replica-{index}",
             )
-            self._processes[(index, generation)] = _Process(process, conn, threading.Lock())
+            handle = self._processes[(index, generation)] = _Process(process, conn, threading.Lock())
             self._pids[index] = process.pid
-        reader = threading.Thread(target=self._read_loop, args=(index, generation, conn),
+        reader = threading.Thread(target=self._read_loop, args=(index, generation, handle),
                                   name=f"fleet-reader-{index}", daemon=True)
         reader.start()
 
     def _stop(self, index: int, generation: int, message, grace: float) -> None:
-        """Stop one process off-thread, then report ``stopped``."""
+        """Stop one process off-thread, then report ``stopped``; the pipe is
+        left to its reader (:meth:`_read_loop`), which closes it on EOF."""
         with self._lock:
             handle = self._processes.pop((index, generation), None)
 
@@ -472,7 +473,7 @@ class ReplicaFleet:
                             handle.conn.send(message)
                     except (OSError, ValueError):
                         pass
-                supervise.stop(handle.process, handle.conn, grace)
+                supervise.stop(handle.process, grace)
             self._step("stopped", index, generation)
 
         threading.Thread(target=stop, name=f"fleet-stop-{index}", daemon=True).start()
@@ -490,11 +491,11 @@ class ReplicaFleet:
     # ------------------------------------------------------------------ #
     # Internals — threads
     # ------------------------------------------------------------------ #
-    def _read_loop(self, index: int, generation: int, conn) -> None:
+    def _read_loop(self, index: int, generation: int, handle: _Process) -> None:
         fatal = None
         while True:
             try:
-                message = conn.recv()
+                message = handle.conn.recv()
             except (EOFError, OSError):
                 break
             kind = message[0]
@@ -509,6 +510,10 @@ class ReplicaFleet:
             elif kind == "fatal":
                 fatal = message[1]
                 break
+        # The one closer of the pipe, never under a send: a close from another
+        # thread during recv() read a None handle (TypeError) and killed us.
+        with handle.send_lock:
+            handle.conn.close()
         reason = "replica reported a fatal error" if fatal else "replica process died"
         self._step("lost", index, generation, reason, fatal)
 

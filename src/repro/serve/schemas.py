@@ -221,10 +221,6 @@ class PlanResponse:
     def num_migrations(self) -> int:
         return len(self.migrations)
 
-    @property
-    def objective_reduction(self) -> float:
-        return self.initial_objective - self.final_objective
-
     def plan(self) -> MigrationPlan:
         """The response's migrations as an applicable :class:`MigrationPlan`."""
         return MigrationPlan(

@@ -11,7 +11,7 @@ methods.
 from __future__ import annotations
 
 import multiprocessing
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -78,9 +78,6 @@ class SharedModuleWeights:
     def nbytes(self) -> int:
         """Total shared allocation across all parameter pages."""
         return sum(len(block) for block in self._blocks.values())
-
-    def parameter_names(self) -> List[str]:
-        return sorted(self._specs)
 
     def attach(self, module) -> None:
         """Point ``module``'s parameters at the shared pages (no copies).

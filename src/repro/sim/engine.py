@@ -12,8 +12,9 @@ and departure, resizes) build a new view.
 Event semantics
 ---------------
 ``arrival``
-    A new VM (type sampled small-skewed from the catalog unless the event
-    pins one) is scheduled best-fit, mirroring the production VMS of §1.
+    A new VM (flavor drawn from the Table 1 catalog with weight 1/cpu, so
+    small VMs arrive most often, unless the event pins one) is scheduled
+    best-fit, mirroring the production VMS of §1.
     No room anywhere → ``failed_arrivals``.
 ``exit``
     A placed VM (engine-picked unless the event pins ``vm_id``) leaves.
@@ -28,8 +29,8 @@ Event semantics
 ``pm_fail``
     Hard failure: hosted VMs are lost with the PM.
 ``pm_add``
-    A replacement PM joins, empty.  Every ``adds_per_generation``-th add
-    bumps the hardware generation: newer PMs carry ``generation_growth``×
+    A replacement PM joins, empty.  Every ``ADDS_PER_GENERATION``-th add
+    bumps the hardware generation: newer PMs carry ``GENERATION_GROWTH``×
     more capacity per NUMA, so long horizons grow heterogeneous.
 
 Targets that no longer exist (an exit for a VM that already left, a drain
@@ -78,6 +79,13 @@ STAT_KEYS = (
 )
 
 
+#: Unpinned PM additions per hardware generation.
+ADDS_PER_GENERATION = 4
+
+#: Capacity growth of each hardware generation over the one before.
+GENERATION_GROWTH = 1.25
+
+
 def _even(value: float) -> int:
     """Round up to the nearest positive multiple of 4 (NUMA-splittable)."""
     return max(4, int(-(-value // 4)) * 4)
@@ -91,17 +99,10 @@ class LivingCluster:
         state: ClusterState,
         events: Sequence[ClusterEvent],
         seed: int = 0,
-        catalog: Optional[VMTypeCatalog] = None,
-        adds_per_generation: int = 4,
-        generation_growth: float = 1.25,
     ) -> None:
-        if adds_per_generation < 1:
-            raise ValueError("adds_per_generation must be >= 1")
-        if generation_growth < 1.0:
-            raise ValueError("generation_growth must be >= 1")
         self.state = state
         self.events: List[ClusterEvent] = sorted(events, key=lambda e: (e.time_s, e.kind))
-        self.catalog = catalog if catalog is not None else VMTypeCatalog.main()
+        self.catalog = VMTypeCatalog.main()
         self.now_s = 0.0
         self.stats: Dict[str, int] = {key: 0 for key in STAT_KEYS}
         self._cursor = 0
@@ -110,8 +111,6 @@ class LivingCluster:
         self._next_pm_id = max(state.pms) + 1
         self._adds = 0
         self._generation = 0
-        self._adds_per_generation = adds_per_generation
-        self._generation_growth = generation_growth
         # Generation-0 hardware: the most common PM flavor of the seed state.
         flavor_counts: Dict[PMType, int] = {}
         for pm_id in state.sorted_pm_ids():
@@ -324,9 +323,9 @@ class LivingCluster:
             )
         else:
             self._adds += 1
-            if self._adds % self._adds_per_generation == 0:
+            if self._adds % ADDS_PER_GENERATION == 0:
                 self._generation += 1
-            growth = self._generation_growth ** self._generation
+            growth = GENERATION_GROWTH ** self._generation
             base = self._base_pm_type
             cpu, memory = _even(base.cpu * growth), _even(base.memory * growth)
             pm_type = PMType(name=f"{base.name}-gen{self._generation}", cpu=cpu, memory=memory)

@@ -14,12 +14,15 @@ covering a long horizon (hours to days of simulated time).  Two sources:
   line plus one :meth:`ClusterEvent.to_dict` line per event, so long
   horizons replay bit-identically across machines and sessions.
 
-Exit / resize / drain / fail events in a synthetic trace carry *no* target
-id: which VM exits or which PM drains depends on cluster state at
-application time, so the :class:`~repro.sim.engine.LivingCluster` engine
-resolves targets deterministically from its own seeded generator.  Recorded
-traces may pin explicit ids, as the Fig. 5 streams of
-:class:`~repro.cluster.events.EventGenerator` do.
+The arrival/exit part of a day is :func:`arrival_exit_events`, which the
+Fig. 5 experiment (:func:`repro.analysis.achieved_fr_vs_delay`) also draws
+its churn from, at a flat rate.
+
+Synthetic events carry *no* target: which flavor arrives, which VM exits or
+which PM drains is resolved by the :class:`~repro.sim.engine.LivingCluster`
+engine from its own seeded generator when the event applies, because it
+depends on the cluster state at that time.  Recorded traces may pin explicit
+flavors and ids, and the engine honors them.
 """
 
 from __future__ import annotations
@@ -33,9 +36,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..cluster import ClusterEvent
-from ..cluster.events import MINUTES_PER_DAY
 from ..cluster.state import int_field
-from ..datasets.workloads import WORKLOAD_FAMILIES, family_rate_profile
+from ..datasets.workloads import (
+    ARRIVAL_FRACTION,
+    MINUTES_PER_DAY,
+    WORKLOAD_FAMILIES,
+    family_rate_profile,
+)
 
 #: Trace file format marker + revision.
 TRACE_FORMAT = "repro-sim-trace"
@@ -57,7 +64,6 @@ class ChurnSpec:
     family: str = "diurnal"
     peak_per_minute: float = 2.0
     trough_per_minute: float = 0.2
-    arrival_fraction: float = 0.5
     #: Expected VM resizes per simulated hour.
     resizes_per_hour: float = 1.0
     #: Expected PM maintenance drains per simulated day.
@@ -76,8 +82,6 @@ class ChurnSpec:
             )
         if self.peak_per_minute <= 0 or self.trough_per_minute <= 0:
             raise ValueError("per-minute rates must be positive")
-        if not 0.0 <= self.arrival_fraction <= 1.0:
-            raise ValueError("arrival_fraction must be in [0, 1]")
         for name in ("resizes_per_hour", "drains_per_day", "failures_per_day", "adds_per_day"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must not be negative")
@@ -87,26 +91,49 @@ class ChurnSpec:
             "family": self.family,
             "peak_per_minute": self.peak_per_minute,
             "trough_per_minute": self.trough_per_minute,
-            "arrival_fraction": self.arrival_fraction,
             "resizes_per_hour": self.resizes_per_hour,
             "drains_per_day": self.drains_per_day,
             "failures_per_day": self.failures_per_day,
             "adds_per_day": self.adds_per_day,
         }
 
-    @classmethod
-    def from_dict(cls, payload: Dict) -> "ChurnSpec":
-        return cls(**payload)
+
+def arrival_exit_events(
+    rng: np.random.Generator,
+    rates: np.ndarray,
+    horizon_s: float,
+    offset_s: float = 0.0,
+) -> List[ClusterEvent]:
+    """Arrivals and exits over consecutive minutes with per-minute ``rates``.
+
+    Minute ``m`` starts at ``offset_s + 60 m`` and holds a Poisson number of
+    changes at ``rates[m]``, at uniform times inside the minute; each change
+    is an arrival with probability ``ARRIVAL_FRACTION`` and an exit
+    otherwise.  Changes at or after ``horizon_s`` are dropped, and no event
+    carries a target.
+    """
+    counts = rng.poisson(rates)
+    events: List[ClusterEvent] = []
+    for minute in np.nonzero(counts)[0]:
+        count = int(counts[minute])
+        times = offset_s + (minute + rng.random(count)) * SECONDS_PER_MINUTE
+        arrivals = rng.random(count) < ARRIVAL_FRACTION
+        for time_s, is_arrival in zip(times, arrivals):
+            if time_s < horizon_s:
+                events.append(
+                    ClusterEvent(time_s=float(time_s), kind="arrival" if is_arrival else "exit")
+                )
+    return events
 
 
 class SyntheticTrace:
     """Seeded synthetic event stream over an arbitrary horizon.
 
-    Arrival/exit counts are Poisson per minute under the family's rate
-    profile (a fresh profile is drawn per simulated day, so ``flash_crowd``
-    spikes and ``abnormal`` regimes move around day to day); event times are
-    uniform within their minute.  Structural events (resize / drain / fail /
-    add) are independent Poisson processes at the :class:`ChurnSpec` rates.
+    Arrivals and exits are :func:`arrival_exit_events` under the family's
+    rate profile (a fresh profile is drawn per simulated day, so
+    ``flash_crowd`` spikes and ``abnormal`` regimes move around day to day).
+    Structural events (resize / drain / fail / add) are independent Poisson
+    processes at the :class:`ChurnSpec` rates.
     Everything is drawn from one ``default_rng(seed)``, so equal seeds give
     equal streams.
     """
@@ -128,19 +155,8 @@ class SyntheticTrace:
             rates = family_rate_profile(
                 spec.family, rng, spec.peak_per_minute, spec.trough_per_minute
             )
-            counts = rng.poisson(rates)
             day_offset_s = day * MINUTES_PER_DAY * SECONDS_PER_MINUTE
-            for minute in np.nonzero(counts)[0]:
-                count = int(counts[minute])
-                times = day_offset_s + (minute + rng.random(count)) * SECONDS_PER_MINUTE
-                arrivals = rng.random(count) < spec.arrival_fraction
-                for time_s, is_arrival in zip(times, arrivals):
-                    if time_s >= horizon_s:
-                        continue
-                    if is_arrival:
-                        events.append(ClusterEvent(time_s=float(time_s), kind="arrival"))
-                    else:
-                        events.append(ClusterEvent(time_s=float(time_s), kind="exit"))
+            events.extend(arrival_exit_events(rng, rates, horizon_s, day_offset_s))
 
         hours = horizon_s / 3600.0
         days = horizon_s / 86400.0

@@ -3,7 +3,7 @@
 The fleet runs worker processes over a duplex pipe and recovers from their
 death through these helpers: :func:`spawn` starts a daemon process with the
 child end of a fresh pipe, :func:`stop` escalates until the process is gone
-(join → SIGTERM → SIGKILL) and closes the parent end, and
+(join → SIGTERM → SIGKILL), and
 :class:`RetryPolicy` is the one capped, jittered exponential backoff — for
 request retries and replica respawns alike.
 """
@@ -74,21 +74,16 @@ def spawn(ctx, target, args, name: str):
     return process, parent_conn
 
 
-def stop(process, conn, grace: float) -> None:
-    """Make ``process`` exit and close ``conn``; bounded even for a wedged child.
+def stop(process, grace: float) -> None:
+    """Make ``process`` exit; bounded even for a wedged child.
 
     Waits ``grace`` seconds for a voluntary exit, then sends SIGTERM, then
-    SIGKILL (half a second each).  Either argument may be ``None``.
+    SIGKILL (half a second each).  The pipe stays open: whoever reads it
+    sees the exit as EOF and closes it.
     """
-    if process is not None:
-        process.join(timeout=grace)
-        for signal_process in (process.terminate, process.kill):
-            if not process.is_alive():
-                break
-            signal_process()
-            process.join(timeout=0.5)
-    if conn is not None:
-        try:
-            conn.close()
-        except OSError:
-            pass
+    process.join(timeout=grace)
+    for signal_process in (process.terminate, process.kill):
+        if not process.is_alive():
+            break
+        signal_process()
+        process.join(timeout=0.5)

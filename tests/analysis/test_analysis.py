@@ -58,10 +58,11 @@ class TestDynamics:
         assert elbow is None or elbow in (0.0, 30.0)
 
     def test_outcomes_pinned(self, snapshot):
-        # A fixed state, plan and churn stream give these outcomes exactly.
-        # The FR columns were recorded when Fig. 5 replayed churn through its
-        # own arrival/exit applier, before the simulator's engine took over;
-        # the action counts are totals over the three replicas.
+        # A fixed state, plan and seed give these outcomes exactly.  They
+        # were recorded when Fig. 5 began drawing its churn with the
+        # simulator's sampler (arrival_exit_events) and letting the engine
+        # pick every arriving flavor and exiting VM; the action counts are
+        # totals over the three replicas.
         plan = MigrationPlan([
             Migration(vm_id=13, dest_pm_id=5, dest_numa_id=0),
             Migration(vm_id=17, dest_pm_id=5, dest_numa_id=0),
@@ -78,10 +79,10 @@ class TestDynamics:
             for o in outcomes
         ] == [
             (0.0, 0.02040816326530612, 0.1292517006802721, 18, 0, 0.1292517006802721),
-            (5.0, 0.03522036349551682, 0.11956154110326561, 17, 1, 0.1292517006802721),
-            (30.0, 0.09062888595052337, 0.10708979130031761, 12, 6, 0.1292517006802721),
-            (120.0, 0.11144850573001717, 0.0808530013090094, 10, 8, 0.1292517006802721),
-            (600.0, 0.06104013421086591, 0.06104013421086591, 0, 18, 0.1292517006802721),
+            (5.0, 0.04800782809942059, 0.11676370053627462, 15, 3, 0.1292517006802721),
+            (30.0, 0.09894854703546248, 0.09894854703546248, 10, 8, 0.1292517006802721),
+            (120.0, 0.09524810765349033, 0.0928768339407532, 8, 10, 0.1292517006802721),
+            (600.0, 0.07228825979130372, 0.04943291547820488, 2, 16, 0.1292517006802721),
         ]
         for outcome in outcomes:  # every action of every replica is counted once
             assert outcome.actions_applied + outcome.actions_stale == 3 * len(plan)

@@ -9,8 +9,6 @@ from repro.cluster import (
     ClusterState,
     ConstraintChecker,
     ConstraintConfig,
-    EventGenerator,
-    LiveMigrationCostModel,
     Migration,
     MigrationPlan,
     PhysicalMachine,
@@ -21,10 +19,10 @@ from repro.cluster import (
     apply_plan,
     assign_anti_affinity_groups,
     best_fit_placement,
-    diurnal_rate_profile,
-    sample_daily_changes,
+    migration_seconds,
+    plan_cost,
 )
-from repro.sim import LivingCluster
+from repro.cluster import migration as live_migration
 
 from oracles import destination_mask_reference
 
@@ -223,62 +221,32 @@ class TestMigrationPlan:
 
 class TestLiveMigrationCostModel:
     def test_migration_time_increases_with_memory(self):
-        model = LiveMigrationCostModel()
-        assert model.migration_seconds(128) > model.migration_seconds(8)
+        assert migration_seconds(128) > migration_seconds(8)
 
-    def test_downtime_below_total_time(self):
-        model = LiveMigrationCostModel()
-        assert model.downtime_seconds(64) < model.migration_seconds(64)
+    def test_precopy_rounds_shrink_by_the_dirty_ratio_then_stop_and_copy(self):
+        # 8 GB: the first round leaves 1.2 GB dirty, the second 0.18 GB, which
+        # is under the stop threshold, so the final copy moves 0.18 GB.
+        ratio = live_migration.DIRTY_PAGE_RATIO
+        assert 8 * ratio > live_migration.STOP_THRESHOLD_GB >= 8 * ratio ** 2
+        moved = 8 + 8 * ratio + 8 * ratio ** 2
+        bandwidth = live_migration.NETWORK_BANDWIDTH_GBPS / 8.0
+        assert migration_seconds(8) == pytest.approx(moved / bandwidth, rel=1e-12)
 
     def test_invalid_memory_rejected(self):
         with pytest.raises(ValueError):
-            LiveMigrationCostModel().migration_seconds(0)
+            migration_seconds(0)
 
     def test_plan_cost_parallelism(self, small_state):
-        model = LiveMigrationCostModel()
         plan = MigrationPlan([Migration(vm_id=0, dest_pm_id=2), Migration(vm_id=1, dest_pm_id=2)])
-        serial = model.plan_cost(small_state, plan, parallelism=1)
-        parallel = model.plan_cost(small_state, plan, parallelism=2)
+        serial = plan_cost(small_state, plan, parallelism=1)
+        parallel = plan_cost(small_state, plan, parallelism=2)
         assert parallel["makespan_seconds"] <= serial["makespan_seconds"]
         assert serial["num_migrations"] == 2
         with pytest.raises(ValueError):
-            model.plan_cost(small_state, plan, parallelism=0)
+            plan_cost(small_state, plan, parallelism=0)
 
 
 class TestEvents:
-    def test_diurnal_profile_shape(self):
-        profile = diurnal_rate_profile(peak_per_minute=80, trough_per_minute=6)
-        assert profile.shape == (24 * 60,)
-        assert profile.max() == pytest.approx(80, rel=1e-6)
-        assert profile.min() == pytest.approx(6, rel=1e-6)
-
-    def test_diurnal_profile_peak_must_exceed_trough(self):
-        with pytest.raises(ValueError):
-            diurnal_rate_profile(5, 10)
-
-    def test_sample_daily_changes_counts(self):
-        rng = np.random.default_rng(0)
-        day = sample_daily_changes(rng)
-        assert day["arrivals"].shape == (24 * 60,)
-        np.testing.assert_array_equal(day["arrivals"] + day["exits"], day["total"])
-
-    def test_event_generator_produces_sorted_mixed_events(self, small_state):
-        generator = EventGenerator(changes_per_minute=120, rng=np.random.default_rng(1))
-        events = generator.generate(horizon_s=60.0, state=small_state)
-        assert events, "expected events at 2 changes per second over a minute"
-        times = [e.time_s for e in events]
-        assert times == sorted(times)
-        kinds = {e.kind for e in events}
-        assert kinds <= {"arrival", "exit"}
-
-    def test_living_cluster_updates_state(self, small_state):
-        generator = EventGenerator(changes_per_minute=240, rng=np.random.default_rng(2))
-        events = generator.generate(horizon_s=120.0, state=small_state)
-        before_vm_count = small_state.num_vms
-        stats = LivingCluster(small_state, events, seed=3).advance(120.0)
-        assert stats["arrivals"] + stats["exits"] + stats["failed_arrivals"] > 0
-        assert small_state.num_vms == before_vm_count + stats["arrivals"] - stats["exits"]
-
     def test_best_fit_placement_prefers_fragment_reduction(self):
         state = make_cluster(num_pms=2, cpu=64, memory=256)
         # PM0 NUMA0 has exactly 16 free after hosting a 4xlarge; PM1 empty.

@@ -129,10 +129,10 @@ class TestRiskSeeking:
         config = tiny_config()
         policy = TwoStagePolicy(config.model, rng=np.random.default_rng(0))
         few = risk_seeking_evaluate(
-            policy, snapshots[0], 4, config=RiskSeekingConfig(num_trajectories=2, greedy_first=True), seed=7
+            policy, snapshots[0], 4, config=RiskSeekingConfig(num_trajectories=2), seed=7
         )
         many = risk_seeking_evaluate(
-            policy, snapshots[0], 4, config=RiskSeekingConfig(num_trajectories=6, greedy_first=True), seed=7
+            policy, snapshots[0], 4, config=RiskSeekingConfig(num_trajectories=6), seed=7
         )
         assert many.best.final_objective <= few.best.final_objective + 1e-9
         assert [plan_tuples(t.plan) for t in few.trajectories] == [
@@ -140,16 +140,13 @@ class TestRiskSeeking:
         ]
         assert few.objectives().tolist() == many.objectives()[:2].tolist()
 
-    @pytest.mark.parametrize("greedy_first", [True, False])
-    def test_row_k_is_a_one_element_rollout_seeded_seed_k(self, snapshots, greedy_first):
+    def test_row_k_is_a_one_element_rollout_seeded_seed_k(self, snapshots):
         config = tiny_config()
         policy = TwoStagePolicy(config.model, rng=np.random.default_rng(0))
-        rs_config = RiskSeekingConfig(
-            num_trajectories=5, vm_quantile=0.3, pm_quantile=0.5, greedy_first=greedy_first
-        )
+        rs_config = RiskSeekingConfig(num_trajectories=5, vm_quantile=0.3, pm_quantile=0.5)
         outcome = risk_seeking_evaluate(policy, snapshots[1], 4, config=rs_config, seed=11)
         for k, trajectory in enumerate(outcome.trajectories):
-            greedy = greedy_first and k == 0
+            greedy = k == 0
             solo = rollout_batch(
                 policy, [snapshots[1]], [4], [np.random.default_rng([11, k])], greedy=greedy,
                 vm_quantile=None if greedy else 0.3, pm_quantile=None if greedy else 0.5,
@@ -269,6 +266,23 @@ class TestVMR2LAgent:
             with pytest.raises(ValueError, match="tanh"):
                 VMR2LAgent.load(path)
             return
+        loaded = VMR2LAgent.load(path)
+        assert loaded.config == agent.config
+        for name, array in agent.policy.state_dict().items():
+            assert np.array_equal(loaded.policy.state_dict()[name], array)
+
+    @pytest.mark.parametrize("greedy_first", [True, False])
+    def test_checkpoint_recording_greedy_first(self, tmp_path, greedy_first):
+        # Every config saved before risk-seeking became greedy-first always
+        # records the field; the option never shaped the weights, so the
+        # checkpoint loads and the field is dropped.
+        from repro.nn.serialization import save_module
+
+        agent = VMR2LAgent(tiny_config(), seed=0)
+        config = agent.config.to_dict()
+        assert "greedy_first" not in config["risk_seeking"]
+        config["risk_seeking"]["greedy_first"] = greedy_first
+        path = save_module(agent.policy, tmp_path / "ckpt", metadata={"config": config, "seed": 0})
         loaded = VMR2LAgent.load(path)
         assert loaded.config == agent.config
         for name, array in agent.policy.state_dict().items():

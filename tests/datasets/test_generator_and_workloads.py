@@ -17,6 +17,7 @@ from repro.datasets import (
     cpu_usage_cdf,
     cpu_usage_samples,
     daily_arrival_exit_series,
+    diurnal_rate_profile,
     generate_workload_snapshots,
     get_spec,
     get_workload_level,
@@ -28,6 +29,7 @@ from repro.datasets import (
     split_mappings,
     validate_mapping,
 )
+from repro.datasets import workloads
 
 
 class TestClusterSpec:
@@ -151,6 +153,30 @@ class TestWorkloads:
     def test_daily_series_invalid_days(self):
         with pytest.raises(ValueError):
             daily_arrival_exit_series(days=0)
+
+    def test_daily_series_of_one_day_is_that_days_counts(self):
+        series = daily_arrival_exit_series(seed=0, days=1)
+        assert series["arrivals"].shape == (24 * 60,)
+        np.testing.assert_array_equal(series["arrivals"] + series["exits"], series["total"])
+        for key in ("arrivals", "exits"):
+            assert np.all(series[key] == np.round(series[key])) and series[key].min() >= 0
+        # Poisson counts at Fig. 1's rates, split evenly into arrivals and exits.
+        rates = diurnal_rate_profile(workloads.FIG1_PEAK_PER_MINUTE, workloads.FIG1_TROUGH_PER_MINUTE)
+        total = series["total"].sum()
+        assert abs(total - rates.sum()) < 5 * np.sqrt(rates.sum())
+        share = series["arrivals"].sum() / total
+        assert abs(share - workloads.ARRIVAL_FRACTION) < 5 * np.sqrt(0.25 / total)
+
+    def test_diurnal_profile_shape(self):
+        profile = diurnal_rate_profile(peak_per_minute=80, trough_per_minute=6)
+        assert profile.shape == (24 * 60,)
+        assert profile.max() == pytest.approx(80, rel=1e-6)
+        assert profile.min() == pytest.approx(6, rel=1e-6)
+        assert int(np.argmax(profile)) == int(workloads.DIURNAL_PEAK_HOUR * 60)
+
+    def test_diurnal_profile_peak_must_exceed_trough(self):
+        with pytest.raises(ValueError):
+            diurnal_rate_profile(5, 10)
 
 
 class TestSchemaAndIO:

@@ -192,7 +192,7 @@ class TestEnvBasics:
         fr_after_step = env.fragment_rate()
         obs = env.reset()
         assert env.steps_taken == 0
-        assert env.fragment_rate() == pytest.approx(env.initial_metric())
+        assert env.fragment_rate() == pytest.approx(build_state().fragment_rate())
         assert env.fragment_rate() != pytest.approx(fr_after_step) or True
 
     def test_out_of_range_action_raises(self, env):

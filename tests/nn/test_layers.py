@@ -18,7 +18,9 @@ from repro.nn import (
     load_module,
     save_module,
 )
+from repro.nn import functional as F
 from repro.nn import init as initializers
+from repro.nn import optim
 
 
 @pytest.fixture
@@ -33,9 +35,9 @@ class TestModule:
         assert "0.weight" in names and "2.bias" in names
         assert len(names) == 4
 
-    def test_num_parameters(self, rng):
+    def test_parameter_count(self, rng):
         layer = Linear(3, 4, rng=rng)
-        assert layer.num_parameters() == 3 * 4 + 4
+        assert sum(param.size for param in layer.parameters()) == 3 * 4 + 4
 
     def test_state_dict_roundtrip(self, rng):
         model = MLP(3, [8], 2, rng=rng)
@@ -64,9 +66,23 @@ class TestLinear:
         out = layer(Tensor(rng.normal(size=(4, 5))))
         assert out.shape == (4, 7)
 
-    def test_no_bias(self, rng):
-        layer = Linear(5, 7, bias=False, rng=rng)
-        assert "bias" not in dict(layer.named_parameters())
+    def test_every_linear_has_a_weight_and_a_bias(self, rng):
+        layer = Linear(5, 7, rng=rng)
+        assert [name for name, _ in layer.named_parameters()] == ["weight", "bias"]
+        assert layer.bias.shape == (7,)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_bias_is_added_on_every_input_rank(self, rng, dtype):
+        layer = Linear(5, 3, rng=rng)
+        layer.bias.data = rng.normal(size=3)
+        rows = rng.normal(size=(4, 5)).astype(dtype)
+        expected = rows.astype(np.float64) @ layer.weight.data.T + layer.bias.data
+        tolerance = 1e-12 if dtype == np.float64 else 1e-5
+        batched = layer(Tensor(rows)).numpy()
+        assert batched.dtype == dtype
+        np.testing.assert_allclose(batched, expected, rtol=tolerance, atol=tolerance)
+        for row, want in zip(rows, expected):
+            np.testing.assert_allclose(layer(Tensor(row)).numpy(), want, rtol=tolerance, atol=tolerance)
 
     def test_gradients_flow_to_weight_and_bias(self, rng):
         layer = Linear(3, 2, rng=rng)
@@ -86,6 +102,16 @@ class TestLayerNorm:
         out = layer(Tensor(rng.normal(5.0, 3.0, size=(4, 8)))).numpy()
         np.testing.assert_allclose(out.mean(axis=-1), np.zeros(4), atol=1e-6)
         np.testing.assert_allclose(out.std(axis=-1), np.ones(4), atol=1e-2)
+
+    def test_variance_guard_is_the_module_constant(self):
+        # A constant row has zero variance: the guard alone keeps it finite.
+        layer = LayerNorm(3)
+        layer.weight.data = np.full(3, 2.0)
+        x = np.array([[1.0, 2.0, 4.0], [5.0, 5.0, 5.0]])
+        centered = x - x.mean(axis=-1, keepdims=True)
+        expected = 2.0 * centered / np.sqrt(centered.var(axis=-1, keepdims=True) + F.LAYER_NORM_EPS)
+        np.testing.assert_allclose(layer(Tensor(x)).numpy(), expected, rtol=1e-12)
+        assert np.all(layer(Tensor(x)).numpy()[1] == 0.0)
 
     def test_gradients_flow(self, rng):
         layer = LayerNorm(4)
@@ -229,6 +255,25 @@ class TestOptimizers:
         other = Adam(model.parameters(), lr=1e-3)
         other.load_state_dict(state)
         assert other._step_count == 1
+        assert set(state) == {"lr", "step_count", "m", "v"}
+
+    def test_adam_loads_a_state_with_the_retired_keys(self, rng):
+        model = Linear(2, 2, rng=rng)
+        optimizer = Adam(model.parameters(), lr=1e-3)
+        optimizer.load_state_dict({"lr": 5e-4, "eps": 1e-8, "weight_decay": 0.0, "step_count": 3})
+        assert optimizer.lr == 5e-4 and optimizer._step_count == 3
+
+    def test_adam_step_is_the_bias_corrected_update(self, rng):
+        model = Linear(2, 2, rng=rng)
+        optimizer = Adam(model.parameters(), lr=1e-2)
+        start = model.weight.data.copy()
+        grad = rng.normal(size=(2, 2))
+        model.weight.grad = grad
+        optimizer.step()
+        m_hat = (1.0 - optim.ADAM_BETA1) * grad / (1.0 - optim.ADAM_BETA1)
+        v_hat = (1.0 - optim.ADAM_BETA2) * grad ** 2 / (1.0 - optim.ADAM_BETA2)
+        expected = start - 1e-2 * m_hat / (np.sqrt(v_hat) + optim.ADAM_EPS)
+        np.testing.assert_allclose(model.weight.data, expected, rtol=1e-12)
 
     def test_linear_schedule(self):
         schedule = LinearSchedule(1.0, 0.0, total_steps=10)

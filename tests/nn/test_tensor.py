@@ -39,11 +39,6 @@ class TestBasics:
     def test_item_on_scalar(self):
         assert Tensor(3.5).item() == pytest.approx(3.5)
 
-    def test_detach_removes_graph(self):
-        t = Tensor([1.0, 2.0], requires_grad=True)
-        d = t.detach()
-        assert not d.requires_grad
-
     def test_backward_on_non_scalar_without_grad_raises(self):
         t = Tensor([1.0, 2.0], requires_grad=True)
         with pytest.raises(RuntimeError):

@@ -7,11 +7,16 @@ picklability contract honest, one of them for the fault factory of
 ``tests/faults.py``.
 """
 
+import os
+import select
+import socket
 import threading
 import time
+from multiprocessing.connection import Connection
 
 import pytest
 
+from repro import supervise
 from repro.serve import (
     DefaultRegistryFactory,
     FleetConfig,
@@ -22,6 +27,7 @@ from repro.serve import (
     RetryPolicy,
     ServiceConfig,
 )
+from repro.serve.fleet import _Process
 
 from clusters import plan_request, small_state
 from faults import FaultyRegistryFactory, kill_replica
@@ -255,6 +261,9 @@ class TestDrain:
             def recv(self):
                 raise EOFError
 
+            def close(self):
+                pass
+
         fleet = start_fleet(fast_config(num_replicas=1))
         try:
             slot = fleet._control.slots[0]
@@ -262,7 +271,8 @@ class TestDrain:
             # A reader of the previous generation ends: its EOF reaches the
             # core synchronously and is dropped there, so the checks need no
             # wait.
-            fleet._read_loop(0, slot.generation - 1, ClosedConnection())
+            old = _Process(None, ClosedConnection(), threading.Lock())
+            fleet._read_loop(0, slot.generation - 1, old)
             assert slot.state == "up"
             assert fleet.state()["replicas"][0]["pid"] == pid
             assert fleet.stats()["replica_failures"] == 0
@@ -313,6 +323,67 @@ class TestStopAndState:
             assert state["stats"]["completed"] == 1
         finally:
             fleet.stop()
+
+
+class _GatedConnection(Connection):
+    """A parent pipe end whose ``recv`` waits between its closed-check and
+    its read until there is something to read (a message or EOF) or the end
+    is closed: the window a close from another thread used to land in."""
+
+    def __init__(self, handle: int) -> None:
+        super().__init__(handle)
+        self.probe = os.dup(handle)
+
+    def _check_readable(self) -> None:
+        super()._check_readable()
+        while not self.closed:
+            if select.select([self.probe], [], [], 0.01)[0]:
+                return
+
+
+class _ExitingProcess:
+    """Stands in for a replica process that exits as soon as it is asked."""
+
+    pid = 4242
+
+    def __init__(self) -> None:
+        self.alive = True
+
+    def is_alive(self) -> bool:
+        return self.alive
+
+    def join(self, timeout=None) -> None:
+        self.alive = False
+
+    terminate = kill = join
+
+
+class TestReaderOwnsThePipe:
+    def test_stopping_a_replica_never_closes_the_pipe_under_its_reader(self, monkeypatch):
+        # Closing the parent end from the stop thread while the reader sat in
+        # recv() made the read use a None handle: TypeError ("'NoneType'
+        # object cannot be interpreted as an integer") in fleet-reader-<i>.
+        ours, theirs = socket.socketpair()
+        conn = _GatedConnection(ours.detach())
+        replica_end = Connection(theirs.detach())
+        monkeypatch.setattr(supervise, "spawn", lambda *args, **kwargs: (_ExitingProcess(), conn))
+        errors = []
+        monkeypatch.setattr(threading, "excepthook", errors.append)
+        try:
+            replica_end.send(("ready", {"pid": _ExitingProcess.pid, "planners": []}))
+            fleet = ReplicaFleet(None, fast_config(num_replicas=1, heartbeat_timeout_s=60.0))
+            fleet.start(timeout=10.0)
+            reader = next(t for t in threading.enumerate() if t.name == "fleet-reader-0")
+            fleet.stop()  # returns once the core has the replica stopped
+            assert not conn.closed, "the stop path closed the pipe under its reader"
+            replica_end.close()  # the exited replica's end reads as EOF
+            reader.join(timeout=10.0)
+            assert not reader.is_alive()
+            assert conn.closed  # the reader closed it on EOF
+            assert [repr(error.exc_value) for error in errors] == []
+        finally:
+            os.close(conn.probe)
+            replica_end.close()
 
 
 class TestExpiredBudget:

@@ -69,7 +69,7 @@ class TestSpawn:
             assert conn.recv() == ("echo", {"n": 1})
         finally:
             conn.close()  # the echo loop ends on EOF
-            stop(process, conn, grace=WAIT_S)
+            stop(process, grace=WAIT_S)
         assert process.exitcode == 0
 
     def test_process_is_a_named_daemon(self):
@@ -80,7 +80,7 @@ class TestSpawn:
             assert process.is_alive()
         finally:
             conn.close()
-            stop(process, conn, grace=WAIT_S)
+            stop(process, grace=WAIT_S)
 
     def test_child_death_reads_as_eof(self):
         process, conn = _start(_exit_with, (0,))
@@ -89,7 +89,8 @@ class TestSpawn:
             with pytest.raises(EOFError):
                 conn.recv()
         finally:
-            stop(process, conn, grace=WAIT_S)
+            conn.close()
+            stop(process, grace=WAIT_S)
 
     @pytest.mark.parametrize("method", ["fork", "spawn"])
     def test_parent_close_reads_as_eof_in_child(self, method):
@@ -99,57 +100,62 @@ class TestSpawn:
         try:
             assert process.exitcode == 3
         finally:
-            stop(process, None, grace=0.0)
+            stop(process, grace=0.0)
 
 
 class TestStop:
     def test_waits_for_a_voluntary_exit(self):
         process, conn = _start(_echo)
         conn.close()  # the echo loop ends on EOF
-        stop(process, conn, grace=WAIT_S)
+        stop(process, grace=WAIT_S)
         assert not process.is_alive()
         assert process.exitcode == 0
-        assert conn.closed
 
     def test_terminates_a_child_that_does_not_exit(self):
         process, conn = _start(_sleep)
         _wait_ready(conn)
         started = time.monotonic()
-        stop(process, conn, grace=0.2)
+        stop(process, grace=0.2)
         assert time.monotonic() - started < 5.0  # bounded, far below the 60 s sleep
         assert not process.is_alive()
         assert process.exitcode == -signal.SIGTERM
-        assert conn.closed
+        conn.close()
 
     def test_kills_a_child_that_ignores_sigterm(self):
         process, conn = _start(_ignore_sigterm)
         _wait_ready(conn)
         started = time.monotonic()
-        stop(process, conn, grace=0.2)
+        stop(process, grace=0.2)
         assert time.monotonic() - started < 5.0  # bounded, far below the 60 s sleep
         assert not process.is_alive()
         assert process.exitcode == -signal.SIGKILL
+        conn.close()
 
     def test_after_sigkill_is_clean(self):
         process, conn = _start(_sleep)
         _wait_ready(conn)
         os.kill(process.pid, signal.SIGKILL)
-        stop(process, conn, grace=WAIT_S)
+        stop(process, grace=WAIT_S)
         assert process.exitcode == -signal.SIGKILL
-        assert conn.closed
+        conn.close()
 
-    def test_accepts_missing_process_or_conn(self):
-        stop(None, None, grace=0.0)
-        lhs, rhs = multiprocessing.Pipe()
-        stop(None, lhs, grace=0.0)
-        assert lhs.closed
-        rhs.close()
+    def test_leaves_the_pipe_to_its_reader(self):
+        # The reader, not stop(), closes the parent end: the exit reads as
+        # EOF there, so no other thread ever closes a pipe under a recv.
+        process, conn = _start(_sleep)
+        _wait_ready(conn)
+        stop(process, grace=0.0)
+        assert not conn.closed
+        assert conn.poll(WAIT_S)
+        with pytest.raises(EOFError):
+            conn.recv()
+        conn.close()
 
-    def test_tolerates_an_already_closed_conn(self):
+    def test_stopping_twice_is_harmless(self):
         process, conn = _start(_echo)
         conn.close()
-        stop(process, conn, grace=WAIT_S)
-        stop(process, conn, grace=0.0)
+        stop(process, grace=WAIT_S)
+        stop(process, grace=0.0)
         assert process.exitcode == 0
 
 

@@ -126,7 +126,7 @@ class TestPlanResponse:
         assert [m.as_tuple() for m in rebuilt] == [(3, 1), (5, 2)]
         assert rebuilt.migrations[0].dest_numa_id == 0
         assert rebuilt.migrations[1].dest_numa_id is None
-        assert restored.objective_reduction == pytest.approx(0.25)
+        assert restored.initial_objective - restored.final_objective == pytest.approx(0.25)
 
     def test_error_round_trip(self):
         error = PlanError(request_id="abc", code="unknown_planner", message="nope")

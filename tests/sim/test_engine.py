@@ -5,7 +5,7 @@ import pytest
 from repro.cluster import ClusterEvent, PhysicalMachine
 from repro.cluster.vm_types import DEFAULT_PM_TYPE, PMType
 from repro.datasets import ClusterSpec, SnapshotGenerator
-from repro.sim import ChurnSpec, LivingCluster, SyntheticTrace
+from repro.sim import ChurnSpec, LivingCluster, SyntheticTrace, engine
 
 from oracles import assert_recounted
 
@@ -212,17 +212,21 @@ class TestPinnedEvents:
     def test_pm_add_generation_schedule_grows_capacity(self):
         state = small_state()
         events = [ClusterEvent(time_s=float(i + 1), kind="pm_add") for i in range(8)]
-        cluster = LivingCluster(state, events, adds_per_generation=4, generation_growth=1.5)
+        cluster = LivingCluster(state, events)
         base_cpu = cluster._base_pm_type.cpu
         before = set(state.pms)
         cluster.advance(100.0)
         added = [state.pms[pm_id] for pm_id in sorted(set(state.pms) - before)]
         assert len(added) == 8
         cpus = [pm.pm_type.cpu for pm in added]
-        # Generations bump on the 4th and 8th add: capacities never shrink
-        # and the last generation is strictly bigger than the first.
-        assert cpus == sorted(cpus)
-        assert cpus[-1] > base_cpu
+        # Generations bump on every ADDS_PER_GENERATION-th add, each growing
+        # the base capacity by GENERATION_GROWTH (rounded up to a multiple of 4).
+        assert engine.ADDS_PER_GENERATION == 4
+        generation = [base_cpu] + [
+            -(-base_cpu * engine.GENERATION_GROWTH ** g // 4) * 4 for g in (1, 2)
+        ]
+        assert cpus == [generation[0]] * 3 + [generation[1]] * 4 + [generation[2]]
+        assert generation[0] < generation[1] < generation[2]
 
 
 class TestEngineChurn:

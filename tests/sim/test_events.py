@@ -2,13 +2,11 @@
 
 import pytest
 
-from repro.cluster import (
-    ClusterEvent,
-    EVENT_KINDS,
-    EventGenerator,
-)
+from repro.cluster import ClusterEvent, EVENT_KINDS
 from repro.datasets import ClusterSpec, SnapshotGenerator
+from repro.datasets.workloads import ARRIVAL_FRACTION
 from repro.sim import LivingCluster
+from repro.sim.trace import arrival_exit_events
 
 import numpy as np
 
@@ -109,34 +107,44 @@ class TestRoundTrip:
             ClusterEvent.from_dict([1.0, "exit"])
 
 
-class TestEventGeneratorStreams:
+def flat_stream(seed, minutes=5, rate=6.0, horizon_s=None):
+    """A Fig. 5 churn stream: ``arrival_exit_events`` at a flat rate."""
+    rates = np.full(minutes, rate)
+    horizon_s = minutes * 60.0 if horizon_s is None else horizon_s
+    return arrival_exit_events(np.random.default_rng(seed), rates, horizon_s)
+
+
+class TestFlatRateStreams:
     """The arrival/exit streams Fig. 5 replays through the simulator's engine."""
 
-    def test_event_generator_stream_unchanged(self):
-        state = small_state()
-        generator = EventGenerator(rng=np.random.default_rng(0))
-        events = generator.generate(120.0, state=state)
-        assert events, "expected a non-empty stream"
-        assert all(e.kind in ("arrival", "exit") for e in events)
+    def test_rate_and_arrival_share_within_poisson_tolerance(self):
+        minutes, rate = 600, 60.0
+        events = flat_stream(0, minutes=minutes, rate=rate)
+        expected = minutes * rate
+        assert abs(len(events) - expected) < 5 * np.sqrt(expected)
+        share = sum(e.kind == "arrival" for e in events) / len(events)
+        assert abs(share - ARRIVAL_FRACTION) < 5 * np.sqrt(0.25 / len(events))
 
-    def test_living_cluster_replays_arrivals_and_exits(self):
+    def test_events_carry_no_target(self):
+        events = flat_stream(1, rate=30.0)
+        assert events and {e.kind for e in events} == {"arrival", "exit"}
+        assert all(set(e.to_dict()) == {"time_s", "kind"} for e in events)
+
+    def test_horizon_cuts_the_last_minute(self):
+        events = flat_stream(2, minutes=3, rate=30.0, horizon_s=150.0)
+        assert events and all(0.0 <= e.time_s < 150.0 for e in events)
+        assert max(e.time_s for e in events) >= 120.0
+
+    def test_equal_seeds_give_equal_streams(self):
+        assert flat_stream(3) == flat_stream(3)
+        assert flat_stream(3) != flat_stream(4)
+
+    def test_living_cluster_resolves_flavors_and_exits(self):
         state = small_state()
-        generator = EventGenerator(rng=np.random.default_rng(1))
-        events = generator.generate(300.0, state=state)
+        events = flat_stream(1)
         engine = LivingCluster(state, events, seed=1)
+        before = state.num_vms
         stats = engine.advance(300.0)
-        assert stats["arrivals"] + stats["exits"] + stats["failed_arrivals"] > 0
+        assert stats["arrivals"] > 0 and stats["exits"] > 0
         assert stats["skipped"] == 0 and engine.pending_events == 0
-
-    def test_pinned_stream_never_draws_from_the_engine_seed(self):
-        # Every arrival names its flavor and every exit its VM, so the
-        # engine's seed cannot change the replay (Fig. 5 relies on this).
-        events = EventGenerator(changes_per_minute=60.0, rng=np.random.default_rng(4)).generate(
-            300.0, state=small_state()
-        )
-        replays = []
-        for seed in (0, 1, 99):
-            state = small_state()
-            stats = LivingCluster(state, events, seed=seed).advance(300.0)
-            replays.append((stats, state.to_dict()))
-        assert replays[0] == replays[1] == replays[2]
+        assert state.num_vms == before + stats["arrivals"] - stats["exits"]
